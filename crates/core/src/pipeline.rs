@@ -787,7 +787,6 @@ mod tests {
 
     #[test]
     fn window_rolls_drive_ticks_scrapes_and_alert_evaluation() {
-        use obs::alert::{Op, Selector};
         let registry = std::sync::Arc::new(obs::Registry::new());
         let o = Obs::new(registry.clone());
         let recs = churn_stream();
@@ -810,13 +809,11 @@ mod tests {
         let alerts = Arc::new(AlertEngine::new(o.clone()));
         // Total records never move between ticks once ingest is done, so
         // this threshold fires as soon as its hold elapses.
-        alerts.add_rule(obs::AlertRule::threshold(
-            "records_seen",
-            Selector::value("commgraph_pipeline_late_records_total"),
-            Op::Ge,
-            0.0,
-            1,
-        ));
+        alerts.add_rule(
+            obs::AlertRule::query("records_seen", "commgraph_pipeline_late_records_total >= 0")
+                .unwrap()
+                .with_for_ticks(1),
+        );
         let monitored: HashSet<Ipv4Addr> =
             recs.iter().flat_map(|r| [r.key.local_ip, r.key.remote_ip]).collect();
         let mut an = WindowAnalyzer::new(monitored, true)

@@ -16,7 +16,6 @@
 //!   periodically drains it into connection summaries (Figure 7).
 //! * [`codec`] — text (flow-log line) and binary codecs for summary streams.
 //! * [`nsg`] — Azure-NSG-style JSON interchange (v2 flow tuples).
-//! * [`burst`] — a NIC-resident burst-statistics sketch (§3.1's open issue).
 //! * [`time`] — aggregation-bucket helpers.
 //!
 //! The design goal mirrors the paper's: everything downstream (graph
@@ -27,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod burst;
 pub mod codec;
 pub mod error;
 pub mod nic;

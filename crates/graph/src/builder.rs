@@ -13,7 +13,6 @@
 //!   cloud RPC workloads — this equals the number of connections; long-lived
 //!   flows contribute one count per interval they span.
 
-use crate::cardinality::HyperLogLog;
 use crate::diff::dirty_nodes;
 use crate::graph::CommGraph;
 use crate::node::{Facet, NodeId};
@@ -159,7 +158,6 @@ pub struct WindowedBuilder {
     track_dirty: bool,
     dirty: Vec<Vec<NodeId>>,
     last_closed: Option<CommGraph>,
-    peer_sketches: HashMap<NodeId, HyperLogLog>,
 }
 
 impl WindowedBuilder {
@@ -177,7 +175,6 @@ impl WindowedBuilder {
             track_dirty: false,
             dirty: Vec::new(),
             last_closed: None,
-            peer_sketches: HashMap::new(),
         }
     }
 
@@ -190,9 +187,7 @@ impl WindowedBuilder {
     /// Track dirty nodes across window rolls. Each closed window is diffed
     /// against the previous one; downstream consumers use the dirty set to
     /// recompute only what actually changed. The first window is entirely
-    /// dirty (there is no baseline). Tracking also maintains per-node
-    /// distinct-peer sketches, delta-updated only for dirty nodes — clean
-    /// nodes keep identical adjacency, so skipping them loses nothing.
+    /// dirty (there is no baseline).
     pub fn with_dirty_tracking(mut self) -> Self {
         self.track_dirty = true;
         self
@@ -207,7 +202,7 @@ impl WindowedBuilder {
     }
 
     /// Close one window: finish the graph and, when tracking, record its
-    /// dirty set and fold dirty adjacency into the peer sketches.
+    /// dirty set.
     fn close(&mut self, b: GraphBuilder) {
         let g = b.finish();
         if self.track_dirty {
@@ -215,19 +210,6 @@ impl WindowedBuilder {
                 Some(prev) => dirty_nodes(prev, &g),
                 None => g.nodes().to_vec(),
             };
-            for n in &d {
-                if let Some(idx) = g.index_of(n) {
-                    // Compact sketches: one per node, so 1 KiB (~3.3% error)
-                    // beats the 16 KiB stream default by memory × fleet size.
-                    let sketch = self
-                        .peer_sketches
-                        .entry(*n)
-                        .or_insert_with(|| HyperLogLog::with_precision(10));
-                    for (j, _) in g.neighbors(idx) {
-                        sketch.insert(&g.node(*j));
-                    }
-                }
-            }
             self.dirty.push(d);
             self.last_closed = Some(g.clone());
         }
@@ -309,13 +291,6 @@ impl WindowedBuilder {
                 (g, d)
             })
             .collect()
-    }
-
-    /// Estimated distinct peers a node has talked to across all closed
-    /// windows, from its delta-maintained sketch. `None` when the node has
-    /// not appeared dirty yet or tracking is off.
-    pub fn peer_cardinality(&self, node: &NodeId) -> Option<f64> {
-        self.peer_sketches.get(node).map(|s| s.estimate())
     }
 
     /// Finish the stream: close the open window and return all remaining
@@ -516,18 +491,6 @@ mod tests {
         wb.add(&rec(0, 1, 40_000, 2, 443, 100, 10));
         let out = wb.finish_with_dirty();
         assert_eq!(out[0].1.len(), 2);
-    }
-
-    #[test]
-    fn peer_sketches_accumulate_across_windows() {
-        let mut wb = WindowedBuilder::new(Facet::Ip, 60).with_dirty_tracking();
-        // Node 1 talks to 2 in window 0 and to 3 in window 1.
-        wb.add(&rec(0, 1, 40_000, 2, 443, 100, 10));
-        wb.add(&rec(60, 1, 40_000, 3, 443, 100, 10));
-        wb.add(&rec(120, 9, 40_000, 8, 443, 1, 1)); // close window 1
-        let est = wb.peer_cardinality(&NodeId::Ip(ip(1))).unwrap();
-        assert!((est - 2.0).abs() < 0.5, "two distinct peers, estimate {est}");
-        assert!(wb.peer_cardinality(&NodeId::Ip(ip(7))).is_none());
     }
 
     #[test]

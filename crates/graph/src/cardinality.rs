@@ -9,15 +9,14 @@
 use crate::node::{Facet, NodeId};
 use flowlog::record::ConnSummary;
 
-/// Default number of register-index bits; 2^14 = 16384 registers ≈ 0.8%
-/// standard error, 16 KiB per sketch.
+/// Register-index bits; 2^14 = 16384 registers ≈ 0.8% standard error
+/// (`1.04 / √(2^p)`), 16 KiB per sketch.
 const P: u32 = 14;
 
 /// Classic HyperLogLog distinct counter over 64-bit hashes.
 #[derive(Debug, Clone)]
 pub struct HyperLogLog {
-    /// Register-index bits; the sketch holds `2^p` one-byte registers.
-    p: u32,
+    /// `2^P` one-byte registers.
     registers: Vec<u8>,
 }
 
@@ -28,26 +27,18 @@ impl Default for HyperLogLog {
 }
 
 impl HyperLogLog {
-    /// Empty sketch at the default precision (14 bits, 16 KiB).
+    /// Empty sketch (14 index bits, 16 KiB).
     pub fn new() -> Self {
-        Self::with_precision(P)
-    }
-
-    /// Empty sketch with `2^p` registers. Standard error ≈ `1.04 / √(2^p)`,
-    /// memory `2^p` bytes — `p = 10` (1 KiB, ~3.3% error) suits fleets of
-    /// per-node sketches; the 16 KiB default suits one-per-stream counters.
-    pub fn with_precision(p: u32) -> Self {
-        assert!((4..=18).contains(&p), "precision must be in 4..=18, got {p}");
-        HyperLogLog { p, registers: vec![0; 1 << p] }
+        HyperLogLog { registers: vec![0; 1 << P] }
     }
 
     /// Insert a pre-hashed item.
     pub fn insert_hash(&mut self, h: u64) {
-        let idx = (h >> (64 - self.p)) as usize;
-        let rest = h << self.p;
+        let idx = (h >> (64 - P)) as usize;
+        let rest = h << P;
         // Rank: leading zeros of the remaining bits, plus one. A zero
         // remainder gets the maximum rank.
-        let rank = if rest == 0 { (64 - self.p + 1) as u8 } else { rest.leading_zeros() as u8 + 1 };
+        let rank = if rest == 0 { (64 - P + 1) as u8 } else { rest.leading_zeros() as u8 + 1 };
         if rank > self.registers[idx] {
             self.registers[idx] = rank;
         }
@@ -80,10 +71,8 @@ impl HyperLogLog {
         }
     }
 
-    /// Merge another sketch (union of the underlying sets). Both sketches
-    /// must share a precision: registers only line up under one index split.
+    /// Merge another sketch (union of the underlying sets).
     pub fn merge(&mut self, other: &HyperLogLog) {
-        assert_eq!(self.p, other.p, "cannot merge sketches of different precisions");
         for (a, b) in self.registers.iter_mut().zip(&other.registers) {
             *a = (*a).max(*b);
         }

@@ -199,7 +199,7 @@ mod tests {
         assert_eq!(classify("crates/graph/src/graph.rs"), FileKind::Lib);
         assert_eq!(classify("crates/graph/tests/properties.rs"), FileKind::Test);
         assert_eq!(classify("crates/bench/benches/bench_linalg.rs"), FileKind::Bench);
-        assert_eq!(classify("crates/bench/src/bin/bench_report.rs"), FileKind::Bin);
+        assert_eq!(classify("crates/bench/src/bin/exp_pca.rs"), FileKind::Bin);
         assert_eq!(classify("examples/security_report.rs"), FileKind::Example);
         assert_eq!(classify("shims/serde/src/lib.rs"), FileKind::Shim);
         assert_eq!(classify("src/lib.rs"), FileKind::Lib);

@@ -1,10 +1,12 @@
 //! Declarative alerting over the [`crate::tsdb`] store.
 //!
-//! Rules are evaluated once per tick against the time-series store —
-//! threshold ("roll lag p-max above 600 s"), absence ("no scrape for two
-//! ticks"), and SRE-style **dual-window burn-rate** rules over error-budget
-//! SLOs ("late records are consuming the freshness budget faster than 1×
-//! over both the fast and the slow window").
+//! A rule's condition is one [`crate::query`] expression, evaluated once
+//! per tick against the time-series store: true when the result is a
+//! non-empty vector or a non-zero scalar. A threshold is a comparison
+//! (`…roll_lag_seconds{field="max"} > 600`), absence is
+//! `absent_over_time(sel[w])`, and an SRE-style **dual-window burn-rate**
+//! rule over an error-budget SLO is two windowed comparisons joined with
+//! `and` — see [`default_pack`] for one of each.
 //!
 //! Every rule runs a four-state machine:
 //!
@@ -22,14 +24,16 @@
 //! Transitions mirror to the structured event log (`alert` target) and to
 //! `commgraph_alert_transitions_total{rule,state}`; the current firing
 //! count is `commgraph_alert_firing_entries`; evaluation cost is
-//! `commgraph_alert_eval_seconds`.
+//! `commgraph_alert_eval_seconds`. An expression that fails to evaluate
+//! reads as false and logs one warning per error streak.
 //!
 //! Determinism: evaluation consumes only store contents and the logical
 //! tick. Rules over deterministic series (record counts, watermarks, roll
 //! lag) therefore produce bit-identical transition sequences across runs —
 //! the contract `tests/alerting.rs` asserts over real HTTP.
 
-use crate::tsdb::{Query, SampleField, Tsdb};
+use crate::query::{Expr, ParseError};
+use crate::tsdb::Tsdb;
 use crate::{Counter, Gauge, Histogram, Level, Obs};
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -62,165 +66,16 @@ impl AlertState {
     }
 }
 
-/// Selects the single series a rule reads: family name, label subset, and
-/// sample field.
-#[derive(Debug, Clone)]
-pub struct Selector {
-    /// Family name.
-    pub name: String,
-    /// Label pairs the series must carry (subset match).
-    pub labels: Vec<(String, String)>,
-    /// Which scalar of the metric to read.
-    pub field: SampleField,
-}
-
-impl Selector {
-    /// Select the `value` field of `name` (counters and gauges).
-    pub fn value(name: &str) -> Selector {
-        Selector { name: name.to_string(), labels: Vec::new(), field: SampleField::Value }
-    }
-
-    /// Select `field` of `name` (histogram scalars).
-    pub fn field(name: &str, field: SampleField) -> Selector {
-        Selector { name: name.to_string(), labels: Vec::new(), field }
-    }
-
-    /// Require label `key` = `value` (builder style).
-    pub fn with_label(mut self, key: &str, value: &str) -> Selector {
-        self.labels.push((key.to_string(), value.to_string()));
-        self
-    }
-
-    fn query(&self) -> Query {
-        Query {
-            name: Some(self.name.clone()),
-            matchers: self.labels.clone(),
-            field: Some(self.field),
-            ..Query::default()
-        }
-    }
-}
-
-/// Comparison operator of a threshold rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Op {
-    /// Strictly greater than.
-    Gt,
-    /// Greater than or equal.
-    Ge,
-    /// Strictly less than.
-    Lt,
-    /// Less than or equal.
-    Le,
-}
-
-impl Op {
-    fn eval(&self, lhs: f64, rhs: f64) -> bool {
-        match self {
-            Op::Gt => lhs > rhs,
-            Op::Ge => lhs >= rhs,
-            Op::Lt => lhs < rhs,
-            Op::Le => lhs <= rhs,
-        }
-    }
-}
-
-/// The denominator of an error-budget SLO.
-#[derive(Debug, Clone)]
-pub enum SloTotal {
-    /// A cumulative series of total events (classic good/bad ratio SLO).
-    Series(Selector),
-    /// A fixed expected event rate per tick, for signals with no natural
-    /// total counter (e.g. "≈1000 records arrive per window").
-    PerTick(f64),
-}
-
-/// An error-budget SLO: `bad` events must stay under `1 - objective` of the
-/// total, measured over sliding tick windows.
-#[derive(Debug, Clone)]
-pub struct Slo {
-    /// Short SLO name (JSON output).
-    pub name: String,
-    /// Target good fraction, e.g. `0.999` (error budget `0.001`).
-    pub objective: f64,
-    /// Cumulative bad-event series.
-    pub bad: Selector,
-    /// Total-event denominator.
-    pub total: SloTotal,
-}
-
-impl Slo {
-    /// Burn rate over the `window` ticks ending at `tick`: the fraction of
-    /// the error budget consumed per unit of budget — 1.0 means exactly
-    /// on-budget, above 1.0 the budget depletes early. Missing data reads
-    /// as zero burn.
-    pub fn burn(&self, store: &Tsdb, window: u64, tick: u64) -> f64 {
-        let bad = store.window_delta(&self.bad.query(), window, tick).unwrap_or(0.0).max(0.0);
-        let total = match &self.total {
-            SloTotal::Series(sel) => store.window_delta(&sel.query(), window, tick).unwrap_or(0.0),
-            SloTotal::PerTick(rate) => rate * window.min(tick.max(1)) as f64,
-        };
-        let budget = (1.0 - self.objective).max(f64::MIN_POSITIVE);
-        if total <= 0.0 {
-            return 0.0;
-        }
-        (bad / total) / budget
-    }
-}
-
-/// The condition of one alert rule.
-#[derive(Debug, Clone)]
-pub enum Condition {
-    /// The latest sample of the selected series compares true against
-    /// `value`. No sample at the current tick horizon reads as false.
-    Threshold {
-        /// Series to read.
-        selector: Selector,
-        /// Comparison operator.
-        op: Op,
-        /// Right-hand side.
-        value: f64,
-    },
-    /// No sample has landed on the selected series within the last
-    /// `stale_ticks` ticks (missing series counts as absent).
-    Absence {
-        /// Series to watch.
-        selector: Selector,
-        /// Ticks of silence tolerated before the condition turns true.
-        stale_ticks: u64,
-    },
-    /// SRE dual-window burn rate: true when the SLO's burn exceeds
-    /// `factor` over **both** the fast and the slow window — fast for
-    /// detection speed, slow to reject blips.
-    BurnRate {
-        /// The error-budget SLO.
-        slo: Slo,
-        /// Fast window length, in ticks.
-        fast_ticks: u64,
-        /// Slow window length, in ticks.
-        slow_ticks: u64,
-        /// Burn multiple both windows must exceed.
-        factor: f64,
-    },
-    /// A [`crate::query`] expression evaluated at each tick: true when the
-    /// result is a non-empty vector or a non-zero scalar. This is the
-    /// unified form the other three variants can be lowered to — see
-    /// [`query_pack`] for the expression-based twin of [`default_pack`].
-    Query {
-        /// The source expression (kept for display).
-        src: String,
-        /// The parsed expression.
-        expr: crate::query::Expr,
-    },
-}
-
 /// One declarative alert rule.
 #[derive(Debug, Clone)]
 pub struct AlertRule {
     /// Unique rule name (label value on transition metrics).
     pub name: String,
-    /// The condition evaluated each tick.
-    pub condition: Condition,
+    /// The source of the condition expression (kept for display).
+    pub src: String,
+    /// The parsed condition, evaluated each tick: true when the result is
+    /// a non-empty vector or a non-zero scalar.
+    pub expr: Expr,
     /// Consecutive-tick hold in `pending` before firing. `0` fires on the
     /// same tick the condition turns true — still via `pending`.
     pub for_ticks: u64,
@@ -229,41 +84,13 @@ pub struct AlertRule {
 }
 
 impl AlertRule {
-    /// A threshold rule with severity `page`.
-    pub fn threshold(name: &str, selector: Selector, op: Op, value: f64, for_ticks: u64) -> Self {
-        AlertRule {
-            name: name.to_string(),
-            condition: Condition::Threshold { selector, op, value },
-            for_ticks,
-            severity: "page".to_string(),
-        }
-    }
-
-    /// An absence rule with severity `ticket`.
-    pub fn absence(name: &str, selector: Selector, stale_ticks: u64) -> Self {
-        AlertRule {
-            name: name.to_string(),
-            condition: Condition::Absence { selector, stale_ticks },
-            for_ticks: 0,
-            severity: "ticket".to_string(),
-        }
-    }
-
-    /// A dual-window burn-rate rule with severity `page`.
-    pub fn burn_rate(name: &str, slo: Slo, fast_ticks: u64, slow_ticks: u64, factor: f64) -> Self {
-        AlertRule {
-            name: name.to_string(),
-            condition: Condition::BurnRate { slo, fast_ticks, slow_ticks, factor },
-            for_ticks: 0,
-            severity: "page".to_string(),
-        }
-    }
-
-    /// A rule on a query-engine expression, with severity `page`.
-    pub fn query(name: &str, src: &str) -> Result<Self, crate::query::ParseError> {
+    /// A rule on a query-engine expression, with no pending hold and
+    /// severity `page`.
+    pub fn query(name: &str, src: &str) -> Result<Self, ParseError> {
         Ok(AlertRule {
             name: name.to_string(),
-            condition: Condition::Query { src: src.to_string(), expr: crate::query::parse(src)? },
+            src: src.to_string(),
+            expr: crate::query::parse(src)?,
             for_ticks: 0,
             severity: "page".to_string(),
         })
@@ -293,8 +120,8 @@ pub struct Transition {
     pub from: AlertState,
     /// State entered.
     pub to: AlertState,
-    /// The observed value that drove the evaluation, when the condition
-    /// reads one (threshold: latest sample; burn rate: fast-window burn).
+    /// The first sample of the expression's result at this tick (`None`
+    /// when the result is an empty vector).
     pub value: Option<f64>,
 }
 
@@ -309,28 +136,9 @@ pub struct AlertStatus {
     pub state: AlertState,
     /// Tick the current state was entered (0 before any transition).
     pub since_tick: u64,
-    /// Last observed condition value, if the condition reads one.
+    /// First sample of the expression's result at the last evaluation
+    /// (`None` when that was an empty vector, e.g. a comparison not met).
     pub value: Option<f64>,
-}
-
-/// Point-in-time burn-rate picture of one SLO-backed rule (what `/slo`
-/// serves), recomputed at each evaluation.
-#[derive(Debug, Clone)]
-pub struct SloStatus {
-    /// Rule name the SLO backs.
-    pub rule: String,
-    /// SLO name.
-    pub slo: String,
-    /// Target good fraction.
-    pub objective: f64,
-    /// Burn over the fast window at the last evaluation.
-    pub burn_fast: f64,
-    /// Burn over the slow window at the last evaluation.
-    pub burn_slow: f64,
-    /// Burn multiple the rule alerts at.
-    pub factor: f64,
-    /// Whether the backing rule is currently firing.
-    pub firing: bool,
 }
 
 #[derive(Debug)]
@@ -339,6 +147,8 @@ struct RuleState {
     since_tick: u64,
     pending_since: u64,
     value: Option<f64>,
+    /// The last evaluation failed; the warning for this streak is out.
+    erroring: bool,
 }
 
 #[derive(Debug)]
@@ -346,7 +156,6 @@ struct EngineInner {
     rules: Vec<AlertRule>,
     states: Vec<RuleState>,
     history: VecDeque<Transition>,
-    slo_status: Vec<SloStatus>,
     last_tick: u64,
 }
 
@@ -382,7 +191,6 @@ impl AlertEngine {
                 rules: Vec::new(),
                 states: Vec::new(),
                 history: VecDeque::new(),
-                slo_status: Vec::new(),
                 last_tick: 0,
             }),
             obs,
@@ -407,6 +215,7 @@ impl AlertEngine {
             since_tick: 0,
             pending_since: 0,
             value: None,
+            erroring: false,
         });
     }
 
@@ -437,17 +246,31 @@ impl AlertEngine {
     /// Evaluate every rule at `tick` against `store`, returning the
     /// transitions this pass produced (in rule-installation order). Each
     /// transition is mirrored to the event log and counted on
-    /// `commgraph_alert_transitions_total`.
+    /// `commgraph_alert_transitions_total`. A rule whose expression fails
+    /// to evaluate reads as false; the first tick of each error streak logs
+    /// one `Warn` event naming the rule and the error.
     pub fn evaluate(&self, tick: u64, store: &Tsdb) -> Vec<Transition> {
         // lint:allow(clock-hygiene) self-timing of the evaluate pass; rule state depends only on the injected tick
         let t0 = std::time::Instant::now();
         let mut transitions = Vec::new();
+        let mut failures = Vec::new();
         let mut guard = self.lock();
         let inner = &mut *guard;
         inner.last_tick = tick;
-        inner.slo_status.clear();
         for (rule, rs) in inner.rules.iter().zip(inner.states.iter_mut()) {
-            let (cond, value) = eval_condition(&rule.condition, store, tick);
+            let (cond, value) = match crate::query::eval(store, &rule.expr, tick) {
+                Ok(v) => {
+                    rs.erroring = false;
+                    (v.is_truthy(), v.first_value())
+                }
+                Err(e) => {
+                    if !rs.erroring {
+                        failures.push((rule.name.clone(), e.to_string()));
+                    }
+                    rs.erroring = true;
+                    (false, None)
+                }
+            };
             rs.value = value;
             let mut go = |rs: &mut RuleState, to: AlertState| {
                 let from = rs.state;
@@ -483,17 +306,6 @@ impl AlertEngine {
                     AlertState::Inactive => {}
                 }
             }
-            if let Condition::BurnRate { slo, fast_ticks, slow_ticks, factor } = &rule.condition {
-                inner.slo_status.push(SloStatus {
-                    rule: rule.name.clone(),
-                    slo: slo.name.clone(),
-                    objective: slo.objective,
-                    burn_fast: slo.burn(store, *fast_ticks, tick),
-                    burn_slow: slo.burn(store, *slow_ticks, tick),
-                    factor: *factor,
-                    firing: rs.state == AlertState::Firing,
-                });
-            }
         }
         let firing = inner.states.iter().filter(|s| s.state == AlertState::Firing).count();
         for t in &transitions {
@@ -503,6 +315,14 @@ impl AlertEngine {
             inner.history.push_back(t.clone());
         }
         drop(guard);
+        for (rule, error) in &failures {
+            self.obs.event(
+                Level::Warn,
+                "alert",
+                &format!("alert {rule} failed to evaluate: {error}"),
+                &[("tick", tick.to_string())],
+            );
+        }
         for t in &transitions {
             self.transition_counter(&t.rule, t.to).inc();
             let level = if t.to == AlertState::Firing { Level::Warn } else { Level::Info };
@@ -590,64 +410,6 @@ impl AlertEngine {
         out.push_str("]}");
         out
     }
-
-    /// The `/slo` document: the burn-rate picture captured at the last
-    /// evaluation (tick-keyed, deterministic for deterministic series).
-    pub fn slo_json(&self) -> String {
-        let inner = self.lock();
-        let mut out = String::from("{\"tick\":");
-        out.push_str(&inner.last_tick.to_string());
-        out.push_str(",\"slos\":[");
-        for (i, s) in inner.slo_status.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"rule\":");
-            out.push_str(&crate::export::json_str(&s.rule));
-            out.push_str(",\"slo\":");
-            out.push_str(&crate::export::json_str(&s.slo));
-            out.push_str(",\"objective\":");
-            out.push_str(&crate::export::json_f64(s.objective));
-            out.push_str(",\"burn_fast\":");
-            out.push_str(&crate::export::json_f64(s.burn_fast));
-            out.push_str(",\"burn_slow\":");
-            out.push_str(&crate::export::json_f64(s.burn_slow));
-            out.push_str(",\"factor\":");
-            out.push_str(&crate::export::json_f64(s.factor));
-            out.push_str(",\"firing\":");
-            out.push_str(if s.firing { "true" } else { "false" });
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Evaluate one condition; returns (truth, observed value).
-fn eval_condition(cond: &Condition, store: &Tsdb, tick: u64) -> (bool, Option<f64>) {
-    match cond {
-        Condition::Threshold { selector, op, value } => {
-            match store.latest_at(&selector.query(), tick) {
-                Some((_, v)) => (op.eval(v, *value), Some(v)),
-                None => (false, None),
-            }
-        }
-        Condition::Absence { selector, stale_ticks } => {
-            match store.latest_at(&selector.query(), tick) {
-                Some((t, v)) => (tick.saturating_sub(t) > *stale_ticks, Some(v)),
-                None => (true, None),
-            }
-        }
-        Condition::BurnRate { slo, fast_ticks, slow_ticks, factor } => {
-            let fast = slo.burn(store, *fast_ticks, tick);
-            let slow = slo.burn(store, *slow_ticks, tick);
-            (fast > *factor && slow > *factor, Some(fast))
-        }
-        Condition::Query { expr, .. } => match crate::query::eval(store, expr, tick) {
-            Ok(v) => (v.is_truthy(), v.first_value()),
-            Err(_) => (false, None),
-        },
-    }
 }
 
 /// The default streaming-health alert pack, sized by the expected record
@@ -664,57 +426,56 @@ fn eval_condition(cond: &Condition, store: &Tsdb, tick: u64) -> (bool, Option<f6
 ///   ticks while the pipeline runs incrementally.
 /// * `tsdb_scrape_stalled` — the scraper itself stopped appending.
 pub fn default_pack(expected_records_per_tick: f64) -> Vec<AlertRule> {
+    let rate = expected_records_per_tick.max(1.0);
+    let rule = |name: &str, src: &str| {
+        // lint:allow(panic-path) the templates are constants of this file and parse for every f64 rate; the unit tests parse each one
+        AlertRule::query(name, src).expect("default-pack template parses")
+    };
     vec![
-        AlertRule::threshold(
+        rule(
             "window_roll_lag_high",
-            Selector::field("commgraph_window_roll_lag_seconds", SampleField::Max)
-                .with_label("source", "pipeline"),
-            Op::Gt,
-            600.0,
-            2,
-        ),
-        AlertRule::burn_rate(
+            "commgraph_window_roll_lag_seconds{source=\"pipeline\",field=\"max\"} > 600",
+        )
+        .with_for_ticks(2),
+        rule(
             "late_records_burn",
-            Slo {
-                name: "freshness".to_string(),
-                objective: 0.99,
-                bad: Selector::value("commgraph_pipeline_late_records_total"),
-                total: SloTotal::PerTick(expected_records_per_tick.max(1.0)),
-            },
-            2,
-            8,
-            1.0,
+            &burn_per_tick_expr(
+                "commgraph_pipeline_late_records_total",
+                rate,
+                1.0 - 0.99,
+                1.0,
+                2,
+                8,
+            ),
         ),
-        AlertRule::burn_rate(
+        rule(
             "dedup_drops_burn",
-            Slo {
-                name: "dedup_budget".to_string(),
-                objective: 0.2,
-                bad: Selector::value("commgraph_engine_dropped_records_total"),
-                total: SloTotal::Series(Selector::value("commgraph_engine_records_in_total")),
-            },
-            2,
-            8,
-            1.0,
+            &burn_series_expr(
+                "commgraph_engine_dropped_records_total",
+                "commgraph_engine_records_in_total",
+                1.0 - 0.2,
+                1.0,
+                2,
+                8,
+            ),
         ),
-        AlertRule::absence(
+        rule(
             "incremental_savings_stalled",
-            Selector::field("commgraph_incremental_savings_seconds", SampleField::Count),
-            4,
-        ),
-        AlertRule::absence(
-            "tsdb_scrape_stalled",
-            Selector::value("commgraph_tsdb_samples_total"),
-            2,
-        ),
+            "absent_over_time(commgraph_incremental_savings_seconds{field=\"count\"}[4])",
+        )
+        .with_severity("ticket"),
+        rule("tsdb_scrape_stalled", "absent_over_time(commgraph_tsdb_samples_total[2])")
+            .with_severity("ticket"),
     ]
 }
 
-/// A dual-window burn expression replicating [`Slo::burn`] for a
-/// fixed-per-tick denominator: `((max(Δbad, 0) / (rate · min(w, max(tick,
-/// 1)))) / budget) > factor`, conjoined over the fast and slow windows.
-/// The budget is embedded pre-computed (`1 - objective` in f64) so the
-/// arithmetic matches the hard-coded path bit for bit.
+/// A dual-window burn expression over a fixed-per-tick denominator: burn is
+/// the budget fraction consumed per unit of budget, `(max(Δbad, 0) / (rate ·
+/// min(w, max(tick, 1)))) / budget`, and the rule holds when it exceeds
+/// `factor` over **both** the fast window (detection speed) and the slow
+/// window (rejects blips). The budget is embedded pre-computed (`1 -
+/// objective` in f64, so `1.0 - 0.99`, not `0.01`): the division then sees
+/// the same bits a direct f64 computation of the burn would.
 fn burn_per_tick_expr(bad: &str, rate: f64, budget: f64, factor: f64, f: u64, s: u64) -> String {
     let win = |w: u64| {
         format!(
@@ -725,10 +486,9 @@ fn burn_per_tick_expr(bad: &str, rate: f64, budget: f64, factor: f64, f: u64, s:
     format!("{} and {}", win(f), win(s))
 }
 
-/// A dual-window burn expression replicating [`Slo::burn`] for a series
-/// denominator. The extra `increase(total) > 0` conjunct reproduces the
-/// hard-coded "no traffic reads as zero burn" guard, which a bare division
-/// would turn into ±∞.
+/// The same dual-window burn over a series denominator (classic bad/total
+/// ratio SLO). The extra `increase(total) > 0` conjunct makes "no traffic"
+/// read as zero burn, which a bare division would turn into ±∞ or NaN.
 fn burn_series_expr(bad: &str, total: &str, budget: f64, factor: f64, f: u64, s: u64) -> String {
     let win = |w: u64| {
         format!(
@@ -737,58 +497,6 @@ fn burn_series_expr(bad: &str, total: &str, budget: f64, factor: f64, f: u64, s:
         )
     };
     format!("{} and {}", win(f), win(s))
-}
-
-/// The expression-based twin of [`default_pack`]: the same five rules, same
-/// names, same `for_ticks` and severities, but every condition is a
-/// [`Condition::Query`] expression instead of hard-coded Rust. Produces the
-/// exact same transition sequences as [`default_pack`] on any store (the
-/// `tests/alerting.rs` workload proves this transition-for-transition).
-/// Returns `Err` only if a template expression fails to parse, which the
-/// unit tests rule out.
-pub fn query_pack(
-    expected_records_per_tick: f64,
-) -> Result<Vec<AlertRule>, crate::query::ParseError> {
-    let rate = expected_records_per_tick.max(1.0);
-    Ok(vec![
-        AlertRule::query(
-            "window_roll_lag_high",
-            "commgraph_window_roll_lag_seconds{source=\"pipeline\",field=\"max\"} > 600",
-        )?
-        .with_for_ticks(2),
-        AlertRule::query(
-            "late_records_burn",
-            &burn_per_tick_expr(
-                "commgraph_pipeline_late_records_total",
-                rate,
-                1.0 - 0.99,
-                1.0,
-                2,
-                8,
-            ),
-        )?,
-        AlertRule::query(
-            "dedup_drops_burn",
-            &burn_series_expr(
-                "commgraph_engine_dropped_records_total",
-                "commgraph_engine_records_in_total",
-                1.0 - 0.2,
-                1.0,
-                2,
-                8,
-            ),
-        )?,
-        AlertRule::query(
-            "incremental_savings_stalled",
-            "absent_over_time(commgraph_incremental_savings_seconds{field=\"count\"}[4])",
-        )?
-        .with_severity("ticket"),
-        AlertRule::query(
-            "tsdb_scrape_stalled",
-            "absent_over_time(commgraph_tsdb_samples_total[2])",
-        )?
-        .with_severity("ticket"),
-    ])
 }
 
 #[cfg(test)]
@@ -806,6 +514,11 @@ mod tests {
         db
     }
 
+    /// `sig_total > 5`, held for `for_ticks`.
+    fn hot(name: &str, for_ticks: u64) -> AlertRule {
+        AlertRule::query(name, "sig_total > 5").unwrap().with_for_ticks(for_ticks)
+    }
+
     fn seq(engine: &AlertEngine, db: &Tsdb, ticks: std::ops::RangeInclusive<u64>) -> Vec<String> {
         let mut out = Vec::new();
         for tick in ticks {
@@ -820,7 +533,7 @@ mod tests {
     fn threshold_lifecycle_passes_through_every_state() {
         let db = store_with(&[(1, 0.0), (2, 9.0), (3, 9.0), (4, 9.0), (5, 0.0), (6, 0.0)]);
         let engine = AlertEngine::new(Obs::noop());
-        engine.add_rule(AlertRule::threshold("hot", Selector::value("sig_total"), Op::Gt, 5.0, 1));
+        engine.add_rule(hot("hot", 1));
         let trace = seq(&engine, &db, 1..=7);
         assert_eq!(
             trace,
@@ -837,13 +550,7 @@ mod tests {
     fn zero_hold_still_passes_through_pending_on_the_same_tick() {
         let db = store_with(&[(1, 9.0), (2, 0.0)]);
         let engine = AlertEngine::new(Obs::noop());
-        engine.add_rule(AlertRule::threshold(
-            "instant",
-            Selector::value("sig_total"),
-            Op::Gt,
-            5.0,
-            0,
-        ));
+        engine.add_rule(hot("instant", 0));
         let trace = seq(&engine, &db, 1..=1);
         assert_eq!(trace, vec!["1:inactive->pending", "1:pending->firing"]);
     }
@@ -852,13 +559,7 @@ mod tests {
     fn resolved_alerts_refire_through_pending() {
         let db = store_with(&[(1, 9.0), (2, 0.0), (3, 9.0)]);
         let engine = AlertEngine::new(Obs::noop());
-        engine.add_rule(AlertRule::threshold(
-            "flappy",
-            Selector::value("sig_total"),
-            Op::Gt,
-            5.0,
-            0,
-        ));
+        engine.add_rule(hot("flappy", 0));
         let trace = seq(&engine, &db, 1..=3);
         assert_eq!(
             trace,
@@ -876,7 +577,7 @@ mod tests {
     fn pending_clears_without_firing_on_a_blip() {
         let db = store_with(&[(1, 9.0), (2, 0.0)]);
         let engine = AlertEngine::new(Obs::noop());
-        engine.add_rule(AlertRule::threshold("blip", Selector::value("sig_total"), Op::Gt, 5.0, 3));
+        engine.add_rule(hot("blip", 3));
         let trace = seq(&engine, &db, 1..=2);
         assert_eq!(trace, vec!["1:inactive->pending", "2:pending->inactive"]);
     }
@@ -885,7 +586,7 @@ mod tests {
     fn absence_fires_on_missing_and_stale_series() {
         let db = Tsdb::default();
         let engine = AlertEngine::new(Obs::noop());
-        engine.add_rule(AlertRule::absence("gone", Selector::value("sig_total"), 2));
+        engine.add_rule(AlertRule::query("gone", "absent_over_time(sig_total[2])").unwrap());
         let t = engine.evaluate(1, &db);
         assert_eq!(t.last().map(|t| t.to), Some(AlertState::Firing), "missing series is absent");
 
@@ -901,45 +602,50 @@ mod tests {
     #[test]
     fn burn_rate_needs_both_windows_hot() {
         // Bad counter burns 30 of a 100-per-tick budget in ticks 4..6 —
-        // hot on the 2-tick window but still cold on the 8-tick window.
+        // hot on the 2-tick window but still cold on the 5-tick window.
         let db = Tsdb::default();
         for (t, v) in [(1u64, 0.0), (2, 0.0), (3, 0.0), (4, 0.0), (5, 30.0), (6, 60.0)] {
             db.append(SeriesKey::value("bad_total", &[]), t, v);
         }
-        let slo = Slo {
-            name: "budget".to_string(),
-            objective: 0.9,
-            bad: Selector::value("bad_total"),
-            total: SloTotal::PerTick(100.0),
-        };
         // fast window 2: delta v(6)-v(4) = 60 over 200 expected → ratio
         // 0.3 / budget 0.1 → burn 3.0. slow window 5: delta v(6)-v(1) = 60
         // over 500 → 0.12 / 0.1 → burn 1.2.
-        assert!((slo.burn(&db, 2, 6) - 3.0).abs() < 1e-12);
-        assert!((slo.burn(&db, 5, 6) - 1.2).abs() < 1e-12);
-
+        let burn = |factor: f64| {
+            AlertRule::query(
+                "burn",
+                &burn_per_tick_expr("bad_total", 100.0, 1.0 - 0.9, factor, 2, 5),
+            )
+            .unwrap()
+        };
         let engine = AlertEngine::new(Obs::noop());
-        engine.add_rule(AlertRule::burn_rate("burn", slo, 2, 5, 1.3));
+        engine.add_rule(burn(1.3));
         assert!(engine.evaluate(6, &db).is_empty(), "slow window 1.2 < factor 1.3 rejects");
 
         let engine2 = AlertEngine::new(Obs::noop());
-        engine2.add_rule(AlertRule::burn_rate(
-            "burn",
-            Slo {
-                name: "budget".to_string(),
-                objective: 0.9,
-                bad: Selector::value("bad_total"),
-                total: SloTotal::PerTick(100.0),
-            },
-            2,
-            5,
-            1.1,
-        ));
+        engine2.add_rule(burn(1.1));
         let t = engine2.evaluate(6, &db);
         assert!(t.iter().any(|t| t.to == AlertState::Firing), "both windows above 1.1: {t:?}");
-        let slos = engine2.slo_json();
-        assert!(slos.contains("\"burn_fast\":3"), "{slos}");
-        assert!(slos.contains("\"firing\":true"), "{slos}");
+        let fast = engine2.firing()[0].value.expect("a firing burn rule shows its fast burn");
+        assert!((fast - 3.0).abs() < 1e-12, "{fast}");
+    }
+
+    #[test]
+    fn series_burn_reads_no_traffic_as_zero_burn() {
+        let db = Tsdb::default();
+        for t in 1..=8u64 {
+            db.append(SeriesKey::value("bad_total", &[]), t, 0.0);
+            db.append(SeriesKey::value("all_total", &[]), t, 0.0);
+        }
+        let engine = AlertEngine::new(Obs::noop());
+        let src = burn_series_expr("bad_total", "all_total", 1.0 - 0.2, 1.0, 2, 8);
+        engine.add_rule(AlertRule::query("burn", &src).unwrap());
+        assert!(seq(&engine, &db, 1..=8).is_empty(), "0/0 must not page");
+        // 9 of 10 offered records dropped in ticks 9..10: both windows hot.
+        for t in 9..=10u64 {
+            db.append(SeriesKey::value("bad_total", &[]), t, 9.0 * (t - 8) as f64);
+            db.append(SeriesKey::value("all_total", &[]), t, 10.0 * (t - 8) as f64);
+        }
+        assert_eq!(seq(&engine, &db, 9..=9), vec!["9:inactive->pending", "9:pending->firing"]);
     }
 
     #[test]
@@ -948,7 +654,7 @@ mod tests {
         let o = Obs::new(registry.clone());
         let db = store_with(&[(1, 9.0)]);
         let engine = AlertEngine::new(o);
-        engine.add_rule(AlertRule::threshold("hot", Selector::value("sig_total"), Op::Gt, 5.0, 0));
+        engine.add_rule(hot("hot", 0));
         engine.evaluate(1, &db);
         let pending = registry
             .counter(
@@ -977,10 +683,52 @@ mod tests {
     }
 
     #[test]
+    fn a_failing_expression_warns_once_per_error_streak_and_reads_false() {
+        // Two series whose labels differ only in registration order share
+        // one sorted label set, so dividing the family by itself fails with
+        // "duplicate label set" — an error only the data can cause.
+        let bad = Tsdb::default();
+        bad.append(SeriesKey::value("dup_total", &[("a", "1"), ("b", "2")]), 1, 4.0);
+        bad.append(SeriesKey::value("dup_total", &[("b", "2"), ("a", "1")]), 1, 2.0);
+        let good = Tsdb::default();
+        good.append(SeriesKey::value("dup_total", &[("a", "1"), ("b", "2")]), 1, 4.0);
+
+        let registry = Arc::new(Registry::new());
+        let engine = AlertEngine::new(Obs::new(registry.clone()));
+        engine.add_rule(AlertRule::query("ratio", "dup_total / dup_total > 0").unwrap());
+        let warnings = || -> Vec<String> {
+            registry
+                .events()
+                .iter()
+                .filter(|e| e.target == "alert" && e.level == Level::Warn)
+                .map(|e| e.message.clone())
+                .collect()
+        };
+
+        assert!(engine.evaluate(1, &bad).is_empty(), "an erroring condition is false");
+        assert!(engine.evaluate(2, &bad).is_empty());
+        let first = warnings();
+        assert_eq!(first.len(), 1, "one warning for the whole streak: {first:?}");
+        assert!(
+            first[0].contains("ratio") && first[0].contains("duplicate label set"),
+            "{first:?}"
+        );
+
+        assert_eq!(engine.evaluate(3, &good).len(), 2, "evaluates again: pending, firing");
+        let resolved = engine.evaluate(4, &bad);
+        assert_eq!(resolved.last().map(|t| t.to), Some(AlertState::Resolved));
+        assert_eq!(
+            warnings().iter().filter(|m| m.contains("failed to evaluate")).count(),
+            2,
+            "a new streak warns again"
+        );
+    }
+
+    #[test]
     fn alerts_json_is_tick_keyed() {
         let db = store_with(&[(1, 9.0)]);
         let engine = AlertEngine::new(Obs::noop());
-        engine.add_rule(AlertRule::threshold("hot", Selector::value("sig_total"), Op::Gt, 5.0, 0));
+        engine.add_rule(hot("hot", 0));
         engine.evaluate(1, &db);
         let json = engine.alerts_json();
         assert!(json.starts_with("{\"tick\":1,\"alerts\":["), "{json}");
@@ -995,43 +743,42 @@ mod tests {
     }
 
     #[test]
-    fn default_pack_installs_and_evaluates_clean_on_an_empty_store() {
+    fn default_pack_shape_and_walk_on_an_empty_store_are_pinned() {
+        // Every template must parse whatever rate the caller computed.
+        for rate in [1000.0, 0.0, -3.5, 1e300, f64::INFINITY, f64::NAN] {
+            assert_eq!(default_pack(rate).len(), 5, "rate {rate}");
+        }
+        let shape: Vec<(String, u64, String)> =
+            default_pack(1000.0).into_iter().map(|r| (r.name, r.for_ticks, r.severity)).collect();
+        let want = [
+            ("window_roll_lag_high", 2, "page"),
+            ("late_records_burn", 0, "page"),
+            ("dedup_drops_burn", 0, "page"),
+            ("incremental_savings_stalled", 0, "ticket"),
+            ("tsdb_scrape_stalled", 0, "ticket"),
+        ];
+        assert_eq!(shape, want.map(|(n, f, s)| (n.to_string(), f, s.to_string())));
+
+        // On a silent store only the two absence rules move, at tick 1 —
+        // the walk the deleted hard-coded pack produced over ticks 1..=6.
         let engine = AlertEngine::new(Obs::noop());
         engine.add_rules(default_pack(1000.0));
-        assert_eq!(engine.rule_count(), 5);
         let db = Tsdb::default();
-        // Absence rules fire on a silent store; that is their contract.
-        let transitions = engine.evaluate(1, &db);
-        assert!(transitions.iter().all(|t| t.rule.ends_with("_stalled")), "{transitions:?}");
-    }
-
-    #[test]
-    fn query_pack_parses_and_mirrors_default_pack_shape() {
-        let hard = default_pack(1000.0);
-        let exprs = query_pack(1000.0).expect("pack templates parse");
-        assert_eq!(hard.len(), exprs.len());
-        for (h, e) in hard.iter().zip(&exprs) {
-            assert_eq!(h.name, e.name);
-            assert_eq!(h.for_ticks, e.for_ticks, "{}", h.name);
-            assert_eq!(h.severity, e.severity, "{}", h.name);
-            assert!(matches!(e.condition, Condition::Query { .. }), "{}", e.name);
-        }
-    }
-
-    #[test]
-    fn query_pack_matches_default_pack_on_an_empty_store() {
-        let db = Tsdb::default();
-        let hard = AlertEngine::new(Obs::noop());
-        hard.add_rules(default_pack(1000.0));
-        let expr = AlertEngine::new(Obs::noop());
-        expr.add_rules(query_pack(1000.0).expect("pack templates parse"));
+        let mut walk = Vec::new();
         for tick in 1..=6 {
-            let a = hard.evaluate(tick, &db);
-            let b = expr.evaluate(tick, &db);
-            let strip = |v: Vec<Transition>| -> Vec<_> {
-                v.into_iter().map(|t| (t.tick, t.rule, t.from, t.to)).collect()
-            };
-            assert_eq!(strip(a), strip(b), "tick {tick}");
+            for t in engine.evaluate(tick, &db) {
+                walk.push((t.tick, t.rule, t.from, t.to));
+            }
         }
+        use AlertState::{Firing, Inactive, Pending};
+        assert_eq!(
+            walk,
+            vec![
+                (1, "incremental_savings_stalled".to_string(), Inactive, Pending),
+                (1, "incremental_savings_stalled".to_string(), Pending, Firing),
+                (1, "tsdb_scrape_stalled".to_string(), Inactive, Pending),
+                (1, "tsdb_scrape_stalled".to_string(), Pending, Firing),
+            ]
+        );
     }
 }

@@ -14,14 +14,15 @@
 //!   ring, a Chrome-trace-event exporter, and a text tree renderer.
 //! * [`serve`] — a zero-dependency HTTP/1.0 introspection server exposing
 //!   `/metrics`, `/metrics.json`, `/healthz`, `/trace`, `/events`,
-//!   `/query`, `/alerts`, and `/slo`.
+//!   `/query_range`, and `/alerts`.
 //! * [`tsdb`] — a bounded in-memory time-series store: a [`Scraper`]
-//!   samples every registry family on an injectable tick (logical in
-//!   tests/pipeline, wall-clock in the live server) into fixed-capacity
-//!   delta-encoded per-series rings.
-//! * [`alert`] — declarative threshold/absence/burn-rate rules over the
-//!   store, driven through an inactive → pending → firing → resolved
-//!   state machine that mirrors to the event log.
+//!   samples every registry family on an injected tick into
+//!   fixed-capacity delta-encoded per-series rings.
+//! * [`query`] — a PromQL-subset expression engine over the store, behind
+//!   `/query_range`, recording rules, and every alert condition.
+//! * [`alert`] — declarative rules, each one [`query`] expression, driven
+//!   through an inactive → pending → firing → resolved state machine that
+//!   mirrors to the event log.
 //! * [`cardinality`] — [`LabelCap`], the per-tenant label cap with an
 //!   explicit `overflow` bucket.
 //! * [`log`] — leveled structured [`Event`]s with `COMMGRAPH_LOG`
@@ -76,7 +77,7 @@ pub mod span;
 pub mod trace;
 pub mod tsdb;
 
-pub use crate::alert::{AlertEngine, AlertRule, AlertState, Condition, Slo, SloTotal, Transition};
+pub use crate::alert::{AlertEngine, AlertRule, AlertState, Transition};
 pub use crate::cardinality::LabelCap;
 pub use crate::log::{Event, Level, LogFilter};
 pub use crate::metrics::{BucketCount, Counter, Gauge, Histogram, HistogramSnapshot};
@@ -85,13 +86,13 @@ pub use crate::registry::{MetricKind, MetricSnapshot, Registry, SnapshotValue};
 pub use crate::serve::{IntrospectionServer, ServerHandle};
 pub use crate::span::SpanGuard;
 pub use crate::trace::{FlightDump, SpanEvent, SpanRecord, TraceSpan, Tracer};
-pub use crate::tsdb::{Query, SampleField, Scraper, ScraperHandle, SeriesKey, Tsdb, TsdbConfig};
+pub use crate::tsdb::{Query, SampleField, Scraper, SeriesKey, Tsdb, TsdbConfig};
 
 use std::sync::{Arc, OnceLock};
 
 /// Name of the shared per-stage wall-time histogram family. Every pipeline
-/// stage records into `commgraph_stage_seconds{stage="..."}`; `bench_report`
-/// and the exporters read the breakdown back out by this name.
+/// stage records into `commgraph_stage_seconds{stage="..."}`; the exporters
+/// read the breakdown back out by this name.
 pub const STAGE_SECONDS: &str = "commgraph_stage_seconds";
 
 /// The canonical stage labels of the streaming arc, in execution order.

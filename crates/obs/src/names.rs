@@ -125,30 +125,6 @@ pub const METRICS: &[MetricDef] = &[
         labels: &["source"],
     },
     MetricDef {
-        name: "commgraph_lint_callgraph_edges",
-        kind: MetricKind::Gauge,
-        help: "Call edges resolved by the latest lintcheck interprocedural sweep.",
-        labels: &[],
-    },
-    MetricDef {
-        name: "commgraph_lint_callgraph_nodes",
-        kind: MetricKind::Gauge,
-        help: "Functions indexed by the latest lintcheck interprocedural sweep.",
-        labels: &[],
-    },
-    MetricDef {
-        name: "commgraph_lint_findings_total",
-        kind: MetricKind::Counter,
-        help: "Findings produced by one lintcheck sweep, by lint name.",
-        labels: &["lint"],
-    },
-    MetricDef {
-        name: "commgraph_lint_sweep_seconds",
-        kind: MetricKind::Histogram,
-        help: "Wall-clock seconds per full lintcheck workspace sweep.",
-        labels: &[],
-    },
-    MetricDef {
         name: "commgraph_louvain_levels_total",
         kind: MetricKind::Counter,
         help: "Aggregation levels performed by Louvain runs.",

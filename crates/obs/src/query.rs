@@ -27,10 +27,10 @@
 //!   current evaluation tick as a scalar).
 //!
 //! Evaluation reads **the newest sample at or before the tick** with no
-//! staleness cutoff, mirroring [`Tsdb::latest_at`]; `increase` reproduces
-//! [`Tsdb::window_delta`] exactly (including its oldest-retained-sample
-//! fallback), which is what lets [`crate::alert::query_pack`] replicate the
-//! hard-coded alert pack transition-for-transition. Counter resets are not
+//! staleness cutoff; `increase` is the newest value minus the newest value
+//! at or before the window floor, falling back to the oldest retained
+//! sample when the window start predates retention (a documented
+//! undercount for series born mid-window). Counter resets are not
 //! compensated. Output vectors are sorted by `(name, labels)` via
 //! `BTreeMap` ordering at every step, never by hash order.
 
@@ -391,7 +391,7 @@ impl BinOp {
 pub enum RangeFn {
     /// Per-tick increase: `increase / w`.
     Rate,
-    /// Window delta with [`Tsdb::window_delta`] semantics.
+    /// Newest value minus the newest value at or before the window floor.
     Increase,
     /// Last minus first sample inside the window (gauge semantics).
     Delta,
@@ -1118,9 +1118,8 @@ fn eval_range_fn(store: &Tsdb, func: RangeFn, sel: &Selector, w: u64, tick: u64)
         // `s.points` already holds only ticks <= `tick`, oldest first.
         let value = match func {
             RangeFn::Rate | RangeFn::Increase => {
-                // Exactly `Tsdb::window_delta`: newest value minus the
-                // newest value at or before the window floor, falling back
-                // to the oldest retained sample.
+                // Newest value minus the newest value at or before the
+                // window floor, falling back to the oldest retained sample.
                 let Some((_, end)) = s.points.last() else { continue };
                 let start = s
                     .points
@@ -1638,6 +1637,9 @@ mod tests {
         let neg = vec_of(eval_str(&s, "req_total{shard!=\"a\"}", 8));
         assert_eq!(neg.len(), 1);
         assert_eq!(neg[0].value, 24.0);
+        // The newest sample at or before the tick, and nothing before any.
+        assert_eq!(vec_of(eval_str(&s, "req_total{shard=\"a\"}", 3))[0].value, 30.0);
+        assert!(vec_of(eval_str(&s, "req_total", 0)).is_empty());
     }
 
     #[test]
@@ -1657,15 +1659,18 @@ mod tests {
     }
 
     #[test]
-    fn increase_matches_tsdb_window_delta_exactly() {
+    fn increase_is_newest_minus_value_at_window_floor_or_oldest_retained() {
         let s = store();
-        for (w, tick) in [(2u64, 8u64), (4, 8), (8, 8), (3, 5), (20, 8)] {
+        // The last two windows reach past tick 1 and clamp to the oldest
+        // retained sample (70 = v(8) − v(1)), not to zero.
+        for (w, tick, want) in
+            [(2u64, 8u64, 20.0), (4, 8, 40.0), (8, 8, 70.0), (3, 5, 30.0), (20, 8, 70.0)]
+        {
             let expr = format!("increase(req_total{{shard=\"a\"}}[{w}])");
             let v = vec_of(eval_str(&s, &expr, tick));
-            let q = Query::family("req_total").with_label("shard", "a");
-            let want = s.window_delta(&q, w, tick).unwrap();
             assert_eq!(v[0].value, want, "w={w} tick={tick}");
         }
+        assert!(vec_of(eval_str(&s, "increase(req_total[2])", 0)).is_empty(), "no sample yet");
     }
 
     #[test]

@@ -15,19 +15,8 @@
 //! | `/trace`        | flight-recorder dump as Chrome trace-event JSON     |
 //! | `/trace.txt`    | flight-recorder dump as an indented text tree       |
 //! | `/events`       | buffered structured events as JSON                  |
-//! | `/query`        | time-series store query as JSON (needs `with_tsdb`) |
 //! | `/query_range`  | query-language evaluation over a tick range (needs `with_tsdb`) |
 //! | `/alerts`       | alert statuses + transition history as JSON         |
-//! | `/slo`          | SLO burn-rate picture as JSON                       |
-//!
-//! `/query` filters with query-string parameters, all optional and
-//! conjunctive: `name=<family>`, `label.<key>=<value>` (repeatable),
-//! `field=value|count|sum|max|p50|p95|p99`, `from=<tick>`, `to=<tick>`,
-//! and `limit=<n>` (keep only the newest `n` in-range points per series,
-//! so full-ring dumps are opt-in rather than the default failure mode) —
-//! e.g. `/query?name=commgraph_subscription_records_total&label.subscription=t-1&limit=100`.
-//! Values are taken verbatim (no percent-decoding); metric names and label
-//! values in this workspace are URL-safe by construction.
 //!
 //! `/query_range?expr=<expression>&from=<tick>&to=<tick>&step=<ticks>`
 //! evaluates a [`crate::query`] expression at every step between `from`
@@ -35,7 +24,9 @@
 //! tick-keyed JSON. `expr` **is** percent-decoded (it carries `{`, `"`,
 //! and spaces); a malformed expression returns `400` with the parse error
 //! in the body. Responses are a pure function of store contents, so
-//! same-seed replays are byte-identical.
+//! same-seed replays are byte-identical. One series' raw history is
+//! `expr=name{key="v",field="f"}&step=1`; an SLO's burn is the `value` of
+//! its rule in `/alerts` or a `/query_range` over the same burn expression.
 //!
 //! Every request increments `commgraph_serve_requests_total{path=...}` with
 //! the path (query string stripped) normalized to the known endpoint set
@@ -46,7 +37,7 @@ use crate::alert::AlertEngine;
 use crate::export;
 use crate::registry::Registry;
 use crate::trace::{chrome_trace_json, render_tree, FlightDump, Tracer};
-use crate::tsdb::{Query, SampleField, Tsdb};
+use crate::tsdb::Tsdb;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -56,7 +47,7 @@ use std::time::Duration;
 
 /// Builder for the introspection server: a registry to expose, optionally a
 /// tracer whose flight recorder backs `/trace`, a time-series store backing
-/// `/query`, and an alert engine backing `/alerts` + `/slo`.
+/// `/query_range`, and an alert engine backing `/alerts`.
 #[derive(Debug, Clone)]
 pub struct IntrospectionServer {
     registry: Arc<Registry>,
@@ -87,13 +78,13 @@ impl IntrospectionServer {
         self
     }
 
-    /// Attach the time-series store `/query` reads.
+    /// Attach the time-series store `/query_range` evaluates over.
     pub fn with_tsdb(mut self, tsdb: Arc<Tsdb>) -> Self {
         self.tsdb = Some(tsdb);
         self
     }
 
-    /// Attach the alert engine `/alerts` and `/slo` read.
+    /// Attach the alert engine `/alerts` reads.
     pub fn with_alerts(mut self, alerts: Arc<AlertEngine>) -> Self {
         self.alerts = Some(alerts);
         self
@@ -196,20 +187,12 @@ fn handle_conn(stream: &mut TcpStream, ctx: &ServeCtx) -> io::Result<()> {
                 ("200 OK", "text/plain; charset=utf-8", render_tree(&dump_or_empty(&ctx.tracer)))
             }
             "/events" => ("200 OK", "application/json", export::events_json(registry)),
-            "/query" => match &ctx.tsdb {
-                Some(db) => ("200 OK", "application/json", db.query_json(&parse_query(query))),
-                None => unavailable("no time-series store attached"),
-            },
             "/query_range" => match &ctx.tsdb {
                 Some(db) => query_range_response(db, query),
                 None => unavailable("no time-series store attached"),
             },
             "/alerts" => match &ctx.alerts {
                 Some(a) => ("200 OK", "application/json", a.alerts_json()),
-                None => unavailable("no alert engine attached"),
-            },
-            "/slo" => match &ctx.alerts {
-                Some(a) => ("200 OK", "application/json", a.slo_json()),
                 None => unavailable("no alert engine attached"),
             },
             _ => ("404 Not Found", "text/plain; charset=utf-8", "not found\n".to_string()),
@@ -228,32 +211,6 @@ fn handle_conn(stream: &mut TcpStream, ctx: &ServeCtx) -> io::Result<()> {
 /// The 503 triple for an endpoint whose backing component is not attached.
 fn unavailable(reason: &str) -> (&'static str, &'static str, String) {
     ("503 Service Unavailable", "text/plain; charset=utf-8", format!("{reason}\n"))
-}
-
-/// Parse `/query` parameters (see the module docs for the grammar).
-/// Unknown keys and malformed numbers are ignored — a dashboard typo
-/// returns a broader result set, never an error page.
-fn parse_query(query: &str) -> Query {
-    let mut q = Query::default();
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (key, value) = match pair.split_once('=') {
-            Some(kv) => kv,
-            None => continue,
-        };
-        match key {
-            "name" => q.name = Some(value.to_string()),
-            "field" => q.field = SampleField::parse(value),
-            "from" => q.from = value.parse().ok(),
-            "to" => q.to = value.parse().ok(),
-            "limit" => q.limit = value.parse().ok(),
-            _ => {
-                if let Some(label) = key.strip_prefix("label.") {
-                    q.matchers.push((label.to_string(), value.to_string()));
-                }
-            }
-        }
-    }
-    q
 }
 
 /// Minimal percent-decoding for `/query_range` expressions: `%XX` byte
@@ -340,10 +297,8 @@ fn bump_request_counter(registry: &Arc<Registry>, path: &str) {
         "/trace" => "trace",
         "/trace.txt" => "trace.txt",
         "/events" => "events",
-        "/query" => "query",
         "/query_range" => "query_range",
         "/alerts" => "alerts",
-        "/slo" => "slo",
         _ => "other",
     };
     registry
@@ -438,8 +393,8 @@ mod tests {
     }
 
     #[test]
-    fn query_alerts_and_slo_endpoints_serve_attached_components() {
-        use crate::alert::{AlertRule, Op, Selector};
+    fn alerts_and_query_range_serve_attached_components() {
+        use crate::alert::AlertRule;
         use crate::tsdb::SeriesKey;
 
         let registry = Arc::new(Registry::new());
@@ -448,13 +403,7 @@ mod tests {
         db.append(SeriesKey::value("demo_total", &[("sub", "b")]), 1, 7.0);
         db.append(SeriesKey::value("demo_total", &[("sub", "a")]), 2, 9.0);
         let alerts = Arc::new(AlertEngine::new(crate::Obs::new(registry.clone())));
-        alerts.add_rule(AlertRule::threshold(
-            "hot",
-            Selector::value("demo_total").with_label("sub", "a"),
-            Op::Gt,
-            4.0,
-            0,
-        ));
+        alerts.add_rule(AlertRule::query("hot", "demo_total{sub=\"a\"} > 4").unwrap());
         alerts.evaluate(2, &db);
 
         let handle = IntrospectionServer::new(registry.clone())
@@ -464,11 +413,13 @@ mod tests {
             .unwrap();
         let addr = handle.addr();
 
-        let (head, body) = get(addr, "/query?name=demo_total&label.sub=a");
+        // One series' raw history is a bare selector stepped by 1.
+        let raw = "/query_range?expr=demo_total%7Bsub%3D%22a%22%7D";
+        let (head, body) = get(addr, raw);
         assert!(head.starts_with("HTTP/1.0 200"), "{head}");
         assert!(body.contains("[[1,5],[2,9]]"), "{body}");
         assert!(!body.contains("\"b\""), "label matcher filters: {body}");
-        let (_, ranged) = get(addr, "/query?name=demo_total&label.sub=a&from=2&to=2");
+        let (_, ranged) = get(addr, &format!("{raw}&from=2&to=2"));
         assert!(ranged.contains("[[2,9]]") && !ranged.contains("[1,5]"), "{ranged}");
 
         let (head, body) = get(addr, "/alerts");
@@ -478,14 +429,33 @@ mod tests {
             "{body}"
         );
 
-        let (head, body) = get(addr, "/slo");
-        assert!(head.starts_with("HTTP/1.0 200"), "{head}");
-        assert!(body.starts_with("{\"tick\":2,\"slos\":["), "{body}");
-
         // Query-stringed paths count under the bare route label.
         let (_, metrics) = get(addr, "/metrics");
-        assert!(metrics.contains("commgraph_serve_requests_total{path=\"query\"} 2"), "{metrics}");
+        assert!(
+            metrics.contains("commgraph_serve_requests_total{path=\"query_range\"} 2"),
+            "{metrics}"
+        );
         assert!(metrics.contains("commgraph_serve_requests_total{path=\"alerts\"} 1"), "{metrics}");
+        handle.shutdown();
+    }
+
+    #[test]
+    fn retired_query_and_slo_routes_are_plain_404s() {
+        let registry = Arc::new(Registry::new());
+        let handle = IntrospectionServer::new(registry.clone())
+            .with_tsdb(Arc::new(Tsdb::default()))
+            .with_alerts(Arc::new(AlertEngine::new(crate::Obs::noop())))
+            .start("127.0.0.1:0")
+            .unwrap();
+        for path in ["/query?name=demo_total", "/slo"] {
+            let (head, _) = get(handle.addr(), path);
+            assert!(head.starts_with("HTTP/1.0 404"), "{path}: {head}");
+        }
+        let (_, metrics) = get(handle.addr(), "/metrics");
+        assert!(metrics.contains("commgraph_serve_requests_total{path=\"other\"} 2"), "{metrics}");
+        for label in ["path=\"query\"", "path=\"slo\""] {
+            assert!(!metrics.contains(label), "{label} still counted: {metrics}");
+        }
         handle.shutdown();
     }
 
@@ -524,9 +494,6 @@ mod tests {
         let (head, _) = get(addr, "/query_range");
         assert!(head.starts_with("HTTP/1.0 400"), "missing expr: {head}");
 
-        let (_, limited) = get(addr, "/query?name=demo_total&limit=2");
-        assert!(limited.contains("[[3,30],[4,40]]") && !limited.contains("[1,10]"), "{limited}");
-
         let (_, metrics) = get(addr, "/metrics");
         assert!(
             metrics.contains("commgraph_serve_requests_total{path=\"query_range\"} 5"),
@@ -538,7 +505,7 @@ mod tests {
     #[test]
     fn tsdb_endpoints_without_components_return_503() {
         let (handle, _registry, _tracer) = start_server();
-        for path in ["/query", "/alerts", "/slo"] {
+        for path in ["/query_range?expr=x", "/alerts"] {
             let (head, _) = get(handle.addr(), path);
             assert!(head.starts_with("HTTP/1.0 503"), "{path}: {head}");
         }

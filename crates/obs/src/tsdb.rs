@@ -16,11 +16,10 @@
 //! * **Logical ticks** — tests and the pipeline call `scrape(tick)` once
 //!   per *rolled window*. Every sample timestamp is then a deterministic
 //!   function of the input records, and anything downstream (alert
-//!   transitions, `/query` output for deterministic series) is bit-identical
-//!   across runs.
-//! * **Wall-clock ticks** — the live server calls
-//!   [`Scraper::spawn_wall_clock`], which spawns a thread that bumps a
-//!   monotone tick counter every interval. Same code path, same store; only
+//!   transitions, `/query_range` output for deterministic series) is
+//!   bit-identical across runs.
+//! * **Wall-clock ticks** — a live deployment calls `scrape(tick)` from its
+//!   own timer with a monotone counter. Same code path, same store; only
 //!   the tick *cadence* is wall time.
 //!
 //! Sample *values* are whatever the registry holds — wall-clock histograms
@@ -43,10 +42,8 @@ use crate::metrics::HistogramSnapshot;
 use crate::registry::{Registry, SnapshotValue};
 use crate::{Counter, Gauge, Histogram, Obs};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Which scalar of a metric a series tracks. Counters and gauges only have
 /// [`SampleField::Value`]; histograms fan out into the remaining fields.
@@ -69,7 +66,7 @@ pub enum SampleField {
 }
 
 impl SampleField {
-    /// Stable lowercase name (used in `/query` URLs and JSON output).
+    /// Stable lowercase name (the `field` label value in query expressions).
     pub fn as_str(&self) -> &'static str {
         match self {
             SampleField::Value => "value",
@@ -79,20 +76,6 @@ impl SampleField {
             SampleField::P50 => "p50",
             SampleField::P95 => "p95",
             SampleField::P99 => "p99",
-        }
-    }
-
-    /// Parse the name produced by [`SampleField::as_str`].
-    pub fn parse(s: &str) -> Option<SampleField> {
-        match s {
-            "value" => Some(SampleField::Value),
-            "count" => Some(SampleField::Count),
-            "sum" => Some(SampleField::Sum),
-            "max" => Some(SampleField::Max),
-            "p50" => Some(SampleField::P50),
-            "p95" => Some(SampleField::P95),
-            "p99" => Some(SampleField::P99),
-            _ => None,
         }
     }
 
@@ -234,9 +217,6 @@ pub struct Query {
     pub from: Option<u64>,
     /// Inclusive upper tick bound.
     pub to: Option<u64>,
-    /// Keep only the newest this-many in-range points per series (`None`
-    /// returns the full retained history).
-    pub limit: Option<usize>,
 }
 
 impl Query {
@@ -352,93 +332,15 @@ impl Tsdb {
             .iter()
             .filter(|(key, _)| q.matches(key))
             .map(|(key, series)| {
-                let mut points: Vec<(u64, f64)> = series
+                let points = series
                     .points()
                     .filter(|(t, _)| {
                         q.from.is_none_or(|f| *t >= f) && q.to.is_none_or(|to| *t <= to)
                     })
                     .collect();
-                if let Some(limit) = q.limit {
-                    if points.len() > limit {
-                        points.drain(..points.len() - limit);
-                    }
-                }
                 SeriesData { key: key.clone(), points }
             })
             .collect()
-    }
-
-    /// The newest sample at or before `tick` of the first series matching
-    /// `q` (queries meant for alerting should select exactly one series).
-    pub fn latest_at(&self, q: &Query, tick: u64) -> Option<(u64, f64)> {
-        let inner = self.lock();
-        inner
-            .series
-            .iter()
-            .find(|(key, _)| q.matches(key))
-            .and_then(|(_, s)| s.points().take_while(|(t, _)| *t <= tick).last())
-    }
-
-    /// Increase of a (cumulative) series over the `window` ticks ending at
-    /// `tick`: newest value at or before `tick` minus the newest value at or
-    /// before `tick - window` (falling back to the oldest retained sample
-    /// when the window start predates retention — a documented undercount
-    /// for series born mid-window). `None` when the series has no sample at
-    /// or before `tick`.
-    pub fn window_delta(&self, q: &Query, window: u64, tick: u64) -> Option<f64> {
-        let inner = self.lock();
-        let (_, series) = inner.series.iter().find(|(key, _)| q.matches(key))?;
-        let upto: Vec<(u64, f64)> = series.points().take_while(|(t, _)| *t <= tick).collect();
-        let (_, end) = *upto.last()?;
-        let floor = tick.saturating_sub(window);
-        let start = upto
-            .iter()
-            .take_while(|(t, _)| *t <= floor)
-            .last()
-            .or_else(|| upto.first())
-            .map(|(_, v)| *v)
-            .unwrap_or(0.0);
-        Some(end - start)
-    }
-
-    /// Render a query result as JSON:
-    /// `{"series":[{"name":..,"labels":{..},"field":..,"points":[[tick,value],..]},..]}`.
-    /// Output is deterministic for deterministic inputs (tick-keyed, no
-    /// wall-clock timestamps).
-    pub fn query_json(&self, q: &Query) -> String {
-        let mut out = String::from("{\"series\":[");
-        for (i, s) in self.query(q).iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            out.push_str(&crate::export::json_str(&s.key.name));
-            out.push_str(",\"labels\":{");
-            for (j, (k, v)) in s.key.labels.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&crate::export::json_str(k));
-                out.push(':');
-                out.push_str(&crate::export::json_str(v));
-            }
-            out.push_str("},\"field\":\"");
-            out.push_str(s.key.field.as_str());
-            out.push_str("\",\"points\":[");
-            for (j, (t, v)) in s.points.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                out.push_str(&t.to_string());
-                out.push(',');
-                out.push_str(&crate::export::json_f64(*v));
-                out.push(']');
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
     }
 }
 
@@ -613,32 +515,6 @@ impl Scraper {
         self.scrape_seconds.record(t0.elapsed().as_secs_f64());
         appended
     }
-
-    /// Spawn a wall-clock tick source: a thread that calls
-    /// [`Scraper::scrape`] with a monotone tick counter every `interval`.
-    /// This is the live-server mode of the deterministic-tick contract; the
-    /// returned handle stops the thread on [`ScraperHandle::shutdown`] or
-    /// drop.
-    pub fn spawn_wall_clock(self: Arc<Self>, interval: Duration) -> std::io::Result<ScraperHandle> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = stop.clone();
-        let join =
-            std::thread::Builder::new().name("obs-tsdb-scraper".to_string()).spawn(move || {
-                let mut tick = 0u64;
-                while !thread_stop.load(Ordering::SeqCst) {
-                    tick += 1;
-                    self.scrape(tick);
-                    // Sleep in small slices so shutdown is prompt.
-                    let mut left = interval;
-                    while !thread_stop.load(Ordering::SeqCst) && left > Duration::ZERO {
-                        let step = left.min(Duration::from_millis(50));
-                        std::thread::sleep(step);
-                        left = left.saturating_sub(step);
-                    }
-                }
-            })?;
-        Ok(ScraperHandle { stop, join: Some(join) })
-    }
 }
 
 /// Extract one scalar field from a histogram snapshot.
@@ -651,32 +527,6 @@ fn histogram_field(h: &HistogramSnapshot, field: SampleField) -> f64 {
         SampleField::P50 => h.p50,
         SampleField::P95 => h.p95,
         SampleField::P99 => h.p99,
-    }
-}
-
-/// Owns the wall-clock scraper thread; stops it on shutdown or drop.
-#[derive(Debug)]
-pub struct ScraperHandle {
-    stop: Arc<AtomicBool>,
-    join: Option<JoinHandle<()>>,
-}
-
-impl ScraperHandle {
-    /// Stop the scraper thread and join it.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        let Some(join) = self.join.take() else { return };
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = join.join();
-    }
-}
-
-impl Drop for ScraperHandle {
-    fn drop(&mut self) {
-        self.stop_and_join();
     }
 }
 
@@ -733,21 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn window_delta_and_latest() {
-        let db = Tsdb::default();
-        let q = Query::family("c_total");
-        for (t, v) in [(1u64, 0.0), (2, 10.0), (3, 10.0), (4, 25.0)] {
-            db.append(SeriesKey::value("c_total", &[]), t, v);
-        }
-        assert_eq!(db.latest_at(&q, 4), Some((4, 25.0)));
-        assert_eq!(db.latest_at(&q, 3), Some((3, 10.0)));
-        assert_eq!(db.latest_at(&q, 0), None);
-        assert_eq!(db.window_delta(&q, 2, 4), Some(15.0), "v(4) - v(2)");
-        assert_eq!(db.window_delta(&q, 10, 4), Some(25.0), "clamps to oldest retained");
-        assert_eq!(db.window_delta(&q, 2, 0), None, "no sample at or before tick 0");
-    }
-
-    #[test]
     fn scraper_samples_counters_gauges_and_histogram_fields() {
         let registry = Arc::new(Registry::new());
         registry.counter("demo_total", "h", &[]).add(3);
@@ -778,18 +613,6 @@ mod tests {
     }
 
     #[test]
-    fn query_json_is_tick_keyed_and_parseable_shape() {
-        let db = Tsdb::default();
-        db.append(SeriesKey::value("a_total", &[("sub", "t-1")]), 3, 7.5);
-        let json = db.query_json(&Query::family("a_total"));
-        assert_eq!(
-            json,
-            "{\"series\":[{\"name\":\"a_total\",\"labels\":{\"sub\":\"t-1\"},\
-             \"field\":\"value\",\"points\":[[3,7.5]]}]}"
-        );
-    }
-
-    #[test]
     fn memory_estimate_tracks_growth() {
         let db = Tsdb::default();
         let before = db.memory_bytes();
@@ -797,21 +620,5 @@ mod tests {
             db.append(SeriesKey::value("m_total", &[]), t, t as f64);
         }
         assert!(db.memory_bytes() > before, "samples cost memory");
-    }
-
-    #[test]
-    fn wall_clock_scraper_ticks_and_stops() {
-        let registry = Arc::new(Registry::new());
-        registry.counter("wc_total", "h", &[]).inc();
-        let scraper = Arc::new(Scraper::new(registry, Arc::new(Tsdb::default())));
-        let handle = scraper.clone().spawn_wall_clock(Duration::from_millis(5)).unwrap();
-        let t0 = std::time::Instant::now();
-        while scraper.store().last_tick() < 2 && t0.elapsed() < Duration::from_secs(5) {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        handle.shutdown();
-        assert!(scraper.store().last_tick() >= 2, "wall-clock ticks advanced");
-        let points = &scraper.store().query(&Query::family("wc_total"))[0].points;
-        assert!(points.windows(2).all(|w| w[0].0 < w[1].0), "monotone ticks");
     }
 }

@@ -135,19 +135,16 @@ fn histogram_quantiles_track_exact_sorted_baseline() {
 /// deterministic pseudo-random signal against rules at several hold times.
 #[test]
 fn alert_state_machine_transitions_are_well_formed_under_random_signals() {
-    use obs::alert::{Op, Selector};
     use obs::AlertState::{Firing, Inactive, Pending, Resolved};
 
     let store = obs::Tsdb::new(obs::TsdbConfig::default());
     let engine = obs::AlertEngine::new(Obs::noop());
     for hold in [0u64, 1, 2, 4] {
-        engine.add_rule(obs::AlertRule::threshold(
-            &format!("prop_hold_{hold}"),
-            Selector::value("prop_signal"),
-            Op::Gt,
-            0.5,
-            hold,
-        ));
+        engine.add_rule(
+            obs::AlertRule::query(&format!("prop_hold_{hold}"), "prop_signal > 0.5")
+                .unwrap()
+                .with_for_ticks(hold),
+        );
     }
     let key = obs::SeriesKey::value("prop_signal", &[]);
     let mut next = lcg();

@@ -13,7 +13,7 @@
 use commgraph::cloudsim::attack::{AttackKind, AttackScenario};
 use commgraph::cloudsim::{ClusterPreset, SimConfig, Simulator};
 use commgraph::monitor::{MonitorConfig, MonitorEvent, SecurityMonitor};
-use commgraph::obs::alert::query_pack;
+use commgraph::obs::alert::default_pack;
 use commgraph::obs::{
     trace, AlertEngine, Obs, RecordingRule, Registry, Scraper, Tracer, Tsdb, TsdbConfig,
 };
@@ -65,9 +65,9 @@ fn main() {
     );
     monitor.max_violation_events = 3; // headline examples only
 
-    // The expression twin of the default pack: the freshness SLO is sized by
-    // expected records per tick; each WindowSummary below advances one tick.
-    alerts.add_rules(query_pack(2000.0).expect("pack expressions parse"));
+    // The default pack's freshness SLO is sized by expected records per
+    // tick; each WindowSummary below advances one tick.
+    alerts.add_rules(default_pack(2000.0));
     let mut tick = 0u64;
 
     println!("streaming two hours of '{}' telemetry through the monitor …\n", preset.name());

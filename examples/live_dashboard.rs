@@ -22,7 +22,7 @@ use commgraph::cloudsim::{ClusterPreset, Simulator};
 use commgraph::graph::Facet;
 use commgraph::linalg::quantize::{log_normalize, to_ascii};
 use commgraph::linalg::Matrix;
-use commgraph::obs::alert::query_pack;
+use commgraph::obs::alert::default_pack;
 use commgraph::obs::{
     trace, AlertEngine, IntrospectionServer, Obs, RecordingRule, Registry, Scraper, Tracer, Tsdb,
     TsdbConfig,
@@ -98,13 +98,9 @@ fn main() {
         "volume moves"
     );
     let seq = &out.sequence;
-    // The expression-based twin of the default alert pack: same rules, same
-    // transitions, but every condition is a query the engine parses and
-    // evaluates per tick.
-    alerts.add_rules(
-        query_pack(out.total_records as f64 / seq.len().max(1) as f64)
-            .expect("pack expressions parse"),
-    );
+    // The default alert pack: every condition is a query expression the
+    // engine evaluates per tick.
+    alerts.add_rules(default_pack(out.total_records as f64 / seq.len().max(1) as f64));
     for (i, g) in seq.graphs().iter().enumerate() {
         let tick = i as u64 + 1;
         scraper.scrape(tick);
@@ -205,7 +201,7 @@ fn main() {
         std::env::var("COMMGRAPH_SERVE_SECS").ok().and_then(|s| s.parse::<u64>().ok())
     {
         println!(
-            "\nserving http://{} for {secs}s — try /metrics, /query?name=..., /alerts, /slo, /trace",
+            "\nserving http://{} for {secs}s — try /metrics, /query_range?expr=..., /alerts, /trace",
             server.addr()
         );
         std::thread::sleep(std::time::Duration::from_secs(secs));

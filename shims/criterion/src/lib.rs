@@ -3,8 +3,8 @@
 //! backed by a plain wall-clock measurement loop printing median times.
 //!
 //! Not statistically rigorous — it exists so `cargo bench` compiles and gives
-//! usable numbers offline. The serious measurements live in the `bench_report`
-//! binary.
+//! usable numbers offline. The serious measurements live in the pinned
+//! `benchmark` (`BENCHMARK.json`).
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};

@@ -13,7 +13,6 @@ use commgraph::analytics::engine::EngineConfig;
 use commgraph::analytics::sharded::{ShardedConfig, ShardedEngine};
 use commgraph::flowlog::record::{ConnSummary, FlowKey};
 use commgraph::obs;
-use commgraph::obs::alert::{Op, Selector};
 use serde_json::Value;
 use std::io::{Read as _, Write as _};
 use std::net::{Ipv4Addr, SocketAddr};
@@ -59,6 +58,16 @@ fn window_batch(w: u64) -> Vec<ConnSummary> {
     recs
 }
 
+/// The per-subscription roll-lag page: above 600 s, held for one tick.
+fn roll_lag_rule() -> obs::AlertRule {
+    obs::AlertRule::query(
+        "subscription_roll_lag_high",
+        "commgraph_subscription_roll_lag_seconds{subscription=\"tenant-a\"} > 600",
+    )
+    .expect("roll-lag expression parses")
+    .with_for_ticks(1)
+}
+
 /// Run the whole chain once and return the `/alerts` body served over HTTP.
 fn run_once() -> String {
     let registry = Arc::new(obs::Registry::new());
@@ -66,14 +75,7 @@ fn run_once() -> String {
     let store = Arc::new(obs::Tsdb::new(obs::TsdbConfig::default()));
     let scraper = Arc::new(obs::Scraper::new(registry.clone(), store.clone()));
     let alerts = Arc::new(obs::AlertEngine::new(o.clone()));
-    alerts.add_rule(obs::AlertRule::threshold(
-        "subscription_roll_lag_high",
-        Selector::value("commgraph_subscription_roll_lag_seconds")
-            .with_label("subscription", "tenant-a"),
-        Op::Gt,
-        600.0,
-        1,
-    ));
+    alerts.add_rule(roll_lag_rule());
 
     let mut front = ShardedEngine::new(ShardedConfig {
         obs: o,
@@ -135,46 +137,23 @@ fn lag_fault_fires_bit_identically_across_runs_over_http() {
     assert_eq!(alert["state"].as_str(), Some("inactive"), "healthy again by the last tick");
 }
 
-/// The expression-based pack is a behavioural twin of the hard-coded one:
-/// over the real sharded-engine workload (lag fault included), two alert
-/// engines — one running [`obs::alert::default_pack`], one running
-/// [`obs::alert::query_pack`] plus an expression twin of the roll-lag
-/// threshold — evaluate the same store on the same ticks and walk the
-/// exact same transition sequence.
+/// The default pack stays held to what its deleted hard-coded twin
+/// (`Condition::{Threshold, Absence, BurnRate}` in Rust) produced: over the
+/// real sharded-engine workload, lag fault included, the pack plus the
+/// roll-lag page must walk the exact `(tick, rule, from, to)` sequence that
+/// twin walked at the last commit that had it, pinned here as a literal.
 #[test]
-fn query_pack_matches_hard_coded_rules_on_the_real_workload() {
+fn default_pack_walks_the_pinned_hard_coded_sequence_on_the_real_workload() {
+    use obs::AlertState::{Firing, Inactive, Pending, Resolved};
     const RATE: f64 = 20.0; // records per window batch
 
     let registry = Arc::new(obs::Registry::new());
     let o = obs::Obs::new(registry.clone());
     let store = Arc::new(obs::Tsdb::new(obs::TsdbConfig::default()));
     let scraper = Arc::new(obs::Scraper::new(registry.clone(), store.clone()));
-
-    let hard = Arc::new(obs::AlertEngine::new(o.clone()));
-    for rule in obs::alert::default_pack(RATE) {
-        hard.add_rule(rule);
-    }
-    hard.add_rule(obs::AlertRule::threshold(
-        "subscription_roll_lag_high",
-        Selector::value("commgraph_subscription_roll_lag_seconds")
-            .with_label("subscription", "tenant-a"),
-        Op::Gt,
-        600.0,
-        1,
-    ));
-
-    let expr = Arc::new(obs::AlertEngine::new(o.clone()));
-    for rule in obs::alert::query_pack(RATE).expect("pack expressions parse") {
-        expr.add_rule(rule);
-    }
-    expr.add_rule(
-        obs::AlertRule::query(
-            "subscription_roll_lag_high",
-            "commgraph_subscription_roll_lag_seconds{subscription=\"tenant-a\"} > 600",
-        )
-        .expect("twin expression parses")
-        .with_for_ticks(1),
-    );
+    let alerts = obs::AlertEngine::new(o.clone());
+    alerts.add_rules(obs::alert::default_pack(RATE));
+    alerts.add_rule(roll_lag_rule());
 
     let mut front = ShardedEngine::new(ShardedConfig {
         obs: o,
@@ -186,20 +165,19 @@ fn query_pack_matches_hard_coded_rules_on_the_real_workload() {
         front.ingest("tenant-a", &window_batch(w)).unwrap();
         let tick = w + 1;
         scraper.scrape(tick);
-        hard.evaluate(tick, &store);
-        expr.evaluate(tick, &store);
+        alerts.evaluate(tick, &store);
     }
     front.finish().unwrap();
 
-    let strip = |e: &obs::AlertEngine| -> Vec<(u64, String, obs::AlertState, obs::AlertState)> {
-        e.history().iter().map(|t| (t.tick, t.rule.clone(), t.from, t.to)).collect()
-    };
-    let hard_seq = strip(&hard);
-    assert_eq!(hard_seq, strip(&expr), "expression twins walk the same transition sequence");
-    assert!(
-        hard_seq.iter().any(|(_, rule, _, to)| {
-            rule == "subscription_roll_lag_high" && *to == obs::AlertState::Firing
-        }),
-        "the injected lag fault actually fires inside the compared sequence"
-    );
+    let walked: Vec<(u64, String, obs::AlertState, obs::AlertState)> =
+        alerts.history().iter().map(|t| (t.tick, t.rule.clone(), t.from, t.to)).collect();
+    let pinned = [
+        (1, "incremental_savings_stalled", Inactive, Pending),
+        (1, "incremental_savings_stalled", Pending, Firing),
+        (4, "subscription_roll_lag_high", Inactive, Pending),
+        (5, "subscription_roll_lag_high", Pending, Firing),
+        (6, "subscription_roll_lag_high", Firing, Resolved),
+        (7, "subscription_roll_lag_high", Resolved, Inactive),
+    ];
+    assert_eq!(walked, pinned.map(|(tick, rule, from, to)| (tick, rule.to_string(), from, to)));
 }

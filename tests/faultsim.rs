@@ -16,7 +16,6 @@ use commgraph::cloudsim::{ClusterPreset, Simulator};
 use commgraph::flowlog::record::{ConnSummary, FlowKey};
 use commgraph::graph::{CommGraph, EdgeStats, NodeId};
 use commgraph::obs;
-use commgraph::obs::alert::{Op, Selector};
 use commgraph::pipeline::{Pipeline, PipelineConfig};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -215,14 +214,14 @@ fn delayed_flush_asserts_lateness_and_alert_transitions() {
         let store = Arc::new(obs::Tsdb::new(obs::TsdbConfig::default()));
         let scraper = obs::Scraper::new(registry.clone(), store.clone());
         let alerts = obs::AlertEngine::new(o.clone());
-        alerts.add_rule(obs::AlertRule::threshold(
-            "subscription_roll_lag_high",
-            Selector::value("commgraph_subscription_roll_lag_seconds")
-                .with_label("subscription", "tenant-a"),
-            Op::Gt,
-            600.0,
-            1,
-        ));
+        alerts.add_rule(
+            obs::AlertRule::query(
+                "subscription_roll_lag_high",
+                "commgraph_subscription_roll_lag_seconds{subscription=\"tenant-a\"} > 600",
+            )
+            .expect("roll-lag expression parses")
+            .with_for_ticks(1),
+        );
 
         let mut front = ShardedEngine::new(ShardedConfig {
             obs: o.clone(),

@@ -1,15 +1,14 @@
 //! The introspection contract, asserted end to end over real HTTP:
 //!
 //! 1. After one instrumented pipeline run (engine → pipeline → workbench →
-//!    monitor → lint sweep), a single scrape of `/metrics` returns **every**
+//!    monitor), a single scrape of `/metrics` returns **every**
 //!    family in the canonical `obs::names` table — nothing is registered
 //!    lazily enough to be invisible to a dashboard that scrapes once.
-//! 2. The flight recorder's Chrome trace-event export (the same bytes
-//!    `/trace` serves and `bench_report` writes to `TRACE_PR8.json`) parses
-//!    as JSON with at least one root `pipeline_run` span whose stage
+//! 2. The flight recorder's Chrome trace-event export (the bytes `/trace`
+//!    serves) parses as JSON with at least one root `pipeline_run` span whose stage
 //!    children nest correctly by both explicit parent id and time
 //!    containment.
-//! 3. The metrics-history endpoints (`/query`, `/alerts`, `/slo`) serve the
+//! 3. The metrics-history endpoints (`/query_range`, `/alerts`) serve the
 //!    scraped TSDB and the alert engine over the same HTTP pass.
 //!
 //! This test runs as its own process, so installing the global registry here
@@ -38,6 +37,16 @@ fn http_get(addr: SocketAddr, path: &str) -> String {
         Some((_, body)) => body.to_string(),
         None => String::new(),
     }
+}
+
+/// Percent-encode an expression for a `/query_range?expr=` parameter.
+fn url_encode(expr: &str) -> String {
+    expr.bytes()
+        .map(|b| match b {
+            b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_' | b'.' => (b as char).to_string(),
+            _ => format!("%{b:02X}"),
+        })
+        .collect()
 }
 
 /// Run every instrumented subsystem once so each canonical family has a
@@ -144,30 +153,6 @@ fn exercise_everything(o: &obs::Obs, scraper: &Arc<obs::Scraper>, alerts: &Arc<o
     drop(span);
 }
 
-/// Record one lintcheck sweep into the registry so the lint families appear
-/// in the scrape (mirrors what `bench_report` does).
-fn record_lint_sweep(registry: &obs::Registry) {
-    let cwd = std::env::current_dir().expect("cwd readable");
-    let root = lintcheck::walk::find_root_above(&cwd).expect("test runs inside the workspace");
-    let cfg = lintcheck::Config::for_workspace(root.clone());
-    let baseline = match std::fs::read_to_string(root.join("lintcheck.baseline")) {
-        Ok(text) => lintcheck::baseline::Baseline::parse(&text),
-        Err(_) => lintcheck::baseline::Baseline::default(),
-    };
-    let t0 = std::time::Instant::now();
-    let report = lintcheck::run(&cfg, &baseline).expect("workspace tree is readable");
-    registry.histogram("commgraph_lint_sweep_seconds", "", &[]).record(t0.elapsed().as_secs_f64());
-    registry.gauge("commgraph_lint_callgraph_nodes", "", &[]).set(report.callgraph_nodes as f64);
-    registry.gauge("commgraph_lint_callgraph_edges", "", &[]).set(report.callgraph_edges as f64);
-    for lint in lintcheck::LintId::all() {
-        let count =
-            report.fresh.iter().chain(report.baselined.iter()).filter(|f| f.lint == lint).count();
-        registry
-            .counter("commgraph_lint_findings_total", "", &[("lint", lint.name())])
-            .add(count as u64);
-    }
-}
-
 #[test]
 fn one_scrape_serves_every_canonical_family_and_trace_nests() {
     let registry = Arc::new(obs::Registry::new());
@@ -194,7 +179,6 @@ fn one_scrape_serves_every_canonical_family_and_trace_nests() {
     );
 
     exercise_everything(&o, &scraper, &alerts);
-    record_lint_sweep(&registry);
 
     let server = obs::IntrospectionServer::new(registry.clone())
         .with_tracer(tracer.clone())
@@ -223,15 +207,18 @@ fn one_scrape_serves_every_canonical_family_and_trace_nests() {
     let listed = snapshot["metrics"].as_array().expect("metrics array");
     assert!(listed.len() >= obs::names::METRICS.len(), "snapshot lists every family");
 
-    // The metrics-history endpoints serve in the same HTTP pass: `/query`
-    // returns the scraped per-tick history of a canonical family, filtered
-    // down by label matcher and field…
-    let query: Value = serde_json::from_str(&http_get(
+    // The metrics-history endpoints serve in the same HTTP pass: a bare
+    // selector over `/query_range` returns the scraped per-tick history of
+    // one series of a canonical family…
+    let history: Value = serde_json::from_str(&http_get(
         addr,
-        "/query?name=commgraph_ingest_watermark_seconds&label.source=pipeline&field=value",
+        &format!(
+            "/query_range?expr={}&step=1",
+            url_encode("commgraph_ingest_watermark_seconds{source=\"pipeline\"}")
+        ),
     ))
-    .expect("valid /query JSON");
-    let series = query["series"].as_array().expect("series array");
+    .expect("valid /query_range JSON");
+    let series = history["series"].as_array().expect("series array");
     assert_eq!(series.len(), 1, "one matching series");
     let points = series[0]["points"].as_array().expect("points array");
     assert!(!points.is_empty(), "window-roll ticks scraped history");
@@ -248,12 +235,20 @@ fn one_scrape_serves_every_canonical_family_and_trace_nests() {
     );
     assert!(listed.iter().all(|a| a["state"].as_str().is_some()));
 
-    // …and `/slo` exposes the burn-rate picture of the SLO-backed rules.
-    let slo_doc: Value = serde_json::from_str(&http_get(addr, "/slo")).expect("valid /slo JSON");
-    assert!(!slo_doc["slos"].as_array().expect("slos array").is_empty());
+    // …and a burn-rate rule's own expression evaluates over `/query_range`,
+    // which is where the burn history of an SLO is read.
+    let pack = commgraph::obs::alert::default_pack(1000.0);
+    let burn = pack.iter().find(|r| r.name == "dedup_drops_burn").expect("pack has the rule");
+    let burn_doc: Value = serde_json::from_str(&http_get(
+        addr,
+        &format!("/query_range?expr={}", url_encode(&burn.src)),
+    ))
+    .expect("valid /query_range JSON for a burn expression");
+    assert_eq!(burn_doc["expr"].as_str(), Some(burn.src.as_str()));
+    assert!(burn_doc["series"].as_array().is_some(), "{burn_doc:?}");
 
-    // `/trace` serves the same Chrome trace-event document bench_report
-    // writes to TRACE_PR8.json. Validate the acceptance-criterion shape.
+    // `/trace` serves the flight recorder as a Chrome trace-event document.
+    // Validate the acceptance-criterion shape.
     let trace = http_get(addr, "/trace");
     server.shutdown();
     let doc: Value = serde_json::from_str(&trace).expect("valid Chrome trace JSON");
@@ -281,7 +276,7 @@ fn one_scrape_serves_every_canonical_family_and_trace_nests() {
         .collect();
     let child_names: std::collections::BTreeSet<&str> =
         children.iter().filter_map(|e| e["name"].as_str()).collect();
-    for stage in ["ingest", "build", "similarity", "cluster", "policy"] {
+    for stage in ["ingest", "build", "similarity", "cluster", "policy", "pca"] {
         assert!(child_names.contains(stage), "missing stage child {stage}: {child_names:?}");
     }
     // …and nest inside it by time containment (what Perfetto renders).
