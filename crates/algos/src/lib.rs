@@ -9,8 +9,7 @@
 //! * [`louvain`] — modularity-maximizing community detection (Blondel et
 //!   al.), the clustering stage of the paper's segmentation and the
 //!   "conn-weighted / byte-weighted modularity" baselines of Figure 3.
-//!   Local-move sweeps run under the shared [`Parallelism`] knob with
-//!   bit-for-bit serial-identical results.
+//!   Single-threaded by design: one deterministic sweep, no worker count.
 //! * [`simrank`] — SimRank and SimRank++ structural similarity, the other
 //!   two Figure 3 baselines.
 //! * [`roles`] — role inference: similarity scoring + clustering of the

@@ -13,26 +13,16 @@
 //! negligible. Deterministic: nodes are visited in index order and ties
 //! break toward the smallest community id.
 //!
-//! # Parallel execution
+//! # Single-threaded by design
 //!
-//! [`louvain_with`] runs the local-move phase under a [`Parallelism`] knob
-//! on the `linalg::par` scoped-thread scheduler. The sweep is decomposed
-//! with [`par::independent_runs`] — maximal consecutive runs of pairwise
-//! non-adjacent nodes (a greedy interval coloring) — so the expensive
-//! neighbor-community scans run concurrently while moves are *applied* by a
-//! deterministic serial reduction in index order. Within a run no member is
-//! adjacent to another, so a member's neighbor-community weights computed
-//! at run start are exactly what the serial sweep would see at that
-//! member's turn; across runs, a speculative sweep-start prefetch is reused
-//! unless a neighbor moved first (tracked with dirty flags). The result:
-//! **labels are bit-for-bit identical to the serial path at any worker
-//! count**, and [`Parallelism::serial`] dispatches to the untouched legacy
-//! loop. Sweeps, moves, and levels are reported through the process-global
-//! `obs` registry (`commgraph_louvain_*_total{mode}`), inert until
-//! `obs::install_global`.
+//! The local-move sweep is inherently sequential — each move changes what
+//! the next node sees — and a speculative-parallel variant that reproduced
+//! it bit-for-bit measured 0.25× the serial speed on 600-node similarity
+//! cliques, so there is one sweep and it takes no worker count. Sweeps,
+//! moves, and levels are reported through the process-global `obs` registry
+//! (`commgraph_louvain_*_total`), inert until `obs::install_global`.
 
 use crate::wgraph::WeightedGraph;
-use linalg::par::{self, Parallelism};
 use std::collections::BTreeMap;
 
 /// Result of a Louvain run.
@@ -76,7 +66,7 @@ pub fn modularity(g: &WeightedGraph, labels: &[usize], resolution: f64) -> f64 {
     (0..n_comm).map(|c| w_in[c] / m - resolution * (sigma[c] / two_m) * (sigma[c] / two_m)).sum()
 }
 
-/// Run Louvain at resolution 1.0 on the exact single-threaded path.
+/// Run Louvain at resolution 1.0.
 ///
 /// ```
 /// use algos::louvain::louvain;
@@ -93,33 +83,13 @@ pub fn modularity(g: &WeightedGraph, labels: &[usize], resolution: f64) -> f64 {
 /// assert_ne!(r.labels[0], r.labels[4]);
 /// ```
 pub fn louvain(g: &WeightedGraph) -> LouvainResult {
-    louvain_with(g, 1.0, Parallelism::serial())
+    louvain_with_resolution(g, 1.0)
 }
 
 /// Run Louvain at a custom resolution (γ > 1 yields more, smaller
-/// communities; γ < 1 fewer, larger ones) on the single-threaded path.
+/// communities; γ < 1 fewer, larger ones).
 pub fn louvain_with_resolution(g: &WeightedGraph, resolution: f64) -> LouvainResult {
-    louvain_with(g, resolution, Parallelism::serial())
-}
-
-/// Run Louvain at a custom resolution with an explicit worker count for the
-/// local-move sweeps.
-///
-/// Labels, modularity, and level count are bit-for-bit identical at any
-/// worker count (see the module docs for the batching scheme);
-/// [`Parallelism::serial`] runs the legacy single-threaded loop.
-///
-/// ```
-/// use algos::louvain::louvain_with;
-/// use algos::{Parallelism, WeightedGraph};
-///
-/// let g = WeightedGraph::from_edges(4, &[(0, 1, 1.0), (2, 3, 1.0)]);
-/// let serial = louvain_with(&g, 1.0, Parallelism::serial());
-/// let parallel = louvain_with(&g, 1.0, Parallelism::new(4));
-/// assert_eq!(serial.labels, parallel.labels);
-/// ```
-pub fn louvain_with(g: &WeightedGraph, resolution: f64, parallelism: Parallelism) -> LouvainResult {
-    louvain_impl(g, resolution, parallelism, None)
+    louvain_impl(g, resolution, None)
 }
 
 /// Run Louvain with the first level's local-move sweeps *seeded* from a
@@ -131,31 +101,19 @@ pub fn louvain_with(g: &WeightedGraph, resolution: f64, parallelism: Parallelism
 ///
 /// `seed` assigns a community per node (any dense-ish labeling; it is
 /// compacted internally). Aggregation levels after the first proceed
-/// exactly as in [`louvain_with`]. Labels, modularity, and level count are
-/// bit-for-bit identical at any worker count, and
-/// [`Parallelism::serial`] runs the single-threaded sweep.
-pub fn louvain_seeded_with(
-    g: &WeightedGraph,
-    resolution: f64,
-    parallelism: Parallelism,
-    seed: &[usize],
-) -> LouvainResult {
+/// exactly as in [`louvain_with_resolution`].
+pub fn louvain_seeded(g: &WeightedGraph, resolution: f64, seed: &[usize]) -> LouvainResult {
     assert_eq!(seed.len(), g.node_count(), "one seed label per node");
-    louvain_impl(g, resolution, parallelism, Some(seed))
+    louvain_impl(g, resolution, Some(seed))
 }
 
-fn louvain_impl(
-    g: &WeightedGraph,
-    resolution: f64,
-    parallelism: Parallelism,
-    seed: Option<&[usize]>,
-) -> LouvainResult {
+fn louvain_impl(g: &WeightedGraph, resolution: f64, seed: Option<&[usize]>) -> LouvainResult {
     assert!(resolution > 0.0, "resolution must be positive");
     let n = g.node_count();
     if n == 0 {
         return LouvainResult { labels: Vec::new(), modularity: 0.0, levels: 0 };
     }
-    let lobs = LouvainObs::resolve(parallelism);
+    let lobs = LouvainObs::resolve();
     // labels[i] maps original node -> current community id.
     let mut labels: Vec<usize> = (0..n).collect();
     let mut level_graph = g.clone();
@@ -176,7 +134,7 @@ fn louvain_impl(
         None => modularity(&level_graph, &labels, resolution),
     };
     loop {
-        let level = one_level_with(&level_graph, resolution, parallelism, seed_comm.take());
+        let level = one_level(&level_graph, resolution, seed_comm.take());
         levels += 1;
         lobs.sweeps.add(level.sweeps);
         lobs.moves.add(level.moves);
@@ -225,58 +183,44 @@ impl Default for HierarchicalConfig {
     }
 }
 
-/// Hierarchical Louvain (the clustering of the paper's Figure 1 caption)
-/// on the single-threaded path: run Louvain, then recursively re-run it on
-/// each community's induced subgraph, accepting a split when the
-/// sub-partition has real modularity.
+/// Hierarchical Louvain (the clustering of the paper's Figure 1 caption):
+/// run Louvain, then recursively re-run it on each community's induced
+/// subgraph, accepting a split when the sub-partition has real modularity.
 ///
 /// Plain Louvain on a similarity clique merges *kinds* of roles — every
 /// web tier of every tenant shares the same control-plane hubs, so weak
 /// cross-tenant similarity edges glue them together. The recursion
 /// separates them: within the merged community, intra-tenant similarity is
 /// far stronger than cross-tenant similarity.
-pub fn hierarchical_louvain(g: &WeightedGraph, cfg: HierarchicalConfig) -> LouvainResult {
-    hierarchical_louvain_with(g, cfg, Parallelism::serial())
-}
-
-/// [`hierarchical_louvain`] with an explicit worker count threaded into
-/// every Louvain invocation (the base run and each subgraph re-run).
-/// Results are bit-for-bit identical at any worker count.
 ///
 /// `levels` counts the base run's aggregation levels plus one per
 /// refinement pass that actually split something; a final pass that finds
 /// nothing to split does not deepen the hierarchy.
-pub fn hierarchical_louvain_with(
-    g: &WeightedGraph,
-    cfg: HierarchicalConfig,
-    parallelism: Parallelism,
-) -> LouvainResult {
-    hierarchical_impl(g, cfg, parallelism, None)
+pub fn hierarchical_louvain(g: &WeightedGraph, cfg: HierarchicalConfig) -> LouvainResult {
+    hierarchical_impl(g, cfg, None)
 }
 
-/// [`hierarchical_louvain_with`] with the **base run** seeded from a prior
-/// partition (see [`louvain_seeded_with`]). Only the base run is seeded;
-/// the refinement passes are untouched, so `levels` keeps the
+/// [`hierarchical_louvain`] with the **base run** seeded from a prior
+/// partition (see [`louvain_seeded`]). Only the base run is seeded; the
+/// refinement passes are untouched, so `levels` keeps the
 /// only-splitting-passes-count semantics: the seeded base run's aggregation
 /// levels plus one per refinement pass that actually split something.
-pub fn hierarchical_louvain_seeded_with(
+pub fn hierarchical_louvain_seeded(
     g: &WeightedGraph,
     cfg: HierarchicalConfig,
-    parallelism: Parallelism,
     seed: &[usize],
 ) -> LouvainResult {
-    hierarchical_impl(g, cfg, parallelism, Some(seed))
+    hierarchical_impl(g, cfg, Some(seed))
 }
 
 fn hierarchical_impl(
     g: &WeightedGraph,
     cfg: HierarchicalConfig,
-    parallelism: Parallelism,
     seed: Option<&[usize]>,
 ) -> LouvainResult {
     let base = match seed {
-        Some(s) => louvain_seeded_with(g, cfg.resolution, parallelism, s),
-        None => louvain_with(g, cfg.resolution, parallelism),
+        Some(s) => louvain_seeded(g, cfg.resolution, s),
+        None => louvain_with_resolution(g, cfg.resolution),
     };
     let mut labels = base.labels;
     let mut levels = base.levels;
@@ -294,7 +238,7 @@ fn hierarchical_impl(
                 continue;
             }
             let sub = induced_subgraph(g, &members);
-            let sub_result = louvain_with(&sub, cfg.resolution, parallelism);
+            let sub_result = louvain_with_resolution(&sub, cfg.resolution);
             let n_sub = sub_result.labels.iter().copied().max().map_or(0, |m| m + 1);
             if n_sub <= 1 || sub_result.modularity < cfg.min_split_modularity {
                 continue;
@@ -343,35 +287,34 @@ fn induced_subgraph(g: &WeightedGraph, members: &[usize]) -> WeightedGraph {
 }
 
 /// Louvain run counters, resolved from the process-global `obs` registry
-/// (noop until `obs::install_global`), labeled by execution mode.
+/// (noop until `obs::install_global`).
 struct LouvainObs {
-    /// `commgraph_louvain_sweeps_total{mode}` — local-move sweeps executed.
+    /// `commgraph_louvain_sweeps_total` — local-move sweeps executed.
     sweeps: obs::Counter,
-    /// `commgraph_louvain_moves_total{mode}` — node moves applied.
+    /// `commgraph_louvain_moves_total` — node moves applied.
     moves: obs::Counter,
-    /// `commgraph_louvain_levels_total{mode}` — aggregation levels run.
+    /// `commgraph_louvain_levels_total` — aggregation levels run.
     levels: obs::Counter,
 }
 
 impl LouvainObs {
-    fn resolve(par: Parallelism) -> LouvainObs {
-        let mode = if par.is_serial() { "serial" } else { "parallel" };
+    fn resolve() -> LouvainObs {
         let o = obs::global();
         LouvainObs {
             sweeps: o.counter(
                 "commgraph_louvain_sweeps_total",
                 "Local-move sweeps executed by Louvain clustering.",
-                &[("mode", mode)],
+                &[],
             ),
             moves: o.counter(
                 "commgraph_louvain_moves_total",
                 "Node moves applied by Louvain's local-move phase.",
-                &[("mode", mode)],
+                &[],
             ),
             levels: o.counter(
                 "commgraph_louvain_levels_total",
                 "Aggregation levels performed by Louvain runs.",
-                &[("mode", mode)],
+                &[],
             ),
         }
     }
@@ -404,9 +347,7 @@ fn neighbor_comm_weights(g: &WeightedGraph, u: usize, comm: &[usize]) -> BTreeMa
 
 /// Greedy move decision for `u`: remove it from its community, pick the
 /// best neighboring community by modularity gain (ties toward the smallest
-/// id), re-add, and report whether it moved. This is the one copy of the
-/// decision arithmetic — the serial and parallel sweeps both call it, which
-/// is what makes them bit-for-bit comparable.
+/// id), re-add, and report whether it moved.
 #[inline]
 fn apply_best_move(
     u: usize,
@@ -442,22 +383,6 @@ fn apply_best_move(
     }
 }
 
-/// One pass of greedy local moving under the given worker count. `seed`
-/// optionally provides the starting community assignment (already
-/// compacted); `None` starts from singletons.
-fn one_level_with(
-    g: &WeightedGraph,
-    resolution: f64,
-    par: Parallelism,
-    seed: Option<Vec<usize>>,
-) -> LevelOutcome {
-    if par.is_serial() {
-        one_level_serial(g, resolution, seed)
-    } else {
-        one_level_parallel(g, resolution, par, seed)
-    }
-}
-
 /// Starting state of a local-move pass: the community assignment (seeded or
 /// singleton) and each community's Σ_tot. For the singleton start the
 /// per-community sums are exactly `k`, reproducing the legacy
@@ -474,9 +399,11 @@ fn level_start(n: usize, k: &[f64], seed: Option<Vec<usize>>) -> (Vec<usize>, Ve
     (comm, sigma_tot)
 }
 
-/// The legacy single-threaded sweep: nodes in index order, neighbor scans
-/// against the live community assignment.
-fn one_level_serial(g: &WeightedGraph, resolution: f64, seed: Option<Vec<usize>>) -> LevelOutcome {
+/// One pass of greedy local moving: nodes in index order, neighbor scans
+/// against the live community assignment. `seed` optionally provides the
+/// starting community assignment (already compacted); `None` starts from
+/// singletons.
+fn one_level(g: &WeightedGraph, resolution: f64, seed: Option<Vec<usize>>) -> LevelOutcome {
     let n = g.node_count();
     let m = g.total_weight();
     if m == 0.0 {
@@ -496,91 +423,6 @@ fn one_level_serial(g: &WeightedGraph, resolution: f64, seed: Option<Vec<usize>>
             if apply_best_move(u, &to_comm, &mut comm, &mut sigma_tot, &k, resolution, two_m) {
                 moved = true;
                 moves += 1;
-            }
-        }
-        if !moved {
-            break;
-        }
-    }
-    LevelOutcome { comm: compact(comm), improved: moves > 0, sweeps, moves }
-}
-
-/// The parallel sweep: conflict-avoiding batches + deterministic reduction.
-///
-/// Scheduling shape (see the module docs for why this reproduces the serial
-/// sweep exactly):
-///
-/// 1. Partition `0..n` once per level into [`par::independent_runs`] —
-///    consecutive runs of pairwise non-adjacent nodes.
-/// 2. Per sweep, speculatively prefetch every node's neighbor-community
-///    weights against the sweep-start state in parallel (skipped on the
-///    first sweep, where nearly every node moves and the prefetch would be
-///    wasted).
-/// 3. Per run, rebuild in parallel the entries invalidated by earlier moves
-///    (`dirty`), then apply moves serially in index order with the shared
-///    [`apply_best_move`] arithmetic. A run member's weights cannot be
-///    invalidated by the other members — they are not adjacent — so the
-///    state each node sees is exactly the serial sweep's.
-fn one_level_parallel(
-    g: &WeightedGraph,
-    resolution: f64,
-    par: Parallelism,
-    seed: Option<Vec<usize>>,
-) -> LevelOutcome {
-    let n = g.node_count();
-    let m = g.total_weight();
-    if m == 0.0 {
-        let comm = seed.unwrap_or_else(|| (0..n).collect());
-        return LevelOutcome { comm, improved: false, sweeps: 0, moves: 0 };
-    }
-    let k: Vec<f64> = (0..n as u32).map(|u| g.weighted_degree(u)).collect();
-    let (mut comm, mut sigma_tot) = level_start(n, &k, seed);
-    let two_m = 2.0 * m;
-    let (mut sweeps, mut moves) = (0u64, 0u64);
-
-    // The level graph is immutable here, so the coloring is computed once.
-    let runs = par::independent_runs(n, |u| g.neighbors(u as u32).iter().map(|&(v, _)| v as usize));
-    let idx: Vec<usize> = (0..n).collect();
-    let mut first_sweep = true;
-
-    loop {
-        let mut moved = false;
-        sweeps += 1;
-        let mut cache: Vec<Option<BTreeMap<usize, f64>>> = if first_sweep {
-            (0..n).map(|_| None).collect()
-        } else {
-            let comm_ref = &comm;
-            par::par_map(par, &idx, |&u| Some(neighbor_comm_weights(g, u, comm_ref)))
-        };
-        first_sweep = false;
-        let mut dirty = vec![false; n];
-        for run in &runs {
-            let need: Vec<usize> =
-                run.clone().filter(|&u| dirty[u] || cache[u].is_none()).collect();
-            if need.len() == 1 {
-                cache[need[0]] = Some(neighbor_comm_weights(g, need[0], &comm));
-            } else if !need.is_empty() {
-                let comm_ref = &comm;
-                let rebuilt = par::par_map(par, &need, |&u| neighbor_comm_weights(g, u, comm_ref));
-                for (&u, map) in need.iter().zip(rebuilt) {
-                    cache[u] = Some(map);
-                }
-            }
-            for u in run.clone() {
-                let Some(to_comm) = cache[u].take() else {
-                    continue; // refreshed above; a miss would just skip the node this sweep
-                };
-                if apply_best_move(u, &to_comm, &mut comm, &mut sigma_tot, &k, resolution, two_m) {
-                    moved = true;
-                    moves += 1;
-                    for &(v, _) in g.neighbors(u as u32) {
-                        // Later nodes must rescan: their cached weights
-                        // were computed before this move.
-                        if v as usize > u {
-                            dirty[v as usize] = true;
-                        }
-                    }
-                }
             }
         }
         if !moved {
@@ -753,32 +595,6 @@ mod tests {
         assert!((h.modularity - 0.49173553719008267).abs() < 1e-12, "Q = {}", h.modularity);
     }
 
-    /// The parallel path must agree with the serial path bit-for-bit at any
-    /// worker count (the property test in `tests/properties.rs` covers
-    /// random graphs; this pins the named fixtures).
-    #[test]
-    fn parallel_matches_serial_on_fixtures() {
-        for g in [two_cliques(), nested_cliques(), triangle_ring(10)] {
-            let serial = louvain_with(&g, 1.0, Parallelism::serial());
-            let hs =
-                hierarchical_louvain_with(&g, HierarchicalConfig::default(), Parallelism::serial());
-            for workers in [2usize, 3, 8] {
-                let p = louvain_with(&g, 1.0, Parallelism::new(workers));
-                assert_eq!(p.labels, serial.labels, "{workers} workers");
-                assert_eq!(p.modularity.to_bits(), serial.modularity.to_bits());
-                assert_eq!(p.levels, serial.levels);
-                let hp = hierarchical_louvain_with(
-                    &g,
-                    HierarchicalConfig::default(),
-                    Parallelism::new(workers),
-                );
-                assert_eq!(hp.labels, hs.labels, "hierarchical, {workers} workers");
-                assert_eq!(hp.modularity.to_bits(), hs.modularity.to_bits());
-                assert_eq!(hp.levels, hs.levels);
-            }
-        }
-    }
-
     /// Regression (latent duplicate-edge bug): a duplicated edge list must
     /// produce the same partition and modularity as the coalesced one.
     #[test]
@@ -841,10 +657,6 @@ mod tests {
 
         let empty = louvain(&WeightedGraph::new(0));
         assert!(empty.labels.is_empty());
-
-        // The parallel path handles them identically.
-        let rp = louvain_with(&WeightedGraph::new(5), 1.0, Parallelism::new(4));
-        assert_eq!(rp.labels, r.labels);
     }
 
     #[test]
@@ -857,8 +669,6 @@ mod tests {
         let r = louvain(&g);
         assert_eq!(r.labels[0], r.labels[1], "self-loop keeps node in its clique");
         assert_ne!(r.labels[0], r.labels[4], "cliques still separate");
-        let rp = louvain_with(&g, 1.0, Parallelism::new(4));
-        assert_eq!(rp.labels, r.labels, "self-loops don't break the parallel batching");
     }
 
     #[test]
@@ -916,29 +726,10 @@ mod tests {
     fn seeded_with_own_labels_converges_immediately() {
         for g in [two_cliques(), nested_cliques(), triangle_ring(10)] {
             let fresh = louvain(&g);
-            let seeded = louvain_seeded_with(&g, 1.0, Parallelism::serial(), &fresh.labels);
+            let seeded = louvain_seeded(&g, 1.0, &fresh.labels);
             assert_eq!(seeded.labels, fresh.labels, "optimum seed must be kept");
             assert_eq!(seeded.modularity.to_bits(), fresh.modularity.to_bits());
             assert_eq!(seeded.levels, 1, "converged seed ⇒ one move-free level");
-        }
-    }
-
-    #[test]
-    fn seeded_parallel_matches_seeded_serial() {
-        for g in [two_cliques(), nested_cliques(), triangle_ring(10)] {
-            let fresh = louvain(&g);
-            // Perturb the seed: displace a few nodes into the wrong community.
-            let mut seed = fresh.labels.clone();
-            for i in (0..seed.len()).step_by(5) {
-                seed[i] = (seed[i] + 1) % (fresh.labels.iter().max().unwrap() + 1);
-            }
-            let serial = louvain_seeded_with(&g, 1.0, Parallelism::serial(), &seed);
-            for workers in [2usize, 3, 8] {
-                let p = louvain_seeded_with(&g, 1.0, Parallelism::new(workers), &seed);
-                assert_eq!(p.labels, serial.labels, "{workers} workers");
-                assert_eq!(p.modularity.to_bits(), serial.modularity.to_bits());
-                assert_eq!(p.levels, serial.levels);
-            }
         }
     }
 
@@ -951,7 +742,7 @@ mod tests {
         let mut seed = fresh.labels.clone();
         seed[0] = 1;
         seed[4] = 0;
-        let seeded = louvain_seeded_with(&g, 1.0, Parallelism::serial(), &seed);
+        let seeded = louvain_seeded(&g, 1.0, &seed);
         assert_eq!(seeded.labels, fresh.labels);
         assert_eq!(seeded.modularity.to_bits(), fresh.modularity.to_bits());
     }
@@ -968,32 +759,19 @@ mod tests {
         // passes would report 2.
         let g = nested_cliques();
         let fresh = hierarchical_louvain(&g, HierarchicalConfig::default());
-        let seeded = hierarchical_louvain_seeded_with(
-            &g,
-            HierarchicalConfig::default(),
-            Parallelism::serial(),
-            &fresh.labels,
-        );
+        let seeded = hierarchical_louvain_seeded(&g, HierarchicalConfig::default(), &fresh.labels);
         assert_eq!(seeded.labels, fresh.labels);
         assert_eq!(seeded.levels, 1, "one seeded base level, zero splitting passes");
 
         // Triangle ring: seeding from the refined 10-community partition.
         // The base run may re-merge (flat optimum is coarser), then exactly
         // one refinement pass re-splits; the final labels must match the
-        // fresh hierarchy and levels must stay consistent across worker
-        // counts.
+        // fresh hierarchy.
         let g = triangle_ring(10);
         let cfg = HierarchicalConfig { min_split_size: 3, ..Default::default() };
         let fresh = hierarchical_louvain(&g, cfg);
-        let serial =
-            hierarchical_louvain_seeded_with(&g, cfg, Parallelism::serial(), &fresh.labels);
-        assert_eq!(serial.labels, fresh.labels, "seeded hierarchy reaches the same partition");
-        for workers in [2usize, 4] {
-            let p =
-                hierarchical_louvain_seeded_with(&g, cfg, Parallelism::new(workers), &fresh.labels);
-            assert_eq!(p.labels, serial.labels, "{workers} workers");
-            assert_eq!(p.levels, serial.levels, "{workers} workers");
-        }
+        let seeded = hierarchical_louvain_seeded(&g, cfg, &fresh.labels);
+        assert_eq!(seeded.labels, fresh.labels, "seeded hierarchy reaches the same partition");
     }
 
     #[test]
@@ -1059,13 +837,10 @@ mod tests {
         // First install wins process-wide; only assert when ours landed.
         if obs::install_global(r.clone()) {
             louvain(&two_cliques());
-            let sweeps = r.counter("commgraph_louvain_sweeps_total", "", &[("mode", "serial")]);
-            let levels = r.counter("commgraph_louvain_levels_total", "", &[("mode", "serial")]);
+            let sweeps = r.counter("commgraph_louvain_sweeps_total", "", &[]);
+            let levels = r.counter("commgraph_louvain_levels_total", "", &[]);
             assert!(sweeps.get() >= 2, "at least one sweep per level");
             assert!(levels.get() >= 1, "levels counted");
-            louvain_with(&two_cliques(), 1.0, Parallelism::new(2));
-            let psweeps = r.counter("commgraph_louvain_sweeps_total", "", &[("mode", "parallel")]);
-            assert!(psweeps.get() >= 2, "parallel mode labeled separately");
         }
     }
 }

@@ -14,8 +14,7 @@
 
 use crate::jaccard::{jaccard_incremental_with, jaccard_matrix_of_sets_with, MinHasher};
 use crate::louvain::{
-    hierarchical_louvain_seeded_with, hierarchical_louvain_with, louvain_with, HierarchicalConfig,
-    LouvainResult,
+    hierarchical_louvain, hierarchical_louvain_seeded, louvain, HierarchicalConfig, LouvainResult,
 };
 use crate::simrank::{simrank_pp_with, simrank_with, SimRankConfig};
 use crate::wgraph::WeightedGraph;
@@ -159,14 +158,12 @@ pub fn infer_roles(g: &CommGraph, method: &SegmentationMethod) -> RoleInference 
     infer_roles_with(g, method, Parallelism::default())
 }
 
-/// Infer roles with an explicit worker count for the similarity kernels
-/// and the clustering stage.
+/// Infer roles with an explicit worker count for the similarity kernels.
 ///
 /// The Jaccard/MinHash/SimRank scoring stages run row-partitioned under
-/// `parallelism`, and Louvain's local-move sweeps run on the same knob via
-/// conflict-avoiding batches (see [`crate::louvain::louvain_with`]). Scores
-/// and labels — and therefore the inferred roles — are bit-for-bit
-/// identical at any worker count.
+/// `parallelism`; the clustering stage (Louvain, k-means) is single-threaded
+/// by design (see [`crate::louvain`]). Scores — and therefore the inferred
+/// roles — are bit-for-bit identical at any worker count.
 pub fn infer_roles_with(
     g: &CommGraph,
     method: &SegmentationMethod,
@@ -197,11 +194,7 @@ pub fn infer_roles_obs(
         if span.trace_enabled() {
             span.trace_attr("method", method_name);
         }
-        hierarchical_louvain_with(
-            &WeightedGraph::from_similarity(&scores, min_score),
-            hier,
-            parallelism,
-        )
+        hierarchical_louvain(&WeightedGraph::from_similarity(&scores, min_score), hier)
     };
     let result: LouvainResult = match method {
         SegmentationMethod::JaccardLouvain { min_score } => {
@@ -240,7 +233,7 @@ pub fn infer_roles_obs(
                 span.trace_attr("method", method_name);
             }
             let _span = span;
-            louvain_with(&WeightedGraph::from_comm_graph(g, |e| e.conns as f64), 1.0, parallelism)
+            louvain(&WeightedGraph::from_comm_graph(g, |e| e.conns as f64))
         }
         SegmentationMethod::ModularityBytes => {
             let mut span = o.stage_span("cluster");
@@ -248,7 +241,7 @@ pub fn infer_roles_obs(
                 span.trace_attr("method", method_name);
             }
             let _span = span;
-            louvain_with(&WeightedGraph::from_comm_graph(g, |e| e.bytes() as f64), 1.0, parallelism)
+            louvain(&WeightedGraph::from_comm_graph(g, |e| e.bytes() as f64))
         }
         SegmentationMethod::FeatureKMeans { k, k_max, seed } => {
             // Feature extraction plays the similarity-scoring part here.
@@ -298,7 +291,7 @@ pub struct RoleMemo {
 /// copied from the memo's matrix — bit-exact, see
 /// [`jaccard_incremental_with`]), and the hierarchical Louvain base run is
 /// seeded from the previous window's partition
-/// ([`hierarchical_louvain_seeded_with`]).
+/// ([`hierarchical_louvain_seeded`]).
 ///
 /// `dirty` is the sorted dirty-node set from `commgraph_graph::diff`
 /// between the memo's window and `g`. With `memo == None` (first window)
@@ -366,8 +359,8 @@ pub fn infer_roles_incremental_obs(
         }
         let clique = WeightedGraph::from_similarity(&scores, min_score);
         match &seed {
-            Some(seed) => hierarchical_louvain_seeded_with(&clique, hier, parallelism, seed),
-            None => hierarchical_louvain_with(&clique, hier, parallelism),
+            Some(seed) => hierarchical_louvain_seeded(&clique, hier, seed),
+            None => hierarchical_louvain(&clique, hier),
         }
     };
     let n_roles = result.labels.iter().copied().max().map_or(0, |m| m + 1);

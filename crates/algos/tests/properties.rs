@@ -4,10 +4,7 @@
 use algos::jaccard::{
     jaccard_matrix_of_sets, jaccard_matrix_of_sets_with, jaccard_of_sets, MinHasher,
 };
-use algos::louvain::{
-    aggregate, hierarchical_louvain, hierarchical_louvain_with, louvain, louvain_with, modularity,
-    HierarchicalConfig,
-};
+use algos::louvain::{aggregate, hierarchical_louvain, louvain, modularity, HierarchicalConfig};
 use algos::metrics::{adjusted_rand_index, normalized_mutual_information, purity};
 use algos::simrank::{simrank_pp_with, simrank_with, SimRankConfig};
 use algos::wgraph::WeightedGraph;
@@ -165,28 +162,6 @@ proptest! {
         let n_flat = flat.labels.iter().copied().max().map_or(0, |m| m + 1);
         let n_hier = hier.labels.iter().copied().max().map_or(0, |m| m + 1);
         prop_assert!(n_hier >= n_flat, "refinement only splits");
-    }
-
-    /// Parallel Louvain is bit-for-bit identical to the serial path at 1, 2,
-    /// and NCPU workers — labels, modularity bits, and level count — for both
-    /// the flat and the hierarchical variants.
-    #[test]
-    fn parallel_louvain_matches_serial_bitwise(g in arb_graph()) {
-        let serial = louvain_with(&g, 1.0, Parallelism::serial());
-        let hier_serial =
-            hierarchical_louvain_with(&g, HierarchicalConfig::default(), Parallelism::serial());
-        let ncpu = Parallelism::default().workers();
-        for workers in [1, 2, ncpu] {
-            let p = Parallelism::new(workers);
-            let r = louvain_with(&g, 1.0, p);
-            prop_assert_eq!(&r.labels, &serial.labels, "{} workers", workers);
-            prop_assert_eq!(r.modularity.to_bits(), serial.modularity.to_bits());
-            prop_assert_eq!(r.levels, serial.levels);
-            let h = hierarchical_louvain_with(&g, HierarchicalConfig::default(), p);
-            prop_assert_eq!(&h.labels, &hier_serial.labels, "hier, {} workers", workers);
-            prop_assert_eq!(h.modularity.to_bits(), hier_serial.modularity.to_bits());
-            prop_assert_eq!(h.levels, hier_serial.levels);
-        }
     }
 
     /// Modularity is invariant under any relabeling bijection: renaming

@@ -2,9 +2,9 @@
 //! the §2.2 summaries, at communication-matrix sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use linalg::eigen::{eigen_symmetric, eigen_symmetric_with};
+use linalg::eigen::eigen_symmetric;
 use linalg::ica::fast_ica;
-use linalg::pca::{pca_sweep, pca_sweep_with, recon_err_profile};
+use linalg::pca::{pca_sweep, recon_err_profile_with};
 use linalg::quantize::log_normalize;
 use linalg::{Matrix, Parallelism};
 use std::hint::black_box;
@@ -58,26 +58,14 @@ fn bench_pca(c: &mut Criterion) {
     group.bench_function("sweep_128", |b| {
         b.iter(|| black_box(pca_sweep(black_box(&m), &[1, 5, 10, 25, 50]).expect("square")))
     });
-    group.bench_function("err_profile_128", |b| {
-        b.iter(|| black_box(recon_err_profile(black_box(&d), black_box(&m)).expect("aligned")))
-    });
-    group.finish();
-}
-
-/// Serial vs parallel eigensolve and PCA sweep on the same inputs.
-fn bench_linalg_parallel(c: &mut Criterion) {
-    let m = block_matrix(128, 16);
-    let mut group = c.benchmark_group("linalg_parallel");
-    group.sample_size(10);
+    // The error profile is the one stage of the sweep with a worker count
+    // (the eigensolver is single-threaded by design).
     for (label, par) in [("serial", Parallelism::serial()), ("parallel", Parallelism::default())] {
-        group.bench_function(format!("eigen_128/{label}"), |b| {
+        group.bench_function(format!("err_profile_128/{label}"), |b| {
             b.iter(|| {
-                black_box(eigen_symmetric_with(black_box(&m), 1e-10, par).expect("symmetric"))
-            })
-        });
-        group.bench_function(format!("pca_sweep_128/{label}"), |b| {
-            b.iter(|| {
-                black_box(pca_sweep_with(black_box(&m), &[1, 5, 10, 25, 50], par).expect("square"))
+                black_box(
+                    recon_err_profile_with(black_box(&d), black_box(&m), par).expect("aligned"),
+                )
             })
         });
     }
@@ -97,5 +85,5 @@ fn bench_ica_and_quantize(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_eigen, bench_pca, bench_linalg_parallel, bench_ica_and_quantize);
+criterion_group!(benches, bench_eigen, bench_pca, bench_ica_and_quantize);
 criterion_main!(benches);

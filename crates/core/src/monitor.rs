@@ -185,6 +185,9 @@ pub struct SecurityMonitor {
     phase: Phase,
     current_window_start: Option<u64>,
     current_records: Vec<ConnSummary>,
+    /// Records dropped since the open window started because their own
+    /// window had already closed; reported when the open window closes.
+    dropped_behind: usize,
     obs: Obs,
     metrics: MonitorMetrics,
     /// Cap on per-window violation events (summaries always carry the full
@@ -215,6 +218,7 @@ impl SecurityMonitor {
             phase: Phase::Learning { windows_done: 0, records: Vec::new() },
             current_window_start: None,
             current_records: Vec::new(),
+            dropped_behind: 0,
             obs,
             metrics,
             max_violation_events: 64,
@@ -226,18 +230,27 @@ impl SecurityMonitor {
         matches!(self.phase, Phase::Enforcing(_))
     }
 
-    /// Ingest a batch of records (non-decreasing timestamps). Returns any
-    /// events produced by windows that closed.
+    /// Ingest a batch of records. Returns any events produced by windows
+    /// that closed.
+    ///
+    /// Timestamps may jitter within the open window. A record whose window
+    /// is *behind* the open one is dropped — the `WindowedBuilder::add` rule:
+    /// re-opening a closed window would emit it twice — and the drops are
+    /// reported in one `warn` event when the open window closes.
     pub fn ingest(&mut self, batch: &[ConnSummary]) -> Vec<MonitorEvent> {
         let mut events = Vec::new();
         for r in batch {
             let w = bucket_start(r.ts, self.cfg.window_len);
             match self.current_window_start {
                 None => self.current_window_start = Some(w),
-                Some(current) if w != current => {
+                Some(current) if w > current => {
                     self.close_window(current, &mut events);
                     self.metrics.roll_lag.record(r.ts.saturating_sub(w) as f64);
                     self.current_window_start = Some(w);
+                }
+                Some(current) if w < current => {
+                    self.dropped_behind += 1;
+                    continue;
                 }
                 _ => {}
             }
@@ -257,6 +270,15 @@ impl SecurityMonitor {
 
     fn close_window(&mut self, window_start: u64, events: &mut Vec<MonitorEvent>) {
         let records = std::mem::take(&mut self.current_records);
+        let dropped = std::mem::take(&mut self.dropped_behind);
+        if dropped > 0 && self.obs.logs(Level::Warn) {
+            self.obs.event(
+                Level::Warn,
+                "monitor",
+                "late records dropped",
+                &[("window_start", window_start.to_string()), ("dropped", dropped.to_string())],
+            );
+        }
         // The per-window trace span: baseline building and all per-window
         // analysis below nest under it on the run timeline.
         let mut tspan = self.obs.trace_span("monitor_window");
@@ -634,6 +656,64 @@ mod tests {
             .iter()
             .filter(|e| e.message == "policy violation")
             .all(|e| e.level == obs::Level::Warn));
+    }
+
+    /// Regression: a straggler from an already-closed window used to close
+    /// the open window early and re-open the old one, so a window was
+    /// summarised twice and learning counted windows that never happened.
+    #[test]
+    fn late_record_never_reopens_a_closed_window() {
+        let preset = ClusterPreset::MicroserviceBench;
+        let mut sim =
+            Simulator::new(preset.topology_scaled(0.3), preset.default_sim_config()).unwrap();
+        let monitored = monitored_of(&sim);
+        let registry = std::sync::Arc::new(obs::Registry::new());
+        let mut monitor =
+            SecurityMonitor::with_obs(cfg(), monitored, obs::Obs::new(registry.clone()));
+
+        // One straggler a window behind, in learning (minute 3's record
+        // delivered after minute 12) and in enforcing (22 after 32).
+        let mut events = Vec::new();
+        let mut held: Option<ConnSummary> = None;
+        sim.run(45, |minute, batch| {
+            events.extend(monitor.ingest(batch));
+            match minute {
+                3 | 22 => held = batch.first().copied(),
+                12 | 32 => {
+                    let late = held.take().expect("held minute carried traffic");
+                    let open = bucket_start(batch[0].ts, cfg().window_len);
+                    assert!(bucket_start(late.ts, cfg().window_len) < open, "record is behind");
+                    events.extend(monitor.ingest(&[late]));
+                }
+                _ => {}
+            }
+        });
+        events.extend(monitor.flush());
+
+        let baselines: Vec<usize> = events
+            .iter()
+            .filter_map(|e| match e {
+                MonitorEvent::BaselineReady { windows, .. } => Some(*windows),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(baselines, vec![cfg().learn_windows], "baseline from real windows only");
+        let starts: Vec<u64> = events
+            .iter()
+            .filter_map(|e| match e {
+                MonitorEvent::WindowSummary { window_start, .. } => Some(*window_start),
+                _ => None,
+            })
+            .collect();
+        assert!(starts.len() >= 2, "enforced windows produce summaries");
+        assert!(starts.windows(2).all(|w| w[0] < w[1]), "one summary per window: {starts:?}");
+        let learning =
+            registry.counter("commgraph_monitor_windows_total", "", &[("phase", "learning")]).get();
+        assert_eq!(learning, cfg().learn_windows as u64);
+        let log = registry.events();
+        let drops: Vec<_> = log.iter().filter(|e| e.message == "late records dropped").collect();
+        assert_eq!(drops.len(), 2, "one warn event per window that dropped records");
+        assert!(drops.iter().all(|e| e.level == obs::Level::Warn));
     }
 
     #[test]

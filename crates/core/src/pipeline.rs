@@ -30,10 +30,6 @@ pub struct PipelineConfig {
     pub window_len: u64,
     /// Monitored inventory for vantage dedup; `None` disables dedup.
     pub monitored: Option<HashSet<Ipv4Addr>>,
-    /// Worker count forwarded to downstream per-window analyses (role
-    /// inference — similarity scoring and Louvain clustering both — and
-    /// PCA). Ingest itself is serial — it is I/O-bound.
-    pub parallelism: Parallelism,
     /// Observability handle; every `ingest` call reports a span on the
     /// shared `commgraph_stage_seconds{stage="ingest"}` family. The default
     /// noop handle makes instrumentation cost one branch.
@@ -53,7 +49,6 @@ impl Default for PipelineConfig {
             facet: Facet::Ip,
             window_len: 3600,
             monitored: None,
-            parallelism: Parallelism::default(),
             obs: Obs::noop(),
             incremental: true,
         }
@@ -168,7 +163,6 @@ pub struct Pipeline {
     watermark: u64,
     /// Start of the window currently open, once any record arrived.
     current_window: Option<u64>,
-    parallelism: Parallelism,
     obs: Obs,
     metrics: PipelineMetrics,
     incremental: bool,
@@ -192,17 +186,10 @@ impl Pipeline {
             window_len: cfg.window_len,
             watermark: 0,
             current_window: None,
-            parallelism: cfg.parallelism,
             obs: cfg.obs,
             metrics,
             incremental: cfg.incremental,
         }
-    }
-
-    /// The worker count per-window analyses should run at (e.g. pass it to
-    /// [`crate::Workbench::with_parallelism`] for each finished window).
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
     }
 
     /// Ingest a batch of records. Timestamps may jitter within the open
@@ -368,7 +355,8 @@ impl WindowAnalyzer {
         )
     }
 
-    /// Override the worker count (builder style).
+    /// Override the worker count of the similarity stage (builder style);
+    /// clustering is single-threaded, so results never depend on it.
     pub fn with_parallelism(mut self, p: Parallelism) -> Self {
         self.parallelism = p;
         self

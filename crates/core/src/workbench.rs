@@ -66,11 +66,11 @@ impl Workbench {
         self
     }
 
-    /// Override the worker count used by the similarity kernels, the
-    /// Louvain clustering stage, and PCA (builder style).
-    /// `Parallelism::serial()` forces the exact legacy serial path; the
-    /// default uses every available core. Similarity scores and cluster
-    /// labels are bit-for-bit identical at any worker count.
+    /// Override the worker count of the row-tiled kernels — similarity
+    /// scoring and the PCA error profile (builder style). Louvain and the
+    /// eigensolver are single-threaded by design, so every output is
+    /// bit-for-bit identical at any worker count; the default uses every
+    /// available core.
     pub fn with_parallelism(mut self, p: Parallelism) -> Self {
         self.parallelism = p;
         self
@@ -289,6 +289,19 @@ mod tests {
         wb.policy();
         let h = registry.histogram(obs::STAGE_SECONDS, "", &[("stage", "cluster")]);
         assert_eq!(h.count(), 1);
+    }
+
+    #[test]
+    fn pca_summary_is_bit_identical_at_any_worker_count() {
+        let bits = |workers: usize| -> Vec<u64> {
+            let mut wb = session().with_parallelism(Parallelism::new(workers));
+            wb.pca_summary(&[25]).unwrap().errors.iter().map(|e| e.err.to_bits()).collect()
+        };
+        let serial = bits(1);
+        assert!(!serial.is_empty());
+        for workers in [2, Parallelism::available().workers()] {
+            assert_eq!(bits(workers), serial, "{workers} workers");
+        }
     }
 
     #[test]

@@ -94,8 +94,8 @@ pub fn eigen_symmetric(m: &Matrix, tol: f64) -> Result<EigenDecomposition> {
     jacobi_sweeps(a, v, tol * scale)
 }
 
-/// Serial cyclic-Jacobi sweep loop from an arbitrary starting state
-/// `(A, V)` with `M = V A Vᵀ` as invariant.
+/// Cyclic-Jacobi sweep loop from the starting state `(A, V)` with
+/// `M = V A Vᵀ` as invariant.
 fn jacobi_sweeps(mut a: Matrix, mut v: Matrix, threshold: f64) -> Result<EigenDecomposition> {
     let n = a.rows();
     const MAX_SWEEPS: usize = 100;
@@ -118,211 +118,16 @@ fn jacobi_sweeps(mut a: Matrix, mut v: Matrix, threshold: f64) -> Result<EigenDe
     Err(Error::NoConvergence { algorithm: "jacobi", iterations: MAX_SWEEPS })
 }
 
-/// Decompose a symmetric matrix with parallel cyclic-Jacobi sweeps.
-///
-/// Each sweep is ordered as a round-robin tournament: the `n` columns are
-/// paired into `n/2` disjoint `(p, q)` pivots per round, so all rotations in
-/// a round commute and can be applied concurrently. Rotation angles are
-/// computed from the matrix state at the start of the round (the classic
-/// parallel-Jacobi formulation), which changes the rotation *trajectory*
-/// relative to the serial element-by-element sweep — eigenvalues agree to
-/// the convergence tolerance, not bit-for-bit. With
-/// [`Parallelism::is_serial`] this dispatches to [`eigen_symmetric`], the
-/// exact legacy path.
+/// [`eigen_symmetric`]; the worker count is ignored — the solver is
+/// single-threaded by design. Kept only because the pinned benchmark
+/// (`crates/bench/src/bin/benchmark/layers.rs`, frozen) calls it; call
+/// [`eigen_symmetric`] instead.
 pub fn eigen_symmetric_with(
     m: &Matrix,
     tol: f64,
-    parallelism: Parallelism,
+    _parallelism: Parallelism,
 ) -> Result<EigenDecomposition> {
-    if parallelism.is_serial() {
-        return eigen_symmetric(m, tol);
-    }
-    let n = m.rows();
-    if n != m.cols() {
-        return Err(Error::InvalidArg(format!(
-            "eigendecomposition needs a square matrix, got {}x{}",
-            n,
-            m.cols()
-        )));
-    }
-    let scale = m.frobenius().max(1.0);
-    m.require_symmetric(scale * 1e-9)?;
-
-    let a = m.clone();
-    let v = Matrix::identity(n);
-    jacobi_sweeps_with(a, v, tol * scale, parallelism)
-}
-
-/// Parallel tournament-Jacobi sweep loop from an arbitrary starting state
-/// `(A, V)` with `M = V A Vᵀ` as invariant.
-fn jacobi_sweeps_with(
-    mut a: Matrix,
-    mut v: Matrix,
-    threshold: f64,
-    parallelism: Parallelism,
-) -> Result<EigenDecomposition> {
-    let n = a.rows();
-    // Round-robin tournament over the columns, padded to an even count: in
-    // each of the `players − 1` rounds every column meets exactly one other,
-    // so the round's pivot pairs are pairwise disjoint.
-    let players = n + (n & 1);
-
-    const MAX_SWEEPS: usize = 100;
-    for _sweep in 0..MAX_SWEEPS {
-        if off_diagonal_norm(&a) <= threshold {
-            return Ok(sorted_decomposition(a, v));
-        }
-        for round in 0..players.saturating_sub(1) {
-            let rotations: Vec<(usize, usize, f64, f64)> = tournament_round(n, players, round)
-                .into_iter()
-                .filter_map(|(p, q)| {
-                    let apq = a[(p, q)];
-                    if apq.abs() <= threshold / (n as f64) {
-                        return None;
-                    }
-                    let (c, s) = rotation(a[(p, p)], a[(q, q)], apq);
-                    Some((p, q, c, s))
-                })
-                .collect();
-            if !rotations.is_empty() {
-                apply_rotation_batch(&mut a, &mut v, &rotations, parallelism);
-            }
-        }
-    }
-    Err(Error::NoConvergence { algorithm: "jacobi", iterations: MAX_SWEEPS })
-}
-
-/// Decompose a symmetric matrix with Jacobi sweeps **warm-started** from a
-/// previous window's eigenbasis.
-///
-/// Instead of starting from `(A, V) = (M, I)`, the iteration starts from
-/// `A = V₀ᵀ M V₀`, `V = V₀` where `V₀ = prev.vectors`. When `M` changed
-/// little since the previous window, `A` is already nearly diagonal and the
-/// quadratic convergence regime is entered immediately — typically one or
-/// two sweeps instead of the cold path's handful. The invariant
-/// `M = V A Vᵀ` holds at every step, so the result is a faithful
-/// decomposition of `M` regardless of how stale `prev` is: a bad seed only
-/// costs sweeps, never correctness.
-///
-/// Like the parallel path, the warm trajectory differs from the cold one,
-/// so eigenvalues agree with [`eigen_symmetric`] to the convergence
-/// tolerance, not bit-for-bit (the same contract the parallel solver
-/// carries). Fails with [`Error::InvalidArg`] if `prev`'s dimension does
-/// not match `m` — callers fall back to the cold path on window reshape.
-pub fn eigen_symmetric_warm_with(
-    m: &Matrix,
-    tol: f64,
-    prev: &EigenDecomposition,
-    parallelism: Parallelism,
-) -> Result<EigenDecomposition> {
-    let n = m.rows();
-    if n != m.cols() {
-        return Err(Error::InvalidArg(format!(
-            "eigendecomposition needs a square matrix, got {}x{}",
-            n,
-            m.cols()
-        )));
-    }
-    if prev.values.len() != n || prev.vectors.rows() != n {
-        return Err(Error::InvalidArg(format!(
-            "warm-start basis of dimension {} does not match matrix {}x{}",
-            prev.values.len(),
-            n,
-            n
-        )));
-    }
-    let scale = m.frobenius().max(1.0);
-    m.require_symmetric(scale * 1e-9)?;
-    // A = V₀ᵀ M V₀, symmetrized to stamp out accumulation asymmetry (the
-    // sweep loop reads only the upper triangle's mirror consistency).
-    let mut a = prev.vectors.transpose().matmul(m)?.matmul(&prev.vectors)?;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let mean = 0.5 * (a[(i, j)] + a[(j, i)]);
-            a[(i, j)] = mean;
-            a[(j, i)] = mean;
-        }
-    }
-    let v = prev.vectors.clone();
-    let threshold = tol * scale;
-    if parallelism.is_serial() {
-        jacobi_sweeps(a, v, threshold)
-    } else {
-        jacobi_sweeps_with(a, v, threshold, parallelism)
-    }
-}
-
-/// Pivot pairs of one tournament round: the circle method fixes player 0 and
-/// rotates the rest, pairing opposite seats. Pairs involving the padding
-/// player (when `n` is odd) are dropped; all returned `(p, q)` have `p < q`
-/// and are pairwise disjoint.
-fn tournament_round(n: usize, players: usize, round: usize) -> Vec<(usize, usize)> {
-    let m = players - 1; // rotating players
-    let seat = |k: usize| -> usize {
-        if k == 0 {
-            0
-        } else {
-            (k - 1 + round) % m + 1
-        }
-    };
-    (0..players / 2)
-        .filter_map(|i| {
-            let (x, y) = (seat(i), seat(players - 1 - i));
-            let (p, q) = if x < y { (x, y) } else { (y, x) };
-            if q < n {
-                Some((p, q))
-            } else {
-                None // padding player sits this round out
-            }
-        })
-        .collect()
-}
-
-/// Apply one round's disjoint rotations `A ← JᵀAJ`, `V ← VJ` in two
-/// parallel passes: first all column updates (rows of `A` and `V` are
-/// independent tiles), then all row updates (each rotation owns its disjoint
-/// `(p, q)` row pair).
-fn apply_rotation_batch(
-    a: &mut Matrix,
-    v: &mut Matrix,
-    rotations: &[(usize, usize, f64, f64)],
-    parallelism: Parallelism,
-) {
-    let n = a.rows();
-    let band = par::tile_size(n, parallelism);
-    // Pass 1: column rotations, one task per row band of A and of V.
-    let a_tiles = a.data_mut().chunks_mut(n * band);
-    let v_tiles = v.data_mut().chunks_mut(n * band);
-    let tasks: Vec<&mut [f64]> = a_tiles.chain(v_tiles).collect();
-    par::for_each_task(parallelism, tasks, |chunk| {
-        for row in chunk.chunks_mut(n) {
-            for &(p, q, c, s) in rotations {
-                let (rp, rq) = (row[p], row[q]);
-                row[p] = c * rp - s * rq;
-                row[q] = s * rp + c * rq;
-            }
-        }
-    });
-    // Pass 2: row rotations on A. Split A into single-row slices and hand
-    // each rotation its own (p, q) pair — disjoint by tournament order.
-    let mut rows: Vec<Option<&mut [f64]>> = a.data_mut().chunks_mut(n).map(Some).collect();
-    let tasks: Vec<(&mut [f64], &mut [f64], f64, f64)> = rotations
-        .iter()
-        .filter_map(|&(p, q, c, s)| {
-            // Pivot rows are disjoint within a round by tournament order, so
-            // both takes always succeed; a collision would skip the rotation.
-            let rp = rows[p].take()?;
-            let rq = rows[q].take()?;
-            Some((rp, rq, c, s))
-        })
-        .collect();
-    par::for_each_task(parallelism, tasks, |(rp, rq, c, s)| {
-        for (ap, aq) in rp.iter_mut().zip(rq.iter_mut()) {
-            let (x, y) = (*ap, *aq);
-            *ap = c * x - s * y;
-            *aq = s * x + c * y;
-        }
-    });
+    eigen_symmetric(m, tol)
 }
 
 /// Frobenius norm of the strictly upper triangle.
@@ -486,64 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn tournament_rounds_cover_all_pairs_disjointly() {
-        for n in [2usize, 5, 6, 9] {
-            let players = n + (n & 1);
-            let mut seen = std::collections::HashSet::new();
-            for round in 0..players - 1 {
-                let pairs = tournament_round(n, players, round);
-                let mut touched = std::collections::HashSet::new();
-                for (p, q) in pairs {
-                    assert!(p < q && q < n, "ordered, in-range pivot ({p},{q})");
-                    assert!(touched.insert(p) && touched.insert(q), "disjoint within round");
-                    assert!(seen.insert((p, q)), "no pair repeats across rounds");
-                }
-            }
-            assert_eq!(seen.len(), n * (n - 1) / 2, "n={n}: every pair visited once");
-        }
-    }
-
-    #[test]
-    fn parallel_jacobi_matches_serial_within_tolerance() {
-        let n = 24;
-        let mut m = Matrix::zeros(n, n);
-        let mut state = 0xfeedu64;
-        let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        for i in 0..n {
-            for j in i..n {
-                let x = next();
-                m[(i, j)] = x;
-                m[(j, i)] = x;
-            }
-        }
-        let serial = eigen_symmetric(&m, 1e-10).unwrap();
-        for workers in [2, 4] {
-            let d = eigen_symmetric_with(&m, 1e-10, Parallelism::new(workers)).unwrap();
-            // Same spectrum within tolerance (different rotation trajectory).
-            for (a, b) in serial.values.iter().zip(&d.values) {
-                assert!(close(*a, *b, 1e-7), "eigenvalue {a} vs {b} ({workers} workers)");
-            }
-            // And a faithful decomposition in its own right.
-            let r = d.reconstruct(n).unwrap();
-            let rel = m.sub(&r).unwrap().frobenius() / m.frobenius();
-            assert!(rel < 1e-8, "parallel reconstruction error {rel}");
-        }
-    }
-
-    #[test]
-    fn parallel_jacobi_serial_knob_is_exact_legacy() {
-        let m =
-            Matrix::from_rows(vec![vec![4.0, 1.0, 2.0], vec![1.0, 3.0, 0.0], vec![2.0, 0.0, 5.0]]);
-        let legacy = eigen_symmetric(&m, 1e-12).unwrap();
-        let knob1 = eigen_symmetric_with(&m, 1e-12, Parallelism::serial()).unwrap();
-        assert_eq!(legacy.values, knob1.values, "workers=1 must be bit-for-bit legacy");
-        assert_eq!(legacy.vectors, knob1.vectors);
-    }
-
-    #[test]
     fn reconstruct_with_is_worker_count_invariant() {
         let m = Matrix::from_rows(vec![
             vec![4.0, 1.0, 2.0, 0.5],
@@ -559,79 +306,6 @@ mod tests {
                 assert_eq!(p, serial, "k={k}, {workers} workers");
             }
         }
-    }
-
-    /// Deterministic pseudo-random symmetric matrix.
-    fn random_symmetric(n: usize, mut state: u64) -> Matrix {
-        let mut m = Matrix::zeros(n, n);
-        let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        for i in 0..n {
-            for j in i..n {
-                let x = next();
-                m[(i, j)] = x;
-                m[(j, i)] = x;
-            }
-        }
-        m
-    }
-
-    #[test]
-    fn warm_start_from_own_basis_matches_cold_within_tolerance() {
-        let m = random_symmetric(20, 0xabcd);
-        let cold = eigen_symmetric(&m, 1e-10).unwrap();
-        for workers in [1, 2, 4] {
-            let warm =
-                eigen_symmetric_warm_with(&m, 1e-10, &cold, Parallelism::new(workers)).unwrap();
-            for (a, b) in cold.values.iter().zip(&warm.values) {
-                assert!(close(*a, *b, 1e-7), "eigenvalue {a} vs {b} ({workers} workers)");
-            }
-            let r = warm.reconstruct(20).unwrap();
-            let rel = m.sub(&r).unwrap().frobenius() / m.frobenius();
-            assert!(rel < 1e-8, "warm reconstruction error {rel} ({workers} workers)");
-        }
-    }
-
-    #[test]
-    fn warm_start_from_perturbed_window_stays_faithful() {
-        // The incremental-pipeline shape: decompose window 1, warm-start
-        // window 2 = window 1 + a small churn perturbation.
-        let m1 = random_symmetric(16, 0x777);
-        let prev = eigen_symmetric(&m1, 1e-10).unwrap();
-        let mut m2 = m1.clone();
-        let bump = |m: &mut Matrix, i: usize, j: usize, d: f64| {
-            m[(i, j)] += d;
-            m[(j, i)] = m[(i, j)];
-        };
-        bump(&mut m2, 0, 3, 0.05);
-        bump(&mut m2, 7, 7, -0.02);
-        bump(&mut m2, 10, 15, 0.04);
-        let cold = eigen_symmetric(&m2, 1e-10).unwrap();
-        for workers in [1, 4] {
-            let warm =
-                eigen_symmetric_warm_with(&m2, 1e-10, &prev, Parallelism::new(workers)).unwrap();
-            for (a, b) in cold.values.iter().zip(&warm.values) {
-                assert!(close(*a, *b, 1e-7), "eigenvalue {a} vs {b} ({workers} workers)");
-            }
-            // Faithful decomposition: orthonormal basis + exact reconstruction.
-            let vtv = warm.vectors.transpose().matmul(&warm.vectors).unwrap();
-            assert!(vtv.sub(&Matrix::identity(16)).unwrap().abs_sum() < 1e-8);
-            let r = warm.reconstruct(16).unwrap();
-            let rel = m2.sub(&r).unwrap().frobenius() / m2.frobenius();
-            assert!(rel < 1e-8, "warm reconstruction error {rel}");
-        }
-    }
-
-    #[test]
-    fn warm_start_rejects_dimension_mismatch() {
-        let m = random_symmetric(6, 1);
-        let prev = eigen_symmetric(&random_symmetric(5, 2), 1e-10).unwrap();
-        assert!(matches!(
-            eigen_symmetric_warm_with(&m, 1e-10, &prev, Parallelism::serial()),
-            Err(Error::InvalidArg(_))
-        ));
     }
 
     #[test]

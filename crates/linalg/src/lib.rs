@@ -34,14 +34,10 @@ pub mod pca;
 pub mod quantize;
 pub mod sym;
 
-pub use eigen::{
-    eigen_symmetric, eigen_symmetric_warm_with, eigen_symmetric_with, EigenDecomposition,
-};
+pub use eigen::{eigen_symmetric, eigen_symmetric_with, EigenDecomposition};
 pub use error::{Error, Result};
 pub use ica::{fast_ica, IcaDecomposition};
 pub use matrix::Matrix;
 pub use par::Parallelism;
-pub use pca::{
-    pca_sweep, pca_sweep_warm_with, pca_sweep_with, recon_err, sparse_transform, PcaSummary,
-};
+pub use pca::{pca_sweep, pca_sweep_with, recon_err, sparse_transform, PcaSummary};
 pub use sym::SymMatrix;

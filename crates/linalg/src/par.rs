@@ -5,35 +5,21 @@
 //! the workspace's own zero-dep `obs` crate: when a process-global registry
 //! is installed (`obs::install_global`), each scheduler invocation reports
 //! tiles scheduled and per-worker busy time; without one the hooks are inert
-//! branches. Two scheduling shapes cover all the kernels in this workspace:
+//! branches. One scheduling shape covers every kernel in this workspace:
+//! [`for_each_task`], a work queue over *owned* tasks, typically disjoint
+//! `&mut` row tiles produced by `chunks_mut`/`split_at_mut`. Workers claim
+//! tasks by ticket, so load balances dynamically while the borrow checker
+//! still proves the writes disjoint — no `unsafe` anywhere. [`par_map`] is
+//! the order-preserving map built on it.
 //!
-//! * [`for_each_tile`] — a work queue over an index space: workers pull
-//!   fixed-size tiles of `0..n` off an atomic ticket counter. Use when the
-//!   body only needs shared (`&`) access, e.g. reductions into per-tile
-//!   buffers the caller owns.
-//! * [`for_each_task`] — a work queue over *owned* tasks, typically disjoint
-//!   `&mut` row tiles produced by `chunks_mut`/`split_at_mut`. Workers claim
-//!   tasks by ticket, so load balances dynamically while the borrow checker
-//!   still proves the writes disjoint — no `unsafe` anywhere.
-//!
-//! For *graph-shaped* work where tiles are not independent — greedy sweeps
-//! whose per-node step reads neighbor state — the module also provides
-//! conflict-avoidance coloring: [`greedy_coloring`] (classic smallest-
-//! available-color classes) and [`independent_runs`] (maximal consecutive
-//! runs of pairwise non-adjacent indices). Runs of the latter preserve the
-//! serial visiting order under a batched schedule, which is how the
-//! parallel Louvain kernel in `commgraph-algos` stays bit-for-bit equal to
-//! its serial sweep.
-//!
-//! Determinism contract: the schedulers never change *what* is computed, only
-//! *who* computes it. Every kernel built on them computes each output element
+//! Determinism contract: the scheduler never changes *what* is computed, only
+//! *who* computes it. Every kernel built on it computes each output element
 //! with a fixed, serial-identical operation order, so results are bit-for-bit
 //! identical at any worker count (property-tested in `algos` and the root
-//! crate). The cyclic-Jacobi eigensolver is the one exception — its parallel
-//! batches change the rotation *trajectory* — and therefore dispatches to the
-//! untouched legacy loop when [`Parallelism::is_serial`] holds.
+//! crate). [`Parallelism`] selects a worker count and never an algorithm:
+//! the inherently sequential kernels (Louvain's local-move sweep, the cyclic
+//! Jacobi eigensolver) take no worker count at all.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -42,7 +28,7 @@ use std::time::Instant;
 /// registry (noop until `obs::install_global`). Handles are looked up once
 /// per kernel invocation, never per tile.
 struct SchedObs {
-    /// `commgraph_par_tiles_total{shape}` — tiles/tasks scheduled.
+    /// `commgraph_par_tiles_total{shape}` — tasks scheduled.
     tiles: obs::Counter,
     /// `commgraph_par_worker_busy_seconds{shape}` — one sample per worker
     /// per invocation; `sum / (workers × wall)` is the utilization.
@@ -50,18 +36,18 @@ struct SchedObs {
 }
 
 impl SchedObs {
-    fn resolve(shape: &'static str) -> SchedObs {
+    fn resolve() -> SchedObs {
         let o = obs::global();
         SchedObs {
             tiles: o.counter(
                 "commgraph_par_tiles_total",
                 "Tiles/tasks scheduled by the data-parallel work queues.",
-                &[("shape", shape)],
+                &[("shape", "task")],
             ),
             busy: o.histogram(
                 "commgraph_par_worker_busy_seconds",
                 "Per-worker busy time of one scheduler invocation.",
-                &[("shape", shape)],
+                &[("shape", "task")],
             ),
         }
     }
@@ -110,58 +96,6 @@ impl Default for Parallelism {
     }
 }
 
-/// Tile work queue over the index space `0..n`.
-///
-/// Splits `0..n` into tiles of `tile` indices and lets workers claim tiles
-/// from an atomic ticket counter until the queue drains. `body` must be safe
-/// to run concurrently on disjoint tiles (it only gets `&` access to its
-/// environment; use [`for_each_task`] when tiles need `&mut` state).
-pub fn for_each_tile<F>(par: Parallelism, n: usize, tile: usize, body: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    let tile = tile.max(1);
-    let n_tiles = n.div_ceil(tile);
-    let sched = SchedObs::resolve("tile");
-    sched.tiles.add(n_tiles as u64);
-    if par.is_serial() || n_tiles <= 1 {
-        // lint:allow(clock-hygiene) busy-time telemetry only; results are order-insensitive and clock-free
-        let t0 = sched.busy.is_enabled().then(Instant::now);
-        let mut start = 0;
-        while start < n {
-            let end = (start + tile).min(n);
-            body(start..end);
-            start = end;
-        }
-        if let Some(t0) = t0 {
-            sched.busy.record(t0.elapsed().as_secs_f64());
-        }
-        return;
-    }
-    let workers = par.workers().min(n_tiles);
-    let next = AtomicUsize::new(0);
-    let (next, body, sched) = (&next, &body, &sched);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(move || {
-                // lint:allow(clock-hygiene) busy-time telemetry only; results are order-insensitive and clock-free
-                let t0 = sched.busy.is_enabled().then(Instant::now);
-                loop {
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    if t >= n_tiles {
-                        break;
-                    }
-                    let start = t * tile;
-                    body(start..(start + tile).min(n));
-                }
-                if let Some(t0) = t0 {
-                    sched.busy.record(t0.elapsed().as_secs_f64());
-                }
-            });
-        }
-    });
-}
-
 /// Task work queue: run `body` once per task, distributing tasks over
 /// workers via an atomic ticket counter.
 ///
@@ -175,7 +109,7 @@ where
     T: Send,
     F: Fn(T) + Sync,
 {
-    let sched = SchedObs::resolve("task");
+    let sched = SchedObs::resolve();
     sched.tiles.add(tasks.len() as u64);
     if par.is_serial() || tasks.len() <= 1 {
         // lint:allow(clock-hygiene) busy-time telemetry only; results are order-insensitive and clock-free
@@ -219,89 +153,6 @@ where
     });
 }
 
-/// Greedy graph coloring in index order: `color[u]` is the smallest color
-/// not used by any already-colored neighbor of `u`.
-///
-/// `neighbors(u)` yields the indices adjacent to `u` (out-of-range and
-/// self entries are ignored). The coloring is proper — adjacent indices
-/// never share a color — and deterministic, so color classes can serve as
-/// conflict-free concurrent move batches (nodes of one class are pairwise
-/// non-adjacent). This is the relaxed-determinism building block; the
-/// Louvain kernel uses the stricter [`independent_runs`] so its reduction
-/// order can match the serial sweep exactly.
-pub fn greedy_coloring<I, F>(n: usize, mut neighbors: F) -> Vec<usize>
-where
-    F: FnMut(usize) -> I,
-    I: IntoIterator<Item = usize>,
-{
-    let mut color = vec![usize::MAX; n];
-    // stamp[c] == u marks color c as taken by a neighbor of the current u.
-    let mut stamp: Vec<usize> = Vec::new();
-    for u in 0..n {
-        for v in neighbors(u) {
-            if v < n && v != u && color[v] != usize::MAX {
-                let c = color[v];
-                if c >= stamp.len() {
-                    stamp.resize(c + 1, usize::MAX);
-                }
-                stamp[c] = u;
-            }
-        }
-        let mut c = 0;
-        while c < stamp.len() && stamp[c] == u {
-            c += 1;
-        }
-        color[u] = c;
-    }
-    color
-}
-
-/// Greedy *interval* coloring: partition `0..n` into maximal consecutive
-/// runs whose members are pairwise non-adjacent under `neighbors`.
-///
-/// Each run is an independent set, so run members can be processed
-/// concurrently without read/write conflicts on neighbor state — and
-/// because the runs are consecutive index intervals applied in order, a
-/// serial reduction over them visits indices in exactly `0..n` order.
-/// That is what lets a parallel greedy sweep (Louvain's local-move phase)
-/// reproduce the serial sweep bit-for-bit: within a run, no member's
-/// neighborhood is touched by the other members' moves.
-///
-/// Runs cover `0..n` exactly once; self edges and out-of-range entries are
-/// ignored. `independent_runs(0, ..)` is empty.
-pub fn independent_runs<I, F>(n: usize, mut neighbors: F) -> Vec<Range<usize>>
-where
-    F: FnMut(usize) -> I,
-    I: IntoIterator<Item = usize>,
-{
-    let mut runs = Vec::new();
-    if n == 0 {
-        return runs;
-    }
-    // blocked[v]: v is adjacent to some member of the current run.
-    let mut blocked = vec![false; n];
-    let mut marked: Vec<usize> = Vec::new();
-    let mut start = 0usize;
-    for u in 0..n {
-        if blocked[u] {
-            runs.push(start..u);
-            start = u;
-            for &v in &marked {
-                blocked[v] = false;
-            }
-            marked.clear();
-        }
-        for v in neighbors(u) {
-            if v < n && v != u && !blocked[v] {
-                blocked[v] = true;
-                marked.push(v);
-            }
-        }
-    }
-    runs.push(start..n);
-    runs
-}
-
 /// Parallel map preserving input order: `out[i] = f(&items[i])`.
 ///
 /// Items are processed in contiguous tiles; each output element is produced
@@ -335,7 +186,6 @@ pub fn tile_size(n: usize, par: Parallelism) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn knob_defaults_and_clamps() {
@@ -343,19 +193,6 @@ mod tests {
         assert_eq!(Parallelism::new(0).workers(), 1);
         assert!(Parallelism::available().workers() >= 1);
         assert_eq!(Parallelism::default(), Parallelism::available());
-    }
-
-    #[test]
-    fn tiles_cover_index_space_exactly_once() {
-        for workers in [1, 2, 5] {
-            let seen = AtomicU64::new(0);
-            for_each_tile(Parallelism::new(workers), 64, 7, |r| {
-                for i in r {
-                    seen.fetch_add(1 << i, Ordering::Relaxed);
-                }
-            });
-            assert_eq!(seen.load(Ordering::Relaxed), u64::MAX, "{workers} workers");
-        }
     }
 
     #[test]
@@ -388,87 +225,16 @@ mod tests {
         // First install wins process-wide; either way `r` only observes the
         // scheduler when this test's install succeeded.
         if obs::install_global(r.clone()) {
-            for_each_tile(Parallelism::new(2), 64, 8, |_| {});
-            let tiles = r.counter("commgraph_par_tiles_total", "", &[("shape", "tile")]);
-            assert!(tiles.get() >= 8, "8 tiles scheduled");
-            let busy = r.histogram("commgraph_par_worker_busy_seconds", "", &[("shape", "tile")]);
+            for_each_task(Parallelism::new(2), vec![(); 8], |()| {});
+            let tiles = r.counter("commgraph_par_tiles_total", "", &[("shape", "task")]);
+            assert!(tiles.get() >= 8, "8 tasks scheduled");
+            let busy = r.histogram("commgraph_par_worker_busy_seconds", "", &[("shape", "task")]);
             assert!(busy.count() >= 1, "worker busy time recorded");
         }
     }
 
-    /// Deterministic scale-free-ish adjacency for the coloring tests.
-    fn test_adjacency(n: usize) -> Vec<Vec<usize>> {
-        let mut adj = vec![Vec::new(); n];
-        for u in 0..n {
-            // Ring + a couple of long chords.
-            let peers = [(u + 1) % n, (u + n - 1) % n, (u * 7 + 3) % n, (u / 2)];
-            for &v in &peers {
-                if v != u && !adj[u].contains(&v) {
-                    adj[u].push(v);
-                    adj[v].push(u);
-                }
-            }
-        }
-        adj
-    }
-
-    #[test]
-    fn greedy_coloring_is_proper_and_deterministic() {
-        let adj = test_adjacency(64);
-        let color = greedy_coloring(64, |u| adj[u].iter().copied());
-        for u in 0..64 {
-            for &v in &adj[u] {
-                assert_ne!(color[u], color[v], "edge ({u},{v}) shares a color");
-            }
-        }
-        assert_eq!(color, greedy_coloring(64, |u| adj[u].iter().copied()));
-        // Greedy uses at most max-degree + 1 colors.
-        let max_deg = adj.iter().map(Vec::len).max().unwrap();
-        assert!(color.iter().max().unwrap() <= &max_deg);
-    }
-
-    #[test]
-    fn independent_runs_cover_in_order_and_are_independent() {
-        let adj = test_adjacency(64);
-        let runs = independent_runs(64, |u| adj[u].iter().copied());
-        let flat: Vec<usize> = runs.iter().flat_map(|r| r.clone()).collect();
-        assert_eq!(flat, (0..64).collect::<Vec<_>>(), "runs cover 0..n in order");
-        for r in &runs {
-            for a in r.clone() {
-                for b in r.clone() {
-                    assert!(a == b || !adj[a].contains(&b), "run members {a},{b} adjacent");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn independent_runs_edge_cases() {
-        assert!(independent_runs(0, |_| Vec::new()).is_empty());
-        // Isolated nodes: one run covering everything.
-        assert_eq!(independent_runs(5, |_| Vec::new()), vec![0..5]);
-        // A path graph: greedy runs split at every adjacent pair.
-        let runs = independent_runs(4, |u| {
-            let mut v = Vec::new();
-            if u > 0 {
-                v.push(u - 1);
-            }
-            if u + 1 < 4 {
-                v.push(u + 1);
-            }
-            v
-        });
-        assert_eq!(runs, vec![0..1, 1..2, 2..3, 3..4]);
-        // Self-loops never block a run.
-        assert_eq!(independent_runs(3, |u| vec![u]), vec![0..3]);
-        // A clique degenerates to singleton runs.
-        let clique = independent_runs(3, |u| (0..3).filter(move |&v| v != u));
-        assert_eq!(clique, vec![0..1, 1..2, 2..3]);
-    }
-
     #[test]
     fn empty_inputs_are_fine() {
-        for_each_tile(Parallelism::new(4), 0, 8, |_| panic!("no tiles"));
         for_each_task(Parallelism::new(4), Vec::<u8>::new(), |_| panic!("no tasks"));
         assert!(par_map(Parallelism::new(4), &[] as &[u8], |&b| b).is_empty());
     }

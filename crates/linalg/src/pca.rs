@@ -6,9 +6,7 @@
 //! `ReconErr(M, M_25) < 0.05` on a > 500-node matrix — because redundancy
 //! (many replicas, same role) makes the matrix low-rank.
 
-use crate::eigen::{
-    eigen_symmetric, eigen_symmetric_warm_with, eigen_symmetric_with, EigenDecomposition,
-};
+use crate::eigen::{eigen_symmetric, EigenDecomposition};
 use crate::error::{Error, Result};
 use crate::matrix::Matrix;
 use crate::par::{self, Parallelism};
@@ -19,24 +17,24 @@ use serde::Serialize;
 /// means reconstructed entries are within 5% of their true values on
 /// average. Returns 0 for an all-zero `M` only if `M_k` is also all-zero.
 pub fn recon_err(m: &Matrix, mk: &Matrix) -> Result<f64> {
-    let diff = m.sub(mk)?.abs_sum();
-    let denom = m.abs_sum();
-    if denom == 0.0 {
-        return Ok(if diff == 0.0 { 0.0 } else { f64::INFINITY });
+    Ok(normalized(m.sub(mk)?.abs_sum(), m.abs_sum()))
+}
+
+/// `Σ|M − M_k| / Σ|M|`; an all-zero `M` scores 0 only against an all-zero `M_k`.
+fn normalized(diff: f64, denom: f64) -> f64 {
+    if denom != 0.0 {
+        diff / denom
+    } else if diff == 0.0 {
+        0.0
+    } else {
+        f64::INFINITY
     }
-    Ok(diff / denom)
 }
 
 /// Compute `M_k` directly from a symmetric matrix.
 pub fn sparse_transform(m: &Matrix, k: usize) -> Result<Matrix> {
     let d = eigen_symmetric(m, 1e-10)?;
     d.reconstruct(k)
-}
-
-/// Compute `M_k` with the parallel eigensolver and rank-k reconstruction.
-pub fn sparse_transform_with(m: &Matrix, k: usize, parallelism: Parallelism) -> Result<Matrix> {
-    let d = eigen_symmetric_with(m, 1e-10, parallelism)?;
-    d.reconstruct_with(k, parallelism)
 }
 
 /// Reconstruction error at one value of k.
@@ -67,57 +65,16 @@ pub struct PcaSummary {
 /// structure), and adding such an eigenpair can transiently raise the
 /// absolute-sum error even as the Frobenius error falls.
 pub fn recon_err_profile(d: &EigenDecomposition, m: &Matrix) -> Result<Vec<f64>> {
-    let n = m.rows();
-    if d.values.len() != n || m.cols() != n {
-        return Err(Error::InvalidArg(format!(
-            "decomposition of size {} does not match matrix {}x{}",
-            d.values.len(),
-            m.rows(),
-            m.cols()
-        )));
-    }
-    let denom = m.abs_sum();
-    let mut mk = Matrix::zeros(n, n);
-    let mut profile = Vec::with_capacity(n + 1);
-    let err_of = |mk: &Matrix| -> f64 {
-        // Both operands are n×n by construction; a mismatch cannot reconstruct.
-        let diff = m.sub(mk).map_or(f64::INFINITY, |d| d.abs_sum());
-        if denom == 0.0 {
-            if diff == 0.0 {
-                0.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            diff / denom
-        }
-    };
-    profile.push(err_of(&mk));
-    for c in 0..n {
-        let lambda = d.values[c];
-        for i in 0..n {
-            let vi = d.vectors[(i, c)] * lambda;
-            if vi == 0.0 {
-                continue;
-            }
-            for j in 0..n {
-                mk[(i, j)] += vi * d.vectors[(j, c)];
-            }
-        }
-        profile.push(err_of(&mk));
-    }
-    Ok(profile)
+    recon_err_profile_with(d, m, Parallelism::serial())
 }
 
-/// Parallel incremental reconstruction-error profile.
+/// [`recon_err_profile`] with the rows partitioned over workers.
 ///
-/// Same contract as [`recon_err_profile`], with the rank-1 updates and the
-/// error reduction partitioned over row bands. Each row's `Σ|M − M_k|`
-/// partial is computed in the serial column order and the partials are
-/// folded in ascending row order, so the profile is bit-for-bit identical at
-/// any worker count (including 1). Note the fixed row-wise summation tree
-/// differs from [`recon_err_profile`]'s single running sum, so the two
-/// functions may differ in the last ulp.
+/// Rows of `M − M_k` are independent at every k, so one team of workers
+/// takes a row band each and walks all n rank-1 updates over it, recording
+/// each row's `Σ|M − M_k|` for every k. The per-row sums run in column
+/// order and are folded in ascending row order, so the profile is
+/// bit-for-bit identical at any worker count (including 1).
 pub fn recon_err_profile_with(
     d: &EigenDecomposition,
     m: &Matrix,
@@ -132,48 +89,41 @@ pub fn recon_err_profile_with(
             m.cols()
         )));
     }
-    let denom = m.abs_sum();
-    let err_of = |row_err: &[f64]| -> f64 {
-        let diff: f64 = row_err.iter().sum();
-        if denom == 0.0 {
-            if diff == 0.0 {
-                0.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            diff / denom
-        }
-    };
-    let mut mk = Matrix::zeros(n, n);
-    let mut row_err: Vec<f64> = (0..n).map(|i| m.row(i).iter().map(|v| v.abs()).sum()).collect();
-    let mut profile = Vec::with_capacity(n + 1);
-    profile.push(err_of(&row_err));
+    // row_err[i * (n + 1) + k] = Σ_j |M − M_k|[i, j].
+    let mut row_err = vec![0.0; n * (n + 1)];
     let band = par::tile_size(n, parallelism);
-    for c in 0..n {
-        let lambda = d.values[c];
-        let tasks: Vec<(usize, &mut [f64], &mut [f64])> = mk
-            .data_mut()
-            .chunks_mut(n * band)
-            .zip(row_err.chunks_mut(band))
-            .enumerate()
-            .map(|(t, (mk_chunk, err_chunk))| (t * band, mk_chunk, err_chunk))
-            .collect();
-        par::for_each_task(parallelism, tasks, |(first_row, mk_chunk, err_chunk)| {
-            for (r, mk_row) in mk_chunk.chunks_mut(n).enumerate() {
+    let tasks: Vec<(usize, &mut [f64])> = row_err
+        .chunks_mut((n + 1) * band)
+        .enumerate()
+        .map(|(t, err_chunk)| (t * band, err_chunk))
+        .collect();
+    par::for_each_task(parallelism, tasks, |(first_row, err_chunk)| {
+        for (r, err_row) in err_chunk.chunks_mut(n + 1).enumerate() {
+            err_row[0] = m.row(first_row + r).iter().map(|v| v.abs()).sum();
+        }
+        // This band's rows of M_k, and column c of the eigenvectors.
+        let mut mk_band = vec![0.0; err_chunk.len() / (n + 1) * n];
+        let mut v_c = vec![0.0; n];
+        for c in 0..n {
+            let lambda = d.values[c];
+            for (j, slot) in v_c.iter_mut().enumerate() {
+                *slot = d.vectors[(j, c)];
+            }
+            let rows = mk_band.chunks_mut(n).zip(err_chunk.chunks_mut(n + 1));
+            for (r, (mk_row, err_row)) in rows.enumerate() {
                 let i = first_row + r;
-                let vi = d.vectors[(i, c)] * lambda;
+                let vi = v_c[i] * lambda;
                 if vi != 0.0 {
-                    for (j, slot) in mk_row.iter_mut().enumerate() {
-                        *slot += vi * d.vectors[(j, c)];
+                    for (slot, vj) in mk_row.iter_mut().zip(&v_c) {
+                        *slot += vi * vj;
                     }
                 }
-                err_chunk[r] = m.row(i).iter().zip(mk_row.iter()).map(|(a, b)| (a - b).abs()).sum();
+                err_row[c + 1] = m.row(i).iter().zip(&*mk_row).map(|(a, b)| (a - b).abs()).sum();
             }
-        });
-        profile.push(err_of(&row_err));
-    }
-    Ok(profile)
+        }
+    });
+    let denom = m.abs_sum();
+    Ok((0..=n).map(|k| normalized(row_err.iter().skip(k).step_by(n + 1).sum(), denom)).collect())
 }
 
 /// Sweep reconstruction error across `ks` (decomposing once).
@@ -196,12 +146,11 @@ pub fn pca_sweep(m: &Matrix, ks: &[usize]) -> Result<PcaSummary> {
     pca_sweep_with(m, ks, Parallelism::serial())
 }
 
-/// [`pca_sweep`] with the decomposition and error profile parallelized.
+/// [`pca_sweep`] with the error profile's rows partitioned over workers.
 ///
-/// With a serial knob this uses the legacy eigensolver; the incremental
-/// profile always uses the fixed row-banded summation of
-/// [`recon_err_profile_with`], so sweeps agree bit-for-bit across worker
-/// counts whenever the decomposition does.
+/// The decomposition is the single-threaded [`eigen_symmetric`] and the
+/// profile is [`recon_err_profile_with`], so the summary is bit-for-bit
+/// identical at any worker count.
 pub fn pca_sweep_with(m: &Matrix, ks: &[usize], parallelism: Parallelism) -> Result<PcaSummary> {
     if m.rows() != m.cols() {
         return Err(Error::InvalidArg(format!(
@@ -210,7 +159,7 @@ pub fn pca_sweep_with(m: &Matrix, ks: &[usize], parallelism: Parallelism) -> Res
             m.cols()
         )));
     }
-    let d = eigen_symmetric_with(m, 1e-10, parallelism)?;
+    let d = eigen_symmetric(m, 1e-10)?;
     let profile = recon_err_profile_with(&d, m, parallelism)?;
     Ok(summarize(m.rows(), &profile, ks))
 }
@@ -228,40 +177,6 @@ fn summarize(n: usize, profile: &[f64], ks: &[usize]) -> PcaSummary {
     errors.dedup_by_key(|e| e.k);
     let k_for_5_percent = profile.iter().position(|&e| e < 0.05);
     PcaSummary { n, errors, k_for_5_percent }
-}
-
-/// [`pca_sweep_with`], warm-starting the eigensolver from a previous
-/// window's decomposition and returning this window's decomposition for the
-/// next warm start.
-///
-/// With `prev = None`, or a `prev` whose dimension no longer matches `m`
-/// (the matrix grew or shrank between windows), this silently falls back to
-/// the cold solver — staleness costs sweeps, never correctness. The summary
-/// carries the same tolerance-agreement contract as the parallel solver:
-/// errors match a cold [`pca_sweep_with`] to the convergence tolerance, not
-/// bit-for-bit.
-pub fn pca_sweep_warm_with(
-    m: &Matrix,
-    ks: &[usize],
-    prev: Option<&EigenDecomposition>,
-    parallelism: Parallelism,
-) -> Result<(PcaSummary, EigenDecomposition)> {
-    if m.rows() != m.cols() {
-        return Err(Error::InvalidArg(format!(
-            "PCA sweep needs a square matrix, got {}x{}",
-            m.rows(),
-            m.cols()
-        )));
-    }
-    let n = m.rows();
-    let d = match prev {
-        Some(prev) if prev.values.len() == n => {
-            eigen_symmetric_warm_with(m, 1e-10, prev, parallelism)?
-        }
-        _ => eigen_symmetric_with(m, 1e-10, parallelism)?,
-    };
-    let profile = recon_err_profile_with(&d, m, parallelism)?;
-    Ok((summarize(n, &profile, ks), d))
 }
 
 #[cfg(test)]
@@ -372,19 +287,21 @@ mod tests {
             let p = recon_err_profile_with(&d, &m, Parallelism::new(workers)).unwrap();
             assert_eq!(p, serial, "bitwise profile equality at {workers} workers");
         }
-        // And it tracks the legacy running-sum profile to float precision.
+        // `recon_err_profile` is the serial-knob call of the same kernel.
         let legacy = recon_err_profile(&d, &m).unwrap();
         for (a, b) in legacy.iter().zip(&serial) {
             assert!((a - b).abs() < 1e-12, "legacy {a} vs banded {b}");
         }
+        // Pinned from the one-team-per-column implementation: rescheduling
+        // the rows must not move a bit.
+        assert_eq!(serial.len(), 13);
+        assert_eq!(serial[0].to_bits(), 0x3ff0_0000_0000_0000);
+        assert_eq!(serial[1].to_bits(), 0x3feb_13b1_3b13_b13b);
+        assert_eq!(serial[12].to_bits(), 0x3d7a_9c40_eabb_788c);
     }
 
     #[test]
     fn parallel_sweep_matches_serial_sweep() {
-        // Random symmetric matrix: distinct eigenvalues almost surely, so
-        // serial and parallel Jacobi agree on the eigenbasis (a degenerate
-        // spectrum like two_block's would make partial reconstructions
-        // legitimately basis-dependent).
         let n = 12;
         let mut m = Matrix::zeros(n, n);
         let mut state = 31u64;
@@ -399,67 +316,19 @@ mod tests {
                 m[(j, i)] = v;
             }
         }
+        // One eigensolver and a worker-count-invariant profile: the sweep is
+        // bit-identical at 1, 2 and NCPU workers.
         let serial = pca_sweep(&m, &[1, 3, 12]).unwrap();
-        let par = pca_sweep_with(&m, &[1, 3, 12], Parallelism::new(4)).unwrap();
-        assert_eq!(serial.n, par.n);
-        assert_eq!(serial.k_for_5_percent, par.k_for_5_percent);
-        // The parallel Jacobi trajectory differs, so errors agree to the
-        // convergence tolerance, not bitwise.
-        for (a, b) in serial.errors.iter().zip(&par.errors) {
-            assert_eq!(a.k, b.k);
-            assert!((a.err - b.err).abs() < 1e-6, "k={}: {} vs {}", a.k, a.err, b.err);
-        }
-        let mk = sparse_transform_with(&m, 12, Parallelism::new(2)).unwrap();
-        assert!(recon_err(&m, &mk).unwrap() < 1e-9);
-    }
-
-    #[test]
-    fn warm_sweep_matches_cold_sweep_within_tolerance() {
-        // Window 1 decomposed cold; window 2 = window 1 + small churn,
-        // swept warm from window 1's basis.
-        let n = 12;
-        let mut m1 = Matrix::zeros(n, n);
-        let mut state = 97u64;
-        let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 40) as f64 / 16_777_216.0
-        };
-        for i in 0..n {
-            for j in i..n {
-                let v = next();
-                m1[(i, j)] = v;
-                m1[(j, i)] = v;
+        for workers in [1, 2, Parallelism::available().workers()] {
+            let par = pca_sweep_with(&m, &[1, 3, 12], Parallelism::new(workers)).unwrap();
+            assert_eq!(serial.n, par.n);
+            assert_eq!(serial.k_for_5_percent, par.k_for_5_percent);
+            assert_eq!(serial.errors.len(), par.errors.len());
+            for (a, b) in serial.errors.iter().zip(&par.errors) {
+                assert_eq!(a.k, b.k);
+                assert_eq!(a.err.to_bits(), b.err.to_bits(), "k={}, {workers} workers", a.k);
             }
         }
-        let p = Parallelism::new(2);
-        let (s1, d1) = pca_sweep_warm_with(&m1, &[1, 3, 12], None, p).unwrap();
-        let cold1 = pca_sweep_with(&m1, &[1, 3, 12], p).unwrap();
-        for (a, b) in s1.errors.iter().zip(&cold1.errors) {
-            assert!((a.err - b.err).abs() < 1e-6, "no-prev warm = cold, k={}", a.k);
-        }
-        let mut m2 = m1.clone();
-        m2[(0, 5)] += 0.03;
-        m2[(5, 0)] = m2[(0, 5)];
-        let (s2, d2) = pca_sweep_warm_with(&m2, &[1, 3, 12], Some(&d1), p).unwrap();
-        let cold2 = pca_sweep_with(&m2, &[1, 3, 12], p).unwrap();
-        assert_eq!(s2.n, cold2.n);
-        for (a, b) in s2.errors.iter().zip(&cold2.errors) {
-            assert_eq!(a.k, b.k);
-            assert!((a.err - b.err).abs() < 1e-6, "k={}: warm {} vs cold {}", a.k, a.err, b.err);
-        }
-        assert_eq!(d2.values.len(), n, "returned decomposition feeds the next window");
-    }
-
-    #[test]
-    fn warm_sweep_falls_back_on_dimension_change() {
-        let small = two_block(2);
-        let (_, d_small) = pca_sweep_warm_with(&small, &[4], None, Parallelism::serial()).unwrap();
-        let big = two_block(4);
-        // Stale 4x4 basis against an 8x8 window: silently cold-started.
-        let (s, d) =
-            pca_sweep_warm_with(&big, &[8], Some(&d_small), Parallelism::serial()).unwrap();
-        assert_eq!(d.values.len(), 8);
-        assert!(s.errors[0].err < 1e-9);
     }
 
     #[test]

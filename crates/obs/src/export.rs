@@ -263,7 +263,7 @@ mod tests {
     #[test]
     fn canonical_help_overrides_empty_site_help() {
         let r = Registry::new();
-        r.counter("commgraph_louvain_sweeps_total", "", &[("mode", "serial")]).inc();
+        r.counter("commgraph_louvain_sweeps_total", "", &[]).inc();
         let text = prometheus_text(&r);
         assert!(
             text.contains(

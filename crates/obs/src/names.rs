@@ -128,19 +128,19 @@ pub const METRICS: &[MetricDef] = &[
         name: "commgraph_louvain_levels_total",
         kind: MetricKind::Counter,
         help: "Aggregation levels performed by Louvain runs.",
-        labels: &["mode"],
+        labels: &[],
     },
     MetricDef {
         name: "commgraph_louvain_moves_total",
         kind: MetricKind::Counter,
         help: "Node moves applied by Louvain's local-move phase.",
-        labels: &["mode"],
+        labels: &[],
     },
     MetricDef {
         name: "commgraph_louvain_sweeps_total",
         kind: MetricKind::Counter,
         help: "Local-move sweeps executed by Louvain clustering.",
-        labels: &["mode"],
+        labels: &[],
     },
     MetricDef {
         name: "commgraph_monitor_anomalous_windows_total",

@@ -108,8 +108,8 @@ fn exercise_everything(o: &obs::Obs, scraper: &Arc<obs::Scraper>, alerts: &Arc<o
     analyzer.analyze_output(&out, &records).unwrap();
     assert!(analyzer.tick() >= 2, "telemetry ticks advanced with the windows");
 
-    // Parallelism 2 drives the par scheduler (tiles/busy families) and the
-    // Louvain counters through the global registry installed by the caller.
+    // Parallelism 2 drives the par scheduler (tiles/busy families); the
+    // Louvain counters reach the global registry installed by the caller.
     let mut wb = Workbench::new(records, monitored)
         .with_parallelism(Parallelism::new(2))
         .with_obs(o.clone());
