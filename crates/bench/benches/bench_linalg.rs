@@ -1,8 +1,8 @@
-//! Linear-algebra benchmarks: the Jacobi eigensolver and PCA sweep behind
-//! the §2.2 summaries, at communication-matrix sizes.
+//! Linear-algebra benchmarks: the Jacobi and top-k Lanczos eigensolvers and
+//! the PCA sweep behind the §2.2 summaries, at communication-matrix sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use linalg::eigen::eigen_symmetric;
+use linalg::eigen::{eigen_symmetric, eigen_top_k};
 use linalg::ica::fast_ica;
 use linalg::pca::{pca_sweep, recon_err_profile_with};
 use linalg::quantize::log_normalize;
@@ -45,6 +45,16 @@ fn bench_eigen(c: &mut Criterion) {
         let m = block_matrix(n, 16);
         group.bench_with_input(BenchmarkId::from_parameter(n), &m, |b, m| {
             b.iter(|| black_box(eigen_symmetric(black_box(m), 1e-10).expect("symmetric")))
+        });
+    }
+    group.finish();
+    // The paper's k = 25 on the same matrices (and one at its n > 500).
+    let mut group = c.benchmark_group("eigen_top_k");
+    group.sample_size(10);
+    for n in [256usize, 512] {
+        let m = block_matrix(n, 16);
+        group.bench_with_input(BenchmarkId::from_parameter(n), &m, |b, m| {
+            b.iter(|| black_box(eigen_top_k(black_box(m), 25, 1e-10).expect("symmetric")))
         });
     }
     group.finish();

@@ -30,7 +30,16 @@ fn main() {
     eprintln!("[pca] decomposing the {n} x {n} byte matrix …");
 
     let ks: Vec<usize> = vec![1, 2, 5, 10, 15, 20, 25, 30, 40, 50, 75, 100, 150, 200];
+    let k_max = ks.iter().copied().max().unwrap_or(0).min(n);
+    // The sweep computes only the k_max leading eigenpairs; the solver
+    // counts its Lanczos steps (the Krylov dimension) in the global registry.
+    let registry = std::sync::Arc::new(obs::Registry::new());
+    obs::install_global(registry.clone());
     let sweep = pca_sweep(&m, &ks).expect("symmetric byte matrix decomposes");
+    // Zero steps: 2·k_max ≥ n, so the sweep took the full Jacobi solve.
+    let krylov_dim = registry.counter("commgraph_lanczos_steps_total", "", &[]).get();
+    let solver = if krylov_dim > 0 { "lanczos_top_k" } else { "jacobi" };
+    eprintln!("[pca] top-{k_max} eigenpairs by {solver}, Krylov dimension {krylov_dim}");
 
     println!("\nE-PCA — low-rank reconstruction of the K8s PaaS byte matrix (n = {n})");
     println!("{:>6} {:>12}", "k", "ReconErr");
@@ -40,7 +49,7 @@ fn main() {
     }
     match sweep.k_for_5_percent {
         Some(k) => println!("\n  smallest k with error < 0.05: {k}"),
-        None => println!("\n  error never reaches 0.05"),
+        None => println!("\n  error never reaches 0.05 for k ≤ {k_max}"),
     }
     let err25 = sweep.errors.iter().find(|e| e.k == 25).map(|e| e.err);
     if let Some(err) = err25 {
@@ -84,6 +93,8 @@ fn main() {
         "pca.json",
         &serde_json::to_string_pretty(&json!({
             "n": n,
+            "solver": solver,
+            "krylov_dim": krylov_dim,
             "errors": sweep.errors,
             "k_for_5_percent": sweep.k_for_5_percent,
             "err_at_25": err25,

@@ -14,7 +14,7 @@
 //! self-variation separates "the usual breathing" from "something changed".
 
 use commgraph_graph::{CommGraph, NodeId};
-use linalg::eigen::{eigen_symmetric, EigenDecomposition};
+use linalg::eigen::eigen_top_k;
 use linalg::Matrix;
 use serde::Serialize;
 use std::collections::HashMap;
@@ -45,8 +45,10 @@ pub struct PatternModel {
     /// Node order the matrix rows correspond to.
     nodes: Vec<NodeId>,
     index: HashMap<NodeId, usize>,
-    /// Top-k eigenpairs of the (log-scaled) baseline matrix.
-    basis: EigenDecomposition,
+    /// Top-k eigenvectors of the (log-scaled) baseline matrix as the
+    /// columns of an n × k matrix, and its transpose.
+    vk: Matrix,
+    vkt: Matrix,
     /// Components retained.
     pub k: usize,
     /// Residual of the baseline against its own basis — the noise floor.
@@ -89,10 +91,11 @@ impl PatternModel {
                 m[(i, j)] = log_bytes(raw[i][j]);
             }
         }
-        let basis = eigen_symmetric(&m, 1e-9).map_err(|e| AnomalyError::Fit(e.to_string()))?;
+        let vk = eigen_top_k(&m, k, 1e-9).map_err(|e| AnomalyError::Fit(e.to_string()))?.vectors;
+        let vkt = vk.transpose();
         let nodes: Vec<NodeId> = baseline.nodes().to_vec();
         let index = nodes.iter().enumerate().map(|(i, n)| (*n, i)).collect();
-        let mut model = PatternModel { nodes, index, basis, k, baseline_residual: 0.0 };
+        let mut model = PatternModel { nodes, index, vk, vkt, k, baseline_residual: 0.0 };
         model.baseline_residual = model.residual_of(&m).map_err(AnomalyError::Fit)?;
         Ok(model)
     }
@@ -106,19 +109,12 @@ impl PatternModel {
     /// relative L1 residual. The `Err` arm carries a shape-mismatch
     /// message; callers wrap it in their phase's [`AnomalyError`] variant.
     fn residual_of(&self, m: &Matrix) -> Result<f64, String> {
-        let n = self.nodes.len();
         // P(M) = Σ_c v_c v_cᵀ M v_c v_cᵀ is the full two-sided projection;
         // for symmetric M with an orthonormal basis V_k, use
         // P(M) = V_k V_kᵀ M V_k V_kᵀ.
-        let mut vk = Matrix::zeros(n, self.k);
-        for c in 0..self.k {
-            for r in 0..n {
-                vk[(r, c)] = self.basis.vectors[(r, c)];
-            }
-        }
-        let vkt = vk.transpose();
-        let inner = vkt.matmul(m).and_then(|x| x.matmul(&vk)).map_err(|e| e.to_string())?;
-        let proj = vk.matmul(&inner).and_then(|x| x.matmul(&vkt)).map_err(|e| e.to_string())?;
+        let (vk, vkt) = (&self.vk, &self.vkt);
+        let inner = vkt.matmul(m).and_then(|x| x.matmul(vk)).map_err(|e| e.to_string())?;
+        let proj = vk.matmul(&inner).and_then(|x| x.matmul(vkt)).map_err(|e| e.to_string())?;
         let denom = m.abs_sum();
         if denom == 0.0 {
             return Ok(0.0);

@@ -305,6 +305,26 @@ mod tests {
     }
 
     #[test]
+    fn pca_summary_agrees_with_a_full_jacobi_sweep() {
+        // K8s PaaS is the §2.2 cluster; at this size 2 · 25 < n, so the
+        // summary runs the top-k solver and the oracle the full one.
+        let preset = ClusterPreset::K8sPaas;
+        let mut sim =
+            Simulator::new(preset.topology_scaled(0.25), preset.default_sim_config()).unwrap();
+        let records = sim.collect(5);
+        let monitored = sim.ground_truth().ip_roles.keys().copied().collect();
+        let mut wb = Workbench::new(records, monitored);
+        let m = wb.byte_matrix().unwrap();
+        assert!(m.rows() > 50, "n = {} must exceed 2k", m.rows());
+        let full = linalg::eigen_symmetric(&m, 1e-10).unwrap();
+        let oracle = linalg::pca::recon_err_profile(&full, &m).unwrap();
+        let summary = wb.pca_summary(&[25]).unwrap();
+        assert_eq!(summary.errors.len(), 1);
+        assert!((summary.errors[0].err - oracle[25]).abs() < 1e-9);
+        assert_eq!(summary.k_for_5_percent, oracle[..=25].iter().position(|&e| e < 0.05));
+    }
+
+    #[test]
     fn pca_on_small_cluster() {
         let mut wb = session();
         let summary = wb.pca_summary(&[1, 4, 16]).unwrap();

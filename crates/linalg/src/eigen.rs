@@ -1,10 +1,19 @@
-//! Cyclic Jacobi eigendecomposition for symmetric matrices.
+//! Symmetric eigendecomposition: cyclic Jacobi for the full spectrum,
+//! Lanczos for its leading end.
 //!
-//! Jacobi rotation is the right tool here: communication matrices are
-//! symmetric, a few hundred rows after heavy-hitter collapsing, and the
-//! analyses need *all* eigenpairs (to sweep k in the reconstruction-error
-//! experiment). Jacobi is unconditionally stable, needs no pivoting or
-//! shifts, and converges quadratically once off-diagonal mass is small.
+//! Communication matrices are symmetric and a few hundred rows after
+//! heavy-hitter collapsing. [`eigen_symmetric`] is the full-spectrum
+//! solver: Jacobi rotation is unconditionally stable, needs no pivoting or
+//! shifts, and converges quadratically once off-diagonal mass is small. It
+//! serves the callers that read every eigenpair (ICA whitening, the all-k
+//! error profile, [`sparse_transform`](crate::pca::sparse_transform)) and
+//! is the oracle the tests hold the other solver to.
+//!
+//! The production analyses read far fewer: the §2.2 summary needs k = 25
+//! of n > 500 eigenpairs, the anomaly model its k-dimensional basis.
+//! [`eigen_top_k`] computes only those, by Lanczos iteration with the small
+//! projected problem handed to the Jacobi solver — milliseconds where the
+//! full decomposition takes seconds. Both are single-threaded by design.
 
 use crate::error::{Error, Result};
 use crate::matrix::Matrix;
@@ -25,16 +34,21 @@ impl EigenDecomposition {
         self.reconstruct_with(k, Parallelism::serial())
     }
 
-    /// Rank-k reconstruction with output rows partitioned over workers.
+    /// Rank-k reconstruction with output rows partitioned over workers;
+    /// `k` may be anything up to the number of eigenpairs held (n for
+    /// [`eigen_symmetric`], fewer for [`eigen_top_k`]).
     ///
     /// Row `i` of `M_k = Σ_{c<k} λ_c v_c v_cᵀ` depends only on the
     /// decomposition, so rows parallelize freely; each element accumulates
     /// its `k` terms in the same ascending-`c` order as the serial loop,
     /// making the result bit-for-bit identical at any worker count.
     pub fn reconstruct_with(&self, k: usize, parallelism: Parallelism) -> Result<Matrix> {
-        let n = self.values.len();
-        if k > n {
-            return Err(Error::InvalidArg(format!("k={k} exceeds dimension {n}")));
+        let n = self.vectors.rows();
+        if k > self.values.len() {
+            return Err(Error::InvalidArg(format!(
+                "k={k} exceeds the {} eigenpairs held",
+                self.values.len()
+            )));
         }
         let mut out = Matrix::zeros(n, n);
         if n == 0 {
@@ -48,19 +62,24 @@ impl EigenDecomposition {
             .map(|(t, chunk)| (t * band, chunk))
             .collect();
         par::for_each_task(parallelism, tasks, |(first_row, chunk)| {
-            for (r, orow) in chunk.chunks_mut(n).enumerate() {
-                let i = first_row + r;
-                for c in 0..k {
-                    let lambda = self.values[c];
-                    if lambda == 0.0 {
-                        continue;
-                    }
-                    let vi = self.vectors[(i, c)] * lambda;
+            // Column c of the eigenvectors, copied out once per band so the
+            // inner loop reads it contiguously.
+            let mut v_c = vec![0.0; n];
+            for c in 0..k {
+                let lambda = self.values[c];
+                if lambda == 0.0 {
+                    continue;
+                }
+                for (j, slot) in v_c.iter_mut().enumerate() {
+                    *slot = self.vectors[(j, c)];
+                }
+                for (r, orow) in chunk.chunks_mut(n).enumerate() {
+                    let vi = v_c[first_row + r] * lambda;
                     if vi == 0.0 {
                         continue;
                     }
-                    for (j, o) in orow.iter_mut().enumerate() {
-                        *o += vi * self.vectors[(j, c)];
+                    for (o, vj) in orow.iter_mut().zip(&v_c) {
+                        *o += vi * vj;
                     }
                 }
             }
@@ -77,21 +96,24 @@ impl EigenDecomposition {
 /// [`Error::NoConvergence`] after 100 sweeps (which, for symmetric input,
 /// does not happen in practice).
 pub fn eigen_symmetric(m: &Matrix, tol: f64) -> Result<EigenDecomposition> {
-    let n = m.rows();
-    if n != m.cols() {
+    let scale = symmetric_scale(m)?;
+    jacobi_sweeps(m.clone(), Matrix::identity(m.rows()), tol * scale)
+}
+
+/// Check that `m` is square and symmetric; return the scale
+/// (`max(‖M‖_F, 1)`) every tolerance in this module is relative to.
+fn symmetric_scale(m: &Matrix) -> Result<f64> {
+    if m.rows() != m.cols() {
         return Err(Error::InvalidArg(format!(
             "eigendecomposition needs a square matrix, got {}x{}",
-            n,
+            m.rows(),
             m.cols()
         )));
     }
     // Tolerate tiny float asymmetry from accumulation, relative to scale.
     let scale = m.frobenius().max(1.0);
     m.require_symmetric(scale * 1e-9)?;
-
-    let a = m.clone();
-    let v = Matrix::identity(n);
-    jacobi_sweeps(a, v, tol * scale)
+    Ok(scale)
 }
 
 /// Cyclic-Jacobi sweep loop from the starting state `(A, V)` with
@@ -183,6 +205,176 @@ fn sorted_decomposition(a: Matrix, v: Matrix) -> EigenDecomposition {
         }
     }
     EigenDecomposition { values, vectors }
+}
+
+/// The `k` eigenpairs of largest `|λ|` of a symmetric matrix: `k` values
+/// and an `n × k` vector matrix, sorted like [`eigen_symmetric`]'s.
+///
+/// Lanczos with full reorthogonalisation: the Krylov subspace grows from a
+/// fixed start vector until the Ritz residual bound `|β_m · s_{m,i}|` of
+/// each of the top `k` pairs is within `tol · max(‖M‖_F, 1)` — the
+/// threshold [`eigen_symmetric`] holds its off-diagonal mass to — and the
+/// projected tridiagonal problem is solved by [`eigen_symmetric`] itself.
+/// When the subspace is exhausted early (a spectrum with few distinct
+/// values) it continues from a fresh vector orthogonal to everything so
+/// far. There is nothing to tune: for `2k ≥ n`, or if the subspace reaches
+/// `n`, the result is [`eigen_symmetric`]'s truncated to `k` columns.
+///
+/// Single-threaded and entropy-free, so two calls return the same bits.
+/// Like any single-vector Krylov method it sees one eigenvector per
+/// distinct eigenvalue until the subspace is exhausted: an *exactly*
+/// repeated eigenvalue among the top `k` of a matrix with more than `k`
+/// distinct ones is returned once. [`eigen_symmetric`] has no such case.
+///
+/// Errors as [`eigen_symmetric`], plus [`Error::InvalidArg`] for `k > n`.
+pub fn eigen_top_k(m: &Matrix, k: usize, tol: f64) -> Result<EigenDecomposition> {
+    let scale = symmetric_scale(m)?;
+    let n = m.rows();
+    if k > n {
+        return Err(Error::InvalidArg(format!("k={k} exceeds dimension {n}")));
+    }
+    if k == 0 {
+        return Ok(EigenDecomposition { values: Vec::new(), vectors: Matrix::zeros(n, 0) });
+    }
+    if 2 * k < n {
+        if let Some(d) = lanczos_top_k(m, k, tol, scale)? {
+            return Ok(d);
+        }
+    }
+    let full = eigen_symmetric(m, tol)?;
+    let mut vectors = Matrix::zeros(n, k);
+    for (out, row) in vectors.data_mut().chunks_mut(k).zip(full.vectors.data().chunks(n)) {
+        out.copy_from_slice(&row[..k]);
+    }
+    Ok(EigenDecomposition { values: full.values[..k].to_vec(), vectors })
+}
+
+/// `Σ aᵢbᵢ` over four interleaved partial sums: a fixed association order
+/// (so repeatable) that does not serialise on one accumulator.
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    let (a4, b4) = (a.chunks_exact(4), b.chunks_exact(4));
+    let tail: f64 = a4.remainder().iter().zip(b4.remainder()).map(|(x, y)| x * y).sum();
+    let mut acc = [0.0; 4];
+    for (x, y) in a4.zip(b4) {
+        for (s, (xi, yi)) in acc.iter_mut().zip(x.iter().zip(y)) {
+            *s += xi * yi;
+        }
+    }
+    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
+}
+
+/// `y ← y + c·x`.
+fn axpy(y: &mut [f64], c: f64, x: &[f64]) {
+    for (yi, xi) in y.iter_mut().zip(x) {
+        *yi += c * xi;
+    }
+}
+
+/// Remove from `w` its components along the orthonormal rows of `q`
+/// (each of length `w.len()`): classical Gram–Schmidt, run twice — the
+/// second pass removes what cancellation left behind in the first.
+fn orthogonalize(w: &mut [f64], q: &[f64]) {
+    let mut coeff = Vec::with_capacity(q.len() / w.len().max(1));
+    for _pass in 0..2 {
+        coeff.clear();
+        coeff.extend(q.chunks_exact(w.len()).map(|qi| dot(qi, w)));
+        for (qi, &c) in q.chunks_exact(w.len()).zip(&coeff) {
+            axpy(w, -c, qi);
+        }
+    }
+}
+
+/// The Lanczos half of [`eigen_top_k`] for `0 < 2k < n`; `None` when the
+/// Krylov subspace would have to reach `n` (the caller then decomposes
+/// the matrix itself).
+fn lanczos_top_k(m: &Matrix, k: usize, tol: f64, scale: f64) -> Result<Option<EigenDecomposition>> {
+    let n = m.rows();
+    let threshold = tol * scale;
+    // A residual this small is rounding noise, not a direction.
+    let breakdown = f64::EPSILON * scale * n as f64;
+    // Start and restart vectors come from one fixed LCG stream in [-1, 1):
+    // no clock, no entropy, and no structure a communication matrix shares.
+    let mut lcg = 0x9E37_79B9_7F4A_7C15u64;
+    let mut fresh = |q: &[f64]| -> Option<Vec<f64>> {
+        let mut v: Vec<f64> = (0..n)
+            .map(|_| {
+                lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (lcg >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+            })
+            .collect();
+        orthogonalize(&mut v, q);
+        // Of a vector of norm ≈ √(n/3), ≈ √((n − dim)/3) survives: far above
+        // this floor for any dim < n, so `None` means "no room left".
+        let norm = dot(&v, &v).sqrt();
+        (norm > 1e-8).then(|| v.iter().map(|x| x / norm).collect())
+    };
+
+    // Lanczos vectors as rows of `q`; `alpha`/`beta` the tridiagonal
+    // projection, `beta[j]` coupling vectors j and j + 1.
+    let mut q: Vec<f64> = Vec::new();
+    let (mut alpha, mut beta) = (Vec::new(), Vec::<f64>::new());
+    let mut next = fresh(&q);
+    // Each convergence check re-solves the projected problem, so they are
+    // spaced geometrically: their total cost stays a constant factor of the
+    // last one's.
+    let mut check_at = 2 * k;
+    let mut w = vec![0.0; n];
+    let found = loop {
+        let dim = alpha.len() + 1;
+        // A subspace of dimension n is the whole space: not worth projecting.
+        if dim == n {
+            break None;
+        }
+        let Some(q_j) = next.take() else { break None };
+        q.extend_from_slice(&q_j);
+        // w = M·q_j by rows of M (M is symmetric), so the inner loop is an
+        // axpy rather than a reduction.
+        w.fill(0.0);
+        for (&x, row) in q_j.iter().zip(m.data().chunks_exact(n)) {
+            axpy(&mut w, x, row);
+        }
+        alpha.push(dot(&w, &q_j));
+        orthogonalize(&mut w, &q);
+        let b = dot(&w, &w).sqrt();
+        let exhausted = b <= breakdown;
+        if dim >= k && (exhausted || dim >= check_at) {
+            let mut t = Matrix::zeros(dim, dim);
+            for (i, &a) in alpha.iter().enumerate() {
+                t[(i, i)] = a;
+            }
+            for (i, &c) in beta.iter().enumerate() {
+                t[(i, i + 1)] = c;
+                t[(i + 1, i)] = c;
+            }
+            let ritz = eigen_symmetric(&t, tol)?;
+            if ritz.vectors.row(dim - 1)[..k].iter().all(|s| (b * s).abs() <= threshold) {
+                // Ritz vectors: V = Qᵀ S_k.
+                let mut vectors = Matrix::zeros(n, k);
+                for (q_i, s_i) in q.chunks_exact(n).zip(ritz.vectors.data().chunks_exact(dim)) {
+                    for (out, &x) in vectors.data_mut().chunks_exact_mut(k).zip(q_i) {
+                        axpy(out, x, &s_i[..k]);
+                    }
+                }
+                break Some(EigenDecomposition { values: ritz.values[..k].to_vec(), vectors });
+            }
+            check_at = dim + dim / 2;
+        }
+        if exhausted {
+            beta.push(0.0);
+            next = fresh(&q);
+        } else {
+            beta.push(b);
+            next = Some(w.iter().map(|x| x / b).collect());
+        }
+    };
+    obs::global()
+        .counter(
+            "commgraph_lanczos_steps_total",
+            "Lanczos steps (Krylov dimensions) run by top-k eigensolves.",
+            &[],
+        )
+        .add(alpha.len() as u64);
+    Ok(found)
 }
 
 #[cfg(test)]
@@ -308,12 +500,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn moderate_size_random_symmetric_converges() {
-        // Deterministic pseudo-random symmetric 40x40.
-        let n = 40;
+    /// Deterministic pseudo-random symmetric n × n with entries in [-1, 1).
+    fn random_symmetric(n: usize, seed: u64) -> Matrix {
         let mut m = Matrix::zeros(n, n);
-        let mut state = 0x12345u64;
+        let mut state = seed;
         let mut next = || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
@@ -325,6 +515,93 @@ mod tests {
                 m[(j, i)] = v;
             }
         }
+        m
+    }
+
+    /// `eigen_top_k` against the Jacobi oracle: values, `Mv = λv`, `VᵀV = I`.
+    fn assert_top_k_matches_jacobi(m: &Matrix, k: usize) {
+        let n = m.rows();
+        let scale = m.frobenius().max(1.0);
+        let full = eigen_symmetric(m, 1e-12).unwrap();
+        let top = eigen_top_k(m, k, 1e-12).unwrap();
+        assert_eq!(top.values.len(), k);
+        assert_eq!((top.vectors.rows(), top.vectors.cols()), (n, k));
+        for (c, (a, b)) in top.values.iter().zip(&full.values).enumerate() {
+            assert!(close(*a, *b, 1e-9 * scale), "n={n} k={k}: λ_{c} = {a}, Jacobi {b}");
+            let v: Vec<f64> = (0..n).map(|i| top.vectors[(i, c)]).collect();
+            let res: f64 = (0..n).map(|i| (dot(m.row(i), &v) - a * v[i]).powi(2)).sum();
+            assert!(res.sqrt() <= 1e-8 * scale, "n={n} k={k}: ‖Mv − λv‖ = {} at {c}", res.sqrt());
+        }
+        let vtv = top.vectors.transpose().matmul(&top.vectors).unwrap();
+        let worst = vtv
+            .sub(&Matrix::identity(k))
+            .unwrap()
+            .data()
+            .iter()
+            .fold(0.0f64, |w, x| w.max(x.abs()));
+        assert!(worst < 1e-10, "n={n} k={k}: VᵀV − I has an entry of {worst}");
+    }
+
+    #[test]
+    fn top_k_matches_jacobi_on_random_matrices() {
+        for (n, seed) in [(7, 1), (23, 2), (40, 3), (61, 4)] {
+            let m = random_symmetric(n, seed);
+            // Both sides of the 2k < n rule, and its edge.
+            for k in [0, 1, 2, n / 4, (n - 1) / 2, n / 2 + 1, n] {
+                assert_top_k_matches_jacobi(&m, k);
+            }
+        }
+    }
+
+    #[test]
+    fn top_k_survives_degenerate_spectra() {
+        // Every eigenvalue equal: the Krylov subspace is exhausted at step
+        // one, and every further vector is a fresh restart.
+        assert_top_k_matches_jacobi(&Matrix::zeros(9, 9), 3);
+        assert_top_k_matches_jacobi(&Matrix::identity(9), 3);
+        // Distinct diagonal, sorted by |λ| across signs.
+        let mut diag = Matrix::zeros(8, 8);
+        for (i, v) in [3.0, -5.0, 1.0, 0.5, -0.25, 4.0, -2.0, 0.0].into_iter().enumerate() {
+            diag[(i, i)] = v;
+        }
+        assert_top_k_matches_jacobi(&diag, 3);
+        assert_eq!(eigen_top_k(&diag, 3, 1e-12).unwrap().values, vec![-5.0, 4.0, 3.0]);
+        // Rank 1 with k above the rank: the null space is reached by restart.
+        let u: Vec<f64> = (1..=9).map(f64::from).collect();
+        let rank1 =
+            Matrix::from_rows(u.iter().map(|a| u.iter().map(|b| a * b).collect()).collect());
+        assert_top_k_matches_jacobi(&rank1, 3);
+        // Three distinct eigenvalues (1090, −910, and −10 eighteen times), k = 4.
+        let mut blocks = Matrix::zeros(20, 20);
+        for i in 0..20 {
+            for j in 0..20 {
+                if i != j {
+                    blocks[(i, j)] = if (i < 10) == (j < 10) { 10.0 } else { 100.0 };
+                }
+            }
+        }
+        assert_top_k_matches_jacobi(&blocks, 4);
+        // The smallest shapes.
+        let one = Matrix::from_rows(vec![vec![-2.5]]);
+        assert_top_k_matches_jacobi(&one, 0);
+        assert_top_k_matches_jacobi(&one, 1);
+        assert!(eigen_top_k(&Matrix::zeros(0, 0), 0, 1e-12).unwrap().values.is_empty());
+    }
+
+    #[test]
+    fn truncated_decomposition_reconstructs_like_the_full_one() {
+        let m = random_symmetric(30, 5);
+        let full = eigen_symmetric(&m, 1e-12).unwrap();
+        let top = eigen_top_k(&m, 4, 1e-12).unwrap();
+        let (a, b) = (full.reconstruct(4).unwrap(), top.reconstruct(4).unwrap());
+        assert!(a.sub(&b).unwrap().frobenius() < 1e-9 * m.frobenius());
+        assert!(top.reconstruct(5).is_err(), "only four pairs are held");
+    }
+
+    #[test]
+    fn moderate_size_random_symmetric_converges() {
+        let n = 40;
+        let m = random_symmetric(n, 0x12345);
         let d = eigen_symmetric(&m, 1e-10).unwrap();
         let r = d.reconstruct(n).unwrap();
         let rel = m.sub(&r).unwrap().frobenius() / m.frobenius();

@@ -8,9 +8,11 @@
 //!
 //! * [`matrix`] — a dense row-major matrix with the handful of operations
 //!   the analyses use (multiply, transpose, norms).
-//! * [`eigen`] — cyclic Jacobi eigendecomposition for symmetric matrices:
-//!   simple, robust, and exact enough at the few-hundred-node scale of
-//!   collapsed IP graphs.
+//! * [`eigen`] — symmetric eigendecomposition: cyclic Jacobi for the full
+//!   spectrum (simple, robust, and exact enough at the few-hundred-node
+//!   scale of collapsed IP graphs) and [`eigen_top_k`], Lanczos for the k
+//!   leading eigenpairs, which is all the PCA summary and the anomaly
+//!   model read.
 //! * [`pca`] — the paper's sparse transform `M_k = E_k D_k E_kᵀ` and its
 //!   `ReconErr` metric.
 //! * [`ica`] — FastICA (the paper's footnote 6 alternative), implemented
@@ -34,7 +36,7 @@ pub mod pca;
 pub mod quantize;
 pub mod sym;
 
-pub use eigen::{eigen_symmetric, eigen_symmetric_with, EigenDecomposition};
+pub use eigen::{eigen_symmetric, eigen_symmetric_with, eigen_top_k, EigenDecomposition};
 pub use error::{Error, Result};
 pub use ica::{fast_ica, IcaDecomposition};
 pub use matrix::Matrix;

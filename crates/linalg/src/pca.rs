@@ -6,7 +6,7 @@
 //! `ReconErr(M, M_25) < 0.05` on a > 500-node matrix — because redundancy
 //! (many replicas, same role) makes the matrix low-rank.
 
-use crate::eigen::{eigen_symmetric, EigenDecomposition};
+use crate::eigen::{eigen_symmetric, eigen_top_k, EigenDecomposition};
 use crate::error::{Error, Result};
 use crate::matrix::Matrix;
 use crate::par::{self, Parallelism};
@@ -53,12 +53,15 @@ pub struct PcaSummary {
     pub n: usize,
     /// Errors at each requested k, ascending in k.
     pub errors: Vec<KError>,
-    /// Smallest k with error below 0.05, if any was requested.
+    /// Smallest k with error below 0.05 among `0..=max(requested ks)`;
+    /// `None` if the error is still above 0.05 at the largest requested k.
     pub k_for_5_percent: Option<usize>,
 }
 
-/// The reconstruction error at **every** k from 0 to n, computed
-/// incrementally (`M_k = M_{k-1} + λ_k v_k v_kᵀ`) in O(n³) total.
+/// The reconstruction error at **every** k from 0 to the number of
+/// eigenpairs in `d` (n for [`eigen_symmetric`], fewer for
+/// [`eigen_top_k`]), computed incrementally (`M_k = M_{k-1} + λ_k v_k v_kᵀ`)
+/// in O(n² · pairs) total.
 ///
 /// Needed because the entrywise-L1 error is *not* guaranteed monotone in k:
 /// adjacency matrices have large negative eigenvalues (bipartite tier
@@ -71,9 +74,9 @@ pub fn recon_err_profile(d: &EigenDecomposition, m: &Matrix) -> Result<Vec<f64>>
 /// [`recon_err_profile`] with the rows partitioned over workers.
 ///
 /// Rows of `M − M_k` are independent at every k, so one team of workers
-/// takes a row band each and walks all n rank-1 updates over it, recording
-/// each row's `Σ|M − M_k|` for every k. The per-row sums run in column
-/// order and are folded in ascending row order, so the profile is
+/// takes a row band each and walks all the rank-1 updates over it,
+/// recording each row's `Σ|M − M_k|` for every k. The per-row sums run in
+/// column order and are folded in ascending row order, so the profile is
 /// bit-for-bit identical at any worker count (including 1).
 pub fn recon_err_profile_with(
     d: &EigenDecomposition,
@@ -81,35 +84,38 @@ pub fn recon_err_profile_with(
     parallelism: Parallelism,
 ) -> Result<Vec<f64>> {
     let n = m.rows();
-    if d.values.len() != n || m.cols() != n {
+    let pairs = d.values.len();
+    if (d.vectors.rows(), d.vectors.cols()) != (n, pairs) || m.cols() != n {
         return Err(Error::InvalidArg(format!(
-            "decomposition of size {} does not match matrix {}x{}",
-            d.values.len(),
+            "decomposition of {} pairs over {} rows does not match matrix {}x{}",
+            pairs,
+            d.vectors.rows(),
             m.rows(),
             m.cols()
         )));
     }
-    // row_err[i * (n + 1) + k] = Σ_j |M − M_k|[i, j].
-    let mut row_err = vec![0.0; n * (n + 1)];
+    // row_err[i * (pairs + 1) + k] = Σ_j |M − M_k|[i, j].
+    let width = pairs + 1;
+    let mut row_err = vec![0.0; n * width];
     let band = par::tile_size(n, parallelism);
     let tasks: Vec<(usize, &mut [f64])> = row_err
-        .chunks_mut((n + 1) * band)
+        .chunks_mut(width * band)
         .enumerate()
         .map(|(t, err_chunk)| (t * band, err_chunk))
         .collect();
     par::for_each_task(parallelism, tasks, |(first_row, err_chunk)| {
-        for (r, err_row) in err_chunk.chunks_mut(n + 1).enumerate() {
+        for (r, err_row) in err_chunk.chunks_mut(width).enumerate() {
             err_row[0] = m.row(first_row + r).iter().map(|v| v.abs()).sum();
         }
         // This band's rows of M_k, and column c of the eigenvectors.
-        let mut mk_band = vec![0.0; err_chunk.len() / (n + 1) * n];
+        let mut mk_band = vec![0.0; err_chunk.len() / width * n];
         let mut v_c = vec![0.0; n];
-        for c in 0..n {
+        for c in 0..pairs {
             let lambda = d.values[c];
             for (j, slot) in v_c.iter_mut().enumerate() {
                 *slot = d.vectors[(j, c)];
             }
-            let rows = mk_band.chunks_mut(n).zip(err_chunk.chunks_mut(n + 1));
+            let rows = mk_band.chunks_mut(n).zip(err_chunk.chunks_mut(width));
             for (r, (mk_row, err_row)) in rows.enumerate() {
                 let i = first_row + r;
                 let vi = v_c[i] * lambda;
@@ -123,14 +129,16 @@ pub fn recon_err_profile_with(
         }
     });
     let denom = m.abs_sum();
-    Ok((0..=n).map(|k| normalized(row_err.iter().skip(k).step_by(n + 1).sum(), denom)).collect())
+    Ok((0..width).map(|k| normalized(row_err.iter().skip(k).step_by(width).sum(), denom)).collect())
 }
 
 /// Sweep reconstruction error across `ks` (decomposing once).
 ///
-/// `ks` values above the dimension are clamped to n. `k_for_5_percent` is
-/// the smallest k anywhere in `0..=n` whose error drops below 0.05, found
-/// by a full scan of the incremental profile (robust to non-monotonicity).
+/// `ks` values above the dimension are clamped to n, and only the
+/// `max(ks)` leading eigenpairs are computed ([`eigen_top_k`]).
+/// `k_for_5_percent` is the smallest k in `0..=max(ks)` whose error drops
+/// below 0.05, found by a full scan of the incremental profile up to there
+/// (robust to non-monotonicity).
 /// ```
 /// use linalg::{pca_sweep, Matrix};
 ///
@@ -148,7 +156,7 @@ pub fn pca_sweep(m: &Matrix, ks: &[usize]) -> Result<PcaSummary> {
 
 /// [`pca_sweep`] with the error profile's rows partitioned over workers.
 ///
-/// The decomposition is the single-threaded [`eigen_symmetric`] and the
+/// The decomposition is the single-threaded [`eigen_top_k`] and the
 /// profile is [`recon_err_profile_with`], so the summary is bit-for-bit
 /// identical at any worker count.
 pub fn pca_sweep_with(m: &Matrix, ks: &[usize], parallelism: Parallelism) -> Result<PcaSummary> {
@@ -159,9 +167,11 @@ pub fn pca_sweep_with(m: &Matrix, ks: &[usize], parallelism: Parallelism) -> Res
             m.cols()
         )));
     }
-    let d = eigen_symmetric(m, 1e-10)?;
+    let n = m.rows();
+    let k_max = ks.iter().copied().max().unwrap_or(0).min(n);
+    let d = eigen_top_k(m, k_max, 1e-10)?;
     let profile = recon_err_profile_with(&d, m, parallelism)?;
-    Ok(summarize(m.rows(), &profile, ks))
+    Ok(summarize(n, &profile, ks))
 }
 
 /// Reduce an incremental error profile to the sweep summary for `ks`.
@@ -240,6 +250,15 @@ mod tests {
         let sweep = pca_sweep(&m, &[1, 2, 3, 4]).unwrap();
         let k5 = sweep.k_for_5_percent.expect("low-rank matrix must hit 5%");
         assert!(k5 <= 4, "two-block matrix should need ≤ 4 components, needed {k5}");
+    }
+
+    #[test]
+    fn five_percent_scan_stops_at_the_largest_requested_k() {
+        let m = two_block(10);
+        let k5 = pca_sweep(&m, &[1, 4]).unwrap().k_for_5_percent.expect("reached by k = 4");
+        assert!(k5 > 1, "one component is not enough: {k5}");
+        assert_eq!(pca_sweep(&m, &[1]).unwrap().k_for_5_percent, None, "not scanned past k = 1");
+        assert_eq!(pca_sweep(&m, &[20]).unwrap().k_for_5_percent, Some(k5), "full spectrum agrees");
     }
 
     #[test]

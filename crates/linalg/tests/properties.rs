@@ -1,15 +1,20 @@
 //! Property-based tests for the linear-algebra kernels.
 
-use linalg::eigen::eigen_symmetric;
+use linalg::eigen::{eigen_symmetric, eigen_top_k};
 use linalg::ica::fast_ica;
-use linalg::pca::{pca_sweep, recon_err, recon_err_profile};
+use linalg::pca::{pca_sweep, pca_sweep_with, recon_err, recon_err_profile};
 use linalg::quantize::{bucketize, log_normalize};
-use linalg::Matrix;
+use linalg::{Error, Matrix, Parallelism};
 use proptest::prelude::*;
 
 /// Arbitrary symmetric matrix with entries in [-scale, scale].
 fn arb_symmetric() -> impl Strategy<Value = Matrix> {
-    (2usize..12, 0.1f64..1000.0).prop_flat_map(|(n, scale)| {
+    arb_symmetric_of(2..12)
+}
+
+/// [`arb_symmetric`] with the dimension drawn from `dims`.
+fn arb_symmetric_of(dims: std::ops::Range<usize>) -> impl Strategy<Value = Matrix> {
+    (dims, 0.1f64..1000.0).prop_flat_map(|(n, scale)| {
         prop::collection::vec(-1.0f64..1.0, n * (n + 1) / 2).prop_map(move |upper| {
             let mut m = Matrix::zeros(n, n);
             let mut it = upper.into_iter();
@@ -22,6 +27,15 @@ fn arb_symmetric() -> impl Strategy<Value = Matrix> {
             }
             m
         })
+    })
+}
+
+/// A symmetric matrix of dimension 2..=60 with a k in 0..=n, so both sides of
+/// `eigen_top_k`'s `2k < n` rule are drawn.
+fn arb_symmetric_and_k() -> impl Strategy<Value = (Matrix, usize)> {
+    arb_symmetric_of(2..61).prop_flat_map(|m| {
+        let n = m.rows();
+        (0..n + 1).prop_map(move |k| (m.clone(), k))
     })
 }
 
@@ -69,6 +83,73 @@ proptest! {
         for w in d.values.windows(2) {
             prop_assert!(w[0].abs() + 1e-12 >= w[1].abs());
         }
+    }
+
+    /// `eigen_top_k` returns the Jacobi solver's k leading eigenpairs:
+    /// the same values, true eigenvectors, an orthonormal basis, and the
+    /// same reconstruction-error profile as far as it goes.
+    #[test]
+    fn top_k_agrees_with_the_jacobi_oracle((m, k) in arb_symmetric_and_k()) {
+        let n = m.rows();
+        let scale = m.frobenius().max(1.0);
+        let full = eigen_symmetric(&m, 1e-12).expect("symmetric by construction");
+        let top = eigen_top_k(&m, k, 1e-12).expect("symmetric, k <= n");
+        prop_assert_eq!(top.values.len(), k);
+        prop_assert_eq!((top.vectors.rows(), top.vectors.cols()), (n, k));
+        for c in 0..k {
+            prop_assert!(
+                (top.values[c] - full.values[c]).abs() <= 1e-9 * scale,
+                "λ_{}: {} vs Jacobi {}", c, top.values[c], full.values[c]
+            );
+            let residual: f64 = (0..n)
+                .map(|i| {
+                    let mv: f64 = (0..n).map(|j| m[(i, j)] * top.vectors[(j, c)]).sum();
+                    (mv - top.values[c] * top.vectors[(i, c)]).powi(2)
+                })
+                .sum();
+            prop_assert!(residual.sqrt() <= 1e-8 * scale, "‖Mv − λv‖ = {} at {}", residual.sqrt(), c);
+        }
+        let vtv = top.vectors.transpose().matmul(&top.vectors).unwrap();
+        let off = vtv.sub(&Matrix::identity(k)).unwrap();
+        prop_assert!(off.data().iter().all(|x| x.abs() < 1e-10), "VᵀV = I violated");
+        let profile = recon_err_profile(&top, &m).expect("aligned");
+        let oracle = recon_err_profile(&full, &m).expect("aligned");
+        prop_assert_eq!(profile.len(), k + 1);
+        for (i, (a, b)) in profile.iter().zip(&oracle).enumerate() {
+            prop_assert!((a - b).abs() < 1e-9, "profile[{}]: {} vs Jacobi {}", i, a, b);
+        }
+    }
+
+    /// Two calls return the same bits, and so does the sweep built on them
+    /// at any worker count.
+    #[test]
+    fn top_k_and_its_sweep_are_bit_repeatable((m, k) in arb_symmetric_and_k()) {
+        let bits = |m: &Matrix| -> Vec<u64> {
+            let d = eigen_top_k(m, k, 1e-10).expect("symmetric, k <= n");
+            d.values.iter().chain(d.vectors.data()).map(|v| v.to_bits()).collect()
+        };
+        prop_assert_eq!(bits(&m), bits(&m));
+        let serial = pca_sweep(&m, &[0, 1, k]).expect("square");
+        for workers in [1, 2, Parallelism::available().workers()] {
+            let par = pca_sweep_with(&m, &[0, 1, k], Parallelism::new(workers)).expect("square");
+            prop_assert_eq!(serial.k_for_5_percent, par.k_for_5_percent);
+            prop_assert_eq!(serial.errors.len(), par.errors.len());
+            for (a, b) in serial.errors.iter().zip(&par.errors) {
+                prop_assert_eq!((a.k, a.err.to_bits()), (b.k, b.err.to_bits()));
+            }
+        }
+    }
+
+    /// Bad input is an error at every k, never a panic.
+    #[test]
+    fn top_k_rejects_asymmetric_and_non_square((m, k) in arb_symmetric_and_k()) {
+        let n = m.rows();
+        let mut asym = m.clone();
+        asym[(0, n - 1)] += 1.0 + m.frobenius();
+        prop_assert!(matches!(eigen_top_k(&asym, k, 1e-10), Err(Error::NotSymmetric { .. })));
+        let wide = Matrix::zeros(n, n + 1);
+        prop_assert!(matches!(eigen_top_k(&wide, k, 1e-10), Err(Error::InvalidArg(_))));
+        prop_assert!(matches!(eigen_top_k(&m, n + 1, 1e-10), Err(Error::InvalidArg(_))));
     }
 
     /// Trace is preserved: Σλ = tr(M).

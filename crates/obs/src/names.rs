@@ -125,6 +125,12 @@ pub const METRICS: &[MetricDef] = &[
         labels: &["source"],
     },
     MetricDef {
+        name: "commgraph_lanczos_steps_total",
+        kind: MetricKind::Counter,
+        help: "Lanczos steps (Krylov dimensions) run by top-k eigensolves.",
+        labels: &[],
+    },
+    MetricDef {
         name: "commgraph_louvain_levels_total",
         kind: MetricKind::Counter,
         help: "Aggregation levels performed by Louvain runs.",
