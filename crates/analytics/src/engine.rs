@@ -1,37 +1,28 @@
-//! The sharded mini-batch graph-construction engine (Figure 8).
-//!
-//! Ingestion hashes every record's *edge identity* (the canonical node pair
-//! under the configured facet) onto one of `workers` threads. Each worker
-//! owns a disjoint slice of the edge space and runs the same
-//! group-by-aggregate a single-threaded [`commgraph_graph::GraphBuilder`]
-//! would, per window. On `finish`, per-window shards concatenate — no
-//! cross-shard reconciliation is ever needed, which is what makes the plan
-//! "factor into parallelizable in-memory execution" as §3.2 asks.
+//! Engine configuration and counters, and [`StreamEngine`]: the
+//! one-tenant face of [`crate::sharded`] (one shard thread, one
+//! subscription) for single-stream callers and reference runs. Its own
+//! pool of edge-hashed workers is gone: the single producer saturated
+//! before they did, so the parallel axis is subscriptions, not edges.
 
-use crate::error::{Error, Result};
-use commgraph_graph::{CommGraph, EdgeStats, Facet, NodeId};
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crate::error::Result;
+use crate::sharded::{ShardedConfig, ShardedEngine};
+use commgraph_graph::{CommGraph, Facet};
 use flowlog::record::ConnSummary;
-use flowlog::time::bucket_start;
-use obs::{Histogram, Level, Obs, SpanGuard};
+use obs::Obs;
 use serde::Serialize;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::net::Ipv4Addr;
-use std::thread::JoinHandle;
-use std::time::Instant;
 
-/// Engine configuration.
+/// Engine configuration: what every shard thread aggregates under.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads (shards).
-    pub workers: usize,
     /// Facet to aggregate under.
     pub facet: Facet,
     /// Window length in seconds (3600 for hourly graphs).
     pub window_len: u64,
     /// Monitored inventory for vantage dedup (`None` disables dedup).
     pub monitored: Option<HashSet<Ipv4Addr>>,
-    /// Channel depth per worker, in batches — the backpressure bound.
+    /// Channel depth per shard thread, in batches — the backpressure bound.
     pub queue_depth: usize,
     /// Observability handle; the default noop handle records nothing and
     /// costs nothing. Metrics never change what the engine computes.
@@ -41,7 +32,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            workers: 4,
             facet: Facet::Ip,
             window_len: 3600,
             monitored: None,
@@ -51,20 +41,17 @@ impl Default for EngineConfig {
     }
 }
 
-/// Counters describing one engine run.
+/// Counters describing one subscription's run through the engine.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct EngineStats {
     /// Records offered to `ingest`.
     pub records_in: u64,
     /// Records surviving vantage dedup (i.e. aggregated).
     pub records_kept: u64,
-    /// Distinct edge entries across all shards and windows — the memory
-    /// driver.
+    /// Distinct edge entries across all windows — the memory driver.
     pub edge_entries: usize,
     /// Wall-clock seconds from first ingest to finish.
     pub elapsed_secs: f64,
-    /// Worker threads used.
-    pub workers: usize,
 }
 
 impl EngineStats {
@@ -79,296 +66,26 @@ impl EngineStats {
     }
 }
 
-type ShardMap = HashMap<u64, HashMap<(NodeId, NodeId), EdgeStats>>;
-
-enum Msg {
-    Batch(Vec<ConnSummary>),
-    Finish,
-}
-
-struct Worker {
-    tx: Sender<Msg>,
-    handle: JoinHandle<(ShardMap, u64)>,
-}
-
-/// Metric handles of one engine instance, resolved once at construction.
-/// All noop (and therefore free) when the config carried no registry.
-struct EngineMetrics {
-    records_in: obs::Counter,
-    records_kept: obs::Counter,
-    dropped: obs::Counter,
-    batches: obs::Counter,
-    batch_records: Histogram,
-    ingest_seconds: Histogram,
-    watermark: obs::Gauge,
-}
-
-impl EngineMetrics {
-    fn resolve(o: &Obs) -> EngineMetrics {
-        EngineMetrics {
-            records_in: o.counter(
-                "commgraph_engine_records_in_total",
-                "Records offered to StreamEngine::ingest.",
-                &[],
-            ),
-            records_kept: o.counter(
-                "commgraph_engine_records_kept_total",
-                "Records surviving vantage dedup (aggregated into shards).",
-                &[],
-            ),
-            dropped: o.counter(
-                "commgraph_engine_dropped_records_total",
-                "Records dropped before aggregation (vantage dedup), tallied at engine finish.",
-                &[],
-            ),
-            batches: o.counter(
-                "commgraph_engine_batches_total",
-                "Batches offered to StreamEngine::ingest.",
-                &[],
-            ),
-            batch_records: o.histogram(
-                "commgraph_engine_batch_records",
-                "Records per ingested batch.",
-                &[],
-            ),
-            ingest_seconds: o.histogram(
-                "commgraph_engine_ingest_seconds",
-                "Wall-clock seconds per ingest call (shard + enqueue, including backpressure).",
-                &[],
-            ),
-            watermark: o.gauge(
-                "commgraph_ingest_watermark_seconds",
-                "High-water record timestamp (seconds since trace start) seen by an ingest path.",
-                &[("source", "engine")],
-            ),
-        }
-    }
-}
-
-/// The running engine. Create, `ingest` batches, then `finish`.
-pub struct StreamEngine {
-    cfg: EngineConfig,
-    workers: Vec<Worker>,
-    records_in: u64,
-    /// Highest record timestamp seen so far (the ingest watermark).
-    watermark: u64,
-    started: Option<Instant>,
-    closed: bool,
-    metrics: EngineMetrics,
-}
+/// A one-subscription engine. Create, `ingest` batches, then `finish`.
+pub struct StreamEngine(ShardedEngine);
 
 impl StreamEngine {
-    /// Spawn the worker pool.
+    /// Spawn the shard thread.
     pub fn new(cfg: EngineConfig) -> Result<Self> {
-        if cfg.workers == 0 {
-            return Err(Error::InvalidConfig("need at least one worker".into()));
-        }
-        if cfg.window_len == 0 {
-            return Err(Error::InvalidConfig("window length must be positive".into()));
-        }
-        let metrics = EngineMetrics::resolve(&cfg.obs);
-        let mut workers = Vec::with_capacity(cfg.workers);
-        for i in 0..cfg.workers {
-            let (tx, rx) = bounded::<Msg>(cfg.queue_depth.max(1));
-            let facet = cfg.facet.clone();
-            let monitored = cfg.monitored.clone();
-            let window_len = cfg.window_len;
-            let busy = cfg.obs.histogram(
-                "commgraph_engine_worker_busy_seconds",
-                "Per-worker time spent aggregating batches over the engine's lifetime.",
-                &[("worker", &i.to_string())],
-            );
-            let handle =
-                std::thread::spawn(move || worker_loop(rx, facet, monitored, window_len, busy));
-            workers.push(Worker { tx, handle });
-        }
-        Ok(StreamEngine {
-            cfg,
-            workers,
-            records_in: 0,
-            watermark: 0,
-            started: None,
-            closed: false,
-            metrics,
-        })
+        let front = ShardedConfig { shards: 1, engine: cfg, obs: Obs::noop(), label_cap: 0 };
+        ShardedEngine::new(front).map(StreamEngine)
     }
 
-    /// Offer a batch; blocks when worker queues are full (backpressure).
+    /// Offer a batch; blocks when the shard's queue is full (backpressure).
     pub fn ingest(&mut self, records: &[ConnSummary]) -> Result<()> {
-        if self.closed {
-            return Err(Error::EngineClosed);
-        }
-        let mut span = SpanGuard::traced(
-            self.metrics.ingest_seconds.clone(),
-            self.cfg.obs.trace_span("engine_ingest"),
-        );
-        if span.trace_enabled() {
-            span.trace_attr("records", &records.len().to_string());
-        }
-        self.metrics.records_in.add(records.len() as u64);
-        self.metrics.batches.inc();
-        self.metrics.batch_records.record(records.len() as f64);
-        // lint:allow(clock-hygiene) wall-clock uptime for stats reporting only; never gates window logic
-        self.started.get_or_insert_with(Instant::now);
-        self.records_in += records.len() as u64;
-        let n = self.workers.len();
-        // Shard by canonical edge identity so each worker owns disjoint
-        // edges regardless of which vantage reported the record.
-        let mut shards: Vec<Vec<ConnSummary>> = vec![Vec::new(); n];
-        for r in records {
-            self.watermark = self.watermark.max(r.ts);
-            let shard = (edge_hash(&self.cfg.facet, r) % n as u64) as usize;
-            shards[shard].push(*r);
-        }
-        self.metrics.watermark.set(self.watermark as f64);
-        for (i, batch) in shards.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            self.workers[i]
-                .tx
-                .send(Msg::Batch(batch))
-                .map_err(|_| Error::WorkerFailed("worker channel closed".into()))?;
-        }
-        Ok(())
+        self.0.ingest("", records)
     }
 
-    /// Drain workers and assemble one graph per window, in time order.
-    pub fn finish(mut self) -> Result<(Vec<CommGraph>, EngineStats)> {
-        self.closed = true;
-        let mut tspan = self.cfg.obs.trace_span("engine_finish");
-        let mut per_window: HashMap<u64, HashMap<(NodeId, NodeId), EdgeStats>> = HashMap::new();
-        let mut records_kept = 0u64;
-        for (i, w) in self.workers.drain(..).enumerate() {
-            w.tx.send(Msg::Finish)
-                .map_err(|_| Error::WorkerFailed("worker channel closed".into()))?;
-            let (shard, kept) =
-                w.handle.join().map_err(|_| Error::WorkerFailed("worker panicked".into()))?;
-            records_kept += kept;
-            self.cfg
-                .obs
-                .gauge(
-                    "commgraph_engine_shard_edge_entries",
-                    "Distinct edge entries held by one shard at finish.",
-                    &[("shard", &i.to_string())],
-                )
-                .set(shard.values().map(|m| m.len()).sum::<usize>() as f64);
-            for (window, edges) in shard {
-                let target = per_window.entry(window).or_default();
-                // Shards are disjoint by construction; extend is a merge.
-                for (k, v) in edges {
-                    target.entry(k).or_default().absorb(&v);
-                }
-            }
-        }
-        self.metrics.records_kept.add(records_kept);
-        self.metrics.dropped.add(self.records_in.saturating_sub(records_kept));
-        let elapsed = self.started.map(|t| t.elapsed().as_secs_f64()).unwrap_or(0.0);
-        let edge_entries: usize = per_window.values().map(|m| m.len()).sum();
-        let mut windows: Vec<u64> = per_window.keys().copied().collect();
-        windows.sort_unstable();
-        let graphs: Vec<CommGraph> = windows
-            .into_iter()
-            .filter_map(|w| {
-                // The window list came from this map's keys, so the lookup
-                // always hits; a miss would just skip the window.
-                let edges = per_window.remove(&w)?;
-                Some(CommGraph::from_edge_map(self.cfg.facet.name(), w, self.cfg.window_len, edges))
-            })
-            .collect();
-        let stats = EngineStats {
-            records_in: self.records_in,
-            records_kept,
-            edge_entries,
-            elapsed_secs: elapsed,
-            workers: self.cfg.workers,
-        };
-        if tspan.is_enabled() {
-            tspan.attr("windows", &graphs.len().to_string());
-            tspan.attr("records_in", &stats.records_in.to_string());
-            tspan.attr("records_kept", &stats.records_kept.to_string());
-            tspan.attr("edge_entries", &stats.edge_entries.to_string());
-        }
-        if self.cfg.obs.logs(Level::Info) {
-            self.cfg.obs.event(
-                Level::Info,
-                "engine",
-                "finish",
-                &[
-                    ("records_in", stats.records_in.to_string()),
-                    ("records_kept", stats.records_kept.to_string()),
-                    ("windows", graphs.len().to_string()),
-                    ("edge_entries", stats.edge_entries.to_string()),
-                    ("records_per_sec", format!("{:.0}", stats.records_per_sec())),
-                ],
-            );
-        }
-        Ok((graphs, stats))
+    /// Drain the shard and return one graph per window, in time order.
+    pub fn finish(self) -> Result<(Vec<CommGraph>, EngineStats)> {
+        let (mut reports, _) = self.0.finish()?;
+        Ok(reports.pop().map(|r| (r.graphs, r.stats)).unwrap_or_default())
     }
-}
-
-/// Hash of the canonical (direction-independent) edge a record belongs to.
-fn edge_hash(facet: &Facet, r: &ConnSummary) -> u64 {
-    let (a, b) = facet.endpoints(r);
-    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-    commgraph_graph::cardinality::hash64(&(lo, hi))
-}
-
-fn keep(monitored: &Option<HashSet<Ipv4Addr>>, r: &ConnSummary) -> bool {
-    match monitored {
-        Some(set) if set.contains(&r.key.local_ip) && set.contains(&r.key.remote_ip) => {
-            r.key.is_canonical()
-        }
-        _ => true,
-    }
-}
-
-fn worker_loop(
-    rx: Receiver<Msg>,
-    facet: Facet,
-    monitored: Option<HashSet<Ipv4Addr>>,
-    window_len: u64,
-    busy: Histogram,
-) -> (ShardMap, u64) {
-    let mut shard: ShardMap = HashMap::new();
-    let mut kept = 0u64;
-    // Busy time counts aggregation work only, not blocking on the channel.
-    let mut busy_secs = 0.0f64;
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            Msg::Finish => break,
-            Msg::Batch(records) => {
-                // lint:allow(clock-hygiene) worker busy-time telemetry only; window outputs are driven by record watermarks
-                let t0 = busy.is_enabled().then(Instant::now);
-                for r in &records {
-                    if !keep(&monitored, r) {
-                        continue;
-                    }
-                    kept += 1;
-                    let window = bucket_start(r.ts, window_len);
-                    let (local, remote) = facet.endpoints(r);
-                    let (key, bf, br, pf, pr) = if local <= remote {
-                        ((local, remote), r.bytes_sent, r.bytes_rcvd, r.pkts_sent, r.pkts_rcvd)
-                    } else {
-                        ((remote, local), r.bytes_rcvd, r.bytes_sent, r.pkts_rcvd, r.pkts_sent)
-                    };
-                    let e = shard.entry(window).or_default().entry(key).or_default();
-                    e.bytes_fwd = e.bytes_fwd.saturating_add(bf);
-                    e.bytes_rev = e.bytes_rev.saturating_add(br);
-                    e.pkts_fwd = e.pkts_fwd.saturating_add(pf);
-                    e.pkts_rev = e.pkts_rev.saturating_add(pr);
-                    e.conns += 1;
-                }
-                if let Some(t0) = t0 {
-                    busy_secs += t0.elapsed().as_secs_f64();
-                }
-            }
-        }
-    }
-    if busy.is_enabled() {
-        busy.record(busy_secs);
-    }
-    (shard, kept)
 }
 
 #[cfg(test)]
@@ -376,6 +93,8 @@ mod tests {
     use super::*;
     use commgraph_graph::GraphBuilder;
     use flowlog::record::FlowKey;
+    use flowlog::time::bucket_start;
+    use std::collections::HashMap;
 
     fn ip(a: u8, b: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 0, a, b)
@@ -404,8 +123,7 @@ mod tests {
     fn matches_single_threaded_builder() {
         let recs = records(5000);
         let mut engine =
-            StreamEngine::new(EngineConfig { workers: 4, window_len: 3600, ..Default::default() })
-                .unwrap();
+            StreamEngine::new(EngineConfig { window_len: 3600, ..Default::default() }).unwrap();
         for chunk in recs.chunks(512) {
             engine.ingest(chunk).unwrap();
         }
@@ -447,7 +165,6 @@ mod tests {
             recs.iter().flat_map(|r| [r.key.local_ip, r.key.remote_ip]).collect();
 
         let mut engine = StreamEngine::new(EngineConfig {
-            workers: 3,
             monitored: Some(monitored.clone()),
             ..Default::default()
         })
@@ -461,24 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_counts_do_not_change_results() {
-        let recs = records(3000);
-        let mut results = Vec::new();
-        for workers in [1, 2, 8] {
-            let mut e = StreamEngine::new(EngineConfig { workers, ..Default::default() }).unwrap();
-            e.ingest(&recs).unwrap();
-            let (graphs, _) = e.finish().unwrap();
-            let fingerprint: Vec<(u64, usize, usize, u64)> = graphs
-                .iter()
-                .map(|g| (g.window_start(), g.node_count(), g.edge_count(), g.totals().bytes()))
-                .collect();
-            results.push(fingerprint);
-        }
-        assert_eq!(results[0], results[1]);
-        assert_eq!(results[1], results[2]);
-    }
-
-    #[test]
     fn ingest_after_finish_is_rejected() {
         let engine = StreamEngine::new(EngineConfig::default()).unwrap();
         let (graphs, _) = engine.finish().unwrap();
@@ -487,7 +186,6 @@ mod tests {
 
     #[test]
     fn invalid_configs_rejected() {
-        assert!(StreamEngine::new(EngineConfig { workers: 0, ..Default::default() }).is_err());
         assert!(StreamEngine::new(EngineConfig { window_len: 0, ..Default::default() }).is_err());
     }
 
@@ -496,7 +194,6 @@ mod tests {
         let registry = std::sync::Arc::new(obs::Registry::new());
         let recs = records(300);
         let mut e = StreamEngine::new(EngineConfig {
-            workers: 2,
             obs: Obs::new(registry.clone()),
             ..Default::default()
         })
@@ -517,15 +214,10 @@ mod tests {
             registry.histogram("commgraph_engine_ingest_seconds", "", &[]).count() == 3,
             "one span per ingest call"
         );
-        // Every worker reports its busy time exactly once at shutdown.
-        for w in 0..2 {
-            let busy = registry.histogram(
-                "commgraph_engine_worker_busy_seconds",
-                "",
-                &[("worker", &w.to_string())],
-            );
-            assert_eq!(busy.count(), 1, "worker {w}");
-        }
+        // 300 records stage into one batch: one busy span on the one shard.
+        let busy =
+            registry.histogram("commgraph_engine_worker_busy_seconds", "", &[("worker", "0")]);
+        assert_eq!(busy.count(), 1);
         // No dedup configured → nothing dropped; watermark is the max ts.
         let dropped = registry.counter("commgraph_engine_dropped_records_total", "", &[]).get();
         assert_eq!(dropped, stats.records_in - stats.records_kept);
@@ -544,7 +236,6 @@ mod tests {
         let monitored: HashSet<Ipv4Addr> =
             recs.iter().flat_map(|r| [r.key.local_ip, r.key.remote_ip]).collect();
         let mut e = StreamEngine::new(EngineConfig {
-            workers: 2,
             monitored: Some(monitored),
             obs: Obs::new(registry.clone()),
             ..Default::default()

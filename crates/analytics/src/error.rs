@@ -10,8 +10,6 @@ pub type Result<T> = std::result::Result<T, Error>;
 pub enum Error {
     /// A configuration value was out of range.
     InvalidConfig(String),
-    /// The engine was used after shutdown.
-    EngineClosed,
     /// A worker thread panicked or disconnected unexpectedly.
     WorkerFailed(String),
 }
@@ -20,7 +18,6 @@ impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Error::InvalidConfig(m) => write!(f, "invalid analytics config: {m}"),
-            Error::EngineClosed => write!(f, "engine already shut down"),
             Error::WorkerFailed(m) => write!(f, "worker failed: {m}"),
         }
     }
@@ -34,6 +31,8 @@ mod tests {
 
     #[test]
     fn display() {
-        assert!(Error::EngineClosed.to_string().contains("shut down"));
+        assert!(Error::WorkerFailed("shard 0".into())
+            .to_string()
+            .contains("worker failed: shard 0"));
     }
 }

@@ -4,15 +4,14 @@
 //! telemetry must be analyzable with "a handful of VMs worth of resources"
 //! (~0.5% surcharge). This crate is that analytics tier in miniature:
 //!
-//! * [`engine`] — a sharded mini-batch pipeline: records are hashed by flow
-//!   identity onto worker threads, each worker runs the group-by-aggregate
-//!   that builds graph edges, and per-window shards merge into
-//!   [`commgraph_graph::CommGraph`] snapshots. Sharding by edge key makes
-//!   worker state disjoint, so the merge is trivial and the result is
-//!   bit-identical to a single-threaded build.
-//! * [`sharded`] — the multi-subscription front door: subscription ids
-//!   hash onto shard slots, each subscription gets an isolated [`engine`]
-//!   instance, and finish merges shard outputs deterministically.
+//! * [`sharded`] — the analytics front door. A shard *is* a thread: a
+//!   fixed pool is spawned once, each subscription lives on the shard its
+//!   id hashes to, and that thread runs the group-by-aggregate (a
+//!   [`commgraph_graph::GraphBuilder`] per subscription and window) and
+//!   assembles the snapshots. Shards share no state, so nothing is merged
+//!   and the result is bit-identical to a single-threaded build.
+//! * [`engine`] — the engine's configuration and counters, and
+//!   `StreamEngine`, the one-subscription face of the same pool.
 //! * [`sketch`] — SpaceSaving heavy-hitter tracking, the streaming
 //!   counterpart of the offline collapse threshold.
 //! * [`countmin`] — Count-Min point estimates for arbitrary edges in fixed
@@ -30,6 +29,7 @@ pub mod countmin;
 pub mod engine;
 pub mod error;
 pub mod memory;
+mod shard;
 pub mod sharded;
 pub mod sketch;
 

@@ -1,50 +1,49 @@
-//! Multi-subscription front door: hash-sharded per-subscription engines.
+//! The analytics front door: a fixed pool of shard threads serving every
+//! subscription (§3.2: one tier, "a handful of VMs", all tenants).
 //!
-//! A provider-side deployment watches many subscriptions at once, and the
-//! paper's COGS argument (§3.2) only holds if one analytics tier can serve
-//! all of them. [`ShardedEngine`] is that front door: records arrive tagged
-//! with their subscription id, the id hashes onto one of `shards` shard
-//! slots, and each subscription gets its own [`StreamEngine`] inside its
-//! shard. Sharding is therefore two-level — by subscription id across
-//! shards, then by canonical flow key across the engine's workers — which
-//! keeps every subscription's graph state fully isolated (a hard tenancy
-//! requirement) while still parallelizing within a busy subscription.
+//! A shard *is* a thread. [`ShardedEngine::new`] spawns `shards` long-lived
+//! threads and nothing ever spawns another; a subscription lives on shard
+//! `hash64(subscription) % shards`, and that thread alone owns its
+//! per-window edge tables (see [`crate::shard`]). The front door keeps only
+//! routing, delivery dedup and telemetry: it stages records per shard and
+//! hands a batch over once 4096 are staged, so a flood of tiny calls costs
+//! one channel message per ~4096 records. Subscriptions on one shard share
+//! that thread's time and its bounded queue, never its state.
 //!
-//! Determinism contract: [`ShardedEngine::finish`] walks shards and their
-//! `BTreeMap`-ordered subscriptions, then emits per-subscription reports
-//! sorted by subscription id. The output is bit-identical for any shard
-//! count, and the merged cross-shard totals are plain sums of per-engine
-//! stats, so shard count is a throughput knob, never a semantics knob.
+//! Determinism contract: at [`ShardedEngine::finish`] every shard assembles
+//! its own subscriptions' graphs, in parallel — a subscription is on exactly
+//! one shard, so there is nothing to merge — and reports come back sorted
+//! by subscription id: bit-identical output at any shard count.
 //!
-//! Per-subscription health telemetry (records, watermark, window-roll lag)
-//! is labeled by subscription id behind an [`obs::LabelCap`]: the first
-//! `label_cap` subscriptions get their own label value, the rest share the
-//! explicit `overflow` bucket — counter totals are conserved either way,
-//! so tenant count can never explode the registry.
+//! Per-subscription telemetry is labeled by subscription id behind an
+//! [`obs::LabelCap`]: the first `label_cap` subscriptions get their own
+//! label value, the rest share the `overflow` bucket, and counter totals
+//! are conserved either way. Metric help text lives in `obs::names` (the
+//! exporters read it from there); registration sites here pass none.
 
-use crate::engine::{EngineConfig, EngineStats, StreamEngine};
+use crate::engine::{EngineConfig, EngineStats};
 use crate::error::{Error, Result};
+use crate::shard::Shard;
 use commgraph_graph::cardinality::hash64;
 use commgraph_graph::CommGraph;
 use flowlog::record::ConnSummary;
 use flowlog::time::bucket_start;
-use obs::Obs;
+use obs::{Counter, Gauge, Histogram, Level, Obs, SpanGuard};
 use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::time::Instant;
 
 /// Configuration of the multi-subscription front door.
 #[derive(Debug, Clone)]
 pub struct ShardedConfig {
-    /// Shard slots to spread subscriptions over (≥ 1). Each slot holds the
-    /// engines of the subscriptions that hash to it.
+    /// Shard threads to spread subscriptions over (≥ 1) — the tier's whole
+    /// thread budget, whatever the subscription count.
     pub shards: usize,
-    /// Template applied to every per-subscription [`StreamEngine`]. Its
-    /// `workers` field controls flow-key sharding *within* a subscription.
+    /// What every shard aggregates under. Its `obs` handle receives the
+    /// `commgraph_engine_*` families.
     pub engine: EngineConfig,
-    /// Observability handle for the front door's own telemetry: the
-    /// per-subscription `commgraph_subscription_*` gauges/counters and the
-    /// per-shard residency gauge. (The engine template carries its own
-    /// handle for per-engine metrics.)
+    /// Observability handle for the `commgraph_subscription_*` families and
+    /// the per-shard residency gauge.
     pub obs: Obs,
     /// Distinct subscription label values admitted before new ones land in
     /// the shared `overflow` bucket (see [`obs::LabelCap`]).
@@ -62,38 +61,96 @@ impl Default for ShardedConfig {
     }
 }
 
-/// Health-metric handles of one subscription, resolved on first contact
-/// (under the cardinality cap) and updated on every ingest.
+/// Sequence numbers a source may arrive out of order by and still be told
+/// apart from a re-delivery.
+const REORDER_WINDOW: u64 = 4096;
+
+const REFUSED: &str = "commgraph_subscription_dedup_dropped_records_total";
+
+/// Delivery-dedup state of one source: the high-water sequence number and
+/// one seen-bit for each of the [`REORDER_WINDOW`] numbers up to it.
+// bound: 528 bytes per source, however many deliveries it makes.
 #[derive(Debug)]
-struct SubTelemetry {
-    records: obs::Counter,
-    watermark: obs::Gauge,
-    roll_lag: obs::Gauge,
-    dedup_dropped: obs::Counter,
-    /// High-water record timestamp of this subscription.
-    watermark_ts: u64,
-    /// Start of the newest window any record opened.
-    current_window: Option<u64>,
+struct SeqWindow {
+    high: Option<u64>,
+    /// Bit `seq % REORDER_WINDOW` is set once `seq` was accepted.
+    seen: [u64; (REORDER_WINDOW / 64) as usize],
 }
 
-/// Everything one subscription produced: its windowed graphs and the stats
-/// of the engine that built them.
+impl SeqWindow {
+    fn new() -> Self {
+        SeqWindow { high: None, seen: [0; (REORDER_WINDOW / 64) as usize] }
+    }
+
+    /// `None` admits `seq` (first arrival); otherwise the `outcome` it is
+    /// refused under: `duplicate`, or `late` when it is a whole window behind
+    /// the high-water mark and whether it was seen is no longer known.
+    fn admit(&mut self, seq: u64) -> Option<&'static str> {
+        let slot = |s: u64| ((s % REORDER_WINDOW / 64) as usize, 1u64 << (s % 64));
+        let (word, bit) = slot(seq);
+        if let Some(high) = self.high.filter(|&high| seq <= high) {
+            if high - seq >= REORDER_WINDOW {
+                return Some("late");
+            }
+            let was_seen = self.seen[word] & bit != 0;
+            self.seen[word] |= bit;
+            return was_seen.then_some("duplicate");
+        }
+        // The window slides up to `seq`: the slots of the numbers it skips
+        // over still hold bits from a window ago.
+        match self.high {
+            Some(high) if seq - high < REORDER_WINDOW => {
+                for skipped in high + 1..seq {
+                    let (word, bit) = slot(skipped);
+                    self.seen[word] &= !bit;
+                }
+            }
+            _ => self.seen.fill(0),
+        }
+        self.seen[word] |= bit;
+        self.high = Some(seq);
+        None
+    }
+}
+
+/// What the front door keeps per subscription.
+// bound: one entry per subscription ever seen plus one `SeqWindow` per
+// source; nothing here grows with records or deliveries.
+#[derive(Debug)]
+struct Sub {
+    shard: usize,
+    records_in: u64,
+    started: Option<Instant>,
+    /// High-water record timestamp of this subscription.
+    watermark_ts: u64,
+    /// End of the newest window any record opened (0 before the first).
+    newest_window_end: u64,
+    /// Label value the cardinality cap assigned (own id or `overflow`).
+    label: String,
+    records: Counter,
+    watermark: Gauge,
+    roll_lag: Gauge,
+    sources: BTreeMap<String, SeqWindow>,
+}
+
+/// Everything one subscription produced: its windowed graphs and the
+/// counters of its run.
 #[derive(Debug)]
 pub struct SubscriptionReport {
     /// The subscription id records were ingested under.
     pub subscription: String,
     /// One graph per closed window, in time order.
     pub graphs: Vec<CommGraph>,
-    /// The per-subscription engine's counters.
+    /// The subscription's counters.
     pub stats: EngineStats,
 }
 
-/// Cross-shard totals, merged deterministically at finish.
+/// Cross-shard totals, summed deterministically at finish.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct ShardedStats {
     /// Distinct subscriptions that ingested at least one batch.
     pub subscriptions: usize,
-    /// Shard slots configured.
+    /// Shard threads spawned and joined.
     pub shards: usize,
     /// Sum of per-subscription `records_in`.
     pub records_in: u64,
@@ -102,141 +159,161 @@ pub struct ShardedStats {
     /// Sum of per-subscription distinct edge entries — the memory driver
     /// across the whole tier.
     pub edge_entries: usize,
-    /// Subscriptions resident in each shard slot, by slot index — the
-    /// balance picture (`hash64(subscription) % shards`).
+    /// Subscriptions resident on each shard, by shard index — the balance
+    /// picture (`hash64(subscription) % shards`).
     pub per_shard_subscriptions: Vec<usize>,
 }
 
-/// The running multi-subscription engine. Create, `ingest` batches tagged
-/// with their subscription, then `finish` for per-subscription reports plus
-/// merged totals.
+/// Front-door `commgraph_engine_*` handles, resolved once at construction.
+/// All noop (and therefore free) when the config carried no registry.
+struct EngineMetrics {
+    records_in: Counter,
+    records_kept: Counter,
+    dropped: Counter,
+    batches: Counter,
+    batch_records: Histogram,
+    ingest_seconds: Histogram,
+    watermark: Gauge,
+}
+
+/// The running engine. Create, `ingest` batches tagged with their
+/// subscription, then `finish` for per-subscription reports plus totals.
 pub struct ShardedEngine {
     cfg: ShardedConfig,
-    shards: Vec<BTreeMap<String, StreamEngine>>,
+    shards: Vec<Shard>,
+    /// Subscriptions resident on each shard.
+    resident: Vec<usize>,
     cap: obs::LabelCap,
-    telemetry: BTreeMap<String, SubTelemetry>,
-    /// Delivery dedup state for [`ShardedEngine::ingest_sequenced`]:
-    /// subscription → source → sequence numbers already accepted.
-    delivered: BTreeMap<String, BTreeMap<String, BTreeSet<u64>>>,
+    /// Subscription id → position in `subs`; looked up by `&str`, so only
+    /// first contact allocates.
+    index: BTreeMap<String, usize>,
+    subs: Vec<Sub>,
+    /// Highest record timestamp seen by any subscription.
+    watermark: u64,
+    metrics: EngineMetrics,
 }
 
 impl ShardedEngine {
-    /// Validate the config and set up empty shard slots. Per-subscription
-    /// engines spawn lazily on the first batch for their subscription.
+    /// Validate the config and spawn the shard threads — the only threads
+    /// this engine ever starts.
     pub fn new(cfg: ShardedConfig) -> Result<Self> {
         if cfg.shards == 0 {
             return Err(Error::InvalidConfig("need at least one shard".into()));
         }
-        // Fail template errors at the front door, not on first ingest.
-        if cfg.engine.workers == 0 {
-            return Err(Error::InvalidConfig("engine template needs at least one worker".into()));
-        }
         if cfg.engine.window_len == 0 {
-            return Err(Error::InvalidConfig(
-                "engine template window length must be positive".into(),
-            ));
+            return Err(Error::InvalidConfig("window length must be positive".into()));
         }
-        let shards = (0..cfg.shards).map(|_| BTreeMap::new()).collect();
-        let cap = obs::LabelCap::new(&cfg.obs, "subscription", cfg.label_cap);
-        Ok(ShardedEngine {
-            cfg,
+        let shards = (0..cfg.shards).map(|i| Shard::spawn(i, &cfg.engine)).collect::<Result<_>>();
+        Ok(ShardedEngine::with_shards(cfg, shards?))
+    }
+
+    fn with_shards(cfg: ShardedConfig, shards: Vec<Shard>) -> Self {
+        let o = cfg.engine.obs.clone();
+        ShardedEngine {
+            resident: vec![0; shards.len()],
             shards,
-            cap,
-            telemetry: BTreeMap::new(),
-            delivered: BTreeMap::new(),
-        })
-    }
-
-    /// The shard slot a subscription lives in.
-    fn slot(&self, subscription: &str) -> usize {
-        (hash64(&subscription) % self.shards.len() as u64) as usize
-    }
-
-    /// Health handles for `subscription`, resolved on first contact with
-    /// the label value the cardinality cap assigns (own id or `overflow`).
-    fn telemetry(&mut self, subscription: &str) -> &mut SubTelemetry {
-        let cap = &self.cap;
-        let o = &self.cfg.obs;
-        self.telemetry.entry(subscription.to_string()).or_insert_with(|| {
-            let label = cap.resolve(subscription);
-            SubTelemetry {
-                records: o.counter(
-                    "commgraph_subscription_records_total",
-                    "Records ingested per subscription through the sharded front door.",
-                    &[("subscription", &label)],
-                ),
+            cap: obs::LabelCap::new(&cfg.obs, "subscription", cfg.label_cap),
+            index: BTreeMap::new(),
+            subs: Vec::new(),
+            watermark: 0,
+            metrics: EngineMetrics {
+                records_in: o.counter("commgraph_engine_records_in_total", "", &[]),
+                records_kept: o.counter("commgraph_engine_records_kept_total", "", &[]),
+                dropped: o.counter("commgraph_engine_dropped_records_total", "", &[]),
+                batches: o.counter("commgraph_engine_batches_total", "", &[]),
+                batch_records: o.histogram("commgraph_engine_batch_records", "", &[]),
+                ingest_seconds: o.histogram("commgraph_engine_ingest_seconds", "", &[]),
                 watermark: o.gauge(
-                    "commgraph_subscription_watermark_seconds",
-                    "High-water record timestamp seen per subscription.",
-                    &[("subscription", &label)],
+                    "commgraph_ingest_watermark_seconds",
+                    "",
+                    &[("source", "engine")],
                 ),
-                roll_lag: o.gauge(
-                    "commgraph_subscription_roll_lag_seconds",
-                    "Lag between the newest window's nominal start and the record that rolled it open, per subscription.",
-                    &[("subscription", &label)],
-                ),
-                dedup_dropped: o.counter(
-                    "commgraph_subscription_dedup_dropped_records_total",
-                    "Duplicate flush batches discarded by delivery dedup at the sharded front door, in records, per subscription.",
-                    &[("subscription", &label)],
-                ),
-                watermark_ts: 0,
-                current_window: None,
-            }
-        })
+            },
+            cfg,
+        }
     }
 
-    /// Offer a batch on behalf of `subscription`, spawning its engine on
-    /// first contact. Blocks under that engine's backpressure only — other
-    /// subscriptions are unaffected.
+    /// Position of `subscription` in `subs`, registering it (its shard, its
+    /// health handles under the capped label value) on first contact.
+    fn resolve(&mut self, subscription: &str) -> usize {
+        if let Some(&at) = self.index.get(subscription) {
+            return at;
+        }
+        let shard = (hash64(&subscription) % self.shards.len() as u64) as usize;
+        self.resident[shard] += 1;
+        let o = &self.cfg.obs;
+        o.gauge("commgraph_shard_subscription_entries", "", &[("shard", &shard.to_string())])
+            .set(self.resident[shard] as f64);
+        let label = self.cap.resolve(subscription);
+        let sub = [("subscription", label.as_str())];
+        // Present at zero from first contact; a refusal looks its handle up.
+        o.counter(REFUSED, "", &[sub[0], ("outcome", "duplicate")]);
+        o.counter(REFUSED, "", &[sub[0], ("outcome", "late")]);
+        self.subs.push(Sub {
+            shard,
+            records_in: 0,
+            started: None,
+            watermark_ts: 0,
+            newest_window_end: 0,
+            records: o.counter("commgraph_subscription_records_total", "", &sub),
+            watermark: o.gauge("commgraph_subscription_watermark_seconds", "", &sub),
+            roll_lag: o.gauge("commgraph_subscription_roll_lag_seconds", "", &sub),
+            sources: BTreeMap::new(),
+            label,
+        });
+        self.index.insert(subscription.to_string(), self.subs.len() - 1);
+        self.subs.len() - 1
+    }
+
+    /// Offer a batch on behalf of `subscription`. Blocks only while its
+    /// shard's queue is full; errors once that shard's thread is gone.
     pub fn ingest(&mut self, subscription: &str, records: &[ConnSummary]) -> Result<()> {
+        let at = self.resolve(subscription);
+        self.offer(at, records)
+    }
+
+    fn offer(&mut self, at: usize, records: &[ConnSummary]) -> Result<()> {
+        let trace = self.cfg.engine.obs.trace_span("engine_ingest");
+        let mut span = SpanGuard::traced(self.metrics.ingest_seconds.clone(), trace);
+        if span.trace_enabled() {
+            span.trace_attr("records", &records.len().to_string());
+        }
+        self.metrics.records_in.add(records.len() as u64);
+        self.metrics.batches.inc();
+        self.metrics.batch_records.record(records.len() as f64);
         let window_len = self.cfg.engine.window_len;
-        let telemetry = self.telemetry(subscription);
-        let mut saw_records = false;
+        let sub = &mut self.subs[at];
+        // lint:allow(clock-hygiene) wall-clock uptime for stats reporting only; never gates window logic
+        sub.started.get_or_insert_with(Instant::now);
+        sub.records_in += records.len() as u64;
         for r in records {
-            saw_records = true;
-            telemetry.watermark_ts = telemetry.watermark_ts.max(r.ts);
-            let window = bucket_start(r.ts, window_len);
-            if telemetry.current_window.is_some_and(|cur| window > cur) {
-                telemetry.roll_lag.set((r.ts - window) as f64);
+            sub.watermark_ts = sub.watermark_ts.max(r.ts);
+            if r.ts >= sub.newest_window_end {
+                let window = bucket_start(r.ts, window_len);
+                if sub.newest_window_end > 0 {
+                    sub.roll_lag.set((r.ts - window) as f64);
+                }
+                sub.newest_window_end = window.saturating_add(window_len);
             }
-            if telemetry.current_window.is_none_or(|cur| window > cur) {
-                telemetry.current_window = Some(window);
-            }
         }
-        if saw_records {
-            telemetry.records.add(records.len() as u64);
-            telemetry.watermark.set(telemetry.watermark_ts as f64);
+        if !records.is_empty() {
+            sub.records.add(records.len() as u64);
+            sub.watermark.set(sub.watermark_ts as f64);
+            self.watermark = self.watermark.max(sub.watermark_ts);
         }
-        let slot = self.slot(subscription);
-        let shard = &mut self.shards[slot];
-        if !shard.contains_key(subscription) {
-            let engine = StreamEngine::new(self.cfg.engine.clone())?;
-            shard.insert(subscription.to_string(), engine);
-            self.cfg
-                .obs
-                .gauge(
-                    "commgraph_shard_subscription_entries",
-                    "Subscriptions resident in one shard slot of the sharded engine.",
-                    &[("shard", &slot.to_string())],
-                )
-                .set(shard.len() as f64);
-        }
-        match shard.get_mut(subscription) {
-            Some(engine) => engine.ingest(records),
-            None => Err(Error::WorkerFailed("subscription engine vanished".into())),
-        }
+        self.metrics.watermark.set(self.watermark as f64);
+        self.shards[sub.shard].stage(at as u32, records)
     }
 
     /// Offer a flush batch with at-least-once delivery semantics: `source`
     /// names the producing agent (e.g. its IP) and `seq` its monotone batch
     /// sequence number. The first `(source, seq)` arrival is ingested like
-    /// [`ShardedEngine::ingest`] and returns `Ok(true)`; any re-delivery —
-    /// a duplicated packet, or a crashed agent replaying its last flush —
-    /// is discarded whole, counted on
-    /// `commgraph_subscription_dedup_dropped_records_total`, and returns
-    /// `Ok(false)`. Delivery dedup is per subscription, so sources in
-    /// different subscriptions never collide.
+    /// [`ShardedEngine::ingest`] and returns `Ok(true)`. A re-delivery (a
+    /// duplicated packet, a crashed agent's replay) is discarded whole and
+    /// returns `Ok(false)`, as is a `seq` more than 4096 behind the source's
+    /// newest; both are counted, in records, by `outcome` on
+    /// `commgraph_subscription_dedup_dropped_records_total`. Dedup is per
+    /// subscription: sources in different subscriptions never collide.
     pub fn ingest_sequenced(
         &mut self,
         subscription: &str,
@@ -244,60 +321,80 @@ impl ShardedEngine {
         seq: u64,
         records: &[ConnSummary],
     ) -> Result<bool> {
-        let fresh = self
-            .delivered
-            .entry(subscription.to_string())
-            .or_default()
-            .entry(source.to_string())
-            .or_default()
-            .insert(seq);
-        if !fresh {
-            let dropped = records.len() as u64;
-            self.telemetry(subscription).dedup_dropped.add(dropped);
-            return Ok(false);
-        }
-        self.ingest(subscription, records)?;
-        Ok(true)
-    }
-
-    /// Subscriptions currently resident, across all shards.
-    pub fn subscription_count(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
-    }
-
-    /// Drain every per-subscription engine and merge.
-    ///
-    /// Reports come back sorted by subscription id regardless of which
-    /// shard held them, and the merged stats are order-independent sums —
-    /// the deterministic shard-merge contract.
-    pub fn finish(self) -> Result<(Vec<SubscriptionReport>, ShardedStats)> {
-        let mut per_shard_subscriptions = Vec::with_capacity(self.shards.len());
-        let mut merged: BTreeMap<String, SubscriptionReport> = BTreeMap::new();
-        for shard in self.shards {
-            per_shard_subscriptions.push(shard.len());
-            for (subscription, engine) in shard {
-                let (graphs, stats) = engine.finish()?;
-                merged.insert(
-                    subscription.clone(),
-                    SubscriptionReport { subscription, graphs, stats },
-                );
-            }
-        }
-        let stats = ShardedStats {
-            subscriptions: merged.len(),
-            shards: per_shard_subscriptions.len(),
-            records_in: merged.values().map(|r| r.stats.records_in).sum(),
-            records_kept: merged.values().map(|r| r.stats.records_kept).sum(),
-            edge_entries: merged.values().map(|r| r.stats.edge_entries).sum(),
-            per_shard_subscriptions,
+        let at = self.resolve(subscription);
+        let sub = &mut self.subs[at];
+        let refusal = match sub.sources.get_mut(source) {
+            Some(window) => window.admit(seq),
+            None => sub.sources.entry(source.to_string()).or_insert_with(SeqWindow::new).admit(seq),
         };
-        Ok((merged.into_values().collect(), stats))
+        let Some(outcome) = refusal else { return self.offer(at, records).map(|()| true) };
+        let labels = [("subscription", sub.label.as_str()), ("outcome", outcome)];
+        self.cfg.obs.counter(REFUSED, "", &labels).add(records.len() as u64);
+        Ok(false)
+    }
+
+    /// Subscriptions seen so far, across all shards.
+    pub fn subscription_count(&self) -> usize {
+        self.subs.len()
+    }
+
+    /// Drain every shard and report per subscription.
+    ///
+    /// All channels close first, so the shards assemble their graphs at
+    /// the same time; every shard is then joined, and only after that does
+    /// a dead one fail the call. Reports come back sorted by subscription
+    /// id regardless of which shard held them, and the totals are
+    /// order-independent sums.
+    pub fn finish(mut self) -> Result<(Vec<SubscriptionReport>, ShardedStats)> {
+        let mut tspan = self.cfg.engine.obs.trace_span("engine_finish");
+        self.shards.iter_mut().for_each(Shard::close);
+        let joined: Vec<_> = self.shards.drain(..).map(Shard::join).collect();
+        let outputs = joined.into_iter().enumerate().map(|(shard, output)| {
+            output.map_err(|e| {
+                let lost = self.index.iter().filter(|(_, &at)| self.subs[at].shard == shard);
+                let lost: Vec<&str> = lost.map(|(name, _)| name.as_str()).collect();
+                Error::WorkerFailed(format!("shard {shard}: {e}; lost subscriptions {lost:?}"))
+            })
+        });
+        let mut outputs = outputs.collect::<Result<Vec<_>>>()?;
+        let mut stats = ShardedStats {
+            subscriptions: self.subs.len(),
+            shards: outputs.len(),
+            per_shard_subscriptions: self.resident,
+            ..ShardedStats::default()
+        };
+        let mut reports = Vec::with_capacity(self.subs.len());
+        for (subscription, at) in self.index {
+            let sub = &self.subs[at];
+            // A subscription that only ever offered empty batches never
+            // reached its shard; its report is empty.
+            let (graphs, mut run) = outputs[sub.shard].remove(&(at as u32)).unwrap_or_default();
+            run.records_in = sub.records_in;
+            run.elapsed_secs = sub.started.map_or(0.0, |t| t.elapsed().as_secs_f64());
+            stats.records_in += run.records_in;
+            stats.records_kept += run.records_kept;
+            stats.edge_entries += run.edge_entries;
+            reports.push(SubscriptionReport { subscription, graphs, stats: run });
+        }
+        self.metrics.records_kept.add(stats.records_kept);
+        self.metrics.dropped.add(stats.records_in.saturating_sub(stats.records_kept));
+        // Built once per run; both sinks drop it when disabled.
+        let summary = [
+            ("subscriptions", reports.len().to_string()),
+            ("records_in", stats.records_in.to_string()),
+            ("records_kept", stats.records_kept.to_string()),
+            ("edge_entries", stats.edge_entries.to_string()),
+        ];
+        summary.iter().for_each(|(k, v)| tspan.attr(k, v));
+        self.cfg.engine.obs.event(Level::Info, "engine", "finish", &summary);
+        Ok((reports, stats))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::StreamEngine;
     use commgraph_graph::{EdgeStats, NodeId};
     use flowlog::record::FlowKey;
     use std::net::Ipv4Addr;
@@ -446,12 +543,6 @@ mod tests {
     #[test]
     fn invalid_configs_rejected() {
         assert!(ShardedEngine::new(ShardedConfig { shards: 0, ..Default::default() }).is_err());
-        let bad_template = ShardedConfig {
-            shards: 2,
-            engine: EngineConfig { workers: 0, ..Default::default() },
-            ..Default::default()
-        };
-        assert!(ShardedEngine::new(bad_template).is_err());
         let bad_window = ShardedConfig {
             shards: 2,
             engine: EngineConfig { window_len: 0, ..Default::default() },
@@ -564,12 +655,182 @@ mod tests {
             .counter(
                 "commgraph_subscription_dedup_dropped_records_total",
                 "",
-                &[("subscription", "tenant-a")],
+                &[("subscription", "tenant-a"), ("outcome", "duplicate")],
             )
             .get();
         assert_eq!(dropped, 30, "the whole replayed batch is counted, in records");
         let (reports, _) = front.finish().unwrap();
         assert_eq!(reports[0].stats.records_in, 60, "replay never reaches the engine");
+    }
+
+    /// The bounded window agrees with an unbounded seen-set on any stream
+    /// whose reordering stays inside the window, and refuses as `Late`
+    /// exactly what has fallen out of it.
+    #[test]
+    fn seq_window_matches_an_unbounded_set_inside_the_reorder_window() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(15);
+        let mut next = || rng.random_range(0..u64::MAX);
+        let (mut window, mut seen) = (SeqWindow::new(), std::collections::BTreeSet::new());
+        let mut head = 0u64;
+        for _ in 0..200_000 {
+            // Mostly near the head (reordered or re-delivered), sometimes a
+            // jump ahead (up to past a whole window), sometimes far behind.
+            let seq = match next() % 16 {
+                0 => head + next() % (2 * REORDER_WINDOW),
+                1 => head.saturating_sub(REORDER_WINDOW + next() % 100),
+                _ => head.saturating_sub(next() % 64) + next() % 4,
+            };
+            let high = seen.last().copied();
+            let expect = match high {
+                Some(high) if seq <= high && high - seq >= REORDER_WINDOW => Some("late"),
+                _ if seen.contains(&seq) => Some("duplicate"),
+                _ => None,
+            };
+            assert_eq!(window.admit(seq), expect, "seq {seq} with high-water {high:?}");
+            if expect.is_none() {
+                seen.insert(seq);
+            }
+            head = head.max(seq);
+        }
+        // The ends of the number line.
+        let mut edge = SeqWindow::new();
+        assert_eq!(edge.admit(u64::MAX), None);
+        assert_eq!(edge.admit(u64::MAX), Some("duplicate"));
+        assert_eq!(edge.admit(0), Some("late"));
+    }
+
+    #[test]
+    fn a_million_in_order_deliveries_leave_the_dedup_state_constant() {
+        let mut front = ShardedEngine::new(ShardedConfig::default()).unwrap();
+        for seq in 0..1_000_000u64 {
+            assert!(front.ingest_sequenced("tenant-a", "10.1.0.1", seq, &[]).unwrap());
+        }
+        assert!(!front.ingest_sequenced("tenant-a", "10.1.0.1", 999_999, &[]).unwrap());
+        assert!(!front.ingest_sequenced("tenant-a", "10.1.0.1", 7, &[]).unwrap(), "late");
+        assert_eq!(front.subs.len(), 1);
+        assert_eq!(front.subs[0].sources.len(), 1, "one fixed-size window per source");
+        assert!(std::mem::size_of::<SeqWindow>() <= 528);
+        front.finish().unwrap();
+    }
+
+    /// The `jittered_delivery` network (latency 0–3 ticks, 5 % duplicated,
+    /// 2 % dropped): the front door refuses exactly the re-deliveries.
+    #[test]
+    fn jittered_network_refusals_equal_redeliveries() {
+        use cloudsim::net::{NetConfig, NetSim};
+        let registry = std::sync::Arc::new(obs::Registry::new());
+        let cfg = ShardedConfig { obs: Obs::new(registry.clone()), ..Default::default() };
+        let mut front = ShardedEngine::new(cfg).unwrap();
+        let net_cfg = NetConfig {
+            seed: 11,
+            latency_ticks: (0, 3),
+            duplicate_rate: 0.05,
+            drop_rate: 0.02,
+            ..NetConfig::default()
+        };
+        let mut net = NetSim::new(net_cfg, Default::default()).unwrap();
+        let mut seen = std::collections::BTreeSet::new();
+        let (mut redelivered, mut refused, mut refused_records) = (0u64, 0u64, 0u64);
+        let mut sink = |d: &cloudsim::net::Delivery| {
+            redelivered += u64::from(!seen.insert((d.source, d.seq)));
+            if !front
+                .ingest_sequenced("tenant-a", &d.source.to_string(), d.seq, &d.records)
+                .unwrap()
+            {
+                refused += 1;
+                refused_records += d.records.len() as u64;
+            }
+        };
+        let recs = records(1, 20_000);
+        for offer in recs.chunks(64) {
+            net.offer(offer);
+            net.step(&mut sink);
+        }
+        net.drain(&mut sink);
+        assert!(redelivered > 0 && net.stats().reordered_packets > 0, "the network misbehaved");
+        assert_eq!(refused, redelivered);
+        let counted = |outcome: &str| {
+            let labels = [("subscription", "tenant-a"), ("outcome", outcome)];
+            registry
+                .counter("commgraph_subscription_dedup_dropped_records_total", "", &labels)
+                .get()
+        };
+        assert_eq!(counted("duplicate"), refused_records);
+        assert_eq!(counted("late"), 0);
+        front.finish().unwrap();
+    }
+
+    #[test]
+    fn empty_batches_register_the_subscription_and_nothing_else() {
+        let mut front = ShardedEngine::new(ShardedConfig::default()).unwrap();
+        front.ingest("sub", &[]).unwrap();
+        assert_eq!(front.subscription_count(), 1);
+        assert_eq!(front.shards.len(), 2, "the pool is fixed at construction");
+        let (reports, merged) = front.finish().unwrap();
+        assert_eq!(merged.shards, 2);
+        assert_eq!(reports.len(), 1);
+        assert!(reports[0].graphs.is_empty());
+        assert_eq!(reports[0].stats.records_in, 0);
+    }
+
+    /// Two subscription names, the first resident on shard 0 of 2 and the
+    /// second on shard 1.
+    fn one_name_per_shard() -> [String; 2] {
+        let on = |shard: u64| {
+            (0..64).map(|i| format!("sub-{i}")).find(|n| hash64(&n.as_str()) % 2 == shard).unwrap()
+        };
+        [on(0), on(1)]
+    }
+
+    /// An engine whose shard 0 dies on its first batch.
+    fn front_with_a_dying_shard(registry: &std::sync::Arc<obs::Registry>) -> ShardedEngine {
+        let cfg = ShardedConfig {
+            engine: EngineConfig { obs: Obs::new(registry.clone()), ..Default::default() },
+            ..Default::default()
+        };
+        let dying = Shard::spawn_with(0, cfg.engine.queue_depth, |rx| {
+            let _ = rx.recv();
+            panic!("injected shard failure");
+        });
+        let healthy = Shard::spawn(1, &cfg.engine);
+        ShardedEngine::with_shards(cfg, vec![dying.unwrap(), healthy.unwrap()])
+    }
+
+    #[test]
+    fn a_dead_shard_fails_finish_after_the_others_are_joined() {
+        let registry = std::sync::Arc::new(obs::Registry::new());
+        let mut front = front_with_a_dying_shard(&registry);
+        let [doomed, fine] = one_name_per_shard();
+        front.ingest(&doomed, &records(1, 100)).unwrap();
+        front.ingest(&fine, &records(2, 100)).unwrap();
+        let err = front.finish().err().expect("a dead shard fails finish");
+        let Error::WorkerFailed(message) = err else { panic!("wrong error: {err:?}") };
+        assert!(message.contains("shard 0") && message.contains(&doomed), "{message}");
+        assert!(!message.contains(&fine), "only the dead shard's subscriptions are lost");
+        // The healthy shard ran to completion and was joined: the gauge it
+        // sets as its last act is in the registry when `finish` returns.
+        let held =
+            registry.gauge("commgraph_engine_shard_edge_entries", "", &[("shard", "1")]).get();
+        assert!(held > 0.0, "shard 1 assembled its subscription's graphs");
+    }
+
+    #[test]
+    fn ingest_after_shard_death_errors_instead_of_blocking() {
+        let registry = std::sync::Arc::new(obs::Registry::new());
+        let mut front = front_with_a_dying_shard(&registry);
+        let depth = front.cfg.engine.queue_depth;
+        let [doomed, fine] = one_name_per_shard();
+        let batch = records(1, 4096);
+        // Every call hands one batch over. The dead thread drains nothing,
+        // so at most `depth` more fit its queue; a hand-over that finds the
+        // queue full is woken by the disconnect. An error must surface
+        // within `depth + 2` calls, and none may hang.
+        let failed = (0..depth + 2).find_map(|_| front.ingest(&doomed, &batch).err());
+        assert!(matches!(failed, Some(Error::WorkerFailed(_))), "{failed:?}");
+        assert!(front.ingest(&doomed, &batch).is_err(), "and it stays failed");
+        front.ingest(&fine, &batch).expect("the other shard is unaffected");
+        assert!(front.finish().is_err());
     }
 
     #[test]

@@ -2,13 +2,18 @@
 
 use analytics::countmin::CountMin;
 use analytics::engine::{EngineConfig, StreamEngine};
+use analytics::sharded::{ShardedConfig, ShardedEngine};
 use analytics::sketch::SpaceSaving;
 use commgraph_graph::diff::dirty_nodes;
 use commgraph_graph::{CommGraph, EdgeStats, Facet, GraphBuilder, NodeId};
 use flowlog::record::{ConnSummary, FlowKey};
+use flowlog::time::bucket_start;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 fn arb_records() -> impl Strategy<Value = Vec<ConnSummary>> {
     prop::collection::vec((0u64..7200, 0u8..10, 0u8..10, 1u64..100_000), 1..150).prop_map(
@@ -34,21 +39,20 @@ fn arb_records() -> impl Strategy<Value = Vec<ConnSummary>> {
 }
 
 /// Build one single-window graph (window 0, one hour) from `records` with a
-/// `StreamEngine` at `workers` threads. An empty stream yields the empty
+/// `ShardedEngine` at `shards` threads. An empty stream yields the empty
 /// graph, matching what a fresh build over no records means.
-fn engine_graph(records: &[ConnSummary], workers: usize) -> CommGraph {
-    let mut e = StreamEngine::new(EngineConfig {
-        workers,
-        facet: Facet::Ip,
-        window_len: 3600,
+fn engine_graph(records: &[ConnSummary], shards: usize) -> CommGraph {
+    let mut e = ShardedEngine::new(ShardedConfig {
+        shards,
+        engine: EngineConfig { facet: Facet::Ip, window_len: 3600, ..Default::default() },
         ..Default::default()
     })
     .expect("valid");
     for batch in records.chunks(64) {
-        e.ingest(batch).expect("ingest");
+        e.ingest("sub", batch).expect("ingest");
     }
-    let (mut graphs, _) = e.finish().expect("drain");
-    match graphs.pop() {
+    let (mut reports, _) = e.finish().expect("drain");
+    match reports.pop().and_then(|mut r| r.graphs.pop()) {
         Some(g) => g,
         None => CommGraph::from_edge_map("ip", 0, 3600, HashMap::new()),
     }
@@ -74,7 +78,7 @@ proptest! {
     /// random churn sequences: applying the next window's adjacency for
     /// *dirty* nodes onto the previous graph — and keeping clean nodes'
     /// adjacency verbatim — reconstructs the fresh build exactly. Verified
-    /// with graphs built at 1, 2, and NCPU engine workers, which must all
+    /// with graphs built at 1, 2, and NCPU shard threads, which must all
     /// agree on the graphs and therefore the dirty set.
     #[test]
     fn dirty_set_reconstructs_fresh_build_under_churn(
@@ -153,16 +157,14 @@ proptest! {
         }
     }
 
-    /// The parallel engine produces exactly the single-threaded result for
-    /// any record stream, any worker count, any batch size.
+    /// The engine produces exactly the single-threaded result for any
+    /// record stream and any batch size.
     #[test]
     fn engine_equals_builder(
         records in arb_records(),
-        workers in 1usize..6,
         chunk in 1usize..64,
     ) {
         let mut engine = StreamEngine::new(EngineConfig {
-            workers,
             facet: Facet::Ip,
             window_len: 3600,
             monitored: None,
@@ -250,4 +252,162 @@ proptest! {
             }
         }
     }
+}
+
+/// Everything observable about one window's graph: its start, its nodes,
+/// and every edge from both ends with its oriented stats.
+type Fingerprint = (u64, Vec<NodeId>, Vec<Vec<(u32, EdgeStats)>>);
+
+fn fingerprint(g: &CommGraph) -> Fingerprint {
+    let adj = (0..g.node_count() as u32).map(|i| g.neighbors(i).to_vec()).collect();
+    (g.window_start(), g.nodes().to_vec(), adj)
+}
+
+/// Seed sweep: random subscriptions × windows × interleavings × batch sizes
+/// × shard counts × vantage dedup on/off through `ShardedEngine` ≡ one
+/// `GraphBuilder` per `(subscription, window)`, by full fingerprint, with
+/// `records_in = records_kept + vantage-deduped` per report.
+#[test]
+fn sharded_engine_equals_one_builder_per_subscription_window() {
+    const WINDOW: u64 = 600;
+    const BATCHES: [usize; 7] = [0, 1, 7, 4095, 4096, 4097, 20_000];
+    for seed in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let shards = [1, 2, 3, 8][seed as usize % 4];
+        let dedup = seed % 8 >= 4;
+        let subs = rng.random_range(1..7usize);
+        let windows = rng.random_range(1..5u64);
+        // Per-subscription streams: a small address pool (so edges repeat),
+        // timestamps jittered across windows, a third of the flows also
+        // reported from the peer's vantage. The first subscription carries
+        // enough for the 20 000-record batch; others may be empty.
+        let streams: Vec<Vec<ConnSummary>> = (0..subs)
+            .map(|s| {
+                let flows = if s == 0 { 16_000..20_000 } else { 0..5_000usize };
+                let mut out = Vec::new();
+                for _ in 0..rng.random_range(flows) {
+                    let (l, r) = (rng.random_range(0..40u32), rng.random_range(0..40u32));
+                    let rec = ConnSummary {
+                        ts: rng.random_range(0..windows * WINDOW),
+                        key: FlowKey::tcp(
+                            Ipv4Addr::new(10, s as u8, 0, l as u8),
+                            rng.random_range(1024..1030u16),
+                            Ipv4Addr::new(10, s as u8, 1, r as u8),
+                            443,
+                        ),
+                        pkts_sent: rng.random_range(1..9u64),
+                        pkts_rcvd: rng.random_range(0..9u64),
+                        bytes_sent: rng.random_range(0..90_000u64),
+                        bytes_rcvd: rng.random_range(0..9_000u64),
+                    };
+                    out.push(rec);
+                    if rng.random_bool(0.3) {
+                        out.push(rec.mirrored());
+                    }
+                }
+                out
+            })
+            .collect();
+        let monitored: Option<HashSet<Ipv4Addr>> = dedup.then(|| {
+            streams.iter().flatten().flat_map(|r| [r.key.local_ip, r.key.remote_ip]).collect()
+        });
+
+        let mut front = ShardedEngine::new(ShardedConfig {
+            shards,
+            engine: EngineConfig {
+                window_len: WINDOW,
+                monitored: monitored.clone(),
+                queue_depth: rng.random_range(1..4usize),
+                ..Default::default()
+            },
+            ..Default::default()
+        })
+        .expect("valid");
+        let shared = Arc::new(monitored.unwrap_or_default());
+        let mut reference: BTreeMap<(usize, u64), GraphBuilder> = BTreeMap::new();
+        let mut offered = vec![0u64; subs];
+        let mut at = vec![0usize; subs];
+        let mut call = rng.random_range(0..BATCHES.len());
+        // Interleave: each call takes the next batch size from a random
+        // subscription's stream, until every stream is drained.
+        while (0..subs).any(|s| at[s] < streams[s].len()) {
+            let s = rng.random_range(0..subs);
+            let end = (at[s] + BATCHES[call % BATCHES.len()]).min(streams[s].len());
+            let batch = &streams[s][at[s]..end];
+            front.ingest(&format!("sub-{s}"), batch).expect("ingest");
+            for r in batch {
+                let w = bucket_start(r.ts, WINDOW);
+                reference
+                    .entry((s, w))
+                    .or_insert_with(|| {
+                        GraphBuilder::new(Facet::Ip, w, WINDOW).with_monitored(shared.clone())
+                    })
+                    .add(r);
+            }
+            offered[s] += batch.len() as u64;
+            at[s] = end;
+            call += 1;
+        }
+        let (reports, totals) = front.finish().expect("drain");
+
+        let case = format!("seed {seed}: {shards} shards, dedup {dedup}, {subs} subs");
+        assert_eq!(totals.shards, shards, "{case}");
+        assert_eq!(totals.records_in, offered.iter().sum::<u64>(), "{case}");
+        let mut expected: BTreeMap<usize, (Vec<Fingerprint>, u64, u64)> = BTreeMap::new();
+        for ((s, _), b) in reference {
+            let (seen, kept) = b.record_counts();
+            let e = expected.entry(s).or_default();
+            e.1 += kept;
+            e.2 += seen - kept;
+            e.0.push(fingerprint(&b.finish()));
+        }
+        for report in &reports {
+            let s: usize = report.subscription["sub-".len()..].parse().expect("sub-N");
+            let (graphs, kept, deduped) = expected.remove(&s).unwrap_or_default();
+            let got: Vec<Fingerprint> = report.graphs.iter().map(fingerprint).collect();
+            assert_eq!(got, graphs, "{case}: {}", report.subscription);
+            assert_eq!(report.stats.records_in, offered[s], "{case}");
+            assert_eq!(report.stats.records_kept, kept, "{case}");
+            assert_eq!(report.stats.records_in, report.stats.records_kept + deduped, "{case}");
+            if !dedup {
+                assert_eq!(deduped, 0, "{case}");
+            }
+        }
+        assert!(expected.is_empty(), "{case}: subscriptions without a report: {expected:?}");
+    }
+}
+
+/// Thread count is the shard count, whatever the subscription count: every
+/// shard thread registers its own `worker`-labeled busy-time series and
+/// sets its own `shard`-labeled gauge as it exits, so those series count
+/// the threads that ever ran.
+#[test]
+fn two_hundred_subscriptions_spawn_exactly_shards_threads() {
+    let registry = Arc::new(obs::Registry::new());
+    let cfg = ShardedConfig {
+        engine: EngineConfig { obs: obs::Obs::new(registry.clone()), ..Default::default() },
+        ..Default::default()
+    };
+    let shards = cfg.shards;
+    let mut front = ShardedEngine::new(cfg).expect("valid");
+    let rec = |i: u8| ConnSummary {
+        ts: 0,
+        key: FlowKey::tcp(Ipv4Addr::new(10, 0, 0, i), 40_000, Ipv4Addr::new(10, 0, 1, i), 443),
+        pkts_sent: 1,
+        pkts_rcvd: 1,
+        bytes_sent: 10,
+        bytes_rcvd: 10,
+    };
+    for s in 0..200u8 {
+        front.ingest(&format!("sub-{s:03}"), &[rec(s), rec(s.wrapping_add(1))]).expect("ingest");
+    }
+    assert_eq!(front.subscription_count(), 200);
+    let (reports, totals) = front.finish().expect("drain");
+    assert_eq!(reports.len(), 200);
+    assert!(reports.iter().all(|r| r.graphs.len() == 1 && r.stats.records_in == 2));
+    assert_eq!(totals.shards, shards, "threads spawned and joined");
+    let snapshot = registry.snapshot();
+    let series = |family: &str| snapshot.iter().filter(|m| m.name == family).count();
+    assert_eq!(series("commgraph_engine_worker_busy_seconds"), shards, "threads started");
+    assert_eq!(series("commgraph_engine_shard_edge_entries"), shards, "threads exited");
 }

@@ -1,8 +1,9 @@
 //! End-to-end ingest throughput of the streaming analytics engine — the
 //! number that feeds the COGS model: records/second per process at various
-//! worker counts.
+//! shard-thread counts, the stream dealt to eight subscriptions.
 
-use analytics::engine::{EngineConfig, StreamEngine};
+use analytics::engine::EngineConfig;
+use analytics::sharded::{ShardedConfig, ShardedEngine};
 use benchkit::simulate;
 use cloudsim::ClusterPreset;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -15,19 +16,23 @@ fn bench_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_ingest");
     group.sample_size(10);
     group.throughput(Throughput::Elements(records.len() as u64));
-    for workers in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
+    let names: Vec<String> = (0..8).map(|s| format!("sub-{s}")).collect();
+    for shards in [1usize, 2, 4, 8] {
+        group.bench_with_input(BenchmarkId::from_parameter(shards), &shards, |b, &shards| {
             b.iter(|| {
-                let mut engine = StreamEngine::new(EngineConfig {
-                    workers: w,
-                    monitored: Some(run.monitored.clone()),
+                let mut front = ShardedEngine::new(ShardedConfig {
+                    shards,
+                    engine: EngineConfig {
+                        monitored: Some(run.monitored.clone()),
+                        ..Default::default()
+                    },
                     ..Default::default()
                 })
                 .expect("valid config");
-                for chunk in records.chunks(65_536) {
-                    engine.ingest(black_box(chunk)).expect("ingest succeeds");
+                for (chunk, name) in records.chunks(4096).zip(names.iter().cycle()) {
+                    front.ingest(name, black_box(chunk)).expect("ingest succeeds");
                 }
-                black_box(engine.finish().expect("drains"))
+                black_box(front.finish().expect("drains"))
             })
         });
     }

@@ -4,7 +4,8 @@
 //!
 //! 1. **Throughput** — records/second one analytics process sustains while
 //!    building hourly communication graphs (the sharded group-by-aggregate
-//!    of Figure 8), across worker counts.
+//!    of Figure 8), across shard-thread counts, with the stream split over
+//!    eight subscriptions.
 //! 2. **Memory** — builder state with and without heavy-hitter collapsing
 //!    ("the memory need is proportional to the number of node pairs").
 //! 3. **Dollars** — plugging measured throughput into the paper's price
@@ -14,6 +15,7 @@
 use analytics::cogs::CogsModel;
 use analytics::engine::{EngineConfig, StreamEngine};
 use analytics::memory::{builder_bytes, human_bytes, snapshot_bytes};
+use analytics::sharded::{ShardedConfig, ShardedEngine};
 use analytics::sketch::SpaceSaving;
 use benchkit::{arg_f64, arg_u64, simulate, write_artifact};
 use cloudsim::ClusterPreset;
@@ -29,36 +31,37 @@ fn main() {
     let records = &run.records;
     eprintln!("[cogs] {} records; replaying through the engine …", records.len());
 
-    // 1. Throughput across worker counts (replay the same stream).
+    // 1. Throughput across shard counts: the same stream, dealt in
+    // 4096-record batches to eight subscriptions (a shard is a thread, and
+    // a subscription lives on one shard, so one subscription cannot scale).
     println!("\nE-COGS/1 — graph-construction throughput (records/s, this machine)");
-    println!("{:>9} {:>14} {:>12}", "workers", "records/s", "elapsed");
+    println!("{:>9} {:>14} {:>12}", "shards", "records/s", "elapsed");
+    let names: Vec<String> = (0..8).map(|s| format!("sub-{s}")).collect();
     let mut best_rps = 0f64;
     let mut throughputs = Vec::new();
-    for workers in [1usize, 2, 4, 8] {
-        let mut engine = StreamEngine::new(EngineConfig {
-            workers,
-            monitored: Some(run.monitored.clone()),
+    for shards in [1usize, 2, 4, 8] {
+        let mut front = ShardedEngine::new(ShardedConfig {
+            shards,
+            engine: EngineConfig { monitored: Some(run.monitored.clone()), ..Default::default() },
             ..Default::default()
         })
         .expect("config is valid");
         let t0 = Instant::now();
-        for chunk in records.chunks(65_536) {
-            engine.ingest(chunk).expect("engine accepts batches");
+        for (chunk, name) in records.chunks(4096).zip(names.iter().cycle()) {
+            front.ingest(name, chunk).expect("engine accepts batches");
         }
-        let (graphs, stats) = engine.finish().expect("engine drains");
+        let (reports, _) = front.finish().expect("engine drains");
         let elapsed = t0.elapsed().as_secs_f64();
         // Guarded rate: a sub-tick elapsed must report 0, not inf/NaN.
         let rps = obs::rate::per_second(records.len() as u64, elapsed);
         best_rps = best_rps.max(rps);
-        println!("{:>9} {:>14.0} {:>11.2}s", workers, rps, elapsed);
-        throughputs.push(json!({"workers": workers, "records_per_sec": rps}));
-        assert!(!graphs.is_empty());
-        let _ = stats;
+        println!("{:>9} {:>14.0} {:>11.2}s", shards, rps, elapsed);
+        throughputs.push(json!({"shards": shards, "records_per_sec": rps}));
+        assert!(reports.iter().all(|r| !r.graphs.is_empty()));
     }
 
     // 2. Memory: full graph vs collapsed vs sketch.
     let mut engine = StreamEngine::new(EngineConfig {
-        workers: 4,
         monitored: Some(run.monitored.clone()),
         ..Default::default()
     })
@@ -99,7 +102,7 @@ fn main() {
     );
 
     // 3. Dollars at the paper's price points, per cluster.
-    // One "analytics VM" = 8 cores; our measurement used up to 8 workers.
+    // One "analytics VM" = 8 cores; our measurement used up to 8 shard threads.
     let model = CogsModel::paper_defaults(best_rps);
     println!("\nE-COGS/3 — surcharge at paper price points (analytics VM ≈ this host)");
     println!(

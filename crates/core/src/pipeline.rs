@@ -7,7 +7,7 @@
 use algos::roles::{
     infer_roles_incremental_obs, infer_roles_obs, RoleInference, RoleMemo, SegmentationMethod,
 };
-use commgraph_graph::builder::WindowedBuilder;
+use commgraph_graph::builder::{survives_vantage_dedup, WindowedBuilder};
 use commgraph_graph::series::GraphSequence;
 use commgraph_graph::{CommGraph, Facet, NodeId, Result as GraphResult};
 use flowlog::record::ConnSummary;
@@ -156,6 +156,9 @@ impl PipelineMetrics {
 #[derive(Debug)]
 pub struct Pipeline {
     builder: WindowedBuilder,
+    /// The builder's vantage-dedup inventory (empty: none), for lateness
+    /// attribution.
+    monitored: Arc<HashSet<Ipv4Addr>>,
     per_minute: HashMap<u64, u64>,
     total: u64,
     window_len: u64,
@@ -171,16 +174,16 @@ pub struct Pipeline {
 impl Pipeline {
     /// Create a pipeline from a config.
     pub fn new(cfg: PipelineConfig) -> Self {
-        let mut builder = WindowedBuilder::new(cfg.facet, cfg.window_len);
-        if let Some(m) = cfg.monitored {
-            builder = builder.with_monitored(m);
-        }
+        let monitored = Arc::new(cfg.monitored.unwrap_or_default());
+        let mut builder =
+            WindowedBuilder::new(cfg.facet, cfg.window_len).with_monitored(monitored.clone());
         if cfg.incremental {
             builder = builder.with_dirty_tracking();
         }
         let metrics = PipelineMetrics::resolve(&cfg.obs);
         Pipeline {
             builder,
+            monitored,
             per_minute: HashMap::new(),
             total: 0,
             window_len: cfg.window_len,
@@ -208,7 +211,7 @@ impl Pipeline {
             span.trace_attr("records", &records.len().to_string());
         }
         for r in records {
-            let survives = self.builder.survives_dedup(r);
+            let survives = survives_vantage_dedup(&self.monitored, r);
             let behind_watermark = self.total > 0 && r.ts < self.watermark;
             self.watermark = self.watermark.max(r.ts);
             let window = bucket_start(r.ts, self.window_len);

@@ -15,11 +15,22 @@
 
 use crate::diff::dirty_nodes;
 use crate::graph::CommGraph;
+use crate::hash::FixedState;
 use crate::node::{Facet, NodeId};
 use crate::stats::EdgeStats;
 use flowlog::record::ConnSummary;
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
+
+/// The vantage-dedup rule, stated once: a flow between two monitored IPs
+/// was reported by both endpoints, so only the canonical endpoint's copy
+/// survives. With an empty inventory, or a single monitored end, every
+/// record does.
+pub fn survives_vantage_dedup(monitored: &HashSet<Ipv4Addr>, r: &ConnSummary) -> bool {
+    let both = monitored.contains(&r.key.remote_ip) && monitored.contains(&r.key.local_ip);
+    !both || r.key.is_canonical()
+}
 
 /// Accumulates one window's records into a [`CommGraph`].
 ///
@@ -42,11 +53,12 @@ use std::net::Ipv4Addr;
 #[derive(Debug)]
 pub struct GraphBuilder {
     facet: Facet,
-    /// When `Some`, flows between two monitored IPs are deduped to the
-    /// canonical vantage. When `None`, every record counts (single-vantage
-    /// telemetry, e.g. chokepoint captures).
-    monitored: Option<HashSet<Ipv4Addr>>,
-    edges: HashMap<(NodeId, NodeId), EdgeStats>,
+    /// Flows between two monitored IPs are deduped to the canonical
+    /// vantage. Empty (the default) means every record counts:
+    /// single-vantage telemetry, e.g. chokepoint captures. Shared, so a
+    /// builder per window does not copy the inventory.
+    monitored: Arc<HashSet<Ipv4Addr>>,
+    edges: HashMap<(NodeId, NodeId), EdgeStats, FixedState>,
     window_start: u64,
     window_len: u64,
     records_seen: u64,
@@ -59,8 +71,8 @@ impl GraphBuilder {
     pub fn new(facet: Facet, window_start: u64, window_len: u64) -> Self {
         GraphBuilder {
             facet,
-            monitored: None,
-            edges: HashMap::new(),
+            monitored: Arc::default(),
+            edges: HashMap::default(),
             window_start,
             window_len,
             records_seen: 0,
@@ -68,9 +80,10 @@ impl GraphBuilder {
         }
     }
 
-    /// Enable vantage dedup against the given monitored-IP inventory.
-    pub fn with_monitored(mut self, monitored: HashSet<Ipv4Addr>) -> Self {
-        self.monitored = Some(monitored);
+    /// Enable vantage dedup against the given monitored-IP inventory (a
+    /// `HashSet`, or an `Arc` of one to share it between builders).
+    pub fn with_monitored(mut self, monitored: impl Into<Arc<HashSet<Ipv4Addr>>>) -> Self {
+        self.monitored = monitored.into();
         self
     }
 
@@ -89,22 +102,10 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Whether this record survives vantage dedup.
-    fn keep(&self, r: &ConnSummary) -> bool {
-        match &self.monitored {
-            // Both endpoints monitored ⇒ this flow was reported twice;
-            // keep only the canonical endpoint's copy.
-            Some(set) if set.contains(&r.key.remote_ip) && set.contains(&r.key.local_ip) => {
-                r.key.is_canonical()
-            }
-            _ => true,
-        }
-    }
-
     /// Offer one record.
     pub fn add(&mut self, r: &ConnSummary) {
         self.records_seen += 1;
-        if !self.keep(r) {
+        if !survives_vantage_dedup(&self.monitored, r) {
             return;
         }
         self.records_kept += 1;
@@ -146,7 +147,7 @@ impl GraphBuilder {
 #[derive(Debug)]
 pub struct WindowedBuilder {
     facet: Facet,
-    monitored: Option<HashSet<Ipv4Addr>>,
+    monitored: Arc<HashSet<Ipv4Addr>>,
     window_len: u64,
     current: Option<GraphBuilder>,
     finished: Vec<CommGraph>,
@@ -167,7 +168,7 @@ impl WindowedBuilder {
         assert!(window_len > 0, "window length must be positive");
         WindowedBuilder {
             facet,
-            monitored: None,
+            monitored: Arc::default(),
             window_len,
             current: None,
             finished: Vec::new(),
@@ -179,8 +180,8 @@ impl WindowedBuilder {
     }
 
     /// Enable vantage dedup (see [`GraphBuilder::with_monitored`]).
-    pub fn with_monitored(mut self, monitored: HashSet<Ipv4Addr>) -> Self {
-        self.monitored = Some(monitored);
+    pub fn with_monitored(mut self, monitored: impl Into<Arc<HashSet<Ipv4Addr>>>) -> Self {
+        self.monitored = monitored.into();
         self
     }
 
@@ -194,11 +195,8 @@ impl WindowedBuilder {
     }
 
     fn fresh(&self, window_start: u64) -> GraphBuilder {
-        let b = GraphBuilder::new(self.facet.clone(), window_start, self.window_len);
-        match &self.monitored {
-            Some(m) => b.with_monitored(m.clone()),
-            None => b,
-        }
+        GraphBuilder::new(self.facet.clone(), window_start, self.window_len)
+            .with_monitored(self.monitored.clone())
     }
 
     /// Close one window: finish the graph and, when tracking, record its
@@ -214,21 +212,6 @@ impl WindowedBuilder {
             self.last_closed = Some(g.clone());
         }
         self.finished.push(g);
-    }
-
-    /// Whether `r` would survive vantage dedup under this builder's
-    /// monitored inventory (the [`GraphBuilder::with_monitored`] rule):
-    /// flows reported by both monitored endpoints keep only the canonical
-    /// vantage's copy. Callers use this to attribute lateness and drops to
-    /// records that actually contribute to graphs, not to vantage copies
-    /// dedup discards anyway.
-    pub fn survives_dedup(&self, r: &ConnSummary) -> bool {
-        match &self.monitored {
-            Some(set) if set.contains(&r.key.remote_ip) && set.contains(&r.key.local_ip) => {
-                r.key.is_canonical()
-            }
-            _ => true,
-        }
     }
 
     /// Records rejected so far because their window had already closed when
@@ -435,17 +418,20 @@ mod tests {
 
     #[test]
     fn survives_dedup_matches_builder_keep_rule() {
-        let monitored: HashSet<Ipv4Addr> = [ip(1), ip(2)].into_iter().collect();
-        let wb = WindowedBuilder::new(Facet::Ip, 60).with_monitored(monitored);
-        let flow = rec(0, 1, 40_000, 2, 443, 100, 10);
-        assert_ne!(wb.survives_dedup(&flow), wb.survives_dedup(&flow.mirrored()));
+        let both: HashSet<Ipv4Addr> = [ip(1), ip(2)].into_iter().collect();
+        let (flow, mirror) =
+            (rec(0, 1, 40_000, 2, 443, 100, 10), rec(0, 1, 40_000, 2, 443, 100, 10).mirrored());
+        let survives = survives_vantage_dedup;
+        assert_ne!(survives(&both, &flow), survives(&both, &mirror));
+        // What the free function says is what the builder keeps.
+        let mut b = GraphBuilder::new(Facet::Ip, 0, 60).with_monitored(both);
+        b.add_all([&flow, &mirror]);
+        assert_eq!(b.record_counts(), (2, 1));
         // Only one endpoint monitored ⇒ single vantage, both orientations kept.
         let half: HashSet<Ipv4Addr> = [ip(2)].into_iter().collect();
-        let wb2 = WindowedBuilder::new(Facet::Ip, 60).with_monitored(half);
-        assert!(wb2.survives_dedup(&flow) && wb2.survives_dedup(&flow.mirrored()));
+        assert!(survives(&half, &flow) && survives(&half, &mirror));
         // No inventory ⇒ everything survives.
-        let wb3 = WindowedBuilder::new(Facet::Ip, 60);
-        assert!(wb3.survives_dedup(&flow) && wb3.survives_dedup(&flow.mirrored()));
+        assert!(survives(&HashSet::new(), &flow) && survives(&HashSet::new(), &mirror));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The immutable communication-graph snapshot.
 
 use crate::error::{Error, Result};
+use crate::hash::FixedState;
 use crate::node::NodeId;
 use crate::stats::{EdgeStats, NodeStats};
 use serde::Serialize;
@@ -21,8 +22,6 @@ pub struct CommGraph {
     window_start: u64,
     window_len: u64,
     nodes: Vec<NodeId>,
-    #[serde(skip)]
-    index: HashMap<NodeId, u32>,
     adj: Vec<Vec<(u32, EdgeStats)>>,
     node_stats: Vec<NodeStats>,
     totals: EdgeStats,
@@ -30,58 +29,72 @@ pub struct CommGraph {
 }
 
 impl CommGraph {
-    /// Assemble a graph from an edge map. Used by the builder and by tests;
-    /// edge keys must be `(lower, higher)` ordered pairs (self-loops allowed)
-    /// with stats oriented lower→higher.
-    pub fn from_edge_map(
+    /// Assemble a graph from an edge map (any hasher; iteration order does
+    /// not matter). Edge keys must be `(lower, higher)` ordered pairs
+    /// (self-loops allowed) with stats oriented lower→higher.
+    pub fn from_edge_map<S>(
         facet_name: impl Into<String>,
         window_start: u64,
         window_len: u64,
-        edges: HashMap<(NodeId, NodeId), EdgeStats>,
+        edges: HashMap<(NodeId, NodeId), EdgeStats, S>,
     ) -> Self {
-        let mut node_set: Vec<NodeId> = edges.keys().flat_map(|(a, b)| [*a, *b]).collect();
-        node_set.sort_unstable();
-        node_set.dedup();
-        let index: HashMap<NodeId, u32> =
-            node_set.iter().enumerate().map(|(i, n)| (*n, i as u32)).collect();
-
-        let mut adj: Vec<Vec<(u32, EdgeStats)>> = vec![Vec::new(); node_set.len()];
-        let mut node_stats: Vec<NodeStats> = vec![NodeStats::default(); node_set.len()];
-        let mut totals = EdgeStats::default();
+        // Pass 1: intern endpoints in discovery order — one cheap probe
+        // each, no sort over 2·E endpoints — and count degrees.
+        let mut index: HashMap<NodeId, u32, FixedState> = HashMap::default();
+        let mut found: Vec<NodeId> = Vec::new();
+        let mut degree: Vec<u32> = Vec::new();
+        let mut intern = |n: NodeId| {
+            let id = *index.entry(n).or_insert_with(|| {
+                found.push(n);
+                degree.push(0);
+                found.len() as u32 - 1
+            });
+            degree[id as usize] += 1;
+            id
+        };
         let edge_count = edges.len();
-
-        for ((a, b), stats) in &edges {
-            let (ia, ib) = (index[a], index[b]);
+        let mut resolved = Vec::with_capacity(edge_count);
+        for ((a, b), stats) in edges {
             debug_assert!(a <= b, "edge keys must be ordered");
-            totals.absorb(stats);
-            if ia == ib {
-                adj[ia as usize].push((ib, *stats));
-                let ns = &mut node_stats[ia as usize];
+            let ia = intern(a);
+            resolved.push((ia, if a == b { ia } else { intern(b) }, stats));
+        }
+        // Rank the discovered nodes: dense indices follow `NodeId` order.
+        let mut order: Vec<u32> = (0..found.len() as u32).collect();
+        order.sort_unstable_by_key(|&p| found[p as usize]);
+        let mut rank = vec![0u32; found.len()];
+        for (r, &p) in order.iter().enumerate() {
+            rank[p as usize] = r as u32;
+        }
+
+        // Pass 2: fill adjacency lists allocated at their final size.
+        let mut adj: Vec<Vec<(u32, EdgeStats)>> =
+            order.iter().map(|&p| Vec::with_capacity(degree[p as usize] as usize)).collect();
+        let mut totals = EdgeStats::default();
+        for (pa, pb, stats) in resolved {
+            let (ia, ib) = (rank[pa as usize], rank[pb as usize]);
+            totals.absorb(&stats);
+            adj[ia as usize].push((ib, stats));
+            if ia != ib {
+                adj[ib as usize].push((ia, stats.reversed()));
+            }
+        }
+        let mut node_stats = vec![NodeStats::default(); adj.len()];
+        for (list, ns) in adj.iter_mut().zip(&mut node_stats) {
+            list.sort_unstable_by_key(|(n, _)| *n);
+            // Each incident edge is in the list once (a self-loop too).
+            for (_, stats) in list.iter() {
                 ns.bytes += stats.bytes();
                 ns.pkts += stats.pkts();
                 ns.conns += stats.conns;
                 ns.degree += 1;
-            } else {
-                adj[ia as usize].push((ib, *stats));
-                adj[ib as usize].push((ia, stats.reversed()));
-                for (i, s) in [(ia, stats), (ib, stats)] {
-                    let ns = &mut node_stats[i as usize];
-                    ns.bytes += s.bytes();
-                    ns.pkts += s.pkts();
-                    ns.conns += s.conns;
-                    ns.degree += 1;
-                }
             }
-        }
-        for list in &mut adj {
-            list.sort_unstable_by_key(|(n, _)| *n);
         }
         CommGraph {
             facet_name: facet_name.into(),
             window_start,
             window_len,
-            nodes: node_set,
-            index,
+            nodes: order.iter().map(|&p| found[p as usize]).collect(),
             adj,
             node_stats,
             totals,
@@ -124,9 +137,9 @@ impl CommGraph {
         self.nodes[idx as usize]
     }
 
-    /// Dense index of a node id.
+    /// Dense index of a node id (a binary search: nodes are sorted).
     pub fn index_of(&self, node: &NodeId) -> Option<u32> {
-        self.index.get(node).copied()
+        self.nodes.binary_search(node).ok().map(|i| i as u32)
     }
 
     /// Neighbor list of a node: `(neighbor index, stats oriented outward)`.
@@ -349,6 +362,94 @@ mod tests {
         assert_eq!(j["nodes"], 3);
         assert_eq!(j["edges"], 3);
         assert_eq!(j["top_talkers"].as_array().unwrap().len(), 2);
+    }
+
+    /// The assembly this kernel replaced (sort + dedup over all endpoints,
+    /// SipHash index, adjacency grown from empty), kept as the oracle.
+    #[allow(clippy::type_complexity)]
+    fn parent_assembly(
+        edges: &HashMap<(NodeId, NodeId), EdgeStats>,
+    ) -> (Vec<NodeId>, Vec<Vec<(u32, EdgeStats)>>, Vec<NodeStats>, EdgeStats, usize) {
+        let mut nodes: Vec<NodeId> = edges.keys().flat_map(|(a, b)| [*a, *b]).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        let index: HashMap<NodeId, u32> =
+            nodes.iter().enumerate().map(|(i, n)| (*n, i as u32)).collect();
+        let mut adj = vec![Vec::new(); nodes.len()];
+        let mut node_stats = vec![NodeStats::default(); nodes.len()];
+        let mut totals = EdgeStats::default();
+        for ((a, b), stats) in edges {
+            let (ia, ib) = (index[a], index[b]);
+            totals.absorb(stats);
+            adj[ia as usize].push((ib, *stats));
+            if ia != ib {
+                adj[ib as usize].push((ia, stats.reversed()));
+            }
+            for i in if ia == ib { vec![ia] } else { vec![ia, ib] } {
+                let ns: &mut NodeStats = &mut node_stats[i as usize];
+                ns.bytes += stats.bytes();
+                ns.pkts += stats.pkts();
+                ns.conns += stats.conns;
+                ns.degree += 1;
+            }
+        }
+        for list in &mut adj {
+            list.sort_unstable_by_key(|(n, _)| *n);
+        }
+        (nodes, adj, node_stats, totals, edges.len())
+    }
+
+    fn assert_matches_parent(edges: HashMap<(NodeId, NodeId), EdgeStats>) {
+        let (nodes, adj, node_stats, totals, edge_count) = parent_assembly(&edges);
+        let g = CommGraph::from_edge_map("mixed", 0, 60, edges);
+        assert_eq!(g.nodes(), nodes);
+        assert_eq!(g.totals(), totals);
+        assert_eq!(g.edge_count(), edge_count);
+        for (i, n) in nodes.iter().enumerate() {
+            assert_eq!(g.index_of(n), Some(i as u32));
+            assert_eq!(g.neighbors(i as u32), adj[i], "adjacency of {n}");
+            assert_eq!(g.node_stats(i as u32), node_stats[i], "stats of {n}");
+        }
+    }
+
+    #[test]
+    fn assembly_matches_the_parent_kernel() {
+        assert_matches_parent(HashMap::new());
+        let v4 = |d: u8| Ipv4Addr::new(10, 0, d / 16, d);
+        // Self-loops, OTHER, and every key kind sharing one map.
+        let mixed = [
+            NodeId::Ip(v4(1)),
+            NodeId::Ip(v4(200)),
+            NodeId::IpPort(v4(1), 443),
+            NodeId::IpPort(v4(1), 8080),
+            NodeId::Service(0),
+            NodeId::Service(9),
+            NodeId::Other,
+        ];
+        let mut edges = HashMap::new();
+        for (i, a) in mixed.iter().enumerate() {
+            for (j, b) in mixed.iter().enumerate().skip(i) {
+                if (i + j) % 3 != 1 {
+                    edges.insert(
+                        (*a.min(b), *a.max(b)),
+                        edge((i * 700 + j) as u64, j as u64, 1 + i as u64),
+                    );
+                }
+            }
+        }
+        assert!(edges.contains_key(&(NodeId::Other, NodeId::Other)), "OTHER self-loop present");
+        assert_matches_parent(edges);
+        // A dense block of plain IPs: 40 nodes, 820 edges with self-loops.
+        let mut dense = HashMap::new();
+        for a in 0..40u8 {
+            for b in a..40 {
+                dense.insert(
+                    (NodeId::Ip(v4(a)), NodeId::Ip(v4(b))),
+                    edge(a as u64 * 100, b as u64, 2),
+                );
+            }
+        }
+        assert_matches_parent(dense);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //!   double-report dedup rule for per-NIC telemetry and windowing.
 //! * [`graph`] — the immutable snapshot with CSR adjacency, matrix export,
 //!   and DOT/JSON serialization.
+//! * [`hash`] — the fixed fast hasher behind the edge table and node index.
 //! * [`collapse`] — heavy-hitter collapsing: nodes below a traffic-share
 //!   threshold fold into one `Other` node, the paper's §3.2 mitigation that
 //!   bounds memory on graphs with many small remote peers.
@@ -36,6 +37,7 @@ pub mod diff;
 pub mod error;
 pub mod export;
 pub mod graph;
+pub mod hash;
 pub mod node;
 pub mod series;
 pub mod stats;

@@ -73,7 +73,7 @@ pub const METRICS: &[MetricDef] = &[
     MetricDef {
         name: "commgraph_engine_batches_total",
         kind: MetricKind::Counter,
-        help: "Batches offered to StreamEngine::ingest.",
+        help: "Batches offered to the engine's ingest calls.",
         labels: &[],
     },
     MetricDef {
@@ -85,13 +85,13 @@ pub const METRICS: &[MetricDef] = &[
     MetricDef {
         name: "commgraph_engine_ingest_seconds",
         kind: MetricKind::Histogram,
-        help: "Wall-clock seconds per ingest call (shard + enqueue, including backpressure).",
+        help: "Wall-clock seconds per ingest call (telemetry + staging, including backpressure).",
         labels: &[],
     },
     MetricDef {
         name: "commgraph_engine_records_in_total",
         kind: MetricKind::Counter,
-        help: "Records offered to StreamEngine::ingest.",
+        help: "Records offered to the engine's ingest calls.",
         labels: &[],
     },
     MetricDef {
@@ -103,13 +103,13 @@ pub const METRICS: &[MetricDef] = &[
     MetricDef {
         name: "commgraph_engine_shard_edge_entries",
         kind: MetricKind::Gauge,
-        help: "Distinct edge entries held by one shard at finish.",
+        help: "Distinct edge entries held by one shard thread when it assembled its graphs.",
         labels: &["shard"],
     },
     MetricDef {
         name: "commgraph_engine_worker_busy_seconds",
         kind: MetricKind::Histogram,
-        help: "Per-worker time spent aggregating batches over the engine's lifetime.",
+        help: "Seconds one shard thread spent aggregating one batch (`worker` is the shard index); the sum is its busy time.",
         labels: &["worker"],
     },
     MetricDef {
@@ -241,7 +241,7 @@ pub const METRICS: &[MetricDef] = &[
     MetricDef {
         name: "commgraph_shard_subscription_entries",
         kind: MetricKind::Gauge,
-        help: "Subscriptions resident in one shard slot of the sharded engine.",
+        help: "Subscriptions resident on one shard thread of the sharded engine.",
         labels: &["shard"],
     },
     MetricDef {
@@ -253,8 +253,8 @@ pub const METRICS: &[MetricDef] = &[
     MetricDef {
         name: "commgraph_subscription_dedup_dropped_records_total",
         kind: MetricKind::Counter,
-        help: "Duplicate flush batches discarded by delivery dedup at the sharded front door, in records, per subscription.",
-        labels: &["subscription"],
+        help: "Flush batches refused by delivery dedup at the sharded front door (re-delivered, or too late to tell), in records, per subscription.",
+        labels: &["subscription", "outcome"],
     },
     MetricDef {
         name: "commgraph_subscription_dirty_nodes",

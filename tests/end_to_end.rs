@@ -101,7 +101,6 @@ fn engine_matches_builder_on_simulated_stream() {
     let monitored = monitored_of(&sim);
 
     let mut engine = StreamEngine::new(EngineConfig {
-        workers: 4,
         facet: Facet::Ip,
         window_len: 3600,
         monitored: Some(monitored.clone()),

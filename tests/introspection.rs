@@ -63,7 +63,6 @@ fn exercise_everything(o: &obs::Obs, scraper: &Arc<obs::Scraper>, alerts: &Arc<o
     root.attr("records", &records.len().to_string());
 
     let mut engine = StreamEngine::new(EngineConfig {
-        workers: 2,
         monitored: Some(monitored.clone()),
         obs: o.clone(),
         ..Default::default()
@@ -77,12 +76,8 @@ fn exercise_everything(o: &obs::Obs, scraper: &Arc<obs::Scraper>, alerts: &Arc<o
     // The sharded front door registers the per-subscription and per-shard
     // health families (records/watermark/roll-lag/residency) plus the
     // cardinality-cap overflow counter.
-    let mut sharded = ShardedEngine::new(ShardedConfig {
-        obs: o.clone(),
-        engine: EngineConfig { workers: 2, ..Default::default() },
-        ..Default::default()
-    })
-    .unwrap();
+    let mut sharded =
+        ShardedEngine::new(ShardedConfig { obs: o.clone(), ..Default::default() }).unwrap();
     let half = records.len() / 2;
     sharded.ingest("tenant-a", &records[..half]).unwrap();
     sharded.ingest("tenant-b", &records[half..]).unwrap();
@@ -328,12 +323,8 @@ fn query_range_serves_byte_identical_documents_across_same_seed_runs() {
         let mut sim =
             Simulator::new(preset.topology_scaled(0.25), preset.default_sim_config()).unwrap();
         let records = sim.collect(8);
-        let mut sharded = ShardedEngine::new(ShardedConfig {
-            obs: o,
-            engine: EngineConfig { workers: 2, ..Default::default() },
-            ..Default::default()
-        })
-        .unwrap();
+        let mut sharded =
+            ShardedEngine::new(ShardedConfig { obs: o, ..Default::default() }).unwrap();
         let mut tick = 0;
         for chunk in records.chunks(512) {
             sharded.ingest("tenant-a", chunk).unwrap();

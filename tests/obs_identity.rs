@@ -39,7 +39,6 @@ struct Fingerprint {
 
 fn run(obs: Obs, records: &[ConnSummary], monitored: &HashSet<Ipv4Addr>) -> Fingerprint {
     let mut engine = StreamEngine::new(EngineConfig {
-        workers: 3,
         monitored: Some(monitored.clone()),
         obs: obs.clone(),
         ..Default::default()
