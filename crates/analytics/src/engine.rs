@@ -1,13 +1,9 @@
-//! Engine configuration and counters, and [`StreamEngine`]: the
-//! one-tenant face of [`crate::sharded`] (one shard thread, one
-//! subscription) for single-stream callers and reference runs. Its own
-//! pool of edge-hashed workers is gone: the single producer saturated
-//! before they did, so the parallel axis is subscriptions, not edges.
+//! Engine configuration and counters: what every shard thread of
+//! [`crate::sharded::ShardedEngine`] aggregates under, and what one
+//! subscription's run reports back. A single-stream caller asks for one
+//! shard and one subscription; there is no separate one-tenant engine.
 
-use crate::error::Result;
-use crate::sharded::{ShardedConfig, ShardedEngine};
-use commgraph_graph::{CommGraph, Facet};
-use flowlog::record::ConnSummary;
+use commgraph_graph::Facet;
 use obs::Obs;
 use serde::Serialize;
 use std::collections::HashSet;
@@ -66,35 +62,11 @@ impl EngineStats {
     }
 }
 
-/// A one-subscription engine. Create, `ingest` batches, then `finish`.
-pub struct StreamEngine(ShardedEngine);
-
-impl StreamEngine {
-    /// Spawn the shard thread.
-    pub fn new(cfg: EngineConfig) -> Result<Self> {
-        let front = ShardedConfig { shards: 1, engine: cfg, obs: Obs::noop(), label_cap: 0 };
-        ShardedEngine::new(front).map(StreamEngine)
-    }
-
-    /// Offer a batch; blocks when the shard's queue is full (backpressure).
-    pub fn ingest(&mut self, records: &[ConnSummary]) -> Result<()> {
-        self.0.ingest("", records)
-    }
-
-    /// Drain the shard and return one graph per window, in time order.
-    pub fn finish(self) -> Result<(Vec<CommGraph>, EngineStats)> {
-        let (mut reports, _) = self.0.finish()?;
-        Ok(reports.pop().map(|r| (r.graphs, r.stats)).unwrap_or_default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use commgraph_graph::GraphBuilder;
-    use flowlog::record::FlowKey;
-    use flowlog::time::bucket_start;
-    use std::collections::HashMap;
+    use crate::sharded::{ShardedConfig, ShardedEngine};
+    use flowlog::record::{ConnSummary, FlowKey};
 
     fn ip(a: u8, b: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 0, a, b)
@@ -118,90 +90,24 @@ mod tests {
             .collect()
     }
 
-    /// The engine must produce exactly what a single-threaded builder does.
-    #[test]
-    fn matches_single_threaded_builder() {
-        let recs = records(5000);
-        let mut engine =
-            StreamEngine::new(EngineConfig { window_len: 3600, ..Default::default() }).unwrap();
-        for chunk in recs.chunks(512) {
-            engine.ingest(chunk).unwrap();
+    /// One subscription through a one-shard engine configured by `engine`,
+    /// in batches of `chunk`: its stats.
+    fn run(engine: EngineConfig, recs: &[ConnSummary], chunk: usize) -> EngineStats {
+        let mut e =
+            ShardedEngine::new(ShardedConfig { shards: 1, engine, ..Default::default() }).unwrap();
+        for batch in recs.chunks(chunk) {
+            e.ingest("sub", batch).unwrap();
         }
-        let (graphs, stats) = engine.finish().unwrap();
-
-        // Reference: one GraphBuilder per window.
-        let mut ref_builders: HashMap<u64, GraphBuilder> = HashMap::new();
-        for r in &recs {
-            let w = bucket_start(r.ts, 3600);
-            ref_builders.entry(w).or_insert_with(|| GraphBuilder::new(Facet::Ip, w, 3600)).add(r);
-        }
-        assert_eq!(graphs.len(), ref_builders.len());
-        for g in &graphs {
-            let reference = ref_builders.remove(&g.window_start()).unwrap().finish();
-            assert_eq!(g.node_count(), reference.node_count());
-            assert_eq!(g.edge_count(), reference.edge_count());
-            assert_eq!(g.totals(), reference.totals());
-            // Spot-check each edge.
-            for i in 0..g.node_count() as u32 {
-                for (j, stats) in g.neighbors(i) {
-                    let ri = reference.index_of(&g.node(i)).expect("node exists");
-                    let rj = reference.index_of(&g.node(*j)).expect("node exists");
-                    assert_eq!(reference.edge(ri, rj).expect("edge exists"), *stats);
-                }
-            }
-        }
-        assert_eq!(stats.records_in, 5000);
-        assert_eq!(stats.records_kept, 5000, "no dedup configured");
-        assert!(stats.records_per_sec() > 0.0);
-    }
-
-    #[test]
-    fn dedup_matches_builder_dedup() {
-        let base = records(200);
-        // Duplicate every record from the peer's vantage; both ends monitored.
-        let mut recs = base.clone();
-        recs.extend(base.iter().map(|r| r.mirrored()));
-        let monitored: HashSet<Ipv4Addr> =
-            recs.iter().flat_map(|r| [r.key.local_ip, r.key.remote_ip]).collect();
-
-        let mut engine = StreamEngine::new(EngineConfig {
-            monitored: Some(monitored.clone()),
-            ..Default::default()
-        })
-        .unwrap();
-        engine.ingest(&recs).unwrap();
-        let (graphs, stats) = engine.finish().unwrap();
-        assert_eq!(stats.records_kept, 200, "each flow counted once");
-        let total: u64 = graphs.iter().map(|g| g.totals().bytes()).sum();
-        let expect: u64 = base.iter().map(|r| r.bytes_total()).sum();
-        assert_eq!(total, expect);
-    }
-
-    #[test]
-    fn ingest_after_finish_is_rejected() {
-        let engine = StreamEngine::new(EngineConfig::default()).unwrap();
-        let (graphs, _) = engine.finish().unwrap();
-        assert!(graphs.is_empty());
-    }
-
-    #[test]
-    fn invalid_configs_rejected() {
-        assert!(StreamEngine::new(EngineConfig { window_len: 0, ..Default::default() }).is_err());
+        let (mut reports, _) = e.finish().unwrap();
+        reports.pop().map(|r| r.stats).unwrap_or_default()
     }
 
     #[test]
     fn metrics_agree_with_returned_stats() {
         let registry = std::sync::Arc::new(obs::Registry::new());
         let recs = records(300);
-        let mut e = StreamEngine::new(EngineConfig {
-            obs: Obs::new(registry.clone()),
-            ..Default::default()
-        })
-        .unwrap();
-        for chunk in recs.chunks(100) {
-            e.ingest(chunk).unwrap();
-        }
-        let (_, stats) = e.finish().unwrap();
+        let cfg = EngineConfig { obs: Obs::new(registry.clone()), ..Default::default() };
+        let stats = run(cfg, &recs, 100);
 
         let records_in = registry.counter("commgraph_engine_records_in_total", "", &[]).get();
         let kept = registry.counter("commgraph_engine_records_kept_total", "", &[]).get();
@@ -235,14 +141,12 @@ mod tests {
         recs.extend(base.iter().map(|r| r.mirrored()));
         let monitored: HashSet<Ipv4Addr> =
             recs.iter().flat_map(|r| [r.key.local_ip, r.key.remote_ip]).collect();
-        let mut e = StreamEngine::new(EngineConfig {
+        let cfg = EngineConfig {
             monitored: Some(monitored),
             obs: Obs::new(registry.clone()),
             ..Default::default()
-        })
-        .unwrap();
-        e.ingest(&recs).unwrap();
-        let (_, stats) = e.finish().unwrap();
+        };
+        let stats = run(cfg, &recs, recs.len());
         assert_eq!(stats.records_kept, 100);
         let dropped = registry.counter("commgraph_engine_dropped_records_total", "", &[]).get();
         assert_eq!(dropped, 100, "every mirrored duplicate counted as dropped");
@@ -257,18 +161,8 @@ mod tests {
         let nan = EngineStats { records_in: 5, elapsed_secs: f64::NAN, ..EngineStats::default() };
         assert_eq!(nan.records_per_sec(), 0.0);
         // A never-ingested engine reports elapsed 0.0 end to end.
-        let engine = StreamEngine::new(EngineConfig::default()).unwrap();
-        let (_, s) = engine.finish().unwrap();
+        let s = run(EngineConfig::default(), &[], 1);
         assert_eq!(s.elapsed_secs, 0.0);
         assert_eq!(s.records_per_sec(), 0.0);
-    }
-
-    #[test]
-    fn empty_run_produces_no_graphs() {
-        let mut e = StreamEngine::new(EngineConfig::default()).unwrap();
-        e.ingest(&[]).unwrap();
-        let (graphs, stats) = e.finish().unwrap();
-        assert!(graphs.is_empty());
-        assert_eq!(stats.records_in, 0);
     }
 }

@@ -10,8 +10,8 @@
 //!   [`commgraph_graph::GraphBuilder`] per subscription and window) and
 //!   assembles the snapshots. Shards share no state, so nothing is merged
 //!   and the result is bit-identical to a single-threaded build.
-//! * [`engine`] — the engine's configuration and counters, and
-//!   `StreamEngine`, the one-subscription face of the same pool.
+//! * [`engine`] — the engine's configuration and counters. A single
+//!   stream is one subscription on a one-shard pool.
 //! * [`sketch`] — SpaceSaving heavy-hitter tracking, the streaming
 //!   counterpart of the offline collapse threshold.
 //! * [`countmin`] — Count-Min point estimates for arbitrary edges in fixed
@@ -35,7 +35,7 @@ pub mod sketch;
 
 pub use cogs::{CogsModel, CogsReport};
 pub use countmin::CountMin;
-pub use engine::{EngineConfig, EngineStats, StreamEngine};
+pub use engine::{EngineConfig, EngineStats};
 pub use error::{Error, Result};
 pub use sharded::{ShardedConfig, ShardedEngine, ShardedStats, SubscriptionReport};
 pub use sketch::SpaceSaving;

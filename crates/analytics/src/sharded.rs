@@ -394,7 +394,6 @@ impl ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::StreamEngine;
     use commgraph_graph::{EdgeStats, NodeId};
     use flowlog::record::FlowKey;
     use std::net::Ipv4Addr;
@@ -444,13 +443,15 @@ mod tests {
         let subs: Vec<(String, Vec<ConnSummary>)> =
             (0..5u8).map(|s| (format!("sub-{s}"), records(s, 1500 + 100 * s as u32))).collect();
 
-        // Reference: one direct engine per subscription.
+        // Reference: one one-shard engine per subscription.
         let mut reference = BTreeMap::new();
         for (name, recs) in &subs {
-            let mut e = StreamEngine::new(EngineConfig::default()).unwrap();
-            e.ingest(recs).unwrap();
-            let (graphs, stats) = e.finish().unwrap();
-            reference.insert(name.clone(), (fingerprint(&graphs), stats));
+            let mut e =
+                ShardedEngine::new(ShardedConfig { shards: 1, ..Default::default() }).unwrap();
+            e.ingest(name, recs).unwrap();
+            let (mut reports, _) = e.finish().unwrap();
+            let report = reports.pop().expect("one subscription");
+            reference.insert(name.clone(), (fingerprint(&report.graphs), report.stats));
         }
 
         for shards in [1, 2, 4] {
@@ -804,7 +805,7 @@ mod tests {
         let [doomed, fine] = one_name_per_shard();
         front.ingest(&doomed, &records(1, 100)).unwrap();
         front.ingest(&fine, &records(2, 100)).unwrap();
-        let err = front.finish().err().expect("a dead shard fails finish");
+        let err = front.finish().expect_err("a dead shard fails finish");
         let Error::WorkerFailed(message) = err else { panic!("wrong error: {err:?}") };
         assert!(message.contains("shard 0") && message.contains(&doomed), "{message}");
         assert!(!message.contains(&fine), "only the dead shard's subscriptions are lost");

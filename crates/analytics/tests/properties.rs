@@ -1,7 +1,7 @@
 //! Property-based tests for the analytics tier.
 
 use analytics::countmin::CountMin;
-use analytics::engine::{EngineConfig, StreamEngine};
+use analytics::engine::EngineConfig;
 use analytics::sharded::{ShardedConfig, ShardedEngine};
 use analytics::sketch::SpaceSaving;
 use commgraph_graph::diff::dirty_nodes;
@@ -154,46 +154,6 @@ proptest! {
                     }
                 }
             }
-        }
-    }
-
-    /// The engine produces exactly the single-threaded result for any
-    /// record stream and any batch size.
-    #[test]
-    fn engine_equals_builder(
-        records in arb_records(),
-        chunk in 1usize..64,
-    ) {
-        let mut engine = StreamEngine::new(EngineConfig {
-            facet: Facet::Ip,
-            window_len: 3600,
-            monitored: None,
-            queue_depth: 2,
-            ..Default::default()
-        })
-        .expect("valid");
-        for batch in records.chunks(chunk) {
-            engine.ingest(batch).expect("ingest");
-        }
-        let (graphs, stats) = engine.finish().expect("drain");
-
-        let mut per_window: HashMap<u64, GraphBuilder> = HashMap::new();
-        for r in &records {
-            per_window
-                .entry(flowlog::time::bucket_start(r.ts, 3600))
-                .or_insert_with(|| GraphBuilder::new(Facet::Ip, 0, 3600))
-                .add(r);
-        }
-        prop_assert_eq!(graphs.len(), per_window.len());
-        prop_assert_eq!(stats.records_in as usize, records.len());
-        for g in &graphs {
-            let reference = per_window
-                .remove(&g.window_start())
-                .expect("window exists")
-                .finish();
-            prop_assert_eq!(g.node_count(), reference.node_count());
-            prop_assert_eq!(g.edge_count(), reference.edge_count());
-            prop_assert_eq!(g.totals(), reference.totals());
         }
     }
 

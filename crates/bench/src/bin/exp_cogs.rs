@@ -13,7 +13,7 @@
 //!    against the $0.02/hr market target.
 
 use analytics::cogs::CogsModel;
-use analytics::engine::{EngineConfig, StreamEngine};
+use analytics::engine::EngineConfig;
 use analytics::memory::{builder_bytes, human_bytes, snapshot_bytes};
 use analytics::sharded::{ShardedConfig, ShardedEngine};
 use analytics::sketch::SpaceSaving;
@@ -61,14 +61,16 @@ fn main() {
     }
 
     // 2. Memory: full graph vs collapsed vs sketch.
-    let mut engine = StreamEngine::new(EngineConfig {
-        monitored: Some(run.monitored.clone()),
+    let mut engine = ShardedEngine::new(ShardedConfig {
+        shards: 1,
+        engine: EngineConfig { monitored: Some(run.monitored.clone()), ..Default::default() },
         ..Default::default()
     })
     .expect("config is valid");
-    engine.ingest(records).expect("engine accepts batches");
-    let (graphs, stats) = engine.finish().expect("engine drains");
-    let g = &graphs[0];
+    engine.ingest("all", records).expect("engine accepts batches");
+    let (mut reports, _) = engine.finish().expect("engine drains");
+    let report = reports.pop().expect("one subscription ingested");
+    let (g, stats) = (&report.graphs[0], &report.stats);
     let collapsed = collapse_default(g);
     let mut sketch: SpaceSaving<(commgraph_graph::NodeId, commgraph_graph::NodeId)> =
         SpaceSaving::new(4096);

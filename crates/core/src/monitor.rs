@@ -14,19 +14,26 @@
 //!
 //! Feed it minute batches with [`SecurityMonitor::ingest`]; events come back
 //! as windows close.
+//!
+//! Windowing is not the monitor's: it is a client of the window roll
+//! ([`commgraph_graph::builder::WindowedBuilder`]), which says what became
+//! of each record and hands over each closed window's graph exactly once.
+//! The monitor buffers the open window's raw records beside it (policy
+//! checks and learning read records, not edges) and reacts to the hand-over.
 
-use crate::anomaly::PatternModel;
+use crate::anomaly::{AnomalyError, PatternModel};
 use crate::workbench::Workbench;
 use commgraph_graph::collapse::collapse_default;
 use commgraph_graph::diff::diff;
-use commgraph_graph::{CommGraph, Facet, GraphBuilder};
+use commgraph_graph::{CommGraph, Facet, Outcome, WindowedBuilder};
 use flowlog::record::ConnSummary;
 use flowlog::time::bucket_start;
 use obs::{Counter, Gauge, Histogram, Level, Obs};
-use segment::{SegmentPolicy, Segmentation, Violation, ViolationDetector};
+use segment::{Violation, ViolationDetector};
 use serde::Serialize;
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Monitor configuration.
 #[derive(Debug, Clone)]
@@ -93,13 +100,17 @@ pub enum MonitorEvent {
 
 /// Phase of the monitor's lifecycle.
 enum Phase {
-    Learning { windows_done: usize, records: Vec<ConnSummary> },
+    /// The learning windows closed so far: their records, and one collapsed
+    /// graph per window, in time order.
+    Learning {
+        records: Vec<ConnSummary>,
+        graphs: Vec<CommGraph>,
+    },
     Enforcing(Box<Baseline>),
 }
 
 struct Baseline {
-    segmentation: Segmentation,
-    policy: SegmentPolicy,
+    detector: ViolationDetector,
     model: PatternModel,
     threshold: f64,
     previous_window: Option<CommGraph>,
@@ -181,9 +192,10 @@ impl MonitorMetrics {
 /// The continuous monitor. See module docs for the lifecycle.
 pub struct SecurityMonitor {
     cfg: MonitorConfig,
-    monitored: HashSet<Ipv4Addr>,
+    monitored: Arc<HashSet<Ipv4Addr>>,
     phase: Phase,
-    current_window_start: Option<u64>,
+    roll: WindowedBuilder,
+    /// The open window's raw records, vantage duplicates included.
     current_records: Vec<ConnSummary>,
     /// Records dropped since the open window started because their own
     /// window had already closed; reported when the open window closes.
@@ -212,11 +224,12 @@ impl SecurityMonitor {
     pub fn with_obs(cfg: MonitorConfig, monitored: HashSet<Ipv4Addr>, obs: Obs) -> Self {
         assert!(cfg.learn_windows >= 2, "need >= 2 learning windows");
         let metrics = MonitorMetrics::resolve(&obs);
+        let monitored = Arc::new(monitored);
         SecurityMonitor {
+            roll: WindowedBuilder::new(Facet::Ip, cfg.window_len).with_monitored(monitored.clone()),
             cfg,
             monitored,
-            phase: Phase::Learning { windows_done: 0, records: Vec::new() },
-            current_window_start: None,
+            phase: Phase::Learning { records: Vec::new(), graphs: Vec::new() },
             current_records: Vec::new(),
             dropped_behind: 0,
             obs,
@@ -234,27 +247,22 @@ impl SecurityMonitor {
     /// that closed.
     ///
     /// Timestamps may jitter within the open window. A record whose window
-    /// is *behind* the open one is dropped — the `WindowedBuilder::add` rule:
-    /// re-opening a closed window would emit it twice — and the drops are
-    /// reported in one `warn` event when the open window closes.
+    /// is *behind* the open one is dropped (the roll never re-opens a closed
+    /// window: that would emit it twice), and the drops are reported in one
+    /// `warn` event when the open window closes.
     pub fn ingest(&mut self, batch: &[ConnSummary]) -> Vec<MonitorEvent> {
         let mut events = Vec::new();
         for r in batch {
-            let w = bucket_start(r.ts, self.cfg.window_len);
-            match self.current_window_start {
-                None => self.current_window_start = Some(w),
-                Some(current) if w > current => {
-                    self.close_window(current, &mut events);
-                    self.metrics.roll_lag.record(r.ts.saturating_sub(w) as f64);
-                    self.current_window_start = Some(w);
-                }
-                Some(current) if w < current => {
-                    self.dropped_behind += 1;
-                    continue;
-                }
-                _ => {}
+            let (outcome, closed) = self.roll.add(r);
+            if let Some(graph) = closed {
+                self.close_window(&graph, &mut events);
+                let lag = r.ts - bucket_start(r.ts, self.cfg.window_len);
+                self.metrics.roll_lag.record(lag as f64);
             }
-            self.current_records.push(*r);
+            match outcome {
+                Outcome::Behind => self.dropped_behind += 1,
+                Outcome::Kept | Outcome::Deduped => self.current_records.push(*r),
+            }
         }
         events
     }
@@ -262,13 +270,15 @@ impl SecurityMonitor {
     /// Force-close the open window (end of stream).
     pub fn flush(&mut self) -> Vec<MonitorEvent> {
         let mut events = Vec::new();
-        if let Some(w) = self.current_window_start.take() {
-            self.close_window(w, &mut events);
+        if let Some(graph) = self.roll.finish() {
+            self.close_window(&graph, &mut events);
         }
         events
     }
 
-    fn close_window(&mut self, window_start: u64, events: &mut Vec<MonitorEvent>) {
+    /// React to the roll handing over a closed window's `graph`.
+    fn close_window(&mut self, graph: &CommGraph, events: &mut Vec<MonitorEvent>) {
+        let window_start = graph.window_start();
         let records = std::mem::take(&mut self.current_records);
         let dropped = std::mem::take(&mut self.dropped_behind);
         if dropped > 0 && self.obs.logs(Level::Warn) {
@@ -286,38 +296,44 @@ impl SecurityMonitor {
             tspan.attr("window_start", &window_start.to_string());
             tspan.attr("records", &records.len().to_string());
         }
+        let graph = collapse_default(graph);
         match &mut self.phase {
-            Phase::Learning { windows_done, records: learned } => {
+            Phase::Learning { records: learned, graphs } => {
                 learned.extend_from_slice(&records);
-                *windows_done += 1;
+                graphs.push(graph);
                 self.metrics.windows_learning.inc();
                 if tspan.is_enabled() {
                     tspan.attr("phase", "learning");
                 }
-                if *windows_done >= self.cfg.learn_windows {
-                    let learned = std::mem::take(learned);
-                    let done = *windows_done;
-                    let baseline = match self.build_baseline(learned, done) {
-                        Ok(b) => b,
-                        Err((learned, reason)) => {
+                if graphs.len() >= self.cfg.learn_windows {
+                    let (model, threshold) = match fit_model(&self.cfg, graphs) {
+                        Ok(fitted) => fitted,
+                        Err(e) => {
                             // Degenerate learning data (e.g. an empty or
-                            // unscorable first window): keep the records,
-                            // stay in learning, retry next boundary.
+                            // unscorable first window): keep what was
+                            // learned, stay in learning, retry next boundary.
                             if self.obs.logs(Level::Warn) {
                                 self.obs.event(
                                     Level::Warn,
                                     "monitor",
                                     "baseline deferred",
-                                    &[("reason", reason)],
+                                    &[("reason", e.to_string())],
                                 );
                             }
-                            self.phase = Phase::Learning { windows_done: done, records: learned };
                             return;
                         }
                     };
-                    self.metrics.baseline_segments.set(baseline.segmentation.len() as f64);
-                    self.metrics.baseline_allow_rules.set(baseline.policy.rule_count() as f64);
-                    self.metrics.baseline_threshold.set(baseline.threshold);
+                    // Segmentation and policy learn from every learning
+                    // window's records.
+                    let done = graphs.len();
+                    let mut wb = Workbench::new(std::mem::take(learned), (*self.monitored).clone())
+                        .with_obs(self.obs.clone());
+                    let (segmentation, policy) = (wb.segmentation().clone(), wb.policy().clone());
+                    let (segments, allow_rules) = (segmentation.len(), policy.rule_count());
+                    let detector = ViolationDetector::new(segmentation, policy);
+                    self.metrics.baseline_segments.set(segments as f64);
+                    self.metrics.baseline_allow_rules.set(allow_rules as f64);
+                    self.metrics.baseline_threshold.set(threshold);
                     if self.obs.logs(Level::Info) {
                         self.obs.event(
                             Level::Info,
@@ -325,32 +341,25 @@ impl SecurityMonitor {
                             "baseline ready",
                             &[
                                 ("windows", done.to_string()),
-                                ("segments", baseline.segmentation.len().to_string()),
-                                ("allow_rules", baseline.policy.rule_count().to_string()),
-                                ("anomaly_threshold", format!("{:.4}", baseline.threshold)),
+                                ("segments", segments.to_string()),
+                                ("allow_rules", allow_rules.to_string()),
+                                ("anomaly_threshold", format!("{threshold:.4}")),
                             ],
                         );
                     }
                     events.push(MonitorEvent::BaselineReady {
                         windows: done,
-                        segments: baseline.segmentation.len(),
-                        allow_rules: baseline.policy.rule_count(),
-                        anomaly_threshold: baseline.threshold,
+                        segments,
+                        allow_rules,
+                        anomaly_threshold: threshold,
                     });
+                    let baseline = Baseline { detector, model, threshold, previous_window: None };
                     self.phase = Phase::Enforcing(Box::new(baseline));
                 }
             }
             Phase::Enforcing(baseline) => {
-                // Build this window's collapsed graph.
-                let mut b = GraphBuilder::new(Facet::Ip, window_start, self.cfg.window_len)
-                    .with_monitored(self.monitored.clone());
-                b.add_all(&records);
-                let graph = collapse_default(&b.finish());
-
                 // Policy check.
-                let mut det =
-                    ViolationDetector::new(baseline.segmentation.clone(), baseline.policy.clone());
-                let violations = det.check_all(&records);
+                let violations = baseline.detector.check_all(&records);
 
                 // Anomaly score.
                 let score = baseline.model.score(&graph).map(|s| s.score).unwrap_or(f64::INFINITY);
@@ -431,47 +440,20 @@ impl SecurityMonitor {
             }
         }
     }
+}
 
-    /// Build the enforcement baseline from the learned records. On failure
-    /// the records come back to the caller so learning can continue.
-    fn build_baseline(
-        &self,
-        records: Vec<ConnSummary>,
-        windows: usize,
-    ) -> Result<Baseline, (Vec<ConnSummary>, String)> {
-        // Split the learning records by window: the first window fits the
-        // pattern model, the rest calibrate the threshold; segmentation and
-        // policy learn from everything.
-        let mut wb =
-            Workbench::new(records.clone(), self.monitored.clone()).with_obs(self.obs.clone());
-        let segmentation = wb.segmentation().clone();
-        let policy = wb.policy().clone();
-
-        let mut windows_graphs: Vec<CommGraph> = Vec::with_capacity(windows);
-        let mut starts: Vec<u64> =
-            records.iter().map(|r| bucket_start(r.ts, self.cfg.window_len)).collect();
-        starts.sort_unstable();
-        starts.dedup();
-        for w in starts {
-            let mut b = GraphBuilder::new(Facet::Ip, w, self.cfg.window_len)
-                .with_monitored(self.monitored.clone());
-            b.add_all(records.iter().filter(|r| bucket_start(r.ts, self.cfg.window_len) == w));
-            windows_graphs.push(collapse_default(&b.finish()));
-        }
-        let Some(first) = windows_graphs.first() else {
-            return Err((records, "no learning windows carried traffic".into()));
-        };
-        let model = match PatternModel::fit(first, self.cfg.anomaly_k) {
-            Ok(m) => m,
-            Err(e) => return Err((records, e.to_string())),
-        };
-        let threshold =
-            match model.calibrate_threshold(&windows_graphs[1..], self.cfg.anomaly_margin) {
-                Ok(t) => t,
-                Err(e) => return Err((records, e.to_string())),
-            };
-        Ok(Baseline { segmentation, policy, model, threshold, previous_window: None })
-    }
+/// Fit the pattern model on the first learning window's collapsed graph and
+/// calibrate its anomaly threshold on the rest.
+fn fit_model(
+    cfg: &MonitorConfig,
+    graphs: &[CommGraph],
+) -> Result<(PatternModel, f64), AnomalyError> {
+    let Some((first, rest)) = graphs.split_first() else {
+        return Err(AnomalyError::Fit("no learning windows".into()));
+    };
+    let model = PatternModel::fit(first, cfg.anomaly_k)?;
+    let threshold = model.calibrate_threshold(rest, cfg.anomaly_margin)?;
+    Ok((model, threshold))
 }
 
 #[cfg(test)]
@@ -658,62 +640,147 @@ mod tests {
             .all(|e| e.level == obs::Level::Warn));
     }
 
-    /// Regression: a straggler from an already-closed window used to close
-    /// the open window early and re-open the old one, so a window was
-    /// summarised twice and learning counted windows that never happened.
+    /// Regression, swept over straggler positions: a straggler from an
+    /// already-closed window used to close the open window early and re-open
+    /// the old one, so a window was summarised twice and learning counted
+    /// windows that never happened.
     #[test]
     fn late_record_never_reopens_a_closed_window() {
-        let preset = ClusterPreset::MicroserviceBench;
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        use std::collections::{BTreeMap, BTreeSet};
+        let preset = ClusterPreset::Portal;
         let mut sim =
-            Simulator::new(preset.topology_scaled(0.3), preset.default_sim_config()).unwrap();
+            Simulator::new(preset.topology_scaled(0.5), preset.default_sim_config()).unwrap();
         let monitored = monitored_of(&sim);
-        let registry = std::sync::Arc::new(obs::Registry::new());
-        let mut monitor =
-            SecurityMonitor::with_obs(cfg(), monitored, obs::Obs::new(registry.clone()));
+        let cfg = MonitorConfig { window_len: 300, ..cfg() };
+        let mut minutes: Vec<Vec<ConnSummary>> = Vec::new();
+        sim.run(24, |_, batch| minutes.push(batch.to_vec()));
 
-        // One straggler a window behind, in learning (minute 3's record
-        // delivered after minute 12) and in enforcing (22 after 32).
-        let mut events = Vec::new();
-        let mut held: Option<ConnSummary> = None;
-        sim.run(45, |minute, batch| {
-            events.extend(monitor.ingest(batch));
-            match minute {
-                3 | 22 => held = batch.first().copied(),
-                12 | 32 => {
-                    let late = held.take().expect("held minute carried traffic");
-                    let open = bucket_start(batch[0].ts, cfg().window_len);
-                    assert!(bucket_start(late.ts, cfg().window_len) < open, "record is behind");
-                    events.extend(monitor.ingest(&[late]));
+        let mut drops_by_phase = [0usize; 2];
+        for seed in 0..16u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Each minute's batch in order and, after every other one on
+            // average, one record of a random earlier minute again: behind
+            // the open window — in the learning phase or the enforcing one —
+            // or still inside it.
+            let mut stream: Vec<Vec<ConnSummary>> = Vec::new();
+            for (m, batch) in minutes.iter().enumerate() {
+                stream.push(batch.clone());
+                let from = &minutes[rng.random_range(0..m + 1)];
+                if let (true, Some(r)) = (rng.random_bool(0.5), from.first()) {
+                    stream.push(vec![*r]);
                 }
-                _ => {}
             }
-        });
-        events.extend(monitor.flush());
+            // The reference: a record is admitted iff its window is not
+            // behind the newest window seen before it.
+            let mut admitted: BTreeMap<u64, usize> = BTreeMap::new();
+            let mut windows_that_dropped = BTreeSet::new();
+            let mut newest = 0;
+            for r in stream.iter().flatten() {
+                let w = bucket_start(r.ts, cfg.window_len);
+                if w < newest {
+                    windows_that_dropped.insert(newest);
+                } else {
+                    newest = w;
+                    *admitted.entry(w).or_default() += 1;
+                }
+            }
+            let first_enforced = admitted.keys().nth(cfg.learn_windows).copied();
+            for w in &windows_that_dropped {
+                drops_by_phase[usize::from(Some(*w) >= first_enforced)] += 1;
+            }
 
-        let baselines: Vec<usize> = events
-            .iter()
-            .filter_map(|e| match e {
-                MonitorEvent::BaselineReady { windows, .. } => Some(*windows),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(baselines, vec![cfg().learn_windows], "baseline from real windows only");
-        let starts: Vec<u64> = events
-            .iter()
-            .filter_map(|e| match e {
-                MonitorEvent::WindowSummary { window_start, .. } => Some(*window_start),
-                _ => None,
-            })
-            .collect();
-        assert!(starts.len() >= 2, "enforced windows produce summaries");
-        assert!(starts.windows(2).all(|w| w[0] < w[1]), "one summary per window: {starts:?}");
+            let registry = std::sync::Arc::new(obs::Registry::new());
+            let mut monitor = SecurityMonitor::with_obs(
+                cfg.clone(),
+                monitored.clone(),
+                obs::Obs::new(registry.clone()),
+            );
+            let mut events = Vec::new();
+            for batch in &stream {
+                events.extend(monitor.ingest(batch));
+            }
+            events.extend(monitor.flush());
+
+            let baselines: Vec<usize> = events
+                .iter()
+                .filter_map(|e| match e {
+                    MonitorEvent::BaselineReady { windows, .. } => Some(*windows),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(baselines, vec![cfg.learn_windows], "seed {seed}: one baseline");
+            let summaries: Vec<(u64, usize)> = events
+                .iter()
+                .filter_map(|e| match e {
+                    MonitorEvent::WindowSummary { window_start, records, .. } => {
+                        Some((*window_start, *records))
+                    }
+                    _ => None,
+                })
+                .collect();
+            assert!(summaries.len() >= 2, "enforced windows produce summaries");
+            assert!(
+                summaries.windows(2).all(|w| w[0].0 < w[1].0),
+                "seed {seed}: one summary per window: {summaries:?}"
+            );
+            let enforced: Vec<(u64, usize)> =
+                admitted.into_iter().skip(cfg.learn_windows).collect();
+            assert_eq!(summaries, enforced, "seed {seed}: each window holds its admitted records");
+            let learning = registry
+                .counter("commgraph_monitor_windows_total", "", &[("phase", "learning")])
+                .get();
+            assert_eq!(learning, cfg.learn_windows as u64, "seed {seed}");
+            let log = registry.events();
+            let drops: Vec<_> =
+                log.iter().filter(|e| e.message == "late records dropped").collect();
+            assert_eq!(
+                drops.len(),
+                windows_that_dropped.len(),
+                "seed {seed}: one warn event per window that dropped records"
+            );
+            assert!(drops.iter().all(|e| e.level == obs::Level::Warn));
+        }
+        assert!(drops_by_phase.iter().all(|&n| n >= 8), "both phases swept: {drops_by_phase:?}");
+    }
+
+    /// A first learning window whose graph is empty (its only record is the
+    /// copy vantage dedup leaves out) cannot fit the pattern model: every
+    /// boundary from `learn_windows` on defers the baseline with a warn
+    /// event, keeps what was learned, and the monitor stays in learning.
+    #[test]
+    fn unfittable_first_window_defers_the_baseline() {
+        use flowlog::record::FlowKey;
+        let (a, b) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+        let flow = ConnSummary {
+            ts: 0,
+            key: FlowKey::tcp(a, 40_000, b, 443),
+            pkts_sent: 1,
+            pkts_rcvd: 1,
+            bytes_sent: 100,
+            bytes_rcvd: 100,
+        };
+        let (kept, deduped) =
+            if flow.key.is_canonical() { (flow, flow.mirrored()) } else { (flow.mirrored(), flow) };
+        let registry = std::sync::Arc::new(obs::Registry::new());
+        let mut monitor = SecurityMonitor::with_obs(
+            cfg(),
+            [a, b].into_iter().collect(),
+            obs::Obs::new(registry.clone()),
+        );
+        let mut events = monitor.ingest(&[deduped]);
+        for w in 1..4 {
+            events.extend(monitor.ingest(&[ConnSummary { ts: w * cfg().window_len, ..kept }]));
+        }
+        events.extend(monitor.flush());
+        assert!(events.is_empty(), "no baseline, no summaries: {events:?}");
+        assert!(!monitor.is_enforcing());
+        let deferred =
+            registry.events().iter().filter(|e| e.message == "baseline deferred").count();
+        assert_eq!(deferred, 3, "windows 1, 2 and 3 each closed on an unfittable baseline");
         let learning =
             registry.counter("commgraph_monitor_windows_total", "", &[("phase", "learning")]).get();
-        assert_eq!(learning, cfg().learn_windows as u64);
-        let log = registry.events();
-        let drops: Vec<_> = log.iter().filter(|e| e.message == "late records dropped").collect();
-        assert_eq!(drops.len(), 2, "one warn event per window that dropped records");
-        assert!(drops.iter().all(|e| e.level == obs::Level::Warn));
+        assert_eq!(learning, 4);
     }
 
     #[test]

@@ -1,13 +1,19 @@
 //! Streaming pipeline: records in, hourly graph sequences out.
 //!
-//! A thin orchestration layer over [`commgraph_graph::builder::WindowedBuilder`]
-//! that tracks record rates (Table 1's records/minute column) and hands back
-//! a validated [`commgraph_graph::series::GraphSequence`].
+//! [`Pipeline`] is a client of the window roll
+//! ([`commgraph_graph::builder::WindowedBuilder`]): the roll decides which
+//! window a record lands in and hands each closed window's graph over
+//! once; the pipeline collects those graphs into a validated
+//! [`commgraph_graph::series::GraphSequence`], pairs each with its dirty
+//! set (what [`WindowAnalyzer`] consumes), and keeps the accounting —
+//! record rates (Table 1's records/minute column), the three outcome
+//! counts, and the streaming-health metrics.
 
 use algos::roles::{
     infer_roles_incremental_obs, infer_roles_obs, RoleInference, RoleMemo, SegmentationMethod,
 };
-use commgraph_graph::builder::{survives_vantage_dedup, WindowedBuilder};
+use commgraph_graph::builder::{survives_vantage_dedup, Outcome, WindowedBuilder};
+use commgraph_graph::diff::dirty_nodes;
 use commgraph_graph::series::GraphSequence;
 use commgraph_graph::{CommGraph, Facet, NodeId, Result as GraphResult};
 use flowlog::record::ConnSummary;
@@ -15,7 +21,6 @@ use flowlog::time::bucket_start;
 use linalg::Parallelism;
 use obs::{AlertEngine, Obs, Scraper};
 use segment::{SegmentPolicy, Segmentation};
-use serde::Serialize;
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -34,9 +39,9 @@ pub struct PipelineConfig {
     /// shared `commgraph_stage_seconds{stage="ingest"}` family. The default
     /// noop handle makes instrumentation cost one branch.
     pub obs: Obs,
-    /// Maintain windows incrementally (default): track per-window dirty
-    /// sets in the builder so downstream analyses ([`WindowAnalyzer`]) can
-    /// reuse previous-window state, and report dirty-set sizes on
+    /// Maintain windows incrementally (default): diff each closed window
+    /// against its predecessor so downstream analyses ([`WindowAnalyzer`])
+    /// can reuse previous-window state, and report dirty-set sizes on
     /// `commgraph_window_dirty_nodes`. Turning this off restores the
     /// full-rebuild behavior — the oracle the incremental path is verified
     /// against.
@@ -66,8 +71,17 @@ pub struct PipelineOutput {
     pub dirty_sets: Vec<Vec<NodeId>>,
     /// Records ingested per minute bucket (sorted by minute).
     pub records_per_minute: Vec<(u64, u64)>,
-    /// Total records ingested.
+    /// Total records ingested:
+    /// `kept_records + deduped_records + dropped_records`.
     pub total_records: u64,
+    /// Records aggregated into a graph (the sum of the graphs' `conns`).
+    pub kept_records: u64,
+    /// Records vantage dedup left out: the non-canonical copy of a flow
+    /// both monitored endpoints reported.
+    pub deduped_records: u64,
+    /// Records dropped because their window had already closed when they
+    /// arrived (dedup-surviving or not).
+    pub dropped_records: u64,
 }
 
 impl PipelineOutput {
@@ -81,31 +95,6 @@ impl PipelineOutput {
     pub fn mean_records_per_minute(&self) -> f64 {
         obs::rate::per_bucket(self.total_records, self.records_per_minute.len())
     }
-
-    /// Serializable roll-up of this output (the [`GraphSequence`] itself is
-    /// not serializable; this carries the numbers reports embed).
-    pub fn summary(&self) -> PipelineSummary {
-        PipelineSummary {
-            windows: self.sequence.len(),
-            total_records: self.total_records,
-            minutes_occupied: self.records_per_minute.len(),
-            mean_records_per_minute: self.mean_records_per_minute(),
-        }
-    }
-}
-
-/// Serializable summary of a [`PipelineOutput`], embedded in bench reports.
-#[derive(Debug, Clone, Serialize)]
-pub struct PipelineSummary {
-    /// Windows in the produced sequence.
-    pub windows: usize,
-    /// Total records ingested.
-    pub total_records: u64,
-    /// Minute buckets that saw at least one record.
-    pub minutes_occupied: usize,
-    /// Per-occupied-minute mean rate (see
-    /// [`PipelineOutput::mean_records_per_minute`] for the exact semantics).
-    pub mean_records_per_minute: f64,
 }
 
 /// Streaming-health metric handles, resolved once at pipeline construction
@@ -155,17 +144,19 @@ impl PipelineMetrics {
 /// [`Pipeline::finish`].
 #[derive(Debug)]
 pub struct Pipeline {
-    builder: WindowedBuilder,
-    /// The builder's vantage-dedup inventory (empty: none), for lateness
-    /// attribution.
+    roll: WindowedBuilder,
+    /// The roll's vantage-dedup inventory (empty: none), for attributing a
+    /// dropped record to lateness or to duplication.
     monitored: Arc<HashSet<Ipv4Addr>>,
+    /// Closed windows, each with its dirty set.
+    closed: Vec<(CommGraph, Vec<NodeId>)>,
     per_minute: HashMap<u64, u64>,
     total: u64,
-    window_len: u64,
+    kept: u64,
+    deduped: u64,
+    dropped: u64,
     /// Highest record timestamp seen so far (the ingest watermark).
     watermark: u64,
-    /// Start of the window currently open, once any record arrived.
-    current_window: Option<u64>,
     obs: Obs,
     metrics: PipelineMetrics,
     incremental: bool,
@@ -175,24 +166,32 @@ impl Pipeline {
     /// Create a pipeline from a config.
     pub fn new(cfg: PipelineConfig) -> Self {
         let monitored = Arc::new(cfg.monitored.unwrap_or_default());
-        let mut builder =
-            WindowedBuilder::new(cfg.facet, cfg.window_len).with_monitored(monitored.clone());
-        if cfg.incremental {
-            builder = builder.with_dirty_tracking();
-        }
         let metrics = PipelineMetrics::resolve(&cfg.obs);
         Pipeline {
-            builder,
+            roll: WindowedBuilder::new(cfg.facet, cfg.window_len).with_monitored(monitored.clone()),
             monitored,
+            closed: Vec::new(),
             per_minute: HashMap::new(),
             total: 0,
-            window_len: cfg.window_len,
+            kept: 0,
+            deduped: 0,
+            dropped: 0,
             watermark: 0,
-            current_window: None,
             obs: cfg.obs,
             metrics,
             incremental: cfg.incremental,
         }
+    }
+
+    /// Pair a closed window with its dirty set: the nodes whose adjacency
+    /// changed since the previous closed window when `incremental`, every
+    /// node otherwise (and for the first window, which has no baseline).
+    fn push_closed(&mut self, g: CommGraph) {
+        let dirty = match self.closed.last() {
+            Some((prev, _)) if self.incremental => dirty_nodes(prev, &g),
+            _ => g.nodes().to_vec(),
+        };
+        self.closed.push((g, dirty));
     }
 
     /// Ingest a batch of records. Timestamps may jitter within the open
@@ -210,44 +209,51 @@ impl Pipeline {
         if span.trace_enabled() {
             span.trace_attr("records", &records.len().to_string());
         }
+        self.total += records.len() as u64;
         for r in records {
-            let survives = survives_vantage_dedup(&self.monitored, r);
-            let behind_watermark = self.total > 0 && r.ts < self.watermark;
+            let behind_watermark = r.ts < self.watermark;
             self.watermark = self.watermark.max(r.ts);
-            let window = bucket_start(r.ts, self.window_len);
-            if self.current_window.is_some_and(|cur| window > cur) {
+            *self.per_minute.entry(bucket_start(r.ts, 60)).or_insert(0) += 1;
+            let (outcome, closed) = self.roll.add(r);
+            if let Some(g) = closed {
                 // Roll lag: how far into the new window its first record
                 // lands — the freshness bound of the previous window's graph.
-                self.metrics.roll_lag.record((r.ts - window) as f64);
+                self.metrics.roll_lag.record((r.ts - bucket_start(r.ts, g.window_len())) as f64);
+                self.push_closed(g);
             }
-            if self.current_window.is_none_or(|cur| window > cur) {
-                self.current_window = Some(window);
-            }
-            *self.per_minute.entry(bucket_start(r.ts, 60)).or_insert(0) += 1;
-            self.total += 1;
-            if self.builder.add(r) {
-                if survives && behind_watermark {
-                    self.metrics.late.inc();
+            match outcome {
+                Outcome::Kept => {
+                    self.kept += 1;
+                    if behind_watermark {
+                        self.metrics.late.inc();
+                    }
                 }
-            } else if survives {
+                Outcome::Deduped => self.deduped += 1,
                 // Behind the last closed window: excluded from graphs, so
                 // it is a *drop*, not merely late.
-                self.metrics.dropped_late.inc();
+                Outcome::Behind => {
+                    self.dropped += 1;
+                    if survives_vantage_dedup(&self.monitored, r) {
+                        self.metrics.dropped_late.inc();
+                    }
+                }
             }
         }
         self.metrics.watermark.set(self.watermark as f64);
     }
 
     /// Close the stream and produce the graph sequence.
-    pub fn finish(self) -> GraphResult<PipelineOutput> {
+    pub fn finish(mut self) -> GraphResult<PipelineOutput> {
         let mut tspan = self.obs.trace_span("pipeline_finish");
-        let with_dirty = self.builder.finish_with_dirty();
+        if let Some(g) = self.roll.finish() {
+            self.push_closed(g);
+        }
         if self.incremental {
-            for (_, dirty) in &with_dirty {
+            for (_, dirty) in &self.closed {
                 self.metrics.dirty_nodes.record(dirty.len() as f64);
             }
         }
-        let (graphs, dirty_sets): (Vec<_>, Vec<_>) = with_dirty.into_iter().unzip();
+        let (graphs, dirty_sets): (Vec<_>, Vec<_>) = self.closed.into_iter().unzip();
         let sequence = GraphSequence::from_graphs(graphs)?;
         let mut records_per_minute: Vec<(u64, u64)> = self.per_minute.into_iter().collect();
         records_per_minute.sort_unstable();
@@ -255,9 +261,21 @@ impl Pipeline {
             tspan.attr("windows", &sequence.len().to_string());
             tspan.attr("total_records", &self.total.to_string());
         }
-        Ok(PipelineOutput { sequence, dirty_sets, records_per_minute, total_records: self.total })
+        Ok(PipelineOutput {
+            sequence,
+            dirty_sets,
+            records_per_minute,
+            total_records: self.total,
+            kept_records: self.kept,
+            deduped_records: self.deduped,
+            dropped_records: self.dropped,
+        })
     }
 }
+
+/// The similarity floor of the paper's method
+/// ([`SegmentationMethod::paper_default`]), on both inference paths.
+const MIN_SCORE: f64 = 0.1;
 
 /// One window's analysis results (roles → µsegments → policy).
 #[derive(Debug, Clone)]
@@ -301,8 +319,6 @@ pub struct WindowAnalysis {
 /// sequence on every run.
 #[derive(Debug)]
 pub struct WindowAnalyzer {
-    min_score: f64,
-    port_scoped: bool,
     incremental: bool,
     monitored: HashSet<Ipv4Addr>,
     parallelism: Parallelism,
@@ -318,15 +334,13 @@ pub struct WindowAnalyzer {
 }
 
 impl WindowAnalyzer {
-    /// New analyzer over the monitored inventory. Defaults: the paper's
-    /// Jaccard+Louvain method at `min_score` 0.1, port-scoped policies,
-    /// default parallelism, noop observability.
+    /// New analyzer over the monitored inventory: the paper's
+    /// Jaccard+Louvain method at `min_score` 0.1 and port-scoped policies,
+    /// with default parallelism and noop observability.
     pub fn new(monitored: HashSet<Ipv4Addr>, incremental: bool) -> Self {
         let obs = Obs::noop();
         let savings = Self::resolve_savings(&obs);
         WindowAnalyzer {
-            min_score: 0.1,
-            port_scoped: true,
             incremental,
             monitored,
             parallelism: Parallelism::default(),
@@ -405,12 +419,6 @@ impl WindowAnalyzer {
         self.tick
     }
 
-    /// Override the similarity floor of the role inference (builder style).
-    pub fn with_min_score(mut self, s: f64) -> Self {
-        self.min_score = s;
-        self
-    }
-
     /// Analyze one window. `dirty` is the window's dirty set from
     /// [`PipelineOutput::dirty_sets`] and `records` the window's raw
     /// records (for policy learning). Windows must be fed consecutively —
@@ -429,13 +437,13 @@ impl WindowAnalyzer {
                 g,
                 dirty,
                 self.memo.as_ref(),
-                self.min_score,
+                MIN_SCORE,
                 self.parallelism,
                 &self.obs,
             );
             (r, Some(m))
         } else {
-            let method = SegmentationMethod::JaccardLouvain { min_score: self.min_score };
+            let method = SegmentationMethod::JaccardLouvain { min_score: MIN_SCORE };
             (infer_roles_obs(g, &method, self.parallelism, &self.obs), None)
         };
         let monitored = &self.monitored;
@@ -452,10 +460,10 @@ impl WindowAnalyzer {
                         prev_seg,
                         prev_policy,
                         &dirty_ips,
-                        self.port_scoped,
+                        true,
                     )
                 }
-                _ => SegmentPolicy::learn(records, &segmentation, self.port_scoped),
+                _ => SegmentPolicy::learn(records, &segmentation, true),
             }
         };
         let elapsed = t0.elapsed().as_secs_f64();
@@ -519,12 +527,27 @@ mod tests {
         }
     }
 
+    /// Finish `p`, asserting record conservation on the way out: every
+    /// ingested record was kept, deduped or dropped, and the graphs hold
+    /// exactly the kept ones.
+    fn finish(p: Pipeline) -> PipelineOutput {
+        let out = p.finish().unwrap();
+        assert_eq!(
+            out.total_records,
+            out.kept_records + out.deduped_records + out.dropped_records,
+            "in = kept + deduped + dropped"
+        );
+        let in_graphs: u64 = out.sequence.graphs().iter().map(|g| g.totals().conns).sum();
+        assert_eq!(out.kept_records, in_graphs, "kept = Σ graphs' conns");
+        out
+    }
+
     #[test]
     fn produces_windowed_sequence() {
         let mut p = Pipeline::new(PipelineConfig::default());
         p.ingest(&[rec(0, 1), rec(1800, 2)]);
         p.ingest(&[rec(3600, 3), rec(5400, 4)]);
-        let out = p.finish().unwrap();
+        let out = finish(p);
         assert_eq!(out.sequence.len(), 2);
         assert_eq!(out.total_records, 4);
         assert_eq!(out.sequence.graphs()[0].window_start(), 0);
@@ -535,20 +558,20 @@ mod tests {
     fn rate_accounting_per_minute() {
         let mut p = Pipeline::new(PipelineConfig::default());
         p.ingest(&[rec(0, 1), rec(30, 2), rec(60, 3)]);
-        let out = p.finish().unwrap();
+        let out = finish(p);
         assert_eq!(out.records_per_minute, vec![(0, 2), (60, 1)]);
         assert!((out.mean_records_per_minute() - 1.5).abs() < 1e-12);
     }
 
     #[test]
     fn empty_pipeline_is_fine() {
-        let out = Pipeline::new(PipelineConfig::default()).finish().unwrap();
+        let out = finish(Pipeline::new(PipelineConfig::default()));
         assert!(out.sequence.is_empty());
         assert_eq!(out.mean_records_per_minute(), 0.0);
     }
 
     #[test]
-    fn ingest_spans_reach_the_registry_and_summary_serializes() {
+    fn ingest_spans_reach_the_registry() {
         let registry = std::sync::Arc::new(obs::Registry::new());
         let mut p =
             Pipeline::new(PipelineConfig { obs: Obs::new(registry.clone()), ..Default::default() });
@@ -556,14 +579,7 @@ mod tests {
         p.ingest(&[rec(3600, 3)]);
         let hist = registry.histogram(obs::STAGE_SECONDS, "", &[("stage", "ingest")]);
         assert_eq!(hist.count(), 2, "one span per ingest call");
-
-        let out = p.finish().unwrap();
-        let summary = out.summary();
-        assert_eq!(summary.windows, 2);
-        assert_eq!(summary.total_records, 3);
-        assert_eq!(summary.minutes_occupied, 2);
-        let json = serde_json::to_string(&summary).unwrap();
-        assert!(json.contains("\"mean_records_per_minute\""), "{json}");
+        assert_eq!(finish(p).total_records, 3);
     }
 
     #[test]
@@ -585,7 +601,7 @@ mod tests {
         assert_eq!(lag.sum(), 7.0);
         let late = registry.counter("commgraph_pipeline_late_records_total", "", &[]).get();
         assert_eq!(late, 1, "ts 3603 arrived behind the 3607 watermark");
-        let out = p.finish().unwrap();
+        let out = finish(p);
         assert_eq!(out.total_records, 3, "metrics never change what is computed");
     }
 
@@ -610,8 +626,9 @@ mod tests {
         p.ingest(&[rec(150, 3)]);
         let late = registry.counter("commgraph_pipeline_late_records_total", "", &[]).get();
         assert_eq!(late, 1);
-        let out = p.finish().unwrap();
+        let out = finish(p);
         assert_eq!(out.total_records, 4, "rate accounting still counts raw records");
+        assert_eq!((out.kept_records, out.deduped_records, out.dropped_records), (3, 1, 0));
     }
 
     #[test]
@@ -629,13 +646,14 @@ mod tests {
             let dropped =
                 registry.counter("commgraph_pipeline_dropped_late_records_total", "", &[]).get();
             let late = registry.counter("commgraph_pipeline_late_records_total", "", &[]).get();
-            let out = p.finish().unwrap();
+            let out = finish(p);
             let shape: Vec<(u64, u64)> = out
                 .sequence
                 .graphs()
                 .iter()
                 .map(|g| (g.window_start(), g.totals().conns))
                 .collect();
+            assert_eq!((out.kept_records, out.deduped_records, out.dropped_records), (3, 0, 1));
             (dropped, late, out.total_records, shape)
         };
         let (dropped, late, total, shape) = run();
@@ -689,7 +707,7 @@ mod tests {
         let run = |incremental: bool| {
             let mut p = Pipeline::new(PipelineConfig { incremental, ..Default::default() });
             p.ingest(&recs);
-            let out = p.finish().unwrap();
+            let out = finish(p);
             let monitored: HashSet<Ipv4Addr> =
                 recs.iter().flat_map(|r| [r.key.local_ip, r.key.remote_ip]).collect();
             let mut an =
@@ -729,7 +747,7 @@ mod tests {
             recs.iter().flat_map(|r| [r.key.local_ip, r.key.remote_ip]).collect();
         let mut p = Pipeline::new(PipelineConfig::default());
         p.ingest(&recs);
-        let out = p.finish().unwrap();
+        let out = finish(p);
         let mut baseline: Option<Vec<Vec<usize>>> = None;
         for workers in [1, 2, 8] {
             let mut an = WindowAnalyzer::new(monitored.clone(), true)
@@ -754,7 +772,7 @@ mod tests {
         let mut p =
             Pipeline::new(PipelineConfig { obs: Obs::new(registry.clone()), ..Default::default() });
         p.ingest(&recs);
-        let out = p.finish().unwrap();
+        let out = finish(p);
         assert_eq!(out.dirty_sets.len(), 3);
         let n0 = out.sequence.graphs()[0].node_count();
         assert_eq!(out.dirty_sets[0].len(), n0, "first window is fully dirty");
@@ -783,7 +801,7 @@ mod tests {
         let recs = churn_stream();
         let mut p = Pipeline::new(PipelineConfig { obs: o.clone(), ..Default::default() });
         p.ingest(&recs);
-        let out = p.finish().unwrap();
+        let out = finish(p);
 
         let store = Arc::new(obs::Tsdb::new(obs::TsdbConfig::default()));
         let scraper = Arc::new(Scraper::new(registry.clone(), store));
@@ -844,10 +862,49 @@ mod tests {
     fn non_incremental_pipeline_reports_all_nodes_dirty() {
         let mut p = Pipeline::new(PipelineConfig { incremental: false, ..Default::default() });
         p.ingest(&churn_stream());
-        let out = p.finish().unwrap();
+        let out = finish(p);
         for (g, dirty) in out.sequence.graphs().iter().zip(&out.dirty_sets) {
             assert_eq!(dirty.len(), g.node_count(), "conservative all-dirty");
         }
+    }
+
+    /// One flow between hosts `l` and `r` of 10.0.0.0/24 at `ts`.
+    fn flow(ts: u64, l: u8, r: u8) -> ConnSummary {
+        let ip = |d| Ipv4Addr::new(10, 0, 0, d);
+        ConnSummary { key: FlowKey::tcp(ip(l), 40_000, ip(r), 443), ..rec(ts, 0) }
+    }
+
+    fn minute_windows(incremental: bool) -> Pipeline {
+        Pipeline::new(PipelineConfig { window_len: 60, incremental, ..Default::default() })
+    }
+
+    #[test]
+    fn dirty_tracking_marks_first_window_fully_dirty() {
+        let mut p = minute_windows(true);
+        p.ingest(&[flow(0, 1, 2), flow(60, 1, 2)]);
+        let out = finish(p);
+        assert_eq!(out.dirty_sets.len(), 2);
+        assert_eq!(out.dirty_sets[0], out.sequence.graphs()[0].nodes(), "no baseline ⇒ all dirty");
+        assert!(out.dirty_sets[1].is_empty(), "identical second window ⇒ clean");
+    }
+
+    #[test]
+    fn dirty_tracking_flags_only_changed_nodes() {
+        let mut p = minute_windows(true);
+        // Window 0: edges (1,2) and (3,4). Window 1: (1,2) identical, (3,4)
+        // replaced by (3,5).
+        p.ingest(&[flow(0, 1, 2), flow(0, 3, 4), flow(60, 1, 2), flow(60, 3, 5)]);
+        let out = finish(p);
+        let want: Vec<NodeId> =
+            [3, 4, 5].into_iter().map(|d| NodeId::Ip(Ipv4Addr::new(10, 0, 0, d))).collect();
+        assert_eq!(out.dirty_sets[1], want);
+    }
+
+    #[test]
+    fn untracked_drain_reports_everything_dirty() {
+        let mut p = minute_windows(false);
+        p.ingest(&[flow(0, 1, 2)]);
+        assert_eq!(finish(p).dirty_sets[0].len(), 2);
     }
 
     #[test]
@@ -858,8 +915,9 @@ mod tests {
             Pipeline::new(PipelineConfig { monitored: Some(monitored), ..Default::default() });
         let r = rec(0, 1);
         p.ingest(&[r, r.mirrored()]);
-        let out = p.finish().unwrap();
+        let out = finish(p);
         assert_eq!(out.sequence.graphs()[0].totals().bytes(), 200, "counted once");
         assert_eq!(out.total_records, 2, "rate counts raw records");
+        assert_eq!((out.kept_records, out.deduped_records, out.dropped_records), (1, 1, 0));
     }
 }

@@ -7,7 +7,7 @@
 
 use algos::roles::{infer_roles_obs, RoleInference, SegmentationMethod};
 use algos::stats::{byte_ccdf, CcdfPoint};
-use commgraph_graph::collapse::collapse;
+use commgraph_graph::collapse::{collapse, PAPER_THRESHOLD};
 use commgraph_graph::{CommGraph, Facet, GraphBuilder};
 use flowlog::record::ConnSummary;
 use linalg::pca::{pca_sweep_with, PcaSummary};
@@ -18,16 +18,11 @@ use segment::{SegmentPolicy, Segmentation, Violation, ViolationDetector};
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
-/// Default heavy-hitter collapse threshold (the paper's 0.1%).
-pub const DEFAULT_COLLAPSE: f64 = commgraph_graph::collapse::PAPER_THRESHOLD;
-
 /// One-window analysis session. Construct with the window's records and the
 /// monitored inventory; every analysis is computed lazily and cached.
 pub struct Workbench {
     records: Vec<ConnSummary>,
     monitored: HashSet<Ipv4Addr>,
-    collapse_threshold: f64,
-    method: SegmentationMethod,
     parallelism: Parallelism,
     obs: Obs,
     ip_graph: Option<CommGraph>,
@@ -42,8 +37,6 @@ impl Workbench {
         Workbench {
             records,
             monitored,
-            collapse_threshold: DEFAULT_COLLAPSE,
-            method: SegmentationMethod::paper_default(),
             parallelism: Parallelism::default(),
             obs: Obs::noop(),
             ip_graph: None,
@@ -51,19 +44,6 @@ impl Workbench {
             segmentation: None,
             policy: None,
         }
-    }
-
-    /// Override the heavy-hitter collapse threshold (builder style).
-    pub fn with_collapse_threshold(mut self, t: f64) -> Self {
-        assert!((0.0..=1.0).contains(&t), "threshold in [0, 1]");
-        self.collapse_threshold = t;
-        self
-    }
-
-    /// Override the segmentation method (builder style).
-    pub fn with_method(mut self, m: SegmentationMethod) -> Self {
-        self.method = m;
-        self
     }
 
     /// Override the worker count of the row-tiled kernels — similarity
@@ -97,7 +77,8 @@ impl Workbench {
         &self.monitored
     }
 
-    /// The collapsed IP graph of the window (memoized).
+    /// The IP graph of the window, collapsed at the paper's 0.1% threshold
+    /// (memoized).
     ///
     /// Monitored addresses are protected from collapsing — the
     /// subscription's own resources are always visible.
@@ -113,29 +94,19 @@ impl Workbench {
             b.add_all(&self.records);
             let raw = b.finish();
             let monitored = &self.monitored;
-            collapse(&raw, self.collapse_threshold, |n| {
+            collapse(&raw, PAPER_THRESHOLD, |n| {
                 n.ip().map(|ip| monitored.contains(&ip)).unwrap_or(false)
             })
         });
         self.ip_graph.insert(g)
     }
 
-    /// An uncollapsed graph under any facet (not memoized — used for
-    /// IP-port sizing and service views).
-    pub fn graph_with_facet(&self, facet: Facet) -> CommGraph {
-        let mut b =
-            GraphBuilder::new(facet, window_start(&self.records), window_len(&self.records))
-                .with_monitored(self.monitored.clone());
-        b.add_all(&self.records);
-        b.finish()
-    }
-
-    /// Role inference on the IP graph (memoized).
+    /// Role inference on the IP graph by the paper's method (memoized).
     pub fn roles(&mut self) -> &RoleInference {
         let roles = match self.roles.take() {
             Some(r) => r,
             None => {
-                let method = self.method.clone();
+                let method = SegmentationMethod::paper_default();
                 let parallelism = self.parallelism;
                 let g = self.ip_graph().clone();
                 infer_roles_obs(&g, &method, parallelism, &self.obs)

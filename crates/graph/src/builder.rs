@@ -2,7 +2,9 @@
 //!
 //! The builder consumes connection summaries one at a time and accumulates
 //! per-node-pair counters — memory proportional to the number of node pairs,
-//! exactly the cost model the paper analyzes. Two subtleties:
+//! exactly the cost model the paper analyzes. [`GraphBuilder`] is that
+//! kernel for one window; [`WindowedBuilder`] is the window roll that drives
+//! it over one stream (its contract is on the type). Two subtleties:
 //!
 //! * **Vantage dedup.** Per-NIC collection reports a flow from *both*
 //!   endpoints when both are inside the subscription. Given the monitored
@@ -13,7 +15,6 @@
 //!   cloud RPC workloads — this equals the number of connections; long-lived
 //!   flows contribute one count per interval they span.
 
-use crate::diff::dirty_nodes;
 use crate::graph::CommGraph;
 use crate::hash::FixedState;
 use crate::node::{Facet, NodeId};
@@ -102,11 +103,12 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Offer one record.
-    pub fn add(&mut self, r: &ConnSummary) {
+    /// Offer one record. Returns whether it was kept: `false` means vantage
+    /// dedup left it out (see [`survives_vantage_dedup`]).
+    pub fn add(&mut self, r: &ConnSummary) -> bool {
         self.records_seen += 1;
         if !survives_vantage_dedup(&self.monitored, r) {
-            return;
+            return false;
         }
         self.records_kept += 1;
         let (local, remote) = self.facet.endpoints(r);
@@ -122,6 +124,7 @@ impl GraphBuilder {
         e.pkts_fwd = e.pkts_fwd.saturating_add(fwd_pkts);
         e.pkts_rev = e.pkts_rev.saturating_add(rev_pkts);
         e.conns += 1;
+        true
     }
 
     /// Offer a batch.
@@ -137,46 +140,46 @@ impl GraphBuilder {
     }
 }
 
-/// Splits a record stream into fixed windows, emitting one [`CommGraph`]
-/// per window — the "time-series of graphs" the paper's dynamic analyses
-/// consume. Timestamps may jitter *within* the currently open window
-/// (vantage duplicates and mildly reordered delivery land correctly), but a
-/// record whose window has already closed is **dropped deterministically**
-/// and counted in [`WindowedBuilder::dropped_behind`] — re-opening a closed
-/// window would emit it twice and corrupt the time series.
+/// What became of a record offered to [`WindowedBuilder::add`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// Aggregated into the open window's graph.
+    Kept,
+    /// In the open window, but the non-canonical copy of a double-reported
+    /// flow: vantage dedup left it out of the graph.
+    Deduped,
+    /// Its window closed before it arrived: dropped.
+    Behind,
+}
+
+/// The window roll: splits one record stream into fixed windows — the
+/// "time-series of graphs" the paper's dynamic analyses consume — owning
+/// only the open window's [`GraphBuilder`] and retaining nothing else.
+///
+/// The contract: a record in the open window is applied (timestamps may
+/// jitter *within* it, so vantage duplicates and mildly reordered delivery
+/// land correctly); a record in a newer window closes the open one, whose
+/// graph is handed to the caller at that moment, and opens its own; a
+/// record [`Outcome::Behind`] the open window is dropped — re-opening a
+/// closed window would emit it twice and corrupt the time series. Every
+/// window is therefore handed out exactly once, in strictly increasing
+/// start order, holding exactly the records that were not behind.
+/// [`WindowedBuilder::finish`] closes the open window by hand and leaves
+/// the roll empty, as new: the order holds between two such calls.
 #[derive(Debug)]
 pub struct WindowedBuilder {
     facet: Facet,
     monitored: Arc<HashSet<Ipv4Addr>>,
     window_len: u64,
-    current: Option<GraphBuilder>,
-    finished: Vec<CommGraph>,
-    /// Records rejected because their window closed before they arrived.
-    dropped_behind: u64,
-    /// When true, each closed window is diffed against its predecessor and
-    /// the dirty node set (see [`crate::diff::dirty_nodes`]) is retained,
-    /// aligned with `finished`.
-    track_dirty: bool,
-    dirty: Vec<Vec<NodeId>>,
-    last_closed: Option<CommGraph>,
+    open: Option<GraphBuilder>,
 }
 
 impl WindowedBuilder {
-    /// Builder emitting one graph per `window_len` seconds (3600 for the
+    /// Roll emitting one graph per `window_len` seconds (3600 for the
     /// paper's hourly graphs).
     pub fn new(facet: Facet, window_len: u64) -> Self {
         assert!(window_len > 0, "window length must be positive");
-        WindowedBuilder {
-            facet,
-            monitored: Arc::default(),
-            window_len,
-            current: None,
-            finished: Vec::new(),
-            dropped_behind: 0,
-            track_dirty: false,
-            dirty: Vec::new(),
-            last_closed: None,
-        }
+        WindowedBuilder { facet, monitored: Arc::default(), window_len, open: None }
     }
 
     /// Enable vantage dedup (see [`GraphBuilder::with_monitored`]).
@@ -185,113 +188,29 @@ impl WindowedBuilder {
         self
     }
 
-    /// Track dirty nodes across window rolls. Each closed window is diffed
-    /// against the previous one; downstream consumers use the dirty set to
-    /// recompute only what actually changed. The first window is entirely
-    /// dirty (there is no baseline).
-    pub fn with_dirty_tracking(mut self) -> Self {
-        self.track_dirty = true;
-        self
-    }
-
-    fn fresh(&self, window_start: u64) -> GraphBuilder {
-        GraphBuilder::new(self.facet.clone(), window_start, self.window_len)
-            .with_monitored(self.monitored.clone())
-    }
-
-    /// Close one window: finish the graph and, when tracking, record its
-    /// dirty set.
-    fn close(&mut self, b: GraphBuilder) {
-        let g = b.finish();
-        if self.track_dirty {
-            let d = match &self.last_closed {
-                Some(prev) => dirty_nodes(prev, &g),
-                None => g.nodes().to_vec(),
-            };
-            self.dirty.push(d);
-            self.last_closed = Some(g.clone());
-        }
-        self.finished.push(g);
-    }
-
-    /// Records rejected so far because their window had already closed when
-    /// they arrived (see [`WindowedBuilder::add`]).
-    pub fn dropped_behind(&self) -> u64 {
-        self.dropped_behind
-    }
-
-    /// Offer one record, rolling windows as timestamps advance. Returns
-    /// whether the record was applied: a record whose window start is behind
-    /// the currently open window lands in a graph that already closed, so it
-    /// is dropped (counted in [`WindowedBuilder::dropped_behind`]) instead
-    /// of re-opening — and double-emitting — that window.
-    pub fn add(&mut self, r: &ConnSummary) -> bool {
-        let w = flowlog::time::bucket_start(r.ts, self.window_len);
-        let builder = match self.current.take() {
-            Some(b) if b.window_start == w => b,
-            Some(b) if w > b.window_start => {
-                self.close(b);
-                self.fresh(w)
+    /// Offer one record. Returns what became of it and, when it opened a
+    /// newer window, the graph of the window that closed.
+    pub fn add(&mut self, r: &ConnSummary) -> (Outcome, Option<CommGraph>) {
+        let outcome = |kept| if kept { Outcome::Kept } else { Outcome::Deduped };
+        match &mut self.open {
+            Some(b) if r.ts < b.window_start => (Outcome::Behind, None),
+            // A range check on the open window: the bucket division runs
+            // once per roll, not once per record.
+            Some(b) if r.ts - b.window_start < self.window_len => (outcome(b.add(r)), None),
+            open => {
+                let closed = open.take().map(GraphBuilder::finish);
+                let start = flowlog::time::bucket_start(r.ts, self.window_len);
+                let fresh = GraphBuilder::new(self.facet.clone(), start, self.window_len)
+                    .with_monitored(self.monitored.clone());
+                (outcome(open.insert(fresh).add(r)), closed)
             }
-            Some(b) => {
-                self.current = Some(b);
-                self.dropped_behind += 1;
-                return false;
-            }
-            None => self.fresh(w),
-        };
-        self.current.insert(builder).add(r);
-        true
-    }
-
-    /// Offer a batch.
-    pub fn add_all<'a>(&mut self, records: impl IntoIterator<Item = &'a ConnSummary>) {
-        for r in records {
-            self.add(r);
         }
     }
 
-    /// Drain graphs for windows that have closed so far.
-    pub fn drain_finished(&mut self) -> Vec<CommGraph> {
-        self.dirty.clear();
-        std::mem::take(&mut self.finished)
-    }
-
-    /// Drain closed windows paired with their dirty node sets. Without
-    /// [`WindowedBuilder::with_dirty_tracking`] every node is conservatively
-    /// reported dirty (no baseline ⇒ nothing can be reused).
-    pub fn drain_finished_with_dirty(&mut self) -> Vec<(CommGraph, Vec<NodeId>)> {
-        let graphs = std::mem::take(&mut self.finished);
-        let mut dirty = std::mem::take(&mut self.dirty);
-        graphs
-            .into_iter()
-            .enumerate()
-            .map(|(i, g)| {
-                let d = match dirty.get_mut(i) {
-                    Some(d) => std::mem::take(d),
-                    None => g.nodes().to_vec(),
-                };
-                (g, d)
-            })
-            .collect()
-    }
-
-    /// Finish the stream: close the open window and return all remaining
-    /// graphs in time order.
-    pub fn finish(mut self) -> Vec<CommGraph> {
-        if let Some(b) = self.current.take() {
-            self.close(b);
-        }
-        self.finished
-    }
-
-    /// Finish the stream, pairing every remaining graph with its dirty set
-    /// (see [`WindowedBuilder::drain_finished_with_dirty`]).
-    pub fn finish_with_dirty(mut self) -> Vec<(CommGraph, Vec<NodeId>)> {
-        if let Some(b) = self.current.take() {
-            self.close(b);
-        }
-        self.drain_finished_with_dirty()
+    /// End of stream: close the open window and hand over its graph, if any
+    /// record arrived since the roll was new or last finished.
+    pub fn finish(&mut self) -> Option<CommGraph> {
+        self.open.take().map(GraphBuilder::finish)
     }
 }
 
@@ -386,34 +305,144 @@ mod tests {
     #[test]
     fn windowed_builder_rolls_hourly() {
         let mut wb = WindowedBuilder::new(Facet::Ip, 3600);
-        wb.add(&rec(0, 1, 40_000, 2, 443, 100, 10));
-        wb.add(&rec(3599, 1, 40_001, 2, 443, 100, 10));
-        wb.add(&rec(3600, 1, 40_002, 2, 443, 100, 10));
-        wb.add(&rec(7300, 1, 40_003, 2, 443, 100, 10));
-        let graphs = wb.finish();
-        assert_eq!(graphs.len(), 3);
-        assert_eq!(graphs[0].window_start(), 0);
-        assert_eq!(graphs[0].totals().conns, 2);
-        assert_eq!(graphs[1].window_start(), 3600);
-        assert_eq!(graphs[2].window_start(), 7200);
+        assert!(wb.add(&rec(0, 1, 40_000, 2, 443, 100, 10)).1.is_none(), "window still open");
+        assert!(wb.add(&rec(3599, 1, 40_001, 2, 443, 100, 10)).1.is_none());
+        // The record that opens a newer window is handed the closed one.
+        let (outcome, closed) = wb.add(&rec(3600, 1, 40_002, 2, 443, 100, 10));
+        assert_eq!(outcome, Outcome::Kept);
+        let first = closed.expect("window 0 closed");
+        assert_eq!((first.window_start(), first.totals().conns), (0, 2));
+        // A gap: window 3600 closes, 7200 opens (7300 is 100 s into it).
+        let second = wb.add(&rec(7300, 1, 40_003, 2, 443, 100, 10)).1.expect("closed");
+        assert_eq!(second.window_start(), 3600);
+        assert_eq!(wb.finish().expect("the open window").window_start(), 7200);
+        assert!(wb.finish().is_none(), "no record since, no window");
     }
 
     #[test]
     fn records_behind_closed_windows_drop_deterministically() {
         let mut wb = WindowedBuilder::new(Facet::Ip, 60);
-        assert!(wb.add(&rec(0, 1, 40_000, 2, 443, 100, 10)));
-        assert!(wb.add(&rec(65, 1, 40_001, 2, 443, 100, 10)), "rolls to window 60");
+        assert_eq!(wb.add(&rec(0, 1, 40_000, 2, 443, 100, 10)).0, Outcome::Kept);
+        let (outcome, closed) = wb.add(&rec(65, 1, 40_001, 2, 443, 100, 10));
+        assert_eq!(outcome, Outcome::Kept, "rolls to window 60");
+        let first = closed.expect("window 0 closed");
         // Window 0 closed when ts 65 rolled; a straggler from it must not
         // re-open window 0 (which would emit it twice), nor land in 60.
-        assert!(!wb.add(&rec(59, 1, 40_002, 2, 443, 700, 70)));
-        assert_eq!(wb.dropped_behind(), 1);
+        let (outcome, closed) = wb.add(&rec(59, 1, 40_002, 2, 443, 700, 70));
+        assert_eq!(outcome, Outcome::Behind);
+        assert!(closed.is_none(), "a dropped record closes nothing");
         // Jitter *within* the open window is still accepted.
-        assert!(wb.add(&rec(61, 1, 40_003, 2, 443, 100, 10)));
-        let graphs = wb.finish();
-        assert_eq!(graphs.len(), 2, "each window emitted exactly once");
-        assert_eq!(graphs[0].window_start(), 0);
-        assert_eq!(graphs[0].totals().conns, 1, "the straggler is excluded");
-        assert_eq!(graphs[1].totals().conns, 2);
+        assert_eq!(wb.add(&rec(61, 1, 40_003, 2, 443, 100, 10)).0, Outcome::Kept);
+        assert_eq!(first.window_start(), 0);
+        assert_eq!(first.totals().conns, 1, "the straggler is excluded");
+        assert_eq!(wb.finish().expect("the open window").totals().conns, 2);
+    }
+
+    #[test]
+    fn deduped_records_are_reported_and_still_roll_the_window() {
+        let monitored: HashSet<Ipv4Addr> = [ip(1), ip(2)].into_iter().collect();
+        let mut wb = WindowedBuilder::new(Facet::Ip, 60).with_monitored(monitored);
+        let flow = rec(0, 1, 40_000, 2, 443, 100, 10);
+        assert_eq!(wb.add(&flow).0, Outcome::Kept);
+        assert_eq!(wb.add(&flow.mirrored()).0, Outcome::Deduped);
+        // The non-canonical copy is the first to reach window 60: it opens
+        // the window (and closes window 0) though the graph never counts it.
+        let mut late_mirror = flow.mirrored();
+        late_mirror.ts = 60;
+        let (outcome, closed) = wb.add(&late_mirror);
+        assert_eq!(outcome, Outcome::Deduped);
+        assert_eq!(closed.expect("window 0 closed").totals().conns, 1);
+        let open = wb.finish().expect("the open window");
+        assert_eq!((open.window_start(), open.edge_count()), (60, 0));
+    }
+
+    /// Everything observable about one window's graph: its start, its
+    /// nodes, and every edge from both ends with its oriented stats.
+    type Fingerprint = (u64, Vec<NodeId>, Vec<Vec<(u32, EdgeStats)>>);
+
+    fn fingerprint(g: &CommGraph) -> Fingerprint {
+        let adj = (0..g.node_count() as u32).map(|i| g.neighbors(i).to_vec()).collect();
+        (g.window_start(), g.nodes().to_vec(), adj)
+    }
+
+    /// Seed sweep: in-window jitter, cross-window stragglers and mirrored
+    /// duplicates, inventory on and off. The graphs the roll hands out are
+    /// one `GraphBuilder` per window over the records a reference admits —
+    /// a record is admitted iff its window start is at least the largest
+    /// window start seen before it — each window once, in increasing order.
+    #[test]
+    fn roll_equals_one_builder_per_window_over_the_admitted_records() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        const WINDOW: u64 = 300;
+        let mut swept = [0u64; 4];
+        for seed in 0..96u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut records = Vec::new();
+            let mut clock = rng.random_range(0..5 * WINDOW);
+            for _ in 0..rng.random_range(1..600usize) {
+                clock += rng.random_range(0..40u64);
+                // Mostly jitter of a few seconds around the clock; one in
+                // twelve is a straggler from up to three windows back.
+                let back = if rng.random_bool(1.0 / 12.0) { 3 * WINDOW } else { 20 };
+                let r = rec(
+                    clock.saturating_sub(rng.random_range(0..back)),
+                    rng.random_range(1..9u32) as u8,
+                    rng.random_range(1024..1028u16),
+                    rng.random_range(1..9u32) as u8,
+                    443,
+                    rng.random_range(0..90_000u64),
+                    rng.random_range(0..9_000u64),
+                );
+                records.push(r);
+                if rng.random_bool(0.3) {
+                    records
+                        .push(ConnSummary { ts: r.ts + rng.random_range(0..3u64), ..r.mirrored() });
+                }
+            }
+            let monitored: Arc<HashSet<Ipv4Addr>> = Arc::new(if seed % 2 == 0 {
+                records.iter().flat_map(|r| [r.key.local_ip, r.key.remote_ip]).collect()
+            } else {
+                HashSet::new()
+            });
+
+            // The reference: admit, then one builder per window.
+            let mut reference: std::collections::BTreeMap<u64, GraphBuilder> = Default::default();
+            let (mut newest, mut behind) = (0, 0u64);
+            for r in &records {
+                let w = flowlog::time::bucket_start(r.ts, WINDOW);
+                if w < newest {
+                    behind += 1;
+                    continue;
+                }
+                newest = w;
+                let fresh =
+                    || GraphBuilder::new(Facet::Ip, w, WINDOW).with_monitored(monitored.clone());
+                reference.entry(w).or_insert_with(fresh).add(r);
+            }
+            let (seen, kept) = reference
+                .values()
+                .map(GraphBuilder::record_counts)
+                .fold((0, 0), |(s, k), (seen, kept)| (s + seen, k + kept));
+            let want: Vec<_> = reference.into_values().map(|b| fingerprint(&b.finish())).collect();
+
+            let mut wb = WindowedBuilder::new(Facet::Ip, WINDOW).with_monitored(monitored.clone());
+            let mut graphs = Vec::new();
+            let mut outcomes = [0u64; 3];
+            for r in &records {
+                let (outcome, closed) = wb.add(r);
+                outcomes[outcome as usize] += 1;
+                graphs.extend(closed);
+            }
+            graphs.extend(wb.finish());
+            let got: Vec<_> = graphs.iter().map(fingerprint).collect();
+            assert_eq!(got, want, "seed {seed}");
+            assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "seed {seed}: each window once");
+            let [k, d, b] = outcomes;
+            assert_eq!((k, d, b), (kept, seen - kept, behind), "seed {seed}");
+            assert_eq!(k + d + b, records.len() as u64, "seed {seed}: conservation");
+            swept = [swept[0] + k, swept[1] + d, swept[2] + b, swept[3] + got.len() as u64];
+        }
+        assert!(swept[1] > 1000 && swept[2] > 1000 && swept[3] > 500, "thin sweep: {swept:?}");
     }
 
     #[test]
@@ -432,51 +461,6 @@ mod tests {
         assert!(survives(&half, &flow) && survives(&half, &mirror));
         // No inventory ⇒ everything survives.
         assert!(survives(&HashSet::new(), &flow) && survives(&HashSet::new(), &mirror));
-    }
-
-    #[test]
-    fn drain_finished_is_incremental() {
-        let mut wb = WindowedBuilder::new(Facet::Ip, 60);
-        wb.add(&rec(0, 1, 40_000, 2, 443, 1, 1));
-        assert!(wb.drain_finished().is_empty(), "window still open");
-        wb.add(&rec(60, 1, 40_001, 2, 443, 1, 1));
-        let done = wb.drain_finished();
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].window_start(), 0);
-    }
-
-    #[test]
-    fn dirty_tracking_marks_first_window_fully_dirty() {
-        let mut wb = WindowedBuilder::new(Facet::Ip, 60).with_dirty_tracking();
-        wb.add(&rec(0, 1, 40_000, 2, 443, 100, 10));
-        wb.add(&rec(60, 1, 40_001, 2, 443, 100, 10));
-        let out = wb.finish_with_dirty();
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].1, out[0].0.nodes().to_vec(), "no baseline ⇒ all dirty");
-        assert!(out[1].1.is_empty(), "identical second window ⇒ clean");
-    }
-
-    #[test]
-    fn dirty_tracking_flags_only_changed_nodes() {
-        let mut wb = WindowedBuilder::new(Facet::Ip, 60).with_dirty_tracking();
-        // Window 0: edges (1,2) and (3,4). Window 1: (1,2) identical, (3,4)
-        // replaced by (3,5).
-        wb.add(&rec(0, 1, 40_000, 2, 443, 100, 10));
-        wb.add(&rec(0, 3, 40_000, 4, 443, 100, 10));
-        wb.add(&rec(60, 1, 40_000, 2, 443, 100, 10));
-        wb.add(&rec(60, 3, 40_000, 5, 443, 100, 10));
-        let out = wb.finish_with_dirty();
-        let dirty = &out[1].1;
-        let want: Vec<NodeId> = [3, 4, 5].into_iter().map(|d| NodeId::Ip(ip(d))).collect();
-        assert_eq!(dirty, &want);
-    }
-
-    #[test]
-    fn untracked_drain_reports_everything_dirty() {
-        let mut wb = WindowedBuilder::new(Facet::Ip, 60);
-        wb.add(&rec(0, 1, 40_000, 2, 443, 100, 10));
-        let out = wb.finish_with_dirty();
-        assert_eq!(out[0].1.len(), 2);
     }
 
     #[test]

@@ -76,88 +76,6 @@ pub fn collapse_default(g: &CommGraph) -> CommGraph {
     collapse(g, PAPER_THRESHOLD, |_| false)
 }
 
-/// Streaming survivor tracking at the summary cadence.
-///
-/// The hourly-total reading of the 0.1% rule folds *every* external client
-/// of a large cluster into `Other` — a client that is active for one minute
-/// of the hour can never accumulate 0.1% of the hour. Applied at the
-/// telemetry's native cadence instead — a node survives if in **any single
-/// interval** it reached the threshold share of that interval's bytes,
-/// packets, or connections — the rule keeps exactly the nodes a streaming
-/// heavy-hitter stage would keep, and reproduces Table 1's node counts.
-#[derive(Debug)]
-pub struct MinuteSurvivors {
-    facet: crate::node::Facet,
-    threshold: f64,
-    survivors: std::collections::HashSet<NodeId>,
-}
-
-impl MinuteSurvivors {
-    /// Track survivors under `facet` at `threshold` (0.001 = paper).
-    pub fn new(facet: crate::node::Facet, threshold: f64) -> Self {
-        assert!((0.0..=1.0).contains(&threshold), "threshold must be in [0, 1]");
-        MinuteSurvivors { facet, threshold, survivors: std::collections::HashSet::new() }
-    }
-
-    /// Offer one interval's records (one minute batch, typically).
-    pub fn add_interval(&mut self, records: &[flowlog::record::ConnSummary]) {
-        let mut per_node: HashMap<NodeId, (u64, u64, u64)> = HashMap::new();
-        let (mut tb, mut tp, mut tc) = (0u64, 0u64, 0u64);
-        for r in records {
-            let (a, b) = self.facet.endpoints(r);
-            let (bytes, pkts) = (r.bytes_total(), r.pkts_total());
-            tb += bytes;
-            tp += pkts;
-            tc += 1;
-            for n in [a, b] {
-                let e = per_node.entry(n).or_default();
-                e.0 += bytes;
-                e.1 += pkts;
-                e.2 += 1;
-            }
-        }
-        // Node totals double-count interval totals (two endpoints each).
-        let (tb, tp, tc) = ((tb * 2).max(1) as f64, (tp * 2).max(1) as f64, (tc * 2).max(1) as f64);
-        for (n, (b, p, c)) in per_node {
-            if self.survivors.contains(&n) {
-                continue;
-            }
-            if b as f64 / tb >= self.threshold
-                || p as f64 / tp >= self.threshold
-                || c as f64 / tc >= self.threshold
-            {
-                self.survivors.insert(n);
-            }
-        }
-    }
-
-    /// Whether a node ever reached the threshold in some interval.
-    pub fn is_survivor(&self, n: &NodeId) -> bool {
-        self.survivors.contains(n)
-    }
-
-    /// Drain the tracker into its survivor set.
-    pub fn into_survivors(self) -> std::collections::HashSet<NodeId> {
-        self.survivors
-    }
-
-    /// Number of survivors so far.
-    pub fn len(&self) -> usize {
-        self.survivors.len()
-    }
-
-    /// True when no node has survived yet.
-    pub fn is_empty(&self) -> bool {
-        self.survivors.is_empty()
-    }
-
-    /// Collapse a graph, keeping exactly the survivors.
-    pub fn collapse(&self, g: &CommGraph) -> CommGraph {
-        // Threshold 0 here: survival is decided by the tracked set alone.
-        collapse(g, 1.0, |n| self.is_survivor(n))
-    }
-}
-
 /// Per-NIC heavy-hitter survival — the vantage the paper's §3.2 describes:
 /// "**remote IPs** and ephemeral ports that do not individually account for
 /// a sizable share of traffic are collapsed together."
@@ -346,80 +264,6 @@ mod tests {
     #[should_panic(expected = "threshold")]
     fn out_of_range_threshold_panics() {
         collapse(&hubby(), 1.5, |_| false);
-    }
-
-    mod minute_survivors {
-        use super::*;
-        use crate::node::Facet;
-        use flowlog::record::{ConnSummary, FlowKey};
-        use std::net::Ipv4Addr;
-
-        fn rec(l: u8, r: u8, bytes: u64) -> ConnSummary {
-            ConnSummary {
-                ts: 0,
-                key: FlowKey::tcp(
-                    Ipv4Addr::new(10, 0, 0, l),
-                    40_000,
-                    Ipv4Addr::new(10, 0, 1, r),
-                    443,
-                ),
-                pkts_sent: bytes / 1000 + 1,
-                pkts_rcvd: 1,
-                bytes_sent: bytes,
-                bytes_rcvd: 0,
-            }
-        }
-
-        #[test]
-        fn briefly_hot_node_survives_the_hour() {
-            let mut ms = MinuteSurvivors::new(Facet::Ip, PAPER_THRESHOLD);
-            // Minute 1: node 10.0.0.9 carries 50% of the minute's bytes.
-            ms.add_interval(&[rec(9, 1, 1000), rec(2, 1, 1000)]);
-            // Minutes 2..60: it is silent while others move gigabytes.
-            for _ in 0..59 {
-                ms.add_interval(&[rec(2, 1, 1_000_000_000)]);
-            }
-            assert!(ms.is_survivor(&NodeId::Ip(Ipv4Addr::new(10, 0, 0, 9))));
-        }
-
-        #[test]
-        fn connection_share_counts_per_interval() {
-            let mut ms = MinuteSurvivors::new(Facet::Ip, 0.25);
-            // One record out of two = 50% of connections ≥ 25%.
-            ms.add_interval(&[rec(1, 1, 10), rec(2, 1, 10)]);
-            assert!(ms.is_survivor(&NodeId::Ip(Ipv4Addr::new(10, 0, 0, 1))));
-            assert_eq!(ms.len(), 3, "both sources and the shared server");
-        }
-
-        #[test]
-        fn collapse_keeps_only_survivors() {
-            let mut ms = MinuteSurvivors::new(Facet::Ip, 0.4);
-            ms.add_interval(&[rec(1, 1, 1000), rec(2, 1, 1), rec(3, 1, 1)]);
-            // Survivors: 10.0.0.1 (~50% bytes) and the server (100%).
-            let mut edges = HashMap::new();
-            for src in [1u8, 2, 3] {
-                edges.insert(
-                    (
-                        NodeId::Ip(Ipv4Addr::new(10, 0, 0, src)),
-                        NodeId::Ip(Ipv4Addr::new(10, 0, 1, 1)),
-                    ),
-                    edge(100, 1),
-                );
-            }
-            let g = CommGraph::from_edge_map("ip", 0, 3600, edges);
-            let c = ms.collapse(&g);
-            assert!(c.index_of(&NodeId::Ip(Ipv4Addr::new(10, 0, 0, 1))).is_some());
-            assert!(c.index_of(&NodeId::Ip(Ipv4Addr::new(10, 0, 0, 2))).is_none());
-            assert!(c.index_of(&NodeId::Other).is_some());
-            assert_eq!(c.totals().bytes(), g.totals().bytes(), "mass conserved");
-        }
-
-        #[test]
-        fn empty_tracker() {
-            let ms = MinuteSurvivors::new(Facet::Ip, 0.001);
-            assert!(ms.is_empty());
-            assert_eq!(ms.len(), 0);
-        }
     }
 
     mod nic_local_survivors {

@@ -4,14 +4,18 @@
 //! artifact: a **complete communication graph** of everything that talks
 //! inside a cloud subscription. Nodes can be IPs, `(IP, port)` tuples, or
 //! services (the *multi-faceted* requirement); edges carry byte, packet, and
-//! connection counters; a windowed builder produces a *time series* of
+//! connection counters; the window roll produces a *time series* of
 //! graphs (the *dynamic* requirement).
 //!
 //! Key pieces:
 //! * [`node`] — node identities and the facet abstraction.
 //! * [`stats`] — edge and node counters.
-//! * [`builder`] — streaming group-by-aggregate construction, including the
-//!   double-report dedup rule for per-NIC telemetry and windowing.
+//! * [`builder`] — streaming group-by-aggregate construction: the
+//!   one-window kernel ([`GraphBuilder`], with the double-report dedup rule
+//!   for per-NIC telemetry) and the window roll that drives it over one
+//!   stream ([`WindowedBuilder`]: retains nothing, hands each closed
+//!   window's graph to its caller exactly once, and never re-opens a window
+//!   for a record that arrives behind it).
 //! * [`graph`] — the immutable snapshot with CSR adjacency, matrix export,
 //!   and DOT/JSON serialization.
 //! * [`hash`] — the fixed fast hasher behind the edge table and node index.
@@ -43,7 +47,7 @@ pub mod series;
 pub mod stats;
 pub mod timeseries;
 
-pub use builder::{GraphBuilder, WindowedBuilder};
+pub use builder::{GraphBuilder, Outcome, WindowedBuilder};
 pub use error::{Error, Result};
 pub use graph::CommGraph;
 pub use node::{Facet, NodeId};

@@ -1,6 +1,6 @@
 //! Property-based tests for graph construction and transforms.
 
-use commgraph_graph::collapse::{collapse, MinuteSurvivors, NicLocalSurvivors};
+use commgraph_graph::collapse::{collapse, NicLocalSurvivors};
 use commgraph_graph::diff::diff;
 use commgraph_graph::timeseries::{correlation, EdgeSeries, EdgeSeriesBuilder};
 use commgraph_graph::{Facet, GraphBuilder};
@@ -89,23 +89,19 @@ proptest! {
         prop_assert!(c.node_count() <= g.node_count());
     }
 
-    /// Survivor trackers only ever shrink the graph, and both keep every
-    /// reporting (local) endpoint... for the per-NIC tracker.
+    /// The per-NIC survivor tracker only ever shrinks the graph, and keeps
+    /// every reporting (local) endpoint.
     #[test]
     fn survivor_trackers_are_sound(records in prop::collection::vec(arb_record(), 1..100)) {
-        let mut minute = MinuteSurvivors::new(Facet::Ip, 0.001);
         let mut nic = NicLocalSurvivors::new(Facet::Ip, 0.001);
-        minute.add_interval(&records);
         nic.add_interval(&records);
         let mut b = GraphBuilder::new(Facet::Ip, 0, 7200);
         b.add_all(&records);
         let g = b.finish();
-        for tracker_graph in [minute.collapse(&g), nic.collapse(&g)] {
-            prop_assert_eq!(tracker_graph.totals().bytes(), g.totals().bytes());
-            prop_assert_eq!(tracker_graph.totals().conns, g.totals().conns);
-            prop_assert!(tracker_graph.node_count() <= g.node_count());
-        }
-        // Every local (reporting) IP survives the per-NIC rule.
+        let collapsed = nic.collapse(&g);
+        prop_assert_eq!(collapsed.totals().bytes(), g.totals().bytes());
+        prop_assert_eq!(collapsed.totals().conns, g.totals().conns);
+        prop_assert!(collapsed.node_count() <= g.node_count());
         for r in &records {
             prop_assert!(nic.is_survivor(&commgraph_graph::NodeId::Ip(r.key.local_ip)));
         }

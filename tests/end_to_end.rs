@@ -2,12 +2,11 @@
 //! graphs → algorithms → segmentation → detection → analytics.
 
 use commgraph::algos::metrics::adjusted_rand_index;
-use commgraph::analytics::engine::{EngineConfig, StreamEngine};
 use commgraph::cloudsim::attack::{AttackKind, AttackScenario};
 use commgraph::cloudsim::{ClusterPreset, SimConfig, Simulator};
 use commgraph::flowlog::provider::ProviderPreset;
 use commgraph::flowlog::sampling::Sampler;
-use commgraph::graph::{Facet, GraphBuilder};
+use commgraph::graph::Facet;
 use commgraph::pipeline::{Pipeline, PipelineConfig};
 use commgraph::workbench::Workbench;
 use std::collections::HashSet;
@@ -91,37 +90,6 @@ fn role_inference_recovers_ground_truth() {
     assert!(ari > 0.5, "segmentation should track true roles, ARI = {ari}");
 }
 
-/// The parallel engine and the simple builder agree on simulated traffic.
-#[test]
-fn engine_matches_builder_on_simulated_stream() {
-    let preset = ClusterPreset::MicroserviceBench;
-    let mut sim = Simulator::new(preset.topology_scaled(0.3), preset.default_sim_config())
-        .expect("valid preset");
-    let records = sim.collect(5);
-    let monitored = monitored_of(&sim);
-
-    let mut engine = StreamEngine::new(EngineConfig {
-        facet: Facet::Ip,
-        window_len: 3600,
-        monitored: Some(monitored.clone()),
-        queue_depth: 4,
-        ..Default::default()
-    })
-    .expect("valid config");
-    engine.ingest(&records).expect("ingest");
-    let (graphs, stats) = engine.finish().expect("drain");
-    assert_eq!(graphs.len(), 1);
-
-    let mut b = GraphBuilder::new(Facet::Ip, 0, 3600).with_monitored(monitored);
-    b.add_all(&records);
-    let reference = b.finish();
-
-    assert_eq!(graphs[0].node_count(), reference.node_count());
-    assert_eq!(graphs[0].edge_count(), reference.edge_count());
-    assert_eq!(graphs[0].totals(), reference.totals());
-    assert_eq!(stats.records_in as usize, records.len());
-}
-
 /// Table 1 rate shapes at test scale: Portal is orders of magnitude quieter
 /// than the microservice mesh, and KQuery's all-to-all shuffle makes its
 /// record rate grow *quadratically* with cluster size (which is why, at
@@ -185,6 +153,11 @@ fn pipeline_produces_hourly_sequence() {
     sim.run(125, |_, batch| pipeline.ingest(batch));
     let out = pipeline.finish().expect("ordered windows");
     assert_eq!(out.sequence.len(), 3, "125 minutes span three hourly windows");
+    // Conservation: in = kept + deduped + dropped, and kept = Σ graphs' conns.
+    assert_eq!(out.total_records, out.kept_records + out.deduped_records + out.dropped_records);
+    let in_graphs: u64 = out.sequence.graphs().iter().map(|g| g.totals().conns).sum();
+    assert_eq!(out.kept_records, in_graphs);
+    assert!(out.deduped_records > 0 && out.dropped_records == 0, "in-order, double-reported");
     let p = out.sequence.persistence(2.0);
     assert!(
         p.mean_edge_jaccard > 0.5,

@@ -16,7 +16,7 @@ use commgraph::cloudsim::{ClusterPreset, Simulator};
 use commgraph::flowlog::record::{ConnSummary, FlowKey};
 use commgraph::graph::{CommGraph, EdgeStats, NodeId};
 use commgraph::obs;
-use commgraph::pipeline::{Pipeline, PipelineConfig};
+use commgraph::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -61,6 +61,17 @@ fn finish(front: ShardedEngine) -> RunResult {
             )
         })
         .collect()
+}
+
+/// Finish `pipeline`, asserting record conservation on the way out: every
+/// ingested record was kept, deduped or dropped, and the graphs hold
+/// exactly the kept ones.
+fn finish_pipeline(pipeline: Pipeline) -> PipelineOutput {
+    let out = pipeline.finish().expect("pipeline finishes");
+    assert_eq!(out.total_records, out.kept_records + out.deduped_records + out.dropped_records);
+    let in_graphs: u64 = out.sequence.graphs().iter().map(|g| g.totals().conns).sum();
+    assert_eq!(out.kept_records, in_graphs);
+    out
 }
 
 fn front_door() -> ShardedEngine {
@@ -261,7 +272,7 @@ fn delayed_flush_asserts_lateness_and_alert_transitions() {
         let late = registry.counter("commgraph_pipeline_late_records_total", "", &[]).get();
         let dropped =
             registry.counter("commgraph_pipeline_dropped_late_records_total", "", &[]).get();
-        let out = pipeline.finish().expect("pipeline finishes");
+        let out = finish_pipeline(pipeline);
         (transitions, late, dropped, out.total_records, net.stats().clone(), finish(front))
     };
 
@@ -337,7 +348,7 @@ fn clock_skew_drops_exactly_the_behind_window_records() {
         let late = registry.counter("commgraph_pipeline_late_records_total", "", &[]).get();
         let dropped =
             registry.counter("commgraph_pipeline_dropped_late_records_total", "", &[]).get();
-        let out = pipeline.finish().expect("pipeline finishes");
+        let out = finish_pipeline(pipeline);
         let shape: Vec<(u64, usize)> =
             out.sequence.graphs().iter().map(|g| (g.window_start(), g.node_count())).collect();
         (late, dropped, out.total_records, shape, net.stats().clone())

@@ -14,7 +14,7 @@
 //! This test runs as its own process, so installing the global registry here
 //! cannot leak into other tests.
 
-use commgraph::analytics::engine::{EngineConfig, StreamEngine};
+use commgraph::analytics::engine::EngineConfig;
 use commgraph::analytics::sharded::{ShardedConfig, ShardedEngine};
 use commgraph::cloudsim::attack::{AttackKind, AttackScenario};
 use commgraph::cloudsim::{ClusterPreset, SimConfig, Simulator};
@@ -62,14 +62,18 @@ fn exercise_everything(o: &obs::Obs, scraper: &Arc<obs::Scraper>, alerts: &Arc<o
     let mut root = o.trace_root("pipeline_run");
     root.attr("records", &records.len().to_string());
 
-    let mut engine = StreamEngine::new(EngineConfig {
-        monitored: Some(monitored.clone()),
-        obs: o.clone(),
+    let mut engine = ShardedEngine::new(ShardedConfig {
+        shards: 1,
+        engine: EngineConfig {
+            monitored: Some(monitored.clone()),
+            obs: o.clone(),
+            ..Default::default()
+        },
         ..Default::default()
     })
     .unwrap();
     for chunk in records.chunks(512) {
-        engine.ingest(chunk).unwrap();
+        engine.ingest("", chunk).unwrap();
     }
     engine.finish().unwrap();
 
@@ -96,6 +100,10 @@ fn exercise_everything(o: &obs::Obs, scraper: &Arc<obs::Scraper>, alerts: &Arc<o
     });
     p.ingest(&records);
     let out = p.finish().unwrap();
+    // Conservation: in = kept + deduped + dropped, and kept = Σ graphs' conns.
+    assert_eq!(out.total_records, out.kept_records + out.deduped_records + out.dropped_records);
+    let in_graphs: u64 = out.sequence.graphs().iter().map(|g| g.totals().conns).sum();
+    assert_eq!(out.kept_records, in_graphs);
     let mut analyzer = WindowAnalyzer::new(monitored.clone(), true)
         .with_obs(o.clone())
         .with_subscription("tenant-a")

@@ -1,17 +1,24 @@
 //! Cross-crate property-based tests: invariants that must hold over
 //! arbitrary simulated workloads, not just hand-picked fixtures.
 
+use commgraph::analytics::engine::{EngineConfig, EngineStats};
+use commgraph::analytics::sharded::{ShardedConfig, ShardedEngine};
 use commgraph::cloudsim::roles::RoleKind;
 use commgraph::cloudsim::topology::TopologyBuilder;
 use commgraph::cloudsim::traffic::TrafficProfile;
 use commgraph::cloudsim::{SimConfig, Simulator};
+use commgraph::flowlog::record::ConnSummary;
+use commgraph::flowlog::time::bucket_start;
+use commgraph::graph::builder::survives_vantage_dedup;
 use commgraph::graph::collapse::{collapse, collapse_default};
-use commgraph::graph::{Facet, GraphBuilder};
+use commgraph::graph::{CommGraph, EdgeStats, Facet, GraphBuilder, NodeId};
+use commgraph::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
 use commgraph::segment::policy::SegmentPolicy;
 use commgraph::segment::{Segmentation, ViolationDetector};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// A small random-but-valid topology.
 fn arb_topology() -> impl Strategy<Value = commgraph::cloudsim::Topology> {
@@ -35,8 +42,116 @@ fn arb_topology() -> impl Strategy<Value = commgraph::cloudsim::Topology> {
         })
 }
 
+/// Everything observable about one window's graph: its start, its nodes,
+/// and every edge from both ends with its oriented stats.
+type Fingerprint = (u64, Vec<NodeId>, Vec<Vec<(u32, EdgeStats)>>);
+
+fn fingerprints(graphs: &[CommGraph]) -> Vec<Fingerprint> {
+    let adj = |g: &CommGraph| (0..g.node_count() as u32).map(|i| g.neighbors(i).to_vec()).collect();
+    graphs.iter().map(|g| (g.window_start(), g.nodes().to_vec(), adj(g))).collect()
+}
+
+/// Two-minute windows, so a few simulated minutes roll several times.
+const WINDOW: u64 = 120;
+
+/// The reference: one `GraphBuilder` per window over all of `records`.
+fn one_builder_per_window(
+    records: &[ConnSummary],
+    monitored: &Arc<HashSet<Ipv4Addr>>,
+) -> Vec<Fingerprint> {
+    let mut builders: BTreeMap<u64, GraphBuilder> = BTreeMap::new();
+    for r in records {
+        let w = bucket_start(r.ts, WINDOW);
+        let fresh = || GraphBuilder::new(Facet::Ip, w, WINDOW).with_monitored(monitored.clone());
+        builders.entry(w).or_insert_with(fresh).add(r);
+    }
+    builders.into_values().map(|b| fingerprints(&[b.finish()]).remove(0)).collect()
+}
+
+/// The roll's client: `records` through a `Pipeline`, conservation asserted.
+fn through_pipeline(records: &[ConnSummary], monitored: &HashSet<Ipv4Addr>) -> PipelineOutput {
+    let mut p = Pipeline::new(PipelineConfig {
+        window_len: WINDOW,
+        monitored: Some(monitored.clone()),
+        ..Default::default()
+    });
+    records.chunks(997).for_each(|batch| p.ingest(batch));
+    let out = p.finish().expect("windows in order");
+    assert_eq!(out.total_records, out.kept_records + out.deduped_records + out.dropped_records);
+    let in_graphs: u64 = out.sequence.graphs().iter().map(|g| g.totals().conns).sum();
+    assert_eq!(out.kept_records, in_graphs);
+    out
+}
+
+/// The shard table: `records` as one subscription of a `ShardedEngine`.
+fn through_engine(
+    records: &[ConnSummary],
+    monitored: &HashSet<Ipv4Addr>,
+    shards: usize,
+) -> (Vec<Fingerprint>, EngineStats) {
+    let engine = EngineConfig {
+        window_len: WINDOW,
+        monitored: Some(monitored.clone()),
+        ..Default::default()
+    };
+    let mut e = ShardedEngine::new(ShardedConfig { shards, engine, ..Default::default() })
+        .expect("valid config");
+    records.chunks(997).for_each(|batch| e.ingest("sub", batch).expect("ingest"));
+    let (mut reports, _) = e.finish().expect("drain");
+    let report = reports.pop().expect("one subscription");
+    (fingerprints(&report.graphs), report.stats)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One way for records to become graphs: on an in-order stream the
+    /// roll (`Pipeline`) and the shard table (`ShardedEngine`, one shard or
+    /// three) hand out the graphs of one `GraphBuilder` per window, by full
+    /// fingerprint. The two window policies differ only in what they do
+    /// with a straggler: the shard table holds every window until `finish`
+    /// and absorbs it, the roll has closed its window and drops it — so with
+    /// stragglers injected they differ by exactly the `Behind` records.
+    #[test]
+    fn roll_and_shard_table_build_the_same_graphs(
+        topo in arb_topology(),
+        seed in 0u64..1000,
+        stragglers in 1usize..6,
+    ) {
+        let mut sim = Simulator::new(topo, SimConfig { seed, ..Default::default() })
+            .expect("valid topology");
+        let in_order = sim.collect(6);
+        let monitored: HashSet<Ipv4Addr> = sim
+            .ground_truth().ip_roles.keys().copied()
+            .filter(|ip| ip.octets()[0] == 10).collect();
+        let shared = Arc::new(monitored.clone());
+
+        let want = one_builder_per_window(&in_order, &shared);
+        prop_assert!(want.len() >= 2, "the stream rolls");
+        let out = through_pipeline(&in_order, &monitored);
+        prop_assert_eq!(&fingerprints(out.sequence.graphs()), &want);
+        prop_assert_eq!(out.dropped_records, 0);
+        for shards in [1, 3] {
+            let (graphs, stats) = through_engine(&in_order, &monitored, shards);
+            prop_assert_eq!(&graphs, &want, "{} shard(s)", shards);
+            prop_assert_eq!(stats.records_kept, out.kept_records);
+            prop_assert_eq!(stats.records_in - stats.records_kept, out.deduped_records);
+        }
+
+        // The first window's first records again, after the last window
+        // opened.
+        let late = &in_order[..stragglers.min(in_order.len())];
+        let straggling = [in_order.as_slice(), late].concat();
+        let out = through_pipeline(&straggling, &monitored);
+        prop_assert_eq!(&fingerprints(out.sequence.graphs()), &want, "the roll drops them");
+        prop_assert_eq!(out.dropped_records, late.len() as u64);
+        let (graphs, stats) = through_engine(&straggling, &monitored, 3);
+        let absorbed = one_builder_per_window(&straggling, &shared);
+        prop_assert_eq!(&graphs, &absorbed, "the shard table absorbs them");
+        prop_assert_eq!(stats.records_in - out.kept_records - out.deduped_records, late.len() as u64);
+        let surviving = late.iter().filter(|r| survives_vantage_dedup(&monitored, r)).count();
+        prop_assert_eq!(stats.records_kept - out.kept_records, surviving as u64);
+    }
 
     /// Graph construction conserves traffic: the deduped record stream's
     /// bytes equal the graph's edge totals.

@@ -3,7 +3,8 @@
 //! identical to the uninstrumented run. Floats are compared via `to_bits`,
 //! so even a last-ulp drift (e.g. from a reordered reduction) fails.
 
-use commgraph::analytics::engine::{EngineConfig, StreamEngine};
+use commgraph::analytics::engine::EngineConfig;
+use commgraph::analytics::sharded::{ShardedConfig, ShardedEngine};
 use commgraph::cloudsim::{ClusterPreset, Simulator};
 use commgraph::flowlog::record::ConnSummary;
 use commgraph::obs::{Obs, Registry};
@@ -38,16 +39,21 @@ struct Fingerprint {
 }
 
 fn run(obs: Obs, records: &[ConnSummary], monitored: &HashSet<Ipv4Addr>) -> Fingerprint {
-    let mut engine = StreamEngine::new(EngineConfig {
-        monitored: Some(monitored.clone()),
-        obs: obs.clone(),
+    let mut engine = ShardedEngine::new(ShardedConfig {
+        shards: 1,
+        engine: EngineConfig {
+            monitored: Some(monitored.clone()),
+            obs: obs.clone(),
+            ..Default::default()
+        },
         ..Default::default()
     })
     .unwrap();
     for chunk in records.chunks(777) {
-        engine.ingest(chunk).unwrap();
+        engine.ingest("", chunk).unwrap();
     }
-    let (graphs, stats) = engine.finish().unwrap();
+    let (mut reports, _) = engine.finish().unwrap();
+    let (graphs, stats) = reports.pop().map(|r| (r.graphs, r.stats)).unwrap();
     let engine_graphs = graphs
         .iter()
         .map(|g| {
@@ -62,6 +68,10 @@ fn run(obs: Obs, records: &[ConnSummary], monitored: &HashSet<Ipv4Addr>) -> Fing
     });
     p.ingest(records);
     let out = p.finish().unwrap();
+    // Conservation: in = kept + deduped + dropped, and kept = Σ graphs' conns.
+    assert_eq!(out.total_records, out.kept_records + out.deduped_records + out.dropped_records);
+    let in_graphs: u64 = out.sequence.graphs().iter().map(|g| g.totals().conns).sum();
+    assert_eq!(out.kept_records, in_graphs);
     let pipeline_windows = out
         .sequence
         .graphs()
