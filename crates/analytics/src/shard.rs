@@ -9,13 +9,12 @@
 
 use crate::engine::{EngineConfig, EngineStats};
 use crate::error::{Error, Result};
-use commgraph_graph::{CommGraph, GraphBuilder};
+use commgraph_graph::{CommGraph, GraphBuilder, Inventory};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use flowlog::record::ConnSummary;
 use flowlog::time::bucket_start;
 use obs::SpanGuard;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Records staged per shard before one channel hand-over.
@@ -106,7 +105,7 @@ fn aggregate(rx: Receiver<Batch>, index: usize, cfg: EngineConfig) -> BTreeMap<u
     let shard = index.to_string();
     let busy = cfg.obs.histogram("commgraph_engine_worker_busy_seconds", "", &[("worker", &shard)]);
     // No inventory and an empty one are the same rule: nothing is deduped.
-    let monitored = Arc::new(cfg.monitored.unwrap_or_default());
+    let monitored = Inventory::from(cfg.monitored.unwrap_or_default());
     let fresh = |window: u64| {
         GraphBuilder::new(cfg.facet.clone(), window, cfg.window_len)
             .with_monitored(monitored.clone())

@@ -5,7 +5,7 @@ use analytics::engine::EngineConfig;
 use analytics::sharded::{ShardedConfig, ShardedEngine};
 use analytics::sketch::SpaceSaving;
 use commgraph_graph::diff::dirty_nodes;
-use commgraph_graph::{CommGraph, EdgeStats, Facet, GraphBuilder, NodeId};
+use commgraph_graph::{CommGraph, EdgeStats, Facet, GraphBuilder, Inventory, NodeId};
 use flowlog::record::{ConnSummary, FlowKey};
 use flowlog::time::bucket_start;
 use proptest::prelude::*;
@@ -283,7 +283,7 @@ fn sharded_engine_equals_one_builder_per_subscription_window() {
             ..Default::default()
         })
         .expect("valid");
-        let shared = Arc::new(monitored.unwrap_or_default());
+        let shared = Inventory::from(monitored.unwrap_or_default());
         let mut reference: BTreeMap<(usize, u64), GraphBuilder> = BTreeMap::new();
         let mut offered = vec![0u64; subs];
         let mut at = vec![0usize; subs];

@@ -43,7 +43,7 @@
 //! let records = sim.collect(10);
 //!
 //! // Build graphs and run the paper's analyses.
-//! let monitored = sim.ground_truth().ip_roles.keys().copied()
+//! let monitored: std::collections::HashSet<_> = sim.ground_truth().ip_roles.keys().copied()
 //!     .filter(|ip| ip.octets()[0] == 10).collect();
 //! let mut wb = Workbench::new(records, monitored);
 //! let graph = wb.ip_graph();

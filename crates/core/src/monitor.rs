@@ -25,7 +25,7 @@ use crate::anomaly::{AnomalyError, PatternModel};
 use crate::workbench::Workbench;
 use commgraph_graph::collapse::collapse_default;
 use commgraph_graph::diff::diff;
-use commgraph_graph::{CommGraph, Facet, Outcome, WindowedBuilder};
+use commgraph_graph::{CommGraph, Facet, Inventory, Outcome, WindowedBuilder};
 use flowlog::record::ConnSummary;
 use flowlog::time::bucket_start;
 use obs::{Counter, Gauge, Histogram, Level, Obs};
@@ -33,7 +33,6 @@ use segment::{Violation, ViolationDetector};
 use serde::Serialize;
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 /// Monitor configuration.
 #[derive(Debug, Clone)]
@@ -192,7 +191,7 @@ impl MonitorMetrics {
 /// The continuous monitor. See module docs for the lifecycle.
 pub struct SecurityMonitor {
     cfg: MonitorConfig,
-    monitored: Arc<HashSet<Ipv4Addr>>,
+    monitored: Inventory,
     phase: Phase,
     roll: WindowedBuilder,
     /// The open window's raw records, vantage duplicates included.
@@ -224,7 +223,7 @@ impl SecurityMonitor {
     pub fn with_obs(cfg: MonitorConfig, monitored: HashSet<Ipv4Addr>, obs: Obs) -> Self {
         assert!(cfg.learn_windows >= 2, "need >= 2 learning windows");
         let metrics = MonitorMetrics::resolve(&obs);
-        let monitored = Arc::new(monitored);
+        let monitored = Inventory::from(monitored);
         SecurityMonitor {
             roll: WindowedBuilder::new(Facet::Ip, cfg.window_len).with_monitored(monitored.clone()),
             cfg,
@@ -279,7 +278,7 @@ impl SecurityMonitor {
     /// React to the roll handing over a closed window's `graph`.
     fn close_window(&mut self, graph: &CommGraph, events: &mut Vec<MonitorEvent>) {
         let window_start = graph.window_start();
-        let records = std::mem::take(&mut self.current_records);
+        let mut records = std::mem::take(&mut self.current_records);
         let dropped = std::mem::take(&mut self.dropped_behind);
         if dropped > 0 && self.obs.logs(Level::Warn) {
             self.obs.event(
@@ -299,7 +298,7 @@ impl SecurityMonitor {
         let graph = collapse_default(graph);
         match &mut self.phase {
             Phase::Learning { records: learned, graphs } => {
-                learned.extend_from_slice(&records);
+                learned.append(&mut records);
                 graphs.push(graph);
                 self.metrics.windows_learning.inc();
                 if tspan.is_enabled() {
@@ -326,7 +325,7 @@ impl SecurityMonitor {
                     // Segmentation and policy learn from every learning
                     // window's records.
                     let done = graphs.len();
-                    let mut wb = Workbench::new(std::mem::take(learned), (*self.monitored).clone())
+                    let mut wb = Workbench::new(std::mem::take(learned), self.monitored.clone())
                         .with_obs(self.obs.clone());
                     let (segmentation, policy) = (wb.segmentation().clone(), wb.policy().clone());
                     let (segments, allow_rules) = (segmentation.len(), policy.rule_count());

@@ -12,7 +12,7 @@
 use algos::roles::{
     infer_roles_incremental_obs, infer_roles_obs, RoleInference, RoleMemo, SegmentationMethod,
 };
-use commgraph_graph::builder::{survives_vantage_dedup, Outcome, WindowedBuilder};
+use commgraph_graph::builder::{survives_vantage_dedup, Inventory, Outcome, WindowedBuilder};
 use commgraph_graph::diff::dirty_nodes;
 use commgraph_graph::series::GraphSequence;
 use commgraph_graph::{CommGraph, Facet, NodeId, Result as GraphResult};
@@ -21,7 +21,7 @@ use flowlog::time::bucket_start;
 use linalg::Parallelism;
 use obs::{AlertEngine, Obs, Scraper};
 use segment::{SegmentPolicy, Segmentation};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 use std::time::Instant;
@@ -147,10 +147,13 @@ pub struct Pipeline {
     roll: WindowedBuilder,
     /// The roll's vantage-dedup inventory (empty: none), for attributing a
     /// dropped record to lateness or to duplication.
-    monitored: Arc<HashSet<Ipv4Addr>>,
+    monitored: Inventory,
     /// Closed windows, each with its dirty set.
     closed: Vec<(CommGraph, Vec<NodeId>)>,
-    per_minute: HashMap<u64, u64>,
+    // bound: one entry per occupied minute of the run.
+    per_minute: BTreeMap<u64, u64>,
+    /// The last record's minute and the records since the stream (re-)entered it.
+    open_minute: (u64, u64),
     total: u64,
     kept: u64,
     deduped: u64,
@@ -165,13 +168,14 @@ pub struct Pipeline {
 impl Pipeline {
     /// Create a pipeline from a config.
     pub fn new(cfg: PipelineConfig) -> Self {
-        let monitored = Arc::new(cfg.monitored.unwrap_or_default());
+        let monitored = Inventory::from(cfg.monitored.unwrap_or_default());
         let metrics = PipelineMetrics::resolve(&cfg.obs);
         Pipeline {
             roll: WindowedBuilder::new(cfg.facet, cfg.window_len).with_monitored(monitored.clone()),
             monitored,
             closed: Vec::new(),
-            per_minute: HashMap::new(),
+            per_minute: BTreeMap::new(),
+            open_minute: (0, 0),
             total: 0,
             kept: 0,
             deduped: 0,
@@ -194,6 +198,14 @@ impl Pipeline {
         self.closed.push((g, dirty));
     }
 
+    /// Leave the open minute for `next` (`+=`: re-entering a minute stays exact).
+    fn flush_minute(&mut self, next: u64) {
+        let (minute, count) = std::mem::replace(&mut self.open_minute, (next, 0));
+        if count > 0 {
+            *self.per_minute.entry(minute).or_insert(0) += count;
+        }
+    }
+
     /// Ingest a batch of records. Timestamps may jitter within the open
     /// window; a record whose window has already closed is excluded from
     /// the graphs deterministically (and counted on
@@ -213,7 +225,11 @@ impl Pipeline {
         for r in records {
             let behind_watermark = r.ts < self.watermark;
             self.watermark = self.watermark.max(r.ts);
-            *self.per_minute.entry(bucket_start(r.ts, 60)).or_insert(0) += 1;
+            // Range-checked like the roll's window: map and division run on a minute change only.
+            if r.ts < self.open_minute.0 || r.ts - self.open_minute.0 >= 60 {
+                self.flush_minute(bucket_start(r.ts, 60));
+            }
+            self.open_minute.1 += 1;
             let (outcome, closed) = self.roll.add(r);
             if let Some(g) = closed {
                 // Roll lag: how far into the new window its first record
@@ -245,6 +261,7 @@ impl Pipeline {
     /// Close the stream and produce the graph sequence.
     pub fn finish(mut self) -> GraphResult<PipelineOutput> {
         let mut tspan = self.obs.trace_span("pipeline_finish");
+        self.flush_minute(0);
         if let Some(g) = self.roll.finish() {
             self.push_closed(g);
         }
@@ -255,8 +272,7 @@ impl Pipeline {
         }
         let (graphs, dirty_sets): (Vec<_>, Vec<_>) = self.closed.into_iter().unzip();
         let sequence = GraphSequence::from_graphs(graphs)?;
-        let mut records_per_minute: Vec<(u64, u64)> = self.per_minute.into_iter().collect();
-        records_per_minute.sort_unstable();
+        let records_per_minute = self.per_minute.into_iter().collect();
         if tspan.is_enabled() {
             tspan.attr("windows", &sequence.len().to_string());
             tspan.attr("total_records", &self.total.to_string());
@@ -320,7 +336,7 @@ pub struct WindowAnalysis {
 #[derive(Debug)]
 pub struct WindowAnalyzer {
     incremental: bool,
-    monitored: HashSet<Ipv4Addr>,
+    monitored: Inventory,
     parallelism: Parallelism,
     obs: Obs,
     memo: Option<RoleMemo>,
@@ -342,7 +358,7 @@ impl WindowAnalyzer {
         let savings = Self::resolve_savings(&obs);
         WindowAnalyzer {
             incremental,
-            monitored,
+            monitored: monitored.into(),
             parallelism: Parallelism::default(),
             obs,
             memo: None,
@@ -561,6 +577,31 @@ mod tests {
         let out = finish(p);
         assert_eq!(out.records_per_minute, vec![(0, 2), (60, 1)]);
         assert!((out.mean_records_per_minute() - 1.5).abs() < 1e-12);
+    }
+
+    /// The open-minute fields against a plain `BTreeMap` tally: a stream that
+    /// crosses a minute boundary forwards, backwards and forwards again
+    /// inside one window (re-entry must add, not overwrite), and one with an
+    /// empty minute between occupied ones — each fed whole and record by
+    /// record, so the open minute also survives across `ingest` calls.
+    #[test]
+    fn per_minute_tally_is_exact_under_jitter_and_gaps() {
+        let streams: [&[u64]; 2] =
+            [&[10, 59, 60, 61, 58, 3, 119, 62, 120, 59], &[0, 30, 185, 190, 20, 3599, 3600, 3725]];
+        for stamps in streams {
+            let mut want: BTreeMap<u64, u64> = BTreeMap::new();
+            for ts in stamps {
+                *want.entry(ts - ts % 60).or_insert(0) += 1;
+            }
+            let records: Vec<ConnSummary> = stamps.iter().map(|&ts| rec(ts, 1)).collect();
+            for batch in [records.len(), 1] {
+                let mut p = Pipeline::new(PipelineConfig::default());
+                records.chunks(batch).for_each(|c| p.ingest(c));
+                let out = finish(p);
+                assert_eq!(out.records_per_minute, Vec::from_iter(want.clone()), "{stamps:?}");
+                assert_eq!(out.total_records, stamps.len() as u64);
+            }
+        }
     }
 
     #[test]

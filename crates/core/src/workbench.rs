@@ -8,21 +8,19 @@
 use algos::roles::{infer_roles_obs, RoleInference, SegmentationMethod};
 use algos::stats::{byte_ccdf, CcdfPoint};
 use commgraph_graph::collapse::{collapse, PAPER_THRESHOLD};
-use commgraph_graph::{CommGraph, Facet, GraphBuilder};
+use commgraph_graph::{CommGraph, Facet, GraphBuilder, Inventory};
 use flowlog::record::ConnSummary;
 use linalg::pca::{pca_sweep_with, PcaSummary};
 use linalg::{Matrix, Parallelism};
 use obs::Obs;
 use segment::blast::{fleet_blast_report, FleetBlastReport};
 use segment::{SegmentPolicy, Segmentation, Violation, ViolationDetector};
-use std::collections::HashSet;
-use std::net::Ipv4Addr;
 
 /// One-window analysis session. Construct with the window's records and the
 /// monitored inventory; every analysis is computed lazily and cached.
 pub struct Workbench {
     records: Vec<ConnSummary>,
-    monitored: HashSet<Ipv4Addr>,
+    monitored: Inventory,
     parallelism: Parallelism,
     obs: Obs,
     ip_graph: Option<CommGraph>,
@@ -32,11 +30,12 @@ pub struct Workbench {
 }
 
 impl Workbench {
-    /// New session over `records` with the given monitored inventory.
-    pub fn new(records: Vec<ConnSummary>, monitored: HashSet<Ipv4Addr>) -> Self {
+    /// New session over `records` with the given monitored inventory (a
+    /// `HashSet`, or a clone of an [`Inventory`] handle already built).
+    pub fn new(records: Vec<ConnSummary>, monitored: impl Into<Inventory>) -> Self {
         Workbench {
             records,
-            monitored,
+            monitored: monitored.into(),
             parallelism: Parallelism::default(),
             obs: Obs::noop(),
             ip_graph: None,
@@ -73,7 +72,7 @@ impl Workbench {
     }
 
     /// The monitored inventory.
-    pub fn monitored(&self) -> &HashSet<Ipv4Addr> {
+    pub fn monitored(&self) -> &Inventory {
         &self.monitored
     }
 
@@ -199,6 +198,8 @@ fn window_len(records: &[ConnSummary]) -> u64 {
 mod tests {
     use super::*;
     use cloudsim::{ClusterPreset, Simulator};
+    use std::collections::HashSet;
+    use std::net::Ipv4Addr;
 
     fn session() -> Workbench {
         let preset = ClusterPreset::MicroserviceBench;
@@ -283,7 +284,7 @@ mod tests {
         let mut sim =
             Simulator::new(preset.topology_scaled(0.25), preset.default_sim_config()).unwrap();
         let records = sim.collect(5);
-        let monitored = sim.ground_truth().ip_roles.keys().copied().collect();
+        let monitored: HashSet<Ipv4Addr> = sim.ground_truth().ip_roles.keys().copied().collect();
         let mut wb = Workbench::new(records, monitored);
         let m = wb.byte_matrix().unwrap();
         assert!(m.rows() > 50, "n = {} must exceed 2k", m.rows());

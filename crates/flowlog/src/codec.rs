@@ -9,7 +9,8 @@
 //!   records) used where the text overhead matters, e.g. replaying
 //!   multi-million-record streams into benchmarks. Built on [`bytes`].
 //!
-//! Both codecs are exercised by round-trip property tests.
+//! Both codecs are exercised by round-trip property tests; the binary decoder
+//! checks a frame's length once, then reads each record at fixed offsets of one copy.
 
 use crate::error::{Error, Result};
 use crate::record::{ConnSummary, FlowKey, Protocol};
@@ -134,6 +135,11 @@ pub fn encode_binary(records: &[ConnSummary]) -> Bytes {
     buf.freeze()
 }
 
+/// `N` bytes of a record at a constant offset (inlined, no bounds check runs).
+fn field<const N: usize>(rec: &[u8; BINARY_RECORD_SIZE], at: usize) -> [u8; N] {
+    std::array::from_fn(|i| rec[at + i])
+}
+
 /// Decode a framed binary batch.
 pub fn decode_binary(mut buf: impl Buf) -> Result<Vec<ConnSummary>> {
     if buf.remaining() < BINARY_MAGIC.len() + 4 {
@@ -145,30 +151,30 @@ pub fn decode_binary(mut buf: impl Buf) -> Result<Vec<ConnSummary>> {
         return Err(Error::BadBinary(format!("bad magic {magic:02x?}")));
     }
     let count = buf.get_u32() as usize;
-    if buf.remaining() < count * BINARY_RECORD_SIZE {
+    // Checked: a 32-bit `usize` would wrap, and the sender chose `count`.
+    if count.checked_mul(BINARY_RECORD_SIZE).is_none_or(|need| buf.remaining() < need) {
         return Err(Error::BadBinary(format!(
             "frame claims {count} records but only {} bytes remain",
             buf.remaining()
         )));
     }
     let mut out = Vec::with_capacity(count);
+    let mut rec = [0u8; BINARY_RECORD_SIZE];
     for _ in 0..count {
-        let ts = buf.get_u64();
-        let mut ip4 = [0u8; 4];
-        buf.copy_to_slice(&mut ip4);
-        let local_ip = Ipv4Addr::from(ip4);
-        let local_port = buf.get_u16();
-        buf.copy_to_slice(&mut ip4);
-        let remote_ip = Ipv4Addr::from(ip4);
-        let remote_port = buf.get_u16();
-        let proto = Protocol::from_number(buf.get_u8());
+        buf.copy_to_slice(&mut rec);
         out.push(ConnSummary {
-            ts,
-            key: FlowKey { local_ip, local_port, remote_ip, remote_port, proto },
-            pkts_sent: buf.get_u64(),
-            pkts_rcvd: buf.get_u64(),
-            bytes_sent: buf.get_u64(),
-            bytes_rcvd: buf.get_u64(),
+            ts: u64::from_be_bytes(field(&rec, 0)),
+            key: FlowKey {
+                local_ip: Ipv4Addr::from(field::<4>(&rec, 8)),
+                local_port: u16::from_be_bytes(field(&rec, 12)),
+                remote_ip: Ipv4Addr::from(field::<4>(&rec, 14)),
+                remote_port: u16::from_be_bytes(field(&rec, 18)),
+                proto: Protocol::from_number(rec[20]),
+            },
+            pkts_sent: u64::from_be_bytes(field(&rec, 21)),
+            pkts_rcvd: u64::from_be_bytes(field(&rec, 29)),
+            bytes_sent: u64::from_be_bytes(field(&rec, 37)),
+            bytes_rcvd: u64::from_be_bytes(field(&rec, 45)),
         });
     }
     Ok(out)
@@ -265,6 +271,30 @@ mod tests {
         let full = encode_binary(&[rec(0), rec(1)]);
         let truncated = full.slice(..full.len() - 5);
         assert!(matches!(decode_binary(truncated).unwrap_err(), Error::BadBinary(_)));
+    }
+
+    #[test]
+    fn binary_rejects_every_strict_prefix() {
+        // All or nothing: a cut frame is an error, never the records that
+        // happened to arrive whole.
+        let full = encode_binary(&[rec(0), rec(1), rec(2)]);
+        for len in 0..full.len() {
+            let cut = decode_binary(full.slice(..len));
+            assert!(matches!(cut, Err(Error::BadBinary(_))), "prefix of {len} bytes: {cut:?}");
+        }
+        assert_eq!(decode_binary(full).unwrap().len(), 3);
+    }
+
+    #[test]
+    fn binary_refuses_a_count_its_body_cannot_hold() {
+        // The header claims u32::MAX records over a 100-byte body: refused
+        // by the length check, before the count sizes any allocation (which
+        // at 72 bytes a record would not survive).
+        let mut frame = BytesMut::with_capacity(108);
+        frame.put_slice(BINARY_MAGIC);
+        frame.put_u32(u32::MAX);
+        frame.put_slice(&[0u8; 100]);
+        assert!(matches!(decode_binary(frame.freeze()), Err(Error::BadBinary(_))));
     }
 
     #[test]

@@ -57,6 +57,9 @@ impl fmt::Display for Protocol {
     }
 }
 
+/// First ephemeral port: ports at or above never name a service (facets and policy share it).
+pub const EPHEMERAL_START: u16 = 32_768;
+
 /// Identity of a flow as seen from the reporting (local) endpoint.
 ///
 /// The same wire flow appears twice in a complete telemetry stream — once

@@ -8,8 +8,8 @@
 //!
 //! * **Vantage dedup.** Per-NIC collection reports a flow from *both*
 //!   endpoints when both are inside the subscription. Given the monitored
-//!   set, the builder keeps only the canonical endpoint's report for
-//!   double-covered flows, so edge counters are not doubled.
+//!   [`Inventory`], the builder keeps only the canonical endpoint's report
+//!   for double-covered flows, so edge counters are not doubled.
 //! * **Connection counting.** `conns` counts deduped flow-reports
 //!   (flow-minutes). For sub-minute flows — the overwhelming majority in
 //!   cloud RPC workloads — this equals the number of connections; long-lived
@@ -24,13 +24,33 @@ use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-/// The vantage-dedup rule, stated once: a flow between two monitored IPs
-/// was reported by both endpoints, so only the canonical endpoint's copy
-/// survives. With an empty inventory, or a single monitored end, every
-/// record does.
-pub fn survives_vantage_dedup(monitored: &HashSet<Ipv4Addr>, r: &ConnSummary) -> bool {
-    let both = monitored.contains(&r.key.remote_ip) && monitored.contains(&r.key.local_ip);
-    !both || r.key.is_canonical()
+/// The monitored-IP inventory as a shared handle: hashed once onto the record
+/// path's hasher, refcount-cloned into each window's builder, read as a set.
+// bound: one entry per address the provider lists; fixed once built.
+#[derive(Debug, Clone, Default)]
+pub struct Inventory(Arc<HashSet<Ipv4Addr, FixedState>>);
+
+impl From<HashSet<Ipv4Addr>> for Inventory {
+    fn from(ips: HashSet<Ipv4Addr>) -> Self {
+        Inventory(Arc::new(ips.into_iter().collect()))
+    }
+}
+
+impl std::ops::Deref for Inventory {
+    type Target = HashSet<Ipv4Addr, FixedState>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+/// The vantage-dedup rule, stated once: a flow between two monitored IPs was
+/// reported by both endpoints, so only the canonical copy survives; with an
+/// empty inventory or one monitored end, every record does. Asked cheapest
+/// first: emptiness, orientation (only a non-canonical copy can drop), the probes.
+pub fn survives_vantage_dedup(monitored: &Inventory, r: &ConnSummary) -> bool {
+    monitored.is_empty()
+        || r.key.is_canonical()
+        || !(monitored.contains(&r.key.remote_ip) && monitored.contains(&r.key.local_ip))
 }
 
 /// Accumulates one window's records into a [`CommGraph`].
@@ -56,9 +76,8 @@ pub struct GraphBuilder {
     facet: Facet,
     /// Flows between two monitored IPs are deduped to the canonical
     /// vantage. Empty (the default) means every record counts:
-    /// single-vantage telemetry, e.g. chokepoint captures. Shared, so a
-    /// builder per window does not copy the inventory.
-    monitored: Arc<HashSet<Ipv4Addr>>,
+    /// single-vantage telemetry, e.g. chokepoint captures.
+    monitored: Inventory,
     edges: HashMap<(NodeId, NodeId), EdgeStats, FixedState>,
     window_start: u64,
     window_len: u64,
@@ -72,7 +91,7 @@ impl GraphBuilder {
     pub fn new(facet: Facet, window_start: u64, window_len: u64) -> Self {
         GraphBuilder {
             facet,
-            monitored: Arc::default(),
+            monitored: Inventory::default(),
             edges: HashMap::default(),
             window_start,
             window_len,
@@ -81,9 +100,9 @@ impl GraphBuilder {
         }
     }
 
-    /// Enable vantage dedup against the given monitored-IP inventory (a
-    /// `HashSet`, or an `Arc` of one to share it between builders).
-    pub fn with_monitored(mut self, monitored: impl Into<Arc<HashSet<Ipv4Addr>>>) -> Self {
+    /// Enable vantage dedup against the given monitored-IP inventory: a
+    /// `HashSet` (rehashed here), or an [`Inventory`] clone to share one.
+    pub fn with_monitored(mut self, monitored: impl Into<Inventory>) -> Self {
         self.monitored = monitored.into();
         self
     }
@@ -169,7 +188,7 @@ pub enum Outcome {
 #[derive(Debug)]
 pub struct WindowedBuilder {
     facet: Facet,
-    monitored: Arc<HashSet<Ipv4Addr>>,
+    monitored: Inventory,
     window_len: u64,
     open: Option<GraphBuilder>,
 }
@@ -179,11 +198,11 @@ impl WindowedBuilder {
     /// paper's hourly graphs).
     pub fn new(facet: Facet, window_len: u64) -> Self {
         assert!(window_len > 0, "window length must be positive");
-        WindowedBuilder { facet, monitored: Arc::default(), window_len, open: None }
+        WindowedBuilder { facet, monitored: Inventory::default(), window_len, open: None }
     }
 
     /// Enable vantage dedup (see [`GraphBuilder::with_monitored`]).
-    pub fn with_monitored(mut self, monitored: impl Into<Arc<HashSet<Ipv4Addr>>>) -> Self {
+    pub fn with_monitored(mut self, monitored: impl Into<Inventory>) -> Self {
         self.monitored = monitored.into();
         self
     }
@@ -399,7 +418,7 @@ mod tests {
                         .push(ConnSummary { ts: r.ts + rng.random_range(0..3u64), ..r.mirrored() });
                 }
             }
-            let monitored: Arc<HashSet<Ipv4Addr>> = Arc::new(if seed % 2 == 0 {
+            let monitored = Inventory::from(if seed % 2 == 0 {
                 records.iter().flat_map(|r| [r.key.local_ip, r.key.remote_ip]).collect()
             } else {
                 HashSet::new()
@@ -447,7 +466,7 @@ mod tests {
 
     #[test]
     fn survives_dedup_matches_builder_keep_rule() {
-        let both: HashSet<Ipv4Addr> = [ip(1), ip(2)].into_iter().collect();
+        let both = Inventory::from(HashSet::from([ip(1), ip(2)]));
         let (flow, mirror) =
             (rec(0, 1, 40_000, 2, 443, 100, 10), rec(0, 1, 40_000, 2, 443, 100, 10).mirrored());
         let survives = survives_vantage_dedup;
@@ -457,10 +476,38 @@ mod tests {
         b.add_all([&flow, &mirror]);
         assert_eq!(b.record_counts(), (2, 1));
         // Only one endpoint monitored ⇒ single vantage, both orientations kept.
-        let half: HashSet<Ipv4Addr> = [ip(2)].into_iter().collect();
+        let half = Inventory::from(HashSet::from([ip(2)]));
         assert!(survives(&half, &flow) && survives(&half, &mirror));
         // No inventory ⇒ everything survives.
-        assert!(survives(&HashSet::new(), &flow) && survives(&HashSet::new(), &mirror));
+        let none = Inventory::default();
+        assert!(survives(&none, &flow) && survives(&none, &mirror));
+    }
+
+    /// The rule written out longhand — dropped iff both ends are monitored
+    /// and the copy is the non-canonical one — over all eight cases of
+    /// (local monitored, remote monitored, canonical), through the free
+    /// function and through the builder.
+    #[test]
+    fn dedup_truth_table_holds_through_function_and_builder() {
+        for case in 0..8u8 {
+            let (local_in, remote_in, canonical) = (case & 1 != 0, case & 2 != 0, case & 4 != 0);
+            let flow = rec(0, 1, 40_000, 2, 443, 100, 10);
+            let r = if canonical { flow } else { flow.mirrored() };
+            assert_eq!(r.key.is_canonical(), canonical);
+            let mut ips = HashSet::new();
+            if local_in {
+                ips.insert(r.key.local_ip);
+            }
+            if remote_in {
+                ips.insert(r.key.remote_ip);
+            }
+            let inventory = Inventory::from(ips);
+            let want = !(local_in && remote_in && !canonical);
+            assert_eq!(survives_vantage_dedup(&inventory, &r), want, "case {case:03b}");
+            let mut b = GraphBuilder::new(Facet::Ip, 0, 60).with_monitored(inventory);
+            assert_eq!(b.add(&r), want, "case {case:03b}");
+            assert_eq!(b.record_counts(), (1, u64::from(want)), "case {case:03b}");
+        }
     }
 
     #[test]

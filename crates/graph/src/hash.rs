@@ -1,11 +1,12 @@
-//! The fixed hasher behind the edge table.
+//! The fixed hasher of the record path, behind every table a record probes
+//! between frame and policy: the edge table, node interning and
+//! [`crate::builder::Inventory`] here, `segment`'s address map and rule set.
 //!
 //! `std`'s SipHash is keyed per process to resist crafted collisions, and
-//! the per-record group-by pays for it on every probe. `(NodeId, NodeId)`
-//! keys are a few machine words, so a multiply-rotate mix (the FxHash
-//! recipe) plus one fold is several times cheaper and hashes the same in
-//! every process. The trade is stated in DESIGN: a tenant that crafts
-//! colliding addresses slows the shard thread it lives on.
+//! each probe would pay for it. The keys are one or a few machine words, so
+//! a multiply-rotate mix (the FxHash recipe) plus one fold is several times
+//! cheaper and hashes the same in every process. The trade is in DESIGN §5:
+//! crafted collisions slow their tenant's analysis and its thread, corrupt nothing.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -45,8 +46,8 @@ mod tests {
     use std::hash::BuildHasher;
     use std::net::Ipv4Addr;
 
-    /// A silent change of the mix (or of how `NodeId` feeds it) must fail
-    /// here, not show up as a benchmark shift.
+    /// A silent change of the mix (or of how `NodeId` or `Ipv4Addr` feeds
+    /// it) must fail here, not show up as a benchmark shift.
     #[test]
     fn hash_is_pinned_on_known_keys() {
         let ip = |d: u8| Ipv4Addr::new(10, 0, 0, d);
@@ -58,6 +59,8 @@ mod tests {
         let got: Vec<u64> = keys.iter().map(|k| FixedState::default().hash_one(k)).collect();
         // (`std` feeds `Ipv4Addr` as a native-endian `u32`: little-endian values.)
         assert_eq!(got, [4460712884952285021, 9238174924180386646, 10287442495454908713]);
+        // The inventory's and the segment map's key: one word, one mix.
+        assert_eq!(FixedState::default().hash_one(ip(1)), 16693167870519202665);
     }
 
     #[test]
@@ -82,5 +85,18 @@ mod tests {
         }
         let max = buckets.iter().copied().max().unwrap_or(0);
         assert!(max <= 2 * 4096 / 64, "fullest of 64 buckets holds {max} of 4096 keys");
+
+        // The inventory's and the segment map's shape: bare addresses of one
+        // /20, by the low six bits (the bucket) and by the top seven (the
+        // tag hashbrown compares before it compares keys).
+        let (mut low, mut tag) = ([0u32; 64], [0u32; 128]);
+        for i in 0..4096u32 {
+            let h = FixedState::default().hash_one(Ipv4Addr::from(0x0A00_0000 + i));
+            low[(h & 63) as usize] += 1;
+            tag[(h >> 57) as usize] += 1;
+        }
+        let (low, tag) = (low.iter().max().copied(), tag.iter().max().copied());
+        assert!(low <= Some(2 * 4096 / 64), "fullest of 64 buckets holds {low:?} of 4096");
+        assert!(tag <= Some(2 * 4096 / 128), "fullest of 128 tags holds {tag:?} of 4096");
     }
 }

@@ -18,7 +18,7 @@
 //!   for a record that arrives behind it).
 //! * [`graph`] — the immutable snapshot with CSR adjacency, matrix export,
 //!   and DOT/JSON serialization.
-//! * [`hash`] — the fixed fast hasher behind the edge table and node index.
+//! * [`hash`] — the fixed fast hasher behind every table a record probes.
 //! * [`collapse`] — heavy-hitter collapsing: nodes below a traffic-share
 //!   threshold fold into one `Other` node, the paper's §3.2 mitigation that
 //!   bounds memory on graphs with many small remote peers.
@@ -47,7 +47,7 @@ pub mod series;
 pub mod stats;
 pub mod timeseries;
 
-pub use builder::{GraphBuilder, Outcome, WindowedBuilder};
+pub use builder::{GraphBuilder, Inventory, Outcome, WindowedBuilder};
 pub use error::{Error, Result};
 pub use graph::CommGraph;
 pub use node::{Facet, NodeId};

@@ -6,7 +6,7 @@
 //! services, and service graphs aggregate replicas. A [`Facet`] is that
 //! choice, mapping each record endpoint to a [`NodeId`].
 
-use flowlog::record::ConnSummary;
+use flowlog::record::{ConnSummary, EPHEMERAL_START};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -48,9 +48,6 @@ impl fmt::Display for NodeId {
         }
     }
 }
-
-/// First ephemeral port; ports at or above never name a service.
-const EPHEMERAL_START: u16 = 32_768;
 
 /// A mapping from record endpoints to node identities.
 #[derive(Debug, Clone, PartialEq)]

@@ -16,6 +16,7 @@
 
 use crate::microseg::{SegmentId, Segmentation};
 use crate::policy::service_port;
+use commgraph_graph::hash::FixedState;
 use flowlog::record::ConnSummary;
 use serde::Serialize;
 use std::collections::{HashMap, HashSet};
@@ -45,8 +46,8 @@ pub struct SimilarityFinding {
 fn behaviors<'a>(
     records: impl IntoIterator<Item = &'a ConnSummary>,
     seg: &Segmentation,
-) -> HashMap<BehaviorKey, HashSet<std::net::Ipv4Addr>> {
-    let mut out: HashMap<BehaviorKey, HashSet<std::net::Ipv4Addr>> = HashMap::new();
+) -> HashMap<BehaviorKey, HashSet<std::net::Ipv4Addr, FixedState>, FixedState> {
+    let mut out: HashMap<_, HashSet<_, _>, _> = HashMap::default();
     for r in records {
         let (Some(a), Some(b)) = (seg.segment_of(r.key.local_ip), seg.segment_of(r.key.remote_ip))
         else {

@@ -1,7 +1,9 @@
-//! µsegments: groups of same-role resources.
+//! µsegments: groups of same-role resources. Policies ask `segment_of` twice
+//! per record: its map is on the record path's hasher ([`commgraph_graph::hash`]).
 
 use crate::error::{Error, Result};
 use algos::RoleInference;
+use commgraph_graph::hash::FixedState;
 use commgraph_graph::{CommGraph, NodeId};
 use serde::Serialize;
 use std::collections::HashMap;
@@ -30,8 +32,9 @@ pub struct Segment {
 #[derive(Debug, Clone, Serialize)]
 pub struct Segmentation {
     segments: Vec<Segment>,
+    // bound: one entry per IP node of the window's graph it was built from.
     #[serde(skip)]
-    ip_to_segment: HashMap<Ipv4Addr, SegmentId>,
+    ip_to_segment: HashMap<Ipv4Addr, SegmentId, FixedState>,
 }
 
 impl Segmentation {
@@ -39,7 +42,7 @@ impl Segmentation {
     /// fallback when a graph/inference pair cannot be segmented — every
     /// lookup misses, so downstream policies learn nothing.
     pub fn empty() -> Self {
-        Segmentation { segments: Vec::new(), ip_to_segment: HashMap::new() }
+        Segmentation { segments: Vec::new(), ip_to_segment: HashMap::default() }
     }
 
     /// Build from a role inference over an IP-facet graph.
@@ -47,6 +50,7 @@ impl Segmentation {
     /// `is_internal` classifies addresses (the monitored inventory, which a
     /// cloud provider always has). Nodes that are not IPs (e.g. the
     /// collapsed `Other` node) are skipped — they cannot be policy subjects.
+    /// A 65 537th segment is [`Error::InvalidArg`]: its id would alias segment 0.
     pub fn from_inference(
         g: &CommGraph,
         inference: &RoleInference,
@@ -73,9 +77,11 @@ impl Segmentation {
         let mut keys: Vec<(usize, bool)> = buckets.keys().copied().collect();
         keys.sort_by_key(|&(role, internal)| (role, !internal));
         let mut segments = Vec::with_capacity(keys.len());
-        let mut ip_to_segment = HashMap::new();
+        let mut ip_to_segment = HashMap::default();
         for (role, internal) in keys {
-            let id = SegmentId(segments.len() as u16);
+            let Ok(id) = u16::try_from(segments.len()).map(SegmentId) else {
+                return Err(Error::InvalidArg("more than 65 536 segments".into()));
+            };
             let Some(mut members) = buckets.remove(&(role, internal)) else {
                 continue; // key came from the map; unreachable, but not worth a panic
             };
@@ -94,9 +100,13 @@ impl Segmentation {
     }
 
     /// Build directly from explicit member lists (tests, manual labeling).
+    ///
+    /// # Panics
+    /// Panics on more than 65 536 groups: a `u16` id would alias segment 0.
     pub fn from_members(groups: Vec<(String, Vec<Ipv4Addr>, bool)>) -> Self {
+        assert!(groups.len() <= 1 << 16, "{} segments exceed u16 ids", groups.len());
         let mut segments = Vec::with_capacity(groups.len());
-        let mut ip_to_segment = HashMap::new();
+        let mut ip_to_segment = HashMap::default();
         for (i, (name, mut members, internal)) in groups.into_iter().enumerate() {
             let id = SegmentId(i as u16);
             members.sort();
@@ -209,6 +219,43 @@ mod tests {
             Segmentation::from_inference(&g, &inf, |_| true),
             Err(Error::LabelMismatch { .. })
         ));
+    }
+
+    /// `n` singleton roles over a chain of `n` addresses.
+    fn singletons(n: u32) -> (CommGraph, RoleInference) {
+        let node = |i: u32| NodeId::Ip(Ipv4Addr::from(0x0A00_0000 + i));
+        let st = EdgeStats { bytes_fwd: 1, conns: 1, ..Default::default() };
+        let edges: HashMap<_, _> = (1..n).map(|i| ((node(i - 1), node(i)), st)).collect();
+        let g = CommGraph::from_edge_map("ip", 0, 3600, edges);
+        let inference = RoleInference {
+            labels: (0..n as usize).collect(),
+            n_roles: n as usize,
+            method: "test".into(),
+            clustering_modularity: 0.0,
+        };
+        (g, inference)
+    }
+
+    #[test]
+    fn segment_ids_never_wrap() {
+        // 65 536 segments fit a u16 id exactly; the last one is 65 535.
+        let (g, inf) = singletons(65_536);
+        let s = Segmentation::from_inference(&g, &inf, |_| true).unwrap();
+        assert_eq!(s.len(), 65_536);
+        assert_eq!(s.segment_of(Ipv4Addr::from(0x0A00_FFFF)), Some(SegmentId(u16::MAX)));
+        assert_eq!(s.segment_of(Ipv4Addr::from(0x0A00_0000)), Some(SegmentId(0)));
+        let groups = |n: u32| -> Vec<_> {
+            (0..n).map(|i| (format!("s{i}"), vec![Ipv4Addr::from(0x0A00_0000 + i)], true)).collect()
+        };
+        let m = Segmentation::from_members(groups(65_536));
+        assert_eq!(m.segments().last().map(|s| s.id), Some(SegmentId(u16::MAX)));
+        // One more would alias segment 0: refused both ways.
+        let (g, inf) = singletons(65_537);
+        assert!(matches!(
+            Segmentation::from_inference(&g, &inf, |_| true),
+            Err(Error::InvalidArg(_))
+        ));
+        assert!(std::panic::catch_unwind(|| Segmentation::from_members(groups(65_537))).is_err());
     }
 
     #[test]

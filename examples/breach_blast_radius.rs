@@ -11,6 +11,8 @@ use commgraph::cloudsim::{ClusterPreset, SimConfig, Simulator};
 use commgraph::segment::blast::blast_radius;
 use commgraph::segment::Verdict;
 use commgraph::workbench::Workbench;
+use std::collections::HashSet;
+use std::net::Ipv4Addr;
 
 fn main() {
     let preset = ClusterPreset::MicroserviceBench;
@@ -20,7 +22,7 @@ fn main() {
     let mut clean_sim =
         Simulator::new(topo.clone(), preset.default_sim_config()).expect("preset is valid");
     let clean = clean_sim.collect(30);
-    let monitored = clean_sim
+    let monitored: HashSet<Ipv4Addr> = clean_sim
         .ground_truth()
         .ip_roles
         .keys()

@@ -9,7 +9,7 @@ use commgraph::cloudsim::traffic::TrafficProfile;
 use commgraph::cloudsim::{SimConfig, Simulator};
 use commgraph::flowlog::record::ConnSummary;
 use commgraph::flowlog::time::bucket_start;
-use commgraph::graph::builder::survives_vantage_dedup;
+use commgraph::graph::builder::{survives_vantage_dedup, Inventory};
 use commgraph::graph::collapse::{collapse, collapse_default};
 use commgraph::graph::{CommGraph, EdgeStats, Facet, GraphBuilder, NodeId};
 use commgraph::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
@@ -18,7 +18,6 @@ use commgraph::segment::{Segmentation, ViolationDetector};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashSet};
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 /// A small random-but-valid topology.
 fn arb_topology() -> impl Strategy<Value = commgraph::cloudsim::Topology> {
@@ -55,10 +54,7 @@ fn fingerprints(graphs: &[CommGraph]) -> Vec<Fingerprint> {
 const WINDOW: u64 = 120;
 
 /// The reference: one `GraphBuilder` per window over all of `records`.
-fn one_builder_per_window(
-    records: &[ConnSummary],
-    monitored: &Arc<HashSet<Ipv4Addr>>,
-) -> Vec<Fingerprint> {
+fn one_builder_per_window(records: &[ConnSummary], monitored: &Inventory) -> Vec<Fingerprint> {
     let mut builders: BTreeMap<u64, GraphBuilder> = BTreeMap::new();
     for r in records {
         let w = bucket_start(r.ts, WINDOW);
@@ -124,7 +120,7 @@ proptest! {
         let monitored: HashSet<Ipv4Addr> = sim
             .ground_truth().ip_roles.keys().copied()
             .filter(|ip| ip.octets()[0] == 10).collect();
-        let shared = Arc::new(monitored.clone());
+        let shared = Inventory::from(monitored.clone());
 
         let want = one_builder_per_window(&in_order, &shared);
         prop_assert!(want.len() >= 2, "the stream rolls");
@@ -149,7 +145,7 @@ proptest! {
         let absorbed = one_builder_per_window(&straggling, &shared);
         prop_assert_eq!(&graphs, &absorbed, "the shard table absorbs them");
         prop_assert_eq!(stats.records_in - out.kept_records - out.deduped_records, late.len() as u64);
-        let surviving = late.iter().filter(|r| survives_vantage_dedup(&monitored, r)).count();
+        let surviving = late.iter().filter(|r| survives_vantage_dedup(&shared, r)).count();
         prop_assert_eq!(stats.records_kept - out.kept_records, surviving as u64);
     }
 
