@@ -3,10 +3,17 @@
 //! The paper's Figure 1 segmentation starts from a simple, powerful signal:
 //! two resources that talk to the *same set of peers* are likely replicas of
 //! one role — even if they never talk to each other (which is exactly why
-//! modularity clustering fails at this task, §2.1). [`jaccard_matrix`]
-//! computes exact pairwise Jaccard scores over neighbor sets; [`MinHasher`]
-//! provides the sketched variant the paper cites (\[35, 45\]) for when the
-//! quadratic exact computation is too expensive.
+//! modularity clustering fails at this task, §2.1).
+//!
+//! [`jaccard_clique`] is what role inference runs: exact Jaccard counted
+//! over an inverted token index, only for pairs that share a token, written
+//! straight into the sparse [`WeightedGraph`] Louvain clusters. It answers
+//! the "super-quadratic complexity" the paper flags without giving up
+//! exactness. [`jaccard_matrix`] and its `_of_sets` variants fill the dense
+//! all-pairs matrix; they are the reference the clique is tested against
+//! (and what [`MinHasher`]'s estimates are measured against), not a step of
+//! the product. [`MinHasher`] is the sketched variant the paper cites
+//! (\[35, 45\]).
 
 use crate::wgraph::WeightedGraph;
 use linalg::par::{self, Parallelism};
@@ -36,7 +43,8 @@ pub fn jaccard_of_sets(a: &[u32], b: &[u32]) -> f64 {
 /// Exact pairwise Jaccard matrix over every node's neighbor set.
 ///
 /// O(n² · d̄) — the "super-quadratic complexity" the paper flags as an open
-/// issue; [`MinHasher`] is the cheaper alternative.
+/// issue; [`jaccard_clique`] is the exact sparse alternative, [`MinHasher`]
+/// the sketched one.
 pub fn jaccard_matrix(g: &WeightedGraph) -> SymMatrix {
     let n = g.node_count();
     let sets: Vec<Vec<u32>> = (0..n as u32).map(|u| g.neighbor_set(u)).collect();
@@ -71,69 +79,90 @@ pub fn jaccard_matrix_of_sets_with(sets: &[Vec<u32>], parallelism: Parallelism) 
     m
 }
 
-/// Incremental exact Jaccard matrix: recompute only rows touched by dirty
-/// nodes, copying every clean pair from the previous window's matrix.
+/// The paper's *scored clique*, built without the matrix: exact Jaccard for
+/// every pair of `sets` (each sorted and deduplicated) that shares a token,
+/// kept as an edge when it is `>= min_score` and `> 0.0`.
 ///
-/// `sets` are the current window's token sets (sorted, deduplicated);
-/// `dirty[i]` marks nodes whose adjacency changed since the previous window;
-/// `prev_index[i]` maps the current node index to its index in `prev` (the
-/// previous window's matrix), `None` for nodes that did not exist then.
+/// Postings (token → ascending holders) are laid out in CSR form; node `i`
+/// walks the postings of its own tokens above `i`, counting shared tokens
+/// per candidate `j` in one reusable `n`-slot counter. A pair that shares
+/// nothing is never visited — its score is 0 and it is no edge.
 ///
-/// **Bit-exactness.** A pair is copied only when both nodes are clean, and a
-/// clean node's token set in the current window is the previous window's set
-/// transformed by one strictly increasing index remap (both windows sort
-/// nodes by id, and a clean node's neighbors all persist with identical
-/// stats). Such a remap preserves intersection and union cardinalities, and
-/// [`jaccard_of_sets`] is a pure function of those two integers — so the
-/// copied entry equals the recomputed one to the last bit, at any worker
-/// count.
-pub fn jaccard_incremental_with(
-    sets: &[Vec<u32>],
-    dirty: &[bool],
-    prev: &SymMatrix,
-    prev_index: &[Option<usize>],
-    parallelism: Parallelism,
-) -> SymMatrix {
-    assert_eq!(sets.len(), dirty.len(), "one dirty flag per node");
-    assert_eq!(sets.len(), prev_index.len(), "one prev index slot per node");
+/// **Bit-exactness.** The emitted weight is `inter / (|a| + |b| − inter)`,
+/// the same two integers [`jaccard_of_sets`] divides, and edges enter the
+/// graph in the `(i, j > i)` lexicographic order
+/// [`WeightedGraph::from_similarity`] uses — so every adjacency entry and
+/// `total_weight` (hence modularity, hence every Louvain decision) equals
+/// thresholding [`jaccard_matrix_of_sets`] to the last bit.
+///
+/// # Panics
+/// Panics, before allocating anything, when a token is `>= 3 · sets.len()`:
+/// tokens are neighbor indices (`< n`) or the direction-qualified
+/// `3·neighbor + class` (`< 3n`), which is what keeps the postings O(n + T)
+/// for T tokens held in total.
+pub fn jaccard_clique(sets: &[Vec<u32>], min_score: f64) -> WeightedGraph {
+    clique_counting(sets, min_score).0
+}
+
+/// [`jaccard_clique`] plus the number of counter increments it performed
+/// (the work term its bound is stated in).
+// bound: a token with h holders costs h(h−1)/2 increments, so the walk is
+// Σ_t h_t(h_t−1)/2 ≤ (n−1)·T/2 — at most half the (n−1)·T set elements the
+// dense merge reads. A hub token (every node holds it) or a clique (every
+// node holds every token) meets that bound and cannot exceed it.
+fn clique_counting(sets: &[Vec<u32>], min_score: f64) -> (WeightedGraph, u64) {
     let n = sets.len();
-    // Steady-state fast path: the node set did not change, so the packed
-    // layouts coincide and the whole previous triangle can be carried over
-    // in one buffer copy; only pairs touching a dirty node are recomputed.
-    // Entry-for-entry this performs the same copy-or-recompute decision as
-    // the general path below (a dirty-dirty pair is merely recomputed from
-    // both endpoints, landing the same value twice), so it stays bit-exact.
-    if prev.n() == n && prev_index.iter().enumerate().all(|(i, p)| *p == Some(i)) {
-        let mut m = prev.clone();
-        for i in (0..n).filter(|&i| dirty[i]) {
-            for j in 0..n {
-                let v = if i == j { 1.0 } else { jaccard_of_sets(&sets[i], &sets[j]) };
-                m.set(i, j, v);
+    let vocab = sets.iter().flatten().max().map_or(0, |&t| t as usize + 1);
+    assert!(vocab <= 3 * n, "token {} out of range for {n} sets (must be < 3n)", vocab - 1);
+    // CSR postings: holders of token t are `holders[start[t]..start[t + 1]]`,
+    // ascending because nodes are appended in index order.
+    let mut start = vec![0usize; vocab + 1];
+    for &t in sets.iter().flatten() {
+        start[t as usize + 1] += 1;
+    }
+    for t in 0..vocab {
+        start[t + 1] += start[t];
+    }
+    let mut holders = vec![0u32; start[vocab]];
+    let mut head = start.clone();
+    for (i, set) in sets.iter().enumerate() {
+        for &t in set {
+            holders[head[t as usize]] = i as u32;
+            head[t as usize] += 1;
+        }
+    }
+    // Rewind: while node i is processed, `head[t]` sits on i's own slot in
+    // every posting i belongs to, so the holders above i are the tail.
+    head.copy_from_slice(&start);
+    let mut g = WeightedGraph::new(n);
+    let mut shared = vec![0u32; n];
+    let mut touched: Vec<u32> = Vec::new();
+    let mut increments = 0u64;
+    for (i, set) in sets.iter().enumerate() {
+        for &t in set {
+            let t = t as usize;
+            head[t] += 1;
+            let above = &holders[head[t]..start[t + 1]];
+            increments += above.len() as u64;
+            for &j in above {
+                if shared[j as usize] == 0 {
+                    touched.push(j);
+                }
+                shared[j as usize] += 1;
             }
         }
-        return m;
+        touched.sort_unstable();
+        for &j in &touched {
+            let inter = std::mem::take(&mut shared[j as usize]) as usize;
+            let union = set.len() + sets[j as usize].len() - inter;
+            let score = inter as f64 / union as f64;
+            if score >= min_score && score > 0.0 {
+                g.add_edge(i as u32, j, score);
+            }
+        }
+        touched.clear();
     }
-    let mut m = SymMatrix::zeros(n);
-    m.fill_upper_incremental(
-        parallelism,
-        prev,
-        |i, j| {
-            if i != j && !dirty[i] && !dirty[j] {
-                if let (Some(pi), Some(pj)) = (prev_index[i], prev_index[j]) {
-                    return Some((pi, pj));
-                }
-            }
-            None
-        },
-        |i, j| {
-            if i == j {
-                1.0
-            } else {
-                jaccard_of_sets(&sets[i], &sets[j])
-            }
-        },
-    );
-    m
+    (g, increments)
 }
 
 /// MinHash signatures for approximate Jaccard estimation.
@@ -230,6 +259,8 @@ fn mix(mut z: u64) -> u64 {
 #[allow(clippy::needless_range_loop)] // index pairs are clearest for symmetry checks
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     #[test]
     fn set_jaccard_basics() {
@@ -310,36 +341,77 @@ mod tests {
         }
     }
 
-    #[test]
-    fn incremental_jaccard_matches_full_recompute() {
-        // "Previous window": 6 nodes with assorted sets.
-        let prev_sets: Vec<Vec<u32>> =
-            vec![vec![1, 2, 3], vec![2, 3, 4], vec![1, 5], vec![2, 3, 4], vec![7, 8], vec![1, 2]];
-        let prev = jaccard_matrix_of_sets(&prev_sets);
-        // "Current window": node at prev index 2 vanished, a new node
-        // appended, node at prev index 4 changed its set. The clean nodes'
-        // sets are the previous ones under a consistent remap (identity here).
-        let sets: Vec<Vec<u32>> = vec![
-            vec![1, 2, 3],    // prev 0, clean
-            vec![2, 3, 4],    // prev 1, clean
-            vec![2, 3, 4],    // prev 3, clean
-            vec![7, 8, 9],    // prev 4, dirty (grew)
-            vec![1, 2],       // prev 5, clean
-            vec![42, 43, 44], // new node, dirty
-        ];
-        let dirty = vec![false, false, false, true, false, true];
-        let prev_index = vec![Some(0), Some(1), Some(3), Some(4), Some(5), None];
-        let full = jaccard_matrix_of_sets(&sets);
-        for workers in [1, 2, 8] {
-            let inc = jaccard_incremental_with(
-                &sets,
-                &dirty,
-                &prev,
-                &prev_index,
-                Parallelism::new(workers),
-            );
-            assert_eq!(inc, full, "{workers} workers");
+    /// The dense reference [`jaccard_clique`] must equal bit for bit.
+    fn dense_clique(sets: &[Vec<u32>], min_score: f64) -> WeightedGraph {
+        WeightedGraph::from_similarity(&jaccard_matrix_of_sets(sets), min_score)
+    }
+
+    fn assert_same_graph(got: &WeightedGraph, want: &WeightedGraph, what: &str) {
+        assert_eq!(got.node_count(), want.node_count(), "{what}");
+        let bits = |g: &WeightedGraph, u: u32| -> Vec<(u32, u64)> {
+            g.neighbors(u).iter().map(|&(v, w)| (v, w.to_bits())).collect()
+        };
+        for u in 0..got.node_count() as u32 {
+            assert_eq!(bits(got, u), bits(want, u), "{what}: adjacency of {u}");
         }
+        assert_eq!(got.total_weight().to_bits(), want.total_weight().to_bits(), "{what}");
+    }
+
+    #[test]
+    fn clique_equals_thresholded_dense_matrix_bitwise() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for case in 0..200 {
+            let n = rng.random_range(1usize..81);
+            // Vocabularies from "everything collides" up to the full 3n range.
+            let vocab = rng.random_range(1u32..3 * n as u32 + 1);
+            let sets: Vec<Vec<u32>> = (0..n)
+                .map(|_| {
+                    let len = rng.random_range(0usize..13);
+                    let mut set: Vec<u32> = (0..len).map(|_| rng.random_range(0..vocab)).collect();
+                    set.sort_unstable();
+                    set.dedup();
+                    set
+                })
+                .collect();
+            for min_score in [0.0, 0.1, 1.0 / 3.0, 1.0] {
+                assert_same_graph(
+                    &jaccard_clique(&sets, min_score),
+                    &dense_clique(&sets, min_score),
+                    &format!("case {case}, n {n}, vocab {vocab}, min_score {min_score}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hub_tokens_meet_the_work_bound_and_never_pass_it() {
+        let n = 400usize;
+        // One token held by every node, beside a private one each.
+        let hub: Vec<Vec<u32>> = (0..n as u32).map(|i| vec![0, 1 + i]).collect();
+        // Every node holds every token: the complete-overlap worst case.
+        let complete: Vec<Vec<u32>> = vec![(0..30).collect(); n];
+        for (what, sets) in [("hub", hub), ("complete", complete)] {
+            let (clique, increments) = clique_counting(&sets, 0.1);
+            assert_same_graph(&clique, &dense_clique(&sets, 0.1), what);
+            let held: usize = sets.iter().map(Vec::len).sum();
+            assert!(
+                increments <= ((n - 1) * held / 2) as u64,
+                "{what}: {increments} increments for {held} tokens held"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "token 6 out of range")]
+    fn clique_refuses_a_token_at_three_n() {
+        jaccard_clique(&[vec![5], vec![6]], 0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn clique_checks_tokens_before_allocating() {
+        // Postings sized by this token before the check would ask for 32 GiB.
+        jaccard_clique(&[vec![0], vec![u32::MAX]], 0.1);
     }
 
     #[test]

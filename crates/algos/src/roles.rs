@@ -4,7 +4,10 @@
 //! overlap of their neighbor sets, then run (hierarchical) Louvain on the
 //! *scored clique* — the complete graph whose edge weights are similarity
 //! scores. Nodes clustered together play the same role and can share a
-//! µsegment.
+//! µsegment. The clique is built sparse and exact by [`jaccard_clique`] —
+//! no n² matrix — and rebuilt from the window's token sets every window; what
+//! [`infer_roles_incremental_obs`] carries between windows is the partition
+//! ([`RoleMemo`]), which seeds the next window's Louvain.
 //!
 //! The Figure 3 alternatives are provided for comparison: SimRank and
 //! SimRank++ similarity cliques, and connection-/byte-weighted modularity
@@ -12,7 +15,7 @@
 //! to each other — which is exactly wrong for roles, since two front-end
 //! replicas may never exchange a byte.
 
-use crate::jaccard::{jaccard_incremental_with, jaccard_matrix_of_sets_with, MinHasher};
+use crate::jaccard::{jaccard_clique, MinHasher};
 use crate::louvain::{
     hierarchical_louvain, hierarchical_louvain_seeded, louvain, HierarchicalConfig, LouvainResult,
 };
@@ -20,7 +23,6 @@ use crate::simrank::{simrank_pp_with, simrank_with, SimRankConfig};
 use crate::wgraph::WeightedGraph;
 use commgraph_graph::{CommGraph, NodeId};
 use linalg::par::Parallelism;
-use linalg::sym::SymMatrix;
 use obs::Obs;
 use serde::Serialize;
 
@@ -160,10 +162,12 @@ pub fn infer_roles(g: &CommGraph, method: &SegmentationMethod) -> RoleInference 
 
 /// Infer roles with an explicit worker count for the similarity kernels.
 ///
-/// The Jaccard/MinHash/SimRank scoring stages run row-partitioned under
-/// `parallelism`; the clustering stage (Louvain, k-means) is single-threaded
-/// by design (see [`crate::louvain`]). Scores — and therefore the inferred
-/// roles — are bit-for-bit identical at any worker count.
+/// The MinHash/SimRank scoring stages run row-partitioned under
+/// `parallelism`; the exact Jaccard clique and the clustering stage
+/// (Louvain, k-means) are single-threaded by design (see
+/// [`crate::jaccard::jaccard_clique`], [`crate::louvain`]). Scores — and
+/// therefore the inferred roles — are bit-for-bit identical at any worker
+/// count.
 pub fn infer_roles_with(
     g: &CommGraph,
     method: &SegmentationMethod,
@@ -189,20 +193,25 @@ pub fn infer_roles_obs(
     // recursion separates same-kind roles that only share hub neighbors.
     let hier = HierarchicalConfig::default();
     let method_name = method.name();
-    let cluster_scored = |scores, min_score: f64| {
+    let cluster_span = || {
         let mut span = o.stage_span("cluster");
         if span.trace_enabled() {
             span.trace_attr("method", method_name);
         }
+        span
+    };
+    let cluster_scored = |scores, min_score: f64| {
+        let _span = cluster_span();
         hierarchical_louvain(&WeightedGraph::from_similarity(&scores, min_score), hier)
     };
     let result: LouvainResult = match method {
         SegmentationMethod::JaccardLouvain { min_score } => {
-            let scores = {
+            let clique = {
                 let _span = o.stage_span("similarity");
-                jaccard_matrix_of_sets_with(&directional_neighbor_sets(g), parallelism)
+                jaccard_clique(&directional_neighbor_sets(g), *min_score)
             };
-            cluster_scored(scores, *min_score)
+            let _span = cluster_span();
+            hierarchical_louvain(&clique, hier)
         }
         SegmentationMethod::MinHashLouvain { hashes, min_score, seed } => {
             let scores = {
@@ -228,19 +237,11 @@ pub fn infer_roles_obs(
             cluster_scored(scores, *min_score)
         }
         SegmentationMethod::ModularityConns => {
-            let mut span = o.stage_span("cluster");
-            if span.trace_enabled() {
-                span.trace_attr("method", method_name);
-            }
-            let _span = span;
+            let _span = cluster_span();
             louvain(&WeightedGraph::from_comm_graph(g, |e| e.conns as f64))
         }
         SegmentationMethod::ModularityBytes => {
-            let mut span = o.stage_span("cluster");
-            if span.trace_enabled() {
-                span.trace_attr("method", method_name);
-            }
-            let _span = span;
+            let _span = cluster_span();
             louvain(&WeightedGraph::from_comm_graph(g, |e| e.bytes() as f64))
         }
         SegmentationMethod::FeatureKMeans { k, k_max, seed } => {
@@ -249,11 +250,7 @@ pub fn infer_roles_obs(
                 let _span = o.stage_span("similarity");
                 crate::features::node_features(g)
             };
-            let mut span = o.stage_span("cluster");
-            if span.trace_enabled() {
-                span.trace_attr("method", method_name);
-            }
-            let _span = span;
+            let _span = cluster_span();
             let km = match k {
                 Some(k) => crate::kmeans::kmeans(&feats, *k, *seed, 200),
                 None => crate::kmeans::kmeans_auto(&feats, *k_max, *seed),
@@ -274,29 +271,27 @@ pub fn infer_roles_obs(
 }
 
 /// Carry-over state for incremental role inference across consecutive
-/// windows: the previous window's similarity matrix, inferred labels, and
-/// node order. Produced and consumed by [`infer_roles_incremental_obs`].
+/// windows: the previous window's inferred labels and node order. Produced
+/// and consumed by [`infer_roles_incremental_obs`].
+// bound: two vectors, one entry per node of the previous window.
 #[derive(Debug, Clone)]
 pub struct RoleMemo {
-    /// Similarity matrix of the previous window, in its node order.
-    pub scores: SymMatrix,
     /// Inferred role label per previous-window node.
     pub labels: Vec<usize>,
     /// The previous window's nodes, sorted (graph node order).
     pub nodes: Vec<NodeId>,
 }
 
-/// Incremental variant of the paper's Jaccard+Louvain role inference:
-/// similarity rows are recomputed only for `dirty` nodes (clean pairs are
-/// copied from the memo's matrix — bit-exact, see
-/// [`jaccard_incremental_with`]), and the hierarchical Louvain base run is
-/// seeded from the previous window's partition
-/// ([`hierarchical_louvain_seeded`]).
+/// Incremental variant of the paper's Jaccard+Louvain role inference: the
+/// hierarchical Louvain base run is seeded from the previous window's
+/// partition ([`hierarchical_louvain_seeded`]). The scored clique is rebuilt
+/// from `g`'s token sets ([`jaccard_clique`]) — a full sparse build costs
+/// less than patching a dense matrix did — so the similarity stage reads
+/// neither `dirty` nor `parallelism`; both stay in the signature for the
+/// callers that pass them.
 ///
-/// `dirty` is the sorted dirty-node set from `commgraph_graph::diff`
-/// between the memo's window and `g`. With `memo == None` (first window)
-/// the computation is a plain full run. Returns the inference plus the memo
-/// for the next window.
+/// With `memo == None` (first window) the computation is a plain full run.
+/// Returns the inference plus the memo for the next window.
 ///
 /// On a converged steady-state window the seeded clustering lands on the
 /// same partition as a fresh run, and identical partitions compact to
@@ -305,67 +300,47 @@ pub struct RoleMemo {
 /// tests at every window).
 pub fn infer_roles_incremental_obs(
     g: &CommGraph,
-    dirty: &[NodeId],
+    _dirty: &[NodeId],
     memo: Option<&RoleMemo>,
     min_score: f64,
-    parallelism: Parallelism,
+    _parallelism: Parallelism,
     o: &Obs,
 ) -> (RoleInference, RoleMemo) {
-    let n = g.node_count();
-    let hier = HierarchicalConfig::default();
-    let (scores, seed) = match memo {
-        None => {
-            let scores = {
-                let _span = o.stage_span("similarity");
-                jaccard_matrix_of_sets_with(&directional_neighbor_sets(g), parallelism)
-            };
-            (scores, None)
-        }
-        Some(memo) => {
-            let _span = o.stage_span("similarity");
-            let prev_index: Vec<Option<usize>> =
-                g.nodes().iter().map(|id| memo.nodes.binary_search(id).ok()).collect();
-            let dirty_flags: Vec<bool> =
-                g.nodes().iter().map(|id| dirty.binary_search(id).is_ok()).collect();
-            let sets = directional_neighbor_sets(g);
-            let scores = jaccard_incremental_with(
-                &sets,
-                &dirty_flags,
-                &memo.scores,
-                &prev_index,
-                parallelism,
-            );
-            // Seed each persisting node with its previous role; fresh nodes
-            // get fresh singleton labels.
-            let mut next = memo.labels.iter().copied().max().map_or(0, |m| m + 1);
-            let seed: Vec<usize> = prev_index
-                .iter()
-                .map(|pi| match pi {
-                    Some(pi) => memo.labels[*pi],
-                    None => {
-                        let l = next;
-                        next += 1;
-                        l
-                    }
-                })
-                .collect();
-            (scores, Some(seed))
-        }
+    let clique = {
+        let _span = o.stage_span("similarity");
+        jaccard_clique(&directional_neighbor_sets(g), min_score)
     };
     let result = {
         let mut span = o.stage_span("cluster");
         if span.trace_enabled() {
             span.trace_attr("method", "jaccard+louvain/incremental");
         }
-        let clique = WeightedGraph::from_similarity(&scores, min_score);
-        match &seed {
-            Some(seed) => hierarchical_louvain_seeded(&clique, hier, seed),
+        let hier = HierarchicalConfig::default();
+        match memo {
+            Some(memo) => {
+                // Seed each persisting node with its previous role; fresh
+                // nodes get fresh singleton labels.
+                let mut next = memo.labels.iter().copied().max().map_or(0, |m| m + 1);
+                let seed: Vec<usize> = g
+                    .nodes()
+                    .iter()
+                    .map(|id| match memo.nodes.binary_search(id) {
+                        Ok(pi) => memo.labels[pi],
+                        Err(_) => {
+                            let l = next;
+                            next += 1;
+                            l
+                        }
+                    })
+                    .collect();
+                hierarchical_louvain_seeded(&clique, hier, &seed)
+            }
             None => hierarchical_louvain(&clique, hier),
         }
     };
     let n_roles = result.labels.iter().copied().max().map_or(0, |m| m + 1);
-    debug_assert_eq!(result.labels.len(), n);
-    let memo = RoleMemo { scores, labels: result.labels.clone(), nodes: g.nodes().to_vec() };
+    debug_assert_eq!(result.labels.len(), g.node_count());
+    let memo = RoleMemo { labels: result.labels.clone(), nodes: g.nodes().to_vec() };
     let inference = RoleInference {
         labels: result.labels,
         n_roles,
@@ -533,16 +508,13 @@ mod tests {
             let full1 = infer_roles_with(&g1, &method, p);
             assert_eq!(r1.labels, full1.labels, "first window, {workers} workers");
             assert_eq!(r1.clustering_modularity, full1.clustering_modularity);
-            // Second window: dirty-set recompute + seeded clustering must
-            // reproduce the full rebuild bit-for-bit.
-            let (r2, memo2) = infer_roles_incremental_obs(&g2, &dirty, Some(&memo), 0.1, p, &o);
+            // Second window: seeded clustering must reproduce the full
+            // rebuild bit-for-bit.
+            let (r2, _) = infer_roles_incremental_obs(&g2, &dirty, Some(&memo), 0.1, p, &o);
             let full2 = infer_roles_with(&g2, &method, p);
             assert_eq!(r2.labels, full2.labels, "second window, {workers} workers");
             assert_eq!(r2.n_roles, full2.n_roles);
             assert_eq!(r2.clustering_modularity, full2.clustering_modularity);
-            // The memo's matrix must equal a from-scratch similarity matrix.
-            let fresh = jaccard_matrix_of_sets_with(&directional_neighbor_sets(&g2), p);
-            assert_eq!(memo2.scores, fresh, "incremental scores drifted, {workers} workers");
         }
     }
 
@@ -552,7 +524,7 @@ mod tests {
         let p = Parallelism::new(2);
         let o = Obs::noop();
         let (r1, memo) = infer_roles_incremental_obs(&g, &[], None, 0.1, p, &o);
-        // Same graph again, empty dirty set: everything reused, labels fixed.
+        // Same graph again, seeded with its own partition: labels fixed.
         let (r2, _) = infer_roles_incremental_obs(&g, &[], Some(&memo), 0.1, p, &o);
         assert_eq!(r1.labels, r2.labels);
         assert_eq!(r1.clustering_modularity, r2.clustering_modularity);

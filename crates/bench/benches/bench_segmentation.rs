@@ -3,7 +3,9 @@
 //! sketching as the remedy, and SimRank as strictly costlier. These benches
 //! quantify all of that on one K8s PaaS graph.
 
-use algos::jaccard::{jaccard_matrix_of_sets, jaccard_matrix_of_sets_with, MinHasher};
+use algos::jaccard::{
+    jaccard_clique, jaccard_matrix_of_sets, jaccard_matrix_of_sets_with, MinHasher,
+};
 use algos::louvain::{hierarchical_louvain, louvain, HierarchicalConfig};
 use algos::roles::{directional_neighbor_sets, infer_roles, SegmentationMethod};
 use algos::simrank::{simrank, simrank_with, SimRankConfig};
@@ -24,6 +26,9 @@ fn bench_similarity(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("jaccard_exact", |b| {
         b.iter(|| black_box(jaccard_matrix_of_sets(black_box(&sets))))
+    });
+    group.bench_function("jaccard_exact_clique", |b| {
+        b.iter(|| black_box(jaccard_clique(black_box(&sets), 0.1)))
     });
     group.bench_function("jaccard_minhash_128", |b| {
         let mh = MinHasher::new(128, 7);
@@ -59,8 +64,7 @@ fn bench_similarity_parallel(c: &mut Criterion) {
 fn bench_clustering(c: &mut Criterion) {
     let run = simulate(ClusterPreset::K8sPaas, 0.3, 5);
     let g = collapsed_ip_graph(&run);
-    let scores = jaccard_matrix_of_sets(&directional_neighbor_sets(&g));
-    let clique = WeightedGraph::from_similarity(&scores, 0.1);
+    let clique = jaccard_clique(&directional_neighbor_sets(&g), 0.1);
 
     let mut group = c.benchmark_group("clustering");
     group.sample_size(20);

@@ -11,7 +11,7 @@
 //! 3. **Direction-qualified vs plain Jaccard tokens** (the "nature of the
 //!    conversation" signal of §2.1, quantified on K8s PaaS).
 
-use algos::jaccard::{jaccard_matrix, jaccard_matrix_of_sets};
+use algos::jaccard::{jaccard_clique, jaccard_matrix};
 use algos::louvain::{hierarchical_louvain, louvain, HierarchicalConfig};
 use algos::metrics::adjusted_rand_index;
 use algos::roles::{directional_neighbor_sets, infer_roles, SegmentationMethod};
@@ -163,9 +163,7 @@ fn k8s_ablations(scale: f64, minutes: u64) -> serde_json::Value {
     let truth = truth_labels(&g, &run.truth);
 
     // -- hierarchical vs flat clustering on the directional Jaccard clique.
-    let sets = directional_neighbor_sets(&g);
-    let scores = jaccard_matrix_of_sets(&sets);
-    let clique = WeightedGraph::from_similarity(&scores, 0.1);
+    let clique = jaccard_clique(&directional_neighbor_sets(&g), 0.1);
     let flat = louvain(&clique);
     let hier = hierarchical_louvain(&clique, HierarchicalConfig::default());
     let ari_flat = adjusted_rand_index(&flat.labels, &truth).expect("aligned");

@@ -308,11 +308,18 @@ pub struct WindowAnalysis {
 
 /// Per-window analysis driver that exploits the paper's Figure 5
 /// observation — consecutive windows barely differ — by carrying state from
-/// one window to the next: the similarity matrix and partition seed the
-/// next role inference ([`infer_roles_incremental_obs`]), and the previous
+/// one window to the next: the previous partition seeds the next role
+/// inference ([`infer_roles_incremental_obs`]), and the previous
 /// segmentation + policy let rule synthesis skip segment pairs whose
 /// membership and traffic did not change
-/// ([`SegmentPolicy::learn_incremental`]).
+/// ([`SegmentPolicy::learn_incremental`]). The similarity clique is not
+/// carried: rebuilding it sparse from the window's token sets is cheaper
+/// than patching a matrix was.
+///
+/// Retained between windows: one role label and one id per node of the
+/// previous window ([`RoleMemo`]), that window's segmentation and policy,
+/// and one duration — nothing that grows with the number of node pairs or
+/// of windows seen.
 ///
 /// Feed it consecutive windows (graph, dirty set, records) from a
 /// [`PipelineOutput`] built with `incremental: true`. With
@@ -388,8 +395,9 @@ impl WindowAnalyzer {
         )
     }
 
-    /// Override the worker count of the similarity stage (builder style);
-    /// clustering is single-threaded, so results never depend on it.
+    /// Override the worker count handed to role inference (builder style).
+    /// The paper's method builds its clique and clusters it on one thread,
+    /// so neither results nor, today, timings depend on it.
     pub fn with_parallelism(mut self, p: Parallelism) -> Self {
         self.parallelism = p;
         self

@@ -45,11 +45,11 @@ impl Workbench {
         }
     }
 
-    /// Override the worker count of the row-tiled kernels — similarity
-    /// scoring and the PCA error profile (builder style). Louvain and the
-    /// eigensolver are single-threaded by design, so every output is
-    /// bit-for-bit identical at any worker count; the default uses every
-    /// available core.
+    /// Override the worker count of the row-tiled kernels — the PCA error
+    /// profile (builder style). Role inference (the sparse Jaccard clique,
+    /// Louvain) and the eigensolver are single-threaded by design, so every
+    /// output is bit-for-bit identical at any worker count; the default uses
+    /// every available core.
     pub fn with_parallelism(mut self, p: Parallelism) -> Self {
         self.parallelism = p;
         self

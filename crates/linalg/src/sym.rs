@@ -112,38 +112,6 @@ impl SymMatrix {
             }
         });
     }
-
-    /// Fill every upper-triangular entry, carrying entries over from a
-    /// previous matrix where possible: when `reuse(i, j)` names a coordinate
-    /// of `prev`, that entry is copied verbatim; otherwise `f(i, j)` is
-    /// computed fresh. The incremental-maintenance primitive: callers map
-    /// *clean* pairs back to their previous coordinates and pay recomputation
-    /// only for dirty rows.
-    ///
-    /// Each entry is produced by exactly one `reuse`-then-`f` decision, so
-    /// the result is bit-for-bit identical at any worker count — and
-    /// bit-identical to a full [`SymMatrix::fill_upper`] whenever `reuse`
-    /// only maps pairs whose value is unchanged.
-    pub fn fill_upper_incremental<R, F>(
-        &mut self,
-        parallelism: Parallelism,
-        prev: &SymMatrix,
-        reuse: R,
-        f: F,
-    ) where
-        R: Fn(usize, usize) -> Option<(usize, usize)> + Sync,
-        F: Fn(usize, usize) -> f64 + Sync,
-    {
-        par::for_each_task(parallelism, self.row_tiles_mut(), |(i, row)| {
-            for (k, slot) in row.iter_mut().enumerate() {
-                let j = i + k;
-                *slot = match reuse(i, j) {
-                    Some((pi, pj)) => prev.get(pi, pj),
-                    None => f(i, j),
-                };
-            }
-        });
-    }
 }
 
 impl Index<(usize, usize)> for SymMatrix {
@@ -191,31 +159,6 @@ mod tests {
         for workers in [2, 3, 8] {
             let mut m = SymMatrix::zeros(33);
             m.fill_upper(Parallelism::new(workers), f);
-            assert_eq!(m, serial, "{workers} workers");
-        }
-    }
-
-    #[test]
-    fn incremental_fill_copies_reused_and_computes_the_rest() {
-        let mut prev = SymMatrix::zeros(4);
-        prev.fill_upper(Parallelism::serial(), |i, j| (i * 10 + j) as f64);
-        let f = |i: usize, j: usize| -((i + j) as f64);
-        // Reuse everything except row/col 2; shifted coordinates exercise the
-        // prev-index mapping.
-        let reuse = |i: usize, j: usize| {
-            if i == 2 || j == 2 {
-                None
-            } else {
-                Some((i, j))
-            }
-        };
-        let mut serial = SymMatrix::zeros(4);
-        serial.fill_upper_incremental(Parallelism::serial(), &prev, reuse, f);
-        assert_eq!(serial[(0, 1)], 1.0, "copied from prev");
-        assert_eq!(serial[(2, 3)], -5.0, "computed fresh");
-        for workers in [2, 3, 8] {
-            let mut m = SymMatrix::zeros(4);
-            m.fill_upper_incremental(Parallelism::new(workers), &prev, reuse, f);
             assert_eq!(m, serial, "{workers} workers");
         }
     }

@@ -537,10 +537,20 @@ const RANGE_FNS: [(&str, RangeFn); 9] = [
     ("absent_over_time", RangeFn::AbsentOverTime),
 ];
 
+/// Deepest nesting the parser accepts: parentheses, call arguments and unary
+/// minuses each cost a level, and so does every link of an operator chain
+/// (`a - b - c` nests leftwards). Far beyond any rule or dashboard
+/// expression, far short of what a serving thread's stack holds — `expr`
+/// arrives from the network, and the parser, the type check and the
+/// evaluator all recurse over the tree.
+const MAX_DEPTH: usize = 64;
+
 struct Parser {
     toks: Vec<(Tok, usize)>,
     i: usize,
     end: usize,
+    /// Levels open above the token being parsed.
+    depth: usize,
 }
 
 impl Parser {
@@ -585,20 +595,34 @@ impl Parser {
         }
     }
 
+    /// Open one more level, or refuse past [`MAX_DEPTH`]. Callers restore
+    /// `depth` when their subtree is complete; an error abandons the parse.
+    fn descend(&mut self) -> Result<(), ParseError> {
+        if self.depth > MAX_DEPTH {
+            return Err(self.err(format!("expression nests deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn parse_expr(&mut self) -> Result<Expr, ParseError> {
         self.parse_or()
     }
 
     fn parse_or(&mut self) -> Result<Expr, ParseError> {
+        let entered = self.depth;
         let mut lhs = self.parse_and()?;
         while self.eat_kw("or") {
+            self.descend()?;
             let rhs = self.parse_and()?;
             lhs = Expr::Binary { op: BinOp::Or, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
+        self.depth = entered;
         Ok(lhs)
     }
 
     fn parse_and(&mut self) -> Result<Expr, ParseError> {
+        let entered = self.depth;
         let mut lhs = self.parse_cmp()?;
         loop {
             let op = if self.eat_kw("and") {
@@ -608,9 +632,11 @@ impl Parser {
             } else {
                 break;
             };
+            self.descend()?;
             let rhs = self.parse_cmp()?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
+        self.depth = entered;
         Ok(lhs)
     }
 
@@ -631,6 +657,7 @@ impl Parser {
     }
 
     fn parse_add(&mut self) -> Result<Expr, ParseError> {
+        let entered = self.depth;
         let mut lhs = self.parse_mul()?;
         loop {
             let op = match self.peek() {
@@ -639,13 +666,16 @@ impl Parser {
                 _ => break,
             };
             self.i += 1;
+            self.descend()?;
             let rhs = self.parse_mul()?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
+        self.depth = entered;
         Ok(lhs)
     }
 
     fn parse_mul(&mut self) -> Result<Expr, ParseError> {
+        let entered = self.depth;
         let mut lhs = self.parse_unary()?;
         loop {
             let op = match self.peek() {
@@ -654,19 +684,27 @@ impl Parser {
                 _ => break,
             };
             self.i += 1;
+            self.descend()?;
             let rhs = self.parse_unary()?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
+        self.depth = entered;
         Ok(lhs)
     }
 
+    /// Every cycle of the grammar (parentheses, call arguments, `-`) passes
+    /// through here, so this is where nesting is charged.
     fn parse_unary(&mut self) -> Result<Expr, ParseError> {
-        if matches!(self.peek(), Some(Tok::Minus)) {
+        let entered = self.depth;
+        self.descend()?;
+        let parsed = if matches!(self.peek(), Some(Tok::Minus)) {
             self.i += 1;
-            let arg = self.parse_unary()?;
-            return Ok(Expr::Neg(Box::new(arg)));
-        }
-        self.parse_primary()
+            Expr::Neg(Box::new(self.parse_unary()?))
+        } else {
+            self.parse_primary()?
+        };
+        self.depth = entered;
+        Ok(parsed)
     }
 
     fn parse_primary(&mut self) -> Result<Expr, ParseError> {
@@ -951,7 +989,7 @@ fn typecheck(e: &Expr) -> Result<Ty, ParseError> {
 /// Parse and type-check one expression.
 pub fn parse(src: &str) -> Result<Expr, ParseError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, i: 0, end: src.len() };
+    let mut p = Parser { toks, i: 0, end: src.len(), depth: 0 };
     let e = p.parse_expr()?;
     if p.i < p.toks.len() {
         return Err(p.err(format!(
@@ -1800,6 +1838,27 @@ mod tests {
             "a !! b",
         ] {
             assert!(parse(bad).is_err(), "`{bad}` should not parse");
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_depth_limit_is_a_parse_error() {
+        let parens = |n: usize| format!("{}1{}", "(".repeat(n), ")".repeat(n));
+        let minuses = |n: usize| format!("{}1", "-".repeat(n));
+        let calls = |n: usize| format!("{}x{}", "sum(".repeat(n), ")".repeat(n));
+        for nested in [parens, minuses, calls] {
+            assert!(parse(&nested(MAX_DEPTH)).is_ok(), "{}", nested(MAX_DEPTH));
+            let e = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+            assert!(e.msg.contains("nests deeper"), "{e}");
+        }
+        // What one request line can carry: a recursion this deep used to
+        // overflow the serving thread's stack — in the parser for nesting,
+        // in the type check for a left-deep operator chain.
+        assert!(parse(&parens(2000)).is_err());
+        assert!(parse(&"(".repeat(4000)).is_err());
+        for op in ["-", "*", " or ", " and "] {
+            assert!(parse(&format!("x{}", format!("{op}x").repeat(2000))).is_err(), "{op}");
+            assert!(parse(&format!("x{}", format!("{op}x").repeat(MAX_DEPTH - 1))).is_ok(), "{op}");
         }
     }
 

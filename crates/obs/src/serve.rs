@@ -503,6 +503,25 @@ mod tests {
     }
 
     #[test]
+    fn request_line_sized_nesting_is_a_400_and_the_server_lives() {
+        let registry = Arc::new(Registry::new());
+        let db = Arc::new(Tsdb::default());
+        db.append(crate::tsdb::SeriesKey::value("demo_total", &[]), 1, 1.0);
+        let handle = IntrospectionServer::new(registry).with_tsdb(db).start("127.0.0.1:0").unwrap();
+        // As much `(` as the 4 096-byte request line holds beside the rest.
+        let deep = format!("/query_range?expr={}", "(".repeat(4000));
+        let (head, body) = get(handle.addr(), &deep);
+        assert!(head.starts_with("HTTP/1.0 400"), "{head}");
+        assert!(body.contains("nests deeper"), "{body}");
+        let chain = format!("/query_range?expr=1{}", "-1".repeat(2000));
+        let (head, _) = get(handle.addr(), &chain);
+        assert!(head.starts_with("HTTP/1.0 400"), "{head}");
+        let (head, _) = get(handle.addr(), "/query_range?expr=demo_total");
+        assert!(head.starts_with("HTTP/1.0 200"), "{head}");
+        handle.shutdown();
+    }
+
+    #[test]
     fn tsdb_endpoints_without_components_return_503() {
         let (handle, _registry, _tracer) = start_server();
         for path in ["/query_range?expr=x", "/alerts"] {

@@ -1,7 +1,11 @@
 //! Integration tests spanning the whole stack: simulator → telemetry →
 //! graphs → algorithms → segmentation → detection → analytics.
 
+use commgraph::algos::jaccard::jaccard_matrix_of_sets;
+use commgraph::algos::louvain::{hierarchical_louvain, HierarchicalConfig};
 use commgraph::algos::metrics::adjusted_rand_index;
+use commgraph::algos::roles::{directional_neighbor_sets, infer_roles, SegmentationMethod};
+use commgraph::algos::wgraph::WeightedGraph;
 use commgraph::cloudsim::attack::{AttackKind, AttackScenario};
 use commgraph::cloudsim::{ClusterPreset, SimConfig, Simulator};
 use commgraph::flowlog::provider::ProviderPreset;
@@ -88,6 +92,32 @@ fn role_inference_recovers_ground_truth() {
         .collect();
     let ari = adjusted_rand_index(&labels, &truth_labels).expect("aligned");
     assert!(ari > 0.5, "segmentation should track true roles, ARI = {ari}");
+}
+
+/// On a real hubbed graph (every pod talks to the K8s apiserver, so one
+/// token has hundreds of holders) the sparse clique `infer_roles` clusters
+/// must give the labels and the modularity of the dense all-pairs matrix,
+/// thresholded and clustered the same way — to the last bit.
+#[test]
+fn role_inference_matches_dense_matrix_reference_on_hubbed_graph() {
+    let preset = ClusterPreset::K8sPaas;
+    let topo = preset.topology_scaled(0.3);
+    let mut sim = Simulator::new(topo, preset.default_sim_config()).expect("valid preset");
+    let records = sim.collect(8);
+    let mut wb = Workbench::new(records, monitored_of(&sim));
+    let g = wb.ip_graph();
+
+    let sets = directional_neighbor_sets(g);
+    let mut holders = vec![0usize; 3 * sets.len()];
+    sets.iter().flatten().for_each(|&t| holders[t as usize] += 1);
+    let hub = holders.into_iter().max().unwrap_or(0);
+    assert!(hub * 3 > sets.len(), "expected a hub token, widest has {hub} of {}", sets.len());
+
+    let dense = WeightedGraph::from_similarity(&jaccard_matrix_of_sets(&sets), 0.1);
+    let reference = hierarchical_louvain(&dense, HierarchicalConfig::default());
+    let got = infer_roles(g, &SegmentationMethod::paper_default());
+    assert_eq!(got.labels, reference.labels);
+    assert_eq!(got.clustering_modularity.to_bits(), reference.modularity.to_bits());
 }
 
 /// Table 1 rate shapes at test scale: Portal is orders of magnitude quieter
