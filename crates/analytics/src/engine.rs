@@ -44,7 +44,11 @@ pub struct EngineStats {
     pub records_in: u64,
     /// Records surviving vantage dedup (i.e. aggregated).
     pub records_kept: u64,
-    /// Distinct edge entries across all windows — the memory driver.
+    /// Records not aggregated because their window had closed (more than
+    /// one window behind the newest): `in = kept + vantage-deduped + late`.
+    pub records_late: u64,
+    /// Distinct edge entries summed over every window: the work, not the
+    /// memory, since at most two windows per subscription are held at once.
     pub edge_entries: usize,
     /// Wall-clock seconds from first ingest to finish.
     pub elapsed_secs: f64,

@@ -2,18 +2,23 @@
 //! subscription (§3.2: one tier, "a handful of VMs", all tenants).
 //!
 //! A shard *is* a thread. [`ShardedEngine::new`] spawns `shards` long-lived
-//! threads and nothing ever spawns another; a subscription lives on shard
-//! `hash64(subscription) % shards`, and that thread alone owns its
-//! per-window edge tables (see [`crate::shard`]). The front door keeps only
-//! routing, delivery dedup and telemetry: it stages records per shard and
-//! hands a batch over once 4096 are staged, so a flood of tiny calls costs
-//! one channel message per ~4096 records. Subscriptions on one shard share
-//! that thread's time and its bounded queue, never its state.
+//! threads and nothing ever spawns another; a new subscription is placed on
+//! the shard with the fewest residents (ties to the lowest index) at first
+//! contact, and that thread alone owns its window tables (see
+//! [`crate::shard`]): at most two open windows per subscription, one window
+//! of allowed lateness, each closed window assembled during ingest. The
+//! front door keeps only routing, delivery dedup and telemetry: it stages
+//! records per shard and hands a batch over once 4096 are staged, so a
+//! flood of tiny calls costs one channel message per ~4096 records.
+//! Subscriptions on one shard share that thread's time and its bounded
+//! queue, never its state. Placement balances subscription counts, not
+//! their sizes: heavy-tailed tenants can still load one shard more.
 //!
 //! Determinism contract: at [`ShardedEngine::finish`] every shard assembles
-//! its own subscriptions' graphs, in parallel — a subscription is on exactly
-//! one shard, so there is nothing to merge — and reports come back sorted
-//! by subscription id: bit-identical output at any shard count.
+//! its subscriptions' still-open windows, in parallel — a subscription is on
+//! exactly one shard, so there is nothing to merge — and reports come back
+//! sorted by subscription id: bit-identical output at any shard count,
+//! placement and batch size.
 //!
 //! Per-subscription telemetry is labeled by subscription id behind an
 //! [`obs::LabelCap`]: the first `label_cap` subscriptions get their own
@@ -24,7 +29,6 @@
 use crate::engine::{EngineConfig, EngineStats};
 use crate::error::{Error, Result};
 use crate::shard::Shard;
-use commgraph_graph::cardinality::hash64;
 use commgraph_graph::CommGraph;
 use flowlog::record::ConnSummary;
 use flowlog::time::bucket_start;
@@ -160,7 +164,7 @@ pub struct ShardedStats {
     /// across the whole tier.
     pub edge_entries: usize,
     /// Subscriptions resident on each shard, by shard index — the balance
-    /// picture (`hash64(subscription) % shards`).
+    /// picture (each placed on the least-resident shard at first contact).
     pub per_shard_subscriptions: Vec<usize>,
 }
 
@@ -239,7 +243,8 @@ impl ShardedEngine {
         if let Some(&at) = self.index.get(subscription) {
             return at;
         }
-        let shard = (hash64(&subscription) % self.shards.len() as u64) as usize;
+        // The least-resident shard, ties to the lowest index.
+        let shard = (0..self.resident.len()).min_by_key(|&s| self.resident[s]).unwrap_or(0);
         self.resident[shard] += 1;
         let o = &self.cfg.obs;
         o.gauge("commgraph_shard_subscription_entries", "", &[("shard", &shard.to_string())])
@@ -340,11 +345,12 @@ impl ShardedEngine {
 
     /// Drain every shard and report per subscription.
     ///
-    /// All channels close first, so the shards assemble their graphs at
-    /// the same time; every shard is then joined, and only after that does
-    /// a dead one fail the call. Reports come back sorted by subscription
-    /// id regardless of which shard held them, and the totals are
-    /// order-independent sums.
+    /// All channels close first, so the shards assemble the windows still
+    /// open at the same time; every shard is then joined, and only after
+    /// that does a dead one fail the call. Reports come back sorted by
+    /// subscription id regardless of which shard held them, and the totals
+    /// are order-independent sums. Late records are counted here, under
+    /// `outcome="late"`.
     pub fn finish(mut self) -> Result<(Vec<SubscriptionReport>, ShardedStats)> {
         let mut tspan = self.cfg.engine.obs.trace_span("engine_finish");
         self.shards.iter_mut().for_each(Shard::close);
@@ -369,6 +375,8 @@ impl ShardedEngine {
             // A subscription that only ever offered empty batches never
             // reached its shard; its report is empty.
             let (graphs, mut run) = outputs[sub.shard].remove(&(at as u32)).unwrap_or_default();
+            let late = [("subscription", sub.label.as_str()), ("outcome", "late")];
+            self.cfg.obs.counter(REFUSED, "", &late).add(run.records_late);
             run.records_in = sub.records_in;
             run.elapsed_secs = sub.started.map_or(0.0, |t| t.elapsed().as_secs_f64());
             stats.records_in += run.records_in;
@@ -584,7 +592,7 @@ mod tests {
             recs.iter().map(|r| r.ts).max().unwrap() as f64
         );
         assert_eq!(sub("tenant-a", "commgraph_subscription_roll_lag_seconds"), 25.0);
-        // Shard residency gauges cover both tenants, whichever slots they hash to.
+        // Shard residency gauges cover both tenants, one on each shard.
         let resident: f64 = registry
             .snapshot()
             .iter()
@@ -775,13 +783,49 @@ mod tests {
         assert_eq!(reports[0].stats.records_in, 0);
     }
 
-    /// Two subscription names, the first resident on shard 0 of 2 and the
-    /// second on shard 1.
-    fn one_name_per_shard() -> [String; 2] {
-        let on = |shard: u64| {
-            (0..64).map(|i| format!("sub-{i}")).find(|n| hash64(&n.as_str()) % 2 == shard).unwrap()
+    /// Eight equal subscriptions fill the shards evenly, and the order of
+    /// first contact decides which shard each lands on: the per-shard edge
+    /// gauges follow the order, the reports never do.
+    #[test]
+    fn placement_balances_by_first_contact_and_never_changes_reports() {
+        let names: Vec<String> = (0..8).map(|s| format!("sub-{s}")).collect();
+        let run = |shards: usize, order: &[usize]| {
+            let registry = std::sync::Arc::new(obs::Registry::new());
+            let engine = EngineConfig { obs: Obs::new(registry.clone()), ..Default::default() };
+            let mut front =
+                ShardedEngine::new(ShardedConfig { shards, engine, ..Default::default() }).unwrap();
+            // Subscription s carries 100 + 50·s records, so its edge count
+            // says where it was placed.
+            for &s in order {
+                front.ingest(&names[s], &records(s as u8, 100 + 50 * s as u32)).unwrap();
+            }
+            let (reports, stats) = front.finish().unwrap();
+            let gauge = |shard: usize| {
+                let shard = shard.to_string();
+                let labels = [("shard", shard.as_str())];
+                registry.gauge("commgraph_engine_shard_edge_entries", "", &labels).get() as usize
+            };
+            let per_shard: Vec<usize> = (0..shards).map(gauge).collect();
+            let fps: Vec<_> =
+                reports.iter().map(|r| (r.subscription.clone(), fingerprint(&r.graphs))).collect();
+            let edges: Vec<usize> = reports.iter().map(|r| r.stats.edge_entries).collect();
+            (fps, edges, stats.per_shard_subscriptions, per_shard)
         };
-        [on(0), on(1)]
+        let forward: Vec<usize> = (0..8).collect();
+        let backward: Vec<usize> = (0..8).rev().collect();
+        let (alone, edges, _, _) = run(1, &forward);
+        let on = |shards: usize, order: &[usize], shard: usize| -> usize {
+            order.iter().skip(shard).step_by(shards).map(|&s| edges[s]).sum()
+        };
+        for (shards, balance) in [(2, vec![4, 4]), (3, vec![3, 3, 2])] {
+            for order in [&forward, &backward] {
+                let (fps, _, resident, per_shard) = run(shards, order);
+                assert_eq!(resident, balance, "{shards} shards");
+                let placed: Vec<usize> = (0..shards).map(|k| on(shards, order, k)).collect();
+                assert_eq!(per_shard, placed, "contact k lands on shard k mod {shards}");
+                assert_eq!(fps, alone, "placement never changes a report");
+            }
+        }
     }
 
     /// An engine whose shard 0 dies on its first batch.
@@ -802,13 +846,14 @@ mod tests {
     fn a_dead_shard_fails_finish_after_the_others_are_joined() {
         let registry = std::sync::Arc::new(obs::Registry::new());
         let mut front = front_with_a_dying_shard(&registry);
-        let [doomed, fine] = one_name_per_shard();
-        front.ingest(&doomed, &records(1, 100)).unwrap();
-        front.ingest(&fine, &records(2, 100)).unwrap();
+        // First contact places `doomed` on shard 0 and `fine` on shard 1.
+        let (doomed, fine) = ("sub-doomed", "sub-fine");
+        front.ingest(doomed, &records(1, 100)).unwrap();
+        front.ingest(fine, &records(2, 100)).unwrap();
         let err = front.finish().expect_err("a dead shard fails finish");
         let Error::WorkerFailed(message) = err else { panic!("wrong error: {err:?}") };
-        assert!(message.contains("shard 0") && message.contains(&doomed), "{message}");
-        assert!(!message.contains(&fine), "only the dead shard's subscriptions are lost");
+        assert!(message.contains("shard 0") && message.contains(doomed), "{message}");
+        assert!(!message.contains(fine), "only the dead shard's subscriptions are lost");
         // The healthy shard ran to completion and was joined: the gauge it
         // sets as its last act is in the registry when `finish` returns.
         let held =
@@ -821,16 +866,17 @@ mod tests {
         let registry = std::sync::Arc::new(obs::Registry::new());
         let mut front = front_with_a_dying_shard(&registry);
         let depth = front.cfg.engine.queue_depth;
-        let [doomed, fine] = one_name_per_shard();
+        // First contact places `doomed` on shard 0 and `fine` on shard 1.
+        let (doomed, fine) = ("sub-doomed", "sub-fine");
         let batch = records(1, 4096);
         // Every call hands one batch over. The dead thread drains nothing,
         // so at most `depth` more fit its queue; a hand-over that finds the
         // queue full is woken by the disconnect. An error must surface
         // within `depth + 2` calls, and none may hang.
-        let failed = (0..depth + 2).find_map(|_| front.ingest(&doomed, &batch).err());
+        let failed = (0..depth + 2).find_map(|_| front.ingest(doomed, &batch).err());
         assert!(matches!(failed, Some(Error::WorkerFailed(_))), "{failed:?}");
-        assert!(front.ingest(&doomed, &batch).is_err(), "and it stays failed");
-        front.ingest(&fine, &batch).expect("the other shard is unaffected");
+        assert!(front.ingest(doomed, &batch).is_err(), "and it stays failed");
+        front.ingest(fine, &batch).expect("the other shard is unaffected");
         assert!(front.finish().is_err());
     }
 

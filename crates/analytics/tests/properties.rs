@@ -225,116 +225,144 @@ fn fingerprint(g: &CommGraph) -> Fingerprint {
 
 /// Seed sweep: random subscriptions × windows × interleavings × batch sizes
 /// × shard counts × vantage dedup on/off through `ShardedEngine` ≡ one
-/// `GraphBuilder` per `(subscription, window)`, by full fingerprint, with
-/// `records_in = records_kept + vantage-deduped` per report.
+/// `GraphBuilder` per `(subscription, window)` over the records the window
+/// rule admits, by full fingerprint, with `records_in = records_kept +
+/// vantage-deduped + records_late` per report. Two arms per seed: the
+/// timestamps spread uniformly over every window, so many records are late;
+/// or sorted and each jittered back by less than one window, so none is,
+/// and the output is one builder per window over every record.
 #[test]
 fn sharded_engine_equals_one_builder_per_subscription_window() {
+    let mut late = 0;
+    for seed in 0..64u64 {
+        late += sharded_sweep_case(seed, false);
+        assert_eq!(sharded_sweep_case(seed, true), 0, "seed {seed}: in order, nothing is late");
+    }
+    assert!(late > 250_000, "thin sweep: only {late} late records");
+}
+
+/// One seed of the shard sweep; returns the records the rule found late.
+fn sharded_sweep_case(seed: u64, in_order: bool) -> u64 {
     const WINDOW: u64 = 600;
     const BATCHES: [usize; 7] = [0, 1, 7, 4095, 4096, 4097, 20_000];
-    for seed in 0..64u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let shards = [1, 2, 3, 8][seed as usize % 4];
-        let dedup = seed % 8 >= 4;
-        let subs = rng.random_range(1..7usize);
-        let windows = rng.random_range(1..5u64);
-        // Per-subscription streams: a small address pool (so edges repeat),
-        // timestamps jittered across windows, a third of the flows also
-        // reported from the peer's vantage. The first subscription carries
-        // enough for the 20 000-record batch; others may be empty.
-        let streams: Vec<Vec<ConnSummary>> = (0..subs)
-            .map(|s| {
-                let flows = if s == 0 { 16_000..20_000 } else { 0..5_000usize };
-                let mut out = Vec::new();
-                for _ in 0..rng.random_range(flows) {
-                    let (l, r) = (rng.random_range(0..40u32), rng.random_range(0..40u32));
-                    let rec = ConnSummary {
-                        ts: rng.random_range(0..windows * WINDOW),
-                        key: FlowKey::tcp(
-                            Ipv4Addr::new(10, s as u8, 0, l as u8),
-                            rng.random_range(1024..1030u16),
-                            Ipv4Addr::new(10, s as u8, 1, r as u8),
-                            443,
-                        ),
-                        pkts_sent: rng.random_range(1..9u64),
-                        pkts_rcvd: rng.random_range(0..9u64),
-                        bytes_sent: rng.random_range(0..90_000u64),
-                        bytes_rcvd: rng.random_range(0..9_000u64),
-                    };
-                    out.push(rec);
-                    if rng.random_bool(0.3) {
-                        out.push(rec.mirrored());
-                    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let shards = [1, 2, 3, 8][seed as usize % 4];
+    let dedup = seed % 8 >= 4;
+    let subs = rng.random_range(1..7usize);
+    let windows = rng.random_range(1..5u64);
+    // Per-subscription streams: a small address pool (so edges repeat),
+    // timestamps spread across windows, a third of the flows also reported
+    // from the peer's vantage. The first subscription carries enough for
+    // the 20 000-record batch; others may be empty.
+    let streams: Vec<Vec<ConnSummary>> = (0..subs)
+        .map(|s| {
+            let flows = if s == 0 { 16_000..20_000 } else { 0..5_000usize };
+            let mut out = Vec::new();
+            for _ in 0..rng.random_range(flows) {
+                let (l, r) = (rng.random_range(0..40u32), rng.random_range(0..40u32));
+                let rec = ConnSummary {
+                    ts: rng.random_range(0..windows * WINDOW),
+                    key: FlowKey::tcp(
+                        Ipv4Addr::new(10, s as u8, 0, l as u8),
+                        rng.random_range(1024..1030u16),
+                        Ipv4Addr::new(10, s as u8, 1, r as u8),
+                        443,
+                    ),
+                    pkts_sent: rng.random_range(1..9u64),
+                    pkts_rcvd: rng.random_range(0..9u64),
+                    bytes_sent: rng.random_range(0..90_000u64),
+                    bytes_rcvd: rng.random_range(0..9_000u64),
+                };
+                out.push(rec);
+                if rng.random_bool(0.3) {
+                    out.push(rec.mirrored());
                 }
-                out
-            })
-            .collect();
-        let monitored: Option<HashSet<Ipv4Addr>> = dedup.then(|| {
-            streams.iter().flatten().flat_map(|r| [r.key.local_ip, r.key.remote_ip]).collect()
-        });
-
-        let mut front = ShardedEngine::new(ShardedConfig {
-            shards,
-            engine: EngineConfig {
-                window_len: WINDOW,
-                monitored: monitored.clone(),
-                queue_depth: rng.random_range(1..4usize),
-                ..Default::default()
-            },
-            ..Default::default()
+            }
+            if in_order {
+                out.sort_by_key(|r| r.ts);
+                for r in &mut out {
+                    r.ts = r.ts.saturating_sub(rng.random_range(0..WINDOW));
+                }
+            }
+            out
         })
-        .expect("valid");
-        let shared = Inventory::from(monitored.unwrap_or_default());
-        let mut reference: BTreeMap<(usize, u64), GraphBuilder> = BTreeMap::new();
-        let mut offered = vec![0u64; subs];
-        let mut at = vec![0usize; subs];
-        let mut call = rng.random_range(0..BATCHES.len());
-        // Interleave: each call takes the next batch size from a random
-        // subscription's stream, until every stream is drained.
-        while (0..subs).any(|s| at[s] < streams[s].len()) {
-            let s = rng.random_range(0..subs);
-            let end = (at[s] + BATCHES[call % BATCHES.len()]).min(streams[s].len());
-            let batch = &streams[s][at[s]..end];
-            front.ingest(&format!("sub-{s}"), batch).expect("ingest");
-            for r in batch {
-                let w = bucket_start(r.ts, WINDOW);
-                reference
-                    .entry((s, w))
-                    .or_insert_with(|| {
-                        GraphBuilder::new(Facet::Ip, w, WINDOW).with_monitored(shared.clone())
-                    })
-                    .add(r);
-            }
-            offered[s] += batch.len() as u64;
-            at[s] = end;
-            call += 1;
-        }
-        let (reports, totals) = front.finish().expect("drain");
+        .collect();
+    let monitored: Option<HashSet<Ipv4Addr>> = dedup.then(|| {
+        streams.iter().flatten().flat_map(|r| [r.key.local_ip, r.key.remote_ip]).collect()
+    });
 
-        let case = format!("seed {seed}: {shards} shards, dedup {dedup}, {subs} subs");
-        assert_eq!(totals.shards, shards, "{case}");
-        assert_eq!(totals.records_in, offered.iter().sum::<u64>(), "{case}");
-        let mut expected: BTreeMap<usize, (Vec<Fingerprint>, u64, u64)> = BTreeMap::new();
-        for ((s, _), b) in reference {
-            let (seen, kept) = b.record_counts();
-            let e = expected.entry(s).or_default();
-            e.1 += kept;
-            e.2 += seen - kept;
-            e.0.push(fingerprint(&b.finish()));
-        }
-        for report in &reports {
-            let s: usize = report.subscription["sub-".len()..].parse().expect("sub-N");
-            let (graphs, kept, deduped) = expected.remove(&s).unwrap_or_default();
-            let got: Vec<Fingerprint> = report.graphs.iter().map(fingerprint).collect();
-            assert_eq!(got, graphs, "{case}: {}", report.subscription);
-            assert_eq!(report.stats.records_in, offered[s], "{case}");
-            assert_eq!(report.stats.records_kept, kept, "{case}");
-            assert_eq!(report.stats.records_in, report.stats.records_kept + deduped, "{case}");
-            if !dedup {
-                assert_eq!(deduped, 0, "{case}");
+    let mut front = ShardedEngine::new(ShardedConfig {
+        shards,
+        engine: EngineConfig {
+            window_len: WINDOW,
+            monitored: monitored.clone(),
+            queue_depth: rng.random_range(1..4usize),
+            ..Default::default()
+        },
+        ..Default::default()
+    })
+    .expect("valid");
+    let shared = Inventory::from(monitored.unwrap_or_default());
+    let mut reference: BTreeMap<(usize, u64), GraphBuilder> = BTreeMap::new();
+    let (mut offered, mut late, mut newest) = (vec![0u64; subs], vec![0u64; subs], vec![0; subs]);
+    let mut at = vec![0usize; subs];
+    let mut call = rng.random_range(0..BATCHES.len());
+    // Interleave: each call takes the next batch size from a random
+    // subscription's stream, until every stream is drained.
+    while (0..subs).any(|s| at[s] < streams[s].len()) {
+        let s = rng.random_range(0..subs);
+        let end = (at[s] + BATCHES[call % BATCHES.len()]).min(streams[s].len());
+        let batch = &streams[s][at[s]..end];
+        front.ingest(&format!("sub-{s}"), batch).expect("ingest");
+        for r in batch {
+            // The rule, written out: a record is late iff its window is more
+            // than one window behind the newest its subscription opened.
+            let w = bucket_start(r.ts, WINDOW);
+            newest[s] = w.max(newest[s]);
+            if w + WINDOW < newest[s] {
+                late[s] += 1;
+                continue;
             }
+            reference
+                .entry((s, w))
+                .or_insert_with(|| {
+                    GraphBuilder::new(Facet::Ip, w, WINDOW).with_monitored(shared.clone())
+                })
+                .add(r);
         }
-        assert!(expected.is_empty(), "{case}: subscriptions without a report: {expected:?}");
+        offered[s] += batch.len() as u64;
+        at[s] = end;
+        call += 1;
     }
+    let (reports, totals) = front.finish().expect("drain");
+
+    let case =
+        format!("seed {seed}: {shards} shards, dedup {dedup}, {subs} subs, in order {in_order}");
+    assert_eq!(totals.shards, shards, "{case}");
+    assert_eq!(totals.records_in, offered.iter().sum::<u64>(), "{case}");
+    let mut expected: BTreeMap<usize, (Vec<Fingerprint>, u64, u64)> = BTreeMap::new();
+    for ((s, _), b) in reference {
+        let (seen, kept) = b.record_counts();
+        let e = expected.entry(s).or_default();
+        e.1 += kept;
+        e.2 += seen - kept;
+        e.0.push(fingerprint(&b.finish()));
+    }
+    for report in &reports {
+        let s: usize = report.subscription["sub-".len()..].parse().expect("sub-N");
+        let (graphs, kept, deduped) = expected.remove(&s).unwrap_or_default();
+        let got: Vec<Fingerprint> = report.graphs.iter().map(fingerprint).collect();
+        assert_eq!(got, graphs, "{case}: {}", report.subscription);
+        let stats = &report.stats;
+        assert_eq!(stats.records_in, offered[s], "{case}");
+        assert_eq!((stats.records_kept, stats.records_late), (kept, late[s]), "{case}");
+        assert_eq!(stats.records_in, stats.records_kept + deduped + stats.records_late, "{case}");
+        if !dedup {
+            assert_eq!(deduped, 0, "{case}");
+        }
+    }
+    assert!(expected.is_empty(), "{case}: subscriptions without a report: {expected:?}");
+    late.iter().sum()
 }
 
 /// Thread count is the shard count, whatever the subscription count: every

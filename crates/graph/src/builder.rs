@@ -153,9 +153,23 @@ impl GraphBuilder {
         }
     }
 
+    /// Start of the window this builder aggregates.
+    pub fn window_start(&self) -> u64 {
+        self.window_start
+    }
+
     /// Finish the window into an immutable snapshot.
     pub fn finish(self) -> CommGraph {
         CommGraph::from_edge_map(self.facet.name(), self.window_start, self.window_len, self.edges)
+    }
+
+    /// Hand out the window's snapshot and restart, empty, as the builder of
+    /// the window starting at `window_start`. The edge table keeps its
+    /// capacity, so a steady stream of windows stops allocating one.
+    pub fn restart(&mut self, window_start: u64) -> CommGraph {
+        let start = std::mem::replace(&mut self.window_start, window_start);
+        (self.records_seen, self.records_kept) = (0, 0);
+        CommGraph::from_edge_map(self.facet.name(), start, self.window_len, self.edges.drain())
     }
 }
 
@@ -319,6 +333,23 @@ mod tests {
         // Same hosts, two service ports ⇒ 4 nodes, 2 edges.
         assert_eq!(g.node_count(), 4);
         assert_eq!(g.edge_count(), 2);
+    }
+
+    #[test]
+    fn restart_hands_out_the_window_and_starts_the_next_empty() {
+        let mut b = GraphBuilder::new(Facet::Ip, 0, 60);
+        b.add(&rec(0, 1, 40_000, 2, 443, 100, 10));
+        b.add(&rec(5, 1, 40_001, 3, 443, 100, 10));
+        let first = b.restart(60);
+        assert_eq!((first.window_start(), first.edge_count(), first.totals().conns), (0, 2, 2));
+        assert_eq!((b.window_start(), b.edge_count(), b.record_counts()), (60, 0, (0, 0)));
+        b.add(&rec(61, 2, 40_002, 3, 443, 700, 70));
+        let mut fresh = GraphBuilder::new(Facet::Ip, 60, 60);
+        fresh.add(&rec(61, 2, 40_002, 3, 443, 700, 70));
+        let (reused, want) = (b.finish(), fresh.finish());
+        assert_eq!(reused.nodes(), want.nodes());
+        assert_eq!(reused.neighbors(0), want.neighbors(0));
+        assert_eq!((reused.window_start(), reused.totals()), (60, want.totals()));
     }
 
     #[test]

@@ -29,15 +29,17 @@ pub struct CommGraph {
 }
 
 impl CommGraph {
-    /// Assemble a graph from an edge map (any hasher; iteration order does
-    /// not matter). Edge keys must be `(lower, higher)` ordered pairs
-    /// (self-loops allowed) with stats oriented lower→higher.
-    pub fn from_edge_map<S>(
+    /// Assemble a graph from an edge map — a map under any hasher, or a
+    /// `drain()` of one; iteration order does not matter. Edge keys must be
+    /// distinct `(lower, higher)` ordered pairs (self-loops allowed) with
+    /// stats oriented lower→higher.
+    pub fn from_edge_map(
         facet_name: impl Into<String>,
         window_start: u64,
         window_len: u64,
-        edges: HashMap<(NodeId, NodeId), EdgeStats, S>,
+        edges: impl IntoIterator<Item = ((NodeId, NodeId), EdgeStats), IntoIter: ExactSizeIterator>,
     ) -> Self {
+        let edges = edges.into_iter();
         // Pass 1: intern endpoints in discovery order — one cheap probe
         // each, no sort over 2·E endpoints — and count degrees.
         let mut index: HashMap<NodeId, u32, FixedState> = HashMap::default();

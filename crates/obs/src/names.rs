@@ -79,7 +79,7 @@ pub const METRICS: &[MetricDef] = &[
     MetricDef {
         name: "commgraph_engine_dropped_records_total",
         kind: MetricKind::Counter,
-        help: "Records dropped before aggregation (vantage dedup), tallied at engine finish.",
+        help: "Records dropped before aggregation (vantage dedup, or late: their window had closed), tallied at engine finish.",
         labels: &[],
     },
     MetricDef {
@@ -103,7 +103,7 @@ pub const METRICS: &[MetricDef] = &[
     MetricDef {
         name: "commgraph_engine_shard_edge_entries",
         kind: MetricKind::Gauge,
-        help: "Distinct edge entries held by one shard thread when it assembled its graphs.",
+        help: "Distinct edge entries one shard thread aggregated, summed over every window it assembled.",
         labels: &["shard"],
     },
     MetricDef {
@@ -253,7 +253,7 @@ pub const METRICS: &[MetricDef] = &[
     MetricDef {
         name: "commgraph_subscription_dedup_dropped_records_total",
         kind: MetricKind::Counter,
-        help: "Flush batches refused by delivery dedup at the sharded front door (re-delivered, or too late to tell), in records, per subscription.",
+        help: "Records refused at the sharded front door, per subscription: outcome=duplicate for re-delivered flush batches; outcome=late for batches too far behind their source to tell, and for records that arrived after their window closed (more than one window behind the newest, counted at finish).",
         labels: &["subscription", "outcome"],
     },
     MetricDef {

@@ -12,6 +12,7 @@ use commgraph::flowlog::time::bucket_start;
 use commgraph::graph::builder::{survives_vantage_dedup, Inventory};
 use commgraph::graph::collapse::{collapse, collapse_default};
 use commgraph::graph::{CommGraph, EdgeStats, Facet, GraphBuilder, NodeId};
+use commgraph::obs;
 use commgraph::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
 use commgraph::segment::policy::SegmentPolicy;
 use commgraph::segment::{Segmentation, ViolationDetector};
@@ -79,22 +80,33 @@ fn through_pipeline(records: &[ConnSummary], monitored: &HashSet<Ipv4Addr>) -> P
     out
 }
 
-/// The shard table: `records` as one subscription of a `ShardedEngine`.
+/// The shard table: `records` as one subscription of a `ShardedEngine`,
+/// its late records counted on the `late` outcome as in its stats.
 fn through_engine(
     records: &[ConnSummary],
     monitored: &HashSet<Ipv4Addr>,
     shards: usize,
 ) -> (Vec<Fingerprint>, EngineStats) {
+    let registry = std::sync::Arc::new(obs::Registry::new());
     let engine = EngineConfig {
         window_len: WINDOW,
         monitored: Some(monitored.clone()),
         ..Default::default()
     };
-    let mut e = ShardedEngine::new(ShardedConfig { shards, engine, ..Default::default() })
-        .expect("valid config");
+    let cfg = ShardedConfig {
+        shards,
+        engine,
+        obs: obs::Obs::new(registry.clone()),
+        ..Default::default()
+    };
+    let mut e = ShardedEngine::new(cfg).expect("valid config");
     records.chunks(997).for_each(|batch| e.ingest("sub", batch).expect("ingest"));
     let (mut reports, _) = e.finish().expect("drain");
     let report = reports.pop().expect("one subscription");
+    let late = [("subscription", "sub"), ("outcome", "late")];
+    let counted =
+        registry.counter("commgraph_subscription_dedup_dropped_records_total", "", &late).get();
+    assert_eq!(counted, report.stats.records_late);
     (fingerprints(&report.graphs), report.stats)
 }
 
@@ -104,10 +116,11 @@ proptest! {
     /// One way for records to become graphs: on an in-order stream the
     /// roll (`Pipeline`) and the shard table (`ShardedEngine`, one shard or
     /// three) hand out the graphs of one `GraphBuilder` per window, by full
-    /// fingerprint. The two window policies differ only in what they do
-    /// with a straggler: the shard table holds every window until `finish`
-    /// and absorbs it, the roll has closed its window and drops it — so with
-    /// stragglers injected they differ by exactly the `Behind` records.
+    /// fingerprint. The two window policies differ only in how late a
+    /// straggler may be: the shard table keeps the window before the newest
+    /// open and absorbs a straggler from it, where the roll has closed that
+    /// window and drops it; a straggler from two windows back is dropped by
+    /// both, and the shard table counts it late.
     #[test]
     fn roll_and_shard_table_build_the_same_graphs(
         topo in arb_topology(),
@@ -134,19 +147,27 @@ proptest! {
             prop_assert_eq!(stats.records_in - stats.records_kept, out.deduped_records);
         }
 
-        // The first window's first records again, after the last window
-        // opened.
-        let late = &in_order[..stragglers.min(in_order.len())];
-        let straggling = [in_order.as_slice(), late].concat();
+        // Stragglers after the last window opened: the first records of the
+        // window before it, and of the window two before it.
+        let newest = in_order.iter().map(|r| bucket_start(r.ts, WINDOW)).max().unwrap_or(0);
+        let behind = |windows: u64| -> Vec<ConnSummary> {
+            let from = |r: &&ConnSummary| bucket_start(r.ts, WINDOW) + windows * WINDOW == newest;
+            in_order.iter().filter(from).take(stragglers).copied().collect()
+        };
+        let (one_back, two_back) = (behind(1), behind(2));
+        prop_assert!(!one_back.is_empty(), "the stream spans the window before the newest");
+        let straggling = [in_order.as_slice(), &one_back, &two_back].concat();
         let out = through_pipeline(&straggling, &monitored);
-        prop_assert_eq!(&fingerprints(out.sequence.graphs()), &want, "the roll drops them");
-        prop_assert_eq!(out.dropped_records, late.len() as u64);
+        prop_assert_eq!(&fingerprints(out.sequence.graphs()), &want, "the roll drops them all");
+        prop_assert_eq!(out.dropped_records, (one_back.len() + two_back.len()) as u64);
         let (graphs, stats) = through_engine(&straggling, &monitored, 3);
-        let absorbed = one_builder_per_window(&straggling, &shared);
-        prop_assert_eq!(&graphs, &absorbed, "the shard table absorbs them");
-        prop_assert_eq!(stats.records_in - out.kept_records - out.deduped_records, late.len() as u64);
-        let surviving = late.iter().filter(|r| survives_vantage_dedup(&shared, r)).count();
+        let absorbed = one_builder_per_window(&[in_order.as_slice(), &one_back].concat(), &shared);
+        prop_assert_eq!(&graphs, &absorbed, "the shard table absorbs one window back");
+        prop_assert_eq!(stats.records_late, two_back.len() as u64, "and drops two back as late");
+        let surviving = one_back.iter().filter(|r| survives_vantage_dedup(&shared, r)).count();
         prop_assert_eq!(stats.records_kept - out.kept_records, surviving as u64);
+        let deduped = out.deduped_records + (one_back.len() - surviving) as u64;
+        prop_assert_eq!(stats.records_in, stats.records_kept + deduped + stats.records_late);
     }
 
     /// Graph construction conserves traffic: the deduped record stream's
