@@ -32,21 +32,20 @@ pub fn node_features(g: &CommGraph) -> Vec<Vec<f64>> {
         let degree = ns.degree as f64;
 
         // Direction balance: bytes sent outward / total.
-        let out_bytes: u64 = nbrs.iter().map(|(_, s)| s.bytes_fwd).sum();
+        let out_bytes: u64 = nbrs.iter().map(|e| e.stats.bytes_fwd).sum();
         let out_frac = if ns.bytes == 0 { 0.5 } else { out_bytes as f64 / ns.bytes as f64 };
 
         // Neighbor degree profile.
         let mean_nbr_degree = if nbrs.is_empty() {
             0.0
         } else {
-            nbrs.iter().map(|(v, _)| g.node_stats(*v).degree as f64).sum::<f64>()
-                / nbrs.len() as f64
+            nbrs.iter().map(|e| g.node_stats(e.node).degree as f64).sum::<f64>() / nbrs.len() as f64
         };
 
         // Egonet density: fraction of neighbor pairs that are themselves
         // connected (the node's local clustering coefficient).
         let egonet_density = {
-            let ids: Vec<u32> = nbrs.iter().map(|(v, _)| *v).filter(|v| *v != i).collect();
+            let ids: Vec<u32> = nbrs.iter().map(|e| e.node).filter(|v| *v != i).collect();
             let d = ids.len();
             if d < 2 {
                 0.0
@@ -64,7 +63,7 @@ pub fn node_features(g: &CommGraph) -> Vec<Vec<f64>> {
         };
 
         // Heaviest single edge as a share of the node's traffic.
-        let top_edge = nbrs.iter().map(|(_, s)| s.bytes()).max().unwrap_or(0);
+        let top_edge = nbrs.iter().map(|e| e.stats.bytes()).max().unwrap_or(0);
         let top_share = if ns.bytes == 0 { 0.0 } else { top_edge as f64 / ns.bytes as f64 };
 
         raw[i as usize] = vec![

@@ -21,7 +21,7 @@ use crate::louvain::{
 };
 use crate::simrank::{simrank_pp_with, simrank_with, SimRankConfig};
 use crate::wgraph::WeightedGraph;
-use commgraph_graph::{CommGraph, NodeId};
+use commgraph_graph::{Adjacent, CommGraph, NodeId};
 use linalg::par::Parallelism;
 use obs::Obs;
 use serde::Serialize;
@@ -128,8 +128,8 @@ pub fn directional_neighbor_sets(g: &CommGraph) -> Vec<Vec<u32>> {
         let mut tokens: Vec<u32> = g
             .neighbors(u)
             .iter()
-            .filter(|(v, _)| *v != u)
-            .map(|(v, stats)| {
+            .filter(|e| e.node != u)
+            .map(|&Adjacent { node: v, stats, .. }| {
                 // stats are oriented outward from u.
                 let total = stats.bytes();
                 let class = if total == 0 {

@@ -148,10 +148,10 @@ pub fn detect_chatty_cliques(
         let mut internal_edges = 0usize;
         let mut internal_bytes = 0u64;
         for &u in &members {
-            for (v, stats) in g.neighbors(u) {
-                if *v > u && set.contains(v) {
+            for e in g.neighbors(u) {
+                if e.node > u && set.contains(&e.node) {
                     internal_edges += 1;
-                    internal_bytes += stats.bytes();
+                    internal_bytes += e.stats.bytes();
                 }
             }
         }

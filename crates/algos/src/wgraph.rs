@@ -101,9 +101,9 @@ impl WeightedGraph {
     ) -> Self {
         let mut out = WeightedGraph::new(g.node_count());
         for i in 0..g.node_count() as u32 {
-            for (j, stats) in g.neighbors(i) {
-                if *j >= i {
-                    out.add_edge(i, *j, weight_of(stats));
+            for e in g.neighbors(i) {
+                if e.node >= i {
+                    out.add_edge(i, e.node, weight_of(&e.stats));
                 }
             }
         }

@@ -425,22 +425,23 @@ mod tests {
     }
 
     /// Per-window structural identity: window start, nodes, sorted edges.
-    type Fingerprint = Vec<(u64, Vec<NodeId>, Vec<(u32, u32, EdgeStats)>)>;
+    type Fingerprint = Vec<(u64, Vec<NodeId>, Vec<(u32, u32, EdgeStats, Vec<u16>)>)>;
 
-    /// Full structural fingerprint: windows, nodes, and every edge's stats.
+    /// Full structural fingerprint: windows, nodes, and every edge's stats
+    /// and service ports.
     fn fingerprint(graphs: &[CommGraph]) -> Fingerprint {
         graphs
             .iter()
             .map(|g| {
                 let mut edges = Vec::new();
                 for i in 0..g.node_count() as u32 {
-                    for (j, st) in g.neighbors(i) {
-                        if i <= *j {
-                            edges.push((i, *j, *st));
+                    for e in g.neighbors(i) {
+                        if i <= e.node {
+                            edges.push((i, e.node, e.stats, g.ports(i, e).to_vec()));
                         }
                     }
                 }
-                edges.sort_by_key(|&(i, j, _)| (i, j));
+                edges.sort_by_key(|&(i, j, ..)| (i, j));
                 (g.window_start(), g.nodes().to_vec(), edges)
             })
             .collect()

@@ -58,13 +58,13 @@ fn engine_graph(records: &[ConnSummary], shards: usize) -> CommGraph {
     }
 }
 
-/// Full (NodeId, NodeId) → EdgeStats map of a graph.
-fn edge_map(g: &CommGraph) -> HashMap<(NodeId, NodeId), EdgeStats> {
+/// Full (NodeId, NodeId) → (EdgeStats, ports) map of a graph.
+fn edge_map(g: &CommGraph) -> HashMap<(NodeId, NodeId), (EdgeStats, Vec<u16>)> {
     let mut out = HashMap::new();
     for i in 0..g.node_count() as u32 {
-        for (j, stats) in g.neighbors(i) {
-            if *j >= i {
-                out.insert((g.node(i), g.node(*j)), *stats);
+        for e in g.neighbors(i) {
+            if e.node >= i {
+                out.insert((g.node(i), g.node(e.node)), (e.stats, g.ports(i, e).to_vec()));
             }
         }
     }
@@ -215,18 +215,20 @@ proptest! {
 }
 
 /// Everything observable about one window's graph: its start, its nodes,
-/// and every edge from both ends with its oriented stats.
-type Fingerprint = (u64, Vec<NodeId>, Vec<Vec<(u32, EdgeStats)>>);
+/// and every edge from both ends with its oriented stats and service ports.
+type Fingerprint = (u64, Vec<NodeId>, Vec<Vec<(u32, EdgeStats, Vec<u16>)>>);
 
 fn fingerprint(g: &CommGraph) -> Fingerprint {
-    let adj = (0..g.node_count() as u32).map(|i| g.neighbors(i).to_vec()).collect();
+    let edges = |i| g.neighbors(i).iter().map(move |e| (e.node, e.stats, g.ports(i, e).to_vec()));
+    let adj = (0..g.node_count() as u32).map(|i| edges(i).collect()).collect();
     (g.window_start(), g.nodes().to_vec(), adj)
 }
 
 /// Seed sweep: random subscriptions × windows × interleavings × batch sizes
 /// × shard counts × vantage dedup on/off through `ShardedEngine` ≡ one
 /// `GraphBuilder` per `(subscription, window)` over the records the window
-/// rule admits, by full fingerprint, with `records_in = records_kept +
+/// rule admits, by full fingerprint (service ports included), with
+/// `records_in = records_kept +
 /// vantage-deduped + records_late` per report. Two arms per seed: the
 /// timestamps spread uniformly over every window, so many records are late;
 /// or sorted and each jittered back by less than one window, so none is,
@@ -260,7 +262,7 @@ fn sharded_sweep_case(seed: u64, in_order: bool) -> u64 {
             let mut out = Vec::new();
             for _ in 0..rng.random_range(flows) {
                 let (l, r) = (rng.random_range(0..40u32), rng.random_range(0..40u32));
-                let rec = ConnSummary {
+                let mut rec = ConnSummary {
                     ts: rng.random_range(0..windows * WINDOW),
                     key: FlowKey::tcp(
                         Ipv4Addr::new(10, s as u8, 0, l as u8),
@@ -273,6 +275,9 @@ fn sharded_sweep_case(seed: u64, in_order: bool) -> u64 {
                     bytes_sent: rng.random_range(0..90_000u64),
                     bytes_rcvd: rng.random_range(0..9_000u64),
                 };
+                // The service is 443 or the local port: edges carry several,
+                // through tables the shards recycle from window to window.
+                rec.key.remote_port = [443, 40_000, 8080][(rec.bytes_sent % 3) as usize];
                 out.push(rec);
                 if rng.random_bool(0.3) {
                     out.push(rec.mirrored());

@@ -13,7 +13,7 @@
 //! complement and drives the score up. A threshold calibrated on baseline
 //! self-variation separates "the usual breathing" from "something changed".
 
-use commgraph_graph::{CommGraph, NodeId};
+use commgraph_graph::{Adjacent, CommGraph, NodeId};
 use linalg::eigen::eigen_top_k;
 use linalg::Matrix;
 use serde::Serialize;
@@ -130,11 +130,11 @@ impl PatternModel {
         let mut total_bytes = 0u64;
         for i in 0..window.node_count() as u32 {
             let a = window.node(i);
-            for (j, stats) in window.neighbors(i) {
-                if *j < i {
+            for &Adjacent { node: j, stats, .. } in window.neighbors(i) {
+                if j < i {
                     continue;
                 }
-                let b = window.node(*j);
+                let b = window.node(j);
                 total_bytes += stats.bytes();
                 match (self.index.get(&a), self.index.get(&b)) {
                     (Some(&ia), Some(&ib)) => {

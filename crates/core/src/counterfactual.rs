@@ -11,7 +11,7 @@
 //! * [`proximity_plan`] — node pairs exchanging heavy traffic are
 //!   candidates for the same availability zone / proximity group.
 
-use commgraph_graph::{CommGraph, NodeId};
+use commgraph_graph::{Adjacent, CommGraph, NodeId};
 use flowlog::record::ConnSummary;
 use serde::Serialize;
 use std::collections::HashMap;
@@ -161,11 +161,11 @@ pub fn proximity_plan_filtered(
 ) -> Vec<ProximityAdvice> {
     let mut edges: Vec<(u64, NodeId, NodeId)> = Vec::new();
     for i in 0..g.node_count() as u32 {
-        for (j, stats) in g.neighbors(i) {
-            if *j <= i {
+        for &Adjacent { node: j, stats, .. } in g.neighbors(i) {
+            if j <= i {
                 continue;
             }
-            let (a, b) = (g.node(i), g.node(*j));
+            let (a, b) = (g.node(i), g.node(j));
             if a == NodeId::Other || b == NodeId::Other || !placeable(&a) || !placeable(&b) {
                 continue;
             }

@@ -19,7 +19,8 @@
 //! ([`commgraph_graph::builder::WindowedBuilder`]), which says what became
 //! of each record and hands over each closed window's graph exactly once.
 //! The monitor buffers the open window's raw records beside it (policy
-//! checks and learning read records, not edges) and reacts to the hand-over.
+//! checks read records, not edges; the baseline's rules are learned from
+//! the learning windows' graph) and reacts to the hand-over.
 
 use crate::anomaly::{AnomalyError, PatternModel};
 use crate::workbench::Workbench;

@@ -21,7 +21,7 @@ use flowlog::time::bucket_start;
 use linalg::Parallelism;
 use obs::{AlertEngine, Obs, Scraper};
 use segment::{SegmentPolicy, Segmentation};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 use std::time::Instant;
@@ -302,7 +302,8 @@ pub struct WindowAnalysis {
     pub roles: RoleInference,
     /// µsegmentation derived from the roles.
     pub segmentation: Segmentation,
-    /// Default-deny policy learned from the window's records.
+    /// Default-deny policy learned from the window's graph: its edges and
+    /// the service ports each carried.
     pub policy: SegmentPolicy,
 }
 
@@ -312,17 +313,19 @@ pub struct WindowAnalysis {
 /// inference ([`infer_roles_incremental_obs`]), and the previous
 /// segmentation + policy let rule synthesis skip segment pairs whose
 /// membership and traffic did not change
-/// ([`SegmentPolicy::learn_incremental`]). The similarity clique is not
-/// carried: rebuilding it sparse from the window's token sets is cheaper
-/// than patching a matrix was.
+/// ([`SegmentPolicy::learn_incremental_graph`]). The similarity clique is
+/// not carried: rebuilding it sparse from the window's token sets is cheaper
+/// than patching a matrix was. Every stage reads the window's graph only:
+/// the policy is learned from its edges and their service ports, so an
+/// analysis costs what the graph costs, whatever the record rate.
 ///
 /// Retained between windows: one role label and one id per node of the
 /// previous window ([`RoleMemo`]), that window's segmentation and policy,
 /// and one duration — nothing that grows with the number of node pairs or
 /// of windows seen.
 ///
-/// Feed it consecutive windows (graph, dirty set, records) from a
-/// [`PipelineOutput`] built with `incremental: true`. With
+/// Feed it consecutive windows (graph, dirty set) from a [`PipelineOutput`]
+/// built with `incremental: true`. With
 /// `incremental: false` every window runs the full-rebuild path — the
 /// oracle the incremental results are bit-exact against (same labels,
 /// modularity, and allow rules on every window; asserted by this module's
@@ -444,15 +447,18 @@ impl WindowAnalyzer {
     }
 
     /// Analyze one window. `dirty` is the window's dirty set from
-    /// [`PipelineOutput::dirty_sets`] and `records` the window's raw
-    /// records (for policy learning). Windows must be fed consecutively —
+    /// [`PipelineOutput::dirty_sets`]. Windows must be fed consecutively —
     /// a dirty set is only meaningful relative to the immediately
     /// preceding window.
+    ///
+    /// `records` is not read: the policy is learned from `g`
+    /// ([`SegmentPolicy::learn_graph`]), which equals learning over the
+    /// records `g` kept. The argument stays for the callers that pass it.
     pub fn analyze(
         &mut self,
         g: &CommGraph,
         dirty: &[NodeId],
-        records: &[ConnSummary],
+        _records: &[ConnSummary],
     ) -> segment::Result<WindowAnalysis> {
         let t0 = Instant::now();
         let warm = self.incremental && self.memo.is_some();
@@ -478,8 +484,8 @@ impl WindowAnalyzer {
                 Some((prev_seg, prev_policy)) if warm => {
                     let dirty_ips: HashSet<Ipv4Addr> =
                         dirty.iter().filter_map(|n| n.ip()).collect();
-                    SegmentPolicy::learn_incremental(
-                        records,
+                    SegmentPolicy::learn_incremental_graph(
+                        g,
                         &segmentation,
                         prev_seg,
                         prev_policy,
@@ -487,7 +493,7 @@ impl WindowAnalyzer {
                         true,
                     )
                 }
-                _ => SegmentPolicy::learn(records, &segmentation, true),
+                _ => SegmentPolicy::learn_graph(g, &segmentation, true),
             }
         };
         let elapsed = t0.elapsed().as_secs_f64();
@@ -509,29 +515,10 @@ impl WindowAnalyzer {
         Ok(WindowAnalysis { window_start: g.window_start(), roles, segmentation, policy })
     }
 
-    /// Analyze every window of a finished pipeline in order, bucketing
-    /// `records` into windows by timestamp.
-    pub fn analyze_output(
-        &mut self,
-        out: &PipelineOutput,
-        records: &[ConnSummary],
-    ) -> segment::Result<Vec<WindowAnalysis>> {
-        let Some(len) = out.sequence.graphs().first().map(|g| g.window_len()) else {
-            return Ok(Vec::new());
-        };
-        let mut buckets: HashMap<u64, Vec<ConnSummary>> = HashMap::new();
-        for r in records {
-            buckets.entry(bucket_start(r.ts, len)).or_default().push(*r);
-        }
-        out.sequence
-            .graphs()
-            .iter()
-            .zip(&out.dirty_sets)
-            .map(|(g, dirty)| {
-                let recs = buckets.get(&g.window_start()).map_or(&[][..], |v| v.as_slice());
-                self.analyze(g, dirty, recs)
-            })
-            .collect()
+    /// Analyze every window of a finished pipeline in order.
+    pub fn analyze_output(&mut self, out: &PipelineOutput) -> segment::Result<Vec<WindowAnalysis>> {
+        let windows = out.sequence.graphs().iter().zip(&out.dirty_sets);
+        windows.map(|(g, dirty)| self.analyze(g, dirty, &[])).collect()
     }
 }
 
@@ -761,7 +748,7 @@ mod tests {
                 recs.iter().flat_map(|r| [r.key.local_ip, r.key.remote_ip]).collect();
             let mut an =
                 WindowAnalyzer::new(monitored, incremental).with_parallelism(Parallelism::new(2));
-            an.analyze_output(&out, &recs).unwrap()
+            an.analyze_output(&out).unwrap()
         };
         let incremental = run(true);
         let full = run(false);
@@ -789,6 +776,31 @@ mod tests {
         }
     }
 
+    /// The analyzer learns each window's policy from its graph alone; on a
+    /// stream with nothing behind the roll and no twinless copies that is
+    /// the record learner over the window's records, warm windows included.
+    #[test]
+    fn window_policies_equal_the_record_learner() {
+        let recs = churn_stream();
+        let mut p = Pipeline::new(PipelineConfig::default());
+        p.ingest(&recs);
+        let out = finish(p);
+        let monitored: HashSet<Ipv4Addr> =
+            recs.iter().flat_map(|r| [r.key.local_ip, r.key.remote_ip]).collect();
+        let analyses = WindowAnalyzer::new(monitored, true).analyze_output(&out).unwrap();
+        assert_eq!(analyses.len(), 3);
+        for a in &analyses {
+            let window: Vec<ConnSummary> = recs
+                .iter()
+                .filter(|r| bucket_start(r.ts, 3600) == a.window_start)
+                .copied()
+                .collect();
+            let want = SegmentPolicy::learn(&window, &a.segmentation, true);
+            assert_eq!(a.policy.rules(), want.rules(), "window {}", a.window_start);
+            assert!(a.policy.rule_count() > 0);
+        }
+    }
+
     #[test]
     fn incremental_analysis_is_worker_count_invariant() {
         let recs = churn_stream();
@@ -801,12 +813,8 @@ mod tests {
         for workers in [1, 2, 8] {
             let mut an = WindowAnalyzer::new(monitored.clone(), true)
                 .with_parallelism(Parallelism::new(workers));
-            let labels: Vec<Vec<usize>> = an
-                .analyze_output(&out, &recs)
-                .unwrap()
-                .into_iter()
-                .map(|w| w.roles.labels)
-                .collect();
+            let labels: Vec<Vec<usize>> =
+                an.analyze_output(&out).unwrap().into_iter().map(|w| w.roles.labels).collect();
             match &baseline {
                 None => baseline = Some(labels),
                 Some(b) => assert_eq!(&labels, b, "{workers} workers"),
@@ -838,7 +846,7 @@ mod tests {
         let monitored: HashSet<Ipv4Addr> =
             recs.iter().flat_map(|r| [r.key.local_ip, r.key.remote_ip]).collect();
         let mut an = WindowAnalyzer::new(monitored, true).with_obs(Obs::new(registry.clone()));
-        an.analyze_output(&out, &recs).unwrap();
+        an.analyze_output(&out).unwrap();
         let savings = registry.histogram("commgraph_incremental_savings_seconds", "", &[]);
         assert_eq!(savings.count(), 2, "two warm windows record savings");
     }
@@ -879,7 +887,7 @@ mod tests {
             .with_subscription("tenant-a")
             .with_telemetry(scraper.clone(), alerts.clone());
         assert_eq!(an.tick(), 0);
-        an.analyze_output(&out, &recs).unwrap();
+        an.analyze_output(&out).unwrap();
 
         assert_eq!(an.tick(), 3, "one logical tick per analyzed window");
         assert_eq!(scraper.store().last_tick(), 3);

@@ -133,15 +133,18 @@ impl Workbench {
         self.segmentation.insert(seg)
     }
 
-    /// Default-deny policy learned from this window's traffic (memoized,
-    /// port-scoped).
+    /// Default-deny policy learned from this window's graph (memoized,
+    /// port-scoped): its edges and the service ports each carried. Edges
+    /// collapsing merged into `Other` teach nothing — `Other` is never a
+    /// policy subject, as the addresses folded into it are in no segment.
     pub fn policy(&mut self) -> &SegmentPolicy {
         let policy = match self.policy.take() {
             Some(p) => p,
             None => {
-                let seg = self.segmentation().clone();
-                let _span = self.obs.stage_span("policy");
-                SegmentPolicy::learn(&self.records, &seg, true)
+                let (seg, obs) = (self.segmentation().clone(), self.obs.clone());
+                let g = self.ip_graph();
+                let _span = obs.stage_span("policy");
+                SegmentPolicy::learn_graph(g, &seg, true)
             }
         };
         self.policy.insert(policy)

@@ -60,6 +60,28 @@ impl fmt::Display for Protocol {
 /// First ephemeral port: ports at or above never name a service (facets and policy share it).
 pub const EPHEMERAL_START: u16 = 32_768;
 
+/// The service port of a flow whose ends both look ephemeral, and the port
+/// of a policy rule that matches every service.
+pub const ANY_PORT: u16 = 0;
+
+/// Best-effort service port of a flow: the non-ephemeral side's port — the
+/// lower one when both are, as the lower is overwhelmingly the service — or
+/// [`ANY_PORT`] when both sides look ephemeral. A flow and its mirror name
+/// the same port, so both vantages of one wire flow agree on it.
+///
+/// Written as selects, not a four-way match: which side is the service
+/// flips from record to record with the reporting vantage, and graph
+/// construction asks once per record.
+#[inline]
+pub fn service_port(key: &FlowKey) -> u16 {
+    // An ephemeral port reads as u16::MAX, which no service port is.
+    let service = |port: u16| if port < EPHEMERAL_START { port } else { u16::MAX };
+    match service(key.local_port).min(service(key.remote_port)) {
+        u16::MAX => ANY_PORT,
+        port => port,
+    }
+}
+
 /// Identity of a flow as seen from the reporting (local) endpoint.
 ///
 /// The same wire flow appears twice in a complete telemetry stream — once

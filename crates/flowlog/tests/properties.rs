@@ -2,7 +2,7 @@
 
 use flowlog::codec;
 use flowlog::nic::{Direction, HostAgent};
-use flowlog::record::{ConnSummary, FlowKey, Protocol};
+use flowlog::record::{service_port, ConnSummary, FlowKey, Protocol, ANY_PORT};
 use flowlog::sampling::{Sampler, SamplingConfig};
 use flowlog::time;
 use proptest::prelude::*;
@@ -39,6 +39,29 @@ prop_compose! {
     }
 }
 
+/// The service-port `match` as `segment::policy` wrote it, restated.
+fn moved_from(local: u16, remote: u16) -> u16 {
+    match (local < 32_768, remote < 32_768) {
+        (true, false) => local,
+        (false, true) => remote,
+        (true, true) => local.min(remote),
+        (false, false) => 0,
+    }
+}
+
+/// Every pair of the ports on either side of the ephemeral boundary.
+#[test]
+fn service_port_matches_the_rule_it_moved_from_at_the_boundaries() {
+    const EDGES: [u16; 4] = [0, 32_767, 32_768, 65_535];
+    let ip = Ipv4Addr::new(10, 0, 0, 1);
+    for l in EDGES {
+        for r in EDGES {
+            assert_eq!(service_port(&FlowKey::tcp(ip, l, ip, r)), moved_from(l, r), "{l} ↔ {r}");
+        }
+    }
+    assert_eq!(service_port(&FlowKey::tcp(ip, 40_000, ip, 50_000)), ANY_PORT);
+}
+
 proptest! {
     /// Text codec round-trips every representable record.
     #[test]
@@ -61,6 +84,14 @@ proptest! {
         prop_assert_eq!(c, c.canonical());
         prop_assert_eq!(c, k.reversed().canonical());
         prop_assert!(c.is_canonical());
+    }
+
+    /// `service_port` is the rule policy learning used before it moved down
+    /// to the record schema, on random pairs, and a mirror names the same port.
+    #[test]
+    fn service_port_matches_the_rule_it_moved_from(k in arb_key()) {
+        prop_assert_eq!(service_port(&k), moved_from(k.local_port, k.remote_port));
+        prop_assert_eq!(service_port(&k.reversed()), service_port(&k));
     }
 
     /// Mirroring twice is the identity and preserves totals.

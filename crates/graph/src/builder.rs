@@ -4,7 +4,7 @@
 //! per-node-pair counters — memory proportional to the number of node pairs,
 //! exactly the cost model the paper analyzes. [`GraphBuilder`] is that
 //! kernel for one window; [`WindowedBuilder`] is the window roll that drives
-//! it over one stream (its contract is on the type). Two subtleties:
+//! it over one stream (its contract is on the type). Three subtleties:
 //!
 //! * **Vantage dedup.** Per-NIC collection reports a flow from *both*
 //!   endpoints when both are inside the subscription. Given the monitored
@@ -14,13 +14,19 @@
 //!   (flow-minutes). For sub-minute flows — the overwhelming majority in
 //!   cloud RPC workloads — this equals the number of connections; long-lived
 //!   flows contribute one count per interval they span.
+//! * **Service ports.** Each edge also records the distinct service ports
+//!   ([`service_port`]) its kept records named, so the window's allow rules
+//!   can be learned from edges. The first port shares a word with the
+//!   connection count in the entry the record already probes (one compare
+//!   per record, no larger entry); an edge meeting another port grows a
+//!   spill set, and the graph lists every edge's ports in ascending order.
 
-use crate::graph::CommGraph;
+use crate::graph::{CommGraph, EdgeValue};
 use crate::hash::FixedState;
 use crate::node::{Facet, NodeId};
 use crate::stats::EdgeStats;
-use flowlog::record::ConnSummary;
-use std::collections::{HashMap, HashSet};
+use flowlog::record::{service_port, ConnSummary};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -78,11 +84,49 @@ pub struct GraphBuilder {
     /// vantage. Empty (the default) means every record counts:
     /// single-vantage telemetry, e.g. chokepoint captures.
     monitored: Inventory,
-    edges: HashMap<(NodeId, NodeId), EdgeStats, FixedState>,
+    edges: HashMap<(NodeId, NodeId), EdgeAcc, FixedState>,
+    /// The ports beyond its first of every edge that carried several.
+    // bound: one set per such edge, each ≤ its distinct ports: in all ≤ the
+    // window's distinct (edge, port) pairs. `restart` hands them all out.
+    spills: HashMap<(NodeId, NodeId), BTreeSet<u16>, FixedState>,
     window_start: u64,
     window_len: u64,
     records_seen: u64,
     records_kept: u64,
+}
+
+/// One edge-table entry: [`EdgeStats`]' counters, with the connection count
+/// sharing its word with the first service port the edge carried — so an
+/// entry is no larger than the counters alone, and the per-record port test
+/// is one compare on a word the record updates anyway.
+#[derive(Debug, Clone, Copy)]
+struct EdgeAcc {
+    bytes_fwd: u64,
+    bytes_rev: u64,
+    pkts_fwd: u64,
+    pkts_rev: u64,
+    /// `conns · CONN | first port`.
+    // bound: conns < 2⁴⁸ records per edge and window.
+    word: u64,
+}
+
+/// One connection in [`EdgeAcc::word`], above the port's 16 bits.
+const CONN: u64 = 1 << 16;
+
+impl EdgeValue for EdgeAcc {
+    fn stats(self) -> EdgeStats {
+        EdgeStats {
+            bytes_fwd: self.bytes_fwd,
+            bytes_rev: self.bytes_rev,
+            pkts_fwd: self.pkts_fwd,
+            pkts_rev: self.pkts_rev,
+            conns: self.word / CONN,
+        }
+    }
+
+    fn port(self) -> Option<u16> {
+        Some(self.word as u16)
+    }
 }
 
 impl GraphBuilder {
@@ -93,6 +137,7 @@ impl GraphBuilder {
             facet,
             monitored: Inventory::default(),
             edges: HashMap::default(),
+            spills: HashMap::default(),
             window_start,
             window_len,
             records_seen: 0,
@@ -124,6 +169,7 @@ impl GraphBuilder {
 
     /// Offer one record. Returns whether it was kept: `false` means vantage
     /// dedup left it out (see [`survives_vantage_dedup`]).
+    #[inline]
     pub fn add(&mut self, r: &ConnSummary) -> bool {
         self.records_seen += 1;
         if !survives_vantage_dedup(&self.monitored, r) {
@@ -137,13 +183,34 @@ impl GraphBuilder {
         } else {
             ((remote, local), r.bytes_rcvd, r.bytes_sent, r.pkts_rcvd, r.pkts_sent)
         };
-        let e = self.edges.entry(key).or_default();
+        let port = service_port(&r.key);
+        let e = self.edges.entry(key).or_insert(EdgeAcc {
+            bytes_fwd: 0,
+            bytes_rev: 0,
+            pkts_fwd: 0,
+            pkts_rev: 0,
+            word: u64::from(port),
+        });
         e.bytes_fwd = e.bytes_fwd.saturating_add(fwd_bytes);
         e.bytes_rev = e.bytes_rev.saturating_add(rev_bytes);
         e.pkts_fwd = e.pkts_fwd.saturating_add(fwd_pkts);
         e.pkts_rev = e.pkts_rev.saturating_add(rev_pkts);
-        e.conns += 1;
+        e.word += CONN;
+        if e.word as u16 != port {
+            self.spill(r);
+        }
         true
+    }
+
+    /// The cold half of recording a port: `r` carried a port other than its
+    /// edge's first. It derives the edge key from `r` again: keeping the key
+    /// alive through the hot half costs that half even when this never runs.
+    #[cold]
+    #[inline(never)]
+    fn spill(&mut self, r: &ConnSummary) {
+        let (local, remote) = self.facet.endpoints(r);
+        let key = (local.min(remote), local.max(remote));
+        self.spills.entry(key).or_default().insert(service_port(&r.key));
     }
 
     /// Offer a batch.
@@ -160,16 +227,19 @@ impl GraphBuilder {
 
     /// Finish the window into an immutable snapshot.
     pub fn finish(self) -> CommGraph {
-        CommGraph::from_edge_map(self.facet.name(), self.window_start, self.window_len, self.edges)
+        let (start, len) = (self.window_start, self.window_len);
+        CommGraph::assemble(self.facet.name(), start, len, self.edges, self.spills)
     }
 
     /// Hand out the window's snapshot and restart, empty, as the builder of
     /// the window starting at `window_start`. The edge table keeps its
-    /// capacity, so a steady stream of windows stops allocating one.
+    /// capacity, so a steady stream of windows stops allocating one; no
+    /// spill set outlives its window.
     pub fn restart(&mut self, window_start: u64) -> CommGraph {
         let start = std::mem::replace(&mut self.window_start, window_start);
         (self.records_seen, self.records_kept) = (0, 0);
-        CommGraph::from_edge_map(self.facet.name(), start, self.window_len, self.edges.drain())
+        let (edges, spills) = (self.edges.drain(), self.spills.drain());
+        CommGraph::assemble(self.facet.name(), start, self.window_len, edges, spills)
     }
 }
 
@@ -352,6 +422,49 @@ mod tests {
         assert_eq!((reused.window_start(), reused.totals()), (60, want.totals()));
     }
 
+    /// Each edge carries the distinct service ports its kept records named,
+    /// ascending, from either end; a deduped copy adds none.
+    #[test]
+    fn edges_carry_their_service_ports() {
+        let monitored: HashSet<Ipv4Addr> = [ip(1), ip(2)].into_iter().collect();
+        let mut b = GraphBuilder::new(Facet::Ip, 0, 3600).with_monitored(monitored);
+        for (lp, rp) in [(40_000, 8080), (40_001, 443), (443, 40_002), (40_003, 8080)] {
+            b.add(&rec(0, 1, lp, 2, rp, 100, 10));
+        }
+        b.add(&rec(0, 1, 40_004, 2, 22, 100, 10).mirrored()); // deduped
+        b.add(&rec(0, 1, 40_005, 3, 5432, 100, 10));
+        let g = b.finish();
+        let ports = |from: u32, to: u32| {
+            let e = g.neighbors(from).iter().find(|e| e.node == to).expect("edge");
+            g.ports(from, e).to_vec()
+        };
+        assert_eq!(ports(0, 1), [443, 8080]);
+        assert_eq!(ports(1, 0), [443, 8080], "the same from either end");
+        assert_eq!(ports(0, 2), [5432]);
+    }
+
+    /// `restart` hands every spill set out with its window: the recycled
+    /// table starts the next window holding none, and builds what a fresh
+    /// builder builds, ports included.
+    #[test]
+    fn restart_leaves_no_spill_behind() {
+        let mut b = GraphBuilder::new(Facet::Ip, 0, 60);
+        for port in [443, 8080, 9090, 443] {
+            b.add(&rec(0, 1, 40_000, 2, port, 100, 10));
+        }
+        b.add(&rec(1, 1, 40_000, 3, 22, 100, 10));
+        assert_eq!(b.spills.len(), 1, "one edge met a second port");
+        let first = b.restart(60);
+        assert_eq!(fingerprint(&first).2[0][0].2, [443, 8080, 9090]);
+        assert!(b.spills.is_empty(), "no spill outlives its window");
+        let next = [rec(61, 1, 40_000, 2, 22, 100, 10), rec(62, 1, 40_000, 2, 8080, 100, 10)];
+        let mut fresh = GraphBuilder::new(Facet::Ip, 60, 60);
+        b.add_all(&next);
+        fresh.add_all(&next);
+        assert_eq!(fingerprint(&b.restart(120)), fingerprint(&fresh.finish()));
+        assert!(b.spills.is_empty());
+    }
+
     #[test]
     fn windowed_builder_rolls_hourly() {
         let mut wb = WindowedBuilder::new(Facet::Ip, 3600);
@@ -407,11 +520,14 @@ mod tests {
     }
 
     /// Everything observable about one window's graph: its start, its
-    /// nodes, and every edge from both ends with its oriented stats.
-    type Fingerprint = (u64, Vec<NodeId>, Vec<Vec<(u32, EdgeStats)>>);
+    /// nodes, and every edge from both ends with its oriented stats and its
+    /// service ports.
+    type Fingerprint = (u64, Vec<NodeId>, Vec<Vec<(u32, EdgeStats, Vec<u16>)>>);
 
     fn fingerprint(g: &CommGraph) -> Fingerprint {
-        let adj = (0..g.node_count() as u32).map(|i| g.neighbors(i).to_vec()).collect();
+        let edges =
+            |i| g.neighbors(i).iter().map(move |e| (e.node, e.stats, g.ports(i, e).to_vec()));
+        let adj = (0..g.node_count() as u32).map(|i| edges(i).collect()).collect();
         (g.window_start(), g.nodes().to_vec(), adj)
     }
 
@@ -434,7 +550,7 @@ mod tests {
                 // Mostly jitter of a few seconds around the clock; one in
                 // twelve is a straggler from up to three windows back.
                 let back = if rng.random_bool(1.0 / 12.0) { 3 * WINDOW } else { 20 };
-                let r = rec(
+                let mut r = rec(
                     clock.saturating_sub(rng.random_range(0..back)),
                     rng.random_range(1..9u32) as u8,
                     rng.random_range(1024..1028u16),
@@ -443,6 +559,8 @@ mod tests {
                     rng.random_range(0..90_000u64),
                     rng.random_range(0..9_000u64),
                 );
+                // The service is 443 or the local port: edges meet several.
+                r.key.remote_port = [443, 40_000, 8080][(r.bytes_sent % 3) as usize];
                 records.push(r);
                 if rng.random_bool(0.3) {
                     records

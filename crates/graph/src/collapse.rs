@@ -10,12 +10,14 @@
 //! predicate protects it (experiments protect the monitored inventory, since
 //! the subscription's own resources are always of interest). Everything else
 //! folds into the single [`NodeId::Other`] node; edge counters are merged,
-//! never dropped, so graph-wide totals are invariant under collapsing.
+//! never dropped, so graph-wide totals are invariant under collapsing. An
+//! edge between two surviving nodes keeps its service ports; one merged into
+//! `Other` loses them.
 
 use crate::graph::CommGraph;
 use crate::node::NodeId;
 use crate::stats::EdgeStats;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// The paper's Table 1 threshold: 0.1% of bytes, packets, or connections.
 pub const PAPER_THRESHOLD: f64 = 0.001;
@@ -55,20 +57,33 @@ pub fn collapse(g: &CommGraph, threshold: f64, protect: impl Fn(&NodeId) -> bool
         mapped.push(if survives(idx) { g.node(idx) } else { NodeId::Other });
     }
 
-    let mut edges: HashMap<(NodeId, NodeId), EdgeStats> = HashMap::new();
+    let mut edges: HashMap<(NodeId, NodeId), (EdgeStats, Option<u16>)> = HashMap::new();
+    let mut spills: Vec<((NodeId, NodeId), BTreeSet<u16>)> = Vec::new();
     for i in 0..g.node_count() as u32 {
-        for (j, stats) in g.neighbors(i) {
-            if *j < i {
+        for e in g.neighbors(i) {
+            if e.node < i {
                 continue; // visit each undirected edge once (self-loops: j == i)
             }
-            let (a, b) = (mapped[i as usize], mapped[*j as usize]);
+            let (a, b) = (mapped[i as usize], mapped[e.node as usize]);
             // `stats` is oriented i→j; re-orient for the mapped key order.
             let (key, oriented) =
-                if a <= b { ((a, b), *stats) } else { ((b, a), stats.reversed()) };
-            edges.entry(key).or_default().absorb(&oriented);
+                if a <= b { ((a, b), e.stats) } else { ((b, a), e.stats.reversed()) };
+            let (stats, first) = edges.entry(key).or_default();
+            stats.absorb(&oriented);
+            // Kept 1:1 when neither end folded: its key is its own, and so
+            // are its ports. An edge merged into `Other` keeps none — `Other`
+            // is never a policy subject.
+            if a != NodeId::Other && b != NodeId::Other {
+                if let Some((&lowest, more)) = g.ports(i, e).split_first() {
+                    *first = Some(lowest);
+                    if !more.is_empty() {
+                        spills.push((key, more.iter().copied().collect()));
+                    }
+                }
+            }
         }
     }
-    CommGraph::from_edge_map(g.facet_name().to_string(), g.window_start(), g.window_len(), edges)
+    CommGraph::assemble(g.facet_name(), g.window_start(), g.window_len(), edges, spills)
 }
 
 /// Collapse with the paper's 0.1% threshold and no protected nodes.

@@ -57,9 +57,9 @@ pub struct GraphDiff {
 fn edge_set(g: &CommGraph) -> HashMap<(NodeId, NodeId), u64> {
     let mut out = HashMap::with_capacity(g.edge_count());
     for i in 0..g.node_count() as u32 {
-        for (j, stats) in g.neighbors(i) {
-            if *j >= i {
-                out.insert((g.node(i), g.node(*j)), stats.bytes());
+        for e in g.neighbors(i) {
+            if e.node >= i {
+                out.insert((g.node(i), g.node(e.node)), e.stats.bytes());
             }
         }
     }
@@ -130,11 +130,12 @@ pub fn diff(before: &CommGraph, after: &CommGraph, change_ratio: f64) -> GraphDi
 /// facet — the *dirty set* that incremental window maintenance recomputes.
 ///
 /// A node is dirty iff it was added or removed between the snapshots, or any
-/// incident edge differs in presence **or in any
+/// incident edge differs in presence, **in any
 /// [`EdgeStats`](crate::stats::EdgeStats) counter** (byte-direction classes
 /// feed the similarity tokens downstream, so a pure volume change must
-/// invalidate too). Every other node is *clean*: its neighbor list — ids and
-/// stats — is identical in both graphs, which is what lets downstream
+/// invalidate too) **or in its service ports** (policy rules are learned
+/// from them). Every other node is *clean*: its neighbor list — ids, stats
+/// and ports — is identical in both graphs, which is what lets downstream
 /// stages (Jaccard rows, policy synthesis) reuse prior results verbatim.
 ///
 /// The returned ids are sorted and deduplicated.
@@ -159,18 +160,19 @@ pub fn dirty_nodes(before: &CommGraph, after: &CommGraph) -> Vec<NodeId> {
     dirty
 }
 
-/// Whether a node's incident edges (neighbor identities and full stats) are
-/// identical across the two snapshots. Neighbor lists are sorted by dense
-/// index, and dense index order is NodeId order within each graph, so a
-/// single zip compares like with like.
+/// Whether a node's incident edges (neighbor identities, full stats and
+/// service ports) are identical across the two snapshots. Neighbor lists are
+/// sorted by dense index, and dense index order is NodeId order within each
+/// graph, so a single zip compares like with like.
 fn incident_eq(before: &CommGraph, bi: u32, after: &CommGraph, ai: u32) -> bool {
     let bl = before.neighbors(bi);
     let al = after.neighbors(ai);
     bl.len() == al.len()
-        && bl
-            .iter()
-            .zip(al)
-            .all(|((bj, bs), (aj, asx))| before.node(*bj) == after.node(*aj) && bs == asx)
+        && bl.iter().zip(al).all(|(b, a)| {
+            before.node(b.node) == after.node(a.node)
+                && b.stats == a.stats
+                && before.ports(bi, b) == after.ports(ai, a)
+        })
 }
 
 impl GraphDiff {
@@ -290,6 +292,33 @@ mod tests {
         assert_eq!(dirty_nodes(&before, &after), vec![ip(1), ip(2)]);
     }
 
+    /// The same counters on another service port: a policy learned from the
+    /// edge would change, so both its ends are dirty.
+    #[test]
+    fn dirty_nodes_flag_pure_port_changes() {
+        use crate::{Facet, GraphBuilder};
+        use flowlog::record::{ConnSummary, FlowKey};
+        let build = |port: u16| {
+            let at = |d: u8| Ipv4Addr::new(10, 0, 0, d);
+            let mut b = GraphBuilder::new(Facet::Ip, 0, 3600);
+            for (l, r, p) in [(1, 2, port), (2, 3, 5432)] {
+                b.add(&ConnSummary {
+                    ts: 0,
+                    key: FlowKey::tcp(at(l), 40_000, at(r), p),
+                    pkts_sent: 1,
+                    pkts_rcvd: 1,
+                    bytes_sent: 100,
+                    bytes_rcvd: 10,
+                });
+            }
+            b.finish()
+        };
+        let (before, after) = (build(443), build(8443));
+        assert_eq!(before.totals(), after.totals());
+        assert_eq!(dirty_nodes(&before, &after), vec![ip(1), ip(2)]);
+        assert!(dirty_nodes(&before, &build(443)).is_empty());
+    }
+
     #[test]
     fn clean_nodes_have_identical_incident_lists() {
         let before = graph(&[(1, 2, 100), (2, 3, 50), (4, 5, 9)]);
@@ -301,9 +330,9 @@ mod tests {
             }
             let bi = before.index_of(n).expect("clean nodes exist in both graphs");
             let bl: Vec<_> =
-                before.neighbors(bi).iter().map(|(j, s)| (before.node(*j), *s)).collect();
+                before.neighbors(bi).iter().map(|e| (before.node(e.node), e.stats)).collect();
             let al: Vec<_> =
-                after.neighbors(i as u32).iter().map(|(j, s)| (after.node(*j), *s)).collect();
+                after.neighbors(i as u32).iter().map(|e| (after.node(e.node), e.stats)).collect();
             assert_eq!(bl, al, "clean node {n} must keep its exact adjacency");
         }
     }

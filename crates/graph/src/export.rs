@@ -4,7 +4,7 @@
 //! larger graphs (the Figure 2 Portal graph has ~5K nodes) are better
 //! explored in Gephi or programmatically — both of which speak GraphML.
 
-use crate::graph::CommGraph;
+use crate::graph::{Adjacent, CommGraph};
 use crate::node::NodeId;
 use std::fmt::Write as _;
 
@@ -57,8 +57,8 @@ pub fn to_graphml(g: &CommGraph, groups: Option<&[usize]>) -> String {
     }
     let mut edge_id = 0usize;
     for i in 0..g.node_count() as u32 {
-        for (j, stats) in g.neighbors(i) {
-            if *j < i {
+        for &Adjacent { node: j, stats, .. } in g.neighbors(i) {
+            if j < i {
                 continue;
             }
             let _ = writeln!(
@@ -80,15 +80,15 @@ pub fn to_graphml(g: &CommGraph, groups: Option<&[usize]>) -> String {
 pub fn to_edge_csv(g: &CommGraph) -> String {
     let mut o = String::from("a,b,bytes,pkts,conns,bytes_fwd,bytes_rev\n");
     for i in 0..g.node_count() as u32 {
-        for (j, stats) in g.neighbors(i) {
-            if *j < i {
+        for &Adjacent { node: j, stats, .. } in g.neighbors(i) {
+            if j < i {
                 continue;
             }
             let _ = writeln!(
                 o,
                 "{},{},{},{},{},{},{}",
                 g.node(i),
-                g.node(*j),
+                g.node(j),
                 stats.bytes(),
                 stats.pkts(),
                 stats.conns,

@@ -1,15 +1,57 @@
 //! The immutable communication-graph snapshot.
+//!
+//! Each edge carries its counters and the distinct service ports its
+//! records named (`flowlog::record::service_port`), so a window's allow
+//! rules can be learned from its edges. The lowest port sits in the padding
+//! of the edge's neighbour-list entries ([`Adjacent`]); an edge that carried
+//! two or more keeps its sorted list in one side table, looked up only for
+//! such edges. Both are canonical — ascending, whatever order the records
+//! arrived in and whatever table they were aggregated in.
 
 use crate::error::{Error, Result};
 use crate::hash::FixedState;
 use crate::node::NodeId;
 use crate::stats::{EdgeStats, NodeStats};
 use serde::Serialize;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 
+/// One entry of a node's neighbour list: the neighbour, the edge's counters
+/// oriented outward from the owning node, and the edge's lowest service port
+/// (in what would be the entry's padding: the entry is 48 bytes with or
+/// without it). [`CommGraph::ports`] reads all of the edge's ports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub struct Adjacent {
+    /// Dense index of the neighbour.
+    pub node: u32,
+    /// The lowest service port, when `ports` is not `None`.
+    port: u16,
+    ports: PortCount,
+    /// Counters oriented from the owning node towards `node`.
+    pub stats: EdgeStats,
+}
+
+impl Adjacent {
+    /// The edge's one port, or its lowest; `None` without ports.
+    fn port(&self) -> Option<u16> {
+        (self.ports != PortCount::None).then_some(self.port)
+    }
+}
+
+/// How many service ports an edge carries: where [`CommGraph::ports`] finds them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+enum PortCount {
+    /// None: assembled without ports, or folded into `Other`.
+    None,
+    /// One, inline in the entry.
+    One,
+    /// Two or more, listed in the graph's side table.
+    Many,
+}
+
 /// A communication graph over one time window: nodes under some facet,
-/// undirected edges carrying byte/packet/connection counters.
+/// undirected edges carrying byte/packet/connection counters and the
+/// service ports they were seen on.
 ///
 /// Nodes are stored sorted by [`NodeId`], which — because the simulator
 /// assigns addresses role-major — groups same-role replicas contiguously and
@@ -22,22 +64,70 @@ pub struct CommGraph {
     window_start: u64,
     window_len: u64,
     nodes: Vec<NodeId>,
-    adj: Vec<Vec<(u32, EdgeStats)>>,
+    adj: Vec<Vec<Adjacent>>,
+    /// `(lower, higher, ports)` of every edge with two or more ports,
+    /// sorted by node pair.
+    // bound: one list per such edge; its entries are ≤ the edge's distinct
+    // ports, so the table is ≤ the window's distinct (edge, port) pairs.
+    spills: Vec<(u32, u32, Vec<u16>)>,
     node_stats: Vec<NodeStats>,
     totals: EdgeStats,
     edge_count: usize,
+}
+
+/// An edge-map value as [`CommGraph::assemble`] reads it: a `Copy` word
+/// with the edge's counters and the first service port it carried.
+pub(crate) trait EdgeValue: Copy {
+    /// Counters oriented lower → higher.
+    fn stats(self) -> EdgeStats;
+    /// The first service port the edge carried, if ports were recorded.
+    fn port(self) -> Option<u16>;
+}
+
+impl EdgeValue for EdgeStats {
+    fn stats(self) -> EdgeStats {
+        self
+    }
+    fn port(self) -> Option<u16> {
+        None
+    }
+}
+
+impl EdgeValue for (EdgeStats, Option<u16>) {
+    fn stats(self) -> EdgeStats {
+        self.0
+    }
+    fn port(self) -> Option<u16> {
+        self.1
+    }
 }
 
 impl CommGraph {
     /// Assemble a graph from an edge map — a map under any hasher, or a
     /// `drain()` of one; iteration order does not matter. Edge keys must be
     /// distinct `(lower, higher)` ordered pairs (self-loops allowed) with
-    /// stats oriented lower→higher.
+    /// stats oriented lower→higher. The edges carry no service ports: ports
+    /// come from records, through [`crate::GraphBuilder`].
     pub fn from_edge_map(
         facet_name: impl Into<String>,
         window_start: u64,
         window_len: u64,
         edges: impl IntoIterator<Item = ((NodeId, NodeId), EdgeStats), IntoIter: ExactSizeIterator>,
+    ) -> Self {
+        let no_spills: [((NodeId, NodeId), BTreeSet<u16>); 0] = [];
+        CommGraph::assemble(facet_name, window_start, window_len, edges, no_spills)
+    }
+
+    /// The one assembly behind every graph: [`CommGraph::from_edge_map`]
+    /// with each edge's first service port in its value, and `spills` — the
+    /// further ports of each edge that carried several, by edge key — beside
+    /// the edge map, so the loops over every edge move only `Copy` words.
+    pub(crate) fn assemble<V: EdgeValue>(
+        facet_name: impl Into<String>,
+        window_start: u64,
+        window_len: u64,
+        edges: impl IntoIterator<Item = ((NodeId, NodeId), V), IntoIter: ExactSizeIterator>,
+        spills: impl IntoIterator<Item = ((NodeId, NodeId), BTreeSet<u16>)>,
     ) -> Self {
         let edges = edges.into_iter();
         // Pass 1: intern endpoints in discovery order — one cheap probe
@@ -55,49 +145,95 @@ impl CommGraph {
             id
         };
         let edge_count = edges.len();
+        // Endpoints by discovery index with the stats, and beside them (a
+        // 48-byte element copies faster than a 56-byte one) the first port.
         let mut resolved = Vec::with_capacity(edge_count);
-        for ((a, b), stats) in edges {
+        let mut first_ports = Vec::with_capacity(edge_count);
+        for ((a, b), value) in edges {
             debug_assert!(a <= b, "edge keys must be ordered");
             let ia = intern(a);
-            resolved.push((ia, if a == b { ia } else { intern(b) }, stats));
+            resolved.push((ia, if a == b { ia } else { intern(b) }, value.stats()));
+            first_ports.push(value.port());
         }
-        // Rank the discovered nodes: dense indices follow `NodeId` order.
-        let mut order: Vec<u32> = (0..found.len() as u32).collect();
+        // Rank the discovered nodes: dense indices follow `NodeId` order, so
+        // an edge's lower key end keeps the lower rank.
+        let nodes = found.len();
+        let mut order: Vec<u32> = (0..nodes as u32).collect();
         order.sort_unstable_by_key(|&p| found[p as usize]);
-        let mut rank = vec![0u32; found.len()];
+        let mut rank = vec![0u32; nodes];
         for (r, &p) in order.iter().enumerate() {
             rank[p as usize] = r as u32;
         }
+        for edge in &mut resolved {
+            (edge.0, edge.1) = (rank[edge.0 as usize], rank[edge.1 as usize]);
+        }
+        // Visit the edges in (lower, higher) order — a stable counting sort
+        // by the higher end, then by the lower — and every neighbour list
+        // fills sorted: a node's lower neighbours arrive first, ascending,
+        // then its higher ones. No list is sorted after the fact.
+        let visit = {
+            let by_higher = counting_sort(0..edge_count as u32, nodes, |i| resolved[i as usize].1);
+            counting_sort(by_higher.iter().copied(), nodes, |i| resolved[i as usize].0)
+        };
 
         // Pass 2: fill adjacency lists allocated at their final size.
-        let mut adj: Vec<Vec<(u32, EdgeStats)>> =
+        let mut adj: Vec<Vec<Adjacent>> =
             order.iter().map(|&p| Vec::with_capacity(degree[p as usize] as usize)).collect();
         let mut totals = EdgeStats::default();
-        for (pa, pb, stats) in resolved {
-            let (ia, ib) = (rank[pa as usize], rank[pb as usize]);
+        for i in visit {
+            let (ia, ib, stats) = resolved[i as usize];
+            let first = first_ports[i as usize];
+            let (port, ports) = first.map_or((0, PortCount::None), |port| (port, PortCount::One));
             totals.absorb(&stats);
-            adj[ia as usize].push((ib, stats));
+            adj[ia as usize].push(Adjacent { node: ib, port, ports, stats });
             if ia != ib {
-                adj[ib as usize].push((ia, stats.reversed()));
+                adj[ib as usize].push(Adjacent { node: ia, port, ports, stats: stats.reversed() });
             }
         }
+        // Free the scratch before anything else is allocated: the thread's
+        // heap then serves the next assembly from pages it already holds
+        // instead of trimming them and faulting fresh ones back in.
+        drop((resolved, first_ports));
         let mut node_stats = vec![NodeStats::default(); adj.len()];
-        for (list, ns) in adj.iter_mut().zip(&mut node_stats) {
-            list.sort_unstable_by_key(|(n, _)| *n);
+        for (list, ns) in adj.iter().zip(&mut node_stats) {
             // Each incident edge is in the list once (a self-loop too).
-            for (_, stats) in list.iter() {
-                ns.bytes += stats.bytes();
-                ns.pkts += stats.pkts();
-                ns.conns += stats.conns;
+            for e in list.iter() {
+                ns.bytes += e.stats.bytes();
+                ns.pkts += e.stats.pkts();
+                ns.conns += e.stats.conns;
                 ns.degree += 1;
             }
         }
+        // The multi-port edges: each gets its sorted list, and both of its
+        // entries the list's lowest port.
+        let mut listed = Vec::new();
+        for ((a, b), mut more) in spills {
+            let (Some(&pa), Some(&pb)) = (index.get(&a), index.get(&b)) else { continue };
+            let (lo, hi) = (rank[pa as usize], rank[pb as usize]);
+            let Some(entry) = edge_mut(&mut adj, lo, hi) else { continue };
+            more.extend(entry.port());
+            let list: Vec<u16> = more.into_iter().collect();
+            let (port, ports) = match list[..] {
+                [] => continue,
+                [port] => (port, PortCount::One),
+                [port, ..] => (port, PortCount::Many),
+            };
+            (entry.port, entry.ports) = (port, ports);
+            if let Some(mirror) = edge_mut(&mut adj, hi, lo) {
+                (mirror.port, mirror.ports) = (port, ports);
+            }
+            if ports == PortCount::Many {
+                listed.push((lo, hi, list));
+            }
+        }
+        listed.sort_unstable_by_key(|&(a, b, _)| (a, b));
         CommGraph {
             facet_name: facet_name.into(),
             window_start,
             window_len,
             nodes: order.iter().map(|&p| found[p as usize]).collect(),
             adj,
+            spills: listed,
             node_stats,
             totals,
             edge_count,
@@ -144,15 +280,30 @@ impl CommGraph {
         self.nodes.binary_search(node).ok().map(|i| i as u32)
     }
 
-    /// Neighbor list of a node: `(neighbor index, stats oriented outward)`.
-    pub fn neighbors(&self, idx: u32) -> &[(u32, EdgeStats)] {
+    /// Neighbor list of a node, sorted by neighbour index.
+    pub fn neighbors(&self, idx: u32) -> &[Adjacent] {
         &self.adj[idx as usize]
+    }
+
+    /// The service ports of edge `e` of node `from`'s neighbour list,
+    /// ascending and distinct — the same from either end. Empty for an edge
+    /// assembled without ports, and for one collapsing merged into `Other`.
+    pub fn ports<'a>(&'a self, from: u32, e: &'a Adjacent) -> &'a [u16] {
+        match e.ports {
+            PortCount::None => &[],
+            PortCount::One => std::slice::from_ref(&e.port),
+            PortCount::Many => {
+                let pair = (from.min(e.node), from.max(e.node));
+                let at = self.spills.binary_search_by_key(&pair, |&(a, b, _)| (a, b));
+                at.map_or(&[], |i| &self.spills[i].2)
+            }
+        }
     }
 
     /// Stats of the edge between two nodes, oriented `a → b`, if present.
     pub fn edge(&self, a: u32, b: u32) -> Option<EdgeStats> {
         let list = &self.adj[a as usize];
-        list.binary_search_by_key(&b, |(n, _)| *n).ok().map(|i| list[i].1)
+        list.binary_search_by_key(&b, |e| e.node).ok().map(|i| list[i].stats)
     }
 
     /// Aggregate counters of a node.
@@ -186,8 +337,8 @@ impl CommGraph {
         }
         let mut m = vec![vec![0.0f64; n]; n];
         for (i, list) in self.adj.iter().enumerate() {
-            for (j, stats) in list {
-                m[i][*j as usize] = stats.bytes() as f64;
+            for e in list {
+                m[i][e.node as usize] = e.stats.bytes() as f64;
             }
         }
         Ok(m)
@@ -211,12 +362,12 @@ impl CommGraph {
             let _ = writeln!(out, "  n{i} [label=\"{n}\", fillcolor=\"{color}\"];");
         }
         for (i, list) in self.adj.iter().enumerate() {
-            for (j, stats) in list {
-                if (*j as usize) < i {
+            for e in list {
+                if (e.node as usize) < i {
                     continue; // emit each undirected edge once
                 }
-                let w = 0.3 + (stats.bytes().max(1) as f64).log10() * 0.4;
-                let _ = writeln!(out, "  n{i} -- n{j} [penwidth={w:.2}];");
+                let w = 0.3 + (e.stats.bytes().max(1) as f64).log10() * 0.4;
+                let _ = writeln!(out, "  n{i} -- n{} [penwidth={w:.2}];", e.node);
             }
         }
         out.push_str("}\n");
@@ -250,6 +401,35 @@ impl CommGraph {
             "top_talkers": top,
         })
     }
+}
+
+/// `items` stably reordered by `key`, a value below `keys`: one counting pass.
+fn counting_sort(
+    items: impl ExactSizeIterator<Item = u32> + Clone,
+    keys: usize,
+    key: impl Fn(u32) -> u32,
+) -> Vec<u32> {
+    let mut next = vec![0u32; keys + 1];
+    for i in items.clone() {
+        next[key(i) as usize + 1] += 1;
+    }
+    for k in 0..keys {
+        next[k + 1] += next[k];
+    }
+    let mut out = vec![0u32; items.len()];
+    for i in items {
+        let at = &mut next[key(i) as usize];
+        out[*at as usize] = i;
+        *at += 1;
+    }
+    out
+}
+
+/// Node `from`'s entry for the edge to `to` in sorted neighbour lists.
+fn edge_mut(adj: &mut [Vec<Adjacent>], from: u32, to: u32) -> Option<&mut Adjacent> {
+    let list = adj.get_mut(from as usize)?;
+    let at = list.binary_search_by_key(&to, |e| e.node).ok()?;
+    list.get_mut(at)
 }
 
 #[cfg(test)]
@@ -292,6 +472,14 @@ mod tests {
         assert_eq!(ab.bytes_fwd, 1000);
         assert_eq!(ba.bytes_fwd, 500, "stats flip when viewed from the other end");
         assert_eq!(ab.bytes(), ba.bytes());
+    }
+
+    #[test]
+    fn map_edges_carry_no_ports() {
+        let g = triangle();
+        for i in 0..3 {
+            assert!(g.neighbors(i).iter().all(|e| g.ports(i, e).is_empty()));
+        }
     }
 
     #[test]
@@ -409,7 +597,9 @@ mod tests {
         assert_eq!(g.edge_count(), edge_count);
         for (i, n) in nodes.iter().enumerate() {
             assert_eq!(g.index_of(n), Some(i as u32));
-            assert_eq!(g.neighbors(i as u32), adj[i], "adjacency of {n}");
+            let got: Vec<(u32, EdgeStats)> =
+                g.neighbors(i as u32).iter().map(|e| (e.node, e.stats)).collect();
+            assert_eq!(got, adj[i], "adjacency of {n}");
             assert_eq!(g.node_stats(i as u32), node_stats[i], "stats of {n}");
         }
     }

@@ -4,8 +4,9 @@
 //! artifact: a **complete communication graph** of everything that talks
 //! inside a cloud subscription. Nodes can be IPs, `(IP, port)` tuples, or
 //! services (the *multi-faceted* requirement); edges carry byte, packet, and
-//! connection counters; the window roll produces a *time series* of
-//! graphs (the *dynamic* requirement).
+//! connection counters and the service ports they were seen on (what a
+//! window's allow rules are learned from); the window roll produces a *time
+//! series* of graphs (the *dynamic* requirement).
 //!
 //! Key pieces:
 //! * [`node`] — node identities and the facet abstraction.
@@ -49,6 +50,6 @@ pub mod timeseries;
 
 pub use builder::{GraphBuilder, Inventory, Outcome, WindowedBuilder};
 pub use error::{Error, Result};
-pub use graph::CommGraph;
+pub use graph::{Adjacent, CommGraph};
 pub use node::{Facet, NodeId};
 pub use stats::{EdgeStats, NodeStats};

@@ -3,7 +3,7 @@
 use commgraph_graph::collapse::{collapse, NicLocalSurvivors};
 use commgraph_graph::diff::diff;
 use commgraph_graph::timeseries::{correlation, EdgeSeries, EdgeSeriesBuilder};
-use commgraph_graph::{Facet, GraphBuilder};
+use commgraph_graph::{Facet, GraphBuilder, NodeId};
 use flowlog::record::{ConnSummary, FlowKey};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -58,11 +58,11 @@ proptest! {
         prop_assert_eq!(g1.node_count(), g2.node_count());
         prop_assert_eq!(g1.edge_count(), g2.edge_count());
         prop_assert_eq!(g1.totals(), g2.totals());
+        prop_assert_eq!(g1.nodes(), g2.nodes());
         for i in 0..g1.node_count() as u32 {
-            for (j, stats) in g1.neighbors(i) {
-                let a = g2.index_of(&g1.node(i)).expect("same node set");
-                let b2 = g2.index_of(&g1.node(*j)).expect("same node set");
-                prop_assert_eq!(g2.edge(a, b2).expect("same edge set"), *stats);
+            prop_assert_eq!(g1.neighbors(i), g2.neighbors(i));
+            for (e1, e2) in g1.neighbors(i).iter().zip(g2.neighbors(i)) {
+                prop_assert_eq!(g1.ports(i, e1), g2.ports(i, e2), "ports, whatever the order");
             }
         }
     }
@@ -87,6 +87,20 @@ proptest! {
         prop_assert_eq!(c.totals().pkts(), g.totals().pkts());
         prop_assert_eq!(c.totals().conns, g.totals().conns);
         prop_assert!(c.node_count() <= g.node_count());
+        // An edge keeps its ports exactly when both its ends survive.
+        for i in 0..c.node_count() as u32 {
+            for e in c.neighbors(i) {
+                let (a, b) = (c.node(i), c.node(e.node));
+                if a == NodeId::Other || b == NodeId::Other {
+                    prop_assert!(c.ports(i, e).is_empty(), "{} -- {}", a, b);
+                    continue;
+                }
+                let (ga, gb) = (g.index_of(&a).expect("kept"), g.index_of(&b).expect("kept"));
+                let ge = g.neighbors(ga).iter().find(|e| e.node == gb).expect("kept 1:1");
+                prop_assert_eq!(e.stats, ge.stats);
+                prop_assert_eq!(c.ports(i, e), g.ports(ga, ge));
+            }
+        }
     }
 
     /// The per-NIC survivor tracker only ever shrinks the graph, and keeps

@@ -5,32 +5,28 @@
 //! *learned* from a window of observed communication: every segment pair
 //! (optionally qualified by service port) that talked during normal
 //! operation becomes an allow rule; everything else is denied.
-//! Learning and checking probe the rule set per record, so it sits on the
-//! record path's hasher ([`commgraph_graph::hash`]), one word per rule.
+//!
+//! A rule is `(segment(local), segment(remote), service port)`, so the rules
+//! a window implies are a function of its graph's edges and the service
+//! ports each edge carried ([`commgraph_graph::CommGraph::ports`]).
+//! [`SegmentPolicy::learn_graph`] and [`SegmentPolicy::learn_incremental_graph`]
+//! resolve a segment once per node and walk edge × port, so their cost
+//! follows the graph, not the record rate. Over a window's graph they learn
+//! what [`SegmentPolicy::learn`] learns over the records that graph kept;
+//! the record-shaped learners remain as their reference. Checks do read
+//! records ([`crate::ViolationDetector`]) and probe the rule set per record,
+//! so it sits on the record path's hasher ([`commgraph_graph::hash`]), one
+//! word per rule.
 
 use crate::microseg::{Segment, SegmentId, Segmentation};
 use commgraph_graph::hash::FixedState;
-pub use flowlog::record::EPHEMERAL_START;
-use flowlog::record::{ConnSummary, FlowKey};
+use commgraph_graph::CommGraph;
+use flowlog::record::ConnSummary;
+pub use flowlog::record::{service_port, ANY_PORT, EPHEMERAL_START};
 use serde::Serialize;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
-
-/// Wildcard port in rules (matches any service).
-pub const ANY_PORT: u16 = 0;
-
-/// Best-effort service port of a flow: the non-ephemeral side's port, or
-/// [`ANY_PORT`] when both sides look ephemeral.
-pub fn service_port(key: &FlowKey) -> u16 {
-    match (key.local_port < EPHEMERAL_START, key.remote_port < EPHEMERAL_START) {
-        (true, false) => key.local_port,
-        (false, true) => key.remote_port,
-        // Both non-ephemeral: the lower port is overwhelmingly the service.
-        (true, true) => key.local_port.min(key.remote_port),
-        (false, false) => ANY_PORT,
-    }
-}
 
 /// One allow rule: the (unordered) segment pair, and the service port it is
 /// scoped to ([`ANY_PORT`] = all ports).
@@ -132,9 +128,9 @@ impl SegmentPolicy {
     /// Because any new, removed, or modified conversation dirties both of
     /// its endpoints, a carried-over pair saw the same flows as last
     /// window, and the result equals a full [`SegmentPolicy::learn`] over
-    /// `records` rule-for-rule (the pipeline's rebuild oracle asserts
-    /// this). A `prev` learned under a different `port_scoped` setting
-    /// cannot be reused and triggers a full relearn.
+    /// `records` rule-for-rule (the pipeline's rebuild oracle asserts this
+    /// for the graph form). A `prev` learned under a different
+    /// `port_scoped` setting cannot be reused and triggers a full relearn.
     pub fn learn_incremental<'a>(
         records: impl IntoIterator<Item = &'a ConnSummary>,
         seg: &Segmentation,
@@ -146,24 +142,7 @@ impl SegmentPolicy {
         if prev.port_scoped != port_scoped {
             return SegmentPolicy::learn(records, seg, port_scoped);
         }
-        let prev_by_name: HashMap<&str, &Segment> =
-            prev_seg.segments().iter().map(|s| (s.name.as_str(), s)).collect();
-        let mut carried = vec![false; seg.len()];
-        let mut prev_to_cur: HashMap<SegmentId, SegmentId> = HashMap::new();
-        for s in seg.segments() {
-            if let Some(ps) = prev_by_name.get(s.name.as_str()) {
-                if ps.members == s.members && s.members.iter().all(|ip| !dirty.contains(ip)) {
-                    carried[s.id.0 as usize] = true;
-                    prev_to_cur.insert(ps.id, s.id);
-                }
-            }
-        }
-        let mut rules = HashSet::default();
-        for r in &prev.rules {
-            if let (Some(&a), Some(&b)) = (prev_to_cur.get(&r.a), prev_to_cur.get(&r.b)) {
-                rules.insert(AllowRule::new(a, b, r.port));
-            }
-        }
+        let (carried, mut rules) = prev.carry_over(seg, prev_seg, dirty);
         for r in records {
             let (Some(sa), Some(sb)) =
                 (seg.segment_of(r.key.local_ip), seg.segment_of(r.key.remote_ip))
@@ -177,6 +156,77 @@ impl SegmentPolicy {
             rules.insert(AllowRule::new(sa, sb, port));
         }
         SegmentPolicy { rules, port_scoped }
+    }
+
+    /// Learn a policy from a window's graph: every edge between two
+    /// segmented nodes becomes one allow rule per service port it carried
+    /// ([`CommGraph::ports`]), or one port-free rule when not `port_scoped`.
+    /// A segment is resolved once per node; a node without an address
+    /// (`Other`, a service) or outside the segmentation is never a policy
+    /// subject, and a port-scoped edge assembled without ports allows nothing.
+    ///
+    /// Over a window's graph this is [`SegmentPolicy::learn`] over the
+    /// records the graph kept. Against `learn` over every record of the
+    /// window it can lack exactly the rules of records no graph counted:
+    /// stragglers the window roll dropped as behind, and vantage-deduped
+    /// copies whose canonical twin never arrived. Both fail closed — a
+    /// missing rule flags a later flow, it never admits one.
+    pub fn learn_graph(g: &CommGraph, seg: &Segmentation, port_scoped: bool) -> Self {
+        let mut rules = HashSet::default();
+        learn_edges(g, seg, port_scoped, |_, _| false, &mut rules);
+        SegmentPolicy { rules, port_scoped }
+    }
+
+    /// [`SegmentPolicy::learn_incremental`] over a window's graph: the same
+    /// carry-over rule, with the edges between two carried-over segments
+    /// skipped and every other edge learned as [`SegmentPolicy::learn_graph`]
+    /// would. Equals a full `learn_graph` over `g` rule-for-rule.
+    pub fn learn_incremental_graph(
+        g: &CommGraph,
+        seg: &Segmentation,
+        prev_seg: &Segmentation,
+        prev: &SegmentPolicy,
+        dirty: &HashSet<Ipv4Addr>,
+        port_scoped: bool,
+    ) -> Self {
+        if prev.port_scoped != port_scoped {
+            return SegmentPolicy::learn_graph(g, seg, port_scoped);
+        }
+        let (carried, mut rules) = prev.carry_over(seg, prev_seg, dirty);
+        let both_carried =
+            |a: SegmentId, b: SegmentId| carried[a.0 as usize] && carried[b.0 as usize];
+        learn_edges(g, seg, port_scoped, both_carried, &mut rules);
+        SegmentPolicy { rules, port_scoped }
+    }
+
+    /// The carry-over rule of both incremental learners: which of `seg`'s
+    /// segments carry over from `prev_seg` (same name, same members, none
+    /// dirty), and this policy's rules between two of them, renumbered.
+    fn carry_over(
+        &self,
+        seg: &Segmentation,
+        prev_seg: &Segmentation,
+        dirty: &HashSet<Ipv4Addr>,
+    ) -> (Vec<bool>, HashSet<AllowRule, FixedState>) {
+        let prev_by_name: HashMap<&str, &Segment> =
+            prev_seg.segments().iter().map(|s| (s.name.as_str(), s)).collect();
+        let mut carried = vec![false; seg.len()];
+        let mut prev_to_cur: HashMap<SegmentId, SegmentId> = HashMap::new();
+        for s in seg.segments() {
+            if let Some(ps) = prev_by_name.get(s.name.as_str()) {
+                if ps.members == s.members && s.members.iter().all(|ip| !dirty.contains(ip)) {
+                    carried[s.id.0 as usize] = true;
+                    prev_to_cur.insert(ps.id, s.id);
+                }
+            }
+        }
+        let mut rules = HashSet::default();
+        for r in &self.rules {
+            if let (Some(&a), Some(&b)) = (prev_to_cur.get(&r.a), prev_to_cur.get(&r.b)) {
+                rules.insert(AllowRule::new(a, b, r.port));
+            }
+        }
+        (carried, rules)
     }
 
     /// Whether this policy's rules carry port scopes.
@@ -231,9 +281,40 @@ impl SegmentPolicy {
     }
 }
 
+/// Insert the rules of every edge of `g` between two segmented nodes whose
+/// segment pair `skip` does not exclude.
+fn learn_edges(
+    g: &CommGraph,
+    seg: &Segmentation,
+    port_scoped: bool,
+    skip: impl Fn(SegmentId, SegmentId) -> bool,
+    rules: &mut HashSet<AllowRule, FixedState>,
+) {
+    let segment: Vec<Option<SegmentId>> =
+        g.nodes().iter().map(|n| n.ip().and_then(|ip| seg.segment_of(ip))).collect();
+    for (i, sa) in (0..).zip(&segment) {
+        let Some(sa) = *sa else { continue };
+        // Each undirected edge once, from its lower end (a self-loop from its
+        // only one): the neighbour list is sorted.
+        let list = g.neighbors(i);
+        for e in &list[list.partition_point(|e| e.node < i)..] {
+            let Some(&Some(sb)) = segment.get(e.node as usize) else { continue };
+            if skip(sa, sb) {
+                continue;
+            }
+            if port_scoped {
+                rules.extend(g.ports(i, e).iter().map(|&port| AllowRule::new(sa, sb, port)));
+            } else {
+                rules.insert(AllowRule::new(sa, sb, ANY_PORT));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowlog::record::FlowKey;
     use std::net::Ipv4Addr;
 
     fn ip(a: u8, b: u8) -> Ipv4Addr {

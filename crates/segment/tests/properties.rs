@@ -1,5 +1,6 @@
 //! Property-based tests for micro-segmentation invariants.
 
+use commgraph_graph::{CommGraph, Facet, GraphBuilder, Inventory, Outcome, WindowedBuilder};
 use flowlog::record::{ConnSummary, FlowKey};
 use proptest::prelude::*;
 use segment::blast::{blast_radius, fleet_blast_report};
@@ -258,11 +259,38 @@ mod reference {
     }
 }
 
-/// Seed sweep over the three scans. Streams hold unknown peers,
-/// both-ephemeral and both-service flows, self-segment flows and mirrored
-/// copies; groupings drift between windows (reordered, so ids move; members
-/// gained and lost; groups renamed); dirty sets are random; both scopes run,
-/// and a previous policy of the other scope forces the full relearn.
+/// Records through the window roll, as a pipeline feeds them: each closed
+/// window's graph, with the records it kept (outcome `Kept`).
+fn roll(
+    records: &[ConnSummary],
+    window: u64,
+    monitored: &Inventory,
+) -> (Vec<CommGraph>, Vec<Vec<ConnSummary>>) {
+    let mut wb = WindowedBuilder::new(Facet::Ip, window).with_monitored(monitored.clone());
+    let (mut graphs, mut kept) = (Vec::new(), Vec::<Vec<ConnSummary>>::new());
+    for r in records {
+        let (outcome, closed) = wb.add(r);
+        if closed.is_some() || kept.is_empty() {
+            kept.push(Vec::new());
+        }
+        graphs.extend(closed);
+        if outcome == Outcome::Kept {
+            kept.last_mut().expect("a window is open").push(*r);
+        }
+    }
+    graphs.extend(wb.finish());
+    (graphs, kept)
+}
+
+/// Seed sweep over the three scans and the two graph learners. Streams hold
+/// unknown peers, both-ephemeral and both-service flows, self-segment flows
+/// and mirrored copies; groupings drift between windows (reordered, so ids
+/// move; members gained and lost; groups renamed); dirty sets are random;
+/// both scopes run, and a previous policy of the other scope forces the
+/// full relearn. The graph learners read the windows the roll builds —
+/// vantage dedup on for half the seeds, stragglers behind the open window
+/// in every stream — and must learn the reference over the records each
+/// window kept.
 #[test]
 fn policy_scans_match_a_reference_over_ordered_collections() {
     use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -294,7 +322,7 @@ fn policy_scans_match_a_reference_over_ordered_collections() {
     let tuples = |p: &SegmentPolicy| -> Vec<reference::Rule> {
         p.rules().iter().map(|r| (r.a.0, r.b.0, r.port)).collect()
     };
-    let (mut carried_rules, mut denied, mut unknown) = (0usize, 0usize, 0usize);
+    let (mut carried_rules, mut denied, mut unknown, mut graph_rules) = (0usize, 0, 0, 0);
     for seed in 0..96u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let prev_groups: Groups = (0..rng.random_range(2..7u32) as u8)
@@ -323,6 +351,17 @@ fn policy_scans_match_a_reference_over_ordered_collections() {
         let (w1, w2) = (stream(&mut rng, &pool, 0), stream(&mut rng, &pool, 1_000));
         let dirty: BTreeSet<Ipv4Addr> =
             pool.iter().copied().filter(|_| rng.random_bool(0.15)).collect();
+        // The same two windows through the roll, with every fourth record
+        // of the first re-sent once the second is open: those are behind.
+        let stragglers = w1.iter().step_by(4).copied();
+        let rolled: Vec<ConnSummary> = w1.iter().chain(&w2).copied().chain(stragglers).collect();
+        let monitored = if seed % 2 == 0 {
+            Inventory::from(pool.iter().copied().collect::<std::collections::HashSet<_>>())
+        } else {
+            Inventory::default()
+        };
+        let (graphs, kept) = roll(&rolled, 1_000, &monitored);
+        assert_eq!((graphs.len(), kept.len()), (2, 2), "seed {seed}: two windows");
         let hashed_dirty = dirty.iter().copied().collect();
         let (prev_seg, seg) = (
             Segmentation::from_members(prev_groups.clone()),
@@ -359,6 +398,40 @@ fn policy_scans_match_a_reference_over_ordered_collections() {
             let full = Vec::from_iter(reference::learn(&w2, &groups, scoped));
             assert_eq!(tuples(&relearned), full, "scope mismatch, {case}");
 
+            // The graph learners: the reference over the records the roll kept.
+            let prev_g = SegmentPolicy::learn_graph(&graphs[0], &prev_seg, scoped);
+            let prev_g_ref = reference::learn(&kept[0], &prev_groups, scoped);
+            assert_eq!(tuples(&prev_g), Vec::from_iter(prev_g_ref.clone()), "learn_graph, {case}");
+            let inc_g = SegmentPolicy::learn_incremental_graph(
+                &graphs[1],
+                &seg,
+                &prev_seg,
+                &prev_g,
+                &hashed_dirty,
+                scoped,
+            );
+            let inc_g_ref = reference::learn_incremental(
+                &kept[1],
+                &groups,
+                &prev_groups,
+                &prev_g_ref,
+                &dirty,
+                scoped,
+            );
+            assert_eq!(tuples(&inc_g), Vec::from_iter(inc_g_ref), "incremental graph, {case}");
+            let other = SegmentPolicy::learn_graph(&graphs[0], &prev_seg, !scoped);
+            let relearned = SegmentPolicy::learn_incremental_graph(
+                &graphs[1],
+                &seg,
+                &prev_seg,
+                &other,
+                &hashed_dirty,
+                scoped,
+            );
+            let full = Vec::from_iter(reference::learn(&kept[1], &groups, scoped));
+            assert_eq!(tuples(&relearned), full, "graph scope mismatch, {case}");
+            graph_rules += full.len();
+
             // Both windows against the incremental policy: window 1 predates
             // the drift, so denials and strangers both occur.
             let both = [w1.as_slice(), &w2].concat();
@@ -376,7 +449,183 @@ fn policy_scans_match_a_reference_over_ordered_collections() {
         }
     }
     assert!(
-        carried_rules > 50 && denied > 500 && unknown > 500,
-        "thin sweep: {carried_rules} carried-only rules, {denied} denied, {unknown} unknown"
+        carried_rules > 50 && denied > 500 && unknown > 500 && graph_rules > 500,
+        "thin sweep: {carried_rules} carried-only rules, {denied} denied, {unknown} unknown, \
+         {graph_rules} rules learned from graphs"
     );
+}
+
+fn flow(
+    ts: u64,
+    local: Ipv4Addr,
+    local_port: u16,
+    remote: Ipv4Addr,
+    remote_port: u16,
+) -> ConnSummary {
+    ConnSummary {
+        ts,
+        key: FlowKey::tcp(local, local_port, remote, remote_port),
+        pkts_sent: 2,
+        pkts_rcvd: 1,
+        bytes_sent: 900,
+        bytes_rcvd: 100,
+    }
+}
+
+/// Three hosts in three segments, one address each.
+fn three_segments() -> (Segmentation, [Ipv4Addr; 3]) {
+    let hosts = [1, 2, 3].map(|d| Ipv4Addr::new(10, 0, 0, d));
+    let groups = hosts.iter().enumerate().map(|(i, ip)| (format!("s{i}"), vec![*ip], true));
+    (Segmentation::from_members(groups.collect()), hosts)
+}
+
+/// The graph a window roll hands out lacks the records it dropped as
+/// behind, and so does the policy learned from it: against `learn` over the
+/// window's records it lacks exactly the rules only those stragglers
+/// carried, and a straggler's flow is flagged, never admitted.
+#[test]
+fn graph_policy_lacks_exactly_the_rules_of_records_behind_the_roll() {
+    let (seg, [a, b, c]) = three_segments();
+    let window =
+        [flow(0, a, 40_000, b, 443), flow(5, a, 40_001, c, 5432), flow(9, b, 40_002, c, 22)];
+    // Window 60 opens, then three stragglers from window 0 arrive: one
+    // repeats a kept rule, two carry rules nothing kept carries.
+    let stragglers =
+        [flow(10, a, 40_003, b, 443), flow(20, b, 40_004, c, 8080), flow(30, c, 40_005, a, 9000)];
+    let next = flow(61, a, 40_006, b, 443);
+    let mut wb = WindowedBuilder::new(Facet::Ip, 60);
+    let mut graphs = Vec::new();
+    let mut behind = Vec::new();
+    for r in window.iter().chain([&next]).chain(&stragglers) {
+        let (outcome, closed) = wb.add(r);
+        graphs.extend(closed);
+        if outcome == Outcome::Behind {
+            behind.push(*r);
+        }
+    }
+    assert_eq!(behind, stragglers, "the roll drops exactly the stragglers");
+    let from_graph = SegmentPolicy::learn_graph(&graphs[0], &seg, true);
+    assert_eq!(from_graph.rules(), SegmentPolicy::learn(&window, &seg, true).rules());
+    let all: Vec<ConnSummary> = window.iter().chain(&stragglers).copied().collect();
+    let from_records = SegmentPolicy::learn(&all, &seg, true);
+    let missing: Vec<_> =
+        from_records.rules().into_iter().filter(|r| !from_graph.rules().contains(r)).collect();
+    let theirs = SegmentPolicy::learn(&stragglers[1..], &seg, true).rules();
+    assert_eq!(missing, theirs, "the difference is the stragglers' own rules");
+    // Fail closed: the stragglers' new flows are flagged by the graph's policy.
+    let mut det = ViolationDetector::new(seg, from_graph);
+    let flagged: Vec<u64> = det.check_all(&stragglers).iter().map(|v| v.ts).collect();
+    assert_eq!(flagged, [20, 30]);
+}
+
+/// A flow between two monitored hosts is counted once, from its canonical
+/// vantage; a non-canonical copy whose canonical twin never arrived is in
+/// no graph. The graph's policy lacks exactly those copies' rules — and
+/// denies their flows — while a copy whose twin did arrive changes nothing.
+#[test]
+fn graph_policy_lacks_exactly_the_rules_of_twinless_deduped_copies() {
+    let (seg, [a, b, c]) = three_segments();
+    let monitored =
+        Inventory::from([a, b, c].into_iter().collect::<std::collections::HashSet<_>>());
+    let canonical = |r: ConnSummary| if r.key.is_canonical() { r } else { r.mirrored() };
+    let twinned = canonical(flow(0, a, 40_000, b, 443));
+    let twinless = [canonical(flow(1, b, 40_001, c, 5432)), canonical(flow(2, a, 40_002, c, 22))];
+    let mut records = vec![twinned, twinned.mirrored()];
+    records.extend(twinless.iter().map(ConnSummary::mirrored));
+    let mut builder = GraphBuilder::new(Facet::Ip, 0, 60).with_monitored(monitored);
+    let deduped: Vec<ConnSummary> = records.iter().filter(|r| !builder.add(r)).copied().collect();
+    assert_eq!(deduped.len(), 3, "every non-canonical copy is deduped");
+    let g = builder.finish();
+    let from_graph = SegmentPolicy::learn_graph(&g, &seg, true);
+    assert_eq!(from_graph.rules(), SegmentPolicy::learn(&[twinned], &seg, true).rules());
+    let from_records = SegmentPolicy::learn(&records, &seg, true);
+    let missing: Vec<_> =
+        from_records.rules().into_iter().filter(|r| !from_graph.rules().contains(r)).collect();
+    let twinless_copies: Vec<ConnSummary> = twinless.iter().map(ConnSummary::mirrored).collect();
+    assert_eq!(missing, SegmentPolicy::learn(&twinless_copies, &seg, true).rules());
+    let mut det = ViolationDetector::new(seg, from_graph);
+    assert_eq!(det.check_all(&twinless_copies).len(), 2, "fail closed: both flagged");
+    assert!(det.check_all(&[twinned, twinned.mirrored()]).is_empty());
+}
+
+/// One source scanning 1 000 ports of one host is one edge carrying 1 000
+/// ports, and 1 000 rules. The builder's spill sets hold at most the
+/// window's distinct (edge, port) pairs (their `// bound:`): here 999 past
+/// the edge's first port, however often each is probed.
+#[test]
+fn a_port_scan_is_one_edge_and_a_thousand_rules() {
+    let (seg, [a, b, _]) = three_segments();
+    let mut records = Vec::new();
+    for round in 0..3u16 {
+        // Descending, then ascending, then interleaved: order never matters.
+        let ports: Vec<u16> = match round {
+            0 => (1..=1000).rev().collect(),
+            1 => (1..=1000).collect(),
+            _ => (1..=1000u32).map(|p| (p * 7919 % 1000 + 1) as u16).collect(),
+        };
+        records.extend(ports.into_iter().map(|p| flow(u64::from(round), a, 50_000, b, p)));
+    }
+    let mut builder = GraphBuilder::new(Facet::Ip, 0, 60);
+    builder.add_all(&records);
+    let g = builder.finish();
+    assert_eq!(g.edge_count(), 1);
+    let e = g.neighbors(0)[0];
+    assert_eq!(g.ports(0, &e), Vec::from_iter(1..=1000u16), "ascending, distinct");
+    assert_eq!(g.ports(1, &g.neighbors(1)[0]), g.ports(0, &e), "the same from either end");
+    let policy = SegmentPolicy::learn_graph(&g, &seg, true);
+    assert_eq!(policy.rule_count(), 1000);
+    assert_eq!(policy.rules(), SegmentPolicy::learn(&records, &seg, true).rules());
+    assert_eq!(SegmentPolicy::learn_graph(&g, &seg, false).rule_count(), 1, "port-free: the pair");
+}
+
+/// Collapsing keeps an edge's ports exactly when it keeps the edge 1:1
+/// (both ends survive); edges merged into `Other` carry none. The policy is
+/// unchanged: the addresses folded into `Other` are in no segment, so no
+/// rule of theirs was ever learned.
+#[test]
+fn collapse_keeps_ports_on_kept_edges_and_the_policy_unchanged() {
+    use commgraph_graph::collapse::collapse;
+    use commgraph_graph::NodeId;
+    let host = |d: u8| Ipv4Addr::new(10, 0, 0, d);
+    let peer = |d: u8| Ipv4Addr::new(198, 51, 100, d);
+    let mut records = Vec::new();
+    for (i, port) in [443u16, 8080, 9090].iter().enumerate() {
+        // Heavy internal traffic on three ports, and one tiny flow to each
+        // of twenty external peers.
+        records.push(ConnSummary {
+            bytes_sent: 1_000_000,
+            ..flow(i as u64, host(1), 40_000, host(2), *port)
+        });
+        records.push(ConnSummary {
+            bytes_sent: 900_000,
+            ..flow(i as u64, host(2), 40_001, host(3), 5432)
+        });
+    }
+    records.extend((1..=20).map(|d| flow(9, host(3), 40_002, peer(d), 53)));
+    let mut builder = GraphBuilder::new(Facet::Ip, 0, 60);
+    builder.add_all(&records);
+    let raw = builder.finish();
+    let internal = |n: &NodeId| n.ip().is_some_and(|ip| ip.octets()[0] == 10);
+    let g = collapse(&raw, 0.05, internal);
+    let other = g.index_of(&NodeId::Other).expect("the peers fold");
+    for i in 0..g.node_count() as u32 {
+        for e in g.neighbors(i) {
+            let (a, b) = (g.node(i), g.node(e.node));
+            if i == other || e.node == other {
+                assert!(g.ports(i, e).is_empty(), "{a} -- {b} merged into OTHER");
+            } else {
+                let (ra, rb) = (raw.index_of(&a).expect("kept"), raw.index_of(&b).expect("kept"));
+                let re = raw.neighbors(ra).iter().find(|e| e.node == rb).expect("kept 1:1");
+                assert_eq!(g.ports(i, e), raw.ports(ra, re), "{a} -- {b}");
+            }
+        }
+    }
+    let e12 = g.neighbors(0).iter().find(|e| g.node(e.node) == NodeId::Ip(host(2))).expect("edge");
+    assert_eq!(g.ports(0, e12), [443, 8080, 9090]);
+    let groups = [1, 2, 3].map(|d| (format!("h{d}"), vec![host(d)], true));
+    let seg = Segmentation::from_members(groups.into());
+    let policy = SegmentPolicy::learn_graph(&g, &seg, true);
+    assert_eq!(policy.rules(), SegmentPolicy::learn_graph(&raw, &seg, true).rules());
+    assert_eq!(policy.rules(), SegmentPolicy::learn(&records, &seg, true).rules());
+    assert_eq!(policy.rule_count(), 4);
 }

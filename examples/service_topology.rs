@@ -12,7 +12,7 @@
 
 use commgraph::cloudsim::{ClusterPreset, Simulator};
 use commgraph::graph::timeseries::EdgeSeriesBuilder;
-use commgraph::graph::{Facet, GraphBuilder};
+use commgraph::graph::{Adjacent, Facet, GraphBuilder};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -59,9 +59,9 @@ fn main() {
     let mut edges: Vec<(u64, String, String)> = Vec::new();
     let facet = Facet::Service { resolver: HashMap::new(), names: truth.role_names.clone() };
     for i in 0..g.node_count() as u32 {
-        for (j, stats) in g.neighbors(i) {
-            if *j >= i {
-                edges.push((stats.bytes(), facet.label(&g.node(i)), facet.label(&g.node(*j))));
+        for &Adjacent { node: j, stats, .. } in g.neighbors(i) {
+            if j >= i {
+                edges.push((stats.bytes(), facet.label(&g.node(i)), facet.label(&g.node(j))));
             }
         }
     }

@@ -23,8 +23,9 @@ use std::sync::Arc;
 
 const WINDOW_LEN: u64 = 3600;
 
-/// Per-window structural identity: window start, nodes, sorted edges.
-type Fingerprint = Vec<(u64, Vec<NodeId>, Vec<(u32, u32, EdgeStats)>)>;
+/// Per-window structural identity: window start, nodes, sorted edges with
+/// their stats and service ports.
+type Fingerprint = Vec<(u64, Vec<NodeId>, Vec<(u32, u32, EdgeStats, Vec<u16>)>)>;
 
 fn fingerprint(graphs: &[CommGraph]) -> Fingerprint {
     graphs
@@ -32,13 +33,13 @@ fn fingerprint(graphs: &[CommGraph]) -> Fingerprint {
         .map(|g| {
             let mut edges = Vec::new();
             for i in 0..g.node_count() as u32 {
-                for (j, st) in g.neighbors(i) {
-                    if i <= *j {
-                        edges.push((i, *j, *st));
+                for e in g.neighbors(i) {
+                    if i <= e.node {
+                        edges.push((i, e.node, e.stats, g.ports(i, e).to_vec()));
                     }
                 }
             }
-            edges.sort_by_key(|&(i, j, _)| (i, j));
+            edges.sort_by_key(|&(i, j, ..)| (i, j));
             (g.window_start(), g.nodes().to_vec(), edges)
         })
         .collect()

@@ -108,7 +108,7 @@ fn exercise_everything(o: &obs::Obs, scraper: &Arc<obs::Scraper>, alerts: &Arc<o
         .with_obs(o.clone())
         .with_subscription("tenant-a")
         .with_telemetry(scraper.clone(), alerts.clone());
-    analyzer.analyze_output(&out, &records).unwrap();
+    analyzer.analyze_output(&out).unwrap();
     assert!(analyzer.tick() >= 2, "telemetry ticks advanced with the windows");
 
     // Parallelism 2 drives the par scheduler (tiles/busy families); the

@@ -43,11 +43,14 @@ fn arb_topology() -> impl Strategy<Value = commgraph::cloudsim::Topology> {
 }
 
 /// Everything observable about one window's graph: its start, its nodes,
-/// and every edge from both ends with its oriented stats.
-type Fingerprint = (u64, Vec<NodeId>, Vec<Vec<(u32, EdgeStats)>>);
+/// and every edge from both ends with its oriented stats and service ports.
+type Fingerprint = (u64, Vec<NodeId>, Vec<Vec<(u32, EdgeStats, Vec<u16>)>>);
 
 fn fingerprints(graphs: &[CommGraph]) -> Vec<Fingerprint> {
-    let adj = |g: &CommGraph| (0..g.node_count() as u32).map(|i| g.neighbors(i).to_vec()).collect();
+    let edges = |g: &CommGraph, i| -> Vec<_> {
+        g.neighbors(i).iter().map(|e| (e.node, e.stats, g.ports(i, e).to_vec())).collect()
+    };
+    let adj = |g: &CommGraph| (0..g.node_count() as u32).map(|i| edges(g, i)).collect();
     graphs.iter().map(|g| (g.window_start(), g.nodes().to_vec(), adj(g))).collect()
 }
 

@@ -5,7 +5,7 @@
 use commgraph::cloudsim::{ClusterPreset, Simulator};
 use commgraph::flowlog::nic::{Direction, HostAgent};
 use commgraph::flowlog::record::ConnSummary;
-use commgraph::graph::{Facet, GraphBuilder};
+use commgraph::graph::{Adjacent, Facet, GraphBuilder};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -64,9 +64,9 @@ fn nic_path_preserves_the_graph() {
     assert_eq!(via_nic.edge_count(), direct.edge_count());
     assert_eq!(via_nic.totals().bytes(), direct.totals().bytes());
     for i in 0..direct.node_count() as u32 {
-        for (j, stats) in direct.neighbors(i) {
+        for &Adjacent { node: j, stats, .. } in direct.neighbors(i) {
             let ni = via_nic.index_of(&direct.node(i)).expect("node present");
-            let nj = via_nic.index_of(&direct.node(*j)).expect("node present");
+            let nj = via_nic.index_of(&direct.node(j)).expect("node present");
             let nic_stats = via_nic.edge(ni, nj).expect("edge present");
             assert_eq!(nic_stats.bytes(), stats.bytes(), "edge bytes match");
             assert_eq!(nic_stats.pkts(), stats.pkts(), "edge packets match");
