@@ -18,15 +18,19 @@
 //! Windowing is not the monitor's: it is a client of the window roll
 //! ([`commgraph_graph::builder::WindowedBuilder`]), which says what became
 //! of each record and hands over each closed window's graph exactly once.
-//! The monitor buffers the open window's raw records beside it (policy
-//! checks read records, not edges; the baseline's rules are learned from
-//! the learning windows' graph) and reacts to the hand-over.
+//! The monitor buffers no record. While learning, each record the roll
+//! admits is also fed to one [`GraphBuilder`] spanning the learning period,
+//! and the baseline's segmentation and policy are learned from its graph.
+//! While enforcing, each admitted record is checked as it arrives: the
+//! policy in force changes only at a window boundary, so that is exactly a
+//! check of the window's records at its close. Checks read records; learning
+//! reads edges.
 
 use crate::anomaly::{AnomalyError, PatternModel};
 use crate::workbench::Workbench;
 use commgraph_graph::collapse::collapse_default;
 use commgraph_graph::diff::diff;
-use commgraph_graph::{CommGraph, Facet, Inventory, Outcome, WindowedBuilder};
+use commgraph_graph::{CommGraph, Facet, GraphBuilder, Inventory, Outcome, WindowedBuilder};
 use flowlog::record::ConnSummary;
 use flowlog::time::bucket_start;
 use obs::{Counter, Gauge, Histogram, Level, Obs};
@@ -100,13 +104,30 @@ pub enum MonitorEvent {
 
 /// Phase of the monitor's lifecycle.
 enum Phase {
-    /// The learning windows closed so far: their records, and one collapsed
-    /// graph per window, in time order.
+    /// The learning period so far: one builder fed every admitted record of
+    /// every learning window (`None` until the first arrives), and one
+    /// collapsed graph per closed learning window, in time order.
     Learning {
-        records: Vec<ConnSummary>,
+        // bound: one edge entry per distinct (local, remote) pair of the
+        // learning period; spill entries ≤ its distinct (edge, port) pairs.
+        period: Option<GraphBuilder>,
         graphs: Vec<CommGraph>,
     },
     Enforcing(Box<Baseline>),
+}
+
+/// What the open window has seen so far; taken when it closes.
+#[derive(Default)]
+struct Tally {
+    /// Records admitted to it, vantage duplicates included.
+    admitted: usize,
+    /// Records dropped because their own window had already closed.
+    behind: usize,
+    /// Policy violations found (enforcing only).
+    violations: usize,
+    /// The first of them, in arrival order, to emit as events.
+    // bound: ≤ `max_violation_events` entries.
+    events: Vec<Violation>,
 }
 
 struct Baseline {
@@ -195,15 +216,13 @@ pub struct SecurityMonitor {
     monitored: Inventory,
     phase: Phase,
     roll: WindowedBuilder,
-    /// The open window's raw records, vantage duplicates included.
-    current_records: Vec<ConnSummary>,
-    /// Records dropped since the open window started because their own
-    /// window had already closed; reported when the open window closes.
-    dropped_behind: usize,
+    /// The open window's tally, reported when it closes.
+    open: Tally,
     obs: Obs,
     metrics: MonitorMetrics,
     /// Cap on per-window violation events (summaries always carry the full
-    /// count); keeps a port scan from emitting a million events.
+    /// count); keeps a port scan from emitting — or the monitor from
+    /// holding — a million events. Read as each violation is found.
     pub max_violation_events: usize,
 }
 
@@ -229,9 +248,8 @@ impl SecurityMonitor {
             roll: WindowedBuilder::new(Facet::Ip, cfg.window_len).with_monitored(monitored.clone()),
             cfg,
             monitored,
-            phase: Phase::Learning { records: Vec::new(), graphs: Vec::new() },
-            current_records: Vec::new(),
-            dropped_behind: 0,
+            phase: Phase::Learning { period: None, graphs: Vec::new() },
+            open: Tally::default(),
             obs,
             metrics,
             max_violation_events: 64,
@@ -260,11 +278,36 @@ impl SecurityMonitor {
                 self.metrics.roll_lag.record(lag as f64);
             }
             match outcome {
-                Outcome::Behind => self.dropped_behind += 1,
-                Outcome::Kept | Outcome::Deduped => self.current_records.push(*r),
+                Outcome::Behind => self.open.behind += 1,
+                Outcome::Kept | Outcome::Deduped => self.admit(r),
             }
         }
         events
+    }
+
+    /// A record the roll admitted to the open window: learned from, or
+    /// checked against the policy in force.
+    fn admit(&mut self, r: &ConnSummary) {
+        self.open.admitted += 1;
+        match &mut self.phase {
+            Phase::Learning { period, .. } => {
+                let len = self.cfg.window_len;
+                let fresh = || {
+                    let start = bucket_start(r.ts, len);
+                    let span = len.saturating_mul(self.cfg.learn_windows as u64);
+                    GraphBuilder::new(Facet::Ip, start, span).with_monitored(self.monitored.clone())
+                };
+                period.get_or_insert_with(fresh).add(r);
+            }
+            Phase::Enforcing(baseline) => {
+                if let Some(v) = baseline.detector.check(r) {
+                    self.open.violations += 1;
+                    if self.open.events.len() < self.max_violation_events {
+                        self.open.events.push(v);
+                    }
+                }
+            }
+        }
     }
 
     /// Force-close the open window (end of stream).
@@ -279,14 +322,16 @@ impl SecurityMonitor {
     /// React to the roll handing over a closed window's `graph`.
     fn close_window(&mut self, graph: &CommGraph, events: &mut Vec<MonitorEvent>) {
         let window_start = graph.window_start();
-        let mut records = std::mem::take(&mut self.current_records);
-        let dropped = std::mem::take(&mut self.dropped_behind);
-        if dropped > 0 && self.obs.logs(Level::Warn) {
+        let tally = std::mem::take(&mut self.open);
+        if tally.behind > 0 && self.obs.logs(Level::Warn) {
             self.obs.event(
                 Level::Warn,
                 "monitor",
                 "late records dropped",
-                &[("window_start", window_start.to_string()), ("dropped", dropped.to_string())],
+                &[
+                    ("window_start", window_start.to_string()),
+                    ("dropped", tally.behind.to_string()),
+                ],
             );
         }
         // The per-window trace span: baseline building and all per-window
@@ -294,12 +339,11 @@ impl SecurityMonitor {
         let mut tspan = self.obs.trace_span("monitor_window");
         if tspan.is_enabled() {
             tspan.attr("window_start", &window_start.to_string());
-            tspan.attr("records", &records.len().to_string());
+            tspan.attr("records", &tally.admitted.to_string());
         }
         let graph = collapse_default(graph);
         match &mut self.phase {
-            Phase::Learning { records: learned, graphs } => {
-                learned.append(&mut records);
+            Phase::Learning { period, graphs } => {
                 graphs.push(graph);
                 self.metrics.windows_learning.inc();
                 if tspan.is_enabled() {
@@ -323,11 +367,12 @@ impl SecurityMonitor {
                             return;
                         }
                     };
-                    // Segmentation and policy learn from every learning
-                    // window's records.
+                    // Segmentation and policy learn from the learning
+                    // period's graph. A window opens only on an admitted
+                    // record, so the period has seen one.
+                    let Some(period) = period.take() else { return };
                     let done = graphs.len();
-                    let mut wb = Workbench::new(std::mem::take(learned), self.monitored.clone())
-                        .with_obs(self.obs.clone());
+                    let mut wb = Workbench::from_builder(period).with_obs(self.obs.clone());
                     let (segmentation, policy) = (wb.segmentation().clone(), wb.policy().clone());
                     let (segments, allow_rules) = (segmentation.len(), policy.rule_count());
                     let detector = ViolationDetector::new(segmentation, policy);
@@ -358,9 +403,6 @@ impl SecurityMonitor {
                 }
             }
             Phase::Enforcing(baseline) => {
-                // Policy check.
-                let violations = baseline.detector.check_all(&records);
-
                 // Anomaly score.
                 let score = baseline.model.score(&graph).map(|s| s.score).unwrap_or(f64::INFINITY);
                 let anomalous = score > baseline.threshold;
@@ -376,14 +418,14 @@ impl SecurityMonitor {
                 baseline.previous_window = Some(graph);
 
                 self.metrics.windows_enforcing.inc();
-                self.metrics.violations.add(violations.len() as u64);
+                self.metrics.violations.add(tally.violations as u64);
                 self.metrics.anomaly_score.record(score);
                 if anomalous {
                     self.metrics.anomalous_windows.inc();
                 }
                 if tspan.is_enabled() {
                     tspan.attr("phase", "enforcing");
-                    tspan.attr("violations", &violations.len().to_string());
+                    tspan.attr("violations", &tally.violations.to_string());
                     tspan.attr("anomaly_score", &format!("{score:.4}"));
                     tspan.attr("anomalous", &anomalous.to_string());
                     if anomalous {
@@ -404,8 +446,8 @@ impl SecurityMonitor {
                         "window summary",
                         &[
                             ("window_start", window_start.to_string()),
-                            ("records", records.len().to_string()),
-                            ("violations", violations.len().to_string()),
+                            ("records", tally.admitted.to_string()),
+                            ("violations", tally.violations.to_string()),
                             ("anomaly_score", format!("{score:.4}")),
                             ("anomalous", anomalous.to_string()),
                             ("new_edges", new_edges.to_string()),
@@ -416,14 +458,14 @@ impl SecurityMonitor {
 
                 events.push(MonitorEvent::WindowSummary {
                     window_start,
-                    records: records.len(),
-                    violations: violations.len(),
+                    records: tally.admitted,
+                    violations: tally.violations,
                     anomaly_score: score,
                     anomalous,
                     new_edges,
                     gone_edges,
                 });
-                for v in violations.into_iter().take(self.max_violation_events) {
+                for v in tally.events.into_iter().take(self.max_violation_events) {
                     if self.obs.logs(Level::Warn) {
                         self.obs.event(
                             Level::Warn,
@@ -742,6 +784,138 @@ mod tests {
             assert!(drops.iter().all(|e| e.level == obs::Level::Warn));
         }
         assert!(drops_by_phase.iter().all(|&n| n >= 8), "both phases swept: {drops_by_phase:?}");
+    }
+
+    /// `(ts, local, remote, port, verdict, bytes)`: everything a violation says.
+    type Flagged = (u64, Ipv4Addr, Ipv4Addr, u16, segment::Verdict, u64);
+
+    fn flagged(v: &Violation) -> Flagged {
+        (v.ts, v.local_ip, v.remote_ip, v.port, v.verdict.clone(), v.bytes)
+    }
+
+    /// An enforced window: its start, its admitted records, its violations.
+    type Enforced = (u64, usize, Vec<Flagged>);
+
+    /// The monitor as written with both record buffers: each window's
+    /// admitted records kept until it closes, the learning windows' records
+    /// concatenated into one `Workbench`, and each enforced window's records
+    /// checked at its close. Returns the baseline's `(segments, allow rules)`
+    /// and, per enforced window, its start, admitted records and violations.
+    fn buffered_reference(
+        stream: &[ConnSummary],
+        cfg: &MonitorConfig,
+        monitored: &HashSet<Ipv4Addr>,
+    ) -> ((usize, usize), Vec<Enforced>) {
+        use std::collections::BTreeMap;
+        let mut windows: BTreeMap<u64, Vec<ConnSummary>> = BTreeMap::new();
+        let mut newest = 0;
+        for r in stream {
+            let w = bucket_start(r.ts, cfg.window_len);
+            if w >= newest {
+                newest = w;
+                windows.entry(w).or_default().push(*r);
+            }
+        }
+        let learned: Vec<ConnSummary> =
+            windows.values().take(cfg.learn_windows).flatten().copied().collect();
+        let mut wb = Workbench::new(learned, monitored.clone());
+        let (seg, policy) = (wb.segmentation().clone(), wb.policy().clone());
+        let baseline = (seg.len(), policy.rule_count());
+        let mut det = ViolationDetector::new(seg, policy);
+        let enforced = windows
+            .iter()
+            .skip(cfg.learn_windows)
+            .map(|(w, records)| {
+                (*w, records.len(), det.check_all(records).iter().map(flagged).collect())
+            })
+            .collect();
+        (baseline, enforced)
+    }
+
+    /// Checking each record as the roll admits it, and learning the baseline
+    /// from one builder fed over the learning period, raise exactly what
+    /// buffering the records did: the same baseline, the same per-window
+    /// counts, and the same violations in the same order — over a breach,
+    /// vantage duplicates and stragglers behind the open window, in the
+    /// learning phase and the enforcing one. The event cap truncates that
+    /// sequence and bounds what the monitor holds, never the counts.
+    #[test]
+    fn checking_on_arrival_equals_checking_the_buffered_window() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let preset = ClusterPreset::MicroserviceBench;
+        let topo = preset.topology_scaled(0.3);
+        let breached =
+            topo.ip_of(topo.role_named("frontend").expect("role").id, 0).expect("slot 0");
+        let sim_cfg = SimConfig {
+            attacks: vec![AttackScenario {
+                kind: AttackKind::LateralMovement,
+                start_min: 12,
+                duration_min: 8,
+                breached,
+                intensity: 6,
+            }],
+            ..preset.default_sim_config()
+        };
+        let mut sim = Simulator::new(topo, sim_cfg).unwrap();
+        let monitored = monitored_of(&sim);
+        let cfg = MonitorConfig { window_len: 300, ..cfg() };
+        let mut minutes: Vec<Vec<ConnSummary>> = Vec::new();
+        sim.run(26, |_, batch| minutes.push(batch.to_vec()));
+
+        let mut swept = 0;
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut stream: Vec<Vec<ConnSummary>> = Vec::new();
+            for (m, batch) in minutes.iter().enumerate() {
+                stream.push(batch.clone());
+                let from = &minutes[rng.random_range(0..m + 1)];
+                if rng.random_bool(0.5) && !from.is_empty() {
+                    stream.push(vec![from[rng.random_range(0..from.len())]]);
+                }
+            }
+            let flat: Vec<ConnSummary> = stream.iter().flatten().copied().collect();
+            let (baseline, enforced) = buffered_reference(&flat, &cfg, &monitored);
+
+            let cap = if seed % 2 == 0 { usize::MAX } else { 3 };
+            let mut monitor = SecurityMonitor::new(cfg.clone(), monitored.clone());
+            monitor.max_violation_events = cap;
+            let mut events = Vec::new();
+            for batch in &stream {
+                events.extend(monitor.ingest(batch));
+                assert!(monitor.open.events.len() <= cap.min(monitor.open.violations));
+            }
+            events.extend(monitor.flush());
+
+            let baselines: Vec<(usize, usize)> = events
+                .iter()
+                .filter_map(|e| match e {
+                    MonitorEvent::BaselineReady { segments, allow_rules, .. } => {
+                        Some((*segments, *allow_rules))
+                    }
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(baselines, [baseline], "seed {seed}");
+            let mut got: Vec<(u64, usize, usize, Vec<Flagged>)> = Vec::new();
+            for e in &events {
+                match e {
+                    MonitorEvent::WindowSummary { window_start, records, violations, .. } => {
+                        got.push((*window_start, *records, *violations, Vec::new()))
+                    }
+                    MonitorEvent::PolicyViolation(v) => {
+                        got.last_mut().expect("a summary first").3.push(flagged(v))
+                    }
+                    MonitorEvent::BaselineReady { .. } => {}
+                }
+            }
+            let want: Vec<(u64, usize, usize, Vec<Flagged>)> = enforced
+                .iter()
+                .map(|(w, n, vs)| (*w, *n, vs.len(), vs.iter().take(cap).cloned().collect()))
+                .collect();
+            assert_eq!(got, want, "seed {seed}, cap {cap}");
+            swept += enforced.iter().map(|(_, _, vs)| vs.len()).sum::<usize>();
+        }
+        assert!(swept > 500, "the breach is in the sweep: {swept}");
     }
 
     /// A first learning window whose graph is empty (its only record is the

@@ -20,7 +20,7 @@ pub struct SecurityReport {
     /// Window length in seconds.
     pub window_len: u64,
     /// Records analyzed.
-    pub records: usize,
+    pub records: u64,
     /// Monitored resources.
     pub monitored: usize,
     /// Graph shape.
@@ -89,7 +89,7 @@ pub struct RuleSection {
 
 /// Assemble the report from a workbench session.
 pub fn security_report(wb: &mut Workbench) -> SecurityReport {
-    let records = wb.records().len();
+    let records = wb.record_count();
     let monitored = wb.monitored().len();
     let blast = wb.blast_report();
     let seg = wb.segmentation().clone();

@@ -2,8 +2,11 @@
 //!
 //! The experiments and examples all follow the same arc: records → graph →
 //! roles → segments → policy → security/summary analyses. [`Workbench`]
-//! owns the records once and memoizes each stage, so callers write three
-//! lines instead of thirty and never recompute an eigendecomposition.
+//! holds the window's graph — aggregated from records by
+//! [`Workbench::new`], or by a [`GraphBuilder`] the caller fed record by
+//! record ([`Workbench::from_builder`]) — and memoizes each stage, so callers
+//! write three lines instead of thirty and never recompute an
+//! eigendecomposition. It keeps no record.
 
 use algos::roles::{infer_roles_obs, RoleInference, SegmentationMethod};
 use algos::stats::{byte_ccdf, CcdfPoint};
@@ -16,10 +19,13 @@ use obs::Obs;
 use segment::blast::{fleet_blast_report, FleetBlastReport};
 use segment::{SegmentPolicy, Segmentation, Violation, ViolationDetector};
 
-/// One-window analysis session. Construct with the window's records and the
-/// monitored inventory; every analysis is computed lazily and cached.
+/// One-window analysis session over the window's IP graph and the monitored
+/// inventory; every analysis is computed lazily and cached.
 pub struct Workbench {
-    records: Vec<ConnSummary>,
+    /// The window's graph as aggregated, before collapsing.
+    window: CommGraph,
+    /// Records offered to build it, vantage duplicates included.
+    records: u64,
     monitored: Inventory,
     parallelism: Parallelism,
     obs: Obs,
@@ -31,11 +37,24 @@ pub struct Workbench {
 
 impl Workbench {
     /// New session over `records` with the given monitored inventory (a
-    /// `HashSet`, or a clone of an [`Inventory`] handle already built).
+    /// `HashSet`, or a clone of an [`Inventory`] handle already built). The
+    /// records are aggregated here, under vantage dedup, and not kept.
     pub fn new(records: Vec<ConnSummary>, monitored: impl Into<Inventory>) -> Self {
+        let (start, len) = window_of(&records);
+        let mut b = GraphBuilder::new(Facet::Ip, start, len).with_monitored(monitored);
+        b.add_all(&records);
+        Workbench::from_builder(b)
+    }
+
+    /// New session over the window a [`Facet::Ip`] builder aggregated; its
+    /// inventory is the session's. The builder may have been fed as the
+    /// records streamed past — a monitor's learning period — so the window
+    /// never existed as a record buffer.
+    pub fn from_builder(b: GraphBuilder) -> Self {
         Workbench {
-            records,
-            monitored: monitored.into(),
+            records: b.record_counts().0,
+            monitored: b.monitored().clone(),
+            window: b.finish(),
             parallelism: Parallelism::default(),
             obs: Obs::noop(),
             ip_graph: None,
@@ -57,7 +76,7 @@ impl Workbench {
 
     /// Attach an observability handle (builder style). Each memoized stage
     /// reports a wall-time span on `commgraph_stage_seconds{stage=...}` the
-    /// first time it is computed: `build` (graph construction + collapse),
+    /// first time it is computed: `build` (collapsing the window's graph),
     /// `similarity`/`cluster` (role inference), `policy` (segmentation +
     /// rule learning), `pca` (low-rank sweeps). The default noop handle
     /// skips everything, including the clock reads.
@@ -66,9 +85,9 @@ impl Workbench {
         self
     }
 
-    /// The records this session analyzes.
-    pub fn records(&self) -> &[ConnSummary] {
-        &self.records
+    /// Records offered to the window's graph, vantage duplicates included.
+    pub fn record_count(&self) -> u64 {
+        self.records
     }
 
     /// The monitored inventory.
@@ -84,16 +103,8 @@ impl Workbench {
     pub fn ip_graph(&mut self) -> &CommGraph {
         let g = self.ip_graph.take().unwrap_or_else(|| {
             let _span = self.obs.stage_span("build");
-            let mut b = GraphBuilder::new(
-                Facet::Ip,
-                window_start(&self.records),
-                window_len(&self.records),
-            )
-            .with_monitored(self.monitored.clone());
-            b.add_all(&self.records);
-            let raw = b.finish();
             let monitored = &self.monitored;
-            collapse(&raw, PAPER_THRESHOLD, |n| {
+            collapse(&self.window, PAPER_THRESHOLD, |n| {
                 n.ip().map(|ip| monitored.contains(&ip)).unwrap_or(false)
             })
         });
@@ -187,14 +198,13 @@ impl Workbench {
     }
 }
 
-fn window_start(records: &[ConnSummary]) -> u64 {
-    records.iter().map(|r| r.ts).min().unwrap_or(0)
-}
-
-fn window_len(records: &[ConnSummary]) -> u64 {
-    let start = window_start(records);
-    let end = records.iter().map(|r| r.ts).max().unwrap_or(0);
-    (end - start).max(60) + 60
+/// The window `records` span, read in one pass: it starts at the earliest
+/// timestamp (0 for none) and lasts at least a minute past the latest.
+fn window_of(records: &[ConnSummary]) -> (u64, u64) {
+    let (first, last) =
+        records.iter().fold((u64::MAX, 0), |(lo, hi), r| (lo.min(r.ts), hi.max(r.ts)));
+    let start = if records.is_empty() { 0 } else { first };
+    (start, (last - start).max(60) + 60)
 }
 
 #[cfg(test)]
@@ -204,13 +214,18 @@ mod tests {
     use std::collections::HashSet;
     use std::net::Ipv4Addr;
 
-    fn session() -> Workbench {
+    fn window() -> (Vec<ConnSummary>, HashSet<Ipv4Addr>) {
         let preset = ClusterPreset::MicroserviceBench;
         let mut sim =
             Simulator::new(preset.topology_scaled(0.25), preset.default_sim_config()).unwrap();
         let records = sim.collect(5);
         let monitored: HashSet<Ipv4Addr> =
             sim.ground_truth().ip_roles.keys().copied().filter(|ip| ip.octets()[0] == 10).collect();
+        (records, monitored)
+    }
+
+    fn session() -> Workbench {
+        let (records, monitored) = window();
         Workbench::new(records, monitored)
     }
 
@@ -237,10 +252,36 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// A session over a builder fed as the records streamed past — minute
+    /// by minute, into a window whose start and length are the caller's —
+    /// analyzes exactly what a session over the buffered records does.
+    #[test]
+    fn builder_fed_session_equals_record_session() {
+        let (records, monitored) = window();
+        let mut buffered = Workbench::new(records.clone(), monitored.clone());
+        let mut b = GraphBuilder::new(Facet::Ip, 0, 300).with_monitored(monitored);
+        for minute in records.chunk_by(|a, b| a.ts / 60 == b.ts / 60) {
+            b.add_all(minute);
+        }
+        let mut streamed = Workbench::from_builder(b);
+        assert_eq!(streamed.record_count(), records.len() as u64);
+        assert_eq!(streamed.record_count(), buffered.record_count());
+        let (g, want) = (streamed.ip_graph().clone(), buffered.ip_graph().clone());
+        assert_eq!(g.nodes(), want.nodes());
+        assert_eq!(g.totals(), want.totals());
+        for i in 0..g.node_count() as u32 {
+            assert_eq!(g.neighbors(i), want.neighbors(i), "node {i}");
+        }
+        assert_eq!(streamed.roles().labels, buffered.roles().labels);
+        assert_eq!(streamed.segmentation().len(), buffered.segmentation().len());
+        assert_eq!(streamed.policy().rules(), buffered.policy().rules());
+        assert!(streamed.policy().rule_count() > 0);
+    }
+
     #[test]
     fn self_detection_is_quiet() {
-        let mut wb = session();
-        let records = wb.records().to_vec();
+        let (records, monitored) = window();
+        let mut wb = Workbench::new(records.clone(), monitored);
         let violations = wb.detect(&records);
         assert!(
             violations.is_empty(),

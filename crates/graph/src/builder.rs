@@ -157,6 +157,11 @@ impl GraphBuilder {
         &self.facet
     }
 
+    /// The inventory vantage dedup reads (empty: dedup off).
+    pub fn monitored(&self) -> &Inventory {
+        &self.monitored
+    }
+
     /// Records offered / records kept after dedup.
     pub fn record_counts(&self) -> (u64, u64) {
         (self.records_seen, self.records_kept)
