@@ -185,27 +185,6 @@ impl PatternModel {
     }
 }
 
-/// Convenience detector: fit on the first window, score the rest, flag
-/// windows whose score exceeds `threshold` (2.0 = "twice the baseline
-/// noise floor" is a reasonable default).
-pub fn detect_anomalous_windows(
-    windows: &[CommGraph],
-    k: usize,
-    threshold: f64,
-) -> Result<Vec<AnomalyScore>, AnomalyError> {
-    let Some(first) = windows.first() else {
-        return Ok(Vec::new());
-    };
-    let model = PatternModel::fit(first, k)?;
-    let mut out = Vec::with_capacity(windows.len().saturating_sub(1));
-    for w in &windows[1..] {
-        let s = model.score(w)?;
-        out.push(s);
-    }
-    let _ = threshold; // callers compare score against it; kept for clarity
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,15 +266,25 @@ mod tests {
 
     #[test]
     fn detect_over_window_sequence() {
-        let windows = vec![tiered(0, 100), tiered(3600, 105), tiered(7200, 95)];
-        let scores = detect_anomalous_windows(&windows, 4, 2.0).expect("detect");
-        assert_eq!(scores.len(), 2);
+        // Fit on the first window, score the rest: steady windows stay under
+        // twice the baseline noise floor.
+        let windows = [tiered(0, 100), tiered(3600, 105), tiered(7200, 95)];
+        let model = PatternModel::fit(&windows[0], 4).expect("fit");
+        let scores: Vec<AnomalyScore> =
+            windows[1..].iter().map(|w| model.score(w).expect("score")).collect();
+        assert_eq!(scores.iter().map(|s| s.window_start).collect::<Vec<_>>(), [3600, 7200]);
         assert!(scores.iter().all(|s| s.score < 2.0), "{scores:?}");
     }
 
     #[test]
     fn empty_sequence_is_fine() {
-        assert!(detect_anomalous_windows(&[], 4, 2.0).expect("empty").is_empty());
+        let model = PatternModel::fit(&tiered(0, 100), 4).expect("fit");
+        // No clean windows: the threshold is the noise-floor ratio 1 × margin.
+        assert_eq!(model.calibrate_threshold(&[], 1.5).expect("calibrate"), 1.5);
+        // A window without traffic scores zero.
+        let empty = CommGraph::from_edge_map("ip", 3600, 3600, HashMap::new());
+        let s = model.score(&empty).expect("score");
+        assert_eq!((s.residual, s.score, s.novel_node_frac), (0.0, 0.0, 0.0));
     }
 
     #[test]

@@ -13,8 +13,8 @@ use algos::stats::{byte_ccdf, CcdfPoint};
 use commgraph_graph::collapse::{collapse, PAPER_THRESHOLD};
 use commgraph_graph::{CommGraph, Facet, GraphBuilder, Inventory};
 use flowlog::record::ConnSummary;
-use linalg::pca::{pca_sweep_with, PcaSummary};
-use linalg::{Matrix, Parallelism};
+use linalg::pca::{pca_sweep_csr, PcaSummary};
+use linalg::{Matrix, Parallelism, SymCsr};
 use obs::Obs;
 use segment::blast::{fleet_blast_report, FleetBlastReport};
 use segment::{SegmentPolicy, Segmentation, Violation, ViolationDetector};
@@ -181,11 +181,19 @@ impl Workbench {
         byte_ccdf(self.ip_graph())
     }
 
-    /// PCA reconstruction-error sweep on the byte matrix (§2.2).
+    /// PCA reconstruction-error sweep on the byte matrix (§2.2), run on the
+    /// collapsed IP graph as a sparse operator: no n × n buffer and no node
+    /// cap, and the same bits as [`pca_sweep_with`](linalg::pca::pca_sweep_with) on
+    /// [`Workbench::byte_matrix`].
     pub fn pca_summary(&mut self, ks: &[usize]) -> linalg::Result<PcaSummary> {
-        let m = self.byte_matrix()?;
+        let g = self.ip_graph();
+        // Node i's neighbour list is row i of the byte matrix: ascending,
+        // a self-loop entered once, symmetric by construction.
+        let rows = (0..g.node_count() as u32)
+            .map(|i| g.neighbors(i).iter().map(|e| (e.node, e.stats.bytes() as f64)));
+        let m = SymCsr::from_sorted_rows(g.node_count(), rows)?;
         let _span = self.obs.stage_span("pca");
-        pca_sweep_with(&m, ks, self.parallelism)
+        pca_sweep_csr(&m, ks, self.parallelism)
     }
 
     /// Dense symmetric byte matrix of the collapsed IP graph.
@@ -320,16 +328,20 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pca_summary_agrees_with_a_full_jacobi_sweep() {
-        // K8s PaaS is the §2.2 cluster; at this size 2 · 25 < n, so the
-        // summary runs the top-k solver and the oracle the full one.
+    /// A session on K8s PaaS, the §2.2 cluster, at a size where 2 · 25 < n.
+    fn k8s_session() -> Workbench {
         let preset = ClusterPreset::K8sPaas;
         let mut sim =
             Simulator::new(preset.topology_scaled(0.25), preset.default_sim_config()).unwrap();
         let records = sim.collect(5);
         let monitored: HashSet<Ipv4Addr> = sim.ground_truth().ip_roles.keys().copied().collect();
-        let mut wb = Workbench::new(records, monitored);
+        Workbench::new(records, monitored)
+    }
+
+    #[test]
+    fn pca_summary_agrees_with_a_full_jacobi_sweep() {
+        // The summary runs the top-k solver and the oracle the full one.
+        let mut wb = k8s_session();
         let m = wb.byte_matrix().unwrap();
         assert!(m.rows() > 50, "n = {} must exceed 2k", m.rows());
         let full = linalg::eigen_symmetric(&m, 1e-10).unwrap();
@@ -338,6 +350,63 @@ mod tests {
         assert_eq!(summary.errors.len(), 1);
         assert!((summary.errors[0].err - oracle[25]).abs() < 1e-9);
         assert_eq!(summary.k_for_5_percent, oracle[..=25].iter().position(|&e| e < 0.05));
+    }
+
+    /// The graph-built operator and the dense byte matrix are one input to
+    /// one kernel: every summary bit agrees, on both sides of the top-k
+    /// solver's `2k < n` rule.
+    #[test]
+    fn pca_summary_equals_the_dense_sweep_bit_for_bit() {
+        for mut wb in [session(), k8s_session()] {
+            let m = wb.byte_matrix().unwrap();
+            for ks in [&[1, 4, 16][..], &[25], &[m.rows()]] {
+                let dense = linalg::pca::pca_sweep_with(&m, ks, wb.parallelism).unwrap();
+                let sparse = wb.pca_summary(ks).unwrap();
+                assert_eq!(sparse.k_for_5_percent, dense.k_for_5_percent, "n = {}", m.rows());
+                let bits = |s: &PcaSummary| -> Vec<(usize, u64)> {
+                    s.errors.iter().map(|e| (e.k, e.err.to_bits())).collect()
+                };
+                assert_eq!(bits(&sparse), bits(&dense), "n = {}, ks = {ks:?}", m.rows());
+            }
+        }
+    }
+
+    /// The summary has no node cap: a star of 4 200 monitored leaves (none
+    /// folded by collapsing) is summarized where the dense byte matrix is
+    /// refused.
+    #[test]
+    fn pca_summary_of_a_graph_above_the_dense_cap() {
+        let hub = Ipv4Addr::new(10, 0, 0, 1);
+        let leaves: Vec<Ipv4Addr> = (0..4200u32).map(|i| Ipv4Addr::from(0x0A01_0000 + i)).collect();
+        let records: Vec<ConnSummary> = leaves
+            .iter()
+            .enumerate()
+            .map(|(i, &leaf)| ConnSummary {
+                ts: 0,
+                key: flowlog::FlowKey::tcp(hub, 443, leaf, 50_000),
+                pkts_sent: 1,
+                pkts_rcvd: 1,
+                bytes_sent: 1_000 + i as u64,
+                bytes_rcvd: 100,
+            })
+            .collect();
+        let monitored: HashSet<Ipv4Addr> = leaves.iter().copied().chain([hub]).collect();
+        let mut wb = Workbench::new(records, monitored);
+        assert_eq!(wb.ip_graph().node_count(), 4201);
+        assert!(wb.byte_matrix().is_err(), "the dense form keeps its cap");
+        let summary = wb.pca_summary(&[1]).unwrap();
+        assert_eq!(summary.n, 4201);
+        // A star with edge weights w has eigenpairs ±‖w‖ on (e_hub ± w/‖w‖)/√2
+        // and zeros, so either leading pair leaves |M − M_1| at ‖w‖/2 on the
+        // hub, w_i/2 on each edge entry and w_i·w_j/(2‖w‖) between leaves.
+        let w: Vec<f64> = (0..4200).map(|i| f64::from(1_100 + i)).collect();
+        let (sum, norm) = (w.iter().sum::<f64>(), w.iter().map(|x| x * x).sum::<f64>().sqrt());
+        let want = (norm / 2.0 + sum + sum * sum / (2.0 * norm)) / (2.0 * sum);
+        assert!(
+            (summary.errors[0].err - want).abs() < 1e-9 * want,
+            "{:?} vs {want}",
+            summary.errors
+        );
     }
 
     #[test]

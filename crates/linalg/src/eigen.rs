@@ -11,10 +11,14 @@
 //!
 //! The production analyses read far fewer: the §2.2 summary needs k = 25
 //! of n > 500 eigenpairs, the anomaly model its k-dimensional basis.
-//! [`eigen_top_k`] computes only those, by Lanczos iteration with the small
-//! projected problem handed to the Jacobi solver — milliseconds where the
-//! full decomposition takes seconds. Both are single-threaded by design.
+//! [`eigen_top_k_csr`] computes only those, by Lanczos iteration over the
+//! sparse operator ([`SymCsr`]) — the collapsed graph itself — with the
+//! small tridiagonal projection solved in place by implicit-shift QL:
+//! milliseconds where the full decomposition takes seconds.
+//! [`eigen_top_k`] enters the same solver from a dense matrix. Both
+//! solvers are single-threaded by design.
 
+use crate::csr::SymCsr;
 use crate::error::{Error, Result};
 use crate::matrix::Matrix;
 use crate::par::{self, Parallelism};
@@ -102,7 +106,7 @@ pub fn eigen_symmetric(m: &Matrix, tol: f64) -> Result<EigenDecomposition> {
 
 /// Check that `m` is square and symmetric; return the scale
 /// (`max(‖M‖_F, 1)`) every tolerance in this module is relative to.
-fn symmetric_scale(m: &Matrix) -> Result<f64> {
+pub(crate) fn symmetric_scale(m: &Matrix) -> Result<f64> {
     if m.rows() != m.cols() {
         return Err(Error::InvalidArg(format!(
             "eigendecomposition needs a square matrix, got {}x{}",
@@ -192,12 +196,19 @@ fn apply_rotation(a: &mut Matrix, v: &mut Matrix, p: usize, q: usize, c: f64, s:
     }
 }
 
+/// Indices of `values` by |λ| descending, ties in index order.
+fn by_magnitude(values: &[f64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..values.len()).collect();
+    order.sort_by(|&i, &j| values[j].abs().total_cmp(&values[i].abs()));
+    order
+}
+
 /// Extract the diagonal, sort eigenpairs by |λ| descending.
 fn sorted_decomposition(a: Matrix, v: Matrix) -> EigenDecomposition {
     let n = a.rows();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| a[(j, j)].abs().total_cmp(&a[(i, i)].abs()));
-    let values: Vec<f64> = order.iter().map(|&i| a[(i, i)]).collect();
+    let diagonal: Vec<f64> = (0..n).map(|i| a[(i, i)]).collect();
+    let order = by_magnitude(&diagonal);
+    let values: Vec<f64> = order.iter().map(|&i| diagonal[i]).collect();
     let mut vectors = Matrix::zeros(n, n);
     for (new_col, &old_col) in order.iter().enumerate() {
         for row in 0..n {
@@ -207,18 +218,29 @@ fn sorted_decomposition(a: Matrix, v: Matrix) -> EigenDecomposition {
     EigenDecomposition { values, vectors }
 }
 
-/// The `k` eigenpairs of largest `|λ|` of a symmetric matrix: `k` values
-/// and an `n × k` vector matrix, sorted like [`eigen_symmetric`]'s.
+/// The `k` eigenpairs of largest `|λ|` of a dense symmetric matrix:
+/// [`eigen_top_k_csr`] on its stored form ([`SymCsr::from_dense`]), so the
+/// same bits either way.
+///
+/// Errors as [`eigen_symmetric`], plus [`Error::InvalidArg`] for `k > n`.
+pub fn eigen_top_k(m: &Matrix, k: usize, tol: f64) -> Result<EigenDecomposition> {
+    eigen_top_k_csr(&SymCsr::from_dense(m)?, k, tol)
+}
+
+/// The `k` eigenpairs of largest `|λ|` of a sparse symmetric operator: `k`
+/// values and an `n × k` vector matrix, sorted like [`eigen_symmetric`]'s.
 ///
 /// Lanczos with full reorthogonalisation: the Krylov subspace grows from a
 /// fixed start vector until the Ritz residual bound `|β_m · s_{m,i}|` of
 /// each of the top `k` pairs is within `tol · max(‖M‖_F, 1)` — the
-/// threshold [`eigen_symmetric`] holds its off-diagonal mass to — and the
-/// projected tridiagonal problem is solved by [`eigen_symmetric`] itself.
-/// When the subspace is exhausted early (a spectrum with few distinct
-/// values) it continues from a fresh vector orthogonal to everything so
-/// far. There is nothing to tune: for `2k ≥ n`, or if the subspace reaches
-/// `n`, the result is [`eigen_symmetric`]'s truncated to `k` columns.
+/// threshold [`eigen_symmetric`] holds its off-diagonal mass to. The
+/// projected tridiagonal problem is solved on its diagonal and
+/// off-diagonal by implicit-shift QL (EISPACK's `tql2`). When the subspace
+/// is exhausted early (a spectrum with few distinct values) it continues
+/// from a fresh vector orthogonal to everything so far, coupled to the
+/// last by β = 0, where QL splits the problem. There is nothing to tune:
+/// for `2k ≥ n`, or if the subspace reaches `n`, the result is
+/// [`eigen_symmetric`]'s on the dense form, truncated to `k` columns.
 ///
 /// Single-threaded and entropy-free, so two calls return the same bits.
 /// Like any single-vector Krylov method it sees one eigenvector per
@@ -226,10 +248,11 @@ fn sorted_decomposition(a: Matrix, v: Matrix) -> EigenDecomposition {
 /// repeated eigenvalue among the top `k` of a matrix with more than `k`
 /// distinct ones is returned once. [`eigen_symmetric`] has no such case.
 ///
-/// Errors as [`eigen_symmetric`], plus [`Error::InvalidArg`] for `k > n`.
-pub fn eigen_top_k(m: &Matrix, k: usize, tol: f64) -> Result<EigenDecomposition> {
-    let scale = symmetric_scale(m)?;
-    let n = m.rows();
+/// The operator's symmetry is not checked (see [`SymCsr`]). Fails with
+/// [`Error::InvalidArg`] for `k > n` and with [`Error::NoConvergence`] if
+/// a solve does not converge.
+pub fn eigen_top_k_csr(a: &SymCsr, k: usize, tol: f64) -> Result<EigenDecomposition> {
+    let n = a.n();
     if k > n {
         return Err(Error::InvalidArg(format!("k={k} exceeds dimension {n}")));
     }
@@ -237,16 +260,94 @@ pub fn eigen_top_k(m: &Matrix, k: usize, tol: f64) -> Result<EigenDecomposition>
         return Ok(EigenDecomposition { values: Vec::new(), vectors: Matrix::zeros(n, 0) });
     }
     if 2 * k < n {
-        if let Some(d) = lanczos_top_k(m, k, tol, scale)? {
+        if let Some(d) = lanczos_top_k(a, k, tol, a.frobenius().max(1.0))? {
             return Ok(d);
         }
     }
-    let full = eigen_symmetric(m, tol)?;
+    let full = eigen_symmetric(&a.to_dense(), tol)?;
     let mut vectors = Matrix::zeros(n, k);
     for (out, row) in vectors.data_mut().chunks_mut(k).zip(full.vectors.data().chunks(n)) {
         out.copy_from_slice(&row[..k]);
     }
     Ok(EigenDecomposition { values: full.values[..k].to_vec(), vectors })
+}
+
+/// Eigenpairs of the symmetric tridiagonal matrix with diagonal `d` and
+/// off-diagonal `e` (`e[i]` couples `i` and `i + 1`, so `e.len() + 1 ==
+/// d.len()`) by implicit-shift QL, EISPACK's `tql2`: values sorted by
+/// `|λ|` descending like [`eigen_symmetric`]'s, and the matching
+/// eigenvectors as the *rows* of the returned matrix. A negligible `e[i]`
+/// (zero included) splits the problem there.
+pub(crate) fn tridiagonal_eigen(d: &[f64], e: &[f64]) -> Result<(Vec<f64>, Matrix)> {
+    const MAX_ITER: usize = 30;
+    let n = d.len();
+    debug_assert_eq!(e.len(), n.saturating_sub(1), "one coupling per adjacent pair");
+    let mut d = d.to_vec();
+    // The trailing zero ends every search for a negligible coupling.
+    let mut e: Vec<f64> = e.iter().copied().chain([0.0]).collect();
+    // Row i of `z` is column i of the accumulated rotation product, so each
+    // rotation combines two contiguous rows.
+    let mut z = Matrix::identity(n);
+    let (mut shift, mut tst1) = (0.0f64, 0.0f64);
+    for l in 0..n {
+        tst1 = tst1.max(d[l].abs() + e[l].abs());
+        let negligible = |x: f64| x.abs() <= f64::EPSILON * tst1;
+        let m = (l..n).find(|&m| negligible(e[m])).unwrap_or(n - 1);
+        let mut iter = 0;
+        while m > l && !negligible(e[l]) {
+            iter += 1;
+            if iter > MAX_ITER {
+                return Err(Error::NoConvergence { algorithm: "tridiagonal ql", iterations: iter });
+            }
+            // Implicit shift from the leading 2 × 2 block.
+            let g = d[l];
+            let p = (d[l + 1] - g) / (2.0 * e[l]);
+            let r = if p < 0.0 { -p.hypot(1.0) } else { p.hypot(1.0) };
+            d[l] = e[l] / (p + r);
+            d[l + 1] = e[l] * (p + r);
+            let dl1 = d[l + 1];
+            let h = g - d[l];
+            for di in &mut d[l + 2..] {
+                *di -= h;
+            }
+            shift += h;
+            // One QL sweep from the bottom of the block up.
+            let mut p = d[m];
+            let (mut c, mut c2, mut c3) = (1.0f64, 1.0f64, 1.0f64);
+            let el1 = e[l + 1];
+            let (mut s, mut s2) = (0.0f64, 0.0f64);
+            for i in (l..m).rev() {
+                c3 = c2;
+                c2 = c;
+                s2 = s;
+                let g = c * e[i];
+                let h = c * p;
+                let r = p.hypot(e[i]);
+                e[i + 1] = s * r;
+                s = e[i] / r;
+                c = p / r;
+                p = c * d[i] - s * g;
+                d[i + 1] = h + s * (c * g + s * d[i]);
+                let (upper, lower) = z.data_mut().split_at_mut((i + 1) * n);
+                for (zi, zi1) in upper[i * n..].iter_mut().zip(&mut lower[..n]) {
+                    let h = *zi1;
+                    *zi1 = s * *zi + c * h;
+                    *zi = c * *zi - s * h;
+                }
+            }
+            let p = -s * s2 * c3 * el1 * e[l] / dl1;
+            e[l] = s * p;
+            d[l] = c * p;
+        }
+        d[l] += shift;
+        e[l] = 0.0;
+    }
+    let order = by_magnitude(&d);
+    let mut vectors = Matrix::zeros(n, n);
+    for (out, &i) in vectors.data_mut().chunks_exact_mut(n.max(1)).zip(&order) {
+        out.copy_from_slice(z.row(i));
+    }
+    Ok((order.iter().map(|&i| d[i]).collect(), vectors))
 }
 
 /// `Σ aᵢbᵢ` over four interleaved partial sums: a fixed association order
@@ -284,11 +385,11 @@ fn orthogonalize(w: &mut [f64], q: &[f64]) {
     }
 }
 
-/// The Lanczos half of [`eigen_top_k`] for `0 < 2k < n`; `None` when the
+/// The Lanczos half of [`eigen_top_k_csr`] for `0 < 2k < n`; `None` when the
 /// Krylov subspace would have to reach `n` (the caller then decomposes
 /// the matrix itself).
-fn lanczos_top_k(m: &Matrix, k: usize, tol: f64, scale: f64) -> Result<Option<EigenDecomposition>> {
-    let n = m.rows();
+fn lanczos_top_k(m: &SymCsr, k: usize, tol: f64, scale: f64) -> Result<Option<EigenDecomposition>> {
+    let n = m.n();
     let threshold = tol * scale;
     // A residual this small is rounding noise, not a direction.
     let breakdown = f64::EPSILON * scale * n as f64;
@@ -327,35 +428,30 @@ fn lanczos_top_k(m: &Matrix, k: usize, tol: f64, scale: f64) -> Result<Option<Ei
         }
         let Some(q_j) = next.take() else { break None };
         q.extend_from_slice(&q_j);
-        // w = M·q_j by rows of M (M is symmetric), so the inner loop is an
-        // axpy rather than a reduction.
+        // w = M·q_j, row by row (M is symmetric).
         w.fill(0.0);
-        for (&x, row) in q_j.iter().zip(m.data().chunks_exact(n)) {
-            axpy(&mut w, x, row);
-        }
+        m.mul_add(&q_j, &mut w);
         alpha.push(dot(&w, &q_j));
         orthogonalize(&mut w, &q);
         let b = dot(&w, &w).sqrt();
         let exhausted = b <= breakdown;
         if dim >= k && (exhausted || dim >= check_at) {
-            let mut t = Matrix::zeros(dim, dim);
-            for (i, &a) in alpha.iter().enumerate() {
-                t[(i, i)] = a;
-            }
-            for (i, &c) in beta.iter().enumerate() {
-                t[(i, i + 1)] = c;
-                t[(i + 1, i)] = c;
-            }
-            let ritz = eigen_symmetric(&t, tol)?;
-            if ritz.vectors.row(dim - 1)[..k].iter().all(|s| (b * s).abs() <= threshold) {
-                // Ritz vectors: V = Qᵀ S_k.
+            let (values, s) = tridiagonal_eigen(&alpha, &beta)?;
+            let top = s.data().chunks_exact(dim).take(k);
+            if top.clone().all(|s_c| (b * s_c[dim - 1]).abs() <= threshold) {
+                // Ritz vector c is Σ_i s_c[i] · q_i, summed in ascending i.
                 let mut vectors = Matrix::zeros(n, k);
-                for (q_i, s_i) in q.chunks_exact(n).zip(ritz.vectors.data().chunks_exact(dim)) {
-                    for (out, &x) in vectors.data_mut().chunks_exact_mut(k).zip(q_i) {
-                        axpy(out, x, &s_i[..k]);
+                let mut v_c = vec![0.0; n];
+                for (c, s_c) in top.enumerate() {
+                    v_c.fill(0.0);
+                    for (q_i, &x) in q.chunks_exact(n).zip(s_c) {
+                        axpy(&mut v_c, x, q_i);
+                    }
+                    for (j, &x) in v_c.iter().enumerate() {
+                        vectors[(j, c)] = x;
                     }
                 }
-                break Some(EigenDecomposition { values: ritz.values[..k].to_vec(), vectors });
+                break Some(EigenDecomposition { values: values[..k].to_vec(), vectors });
             }
             check_at = dim + dim / 2;
         }
@@ -380,6 +476,7 @@ fn lanczos_top_k(m: &Matrix, k: usize, tol: f64, scale: f64) -> Result<Option<Ei
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn close(a: f64, b: f64, eps: f64) -> bool {
         (a - b).abs() < eps
@@ -596,6 +693,92 @@ mod tests {
         let (a, b) = (full.reconstruct(4).unwrap(), top.reconstruct(4).unwrap());
         assert!(a.sub(&b).unwrap().frobenius() < 1e-9 * m.frobenius());
         assert!(top.reconstruct(5).is_err(), "only four pairs are held");
+    }
+
+    /// A random symmetric tridiagonal `(alpha, beta)` of dimension `dim` in
+    /// one of three shapes — `0`: generic; `1`: zero diagonal, so the
+    /// eigenvalues come in ±λ pairs; `2`: clustered, every value within
+    /// ~1e-8·scale of one centre — with about one coupling in five zeroed,
+    /// splitting the matrix into blocks.
+    fn random_tridiagonal(dim: usize, shape: u8, seed: u64, scale: f64) -> (Vec<f64>, Vec<f64>) {
+        let mut state = seed | 1;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+        };
+        let centre = next() * scale;
+        let alpha: Vec<f64> = (0..dim)
+            .map(|_| match shape {
+                0 => next() * scale,
+                1 => 0.0,
+                _ => centre + next() * 1e-9 * scale,
+            })
+            .collect();
+        let beta: Vec<f64> = (1..dim)
+            .map(|_| {
+                let b = next() * if shape == 2 { 1e-9 * scale } else { scale };
+                if next() < -0.6 {
+                    0.0
+                } else {
+                    b
+                }
+            })
+            .collect();
+        (alpha, beta)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Tridiagonal QL against the Jacobi oracle on the dense matrix:
+        /// the same values, true eigenvectors, an orthonormal basis, and
+        /// |λ| in descending order.
+        #[test]
+        fn tridiagonal_ql_matches_jacobi(
+            dim in 1usize..121,
+            shape in 0u8..3,
+            seed in any::<u64>(),
+            scale in 0.1f64..1000.0,
+        ) {
+            let (alpha, beta) = random_tridiagonal(dim, shape, seed, scale);
+            let mut t = Matrix::zeros(dim, dim);
+            for (i, &a) in alpha.iter().enumerate() {
+                t[(i, i)] = a;
+            }
+            for (i, &b) in beta.iter().enumerate() {
+                t[(i, i + 1)] = b;
+                t[(i + 1, i)] = b;
+            }
+            let tol = t.frobenius().max(1.0);
+            let (values, vectors) = tridiagonal_eigen(&alpha, &beta).expect("converges");
+            let oracle = eigen_symmetric(&t, 1e-13).expect("symmetric");
+            // ±λ ties may order differently: compare the values sorted.
+            let ascending = |v: &[f64]| {
+                let mut v = v.to_vec();
+                v.sort_by(f64::total_cmp);
+                v
+            };
+            for (a, b) in ascending(&values).iter().zip(ascending(&oracle.values)) {
+                prop_assert!((a - b).abs() <= 1e-10 * tol, "λ {} vs Jacobi {}", a, b);
+            }
+            for w in values.windows(2) {
+                prop_assert!(w[0].abs() >= w[1].abs(), "|λ| not descending: {:?}", w);
+            }
+            for (lambda, v) in values.iter().zip(vectors.data().chunks_exact(dim)) {
+                let res: f64 = (0..dim)
+                    .map(|i| (dot(t.row(i), v) - lambda * v[i]).powi(2))
+                    .sum();
+                prop_assert!(res.sqrt() <= 1e-10 * tol, "‖Tv − λv‖ = {}", res.sqrt());
+            }
+            let vvt = vectors.matmul(&vectors.transpose()).expect("square");
+            let worst = vvt
+                .sub(&Matrix::identity(dim))
+                .expect("square")
+                .data()
+                .iter()
+                .fold(0.0f64, |w, x| w.max(x.abs()));
+            prop_assert!(worst < 1e-12, "VᵀV − I has an entry of {}", worst);
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Dense linear algebra for communication-matrix analysis, from scratch.
+//! Linear algebra for communication-matrix analysis, from scratch.
 //!
 //! The paper's succinct-summaries analysis (§2.2) rests on one observation:
 //! cloud communication matrices are exceedingly low-rank, so a handful of
@@ -10,9 +10,12 @@
 //!   the analyses use (multiply, transpose, norms).
 //! * [`eigen`] — symmetric eigendecomposition: cyclic Jacobi for the full
 //!   spectrum (simple, robust, and exact enough at the few-hundred-node
-//!   scale of collapsed IP graphs) and [`eigen_top_k`], Lanczos for the k
-//!   leading eigenpairs, which is all the PCA summary and the anomaly
+//!   scale of collapsed IP graphs) and [`eigen_top_k_csr`], Lanczos for the
+//!   k leading eigenpairs, which is all the PCA summary and the anomaly
 //!   model read.
+//! * [`csr`] — [`SymCsr`], a sparse symmetric matrix in CSR form: the
+//!   operator the Lanczos solver and the PCA error profile run on, so a
+//!   graph's byte matrix is never densified.
 //! * [`pca`] — the paper's sparse transform `M_k = E_k D_k E_kᵀ` and its
 //!   `ReconErr` metric.
 //! * [`ica`] — FastICA (the paper's footnote 6 alternative), implemented
@@ -27,6 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod csr;
 pub mod eigen;
 pub mod error;
 pub mod ica;
@@ -36,10 +40,13 @@ pub mod pca;
 pub mod quantize;
 pub mod sym;
 
-pub use eigen::{eigen_symmetric, eigen_symmetric_with, eigen_top_k, EigenDecomposition};
+pub use csr::SymCsr;
+pub use eigen::{
+    eigen_symmetric, eigen_symmetric_with, eigen_top_k, eigen_top_k_csr, EigenDecomposition,
+};
 pub use error::{Error, Result};
 pub use ica::{fast_ica, IcaDecomposition};
 pub use matrix::Matrix;
 pub use par::Parallelism;
-pub use pca::{pca_sweep, pca_sweep_with, recon_err, sparse_transform, PcaSummary};
+pub use pca::{pca_sweep, pca_sweep_csr, pca_sweep_with, recon_err, sparse_transform, PcaSummary};
 pub use sym::SymMatrix;

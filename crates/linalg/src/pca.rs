@@ -6,7 +6,8 @@
 //! `ReconErr(M, M_25) < 0.05` on a > 500-node matrix — because redundancy
 //! (many replicas, same role) makes the matrix low-rank.
 
-use crate::eigen::{eigen_symmetric, eigen_top_k, EigenDecomposition};
+use crate::csr::SymCsr;
+use crate::eigen::{eigen_symmetric, eigen_top_k_csr, EigenDecomposition};
 use crate::error::{Error, Result};
 use crate::matrix::Matrix;
 use crate::par::{self, Parallelism};
@@ -60,7 +61,7 @@ pub struct PcaSummary {
 
 /// The reconstruction error at **every** k from 0 to the number of
 /// eigenpairs in `d` (n for [`eigen_symmetric`], fewer for
-/// [`eigen_top_k`]), computed incrementally (`M_k = M_{k-1} + λ_k v_k v_kᵀ`)
+/// [`eigen_top_k_csr`]), computed incrementally (`M_k = M_{k-1} + λ_k v_k v_kᵀ`)
 /// in O(n² · pairs) total.
 ///
 /// Needed because the entrywise-L1 error is *not* guaranteed monotone in k:
@@ -71,29 +72,45 @@ pub fn recon_err_profile(d: &EigenDecomposition, m: &Matrix) -> Result<Vec<f64>>
     recon_err_profile_with(d, m, Parallelism::serial())
 }
 
-/// [`recon_err_profile`] with the rows partitioned over workers.
-///
-/// Rows of `M − M_k` are independent at every k, so one team of workers
-/// takes a row band each and walks all the rank-1 updates over it,
-/// recording each row's `Σ|M − M_k|` for every k. The per-row sums run in
-/// column order and are folded in ascending row order, so the profile is
-/// bit-for-bit identical at any worker count (including 1).
+/// [`recon_err_profile_csr`] on the stored form of a dense symmetric
+/// matrix ([`SymCsr::from_dense`]), so the same bits either way.
 pub fn recon_err_profile_with(
     d: &EigenDecomposition,
     m: &Matrix,
     parallelism: Parallelism,
 ) -> Result<Vec<f64>> {
-    let n = m.rows();
+    recon_err_profile_csr(d, &SymCsr::from_dense(m)?, parallelism)
+}
+
+/// [`recon_err_profile`] of a sparse operator, with the rows partitioned
+/// over workers.
+///
+/// Rows of `M − M_k` are independent at every k, so each worker takes a
+/// band of rows and, one row at a time, scatters the row of M into an
+/// n-slot buffer and walks all the rank-1 updates over it, recording the
+/// row's `Σ|M − M_k|` for every k. Each element of `M_k` sums its terms in
+/// ascending k, each row sum runs in column order, and the row sums are
+/// folded in ascending row order, so the profile is bit-for-bit identical
+/// at any worker count (including 1). The exact entrywise L1 norm reads
+/// every entry of `M − M_k`, so the time stays O(n² · pairs), but no n × n
+/// buffer exists: a worker holds two rows, beside one shared copy of the
+/// eigenvectors as `pairs × n` rows.
+pub fn recon_err_profile_csr(
+    d: &EigenDecomposition,
+    m: &SymCsr,
+    parallelism: Parallelism,
+) -> Result<Vec<f64>> {
+    let n = m.n();
     let pairs = d.values.len();
-    if (d.vectors.rows(), d.vectors.cols()) != (n, pairs) || m.cols() != n {
+    if (d.vectors.rows(), d.vectors.cols()) != (n, pairs) {
         return Err(Error::InvalidArg(format!(
-            "decomposition of {} pairs over {} rows does not match matrix {}x{}",
+            "decomposition of {} pairs over {} rows does not match an n = {n} operator",
             pairs,
             d.vectors.rows(),
-            m.rows(),
-            m.cols()
         )));
     }
+    // Row c of `vt` is eigenvector c.
+    let vt = d.vectors.transpose();
     // row_err[i * (pairs + 1) + k] = Σ_j |M − M_k|[i, j].
     let width = pairs + 1;
     let mut row_err = vec![0.0; n * width];
@@ -104,27 +121,27 @@ pub fn recon_err_profile_with(
         .map(|(t, err_chunk)| (t * band, err_chunk))
         .collect();
     par::for_each_task(parallelism, tasks, |(first_row, err_chunk)| {
+        // Row i of M and of M_k.
+        let (mut m_row, mut mk_row) = (vec![0.0; n], vec![0.0; n]);
         for (r, err_row) in err_chunk.chunks_mut(width).enumerate() {
-            err_row[0] = m.row(first_row + r).iter().map(|v| v.abs()).sum();
-        }
-        // This band's rows of M_k, and column c of the eigenvectors.
-        let mut mk_band = vec![0.0; err_chunk.len() / width * n];
-        let mut v_c = vec![0.0; n];
-        for c in 0..pairs {
-            let lambda = d.values[c];
-            for (j, slot) in v_c.iter_mut().enumerate() {
-                *slot = d.vectors[(j, c)];
+            let i = first_row + r;
+            let (cols, vals) = m.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                m_row[j as usize] = v;
             }
-            let rows = mk_band.chunks_mut(n).zip(err_chunk.chunks_mut(width));
-            for (r, (mk_row, err_row)) in rows.enumerate() {
-                let i = first_row + r;
+            mk_row.fill(0.0);
+            err_row[0] = m_row.iter().map(|v| v.abs()).sum();
+            for (c, (&lambda, v_c)) in d.values.iter().zip(vt.data().chunks_exact(n)).enumerate() {
                 let vi = v_c[i] * lambda;
                 if vi != 0.0 {
-                    for (slot, vj) in mk_row.iter_mut().zip(&v_c) {
+                    for (slot, vj) in mk_row.iter_mut().zip(v_c) {
                         *slot += vi * vj;
                     }
                 }
-                err_row[c + 1] = m.row(i).iter().zip(&*mk_row).map(|(a, b)| (a - b).abs()).sum();
+                err_row[c + 1] = m_row.iter().zip(&mk_row).map(|(a, b)| (a - b).abs()).sum();
+            }
+            for &j in cols {
+                m_row[j as usize] = 0.0;
             }
         }
     });
@@ -135,7 +152,7 @@ pub fn recon_err_profile_with(
 /// Sweep reconstruction error across `ks` (decomposing once).
 ///
 /// `ks` values above the dimension are clamped to n, and only the
-/// `max(ks)` leading eigenpairs are computed ([`eigen_top_k`]).
+/// `max(ks)` leading eigenpairs are computed ([`eigen_top_k_csr`]).
 /// `k_for_5_percent` is the smallest k in `0..=max(ks)` whose error drops
 /// below 0.05, found by a full scan of the incremental profile up to there
 /// (robust to non-monotonicity).
@@ -154,11 +171,8 @@ pub fn pca_sweep(m: &Matrix, ks: &[usize]) -> Result<PcaSummary> {
     pca_sweep_with(m, ks, Parallelism::serial())
 }
 
-/// [`pca_sweep`] with the error profile's rows partitioned over workers.
-///
-/// The decomposition is the single-threaded [`eigen_top_k`] and the
-/// profile is [`recon_err_profile_with`], so the summary is bit-for-bit
-/// identical at any worker count.
+/// [`pca_sweep_csr`] on the stored form of a dense symmetric matrix
+/// ([`SymCsr::from_dense`]), so the same bits either way.
 pub fn pca_sweep_with(m: &Matrix, ks: &[usize], parallelism: Parallelism) -> Result<PcaSummary> {
     if m.rows() != m.cols() {
         return Err(Error::InvalidArg(format!(
@@ -167,10 +181,20 @@ pub fn pca_sweep_with(m: &Matrix, ks: &[usize], parallelism: Parallelism) -> Res
             m.cols()
         )));
     }
-    let n = m.rows();
+    pca_sweep_csr(&SymCsr::from_dense(m)?, ks, parallelism)
+}
+
+/// [`pca_sweep`] of a sparse symmetric operator, with the error profile's
+/// rows partitioned over workers.
+///
+/// The decomposition is the single-threaded [`eigen_top_k_csr`] and the
+/// profile is [`recon_err_profile_csr`], so the summary is bit-for-bit
+/// identical at any worker count.
+pub fn pca_sweep_csr(m: &SymCsr, ks: &[usize], parallelism: Parallelism) -> Result<PcaSummary> {
+    let n = m.n();
     let k_max = ks.iter().copied().max().unwrap_or(0).min(n);
-    let d = eigen_top_k(m, k_max, 1e-10)?;
-    let profile = recon_err_profile_with(&d, m, parallelism)?;
+    let d = eigen_top_k_csr(m, k_max, 1e-10)?;
+    let profile = recon_err_profile_csr(&d, m, parallelism)?;
     Ok(summarize(n, &profile, ks))
 }
 

@@ -1,10 +1,12 @@
 //! Property-based tests for the linear-algebra kernels.
 
-use linalg::eigen::{eigen_symmetric, eigen_top_k};
+use linalg::eigen::{eigen_symmetric, eigen_top_k, eigen_top_k_csr};
 use linalg::ica::fast_ica;
-use linalg::pca::{pca_sweep, pca_sweep_with, recon_err, recon_err_profile};
+use linalg::pca::{
+    pca_sweep, pca_sweep_csr, pca_sweep_with, recon_err, recon_err_profile, recon_err_profile_csr,
+};
 use linalg::quantize::{bucketize, log_normalize};
-use linalg::{Error, Matrix, Parallelism};
+use linalg::{Error, Matrix, Parallelism, SymCsr};
 use proptest::prelude::*;
 
 /// Arbitrary symmetric matrix with entries in [-scale, scale].
@@ -37,6 +39,35 @@ fn arb_symmetric_and_k() -> impl Strategy<Value = (Matrix, usize)> {
         let n = m.rows();
         (0..n + 1).prop_map(move |k| (m.clone(), k))
     })
+}
+
+/// A sparse symmetric operator of dimension `n` drawn from `seed`, shaped
+/// like a collapsed graph's byte matrix and then some: isolated nodes (empty
+/// rows), self-loops on the diagonal, explicitly stored zeros, and values of
+/// both signs over six decades.
+fn sparse_symmetric(n: usize, seed: u64) -> SymCsr {
+    let mut state = seed | 1;
+    let mut next = || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let density = 0.02 + 0.3 * next();
+    let isolated: Vec<bool> = (0..n).map(|_| next() < 0.15).collect();
+    let mut rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
+    for i in 0..n {
+        for j in i..n {
+            let p = if i == j { 0.3 } else { density };
+            if isolated[i] || isolated[j] || next() >= p {
+                continue;
+            }
+            let v = if next() < 0.1 { 0.0 } else { (next() - 0.3) * 10f64.powf(6.0 * next()) };
+            rows[i].push((j as u32, v));
+            if i != j {
+                rows[j].push((i as u32, v));
+            }
+        }
+    }
+    SymCsr::from_sorted_rows(n, rows).expect("ascending rows by construction")
 }
 
 /// Arbitrary non-negative symmetric matrix (byte-matrix-like).
@@ -138,6 +169,46 @@ proptest! {
                 prop_assert_eq!((a.k, a.err.to_bits()), (b.k, b.err.to_bits()));
             }
         }
+    }
+
+    /// The sparse operator and its dense form are one input to one kernel:
+    /// `eigen_top_k`, the error profile and the sweep return the same bits
+    /// from either, on both sides of the `2k < n` rule, and the profile
+    /// agrees with rebuilding `M_k` densely.
+    #[test]
+    fn sparse_and_dense_forms_agree_bit_for_bit(
+        n in 2usize..201,
+        k_pick in 0usize..31,
+        seed in any::<u64>(),
+    ) {
+        let sparse = sparse_symmetric(n, seed);
+        let dense = sparse.to_dense();
+        let k = k_pick.min(n);
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        let a = eigen_top_k(&dense, k, 1e-10).expect("symmetric, k <= n");
+        let b = eigen_top_k_csr(&sparse, k, 1e-10).expect("k <= n");
+        prop_assert_eq!(bits(&a.values), bits(&b.values));
+        prop_assert_eq!(bits(a.vectors.data()), bits(b.vectors.data()));
+        let serial = Parallelism::serial();
+        let from_dense = recon_err_profile(&a, &dense).expect("aligned");
+        let from_sparse = recon_err_profile_csr(&a, &sparse, serial).expect("aligned");
+        prop_assert_eq!(bits(&from_dense), bits(&from_sparse));
+        // The row walk against reconstruct-then-subtract, an independent path.
+        for j in [0, 1.min(k), k] {
+            let direct = recon_err(&dense, &a.reconstruct(j).expect("j <= k")).expect("square");
+            let tol = 1e-9 * direct.max(1.0);
+            prop_assert!((from_sparse[j] - direct).abs() <= tol, "k={}: {} vs {}", j, from_sparse[j], direct);
+        }
+        let ks = [0, 1, k];
+        let (x, y) = (
+            pca_sweep_with(&dense, &ks, Parallelism::new(2)).expect("square"),
+            pca_sweep_csr(&sparse, &ks, Parallelism::new(2)).expect("k <= n"),
+        );
+        prop_assert_eq!(x.k_for_5_percent, y.k_for_5_percent);
+        let errs = |s: &linalg::PcaSummary| -> Vec<(usize, u64)> {
+            s.errors.iter().map(|e| (e.k, e.err.to_bits())).collect()
+        };
+        prop_assert_eq!(errs(&x), errs(&y));
     }
 
     /// Bad input is an error at every k, never a panic.
