@@ -10,7 +10,7 @@
 use commgraph_graph::CommGraph;
 
 /// Names of the features [`node_features`] emits, in column order.
-pub const FEATURE_NAMES: [&str; 8] = [
+pub(crate) const FEATURE_NAMES: [&str; 8] = [
     "degree",
     "log_bytes",
     "log_conns",
@@ -23,7 +23,7 @@ pub const FEATURE_NAMES: [&str; 8] = [
 
 /// Per-node structural feature matrix (`n × 8`), z-score normalized per
 /// column so no single feature dominates k-means distances.
-pub fn node_features(g: &CommGraph) -> Vec<Vec<f64>> {
+pub(crate) fn node_features(g: &CommGraph) -> Vec<Vec<f64>> {
     let n = g.node_count();
     let mut raw = vec![vec![0.0f64; FEATURE_NAMES.len()]; n];
     for i in 0..n as u32 {

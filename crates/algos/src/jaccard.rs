@@ -211,13 +211,6 @@ impl MinHasher {
         matches as f64 / self.seeds.len() as f64
     }
 
-    /// Approximate pairwise similarity matrix: O(n·d̄·k + n²·k) but with a
-    /// much smaller constant than exact Jaccard on high-degree graphs.
-    pub fn similarity_matrix(&self, g: &WeightedGraph) -> SymMatrix {
-        let sets: Vec<Vec<u32>> = (0..g.node_count() as u32).map(|u| g.neighbor_set(u)).collect();
-        self.similarity_matrix_of_sets(&sets)
-    }
-
     /// Approximate pairwise similarity over arbitrary token sets, at the
     /// default [`Parallelism`].
     pub fn similarity_matrix_of_sets(&self, sets: &[Vec<u32>]) -> SymMatrix {
@@ -303,7 +296,8 @@ mod tests {
         let g = replica_graph();
         let exact = jaccard_matrix(&g);
         let mh = MinHasher::new(256, 42);
-        let approx = mh.similarity_matrix(&g);
+        let sets: Vec<Vec<u32>> = (0..g.node_count() as u32).map(|u| g.neighbor_set(u)).collect();
+        let approx = mh.similarity_matrix_of_sets(&sets);
         for i in 0..5 {
             for j in 0..5 {
                 if i == j {

@@ -6,13 +6,13 @@ use rand::{RngExt, SeedableRng};
 
 /// Result of a k-means run.
 #[derive(Debug, Clone)]
-pub struct KMeansResult {
+pub(crate) struct KMeansResult {
     /// Cluster label per point, dense `0..k`.
-    pub labels: Vec<usize>,
+    pub(crate) labels: Vec<usize>,
     /// Number of clusters actually used (empty clusters are compacted away).
-    pub k: usize,
+    pub(crate) k: usize,
     /// Final within-cluster sum of squared distances.
-    pub inertia: f64,
+    pub(crate) inertia: f64,
 }
 
 fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
@@ -23,7 +23,7 @@ fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
 ///
 /// # Panics
 /// Panics if `k` is zero or points have inconsistent dimensions.
-pub fn kmeans(points: &[Vec<f64>], k: usize, seed: u64, max_iter: usize) -> KMeansResult {
+pub(crate) fn kmeans(points: &[Vec<f64>], k: usize, seed: u64, max_iter: usize) -> KMeansResult {
     assert!(k > 0, "k must be positive");
     let n = points.len();
     if n == 0 {
@@ -127,7 +127,7 @@ pub fn kmeans(points: &[Vec<f64>], k: usize, seed: u64, max_iter: usize) -> KMea
 
 /// Pick k by the Calinski–Harabasz criterion over `2..=k_max`, returning
 /// the best clustering. Falls back to k = 1 when n < 3.
-pub fn kmeans_auto(points: &[Vec<f64>], k_max: usize, seed: u64) -> KMeansResult {
+pub(crate) fn kmeans_auto(points: &[Vec<f64>], k_max: usize, seed: u64) -> KMeansResult {
     let n = points.len();
     if n < 3 {
         return kmeans(points, 1, seed, 50);

@@ -27,10 +27,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod error;
-pub mod features;
+pub(crate) mod error;
+pub(crate) mod features;
 pub mod jaccard;
-pub mod kmeans;
+pub(crate) mod kmeans;
 pub mod louvain;
 pub mod metrics;
 pub mod roles;

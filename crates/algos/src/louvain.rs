@@ -33,7 +33,7 @@ pub struct LouvainResult {
     /// Modularity of the final partition.
     pub modularity: f64,
     /// Number of aggregation levels performed.
-    pub levels: usize,
+    pub(crate) levels: usize,
 }
 
 /// Modularity of a labeling on `g` at the given resolution (1.0 = classic).
@@ -88,7 +88,7 @@ pub fn louvain(g: &WeightedGraph) -> LouvainResult {
 
 /// Run Louvain at a custom resolution (γ > 1 yields more, smaller
 /// communities; γ < 1 fewer, larger ones).
-pub fn louvain_with_resolution(g: &WeightedGraph, resolution: f64) -> LouvainResult {
+pub(crate) fn louvain_with_resolution(g: &WeightedGraph, resolution: f64) -> LouvainResult {
     louvain_impl(g, resolution, None)
 }
 
@@ -102,7 +102,7 @@ pub fn louvain_with_resolution(g: &WeightedGraph, resolution: f64) -> LouvainRes
 /// `seed` assigns a community per node (any dense-ish labeling; it is
 /// compacted internally). Aggregation levels after the first proceed
 /// exactly as in [`louvain_with_resolution`].
-pub fn louvain_seeded(g: &WeightedGraph, resolution: f64, seed: &[usize]) -> LouvainResult {
+pub(crate) fn louvain_seeded(g: &WeightedGraph, resolution: f64, seed: &[usize]) -> LouvainResult {
     assert_eq!(seed.len(), g.node_count(), "one seed label per node");
     louvain_impl(g, resolution, Some(seed))
 }
@@ -162,14 +162,14 @@ fn louvain_impl(g: &WeightedGraph, resolution: f64, seed: Option<&[usize]>) -> L
 #[derive(Debug, Clone, Copy)]
 pub struct HierarchicalConfig {
     /// Do not attempt to split communities smaller than this.
-    pub min_split_size: usize,
+    pub(crate) min_split_size: usize,
     /// A community is split only if the Louvain run on its induced subgraph
     /// achieves at least this modularity (separates structure from noise).
-    pub min_split_modularity: f64,
+    pub(crate) min_split_modularity: f64,
     /// Maximum recursion depth.
-    pub max_depth: usize,
+    pub(crate) max_depth: usize,
     /// Resolution passed to every Louvain invocation.
-    pub resolution: f64,
+    pub(crate) resolution: f64,
 }
 
 impl Default for HierarchicalConfig {
@@ -205,7 +205,7 @@ pub fn hierarchical_louvain(g: &WeightedGraph, cfg: HierarchicalConfig) -> Louva
 /// refinement passes are untouched, so `levels` keeps the
 /// only-splitting-passes-count semantics: the seeded base run's aggregation
 /// levels plus one per refinement pass that actually split something.
-pub fn hierarchical_louvain_seeded(
+pub(crate) fn hierarchical_louvain_seeded(
     g: &WeightedGraph,
     cfg: HierarchicalConfig,
     seed: &[usize],

@@ -81,7 +81,7 @@ pub enum SegmentationMethod {
 
 impl SegmentationMethod {
     /// Short identifier used in experiment output.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             SegmentationMethod::JaccardLouvain { .. } => "jaccard+louvain",
             SegmentationMethod::MinHashLouvain { .. } => "minhash+louvain",
@@ -277,14 +277,14 @@ pub fn infer_roles_obs(
 #[derive(Debug, Clone)]
 pub struct RoleMemo {
     /// Inferred role label per previous-window node.
-    pub labels: Vec<usize>,
+    pub(crate) labels: Vec<usize>,
     /// The previous window's nodes, sorted (graph node order).
-    pub nodes: Vec<NodeId>,
+    pub(crate) nodes: Vec<NodeId>,
 }
 
 /// Incremental variant of the paper's Jaccard+Louvain role inference: the
 /// hierarchical Louvain base run is seeded from the previous window's
-/// partition ([`hierarchical_louvain_seeded`]). The scored clique is rebuilt
+/// partition (`hierarchical_louvain_seeded`). The scored clique is rebuilt
 /// from `g`'s token sets ([`jaccard_clique`]) — a full sparse build costs
 /// less than patching a dense matrix did — so the similarity stage reads
 /// neither `dirty` nor `parallelism`; both stay in the signature for the

@@ -49,12 +49,7 @@ pub fn simrank_with(g: &WeightedGraph, cfg: SimRankConfig, parallelism: Parallel
 }
 
 /// SimRank++: weight- and spread-aware transitions plus the evidence factor,
-/// at the default [`Parallelism`].
-pub fn simrank_pp(g: &WeightedGraph, cfg: SimRankConfig) -> SymMatrix {
-    simrank_pp_with(g, cfg, Parallelism::default())
-}
-
-/// SimRank++ with an explicit worker count (same determinism contract as
+/// with an explicit worker count (same determinism contract as
 /// [`simrank_with`]).
 pub fn simrank_pp_with(
     g: &WeightedGraph,
@@ -257,7 +252,7 @@ mod tests {
             8,
             &[(0, 6, 1.0), (1, 6, 1.0), (2, 6, 1.0), (2, 7, 1.0), (3, 6, 1.0), (3, 7, 1.0)],
         );
-        let spp = simrank_pp(&g, SimRankConfig::default());
+        let spp = simrank_pp_with(&g, SimRankConfig::default(), Parallelism::default());
         assert!(
             spp[(2, 3)] > spp[(0, 1)],
             "two shared neighbors ({}) must outscore one ({})",
@@ -276,7 +271,7 @@ mod tests {
             5,
             &[(0, 2, 100.0), (0, 3, 1.0), (1, 2, 1.0), (1, 3, 100.0), (4, 2, 50.0), (4, 3, 50.0)],
         );
-        let spp = simrank_pp(&g, SimRankConfig::default());
+        let spp = simrank_pp_with(&g, SimRankConfig::default(), Parallelism::default());
         let s = simrank(&g, SimRankConfig::default());
         // Unweighted SimRank sees 0 and 1 as structurally identical; the
         // weighted variant must not score them higher than it does.

@@ -76,13 +76,13 @@ pub fn byte_gini(g: &CommGraph) -> f64 {
 #[derive(Debug, Clone, Serialize)]
 pub struct Hub {
     /// Dense node index.
-    pub node: u32,
+    pub(crate) node: u32,
     /// Display string of the node id.
     pub label: String,
     /// Node degree.
     pub degree: u32,
     /// Node byte total.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
 }
 
 /// Find hub-and-spoke centers: nodes with degree ≥ `factor` × mean degree
@@ -119,7 +119,7 @@ pub struct ChattyClique {
     /// Fraction of possible internal edges present, in `(0, 1]`.
     pub density: f64,
     /// Bytes on internal edges.
-    pub internal_bytes: u64,
+    pub(crate) internal_bytes: u64,
 }
 
 /// Find chatty cliques: byte-weighted Louvain communities of ≥ `min_size`

@@ -21,7 +21,7 @@ pub struct WeightedGraph {
 
 impl WeightedGraph {
     /// Graph with `n` isolated nodes.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         WeightedGraph { adj: vec![Vec::new(); n], total_weight: 0.0 }
     }
 
@@ -40,7 +40,7 @@ impl WeightedGraph {
     /// Add an undirected edge. Zero weights are ignored; adding an edge
     /// that already exists coalesces into the stored entry (weights sum),
     /// so `(u, v, a)` then `(u, v, b)` is exactly `(u, v, a + b)`.
-    pub fn add_edge(&mut self, u: u32, v: u32, w: f64) {
+    pub(crate) fn add_edge(&mut self, u: u32, v: u32, w: f64) {
         assert!(w.is_finite() && w >= 0.0, "edge weight must be finite and non-negative");
         assert!((u as usize) < self.adj.len() && (v as usize) < self.adj.len(), "endpoint range");
         if w == 0.0 {
@@ -77,19 +77,19 @@ impl WeightedGraph {
 
     /// Neighbors of `u` with weights, sorted by neighbor id with one entry
     /// per neighbor. A self-loop appears once.
-    pub fn neighbors(&self, u: u32) -> &[(u32, f64)] {
+    pub(crate) fn neighbors(&self, u: u32) -> &[(u32, f64)] {
         &self.adj[u as usize]
     }
 
     /// Weighted degree of `u`: sum of incident weights, self-loops counted
     /// twice (the convention modularity expects).
-    pub fn weighted_degree(&self, u: u32) -> f64 {
+    pub(crate) fn weighted_degree(&self, u: u32) -> f64 {
         self.adj[u as usize].iter().map(|&(v, w)| if v == u { 2.0 * w } else { w }).sum()
     }
 
     /// Neighbor id set (unweighted), excluding self-loops. Sorted and
     /// duplicate-free by the adjacency invariant.
-    pub fn neighbor_set(&self, u: u32) -> Vec<u32> {
+    pub(crate) fn neighbor_set(&self, u: u32) -> Vec<u32> {
         self.adj[u as usize].iter().filter(|&&(n, _)| n != u).map(|&(n, _)| n).collect()
     }
 

@@ -14,15 +14,15 @@ use serde::Serialize;
 #[derive(Debug, Clone, Serialize)]
 pub struct CogsModel {
     /// Wire bytes per connection summary.
-    pub record_bytes: f64,
+    pub(crate) record_bytes: f64,
     /// Collection price in $/GB (Table 3: ~0.5).
-    pub price_per_gb_usd: f64,
+    pub(crate) price_per_gb_usd: f64,
     /// Hourly price of one cloud VM (paper: ~$0.5 for 8 cores).
-    pub vm_price_per_hour_usd: f64,
+    pub(crate) vm_price_per_hour_usd: f64,
     /// Measured analytics throughput, records/second per analytics VM.
-    pub analytics_records_per_sec_per_vm: f64,
+    pub(crate) analytics_records_per_sec_per_vm: f64,
     /// The market surcharge the paper argues is viable, $/hr/VM.
-    pub target_surcharge_per_vm_hour_usd: f64,
+    pub(crate) target_surcharge_per_vm_hour_usd: f64,
 }
 
 impl CogsModel {
@@ -42,7 +42,7 @@ impl CogsModel {
 #[derive(Debug, Clone, Serialize)]
 pub struct CogsReport {
     /// Monitored VMs in the cluster.
-    pub monitored_vms: usize,
+    pub(crate) monitored_vms: usize,
     /// Telemetry record rate, records/minute.
     pub records_per_min: f64,
     /// Telemetry volume, GB/day.
@@ -56,7 +56,7 @@ pub struct CogsReport {
     /// what lets small clusters amortize.
     pub analytics_vms_fractional: f64,
     /// Fractional analytics VMs per monitored VM (paper target ≈ 0.5%).
-    pub analytics_vm_fraction: f64,
+    pub(crate) analytics_vm_fraction: f64,
     /// Total surcharge per monitored VM per hour: collection + analytics.
     pub surcharge_per_vm_hour_usd: f64,
     /// Surcharge as a fraction of the VM price (paper target ≈ 4%).

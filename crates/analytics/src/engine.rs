@@ -51,19 +51,7 @@ pub struct EngineStats {
     /// memory, since at most two windows per subscription are held at once.
     pub edge_entries: usize,
     /// Wall-clock seconds from first ingest to finish.
-    pub elapsed_secs: f64,
-}
-
-impl EngineStats {
-    /// Ingest throughput: **raw records offered per wall-clock second**,
-    /// measured from first ingest to `finish`. This is a machine-speed
-    /// number ("how fast did we chew through the stream"), *not* the
-    /// telemetry arrival rate — for the per-active-minute arrival rate see
-    /// `PipelineOutput::mean_records_per_minute` in the core crate. Both
-    /// divide through [`obs::rate`], which guards zero durations.
-    pub fn records_per_sec(&self) -> f64 {
-        obs::rate::per_second(self.records_in, self.elapsed_secs)
-    }
+    pub(crate) elapsed_secs: f64,
 }
 
 #[cfg(test)]
@@ -160,13 +148,9 @@ mod tests {
     /// zero throughput, not inf/NaN.
     #[test]
     fn zero_duration_stats_report_zero_rates() {
-        let stats = EngineStats { records_in: 1_000, elapsed_secs: 0.0, ..EngineStats::default() };
-        assert_eq!(stats.records_per_sec(), 0.0);
-        let nan = EngineStats { records_in: 5, elapsed_secs: f64::NAN, ..EngineStats::default() };
-        assert_eq!(nan.records_per_sec(), 0.0);
         // A never-ingested engine reports elapsed 0.0 end to end.
         let s = run(EngineConfig::default(), &[], 1);
         assert_eq!(s.elapsed_secs, 0.0);
-        assert_eq!(s.records_per_sec(), 0.0);
+        assert_eq!(obs::rate::per_second(s.records_in, s.elapsed_secs), 0.0);
     }
 }

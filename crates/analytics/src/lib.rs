@@ -14,8 +14,6 @@
 //!   stream is one subscription on a one-shard pool.
 //! * [`sketch`] — SpaceSaving heavy-hitter tracking, the streaming
 //!   counterpart of the offline collapse threshold.
-//! * [`countmin`] — Count-Min point estimates for arbitrary edges in fixed
-//!   memory (the other half of the heavy-hitter mitigation).
 //! * [`memory`] — memory accounting for builder state ("the memory need is
 //!   proportional to the number of node pairs in the graph").
 //! * [`cogs`] — the dollars: collection cost at provider prices, analytics
@@ -25,16 +23,14 @@
 #![warn(missing_docs)]
 
 pub mod cogs;
-pub mod countmin;
 pub mod engine;
-pub mod error;
+pub(crate) mod error;
 pub mod memory;
 mod shard;
 pub mod sharded;
 pub mod sketch;
 
 pub use cogs::{CogsModel, CogsReport};
-pub use countmin::CountMin;
 pub use engine::{EngineConfig, EngineStats};
 pub use error::{Error, Result};
 pub use sharded::{ShardedConfig, ShardedEngine, ShardedStats, SubscriptionReport};

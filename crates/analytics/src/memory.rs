@@ -10,14 +10,14 @@ use commgraph_graph::CommGraph;
 /// Approximate heap bytes for one edge entry in the aggregation hash map:
 /// the `(NodeId, NodeId)` key (2 × 24 B enum), the `EdgeStats` value
 /// (5 × 8 B), and amortized hash-table overhead.
-pub const BYTES_PER_EDGE_ENTRY: usize = 112;
+pub(crate) const BYTES_PER_EDGE_ENTRY: usize = 112;
 
 /// Approximate heap bytes per node in the finished CSR snapshot: the id,
 /// its stats, and its adjacency-vector header.
-pub const BYTES_PER_NODE: usize = 88;
+pub(crate) const BYTES_PER_NODE: usize = 88;
 
 /// Approximate heap bytes per directed adjacency slot in the snapshot.
-pub const BYTES_PER_ADJ_SLOT: usize = 48;
+pub(crate) const BYTES_PER_ADJ_SLOT: usize = 48;
 
 /// Estimated working-set bytes of an aggregation map with `edges` entries.
 pub fn builder_bytes(edges: usize) -> usize {

@@ -5,7 +5,7 @@
 //! threads and nothing ever spawns another; a new subscription is placed on
 //! the shard with the fewest residents (ties to the lowest index) at first
 //! contact, and that thread alone owns its window tables (see
-//! [`crate::shard`]): at most two open windows per subscription, one window
+//! `crate::shard`): at most two open windows per subscription, one window
 //! of allowed lateness, each closed window assembled during ingest. The
 //! front door keeps only routing, delivery dedup and telemetry: it stages
 //! records per shard and hands a batch over once 4096 are staged, so a
@@ -153,13 +153,13 @@ pub struct SubscriptionReport {
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct ShardedStats {
     /// Distinct subscriptions that ingested at least one batch.
-    pub subscriptions: usize,
+    pub(crate) subscriptions: usize,
     /// Shard threads spawned and joined.
     pub shards: usize,
     /// Sum of per-subscription `records_in`.
     pub records_in: u64,
     /// Sum of per-subscription `records_kept`.
-    pub records_kept: u64,
+    pub(crate) records_kept: u64,
     /// Sum of per-subscription distinct edge entries — the memory driver
     /// across the whole tier.
     pub edge_entries: usize,

@@ -113,25 +113,6 @@ impl<T: Hash + Eq + Ord + Clone> SpaceSaving<T> {
         v.truncate(k);
         v
     }
-
-    /// Items whose *guaranteed* weight (`count − error`) is at least
-    /// `threshold_frac` of the total — safe heavy-hitter decisions.
-    pub fn guaranteed_heavy_hitters(&self, threshold_frac: f64) -> Vec<Entry<T>> {
-        assert!((0.0..=1.0).contains(&threshold_frac), "threshold in [0,1]");
-        let floor = (self.total as f64 * threshold_frac) as u64;
-        let mut v: Vec<Entry<T>> = self
-            .counters
-            .iter()
-            .filter(|(_, (count, error))| count.saturating_sub(*error) >= floor && *count > 0)
-            .map(|(item, (count, error))| Entry {
-                item: item.clone(),
-                count: *count,
-                error: *error,
-            })
-            .collect();
-        v.sort_by_key(|e| std::cmp::Reverse(e.count));
-        v
-    }
 }
 
 #[cfg(test)]
@@ -180,18 +161,6 @@ mod tests {
             assert!(e.count >= true_weight_of_7, "never underestimates");
             assert!(e.count - e.error <= true_weight_of_7, "lower bound holds");
         }
-    }
-
-    #[test]
-    fn guaranteed_heavy_hitters_are_conservative() {
-        let mut s = SpaceSaving::new(8);
-        s.insert("big", 9_000);
-        for i in 0..50 {
-            s.insert(Box::leak(format!("small{i}").into_boxed_str()) as &str, 20);
-        }
-        let hh = s.guaranteed_heavy_hitters(0.5);
-        assert_eq!(hh.len(), 1);
-        assert_eq!(hh[0].item, "big");
     }
 
     #[test]

@@ -51,22 +51,22 @@ pub struct AttackScenario {
 
 impl AttackScenario {
     /// Minutes during which the attack is active (half-open).
-    pub fn active_at(&self, minute: u64) -> bool {
+    pub(crate) fn active_at(&self, minute: u64) -> bool {
         (self.start_min..self.start_min + self.duration_min).contains(&minute)
     }
 }
 
 /// One attack-generated flow for a single minute, with its label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AttackFlow {
+pub(crate) struct AttackFlow {
     /// Flow identity from the attacker-side vantage.
-    pub key: FlowKey,
+    pub(crate) key: FlowKey,
     /// Bytes the attacker side sends this minute.
-    pub fwd_bytes: u64,
+    pub(crate) fwd_bytes: u64,
     /// Bytes returned this minute.
-    pub rev_bytes: u64,
+    pub(crate) rev_bytes: u64,
     /// Which attack produced it.
-    pub kind: AttackKind,
+    pub(crate) kind: AttackKind,
 }
 
 /// Ports lateral movement and scans probe: SSH, RDP, WinRM, SMB, plus a few
@@ -82,7 +82,7 @@ fn external_endpoint(salt: u64) -> Ipv4Addr {
 /// Stateful executor for one scenario. Created by the simulator at attack
 /// start; stepped every minute while active.
 #[derive(Debug)]
-pub struct AttackState {
+pub(crate) struct AttackState {
     scenario: AttackScenario,
     /// Lateral movement: the set of currently-infected internal IPs.
     infected: BTreeSet<Ipv4Addr>,
@@ -95,7 +95,7 @@ pub struct AttackState {
 impl AttackState {
     /// Initialize state for a scenario; the breached IP must belong to the
     /// simulated population.
-    pub fn new(scenario: AttackScenario, population: &[Ipv4Addr]) -> Result<Self> {
+    pub(crate) fn new(scenario: AttackScenario, population: &[Ipv4Addr]) -> Result<Self> {
         if !population.contains(&scenario.breached) {
             return Err(Error::UnknownIp(scenario.breached));
         }
@@ -107,13 +107,8 @@ impl AttackState {
         Ok(AttackState { scenario, infected, scan_cursor: 0, eph_port: 50_000 })
     }
 
-    /// The scenario being executed.
-    pub fn scenario(&self) -> &AttackScenario {
-        &self.scenario
-    }
-
     /// IPs currently compromised (ground truth for containment scoring).
-    pub fn infected(&self) -> &BTreeSet<Ipv4Addr> {
+    pub(crate) fn infected(&self) -> &BTreeSet<Ipv4Addr> {
         &self.infected
     }
 
@@ -124,7 +119,7 @@ impl AttackState {
 
     /// Generate this minute's attack flows. `population` is the current set
     /// of internal IPs (lateral movement picks victims from it).
-    pub fn step<R: RngExt + ?Sized>(
+    pub(crate) fn step<R: RngExt + ?Sized>(
         &mut self,
         minute: u64,
         population: &[Ipv4Addr],

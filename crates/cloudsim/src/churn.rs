@@ -11,13 +11,13 @@ use serde::{Deserialize, Serialize};
 
 /// One scheduled change to a role's replica count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ChurnEvent {
+pub(crate) struct ChurnEvent {
     /// Minute (from simulation start) the event applies.
-    pub at_min: u64,
+    pub(crate) at_min: u64,
     /// Role whose replica set changes.
-    pub role: RoleId,
+    pub(crate) role: RoleId,
     /// Positive to scale out, negative to scale in.
-    pub delta: i32,
+    pub(crate) delta: i32,
 }
 
 /// An ordered plan of churn events.
@@ -40,18 +40,8 @@ impl ChurnPlan {
     }
 
     /// Events that fire exactly at minute `t`.
-    pub fn events_at(&self, t: u64) -> impl Iterator<Item = &ChurnEvent> {
+    pub(crate) fn events_at(&self, t: u64) -> impl Iterator<Item = &ChurnEvent> {
         self.events.iter().filter(move |e| e.at_min == t)
-    }
-
-    /// All events, ordered by time.
-    pub fn events(&self) -> &[ChurnEvent] {
-        &self.events
-    }
-
-    /// Net replica delta for `role` over the whole plan.
-    pub fn net_delta(&self, role: RoleId) -> i64 {
-        self.events.iter().filter(|e| e.role == role).map(|e| e.delta as i64).sum()
     }
 }
 
@@ -63,16 +53,9 @@ mod tests {
     fn plan_sorts_and_filters() {
         let plan =
             ChurnPlan::none().with(30, RoleId(1), 4).with(10, RoleId(0), -2).with(30, RoleId(0), 1);
-        let ats: Vec<u64> = plan.events().iter().map(|e| e.at_min).collect();
+        let ats: Vec<u64> = plan.events.iter().map(|e| e.at_min).collect();
         assert_eq!(ats, vec![10, 30, 30]);
         assert_eq!(plan.events_at(30).count(), 2);
         assert_eq!(plan.events_at(11).count(), 0);
-    }
-
-    #[test]
-    fn net_delta_sums_per_role() {
-        let plan = ChurnPlan::none().with(1, RoleId(0), 5).with(2, RoleId(0), -2);
-        assert_eq!(plan.net_delta(RoleId(0)), 3);
-        assert_eq!(plan.net_delta(RoleId(9)), 0);
     }
 }

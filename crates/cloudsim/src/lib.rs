@@ -27,10 +27,10 @@
 //! * [`net`] — seeded delivery-network simulation: per-host agents, latency,
 //!   loss, duplication, and scripted faults (crashes, partitions, skew).
 //! * [`attack`] — breach and attack-simulation injectors with labeled flows.
-//! * [`sim`] — the minute-stepped engine that turns all of the above into a
+//! * `sim` — the minute-stepped engine that turns all of the above into a
 //!   connection-summary stream plus ground truth.
-//! * [`presets`] — the four reference clusters scaled to Table 1.
-//! * [`randx`] — the distribution samplers (Poisson, log-normal, Zipf) the
+//! * `presets` — the four reference clusters scaled to Table 1.
+//! * `randx` — the distribution samplers (Poisson, log-normal, Zipf) the
 //!   engine needs, built on `rand`'s uniform source.
 
 #![forbid(unsafe_code)]
@@ -38,13 +38,13 @@
 
 pub mod attack;
 pub mod churn;
-pub mod error;
+pub(crate) mod error;
 pub mod load;
 pub mod net;
-pub mod presets;
-pub mod randx;
+pub(crate) mod presets;
+pub(crate) mod randx;
 pub mod roles;
-pub mod sim;
+pub(crate) mod sim;
 pub mod topology;
 pub mod traffic;
 

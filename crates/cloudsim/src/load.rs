@@ -45,7 +45,7 @@ pub enum LoadShape {
 
 impl LoadShape {
     /// The multiplier at minute `t`.
-    pub fn factor_at(&self, t: u64) -> f64 {
+    pub(crate) fn factor_at(&self, t: u64) -> f64 {
         match *self {
             LoadShape::Constant => 1.0,
             LoadShape::Diurnal { period_min, amplitude, phase_min } => {
@@ -89,7 +89,7 @@ impl LoadSchedule {
     }
 
     /// Combined multiplier at minute `t`.
-    pub fn factor_at(&self, t: u64) -> f64 {
+    pub(crate) fn factor_at(&self, t: u64) -> f64 {
         self.shapes.iter().map(|s| s.factor_at(t)).product()
     }
 }

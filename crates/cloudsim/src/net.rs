@@ -249,8 +249,6 @@ pub struct Delivery {
     pub source: Ipv4Addr,
     /// The agent's monotone flush sequence number — re-deliveries repeat it.
     pub seq: u64,
-    /// Tick the packet left the agent.
-    pub sent_tick: u64,
     /// The flushed records.
     pub records: Vec<ConnSummary>,
 }
@@ -260,7 +258,7 @@ pub struct Delivery {
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct NetStats {
     /// Ticks stepped.
-    pub ticks: u64,
+    pub(crate) ticks: u64,
     /// Records offered to agents.
     pub offered_records: u64,
     /// Records lost at the agent (crashed buffer, or offered while down).
@@ -268,7 +266,7 @@ pub struct NetStats {
     /// Packets flushed into the network (replays included).
     pub flushed_packets: u64,
     /// Records flushed into the network (replays included).
-    pub flushed_records: u64,
+    pub(crate) flushed_records: u64,
     /// Packets the network lost in transit.
     pub dropped_packets: u64,
     /// Records inside packets the network lost.
@@ -316,7 +314,6 @@ impl Agent {
 struct Flight {
     source: Ipv4Addr,
     seq: u64,
-    sent_tick: u64,
     records: Vec<ConnSummary>,
 }
 
@@ -372,11 +369,6 @@ impl NetSim {
             rng,
             stats: NetStats::default(),
         })
-    }
-
-    /// The current logical tick (ticks fully stepped so far).
-    pub fn tick(&self) -> u64 {
-        self.tick
     }
 
     /// The network's counters so far.
@@ -460,12 +452,7 @@ impl NetSim {
             *high = (*high).max(f.seq + 1);
             self.stats.delivered_packets += 1;
             self.stats.delivered_records += f.records.len() as u64;
-            deliver(&Delivery {
-                source: f.source,
-                seq: f.seq,
-                sent_tick: f.sent_tick,
-                records: f.records,
-            });
+            deliver(&Delivery { source: f.source, seq: f.seq, records: f.records });
         }
         self.stats.ticks += 1;
         self.tick += 1;
@@ -539,10 +526,8 @@ impl NetSim {
             let latency = if hi > lo { lo + self.rng.random_range(0..hi - lo + 1) } else { lo };
             let id = self.next_msg;
             self.next_msg += 1;
-            self.in_flight.insert(
-                (tick + latency, id),
-                Flight { source, seq, sent_tick: tick, records: records.clone() },
-            );
+            self.in_flight
+                .insert((tick + latency, id), Flight { source, seq, records: records.clone() });
         }
     }
 }
@@ -564,21 +549,6 @@ pub mod scripts {
     pub fn crash_replay(host: Ipv4Addr, down_ticks: u64) -> FaultScript {
         FaultScript::new()
             .at(2, FaultEvent::Crash { host, down_ticks, mode: CrashMode::ReplayLastFlush })
-    }
-
-    /// Stall `host`'s flushes for `ticks` starting at tick 1.
-    pub fn delayed_flush(host: Ipv4Addr, ticks: u64) -> FaultScript {
-        FaultScript::new().at(1, FaultEvent::DelayFlush { host, ticks })
-    }
-
-    /// Skew `host`'s clock by `skew_secs` from tick 1 on.
-    pub fn clock_skew(host: Ipv4Addr, skew_secs: i64) -> FaultScript {
-        FaultScript::new().at(1, FaultEvent::SkewClock { host, skew_secs })
-    }
-
-    /// Partition `hosts` at tick 1, healing after `heal_after_ticks`.
-    pub fn partition(hosts: Vec<Ipv4Addr>, heal_after_ticks: u64) -> FaultScript {
-        FaultScript::new().at(1, FaultEvent::Partition { hosts, heal_after_ticks })
     }
 }
 
@@ -645,8 +615,8 @@ mod tests {
             let mut sim =
                 NetSim::new(NetConfig { seed, ..cfg.clone() }, FaultScript::new()).unwrap();
             let out = collect(&mut sim, 20, |t| vec![rec(t * 60, 1, 2), rec(t * 60, 2, 1)]);
-            let trace: Vec<(Ipv4Addr, u64, u64, usize)> =
-                out.iter().map(|d| (d.source, d.seq, d.sent_tick, d.records.len())).collect();
+            let trace: Vec<(Ipv4Addr, u64, usize)> =
+                out.iter().map(|d| (d.source, d.seq, d.records.len())).collect();
             (trace, sim.stats().clone())
         };
         assert_eq!(run(7), run(7), "same seed, byte-identical delivery trace");
@@ -693,8 +663,8 @@ mod tests {
 
     #[test]
     fn partition_holds_and_heals() {
-        let mut sim =
-            NetSim::new(NetConfig::clean(), scripts::partition(vec![ip(1), ip(3)], 3)).unwrap();
+        let cut = FaultEvent::Partition { hosts: vec![ip(1), ip(3)], heal_after_ticks: 3 };
+        let mut sim = NetSim::new(NetConfig::clean(), FaultScript::new().at(1, cut)).unwrap();
         let mut deliveries_by_tick: Vec<(u64, u64)> = Vec::new();
         for t in 0..6 {
             sim.offer(&[rec(t * 60, 1, 2), rec(t * 60, 3, 2), rec(t * 60, 5, 2)]);
@@ -713,7 +683,8 @@ mod tests {
 
     #[test]
     fn clock_skew_rewrites_buffered_timestamps() {
-        let mut sim = NetSim::new(NetConfig::clean(), scripts::clock_skew(ip(1), -50)).unwrap();
+        let skew = FaultScript::new().at(1, FaultEvent::SkewClock { host: ip(1), skew_secs: -50 });
+        let mut sim = NetSim::new(NetConfig::clean(), skew).unwrap();
         let out = collect(&mut sim, 3, |t| vec![rec(100 + t * 60, 1, 2)]);
         let ts: Vec<u64> = out.iter().flat_map(|d| d.records.iter().map(|r| r.ts)).collect();
         // Offers precede the tick's scripted events, so the skew set at

@@ -79,11 +79,6 @@ impl ClusterPreset {
         }
     }
 
-    /// Full-scale topology.
-    pub fn topology(self) -> Topology {
-        self.topology_scaled(1.0)
-    }
-
     /// Topology with replica counts multiplied by `scale` (floored at 1).
     /// Tests use small scales; experiments use 1.0.
     pub fn topology_scaled(self, scale: f64) -> Topology {
@@ -413,16 +408,16 @@ mod tests {
 
     #[test]
     fn monitored_counts_match_table1() {
-        assert_eq!(ClusterPreset::Portal.topology().monitored_count(), 4);
-        assert_eq!(ClusterPreset::MicroserviceBench.topology().monitored_count(), 16);
-        assert_eq!(ClusterPreset::K8sPaas.topology().monitored_count(), 390);
-        assert_eq!(ClusterPreset::KQuery.topology().monitored_count(), 1400);
+        assert_eq!(ClusterPreset::Portal.topology_scaled(1.0).monitored_count(), 4);
+        assert_eq!(ClusterPreset::MicroserviceBench.topology_scaled(1.0).monitored_count(), 16);
+        assert_eq!(ClusterPreset::K8sPaas.topology_scaled(1.0).monitored_count(), 390);
+        assert_eq!(ClusterPreset::KQuery.topology_scaled(1.0).monitored_count(), 1400);
     }
 
     #[test]
     fn scaled_topologies_shrink_but_keep_structure() {
         for p in ClusterPreset::all() {
-            let full = p.topology();
+            let full = p.topology_scaled(1.0);
             let small = p.topology_scaled(0.1);
             assert_eq!(full.roles.len(), small.roles.len(), "same roles");
             assert_eq!(full.edges.len(), small.edges.len(), "same edges");
@@ -435,7 +430,7 @@ mod tests {
     fn presets_have_distinct_address_spaces() {
         let mut octets = std::collections::HashSet::new();
         for p in ClusterPreset::all() {
-            assert!(octets.insert(p.topology().internal_octet), "octet collision");
+            assert!(octets.insert(p.topology_scaled(1.0).internal_octet), "octet collision");
         }
     }
 

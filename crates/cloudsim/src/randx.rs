@@ -9,7 +9,7 @@
 use rand::RngExt;
 
 /// Draw a standard normal via the Box–Muller transform.
-pub fn std_normal<R: RngExt + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn std_normal<R: RngExt + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = rng.random_range(f64::EPSILON..1.0);
     let u2: f64 = rng.random_range(0.0..1.0);
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
@@ -22,32 +22,27 @@ pub fn std_normal<R: RngExt + ?Sized>(rng: &mut R) -> f64 {
 /// the "most flows are mice, a few are elephants" regime the paper's CCDF
 /// (Figure 6) depends on.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogNormal {
+pub(crate) struct LogNormal {
     /// Median of the distribution (`exp(mu)`).
-    pub median: f64,
+    pub(crate) median: f64,
     /// Shape parameter; 0 collapses to the constant `median`.
-    pub sigma: f64,
+    pub(crate) sigma: f64,
 }
 
 impl LogNormal {
     /// Construct from median and sigma.
-    pub fn new(median: f64, sigma: f64) -> Self {
+    pub(crate) fn new(median: f64, sigma: f64) -> Self {
         assert!(median > 0.0, "log-normal median must be positive");
         assert!(sigma >= 0.0, "log-normal sigma must be non-negative");
         LogNormal { median, sigma }
     }
 
     /// Sample one value.
-    pub fn sample<R: RngExt + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample<R: RngExt + ?Sized>(&self, rng: &mut R) -> f64 {
         if self.sigma == 0.0 {
             return self.median;
         }
         self.median * (self.sigma * std_normal(rng)).exp()
-    }
-
-    /// Analytic mean: `median * exp(sigma^2 / 2)`.
-    pub fn mean(&self) -> f64 {
-        self.median * (self.sigma * self.sigma / 2.0).exp()
     }
 }
 
@@ -56,7 +51,7 @@ impl LogNormal {
 /// Uses Knuth's product method for small means and a clamped normal
 /// approximation for large ones, keeping the per-sample cost O(1) even for
 /// the multi-thousand-flows-per-minute rates of the KQuery preset.
-pub fn poisson<R: RngExt + ?Sized>(mean: f64, rng: &mut R) -> u64 {
+pub(crate) fn poisson<R: RngExt + ?Sized>(mean: f64, rng: &mut R) -> u64 {
     assert!(mean >= 0.0 && mean.is_finite(), "Poisson mean must be finite and >= 0");
     if mean == 0.0 {
         return 0;
@@ -80,7 +75,7 @@ pub fn poisson<R: RngExt + ?Sized>(mean: f64, rng: &mut R) -> u64 {
 /// Geometric number of *additional* intervals a flow stays alive, from the
 /// per-interval continuation probability. `continue_p = 0` means every flow
 /// lives exactly one interval.
-pub fn geometric_extra<R: RngExt + ?Sized>(continue_p: f64, rng: &mut R) -> u64 {
+pub(crate) fn geometric_extra<R: RngExt + ?Sized>(continue_p: f64, rng: &mut R) -> u64 {
     assert!((0.0..1.0).contains(&continue_p), "continuation probability must be in [0, 1)");
     if continue_p == 0.0 {
         return 0;
@@ -98,13 +93,13 @@ pub fn geometric_extra<R: RngExt + ?Sized>(continue_p: f64, rng: &mut R) -> u64 
 /// Used for client-popularity and query-target skew. Implemented by
 /// precomputing the CDF, O(log n) per sample.
 #[derive(Debug, Clone)]
-pub struct Zipf {
+pub(crate) struct Zipf {
     cdf: Vec<f64>,
 }
 
 impl Zipf {
     /// Build a Zipf sampler over `n` items with exponent `s` (s=0 → uniform).
-    pub fn new(n: usize, s: f64) -> Self {
+    pub(crate) fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf needs at least one item");
         assert!(s >= 0.0, "Zipf exponent must be non-negative");
         let mut cdf = Vec::with_capacity(n);
@@ -125,13 +120,8 @@ impl Zipf {
         self.cdf.len()
     }
 
-    /// True when the sampler covers no items (never: `new` requires n > 0).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
     /// Sample an index.
-    pub fn sample<R: RngExt + ?Sized>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: RngExt + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.random_range(0.0..1.0);
         // `total_cmp` is a total order over f64, so NaN (which `new` cannot
         // produce anyway) degrades to an ordinary comparison, not a panic.
@@ -173,7 +163,9 @@ mod tests {
         let median = samples[n / 2];
         assert!((median / 1000.0 - 1.0).abs() < 0.1, "median {median}");
         let mean = samples.iter().sum::<f64>() / n as f64;
-        assert!((mean / d.mean() - 1.0).abs() < 0.15, "mean {mean} vs {}", d.mean());
+        // Analytic mean: median · exp(σ² / 2).
+        let analytic = 1000.0 * 0.5f64.exp();
+        assert!((mean / analytic - 1.0).abs() < 0.15, "mean {mean} vs {analytic}");
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub enum RoleKind {
 impl RoleKind {
     /// Whether resources of this kind live inside the subscription and thus
     /// have their NIC telemetry collected.
-    pub fn is_monitored(self) -> bool {
+    pub(crate) fn is_monitored(self) -> bool {
         !matches!(self, RoleKind::ExternalClient | RoleKind::ExternalService)
     }
 }
@@ -50,29 +50,19 @@ pub struct Role {
     /// Identifier; equals the role's index in the topology.
     pub id: RoleId,
     /// Human-readable name, e.g. `"frontend"` or `"k8s-apiserver"`.
-    pub name: String,
+    pub(crate) name: String,
     /// Broad classification.
-    pub kind: RoleKind,
+    pub(crate) kind: RoleKind,
     /// Number of replicas (VMs/pods/clients) playing this role initially.
     pub replicas: usize,
     /// Ports this role accepts connections on; empty for pure clients.
-    pub service_ports: Vec<u16>,
+    pub(crate) service_ports: Vec<u16>,
 }
 
 impl Role {
     /// Whether this role's replicas contribute telemetry records.
-    pub fn is_monitored(&self) -> bool {
+    pub(crate) fn is_monitored(&self) -> bool {
         self.kind.is_monitored()
-    }
-
-    /// The port a connection to this role lands on, chosen round-robin by a
-    /// connection ordinal so multi-port roles spread load deterministically.
-    ///
-    /// # Panics
-    /// Panics if the role has no service ports (pure clients never accept).
-    pub fn service_port(&self, ordinal: u64) -> u16 {
-        assert!(!self.service_ports.is_empty(), "role {:?} accepts no connections", self.name);
-        self.service_ports[(ordinal % self.service_ports.len() as u64) as usize]
     }
 }
 
@@ -80,29 +70,11 @@ impl Role {
 mod tests {
     use super::*;
 
-    fn role(kind: RoleKind, ports: Vec<u16>) -> Role {
-        Role { id: RoleId(0), name: "test".into(), kind, replicas: 3, service_ports: ports }
-    }
-
     #[test]
     fn external_roles_are_unmonitored() {
         assert!(!RoleKind::ExternalClient.is_monitored());
         assert!(!RoleKind::ExternalService.is_monitored());
         assert!(RoleKind::Frontend.is_monitored());
         assert!(RoleKind::ControlPlane.is_monitored());
-    }
-
-    #[test]
-    fn service_port_round_robins() {
-        let r = role(RoleKind::Service, vec![80, 443]);
-        assert_eq!(r.service_port(0), 80);
-        assert_eq!(r.service_port(1), 443);
-        assert_eq!(r.service_port(2), 80);
-    }
-
-    #[test]
-    #[should_panic(expected = "accepts no connections")]
-    fn portless_role_panics_on_port_request() {
-        role(RoleKind::ExternalClient, vec![]).service_port(0);
     }
 }

@@ -147,28 +147,13 @@ impl Simulator {
         Ok(sim)
     }
 
-    /// The simulated topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
     /// Ground truth accumulated so far.
     pub fn ground_truth(&self) -> &GroundTruth {
         &self.truth
     }
 
-    /// The next minute to be simulated.
-    pub fn minute(&self) -> u64 {
-        self.minute
-    }
-
-    /// Count of currently live long-lived flows (diagnostics).
-    pub fn active_flows(&self) -> usize {
-        self.active.len()
-    }
-
     /// Current live internal (monitored) population.
-    pub fn internal_population(&self) -> Vec<Ipv4Addr> {
+    pub(crate) fn internal_population(&self) -> Vec<Ipv4Addr> {
         let mut out = Vec::new();
         for (role, ips) in self.replicas.iter().enumerate() {
             if self.topo.roles[role].is_monitored() {
@@ -185,7 +170,7 @@ impl Simulator {
     }
 
     /// Simulate one minute; returns that minute's records sorted by key.
-    pub fn step(&mut self) -> Vec<ConnSummary> {
+    pub(crate) fn step(&mut self) -> Vec<ConnSummary> {
         let minute = self.minute;
         let ts = minute * MINUTE;
         self.apply_churn(minute);

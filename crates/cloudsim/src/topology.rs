@@ -10,25 +10,25 @@ use std::net::Ipv4Addr;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RoleEdge {
     /// Initiating role.
-    pub src: RoleId,
+    pub(crate) src: RoleId,
     /// Accepting role.
-    pub dst: RoleId,
+    pub(crate) dst: RoleId,
     /// Traffic shape of the conversation.
-    pub profile: TrafficProfile,
+    pub(crate) profile: TrafficProfile,
 }
 
 /// A named deployment: the static description a simulator executes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Topology {
     /// Cluster name (e.g. `"K8s PaaS"`).
-    pub name: String,
+    pub(crate) name: String,
     /// Second octet of the internal `10.x.0.0/16` range, so different
     /// clusters in one process never collide.
-    pub internal_octet: u8,
+    pub(crate) internal_octet: u8,
     /// Role table; `RoleId(i)` indexes it.
-    pub roles: Vec<Role>,
+    pub(crate) roles: Vec<Role>,
     /// Directed role-to-role conversations.
-    pub edges: Vec<RoleEdge>,
+    pub(crate) edges: Vec<RoleEdge>,
 }
 
 /// Incrementally constructs a validated [`Topology`].
@@ -80,7 +80,7 @@ impl TopologyBuilder {
     /// is re-validated by every consumer anyway ([`crate::sim::Simulator::new`]
     /// runs [`Topology::validate`] before simulating). Prefer
     /// [`TopologyBuilder::build`] for user-assembled topologies.
-    pub fn build_unvalidated(self) -> Topology {
+    pub(crate) fn build_unvalidated(self) -> Topology {
         self.topo
     }
 }
@@ -98,7 +98,7 @@ impl Topology {
 
     /// Check internal consistency: edges reference existing roles, every
     /// destination accepts connections, every role has at least one replica.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         for (i, r) in self.roles.iter().enumerate() {
             if r.id.0 as usize != i {
                 return Err(Error::InvalidConfig(format!(
@@ -141,12 +141,14 @@ impl Topology {
 
     /// Total replicas whose telemetry is collected (the "#IPs monitored"
     /// column of Table 1).
-    pub fn monitored_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn monitored_count(&self) -> usize {
         self.roles.iter().filter(|r| r.is_monitored()).map(|r| r.replicas).sum()
     }
 
     /// Total replicas including external, unmonitored roles.
-    pub fn total_replicas(&self) -> usize {
+    #[cfg(test)]
+    fn total_replicas(&self) -> usize {
         self.roles.iter().map(|r| r.replicas).sum()
     }
 
@@ -187,7 +189,8 @@ impl Topology {
     }
 
     /// All initial `(ip, role)` assignments — the simulator's ground truth.
-    pub fn initial_assignments(&self) -> Result<Vec<(Ipv4Addr, RoleId)>> {
+    #[cfg(test)]
+    fn initial_assignments(&self) -> Result<Vec<(Ipv4Addr, RoleId)>> {
         let mut out = Vec::with_capacity(self.total_replicas());
         for r in &self.roles {
             for slot in 0..r.replicas {

@@ -31,27 +31,27 @@ pub enum Fanout {
 /// Average packet payload+header size used to derive packet counts from byte
 /// counts. Cloud east-west traffic mixes full MSS data packets with ACKs;
 /// ~900 B/packet is a reasonable blended average.
-pub const AVG_PACKET_BYTES: f64 = 900.0;
+pub(crate) const AVG_PACKET_BYTES: f64 = 900.0;
 
 /// A directed traffic pattern from every replica of a source role to the
 /// replicas of a destination role.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrafficProfile {
     /// Mean new connections per minute *per source replica* at load 1.0.
-    pub conns_per_min: f64,
+    pub(crate) conns_per_min: f64,
     /// Destination-choice policy.
-    pub fanout: Fanout,
+    pub(crate) fanout: Fanout,
     /// Distribution of bytes sent by the connection initiator, per minute of
     /// flow lifetime (median, sigma).
-    pub fwd_bytes_per_min: (f64, f64),
+    pub(crate) fwd_bytes_per_min: (f64, f64),
     /// Distribution of bytes sent back by the acceptor, per minute.
-    pub rev_bytes_per_min: (f64, f64),
+    pub(crate) rev_bytes_per_min: (f64, f64),
     /// Probability a live connection survives into the next minute.
     /// 0 ⇒ all connections are sub-minute; 0.9 ⇒ mean lifetime 10 minutes.
-    pub continue_p: f64,
+    pub(crate) continue_p: f64,
     /// Transport protocol of the conversation (TCP for almost everything in
     /// a cloud; UDP for DNS and some telemetry).
-    pub proto: Protocol,
+    pub(crate) proto: Protocol,
 }
 
 impl TrafficProfile {
@@ -94,36 +94,26 @@ impl TrafficProfile {
     }
 
     /// Override the transport protocol (builder style).
-    pub fn with_proto(mut self, proto: Protocol) -> Self {
+    pub(crate) fn with_proto(mut self, proto: Protocol) -> Self {
         self.proto = proto;
         self
     }
 
     /// Log-normal sampler for initiator bytes per minute.
-    pub fn fwd_dist(&self) -> LogNormal {
+    pub(crate) fn fwd_dist(&self) -> LogNormal {
         LogNormal::new(self.fwd_bytes_per_min.0.max(1.0), self.fwd_bytes_per_min.1)
     }
 
     /// Log-normal sampler for acceptor bytes per minute.
-    pub fn rev_dist(&self) -> LogNormal {
+    pub(crate) fn rev_dist(&self) -> LogNormal {
         LogNormal::new(self.rev_bytes_per_min.0.max(1.0), self.rev_bytes_per_min.1)
-    }
-
-    /// Expected new connections per minute from one source replica toward
-    /// `n_dst` destination replicas (the `All` fanout multiplies by fan-out
-    /// width; the others are per-connection policies).
-    pub fn expected_conns(&self, n_dst: usize) -> f64 {
-        match self.fanout {
-            Fanout::All => self.conns_per_min * n_dst as f64,
-            _ => self.conns_per_min,
-        }
     }
 }
 
 /// Derive a packet count from a byte count: at least one packet for any
 /// non-zero byte volume, otherwise bytes divided by the blended average
 /// packet size.
-pub fn packets_for_bytes(bytes: u64) -> u64 {
+pub(crate) fn packets_for_bytes(bytes: u64) -> u64 {
     if bytes == 0 {
         0
     } else {
@@ -148,13 +138,6 @@ mod tests {
     fn rpc_profile_is_short_lived() {
         let p = TrafficProfile::rpc(10.0, 500.0, 2000.0);
         assert_eq!(p.continue_p, 0.0);
-        assert_eq!(p.expected_conns(50), 10.0, "uniform fanout ignores dst count");
-    }
-
-    #[test]
-    fn all_fanout_multiplies_by_width() {
-        let p = TrafficProfile::bulk(2.0, 1e6, 1e4).with_fanout(Fanout::All);
-        assert_eq!(p.expected_conns(30), 60.0);
     }
 
     #[test]
@@ -179,17 +162,6 @@ mod tests {
         let p = TrafficProfile::rpc(1.0, 100.0, 100.0).with_proto(Protocol::Udp);
         assert_eq!(p.proto, Protocol::Udp);
         assert_eq!(TrafficProfile::bulk(1.0, 1e6, 1e4).proto, Protocol::Tcp);
-    }
-
-    #[test]
-    fn non_all_fanouts_are_per_connection_policies() {
-        // Sticky and Zipf shape *which* destination is picked, not how many
-        // connections exist — expected_conns must ignore the replica count.
-        for fanout in [Fanout::Uniform, Fanout::Sticky, Fanout::Zipf(1.2)] {
-            let p = TrafficProfile::rpc(7.0, 100.0, 100.0).with_fanout(fanout);
-            assert_eq!(p.expected_conns(1), 7.0);
-            assert_eq!(p.expected_conns(64), 7.0);
-        }
     }
 
     #[test]

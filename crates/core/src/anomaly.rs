@@ -49,8 +49,6 @@ pub struct PatternModel {
     /// columns of an n × k matrix, and its transpose.
     vk: Matrix,
     vkt: Matrix,
-    /// Components retained.
-    pub k: usize,
     /// Residual of the baseline against its own basis — the noise floor.
     pub baseline_residual: f64,
 }
@@ -59,7 +57,7 @@ pub struct PatternModel {
 #[derive(Debug, Clone, Serialize)]
 pub struct AnomalyScore {
     /// Window start time.
-    pub window_start: u64,
+    pub(crate) window_start: u64,
     /// Relative residual: `‖M − P(M)‖₁ / ‖M‖₁` after projecting onto the
     /// baseline eigenspace.
     pub residual: f64,
@@ -95,7 +93,7 @@ impl PatternModel {
         let vkt = vk.transpose();
         let nodes: Vec<NodeId> = baseline.nodes().to_vec();
         let index = nodes.iter().enumerate().map(|(i, n)| (*n, i)).collect();
-        let mut model = PatternModel { nodes, index, vk, vkt, k, baseline_residual: 0.0 };
+        let mut model = PatternModel { nodes, index, vk, vkt, baseline_residual: 0.0 };
         model.baseline_residual = model.residual_of(&m).map_err(AnomalyError::Fit)?;
         Ok(model)
     }

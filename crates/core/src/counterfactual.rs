@@ -8,7 +8,7 @@
 //!
 //! * [`capacity_plan`] — nodes carrying an outsized share of bytes are
 //!   candidates for a larger VM SKU (Figure 6's "where to invest").
-//! * [`proximity_plan`] — node pairs exchanging heavy traffic are
+//! * [`proximity_plan_filtered`] — node pairs exchanging heavy traffic are
 //!   candidates for the same availability zone / proximity group.
 
 use commgraph_graph::{Adjacent, CommGraph, NodeId};
@@ -24,7 +24,7 @@ pub struct FlowSizeDistribution {
     /// Quantiles of flow size in bytes: (q, size) for q ∈ {.5,.9,.99,1.0}.
     pub quantiles: Vec<(f64, u64)>,
     /// Mean flow size in bytes.
-    pub mean: f64,
+    pub(crate) mean: f64,
 }
 
 /// Group records into flows (canonical key) and summarize total sizes.
@@ -110,7 +110,7 @@ pub struct CapacityAdvice {
     /// Its share of total graph bytes.
     pub byte_share: f64,
     /// Its byte total.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Suggested action.
     pub action: &'static str,
 }
@@ -183,11 +183,6 @@ pub fn proximity_plan_filtered(
             action: "co-locate in one availability zone / proximity group",
         })
         .collect()
-}
-
-/// [`proximity_plan_filtered`] with every non-`Other` node placeable.
-pub fn proximity_plan(g: &CommGraph, top_k: usize) -> Vec<ProximityAdvice> {
-    proximity_plan_filtered(g, top_k, |_| true)
 }
 
 #[cfg(test)]
@@ -272,7 +267,7 @@ mod tests {
 
     #[test]
     fn proximity_plan_ranks_and_skips_other() {
-        let plan = proximity_plan(&graph(), 2);
+        let plan = proximity_plan_filtered(&graph(), 2, |_| true);
         assert_eq!(plan.len(), 2);
         assert_eq!(plan[0].bytes, 1_000_000);
         assert!(

@@ -111,6 +111,7 @@ enum Phase {
         // bound: one edge entry per distinct (local, remote) pair of the
         // learning period; spill entries ≤ its distinct (edge, port) pairs.
         period: Option<GraphBuilder>,
+        // bound: ≤ `learn_windows` graphs; a failed fit drops the oldest.
         graphs: Vec<CommGraph>,
     },
     Enforcing(Box<Baseline>),
@@ -256,11 +257,6 @@ impl SecurityMonitor {
         }
     }
 
-    /// True once the baseline is built and enforcement is active.
-    pub fn is_enforcing(&self) -> bool {
-        matches!(self.phase, Phase::Enforcing(_))
-    }
-
     /// Ingest a batch of records. Returns any events produced by windows
     /// that closed.
     ///
@@ -354,8 +350,10 @@ impl SecurityMonitor {
                         Ok(fitted) => fitted,
                         Err(e) => {
                             // Degenerate learning data (e.g. an empty or
-                            // unscorable first window): keep what was
-                            // learned, stay in learning, retry next boundary.
+                            // unscorable first window): drop the window the
+                            // fit read, stay in learning, and retry at the
+                            // next boundary on the windows after it.
+                            graphs.remove(0);
                             if self.obs.logs(Level::Warn) {
                                 self.obs.event(
                                     Level::Warn,
@@ -530,7 +528,7 @@ mod tests {
         sim.run(40, |_, batch| events.extend(monitor.ingest(batch)));
         events.extend(monitor.flush());
 
-        assert!(monitor.is_enforcing());
+        assert!(matches!(monitor.phase, Phase::Enforcing(_)));
         let baseline_ready = events.iter().any(|e| matches!(e, MonitorEvent::BaselineReady { .. }));
         assert!(baseline_ready, "baseline event emitted");
         let summaries: Vec<_> = events
@@ -918,12 +916,11 @@ mod tests {
         assert!(swept > 500, "the breach is in the sweep: {swept}");
     }
 
-    /// A first learning window whose graph is empty (its only record is the
-    /// copy vantage dedup leaves out) cannot fit the pattern model: every
-    /// boundary from `learn_windows` on defers the baseline with a warn
-    /// event, keeps what was learned, and the monitor stays in learning.
-    #[test]
-    fn unfittable_first_window_defers_the_baseline() {
+    /// One flow between two monitored VMs, as both vantages report it: the
+    /// copy dedup keeps and the copy it leaves out. A window holding only
+    /// the second closes on an empty graph, which the pattern model cannot
+    /// fit.
+    fn kept_and_deduped() -> (ConnSummary, ConnSummary) {
         use flowlog::record::FlowKey;
         let (a, b) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
         let flow = ConnSummary {
@@ -934,27 +931,64 @@ mod tests {
             bytes_sent: 100,
             bytes_rcvd: 100,
         };
-        let (kept, deduped) =
-            if flow.key.is_canonical() { (flow, flow.mirrored()) } else { (flow.mirrored(), flow) };
+        if flow.key.is_canonical() {
+            (flow, flow.mirrored())
+        } else {
+            (flow.mirrored(), flow)
+        }
+    }
+
+    fn deferred_count(registry: &obs::Registry) -> usize {
+        registry.events().iter().filter(|e| e.message == "baseline deferred").count()
+    }
+
+    /// An unfittable first learning window defers the baseline once, at the
+    /// first boundary, with a warn event; the failed fit drops that window,
+    /// so the next boundary fits on the next (non-empty) window and the
+    /// monitor enforces from then on.
+    #[test]
+    fn unfittable_first_window_defers_the_baseline() {
+        let (kept, deduped) = kept_and_deduped();
         let registry = std::sync::Arc::new(obs::Registry::new());
         let mut monitor = SecurityMonitor::with_obs(
             cfg(),
-            [a, b].into_iter().collect(),
+            [kept.key.local_ip, kept.key.remote_ip].into_iter().collect(),
             obs::Obs::new(registry.clone()),
         );
-        let mut events = monitor.ingest(&[deduped]);
-        for w in 1..4 {
-            events.extend(monitor.ingest(&[ConnSummary { ts: w * cfg().window_len, ..kept }]));
-        }
-        events.extend(monitor.flush());
-        assert!(events.is_empty(), "no baseline, no summaries: {events:?}");
-        assert!(!monitor.is_enforcing());
-        let deferred =
-            registry.events().iter().filter(|e| e.message == "baseline deferred").count();
-        assert_eq!(deferred, 3, "windows 1, 2 and 3 each closed on an unfittable baseline");
+        monitor.ingest(&[deduped]);
+        monitor.ingest(&[ConnSummary { ts: cfg().window_len, ..kept }]);
+        monitor.ingest(&[ConnSummary { ts: 2 * cfg().window_len, ..kept }]);
+        assert_eq!(deferred_count(&registry), 1, "window 0 deferred the first boundary");
+        assert!(matches!(monitor.phase, Phase::Learning { .. }));
+        monitor.ingest(&[ConnSummary { ts: 3 * cfg().window_len, ..kept }]);
+        assert_eq!(deferred_count(&registry), 1, "windows 1 and 2 fit");
+        assert!(matches!(monitor.phase, Phase::Enforcing(_)));
         let learning =
             registry.counter("commgraph_monitor_windows_total", "", &[("phase", "learning")]).get();
-        assert_eq!(learning, 4);
+        assert_eq!(learning, 3);
+    }
+
+    /// A fit that always fails holds a bounded learning state: however many
+    /// unfittable windows close, the monitor keeps at most `learn_windows`
+    /// graphs.
+    #[test]
+    fn always_failing_fit_holds_at_most_learn_windows_graphs() {
+        let (kept, deduped) = kept_and_deduped();
+        let registry = std::sync::Arc::new(obs::Registry::new());
+        let mut monitor = SecurityMonitor::with_obs(
+            cfg(),
+            [kept.key.local_ip, kept.key.remote_ip].into_iter().collect(),
+            obs::Obs::new(registry.clone()),
+        );
+        for w in 0..12 {
+            monitor.ingest(&[ConnSummary { ts: w * cfg().window_len, ..deduped }]);
+            let Phase::Learning { graphs, .. } = &monitor.phase else {
+                panic!("an empty window never fits")
+            };
+            assert!(graphs.len() <= cfg().learn_windows, "window {w}: {} graphs", graphs.len());
+        }
+        assert!(monitor.flush().is_empty());
+        assert_eq!(deferred_count(&registry), 11, "every boundary from window 1 on defers");
     }
 
     #[test]

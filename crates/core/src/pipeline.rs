@@ -70,7 +70,7 @@ pub struct PipelineOutput {
     /// maintenance every window conservatively reports all its nodes dirty.
     pub dirty_sets: Vec<Vec<NodeId>>,
     /// Records ingested per minute bucket (sorted by minute).
-    pub records_per_minute: Vec<(u64, u64)>,
+    pub(crate) records_per_minute: Vec<(u64, u64)>,
     /// Total records ingested:
     /// `kept_records + deduped_records + dropped_records`.
     pub total_records: u64,
@@ -296,8 +296,6 @@ const MIN_SCORE: f64 = 0.1;
 /// One window's analysis results (roles → µsegments → policy).
 #[derive(Debug, Clone)]
 pub struct WindowAnalysis {
-    /// Window start timestamp of the analyzed graph.
-    pub window_start: u64,
     /// Inferred roles.
     pub roles: RoleInference,
     /// µsegmentation derived from the roles.
@@ -347,6 +345,7 @@ pub struct WindowAnalysis {
 pub struct WindowAnalyzer {
     incremental: bool,
     monitored: Inventory,
+    /// Resolved once: the default reads the host's core count.
     parallelism: Parallelism,
     obs: Obs,
     memo: Option<RoleMemo>,
@@ -396,14 +395,6 @@ impl WindowAnalyzer {
             "Dirty-set size of the most recently analyzed window, per subscription.",
             &[("subscription", subscription)],
         )
-    }
-
-    /// Override the worker count handed to role inference (builder style).
-    /// The paper's method builds its clique and clusters it on one thread,
-    /// so neither results nor, today, timings depend on it.
-    pub fn with_parallelism(mut self, p: Parallelism) -> Self {
-        self.parallelism = p;
-        self
     }
 
     /// Attach an observability handle (builder style): stage spans for
@@ -512,7 +503,7 @@ impl WindowAnalyzer {
             scraper.scrape(self.tick);
             alerts.evaluate(self.tick, scraper.store());
         }
-        Ok(WindowAnalysis { window_start: g.window_start(), roles, segmentation, policy })
+        Ok(WindowAnalysis { roles, segmentation, policy })
     }
 
     /// Analyze every window of a finished pipeline in order.
@@ -746,33 +737,22 @@ mod tests {
             let out = finish(p);
             let monitored: HashSet<Ipv4Addr> =
                 recs.iter().flat_map(|r| [r.key.local_ip, r.key.remote_ip]).collect();
-            let mut an =
-                WindowAnalyzer::new(monitored, incremental).with_parallelism(Parallelism::new(2));
+            let mut an = WindowAnalyzer::new(monitored, incremental);
             an.analyze_output(&out).unwrap()
         };
         let incremental = run(true);
         let full = run(false);
         assert_eq!(incremental.len(), 3);
         assert_eq!(incremental.len(), full.len());
-        for (i, f) in incremental.iter().zip(&full) {
-            assert_eq!(i.window_start, f.window_start);
-            assert_eq!(i.roles.labels, f.roles.labels, "window {}", i.window_start);
-            assert_eq!(
-                i.roles.clustering_modularity, f.roles.clustering_modularity,
-                "window {}",
-                i.window_start
-            );
-            assert_eq!(
-                i.policy.rules(),
-                f.policy.rules(),
-                "bit-exact policy, window {}",
-                i.window_start
-            );
+        for (w, (i, f)) in incremental.iter().zip(&full).enumerate() {
+            assert_eq!(i.roles.labels, f.roles.labels, "window {w}");
+            assert_eq!(i.roles.clustering_modularity, f.roles.clustering_modularity, "window {w}");
+            assert_eq!(i.policy.rules(), f.policy.rules(), "bit-exact policy, window {w}");
             let inames: Vec<&str> =
                 i.segmentation.segments().iter().map(|s| s.name.as_str()).collect();
             let fnames: Vec<&str> =
                 f.segmentation.segments().iter().map(|s| s.name.as_str()).collect();
-            assert_eq!(inames, fnames, "window {}", i.window_start);
+            assert_eq!(inames, fnames, "window {w}");
         }
     }
 
@@ -789,36 +769,13 @@ mod tests {
             recs.iter().flat_map(|r| [r.key.local_ip, r.key.remote_ip]).collect();
         let analyses = WindowAnalyzer::new(monitored, true).analyze_output(&out).unwrap();
         assert_eq!(analyses.len(), 3);
-        for a in &analyses {
-            let window: Vec<ConnSummary> = recs
-                .iter()
-                .filter(|r| bucket_start(r.ts, 3600) == a.window_start)
-                .copied()
-                .collect();
+        for (a, g) in analyses.iter().zip(out.sequence.graphs()) {
+            let start = g.window_start();
+            let window: Vec<ConnSummary> =
+                recs.iter().filter(|r| bucket_start(r.ts, 3600) == start).copied().collect();
             let want = SegmentPolicy::learn(&window, &a.segmentation, true);
-            assert_eq!(a.policy.rules(), want.rules(), "window {}", a.window_start);
+            assert_eq!(a.policy.rules(), want.rules(), "window {start}");
             assert!(a.policy.rule_count() > 0);
-        }
-    }
-
-    #[test]
-    fn incremental_analysis_is_worker_count_invariant() {
-        let recs = churn_stream();
-        let monitored: HashSet<Ipv4Addr> =
-            recs.iter().flat_map(|r| [r.key.local_ip, r.key.remote_ip]).collect();
-        let mut p = Pipeline::new(PipelineConfig::default());
-        p.ingest(&recs);
-        let out = finish(p);
-        let mut baseline: Option<Vec<Vec<usize>>> = None;
-        for workers in [1, 2, 8] {
-            let mut an = WindowAnalyzer::new(monitored.clone(), true)
-                .with_parallelism(Parallelism::new(workers));
-            let labels: Vec<Vec<usize>> =
-                an.analyze_output(&out).unwrap().into_iter().map(|w| w.roles.labels).collect();
-            match &baseline {
-                None => baseline = Some(labels),
-                Some(b) => assert_eq!(&labels, b, "{workers} workers"),
-            }
         }
     }
 

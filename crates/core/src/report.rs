@@ -16,75 +16,75 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone, Serialize)]
 pub struct SecurityReport {
     /// Window metadata.
-    pub window_start: u64,
+    pub(crate) window_start: u64,
     /// Window length in seconds.
-    pub window_len: u64,
+    pub(crate) window_len: u64,
     /// Records analyzed.
-    pub records: u64,
+    pub(crate) records: u64,
     /// Monitored resources.
-    pub monitored: usize,
+    pub(crate) monitored: usize,
     /// Graph shape.
-    pub graph: GraphSection,
+    pub(crate) graph: GraphSection,
     /// Segmentation posture.
-    pub segmentation: SegmentationSection,
+    pub(crate) segmentation: SegmentationSection,
     /// Traffic concentration.
-    pub traffic: TrafficSection,
+    pub(crate) traffic: TrafficSection,
     /// Rule-compilation feasibility.
-    pub rules: RuleSection,
+    pub(crate) rules: RuleSection,
 }
 
 /// Graph shape numbers.
 #[derive(Debug, Clone, Serialize)]
 pub struct GraphSection {
     /// Nodes in the collapsed IP graph.
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Edges.
-    pub edges: usize,
+    pub(crate) edges: usize,
     /// Bytes moved in the window.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Distinct connections.
-    pub conns: u64,
+    pub(crate) conns: u64,
     /// Hub nodes (degree ≥ 5× mean) — likely control-plane components.
-    pub hubs: Vec<String>,
+    pub(crate) hubs: Vec<String>,
 }
 
 /// Segmentation posture numbers.
 #[derive(Debug, Clone, Serialize)]
 pub struct SegmentationSection {
     /// Inferred roles.
-    pub roles: usize,
+    pub(crate) roles: usize,
     /// µsegments (roles split by internal/external membership).
-    pub segments: usize,
+    pub(crate) segments: usize,
     /// Learned allow rules (everything else denied).
-    pub allow_rules: usize,
+    pub(crate) allow_rules: usize,
     /// Mean resources a breached VM can reach directly under policy.
-    pub mean_blast_direct: f64,
+    pub(crate) mean_blast_direct: f64,
     /// Worst-case direct reach.
-    pub max_blast_direct: usize,
+    pub(crate) max_blast_direct: usize,
     /// Blast reduction factor vs unsegmented.
-    pub blast_reduction: f64,
+    pub(crate) blast_reduction: f64,
 }
 
 /// Traffic concentration numbers.
 #[derive(Debug, Clone, Serialize)]
 pub struct TrafficSection {
     /// Byte share of the heaviest 5% of nodes.
-    pub top5_share: f64,
+    pub(crate) top5_share: f64,
     /// Gini coefficient of per-node bytes.
-    pub gini: f64,
+    pub(crate) gini: f64,
 }
 
 /// Rule-compilation feasibility numbers.
 #[derive(Debug, Clone, Serialize)]
 pub struct RuleSection {
     /// Max per-VM rules under naive per-IP unrolling.
-    pub max_ip_rules: usize,
+    pub(crate) max_ip_rules: usize,
     /// VMs over the per-VM budget with per-IP rules.
-    pub vms_over_limit: usize,
+    pub(crate) vms_over_limit: usize,
     /// Max per-VM rules with tag enforcement.
-    pub max_tag_rules: usize,
+    pub(crate) max_tag_rules: usize,
     /// Fleet-wide rule ratio (ip / tag).
-    pub tag_compression: f64,
+    pub(crate) tag_compression: f64,
 }
 
 /// Assemble the report from a workbench session.

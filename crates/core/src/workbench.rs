@@ -4,7 +4,7 @@
 //! roles → segments → policy → security/summary analyses. [`Workbench`]
 //! holds the window's graph — aggregated from records by
 //! [`Workbench::new`], or by a [`GraphBuilder`] the caller fed record by
-//! record ([`Workbench::from_builder`]) — and memoizes each stage, so callers
+//! record (`Workbench::from_builder`) — and memoizes each stage, so callers
 //! write three lines instead of thirty and never recompute an
 //! eigendecomposition. It keeps no record.
 
@@ -50,7 +50,7 @@ impl Workbench {
     /// inventory is the session's. The builder may have been fed as the
     /// records streamed past — a monitor's learning period — so the window
     /// never existed as a record buffer.
-    pub fn from_builder(b: GraphBuilder) -> Self {
+    pub(crate) fn from_builder(b: GraphBuilder) -> Self {
         Workbench {
             records: b.record_counts().0,
             monitored: b.monitored().clone(),
@@ -86,7 +86,7 @@ impl Workbench {
     }
 
     /// Records offered to the window's graph, vantage duplicates included.
-    pub fn record_count(&self) -> u64 {
+    pub(crate) fn record_count(&self) -> u64 {
         self.records
     }
 

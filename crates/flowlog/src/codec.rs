@@ -3,8 +3,7 @@
 //! Two formats, both lossless for the Table 2 schema:
 //!
 //! * **Text** — one comma-separated line per record, in the spirit of the
-//!   NSG/VPC flow-log export formats, convenient for eyeballing and for
-//!   interchange with plotting scripts.
+//!   NSG/VPC flow-log export formats, convenient for eyeballing.
 //! * **Binary** — a fixed-width framed format (magic + version + count +
 //!   records) used where the text overhead matters, e.g. replaying
 //!   multi-million-record streams into benchmarks. Built on [`bytes`].
@@ -16,10 +15,6 @@ use crate::error::{Error, Result};
 use crate::record::{ConnSummary, FlowKey, Protocol};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::net::Ipv4Addr;
-
-/// Header line describing the text format's columns.
-pub const TEXT_HEADER: &str =
-    "ts,proto,local_ip,local_port,remote_ip,remote_port,pkts_sent,pkts_rcvd,bytes_sent,bytes_rcvd";
 
 /// Encode one record as a text line (no trailing newline).
 pub fn encode_line(s: &ConnSummary) -> String {
@@ -43,7 +38,6 @@ pub fn decode_line(line: &str) -> Result<ConnSummary> {
     let fields: Vec<&str> = line.trim_end().split(',').collect();
     if fields.len() != 10 {
         return Err(Error::MalformedLine {
-            line: 0,
             reason: format!("expected 10 fields, found {}", fields.len()),
         });
     }
@@ -69,47 +63,8 @@ pub fn decode_line(line: &str) -> Result<ConnSummary> {
     })
 }
 
-/// Encode a batch as text: header line followed by one line per record.
-pub fn encode_text(records: &[ConnSummary]) -> String {
-    let mut out = String::with_capacity(TEXT_HEADER.len() + 1 + records.len() * 64);
-    out.push_str(TEXT_HEADER);
-    out.push('\n');
-    for r in records {
-        out.push_str(&encode_line(r));
-        out.push('\n');
-    }
-    out
-}
-
-/// Decode a text batch. The header line is required; blank lines are skipped.
-pub fn decode_text(text: &str) -> Result<Vec<ConnSummary>> {
-    let mut lines = text.lines().enumerate();
-    match lines.next() {
-        Some((_, h)) if h.trim_end() == TEXT_HEADER => {}
-        Some((_, h)) => {
-            return Err(Error::MalformedLine {
-                line: 0,
-                reason: format!("missing or wrong header, got {h:?}"),
-            })
-        }
-        None => return Ok(Vec::new()),
-    }
-    let mut out = Vec::new();
-    for (idx, line) in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let rec = decode_line(line).map_err(|e| match e {
-            Error::MalformedLine { reason, .. } => Error::MalformedLine { line: idx, reason },
-            other => other,
-        })?;
-        out.push(rec);
-    }
-    Ok(out)
-}
-
 /// Magic bytes opening every binary frame.
-pub const BINARY_MAGIC: &[u8; 4] = b"CGF\x01";
+pub(crate) const BINARY_MAGIC: &[u8; 4] = b"CGF\x01";
 
 /// Fixed on-wire size of one binary record.
 pub const BINARY_RECORD_SIZE: usize = 8 + 4 + 2 + 4 + 2 + 1 + 8 * 4;
@@ -211,7 +166,9 @@ mod tests {
     #[test]
     fn text_batch_round_trip() {
         let recs: Vec<_> = (0..50).map(rec).collect();
-        assert_eq!(decode_text(&encode_text(&recs)).unwrap(), recs);
+        let text: String = recs.iter().map(|r| encode_line(r) + "\n").collect();
+        let back: Vec<_> = text.lines().map(|l| decode_line(l).unwrap()).collect();
+        assert_eq!(back, recs);
     }
 
     #[test]
@@ -226,22 +183,6 @@ mod tests {
         match decode_line(line).unwrap_err() {
             Error::BadField { field, .. } => assert_eq!(field, "local_ip"),
             other => panic!("expected BadField, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn text_header_is_mandatory() {
-        let body = encode_line(&rec(1));
-        assert!(decode_text(&body).is_err());
-    }
-
-    #[test]
-    fn text_error_reports_line_number() {
-        let mut text = encode_text(&[rec(0), rec(1)]);
-        text.push_str("this,is,broken\n");
-        match decode_text(&text).unwrap_err() {
-            Error::MalformedLine { line, .. } => assert_eq!(line, 3),
-            other => panic!("expected MalformedLine, got {other:?}"),
         }
     }
 
@@ -301,7 +242,7 @@ mod tests {
     fn binary_is_denser_than_text() {
         let recs: Vec<_> = (0..1000).map(rec).collect();
         let b = encode_binary(&recs).len();
-        let t = encode_text(&recs).len();
+        let t: usize = recs.iter().map(|r| encode_line(r).len() + 1).sum();
         assert!(b < t, "binary ({b}) should beat text ({t})");
     }
 }

@@ -10,8 +10,6 @@ pub type Result<T> = std::result::Result<T, Error>;
 pub enum Error {
     /// A text flow-log line did not have the expected number of fields.
     MalformedLine {
-        /// 0-based line number within the parsed block, if known.
-        line: usize,
         /// Human-readable description of what was wrong.
         reason: String,
     },
@@ -33,9 +31,7 @@ pub enum Error {
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Error::MalformedLine { line, reason } => {
-                write!(f, "malformed flow-log line {line}: {reason}")
-            }
+            Error::MalformedLine { reason } => write!(f, "malformed flow-log line: {reason}"),
             Error::BadField { field, value } => {
                 write!(f, "bad value for field `{field}`: {value:?}")
             }

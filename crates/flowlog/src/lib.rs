@@ -14,8 +14,8 @@
 //!   as deployed by providers that sample to reduce cost.
 //! * [`nic`] — a simulated smartNIC flow table plus the host agent that
 //!   periodically drains it into connection summaries (Figure 7).
-//! * [`codec`] — text (flow-log line) and binary codecs for summary streams.
-//! * [`nsg`] — Azure-NSG-style JSON interchange (v2 flow tuples).
+//! * [`codec`] — the text flow-log line and the framed binary batch.
+//! * [`nsg`] — Azure-NSG-style v2 flow tuples.
 //! * [`time`] — aggregation-bucket helpers.
 //!
 //! The design goal mirrors the paper's: everything downstream (graph
@@ -27,7 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod error;
+pub(crate) mod error;
 pub mod nic;
 pub mod nsg;
 pub mod provider;

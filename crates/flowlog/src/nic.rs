@@ -4,7 +4,7 @@
 //! state for network virtualization; recording a few counters per flow is a
 //! small additional burden. This module simulates that capture path:
 //!
-//! * [`FlowTable`] — bounded per-flow counter state living "on the NIC".
+//! * `FlowTable` — bounded per-flow counter state living "on the NIC".
 //!   When the table is full, the least-recently-active flow is evicted and
 //!   its counters are flushed as an early summary, so **no traffic is ever
 //!   lost** — an invariant the tests and property tests pin down.
@@ -56,27 +56,12 @@ impl FlowState {
     }
 }
 
-/// Counters describing flow-table behaviour, for capacity planning.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlowTableStats {
-    /// Packets observed in total.
-    pub packets_observed: u64,
-    /// Bytes observed in total.
-    pub bytes_observed: u64,
-    /// Flows evicted early because the table was full.
-    pub evictions: u64,
-    /// Summaries emitted (drains + evictions).
-    pub summaries_emitted: u64,
-    /// High-water mark of concurrent flows.
-    pub max_occupancy: usize,
-}
-
 /// Bounded per-flow counter table, as kept in smartNIC memory.
 ///
 /// The memory footprint of real NIC telemetry is proportional to the number
 /// of concurrent flows; `capacity` models that bound.
 #[derive(Debug)]
-pub struct FlowTable {
+pub(crate) struct FlowTable {
     flows: HashMap<FlowKey, FlowState>,
     /// LRU index: `(last_seen, key)` mirrors `flows`, so the eviction victim
     /// is always the first element — O(log n) per touch instead of a full
@@ -84,7 +69,6 @@ pub struct FlowTable {
     lru: BTreeSet<(u64, FlowKey)>,
     capacity: usize,
     agg_interval: u64,
-    stats: FlowTableStats,
 }
 
 impl FlowTable {
@@ -93,7 +77,7 @@ impl FlowTable {
     ///
     /// # Panics
     /// Panics if `capacity` or `agg_interval` is zero.
-    pub fn new(capacity: usize, agg_interval: u64) -> Self {
+    pub(crate) fn new(capacity: usize, agg_interval: u64) -> Self {
         assert!(capacity > 0, "flow table capacity must be positive");
         assert!(agg_interval > 0, "aggregation interval must be positive");
         FlowTable {
@@ -101,18 +85,7 @@ impl FlowTable {
             lru: BTreeSet::new(),
             capacity,
             agg_interval,
-            stats: FlowTableStats::default(),
         }
-    }
-
-    /// Number of flows currently tracked.
-    pub fn occupancy(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// Behaviour counters.
-    pub fn stats(&self) -> FlowTableStats {
-        self.stats
     }
 
     /// Record `pkts` packets totalling `bytes` for `key` at time `ts`.
@@ -120,7 +93,7 @@ impl FlowTable {
     /// If the flow is new and the table is full, the least-recently-active
     /// flow is evicted and returned as an early summary that the host agent
     /// must forward; its counters are flushed, never dropped.
-    pub fn observe(
+    pub(crate) fn observe(
         &mut self,
         ts: u64,
         key: FlowKey,
@@ -128,9 +101,6 @@ impl FlowTable {
         pkts: u64,
         bytes: u64,
     ) -> Option<ConnSummary> {
-        self.stats.packets_observed += pkts;
-        self.stats.bytes_observed += bytes;
-
         let mut evicted = None;
         match self.flows.get(&key) {
             Some(prev) => {
@@ -157,7 +127,6 @@ impl FlowTable {
                 st.bytes_rcvd += bytes;
             }
         }
-        self.stats.max_occupancy = self.stats.max_occupancy.max(self.flows.len());
         evicted
     }
 
@@ -169,18 +138,16 @@ impl FlowTable {
         // stale index entry is already dropped above — skip this round
         // rather than panic inside the hot eviction path.
         let st = self.flows.remove(&victim)?;
-        self.stats.evictions += 1;
         if st.is_empty() {
             return None;
         }
-        self.stats.summaries_emitted += 1;
         Some(st.into_summary(victim, bucket_start(now, self.agg_interval)))
     }
 
     /// Drain every flow's counters into summaries for the bucket containing
     /// `now`, resetting counters but keeping flow entries so long-lived flows
     /// stay cheap. Flows idle since before `idle_cutoff` are removed.
-    pub fn drain(&mut self, now: u64, idle_cutoff: u64) -> Vec<ConnSummary> {
+    pub(crate) fn drain(&mut self, now: u64, idle_cutoff: u64) -> Vec<ConnSummary> {
         let bucket = bucket_start(now, self.agg_interval);
         let mut out = Vec::new();
         let lru = &mut self.lru;
@@ -196,7 +163,6 @@ impl FlowTable {
             }
             keep
         });
-        self.stats.summaries_emitted += out.len() as u64;
         // Deterministic output order regardless of hash-map iteration.
         out.sort_unstable_by_key(|s| s.key);
         out
@@ -259,11 +225,6 @@ impl HostAgent {
         out.extend(self.table.drain(now, u64::MAX));
         out
     }
-
-    /// Flow-table behaviour counters.
-    pub fn stats(&self) -> FlowTableStats {
-        self.table.stats()
-    }
 }
 
 #[cfg(test)]
@@ -293,7 +254,7 @@ mod tests {
         let mut t = FlowTable::new(16, 60);
         t.observe(5, key(0), Direction::Tx, 1, 100);
         assert_eq!(t.drain(59, 0).len(), 1);
-        assert_eq!(t.occupancy(), 1, "live flow entry kept after drain");
+        assert_eq!(t.flows.len(), 1, "live flow entry kept after drain");
         assert!(t.drain(119, 0).is_empty(), "no new traffic, no summary");
     }
 
@@ -304,7 +265,7 @@ mod tests {
         t.drain(59, 0);
         // Cutoff after last_seen: entry removed.
         t.drain(119, 100);
-        assert_eq!(t.occupancy(), 0);
+        assert_eq!(t.flows.len(), 0);
     }
 
     #[test]
@@ -317,13 +278,12 @@ mod tests {
         let early = early.expect("full table must evict with a summary");
         assert_eq!(early.key, key(0));
         assert_eq!(early.bytes_sent, 10);
-        assert_eq!(t.stats().evictions, 1);
+        assert_eq!(t.flows.len(), 2, "key(0) left the table");
 
         // Total mass across early + drained equals observed.
         let mut total: u64 = early.bytes_total();
         total += t.drain(59, 0).iter().map(|s| s.bytes_total()).sum::<u64>();
         assert_eq!(total, 60);
-        assert_eq!(t.stats().bytes_observed, 60);
     }
 
     #[test]
@@ -331,9 +291,9 @@ mod tests {
         let mut t = FlowTable::new(8, 60);
         for i in 0..100 {
             t.observe(i as u64, key(i), Direction::Tx, 1, 100);
-            assert!(t.occupancy() <= 8);
+            assert!(t.flows.len() <= 8);
         }
-        assert_eq!(t.stats().max_occupancy, 8);
+        assert_eq!(t.flows.len(), 8);
     }
 
     #[test]

@@ -1,16 +1,11 @@
-//! Azure-NSG-flow-log-style JSON interchange.
+//! Azure-NSG-flow-log-style flow tuples.
 //!
-//! Real NSG flow logs arrive as JSON blobs: a list of per-minute records,
-//! each carrying per-rule flow groups whose flows are comma-separated
-//! "flow tuples". This module speaks a faithful subset of that format
-//! (version-2 tuples, which carry byte/packet counters), so the pipeline
-//! can ingest something shaped like production telemetry and emit it for
-//! interchange:
+//! Real NSG flow logs carry each flow as a comma-separated "flow tuple".
+//! This module speaks the version-2 tuple, which carries byte and packet
+//! counters:
 //!
 //! ```text
-//! { "records": [ { "time": 1620000060, "category": "NetworkSecurityGroupFlowEvent",
-//!     "properties": { "flows": [ { "rule": "...", "flows": [ { "mac": "...",
-//!       "flowTuples": [ "<ts>,<srcIp>,<dstIp>,<srcPort>,<dstPort>,<proto>,<dir>,<state>,<pktsS>,<bytesS>,<pktsR>,<bytesR>" ] } ] } ] } } ] }
+//! <ts>,<srcIp>,<dstIp>,<srcPort>,<dstPort>,<proto>,<dir>,<state>,<pktsS>,<bytesS>,<pktsR>,<bytesR>
 //! ```
 //!
 //! Tuples are emitted from the reporting VM's vantage: `I` (inbound) means
@@ -19,55 +14,7 @@
 
 use crate::error::{Error, Result};
 use crate::record::{ConnSummary, FlowKey, Protocol};
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
-
-/// One NSG-style JSON document.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct NsgDocument {
-    /// Per-minute event records.
-    pub records: Vec<NsgRecord>,
-}
-
-/// One per-minute event record.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct NsgRecord {
-    /// Epoch seconds of the aggregation minute.
-    pub time: u64,
-    /// Event category; always `NetworkSecurityGroupFlowEvent`.
-    pub category: String,
-    /// Payload.
-    pub properties: NsgProperties,
-}
-
-/// Record payload: flow groups per rule.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct NsgProperties {
-    /// Flow-log schema version (2 carries counters).
-    #[serde(rename = "Version")]
-    pub version: u8,
-    /// Per-rule groups.
-    pub flows: Vec<NsgRuleFlows>,
-}
-
-/// Flows that matched one NSG rule.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct NsgRuleFlows {
-    /// Rule name the flows matched.
-    pub rule: String,
-    /// Per-NIC tuple groups.
-    pub flows: Vec<NsgNicFlows>,
-}
-
-/// Flow tuples reported by one NIC.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct NsgNicFlows {
-    /// MAC of the reporting NIC.
-    pub mac: String,
-    /// Comma-separated v2 flow tuples.
-    #[serde(rename = "flowTuples")]
-    pub flow_tuples: Vec<String>,
-}
 
 /// Render one summary as a v2 flow tuple, from the reporting VM's vantage.
 ///
@@ -114,7 +61,6 @@ pub fn from_flow_tuple(tuple: &str) -> Result<ConnSummary> {
     let f: Vec<&str> = tuple.split(',').collect();
     if f.len() != 12 {
         return Err(Error::MalformedLine {
-            line: 0,
             reason: format!("v2 flow tuple needs 12 fields, got {}", f.len()),
         });
     }
@@ -176,84 +122,6 @@ pub fn from_flow_tuple(tuple: &str) -> Result<ConnSummary> {
     }
 }
 
-/// Encode a batch of summaries as one NSG-style document. Records are
-/// grouped into per-minute `records` entries; all flows are attributed to a
-/// single allow rule and one NIC per reporting VM (a faithful simplification
-/// — rule attribution does not exist in our pipeline).
-pub fn encode_document(records: &[ConnSummary]) -> NsgDocument {
-    use std::collections::BTreeMap;
-    let mut by_minute: BTreeMap<u64, BTreeMap<Ipv4Addr, Vec<String>>> = BTreeMap::new();
-    for r in records {
-        let minute = crate::time::bucket_start(r.ts, 60);
-        by_minute
-            .entry(minute)
-            .or_default()
-            .entry(r.key.local_ip)
-            .or_default()
-            .push(to_flow_tuple(r));
-    }
-    let records = by_minute
-        .into_iter()
-        .map(|(time, per_vm)| NsgRecord {
-            time,
-            category: "NetworkSecurityGroupFlowEvent".to_string(),
-            properties: NsgProperties {
-                version: 2,
-                flows: vec![NsgRuleFlows {
-                    rule: "DefaultRule_AllowIntra".to_string(),
-                    flows: per_vm
-                        .into_iter()
-                        .map(|(vm, flow_tuples)| NsgNicFlows { mac: mac_of(vm), flow_tuples })
-                        .collect(),
-                }],
-            },
-        })
-        .collect();
-    NsgDocument { records }
-}
-
-/// Decode an NSG-style document back into summaries (document order).
-pub fn decode_document(doc: &NsgDocument) -> Result<Vec<ConnSummary>> {
-    let mut out = Vec::new();
-    for rec in &doc.records {
-        if rec.properties.version != 2 {
-            return Err(Error::BadBinary(format!(
-                "unsupported NSG flow-log version {}",
-                rec.properties.version
-            )));
-        }
-        for rule in &rec.properties.flows {
-            for nic in &rule.flows {
-                for tuple in &nic.flow_tuples {
-                    out.push(from_flow_tuple(tuple)?);
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Encode straight to a JSON string. Serialization of the plain-struct
-/// document cannot fail in practice; the `Err` arm surfaces a serde bug
-/// instead of panicking.
-pub fn encode_json(records: &[ConnSummary]) -> Result<String> {
-    serde_json::to_string_pretty(&encode_document(records))
-        .map_err(|e| Error::BadBinary(format!("NSG JSON encode error: {e}")))
-}
-
-/// Decode from a JSON string.
-pub fn decode_json(json: &str) -> Result<Vec<ConnSummary>> {
-    let doc: NsgDocument = serde_json::from_str(json)
-        .map_err(|e| Error::BadBinary(format!("NSG JSON parse error: {e}")))?;
-    decode_document(&doc)
-}
-
-/// A deterministic fake MAC for a VM's NIC, derived from its address.
-fn mac_of(ip: Ipv4Addr) -> String {
-    let o = ip.octets();
-    format!("00-0D-3A-{:02X}-{:02X}-{:02X}", o[1], o[2], o[3])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,29 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn document_round_trip() {
-        let records: Vec<ConnSummary> =
-            (0..20).map(|i| client_side(60 * (i as u64 % 3), i)).collect();
-        let json = encode_json(&records).unwrap();
-        let mut decoded = decode_json(&json).unwrap();
-        let mut expect = records.clone();
-        decoded.sort_by_key(|r| (r.ts, r.key));
-        expect.sort_by_key(|r| (r.ts, r.key));
-        assert_eq!(decoded, expect);
-    }
-
-    #[test]
-    fn document_groups_by_minute_and_vm() {
-        let records = vec![client_side(0, 1), client_side(30, 1), client_side(60, 2)];
-        let doc = encode_document(&records);
-        assert_eq!(doc.records.len(), 2, "two minutes");
-        assert_eq!(doc.records[0].time, 0);
-        assert_eq!(doc.records[0].properties.flows[0].flows.len(), 1, "one reporting VM");
-        assert_eq!(doc.records[0].properties.flows[0].flows[0].flow_tuples.len(), 2);
-        assert!(doc.records[0].properties.flows[0].flows[0].mac.starts_with("00-0D-3A-"));
-    }
-
-    #[test]
     fn malformed_tuples_are_rejected_with_context() {
         assert!(matches!(from_flow_tuple("1,2,3"), Err(Error::MalformedLine { .. })));
         let bad_ip = "0,999.0.0.1,10.0.0.1,40000,443,T,O,E,1,1,1,1";
@@ -340,14 +185,8 @@ mod tests {
 
     #[test]
     fn wrong_version_rejected() {
-        let mut doc = encode_document(&[client_side(0, 1)]);
-        doc.records[0].properties.version = 1;
-        assert!(decode_document(&doc).is_err());
-    }
-
-    #[test]
-    fn bad_json_is_an_error_not_a_panic() {
-        assert!(decode_json("{not json").is_err());
-        assert!(decode_json("{\"records\": 7}").is_err());
+        // A version-1 tuple stops at the decision flag: no counters.
+        let v1 = "0,10.0.0.1,10.0.0.2,40000,443,T,O,A";
+        assert!(matches!(from_flow_tuple(v1), Err(Error::MalformedLine { .. })));
     }
 }

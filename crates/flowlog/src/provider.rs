@@ -95,12 +95,6 @@ impl ProviderPreset {
     pub fn collection_cost_usd(&self, bytes: u64) -> f64 {
         self.price_per_gb_usd * bytes as f64 / 1e9
     }
-
-    /// How many summaries one continuously-active flow produces per hour
-    /// under this preset (before sampling).
-    pub fn summaries_per_flow_hour(&self) -> u64 {
-        3600 / self.agg_interval_secs.max(1)
-    }
 }
 
 #[cfg(test)]
@@ -131,12 +125,6 @@ mod tests {
         fn product_name_matches(&self) -> &'static str {
             self.cloud.product_name()
         }
-    }
-
-    #[test]
-    fn summaries_per_flow_hour() {
-        assert_eq!(ProviderPreset::azure().summaries_per_flow_hour(), 60);
-        assert_eq!(ProviderPreset::gcp().summaries_per_flow_hour(), 720);
     }
 
     #[test]

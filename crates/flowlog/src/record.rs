@@ -29,7 +29,7 @@ pub enum Protocol {
 
 impl Protocol {
     /// The IANA protocol number.
-    pub fn number(self) -> u8 {
+    pub(crate) fn number(self) -> u8 {
         match self {
             Protocol::Tcp => 6,
             Protocol::Udp => 17,
@@ -200,18 +200,6 @@ impl ConnSummary {
             && !(self.bytes_rcvd > 0 && self.pkts_rcvd == 0)
             && (self.pkts_total() > 0 || self.bytes_total() == 0)
     }
-
-    /// Merge another summary for the same flow and interval into this one.
-    ///
-    /// Used when sampling or multi-vantage collection yields partial records.
-    /// Saturating: counters never wrap.
-    pub fn absorb(&mut self, other: &ConnSummary) {
-        debug_assert_eq!(self.key, other.key, "absorb requires identical flow keys");
-        self.pkts_sent = self.pkts_sent.saturating_add(other.pkts_sent);
-        self.pkts_rcvd = self.pkts_rcvd.saturating_add(other.pkts_rcvd);
-        self.bytes_sent = self.bytes_sent.saturating_add(other.bytes_sent);
-        self.bytes_rcvd = self.bytes_rcvd.saturating_add(other.bytes_rcvd);
-    }
 }
 
 #[cfg(test)]
@@ -295,23 +283,5 @@ mod tests {
         assert!(!s.is_well_formed(), "bytes without packets is impossible");
         s.bytes_sent = 0;
         assert!(s.is_well_formed(), "an all-zero record is vacuously fine");
-    }
-
-    #[test]
-    fn absorb_accumulates_and_saturates() {
-        let mut a = ConnSummary {
-            ts: 0,
-            key: sample_key(),
-            pkts_sent: u64::MAX - 1,
-            pkts_rcvd: 1,
-            bytes_sent: 10,
-            bytes_rcvd: 20,
-        };
-        let b = ConnSummary { pkts_sent: 5, pkts_rcvd: 2, bytes_sent: 1, bytes_rcvd: 2, ..a };
-        a.absorb(&b);
-        assert_eq!(a.pkts_sent, u64::MAX, "saturates instead of wrapping");
-        assert_eq!(a.pkts_rcvd, 3);
-        assert_eq!(a.bytes_sent, 11);
-        assert_eq!(a.bytes_rcvd, 22);
     }
 }

@@ -32,7 +32,7 @@ pub struct SamplingConfig {
 
 impl SamplingConfig {
     /// No sampling: every flow, every packet.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         SamplingConfig { flow_rate: 1.0, packet_rate: 1.0 }
     }
 
@@ -44,7 +44,7 @@ impl SamplingConfig {
     }
 
     /// Check both rates lie in `(0, 1]`.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         for (name, r) in [("flow_rate", self.flow_rate), ("packet_rate", self.packet_rate)] {
             if !(r.is_finite() && 0.0 < r && r <= 1.0) {
                 return Err(Error::InvalidConfig(format!("{name} must be in (0, 1], got {r}")));
@@ -75,16 +75,11 @@ impl Sampler {
         Ok(Sampler { config, salt })
     }
 
-    /// The configured rates.
-    pub fn config(&self) -> &SamplingConfig {
-        &self.config
-    }
-
     /// Consistent decision: is this flow in the reported subset?
     ///
     /// Uses the canonical (direction-independent) key so both endpoints of a
     /// flow make the same decision.
-    pub fn keeps_flow(&self, key: &FlowKey) -> bool {
+    pub(crate) fn keeps_flow(&self, key: &FlowKey) -> bool {
         if self.config.flow_rate >= 1.0 {
             return true;
         }

@@ -8,9 +8,6 @@
 /// Seconds in one minute; the default aggregation interval.
 pub const MINUTE: u64 = 60;
 
-/// Seconds in one hour; the default graph-snapshot window.
-pub const HOUR: u64 = 3600;
-
 /// Floor a timestamp (seconds) to the start of its bucket of `interval` seconds.
 ///
 /// # Panics
@@ -27,21 +24,6 @@ pub fn bucket_index(ts: u64, interval: u64) -> u64 {
     ts / interval
 }
 
-/// Inclusive start and exclusive end of the bucket containing `ts`.
-pub fn bucket_bounds(ts: u64, interval: u64) -> (u64, u64) {
-    let start = bucket_start(ts, interval);
-    (start, start + interval)
-}
-
-/// Iterator over bucket start times covering `[from, to)`.
-///
-/// Yields the start of every bucket that intersects the half-open range.
-pub fn buckets_covering(from: u64, to: u64, interval: u64) -> impl Iterator<Item = u64> {
-    assert!(interval > 0, "aggregation interval must be positive");
-    let first = bucket_start(from, interval);
-    (first..to).step_by(interval as usize).take_while(move |_| from < to)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,21 +33,14 @@ mod tests {
         assert_eq!(bucket_start(0, MINUTE), 0);
         assert_eq!(bucket_start(59, MINUTE), 0);
         assert_eq!(bucket_start(60, MINUTE), 60);
-        assert_eq!(bucket_start(3601, HOUR), 3600);
+        assert_eq!(bucket_start(3601, 3600), 3600);
     }
 
     #[test]
     fn bucket_index_counts_from_epoch() {
         assert_eq!(bucket_index(0, MINUTE), 0);
         assert_eq!(bucket_index(61, MINUTE), 1);
-        assert_eq!(bucket_index(7200, HOUR), 2);
-    }
-
-    #[test]
-    fn bounds_are_half_open() {
-        let (s, e) = bucket_bounds(95, MINUTE);
-        assert_eq!((s, e), (60, 120));
-        assert!(s <= 95 && 95 < e);
+        assert_eq!(bucket_index(7200, 3600), 2);
     }
 
     #[test]
@@ -75,21 +50,8 @@ mod tests {
     }
 
     #[test]
-    fn buckets_covering_spans_range() {
-        let v: Vec<u64> = buckets_covering(30, 200, MINUTE).collect();
-        assert_eq!(v, vec![0, 60, 120, 180]);
-    }
-
-    #[test]
-    fn buckets_covering_empty_range() {
-        let v: Vec<u64> = buckets_covering(100, 100, MINUTE).collect();
-        assert!(v.is_empty());
-    }
-
-    #[test]
     fn gcp_five_second_buckets() {
         assert_eq!(bucket_start(12, 5), 10);
-        let v: Vec<u64> = buckets_covering(0, 20, 5).collect();
-        assert_eq!(v, vec![0, 5, 10, 15]);
+        assert_eq!(bucket_index(19, 5), 3);
     }
 }

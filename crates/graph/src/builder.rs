@@ -152,11 +152,6 @@ impl GraphBuilder {
         self
     }
 
-    /// The facet this builder aggregates under.
-    pub fn facet(&self) -> &Facet {
-        &self.facet
-    }
-
     /// The inventory vantage dedup reads (empty: dedup off).
     pub fn monitored(&self) -> &Inventory {
         &self.monitored

@@ -32,8 +32,9 @@ impl HyperLogLog {
         HyperLogLog { registers: vec![0; 1 << P] }
     }
 
-    /// Insert a pre-hashed item.
-    pub fn insert_hash(&mut self, h: u64) {
+    /// Insert a hashable item (uses FNV-1a with avalanche finish).
+    pub fn insert<T: std::hash::Hash>(&mut self, item: &T) {
+        let h = hash64(item);
         let idx = (h >> (64 - P)) as usize;
         let rest = h << P;
         // Rank: leading zeros of the remaining bits, plus one. A zero
@@ -42,11 +43,6 @@ impl HyperLogLog {
         if rank > self.registers[idx] {
             self.registers[idx] = rank;
         }
-    }
-
-    /// Insert a hashable item (uses FNV-1a with avalanche finish).
-    pub fn insert<T: std::hash::Hash>(&mut self, item: &T) {
-        self.insert_hash(hash64(item));
     }
 
     /// Estimated distinct count, with small-range (linear counting) and
@@ -70,23 +66,11 @@ impl HyperLogLog {
             raw
         }
     }
-
-    /// Merge another sketch (union of the underlying sets).
-    pub fn merge(&mut self, other: &HyperLogLog) {
-        for (a, b) in self.registers.iter_mut().zip(&other.registers) {
-            *a = (*a).max(*b);
-        }
-    }
-
-    /// Memory used by the sketch, in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.registers.len()
-    }
 }
 
 /// 64-bit FNV-1a over the `Hash` representation, finished with a splitmix64
 /// avalanche so high bits (used for register selection) are well mixed.
-pub fn hash64<T: std::hash::Hash>(item: &T) -> u64 {
+pub(crate) fn hash64<T: std::hash::Hash>(item: &T) -> u64 {
     struct Fnv(u64);
     impl std::hash::Hasher for Fnv {
         fn finish(&self) -> u64 {
@@ -113,18 +97,16 @@ pub struct GraphCardinality {
     facet: Facet,
     nodes: HyperLogLog,
     edges: HyperLogLog,
-    records: u64,
 }
 
 impl GraphCardinality {
     /// New estimator for `facet`.
     pub fn new(facet: Facet) -> Self {
-        GraphCardinality { facet, nodes: HyperLogLog::new(), edges: HyperLogLog::new(), records: 0 }
+        GraphCardinality { facet, nodes: HyperLogLog::new(), edges: HyperLogLog::new() }
     }
 
     /// Offer one record.
     pub fn add(&mut self, r: &ConnSummary) {
-        self.records += 1;
         let (a, b) = self.facet.endpoints(r);
         self.nodes.insert(&a);
         self.nodes.insert(&b);
@@ -140,17 +122,6 @@ impl GraphCardinality {
     /// Estimated distinct edge count.
     pub fn edge_estimate(&self) -> f64 {
         self.edges.estimate()
-    }
-
-    /// Records offered so far.
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
-    /// Total sketch memory in bytes — the COGS story: constant regardless of
-    /// graph size.
-    pub fn memory_bytes(&self) -> usize {
-        self.nodes.memory_bytes() + self.edges.memory_bytes()
     }
 }
 
@@ -195,21 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_union() {
-        let mut a = HyperLogLog::new();
-        let mut b = HyperLogLog::new();
-        for i in 0..5000u64 {
-            a.insert(&i);
-        }
-        for i in 2500..7500u64 {
-            b.insert(&i);
-        }
-        a.merge(&b);
-        let e = a.estimate();
-        assert!((e - 7500.0).abs() / 7500.0 < 0.03, "union estimate {e}");
-    }
-
-    #[test]
     fn empty_sketch_estimates_zero() {
         assert_eq!(HyperLogLog::new().estimate(), 0.0);
     }
@@ -241,7 +197,7 @@ mod tests {
         let edges = gc.edge_estimate();
         assert!((nodes - 1001.0).abs() / 1001.0 < 0.05, "nodes {nodes}");
         assert!((edges - 1000.0).abs() / 1000.0 < 0.05, "edges {edges}");
-        assert_eq!(gc.records(), 1000);
-        assert!(gc.memory_bytes() <= 64 * 1024);
+        // Constant memory regardless of graph size: two 16 KiB sketches.
+        assert!(gc.nodes.registers.len() + gc.edges.registers.len() <= 64 * 1024);
     }
 }

@@ -170,16 +170,6 @@ impl NicLocalSurvivors {
         self.survivors.contains(n)
     }
 
-    /// Number of survivors so far.
-    pub fn len(&self) -> usize {
-        self.survivors.len()
-    }
-
-    /// True when nothing has been offered yet.
-    pub fn is_empty(&self) -> bool {
-        self.survivors.is_empty()
-    }
-
     /// Collapse a graph, keeping exactly the survivors.
     pub fn collapse(&self, g: &CommGraph) -> CommGraph {
         collapse(g, 1.0, |n| self.is_survivor(n))

@@ -15,24 +15,13 @@ use std::collections::{HashMap, HashSet};
 #[derive(Debug, Clone, Serialize)]
 pub struct EdgeChange {
     /// Lower endpoint.
-    pub a: NodeId,
+    pub(crate) a: NodeId,
     /// Higher endpoint.
-    pub b: NodeId,
+    pub(crate) b: NodeId,
     /// Bytes in the earlier graph.
-    pub bytes_before: u64,
+    pub(crate) bytes_before: u64,
     /// Bytes in the later graph.
-    pub bytes_after: u64,
-}
-
-impl EdgeChange {
-    /// Multiplicative change, `after / before` (`inf` for new traffic).
-    pub fn ratio(&self) -> f64 {
-        if self.bytes_before == 0 {
-            f64::INFINITY
-        } else {
-            self.bytes_after as f64 / self.bytes_before as f64
-        }
-    }
+    pub(crate) bytes_after: u64,
 }
 
 /// The delta between two snapshots of the same facet.
@@ -238,7 +227,7 @@ mod tests {
         let d = diff(&before, &after, 2.0);
         assert_eq!(d.changed_edges.len(), 1, "only the 5x edge is reported");
         assert_eq!(d.changed_edges[0].bytes_after, 500);
-        assert_eq!(d.changed_edges[0].ratio(), 5.0);
+        assert_eq!(d.changed_edges[0].bytes_before, 100, "a 5x change");
     }
 
     #[test]
@@ -247,7 +236,8 @@ mod tests {
         let after = graph(&[(1, 2, 100)]);
         let d = diff(&before, &after, 2.0);
         assert_eq!(d.changed_edges.len(), 1);
-        assert!(d.changed_edges[0].ratio() < 1.0);
+        let c = &d.changed_edges[0];
+        assert!(c.bytes_after < c.bytes_before);
     }
 
     #[test]

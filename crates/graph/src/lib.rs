@@ -9,21 +9,20 @@
 //! series* of graphs (the *dynamic* requirement).
 //!
 //! Key pieces:
-//! * [`node`] — node identities and the facet abstraction.
-//! * [`stats`] — edge and node counters.
+//! * `node` — node identities and the facet abstraction.
+//! * `stats` — edge and node counters.
 //! * [`builder`] — streaming group-by-aggregate construction: the
 //!   one-window kernel ([`GraphBuilder`], with the double-report dedup rule
 //!   for per-NIC telemetry) and the window roll that drives it over one
 //!   stream ([`WindowedBuilder`]: retains nothing, hands each closed
 //!   window's graph to its caller exactly once, and never re-opens a window
 //!   for a record that arrives behind it).
-//! * [`graph`] — the immutable snapshot with CSR adjacency, matrix export,
+//! * `graph` — the immutable snapshot with CSR adjacency, matrix export,
 //!   and DOT/JSON serialization.
 //! * [`hash`] — the fixed fast hasher behind every table a record probes.
 //! * [`collapse`] — heavy-hitter collapsing: nodes below a traffic-share
 //!   threshold fold into one `Other` node, the paper's §3.2 mitigation that
 //!   bounds memory on graphs with many small remote peers.
-//! * [`export`] — GraphML and edge-list CSV renders for external tooling.
 //! * [`diff`] — "what changed?" comparisons between snapshots.
 //! * [`series`] — hourly snapshot sequences and persistence metrics
 //!   (Figure 5's timelapse analysis).
@@ -39,13 +38,12 @@ pub mod builder;
 pub mod cardinality;
 pub mod collapse;
 pub mod diff;
-pub mod error;
-pub mod export;
-pub mod graph;
+pub(crate) mod error;
+pub(crate) mod graph;
 pub mod hash;
-pub mod node;
+pub(crate) mod node;
 pub mod series;
-pub mod stats;
+pub(crate) mod stats;
 pub mod timeseries;
 
 pub use builder::{GraphBuilder, Inventory, Outcome, WindowedBuilder};

@@ -73,7 +73,7 @@ pub enum Facet {
 
 impl Facet {
     /// Short name used in exports and experiment output.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Facet::Ip => "ip",
             Facet::IpPort => "ip-port",

@@ -21,9 +21,9 @@ pub struct GraphSequence {
 #[derive(Debug, Clone, Serialize)]
 pub struct PersistenceReport {
     /// Edge-set Jaccard similarity per adjacent pair.
-    pub edge_jaccard: Vec<f64>,
+    pub(crate) edge_jaccard: Vec<f64>,
     /// Node-set Jaccard similarity per adjacent pair.
-    pub node_jaccard: Vec<f64>,
+    pub(crate) node_jaccard: Vec<f64>,
     /// Mean edge Jaccard across the sequence.
     pub mean_edge_jaccard: f64,
     /// Index (into adjacent pairs) of the least-similar transition, if any.
@@ -47,7 +47,7 @@ impl GraphSequence {
 
     /// Append the next window. It must share the facet of, and start no
     /// earlier than the end of, the previous window.
-    pub fn push(&mut self, g: CommGraph) -> Result<()> {
+    pub(crate) fn push(&mut self, g: CommGraph) -> Result<()> {
         if let Some(last) = self.graphs.last() {
             if last.facet_name() != g.facet_name() {
                 return Err(Error::Incompatible(format!(

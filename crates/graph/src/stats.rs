@@ -34,7 +34,7 @@ impl EdgeStats {
     }
 
     /// Merge another edge's counters into this one (saturating).
-    pub fn absorb(&mut self, other: &EdgeStats) {
+    pub(crate) fn absorb(&mut self, other: &EdgeStats) {
         self.bytes_fwd = self.bytes_fwd.saturating_add(other.bytes_fwd);
         self.bytes_rev = self.bytes_rev.saturating_add(other.bytes_rev);
         self.pkts_fwd = self.pkts_fwd.saturating_add(other.pkts_fwd);
@@ -43,7 +43,7 @@ impl EdgeStats {
     }
 
     /// The same edge seen with its endpoints swapped.
-    pub fn reversed(&self) -> EdgeStats {
+    pub(crate) fn reversed(&self) -> EdgeStats {
         EdgeStats {
             bytes_fwd: self.bytes_rev,
             bytes_rev: self.bytes_fwd,
@@ -51,16 +51,6 @@ impl EdgeStats {
             pkts_rev: self.pkts_fwd,
             conns: self.conns,
         }
-    }
-
-    /// Directional byte asymmetry in `[0, 1]`: 0 for perfectly balanced,
-    /// approaching 1 when all bytes flow one way. Zero-byte edges are 0.
-    pub fn asymmetry(&self) -> f64 {
-        let total = self.bytes();
-        if total == 0 {
-            return 0.0;
-        }
-        (self.bytes_fwd as f64 - self.bytes_rev as f64).abs() / total as f64
     }
 }
 
@@ -70,7 +60,7 @@ pub struct NodeStats {
     /// Bytes on all incident edges (each edge counted once).
     pub bytes: u64,
     /// Packets on all incident edges.
-    pub pkts: u64,
+    pub(crate) pkts: u64,
     /// Connections on all incident edges.
     pub conns: u64,
     /// Number of distinct neighbors.
@@ -115,14 +105,5 @@ mod tests {
         assert_eq!(r.bytes_fwd, 100);
         assert_eq!(r.bytes_rev, 300);
         assert_eq!(r.reversed(), e, "involution");
-    }
-
-    #[test]
-    fn asymmetry_ranges() {
-        assert_eq!(edge(100, 100).asymmetry(), 0.0);
-        assert_eq!(edge(100, 0).asymmetry(), 1.0);
-        assert_eq!(EdgeStats::default().asymmetry(), 0.0);
-        let mid = edge(300, 100).asymmetry();
-        assert!((mid - 0.5).abs() < 1e-12);
     }
 }

@@ -19,7 +19,7 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EdgeSeries {
     /// Bytes per interval (dense; quiet intervals are zero).
-    pub bytes: Vec<u64>,
+    pub(crate) bytes: Vec<u64>,
 }
 
 impl EdgeSeries {
@@ -128,12 +128,6 @@ impl EdgeSeriesBuilder {
         self.series.len()
     }
 
-    /// The series of one edge (endpoints in either order).
-    pub fn series(&self, a: &NodeId, b: &NodeId) -> Option<&EdgeSeries> {
-        let key = if a <= b { (*a, *b) } else { (*b, *a) };
-        self.series.get(&key)
-    }
-
     /// Iterate all `(edge, series)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&(NodeId, NodeId), &EdgeSeries)> {
         self.series.iter()
@@ -182,7 +176,7 @@ mod tests {
         b.add(&rec(0, 1, 2, 100));
         b.add(&rec(30, 1, 2, 50));
         b.add(&rec(240, 1, 2, 10));
-        let s = b.series(&node(1), &node(2)).expect("edge exists");
+        let s = &b.series[&(node(1), node(2))];
         assert_eq!(s.bytes, vec![150, 0, 0, 0, 10]);
         assert_eq!(s.total(), 160);
         assert!((s.activity() - 0.4).abs() < 1e-12);
@@ -192,8 +186,7 @@ mod tests {
     fn direction_independent_lookup() {
         let mut b = EdgeSeriesBuilder::new(Facet::Ip, 0, 60, 2);
         b.add(&rec(0, 2, 1, 100)); // reported from the higher endpoint
-        assert!(b.series(&node(1), &node(2)).is_some());
-        assert!(b.series(&node(2), &node(1)).is_some());
+        assert!(b.series.contains_key(&(node(1), node(2))), "stored low endpoint first");
         assert_eq!(b.edge_count(), 1);
     }
 

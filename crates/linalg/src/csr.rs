@@ -18,7 +18,7 @@ use crate::matrix::Matrix;
 
 /// A square sparse matrix as row pointers, ascending `u32` columns and `f64`
 /// values. The eigensolver reads its rows as its columns, so it must be
-/// symmetric: [`SymCsr::from_dense`] checks that, and
+/// symmetric: `SymCsr::from_dense` checks that, and
 /// [`SymCsr::from_sorted_rows`] leaves it to the caller — a graph's
 /// neighbour lists are symmetric by construction.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,7 +68,7 @@ impl SymCsr {
     /// so [`SymCsr::to_dense`] returns `m` bit for bit. Fails as
     /// [`eigen_symmetric`](crate::eigen_symmetric) does for a non-square or
     /// meaningfully asymmetric `m`.
-    pub fn from_dense(m: &Matrix) -> Result<Self> {
+    pub(crate) fn from_dense(m: &Matrix) -> Result<Self> {
         symmetric_scale(m)?;
         let n = m.rows();
         SymCsr::from_sorted_rows(
@@ -81,7 +81,7 @@ impl SymCsr {
     }
 
     /// Dimension.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.row_ptr.len() - 1
     }
 

@@ -21,7 +21,7 @@
 use crate::csr::SymCsr;
 use crate::error::{Error, Result};
 use crate::matrix::Matrix;
-use crate::par::{self, Parallelism};
+use crate::par::Parallelism;
 
 /// Result of a symmetric eigendecomposition: `M = V diag(λ) Vᵀ`.
 #[derive(Debug, Clone)]
@@ -33,20 +33,13 @@ pub struct EigenDecomposition {
 }
 
 impl EigenDecomposition {
-    /// Reconstruct the original matrix from the top `k` eigenpairs.
-    pub fn reconstruct(&self, k: usize) -> Result<Matrix> {
-        self.reconstruct_with(k, Parallelism::serial())
-    }
-
-    /// Rank-k reconstruction with output rows partitioned over workers;
-    /// `k` may be anything up to the number of eigenpairs held (n for
+    /// Reconstruct the original matrix from the top `k` eigenpairs; `k`
+    /// may be anything up to the number of eigenpairs held (n for
     /// [`eigen_symmetric`], fewer for [`eigen_top_k`]).
     ///
-    /// Row `i` of `M_k = Σ_{c<k} λ_c v_c v_cᵀ` depends only on the
-    /// decomposition, so rows parallelize freely; each element accumulates
-    /// its `k` terms in the same ascending-`c` order as the serial loop,
-    /// making the result bit-for-bit identical at any worker count.
-    pub fn reconstruct_with(&self, k: usize, parallelism: Parallelism) -> Result<Matrix> {
+    /// Each element of `M_k = Σ_{c<k} λ_c v_c v_cᵀ` accumulates its `k`
+    /// terms in ascending-`c` order.
+    pub fn reconstruct(&self, k: usize) -> Result<Matrix> {
         let n = self.vectors.rows();
         if k > self.values.len() {
             return Err(Error::InvalidArg(format!(
@@ -58,36 +51,27 @@ impl EigenDecomposition {
         if n == 0 {
             return Ok(out);
         }
-        let band = par::tile_size(n, parallelism);
-        let tasks: Vec<(usize, &mut [f64])> = out
-            .data_mut()
-            .chunks_mut(n * band)
-            .enumerate()
-            .map(|(t, chunk)| (t * band, chunk))
-            .collect();
-        par::for_each_task(parallelism, tasks, |(first_row, chunk)| {
-            // Column c of the eigenvectors, copied out once per band so the
-            // inner loop reads it contiguously.
-            let mut v_c = vec![0.0; n];
-            for c in 0..k {
-                let lambda = self.values[c];
-                if lambda == 0.0 {
+        // Column c of the eigenvectors, copied out once so the inner loop
+        // reads it contiguously.
+        let mut v_c = vec![0.0; n];
+        for c in 0..k {
+            let lambda = self.values[c];
+            if lambda == 0.0 {
+                continue;
+            }
+            for (j, slot) in v_c.iter_mut().enumerate() {
+                *slot = self.vectors[(j, c)];
+            }
+            for (r, orow) in out.data_mut().chunks_mut(n).enumerate() {
+                let vi = v_c[r] * lambda;
+                if vi == 0.0 {
                     continue;
                 }
-                for (j, slot) in v_c.iter_mut().enumerate() {
-                    *slot = self.vectors[(j, c)];
-                }
-                for (r, orow) in chunk.chunks_mut(n).enumerate() {
-                    let vi = v_c[first_row + r] * lambda;
-                    if vi == 0.0 {
-                        continue;
-                    }
-                    for (o, vj) in orow.iter_mut().zip(&v_c) {
-                        *o += vi * vj;
-                    }
+                for (o, vj) in orow.iter_mut().zip(&v_c) {
+                    *o += vi * vj;
                 }
             }
-        });
+        }
         Ok(out)
     }
 }
@@ -219,7 +203,7 @@ fn sorted_decomposition(a: Matrix, v: Matrix) -> EigenDecomposition {
 }
 
 /// The `k` eigenpairs of largest `|λ|` of a dense symmetric matrix:
-/// [`eigen_top_k_csr`] on its stored form ([`SymCsr::from_dense`]), so the
+/// [`eigen_top_k_csr`] on its stored form (`SymCsr::from_dense`), so the
 /// same bits either way.
 ///
 /// Errors as [`eigen_symmetric`], plus [`Error::InvalidArg`] for `k > n`.
@@ -577,24 +561,6 @@ mod tests {
         let d = eigen_symmetric(&m, 1e-12).unwrap();
         assert!(d.reconstruct(3).is_err());
         assert!(d.reconstruct(0).unwrap().abs_sum() == 0.0);
-    }
-
-    #[test]
-    fn reconstruct_with_is_worker_count_invariant() {
-        let m = Matrix::from_rows(vec![
-            vec![4.0, 1.0, 2.0, 0.5],
-            vec![1.0, 3.0, 0.0, 1.5],
-            vec![2.0, 0.0, 5.0, 1.0],
-            vec![0.5, 1.5, 1.0, 2.0],
-        ]);
-        let d = eigen_symmetric(&m, 1e-12).unwrap();
-        for k in 0..=4 {
-            let serial = d.reconstruct(k).unwrap();
-            for workers in [2, 3, 8] {
-                let p = d.reconstruct_with(k, Parallelism::new(workers)).unwrap();
-                assert_eq!(p, serial, "k={k}, {workers} workers");
-            }
-        }
     }
 
     /// Deterministic pseudo-random symmetric n × n with entries in [-1, 1).

@@ -16,13 +16,11 @@ use crate::matrix::Matrix;
 #[derive(Debug, Clone)]
 pub struct IcaDecomposition {
     /// `n × k` mixing matrix.
-    pub mixing: Matrix,
+    pub(crate) mixing: Matrix,
     /// `k × m` source (independent component) matrix.
-    pub sources: Matrix,
+    pub(crate) sources: Matrix,
     /// Per-row means removed before decomposition (length n).
-    pub row_means: Vec<f64>,
-    /// Fixed-point iterations used per component.
-    pub iterations: Vec<usize>,
+    pub(crate) row_means: Vec<f64>,
 }
 
 impl IcaDecomposition {
@@ -97,7 +95,6 @@ pub fn fast_ica(x: &Matrix, k: usize, max_iter: usize) -> Result<IcaDecompositio
 
     // Deflationary fixed-point iteration with g = tanh.
     let mut w_rows: Vec<Vec<f64>> = Vec::with_capacity(k);
-    let mut iterations = Vec::with_capacity(k);
     let mut lcg = 0x5DEECE66Du64;
     let mut rand_unit = |dim: usize| -> Vec<f64> {
         let mut v = Vec::with_capacity(dim);
@@ -109,10 +106,9 @@ pub fn fast_ica(x: &Matrix, k: usize, max_iter: usize) -> Result<IcaDecompositio
         v
     };
 
-    for comp in 0..k {
+    for _ in 0..k {
         let mut w = rand_unit(k);
-        let mut used = max_iter;
-        for it in 0..max_iter {
+        for _ in 0..max_iter {
             let mut w_new = vec![0.0; k];
             let mut g_prime_mean = 0.0;
             for col in 0..m {
@@ -143,13 +139,10 @@ pub fn fast_ica(x: &Matrix, k: usize, max_iter: usize) -> Result<IcaDecompositio
             let agreement: f64 = w_new.iter().zip(&w).map(|(a, b)| a * b).sum::<f64>().abs();
             w = w_new;
             if (agreement - 1.0).abs() < 1e-8 {
-                used = it + 1;
                 break;
             }
         }
-        iterations.push(used);
         w_rows.push(w);
-        let _ = comp;
     }
 
     // W is k × k (rows = unmixing vectors in whitened space).
@@ -157,7 +150,7 @@ pub fn fast_ica(x: &Matrix, k: usize, max_iter: usize) -> Result<IcaDecompositio
     let sources = w_mat.matmul(&z)?; // k × m
     let mixing = dewhiten.matmul(&w_mat.transpose())?; // n × k
 
-    Ok(IcaDecomposition { mixing, sources, row_means, iterations })
+    Ok(IcaDecomposition { mixing, sources, row_means })
 }
 
 fn normalize(v: &mut [f64]) {

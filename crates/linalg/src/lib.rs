@@ -13,7 +13,7 @@
 //!   scale of collapsed IP graphs) and [`eigen_top_k_csr`], Lanczos for the
 //!   k leading eigenpairs, which is all the PCA summary and the anomaly
 //!   model read.
-//! * [`csr`] — [`SymCsr`], a sparse symmetric matrix in CSR form: the
+//! * `csr` — [`SymCsr`], a sparse symmetric matrix in CSR form: the
 //!   operator the Lanczos solver and the PCA error profile run on, so a
 //!   graph's byte matrix is never densified.
 //! * [`pca`] — the paper's sparse transform `M_k = E_k D_k E_kᵀ` and its
@@ -30,9 +30,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod csr;
+pub(crate) mod csr;
 pub mod eigen;
-pub mod error;
+pub(crate) mod error;
 pub mod ica;
 pub mod matrix;
 pub mod par;

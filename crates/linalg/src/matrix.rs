@@ -152,7 +152,7 @@ impl Matrix {
 
     /// Largest absolute difference `|self[i,j] - self[j,i]|`; 0 for a
     /// perfectly symmetric matrix. Square matrices only.
-    pub fn max_asymmetry(&self) -> Result<f64> {
+    pub(crate) fn max_asymmetry(&self) -> Result<f64> {
         if self.rows != self.cols {
             return Err(Error::InvalidArg(format!(
                 "symmetry is defined for square matrices, got {}x{}",
@@ -169,7 +169,7 @@ impl Matrix {
     }
 
     /// Check symmetry within `tol` (absolute).
-    pub fn require_symmetric(&self, tol: f64) -> Result<()> {
+    pub(crate) fn require_symmetric(&self, tol: f64) -> Result<()> {
         let a = self.max_asymmetry()?;
         if a > tol {
             return Err(Error::NotSymmetric { max_asymmetry: a });

@@ -6,7 +6,7 @@
 //! is installed (`obs::install_global`), each scheduler invocation reports
 //! tiles scheduled and per-worker busy time; without one the hooks are inert
 //! branches. One scheduling shape covers every kernel in this workspace:
-//! [`for_each_task`], a work queue over *owned* tasks, typically disjoint
+//! `for_each_task`, a work queue over *owned* tasks, typically disjoint
 //! `&mut` row tiles produced by `chunks_mut`/`split_at_mut`. Workers claim
 //! tasks by ticket, so load balances dynamically while the borrow checker
 //! still proves the writes disjoint — no `unsafe` anywhere. [`par_map`] is
@@ -85,7 +85,7 @@ impl Parallelism {
     }
 
     /// True when work runs inline on the calling thread.
-    pub fn is_serial(&self) -> bool {
+    pub(crate) fn is_serial(&self) -> bool {
         self.workers == 1
     }
 }
@@ -104,7 +104,7 @@ impl Default for Parallelism {
 /// expressible without `unsafe`: ownership of each tile moves into exactly
 /// one `body` invocation. Each task slot is locked exactly once, so the
 /// mutexes are uncontended bookkeeping, not a synchronization hot spot.
-pub fn for_each_task<T, F>(par: Parallelism, tasks: Vec<T>, body: F)
+pub(crate) fn for_each_task<T, F>(par: Parallelism, tasks: Vec<T>, body: F)
 where
     T: Send,
     F: Fn(T) + Sync,
@@ -179,7 +179,7 @@ where
 
 /// A reasonable tile size: enough tiles per worker for dynamic balancing
 /// without drowning in per-task overhead.
-pub fn tile_size(n: usize, par: Parallelism) -> usize {
+pub(crate) fn tile_size(n: usize, par: Parallelism) -> usize {
     n.div_ceil(par.workers() * 4).max(1)
 }
 

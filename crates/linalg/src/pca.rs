@@ -73,7 +73,7 @@ pub fn recon_err_profile(d: &EigenDecomposition, m: &Matrix) -> Result<Vec<f64>>
 }
 
 /// [`recon_err_profile_csr`] on the stored form of a dense symmetric
-/// matrix ([`SymCsr::from_dense`]), so the same bits either way.
+/// matrix (`SymCsr::from_dense`), so the same bits either way.
 pub fn recon_err_profile_with(
     d: &EigenDecomposition,
     m: &Matrix,
@@ -172,7 +172,7 @@ pub fn pca_sweep(m: &Matrix, ks: &[usize]) -> Result<PcaSummary> {
 }
 
 /// [`pca_sweep_csr`] on the stored form of a dense symmetric matrix
-/// ([`SymCsr::from_dense`]), so the same bits either way.
+/// (`SymCsr::from_dense`), so the same bits either way.
 pub fn pca_sweep_with(m: &Matrix, ks: &[usize], parallelism: Parallelism) -> Result<PcaSummary> {
     if m.rows() != m.cols() {
         return Err(Error::InvalidArg(format!(

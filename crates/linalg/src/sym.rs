@@ -46,27 +46,11 @@ impl SymMatrix {
         i * (2 * self.n - i + 1) / 2 + (j - i)
     }
 
-    /// Read entry `(i, j)` (either triangle).
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        self.data[self.idx(i, j)]
-    }
-
     /// Write entry `(i, j)`; the mirrored entry `(j, i)` is the same storage,
     /// so symmetry is invariant.
     pub fn set(&mut self, i: usize, j: usize, v: f64) {
         let k = self.idx(i, j);
         self.data[k] = v;
-    }
-
-    /// Full (logical) row `i` as an owned vector, mirroring the lower
-    /// triangle from the packed storage.
-    pub fn row_to_vec(&self, i: usize) -> Vec<f64> {
-        (0..self.n).map(|j| self.get(i, j)).collect()
-    }
-
-    /// Expand to a dense [`crate::Matrix`].
-    pub fn to_dense(&self) -> crate::Matrix {
-        crate::Matrix::from_rows((0..self.n).map(|i| self.row_to_vec(i)).collect())
     }
 
     /// Split the packed buffer into per-row `(i, row)` tiles, where `row`
@@ -140,15 +124,16 @@ mod tests {
         assert_eq!(m[(0, 3)], 4.0);
         assert_eq!(m[(3, 0)], 4.0, "lower triangle mirrors upper");
         assert_eq!(m[(2, 2)], 8.0);
-        assert_eq!(m.row_to_vec(1), vec![2.0, 5.0, 6.0, 7.0]);
+        let row: Vec<f64> = (0..4).map(|j| m[(1, j)]).collect();
+        assert_eq!(row, vec![2.0, 5.0, 6.0, 7.0]);
     }
 
     #[test]
     fn set_keeps_symmetry_from_either_triangle() {
         let mut m = SymMatrix::zeros(3);
         m.set(2, 0, 7.5);
-        assert_eq!(m.get(0, 2), 7.5);
-        assert_eq!(m.get(2, 0), 7.5);
+        assert_eq!(m[(0, 2)], 7.5);
+        assert_eq!(m[(2, 0)], 7.5);
     }
 
     #[test]
@@ -164,26 +149,16 @@ mod tests {
     }
 
     #[test]
-    fn to_dense_is_symmetric() {
-        let mut m = SymMatrix::zeros(5);
-        m.fill_upper(Parallelism::serial(), |i, j| (i + 2 * j) as f64);
-        let d = m.to_dense();
-        d.require_symmetric(0.0).unwrap();
-        assert_eq!(d[(1, 4)], m[(4, 1)]);
-    }
-
-    #[test]
     fn empty_matrix() {
         let m = SymMatrix::zeros(0);
         assert_eq!(m.n(), 0);
         assert!(m.data().is_empty());
-        assert_eq!(m.to_dense().rows(), 0);
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn out_of_bounds_panics() {
         let m = SymMatrix::zeros(2);
-        let _ = m.get(0, 2);
+        let _ = m[(0, 2)];
     }
 }

@@ -20,6 +20,7 @@
 //! derived from it — is deterministic.
 
 use crate::symbols::{CallSite, SymbolIndex};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// How an edge's callee was resolved.
@@ -217,15 +218,15 @@ pub fn reach_sources(graph: &CallGraph, sources: &[usize]) -> BTreeMap<usize, us
     let mut next: BTreeMap<usize, usize> = BTreeMap::new();
     let mut queue: std::collections::VecDeque<usize> = Default::default();
     for &s in sources {
-        if !next.contains_key(&s) {
-            next.insert(s, s);
+        if let Entry::Vacant(e) = next.entry(s) {
+            e.insert(s);
             queue.push_back(s);
         }
     }
     while let Some(cur) = queue.pop_front() {
         for &caller in &graph.rev[cur] {
-            if !next.contains_key(&caller) {
-                next.insert(caller, cur);
+            if let Entry::Vacant(e) = next.entry(caller) {
+                e.insert(cur);
                 queue.push_back(caller);
             }
         }

@@ -102,8 +102,7 @@ pub fn check(
 
     // Call sites of guard-returning helpers become acquisitions in the
     // caller, with the caller-side statement shape deciding the span.
-    for i in 0..n {
-        let sym = &index.fns[i];
+    for (i, sym) in index.fns.iter().enumerate() {
         if sym.is_test {
             continue;
         }
@@ -164,8 +163,7 @@ pub fn check(
     let rank = |class: &str| order.iter().position(|c| c == class);
     let mut undeclared: BTreeMap<String, (String, u32, u32)> = BTreeMap::new();
     let mut seen_classes: BTreeSet<String> = BTreeSet::new();
-    for i in 0..n {
-        let sym = &index.fns[i];
+    for (i, sym) in index.fns.iter().enumerate() {
         let file = &files[sym.file_idx];
         let acq_toks: BTreeSet<usize> = acqs[i].iter().map(|a| a.tok).collect();
         for a in &acqs[i] {

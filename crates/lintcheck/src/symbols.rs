@@ -279,12 +279,15 @@ impl Scope {
     }
 }
 
+/// One file's functions (each with its call sites) and its `use` imports.
+type FileSymbols = (Vec<(FnSym, Vec<CallSite>)>, BTreeMap<String, String>);
+
 fn extract_file(
     file: &SourceFile<'_>,
     file_idx: usize,
     crate_name: &str,
     module: &str,
-) -> (Vec<(FnSym, Vec<CallSite>)>, BTreeMap<String, String>) {
+) -> FileSymbols {
     let toks = &file.lexed.toks;
     let mut out: Vec<(FnSym, Vec<CallSite>)> = Vec::new();
     let mut imports: BTreeMap<String, String> = BTreeMap::new();

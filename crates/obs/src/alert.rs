@@ -75,12 +75,12 @@ pub struct AlertRule {
     pub src: String,
     /// The parsed condition, evaluated each tick: true when the result is
     /// a non-empty vector or a non-zero scalar.
-    pub expr: Expr,
+    pub(crate) expr: Expr,
     /// Consecutive-tick hold in `pending` before firing. `0` fires on the
     /// same tick the condition turns true — still via `pending`.
-    pub for_ticks: u64,
+    pub(crate) for_ticks: u64,
     /// Severity tag carried into events and JSON (`page`, `ticket`, ...).
-    pub severity: String,
+    pub(crate) severity: String,
 }
 
 impl AlertRule {
@@ -103,7 +103,7 @@ impl AlertRule {
     }
 
     /// Override the severity tag (builder style).
-    pub fn with_severity(mut self, severity: &str) -> Self {
+    pub(crate) fn with_severity(mut self, severity: &str) -> Self {
         self.severity = severity.to_string();
         self
     }
@@ -122,7 +122,7 @@ pub struct Transition {
     pub to: AlertState,
     /// The first sample of the expression's result at this tick (`None`
     /// when the result is an empty vector).
-    pub value: Option<f64>,
+    pub(crate) value: Option<f64>,
 }
 
 /// Point-in-time status of one rule (what `/alerts` serves).
@@ -136,9 +136,6 @@ pub struct AlertStatus {
     pub state: AlertState,
     /// Tick the current state was entered (0 before any transition).
     pub since_tick: u64,
-    /// First sample of the expression's result at the last evaluation
-    /// (`None` when that was an empty vector, e.g. a comparison not met).
-    pub value: Option<f64>,
 }
 
 #[derive(Debug)]
@@ -224,11 +221,6 @@ impl AlertEngine {
         for rule in rules {
             self.add_rule(rule);
         }
-    }
-
-    /// Installed rule count.
-    pub fn rule_count(&self) -> usize {
-        self.lock().rules.len()
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, EngineInner> {
@@ -353,7 +345,6 @@ impl AlertEngine {
                 severity: rule.severity.clone(),
                 state: rs.state,
                 since_tick: rs.since_tick,
-                value: rs.value,
             })
             .collect()
     }
@@ -371,7 +362,7 @@ impl AlertEngine {
     /// The `/alerts` document: current statuses plus the transition
     /// history, keyed entirely by logical ticks (no wall-clock timestamps),
     /// so deterministic runs serve bit-identical bytes.
-    pub fn alerts_json(&self) -> String {
+    pub(crate) fn alerts_json(&self) -> String {
         let inner = self.lock();
         let mut out = String::from("{\"tick\":");
         out.push_str(&inner.last_tick.to_string());
@@ -625,7 +616,7 @@ mod tests {
         engine2.add_rule(burn(1.1));
         let t = engine2.evaluate(6, &db);
         assert!(t.iter().any(|t| t.to == AlertState::Firing), "both windows above 1.1: {t:?}");
-        let fast = engine2.firing()[0].value.expect("a firing burn rule shows its fast burn");
+        let fast = engine2.lock().states[0].value.expect("a firing burn rule shows its fast burn");
         assert!((fast - 3.0).abs() < 1e-12, "{fast}");
     }
 

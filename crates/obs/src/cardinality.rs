@@ -65,11 +65,6 @@ impl LabelCap {
     pub fn admitted(&self) -> usize {
         self.admitted.lock().unwrap_or_else(|p| p.into_inner()).len()
     }
-
-    /// The configured cap.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
 }
 
 #[cfg(test)]

@@ -91,7 +91,7 @@ pub fn json_snapshot(registry: &Registry) -> String {
 
 /// Render only the buffered structured events as `{"events":[...]}` — the
 /// body of the introspection server's `/events` endpoint.
-pub fn events_json(registry: &Registry) -> String {
+pub(crate) fn events_json(registry: &Registry) -> String {
     let mut out = String::from("{\"events\":");
     write_events_array(&mut out, registry);
     out.push('}');

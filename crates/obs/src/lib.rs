@@ -9,10 +9,10 @@
 //!   [`Histogram`] (lock-free record path, p50/p95/p99/max).
 //! * [`registry`] — a [`Registry`] of labeled metric families plus a
 //!   bounded structured-event buffer.
-//! * [`span`] — RAII [`SpanGuard`] timers that feed histograms.
+//! * `span` — RAII [`SpanGuard`] timers that feed histograms.
 //! * [`trace`] — hierarchical [`TraceSpan`]s with a bounded flight-recorder
 //!   ring, a Chrome-trace-event exporter, and a text tree renderer.
-//! * [`serve`] — a zero-dependency HTTP/1.0 introspection server exposing
+//! * `serve` — a zero-dependency HTTP/1.0 introspection server exposing
 //!   `/metrics`, `/metrics.json`, `/healthz`, `/trace`, `/events`,
 //!   `/query_range`, and `/alerts`.
 //! * [`tsdb`] — a bounded in-memory time-series store: a [`Scraper`]
@@ -25,7 +25,7 @@
 //!   mirrors to the event log.
 //! * [`cardinality`] — [`LabelCap`], the per-tenant label cap with an
 //!   explicit `overflow` bucket.
-//! * [`log`] — leveled structured [`Event`]s with `COMMGRAPH_LOG`
+//! * `log` — leveled structured [`Event`]s with `COMMGRAPH_LOG`
 //!   env-filtered stderr mirroring.
 //! * [`export`] — Prometheus text exposition and a JSON snapshot.
 //! * [`names`] — the canonical `commgraph_*` metric-name table (the single
@@ -66,14 +66,14 @@
 pub mod alert;
 pub mod cardinality;
 pub mod export;
-pub mod log;
+pub(crate) mod log;
 pub mod metrics;
 pub mod names;
 pub mod query;
 pub mod rate;
 pub mod registry;
-pub mod serve;
-pub mod span;
+pub(crate) mod serve;
+pub(crate) mod span;
 pub mod trace;
 pub mod tsdb;
 
@@ -119,18 +119,12 @@ impl Obs {
         Obs { registry: None, tracer: None }
     }
 
-    /// Attach a tracer: [`Obs::span`]/[`Obs::stage_span`] guards gain a
+    /// Attach a tracer: [`Obs::stage_span`] guards gain a
     /// hierarchical [`TraceSpan`] alongside their histogram, and
     /// [`Obs::trace_span`] mints standalone spans.
     pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Self {
         self.tracer = Some(tracer);
         self
-    }
-
-    /// True when a registry is attached.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.registry.is_some()
     }
 
     /// The backing registry, if any.
@@ -183,13 +177,6 @@ impl Obs {
             Some(r) => r.histogram(name, help, labels),
             None => Histogram::noop(),
         }
-    }
-
-    /// Start a span into an arbitrary histogram family. With a tracer
-    /// attached, the guard also opens a hierarchical trace span named
-    /// `name`, parented on the innermost open span.
-    pub fn span(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> SpanGuard {
-        SpanGuard::traced(self.histogram(name, help, labels), self.trace_span(name))
     }
 
     /// Start a span into the shared [`STAGE_SECONDS`] family for one of the
@@ -260,9 +247,13 @@ mod tests {
     #[test]
     fn noop_obs_yields_noop_metrics() {
         let o = Obs::noop();
-        assert!(!o.is_enabled());
-        assert!(!o.counter("c_total", "h", &[]).is_enabled());
-        assert!(!o.histogram("h_seconds", "h", &[]).is_enabled());
+        assert!(o.registry().is_none());
+        let c = o.counter("c_total", "h", &[]);
+        c.inc();
+        assert_eq!(c.get(), 0);
+        let h = o.histogram("h_seconds", "h", &[]);
+        h.record(1.0);
+        assert_eq!(h.count(), 0);
         let _ = o.stage_span("build"); // inert
         o.event(Level::Error, "t", "m", &[]); // best effort, must not panic
     }

@@ -62,7 +62,7 @@ pub enum LogFilter {
 impl LogFilter {
     /// Parse a `COMMGRAPH_LOG` value. Unknown strings and empty values are
     /// `Off`; matching is case-insensitive and whitespace-tolerant.
-    pub fn parse(raw: &str) -> LogFilter {
+    pub(crate) fn parse(raw: &str) -> LogFilter {
         match raw.trim().to_ascii_lowercase().as_str() {
             "error" => LogFilter::AtLeast(Level::Error),
             "warn" | "warning" => LogFilter::AtLeast(Level::Warn),
@@ -74,7 +74,7 @@ impl LogFilter {
     }
 
     /// True when an event at `level` passes the filter.
-    pub fn allows(&self, level: Level) -> bool {
+    pub(crate) fn allows(&self, level: Level) -> bool {
         match self {
             LogFilter::Off => false,
             LogFilter::AtLeast(min) => level <= *min,
@@ -83,7 +83,7 @@ impl LogFilter {
 }
 
 /// The process-wide filter, read from `COMMGRAPH_LOG` exactly once.
-pub fn env_filter() -> LogFilter {
+pub(crate) fn env_filter() -> LogFilter {
     static FILTER: OnceLock<LogFilter> = OnceLock::new();
     *FILTER.get_or_init(|| {
         std::env::var("COMMGRAPH_LOG").map(|v| LogFilter::parse(&v)).unwrap_or(LogFilter::Off)
@@ -91,7 +91,7 @@ pub fn env_filter() -> LogFilter {
 }
 
 /// True when an event at `level` would reach stderr under `COMMGRAPH_LOG`.
-pub fn stderr_enabled(level: Level) -> bool {
+pub(crate) fn stderr_enabled(level: Level) -> bool {
     env_filter().allows(level)
 }
 
@@ -110,7 +110,7 @@ pub struct Event {
 
 impl Event {
     /// Render as a single log line: `[level] target: message k=v k=v`.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut s = format!("[{}] {}: {}", self.level, self.target, self.message);
         for (k, v) in &self.fields {
             s.push(' ');

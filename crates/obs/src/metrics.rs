@@ -28,7 +28,7 @@ const SUBBUCKETS: usize = 45;
 ///
 /// `bounds()[0] == 1e-9`; thereafter each decade contributes 45 bounds of
 /// the form `m × 10^(d-1)` for even `m` in `12..=100`.
-pub fn bounds() -> &'static [f64] {
+pub(crate) fn bounds() -> &'static [f64] {
     static BOUNDS: OnceLock<Vec<f64>> = OnceLock::new();
     BOUNDS.get_or_init(|| {
         let mut b = Vec::with_capacity(1 + SUBBUCKETS * (MAX_DECADE - MIN_DECADE + 1) as usize);
@@ -54,7 +54,7 @@ fn pow10(e: i32) -> f64 {
 /// `[bounds()[i-1], bounds()[i])`, bucket `0` everything below `bounds()[0]`
 /// (including zero, negatives, and NaN), and the last bucket everything at
 /// or above the final bound.
-pub fn bucket_index(v: f64) -> usize {
+pub(crate) fn bucket_index(v: f64) -> usize {
     let b = bounds();
     if v.is_nan() {
         return 0;
@@ -72,25 +72,19 @@ pub(crate) struct CounterCore {
 
 /// A monotonically increasing counter handle.
 ///
-/// Clones share the same underlying value. [`Counter::noop`] handles ignore
+/// Clones share the same underlying value. `Counter::noop` handles ignore
 /// every update at the cost of one branch.
 #[derive(Debug, Clone, Default)]
 pub struct Counter(pub(crate) Option<Arc<CounterCore>>);
 
 impl Counter {
     /// A handle that ignores every operation.
-    pub fn noop() -> Self {
+    pub(crate) fn noop() -> Self {
         Counter(None)
     }
 
     pub(crate) fn real() -> Self {
         Counter(Some(Arc::new(CounterCore::default())))
-    }
-
-    /// True when updates are actually recorded somewhere.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
     }
 
     /// Increment by one.
@@ -139,12 +133,6 @@ impl Gauge {
 
     pub(crate) fn real() -> Self {
         Gauge(Some(Arc::new(GaugeCore::default())))
-    }
-
-    /// True when updates are actually recorded somewhere.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
     }
 
     /// Set the gauge to `v`.
@@ -205,28 +193,28 @@ impl Default for HistogramCore {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BucketCount {
     /// Upper bound of the bucket (`f64::INFINITY` for the overflow bucket).
-    pub le: f64,
+    pub(crate) le: f64,
     /// Cumulative count of observations at or below `le`.
-    pub cumulative: u64,
+    pub(crate) cumulative: u64,
 }
 
 /// A point-in-time view of a histogram.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// Observations recorded.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Sum of recorded values.
-    pub sum: f64,
+    pub(crate) sum: f64,
     /// Largest recorded value (0.0 when empty).
-    pub max: f64,
+    pub(crate) max: f64,
     /// Estimated 50th percentile.
-    pub p50: f64,
+    pub(crate) p50: f64,
     /// Estimated 95th percentile.
-    pub p95: f64,
+    pub(crate) p95: f64,
     /// Estimated 99th percentile.
-    pub p99: f64,
+    pub(crate) p99: f64,
     /// Non-empty buckets with cumulative counts, in bound order.
-    pub buckets: Vec<BucketCount>,
+    pub(crate) buckets: Vec<BucketCount>,
 }
 
 /// A histogram handle with a lock-free record path.
@@ -235,7 +223,7 @@ pub struct Histogram(pub(crate) Option<Arc<HistogramCore>>);
 
 impl Histogram {
     /// A handle that ignores every operation.
-    pub fn noop() -> Self {
+    pub(crate) fn noop() -> Self {
         Histogram(None)
     }
 
@@ -316,7 +304,7 @@ impl Histogram {
     /// A consistent-enough point-in-time snapshot (buckets are read after
     /// the count, so a snapshot taken under concurrent writes may lag by a
     /// few observations but is never torn per bucket).
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         let mut snap = HistogramSnapshot {
             count: self.count(),
             sum: self.sum(),
@@ -387,7 +375,6 @@ mod tests {
         let c = Counter::noop();
         c.inc();
         assert_eq!(c.get(), 0);
-        assert!(!c.is_enabled());
         let g = Gauge::noop();
         g.set(5.0);
         assert_eq!(g.get(), 0.0);

@@ -9,7 +9,7 @@
 //! one declared here.
 //!
 //! Naming contract: `commgraph_<component>_<what>_<unit>` in snake_case. The
-//! final segment must be one of [`ALLOWED_SUFFIXES`] — `_total` for
+//! final segment must be one of `ALLOWED_SUFFIXES` — `_total` for
 //! counters, a unit (`_seconds`, `_bytes`, `_records`, …) or a counted noun
 //! (`_entries`, `_segments`, `_rules`, …) for gauges and histograms.
 
@@ -23,13 +23,13 @@ pub struct MetricDef {
     /// Kind every registration site must use.
     pub kind: MetricKind,
     /// Canonical help text; exporters prefer this over per-site help.
-    pub help: &'static str,
+    pub(crate) help: &'static str,
     /// Label keys, in registration order. Empty for unlabeled families.
     pub labels: &'static [&'static str],
 }
 
 /// Suffixes a metric name may end with (the "unit" of the naming contract).
-pub const ALLOWED_SUFFIXES: &[&str] = &[
+pub(crate) const ALLOWED_SUFFIXES: &[&str] = &[
     "total",
     "seconds",
     "bytes",
@@ -325,12 +325,12 @@ pub const METRICS: &[MetricDef] = &[
 ];
 
 /// Look up the canonical definition for `name`.
-pub fn lookup(name: &str) -> Option<&'static MetricDef> {
+pub(crate) fn lookup(name: &str) -> Option<&'static MetricDef> {
     METRICS.binary_search_by(|d| d.name.cmp(name)).ok().map(|i| &METRICS[i])
 }
 
 /// True when `name` obeys the naming contract: `commgraph_` prefix,
-/// `snake_case` segments, and a final segment from [`ALLOWED_SUFFIXES`].
+/// `snake_case` segments, and a final segment from `ALLOWED_SUFFIXES`.
 pub fn well_formed(name: &str) -> bool {
     let Some(rest) = name.strip_prefix("commgraph_") else { return false };
     if rest.is_empty() || rest.starts_with('_') || rest.ends_with('_') || rest.contains("__") {

@@ -42,9 +42,9 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Byte offset into the source expression.
-    pub pos: usize,
+    pub(crate) pos: usize,
     /// Human-readable description.
-    pub msg: String,
+    pub(crate) msg: String,
 }
 
 impl fmt::Display for ParseError {
@@ -59,7 +59,7 @@ impl std::error::Error for ParseError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalError {
     /// Human-readable description.
-    pub msg: String,
+    pub(crate) msg: String,
 }
 
 impl fmt::Display for EvalError {
@@ -307,20 +307,20 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>, ParseError> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LabelMatcher {
     /// Label key; the synthetic key `field` addresses the sample field.
-    pub key: String,
+    pub(crate) key: String,
     /// Expected value; `*` acts as a wildcard segment (simple glob).
-    pub value: String,
+    pub(crate) value: String,
     /// `true` for `!=` (the match is inverted).
-    pub negate: bool,
+    pub(crate) negate: bool,
 }
 
 /// A series selector: family name plus conjunctive label matchers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Selector {
     /// Exact metric family name (colons allowed, for recording rules).
-    pub name: String,
+    pub(crate) name: String,
     /// Label matchers, all of which must hold.
-    pub matchers: Vec<LabelMatcher>,
+    pub(crate) matchers: Vec<LabelMatcher>,
 }
 
 /// Binary operators, in one enum across precedence levels.
@@ -1010,10 +1010,10 @@ pub fn parse(src: &str) -> Result<Expr, ParseError> {
 pub struct Sample {
     /// Metric family name (empty once an operator has transformed the
     /// value, mirroring PromQL's name-dropping rules).
-    pub name: String,
+    pub(crate) name: String,
     /// Label pairs sorted by key, including the synthetic `field` label
     /// for every non-`value` sample field.
-    pub labels: Vec<(String, String)>,
+    pub(crate) labels: Vec<(String, String)>,
     /// The sample value.
     pub value: f64,
 }
@@ -1030,7 +1030,7 @@ pub enum Value {
 impl Value {
     /// Alert-style truth: a scalar is true when non-zero (and not NaN), a
     /// vector is true when non-empty.
-    pub fn is_truthy(&self) -> bool {
+    pub(crate) fn is_truthy(&self) -> bool {
         match self {
             Value::Scalar(s) => *s != 0.0 && !s.is_nan(),
             Value::Vector(v) => !v.is_empty(),
@@ -1038,7 +1038,7 @@ impl Value {
     }
 
     /// The first sample value (or the scalar), for alert status display.
-    pub fn first_value(&self) -> Option<f64> {
+    pub(crate) fn first_value(&self) -> Option<f64> {
         match self {
             Value::Scalar(s) => Some(*s),
             Value::Vector(v) => v.first().map(|s| s.value),
@@ -1422,13 +1422,13 @@ pub fn eval(store: &Tsdb, expr: &Expr, tick: u64) -> Result<Value, EvalError> {
 
 /// One output series of [`eval_range`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct RangeSeries {
+pub(crate) struct RangeSeries {
     /// Metric family name (empty for derived values).
-    pub name: String,
+    pub(crate) name: String,
     /// Sorted label pairs.
-    pub labels: Vec<(String, String)>,
+    pub(crate) labels: Vec<(String, String)>,
     /// `(tick, value)` points in ascending tick order.
-    pub points: Vec<(u64, f64)>,
+    pub(crate) points: Vec<(u64, f64)>,
 }
 
 /// Accumulator key for [`eval_range`]: series name + sorted label pairs.
@@ -1437,7 +1437,7 @@ type SeriesId = (String, Vec<(String, String)>);
 /// Evaluate `expr` at every tick `from, from+step, ...` up to and
 /// including `to`, merging per-tick vectors into per-series point lists.
 /// A scalar result becomes one series with an empty name and no labels.
-pub fn eval_range(
+pub(crate) fn eval_range(
     store: &Tsdb,
     expr: &Expr,
     from: u64,
@@ -1480,37 +1480,6 @@ fn push_labels_json(out: &mut String, labels: &[(String, String)]) {
         out.push_str(&crate::export::json_str(v));
     }
     out.push('}');
-}
-
-/// Render an instant [`Value`] as deterministic JSON:
-/// `{"type":"scalar","value":v}` or
-/// `{"type":"vector","samples":[{"name":..,"labels":{..},"value":..},..]}`.
-pub fn value_json(v: &Value) -> String {
-    let mut out = String::new();
-    match v {
-        Value::Scalar(s) => {
-            out.push_str("{\"type\":\"scalar\",\"value\":");
-            out.push_str(&crate::export::json_f64(*s));
-            out.push('}');
-        }
-        Value::Vector(samples) => {
-            out.push_str("{\"type\":\"vector\",\"samples\":[");
-            for (i, s) in samples.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str("{\"name\":");
-                out.push_str(&crate::export::json_str(&s.name));
-                out.push_str(",\"labels\":");
-                push_labels_json(&mut out, &s.labels);
-                out.push_str(",\"value\":");
-                out.push_str(&crate::export::json_f64(s.value));
-                out.push('}');
-            }
-            out.push_str("]}");
-        }
-    }
-    out
 }
 
 /// Parse `src` and evaluate it over `[from, to]` with `step`, rendering
@@ -1567,14 +1536,13 @@ pub fn query_range_json(
 #[derive(Debug, Clone)]
 pub struct RecordingRule {
     name: String,
-    src: String,
     expr: Expr,
 }
 
 impl RecordingRule {
     /// Parse `src` into a rule named `name`.
     pub fn new(name: &str, src: &str) -> Result<RecordingRule, ParseError> {
-        Ok(RecordingRule { name: name.to_string(), src: src.to_string(), expr: parse(src)? })
+        Ok(RecordingRule { name: name.to_string(), expr: parse(src)? })
     }
 
     /// The output series name.
@@ -1582,22 +1550,12 @@ impl RecordingRule {
         &self.name
     }
 
-    /// The source expression.
-    pub fn source(&self) -> &str {
-        &self.src
-    }
-
-    /// The parsed expression.
-    pub fn expr(&self) -> &Expr {
-        &self.expr
-    }
-
     /// Evaluate at `tick` and append the result to `store` (one series per
     /// output label set, all under this rule's name, `value` field).
     /// Returns the number of series written. Appends go through
     /// [`Tsdb::append`], so synthetic series are subject to the same
     /// eviction and max-series accounting as scraped ones.
-    pub fn record(&self, store: &Tsdb, tick: u64) -> Result<usize, EvalError> {
+    pub(crate) fn record(&self, store: &Tsdb, tick: u64) -> Result<usize, EvalError> {
         match eval(store, &self.expr, tick)? {
             Value::Scalar(v) => {
                 store.append(
@@ -1891,19 +1849,9 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].value, 10.0);
         // Synthetic series are queryable through the raw TSDB API too.
-        assert_eq!(s.query(&Query::family("shard:req:rate2")).len(), 2);
-    }
-
-    #[test]
-    fn value_json_is_stable() {
-        let s = store();
-        let v = eval_str(&s, "sum by (shard) (req_total)", 8);
         assert_eq!(
-            value_json(&v),
-            "{\"type\":\"vector\",\"samples\":[\
-             {\"name\":\"\",\"labels\":{\"shard\":\"a\"},\"value\":80},\
-             {\"name\":\"\",\"labels\":{\"shard\":\"b\"},\"value\":24}]}"
+            s.query(&Query { name: Some("shard:req:rate2".into()), ..Query::default() }).len(),
+            2
         );
-        assert_eq!(value_json(&Value::Scalar(1.5)), "{\"type\":\"scalar\",\"value\":1.5}");
     }
 }

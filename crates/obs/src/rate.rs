@@ -4,7 +4,7 @@
 //! Two distinct semantics exist in this codebase and are easy to conflate:
 //!
 //! * **Wall-clock rate** ([`per_second`]): a raw count divided by elapsed
-//!   wall time. This is what `EngineStats::records_per_sec` reports — it
+//!   wall time. This is what the bench's `records_per_s` reports — it
 //!   answers "how fast did the machine chew through the stream".
 //! * **Per-bucket mean** ([`per_bucket`]): a total divided by the number of
 //!   *occupied* time buckets, ignoring how long the run actually took. This
@@ -43,7 +43,7 @@ mod tests {
     }
 
     /// Degenerate numerators and denominators never leak inf/NaN to callers
-    /// (`EngineStats::records_per_sec`, bench reports, dashboards).
+    /// (bench reports, dashboards).
     #[test]
     fn results_are_always_finite() {
         assert_eq!(per_second(100, f64::INFINITY), 0.0);

@@ -10,14 +10,14 @@
 //! expected to resolve its handles once (at construction / before a kernel
 //! runs) and then update them lock-free on the hot path.
 
-use crate::log::{emit_stderr, Event, Level};
+use crate::log::{emit_stderr, Event};
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Mutex;
 
 /// Maximum buffered events; older events are dropped first.
-pub const EVENT_BUFFER_CAP: usize = 4096;
+pub(crate) const EVENT_BUFFER_CAP: usize = 4096;
 
 /// Kind of a metric family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,9 +60,9 @@ pub struct MetricSnapshot {
     /// Family name.
     pub name: String,
     /// Family help text.
-    pub help: String,
+    pub(crate) help: String,
     /// Family kind.
-    pub kind: MetricKind,
+    pub(crate) kind: MetricKind,
     /// Label pairs in registration order.
     pub labels: Vec<(String, String)>,
     /// The value.
@@ -205,7 +205,7 @@ impl Registry {
     }
 
     /// Append an event to the buffer (dropping the oldest beyond
-    /// [`EVENT_BUFFER_CAP`]) and mirror it to stderr when `COMMGRAPH_LOG`
+    /// `EVENT_BUFFER_CAP`) and mirror it to stderr when `COMMGRAPH_LOG`
     /// enables its level.
     pub fn push_event(&self, event: Event) {
         emit_stderr(&event);
@@ -225,22 +225,12 @@ impl Registry {
             .cloned()
             .collect()
     }
-
-    /// Buffered events at or above `level` severity.
-    pub fn events_at_least(&self, level: Level) -> Vec<Event> {
-        self.events
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .iter()
-            .filter(|e| e.level <= level)
-            .cloned()
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::Level;
 
     #[test]
     fn same_name_and_labels_share_state() {
@@ -288,6 +278,5 @@ mod tests {
         let events = r.events();
         assert_eq!(events.len(), EVENT_BUFFER_CAP);
         assert_eq!(events[0].message, "m10", "oldest dropped first");
-        assert_eq!(r.events_at_least(Level::Info).len(), 0);
     }
 }

@@ -37,11 +37,6 @@ impl SpanGuard {
         SpanGuard { hist, start, trace }
     }
 
-    /// An inert guard (for default-constructed holders).
-    pub fn noop() -> Self {
-        SpanGuard { hist: Histogram::noop(), start: None, trace: None }
-    }
-
     /// True when this guard carries an enabled trace span. Callers use this
     /// to skip building attribute strings on untraced paths.
     #[inline]
@@ -112,7 +107,6 @@ mod tests {
     fn noop_guard_never_touches_the_clock_state() {
         let g = SpanGuard::start(Histogram::noop());
         assert_eq!(g.stop(), 0.0);
-        assert_eq!(SpanGuard::noop().stop(), 0.0);
     }
 
     #[test]

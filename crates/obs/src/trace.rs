@@ -14,7 +14,7 @@
 //! never locks, never allocates. Results of traced runs are bit-for-bit
 //! identical to untraced runs.
 //!
-//! Two exporters read a dump back out: [`chrome_trace_json`] emits the
+//! Two exporters read a dump back out: `chrome_trace_json` emits the
 //! Chrome trace-event format (open the file in Perfetto / `about:tracing`)
 //! and [`render_tree`] prints an indented text tree for terminals.
 
@@ -24,18 +24,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Default capacity of the flight-recorder ring ([`Tracer::with_default_capacity`]).
-pub const DEFAULT_FLIGHT_CAP: usize = 1024;
+/// Default capacity of the flight-recorder ring (`Tracer::default()`).
+pub(crate) const DEFAULT_FLIGHT_CAP: usize = 1024;
 
 /// A point-in-time annotation inside a span (e.g. "anomaly detected").
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanEvent {
     /// Event name.
-    pub name: String,
+    pub(crate) name: String,
     /// Seconds since the tracer epoch when the event fired.
-    pub at_secs: f64,
+    pub(crate) at_secs: f64,
     /// Key/value payload.
-    pub fields: Vec<(String, String)>,
+    pub(crate) fields: Vec<(String, String)>,
 }
 
 /// One finished span as retained by the flight recorder.
@@ -48,20 +48,20 @@ pub struct SpanRecord {
     /// Span name (stage or operation).
     pub name: String,
     /// Seconds since the tracer epoch when the span opened.
-    pub start_secs: f64,
+    pub(crate) start_secs: f64,
     /// Span duration in seconds (never negative).
-    pub dur_secs: f64,
+    pub(crate) dur_secs: f64,
     /// Attributes set via [`TraceSpan::attr`], in insertion order.
-    pub attrs: Vec<(String, String)>,
+    pub(crate) attrs: Vec<(String, String)>,
     /// Events added via [`TraceSpan::add_event`], in order.
-    pub events: Vec<SpanEvent>,
+    pub(crate) events: Vec<SpanEvent>,
 }
 
 /// A snapshot of the flight recorder, oldest span first.
 #[derive(Debug, Clone)]
 pub struct FlightDump {
     /// Ring capacity the tracer was built with.
-    pub capacity: usize,
+    pub(crate) capacity: usize,
     /// Finished spans evicted because the ring was full.
     pub dropped: u64,
     /// Spans still open (started, not yet finished) at dump time.
@@ -129,11 +129,6 @@ impl Tracer {
         }
     }
 
-    /// A tracer with [`DEFAULT_FLIGHT_CAP`] retained spans.
-    pub fn with_default_capacity() -> Self {
-        Tracer::default()
-    }
-
     /// Lock the inner state, recovering from poisoning (a panicking span
     /// holder must not take tracing down with it).
     fn lock(&self) -> MutexGuard<'_, TracerInner> {
@@ -145,7 +140,7 @@ impl Tracer {
 
     /// Open a span named `name` whose parent is the innermost span still
     /// open on this tracer (implicit parenting), or a root if none is.
-    pub fn span(self: &Arc<Self>, name: &str) -> TraceSpan {
+    pub(crate) fn span(self: &Arc<Self>, name: &str) -> TraceSpan {
         let start_secs = self.epoch.elapsed().as_secs_f64();
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let parent = {
@@ -167,7 +162,7 @@ impl Tracer {
 
     /// Open a span with no parent regardless of what is currently open —
     /// use for per-run roots (`pipeline_run`, `monitor_run`).
-    pub fn root_span(self: &Arc<Self>, name: &str) -> TraceSpan {
+    pub(crate) fn root_span(self: &Arc<Self>, name: &str) -> TraceSpan {
         let mut span = self.span(name);
         span.parent = None;
         span
@@ -185,7 +180,7 @@ impl Tracer {
     }
 
     /// Seconds since this tracer's epoch (the timebase of all records).
-    pub fn now_secs(&self) -> f64 {
+    pub(crate) fn now_secs(&self) -> f64 {
         self.epoch.elapsed().as_secs_f64()
     }
 
@@ -215,7 +210,7 @@ pub struct TraceSpan {
 
 impl TraceSpan {
     /// The inert span (what a tracer-less [`Obs`](crate::Obs) hands out).
-    pub fn noop() -> Self {
+    pub(crate) fn noop() -> Self {
         TraceSpan {
             tracer: None,
             id: 0,
@@ -232,11 +227,6 @@ impl TraceSpan {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.tracer.is_some()
-    }
-
-    /// This span's trace-unique id (0 for the noop span).
-    pub fn id(&self) -> u64 {
-        self.id
     }
 
     /// Attach (or append) a string attribute. No-op when disabled.
@@ -293,7 +283,7 @@ impl Drop for TraceSpan {
 /// microseconds since the tracer epoch. All events share `pid`/`tid` 1, so
 /// viewers (Perfetto, `about:tracing`) nest them by time containment; the
 /// explicit ids travel in `args.span_id` / `args.parent_id`.
-pub fn chrome_trace_json(dump: &FlightDump) -> String {
+pub(crate) fn chrome_trace_json(dump: &FlightDump) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     let mut spans: Vec<&SpanRecord> = dump.spans.iter().collect();
     spans.sort_by(|a, b| a.start_secs.total_cmp(&b.start_secs).then(a.id.cmp(&b.id)));
@@ -425,7 +415,7 @@ mod tests {
         let t = Arc::new(Tracer::new(16));
         let outer = t.span("outer");
         let root = t.root_span("fresh_root");
-        assert_ne!(root.id(), 0);
+        assert_ne!(root.id, 0);
         drop(root);
         drop(outer);
         let dump = t.dump();
@@ -466,7 +456,7 @@ mod tests {
     fn noop_span_is_inert() {
         let mut s = TraceSpan::noop();
         assert!(!s.is_enabled());
-        assert_eq!(s.id(), 0);
+        assert_eq!(s.id, 0);
         s.attr("k", "v");
         s.add_event("e", &[]);
         assert_eq!(s.finish(), 0.0);

@@ -35,7 +35,7 @@
 //! series is a bounded ring of `(tick, value)` samples with the tick stored
 //! as a `u32` delta from the series' base tick — 12 bytes per sample instead
 //! of 16. When a ring is full the oldest sample is evicted and counted;
-//! when the store holds [`TsdbConfig::max_series`] series, *new* series are
+//! when the store holds `max_series` ([`TsdbConfig`]) series, *new* series are
 //! dropped and counted. Nothing is silently lost.
 
 use crate::metrics::HistogramSnapshot;
@@ -67,7 +67,7 @@ pub enum SampleField {
 
 impl SampleField {
     /// Stable lowercase name (the `field` label value in query expressions).
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             SampleField::Value => "value",
             SampleField::Count => "count",
@@ -80,7 +80,7 @@ impl SampleField {
     }
 
     /// The histogram sub-series, in storage order.
-    pub const HISTOGRAM_FIELDS: [SampleField; 6] = [
+    pub(crate) const HISTOGRAM_FIELDS: [SampleField; 6] = [
         SampleField::Count,
         SampleField::Sum,
         SampleField::Max,
@@ -165,10 +165,10 @@ impl Series {
 #[derive(Debug, Clone)]
 pub struct TsdbConfig {
     /// Samples retained per series; the oldest is evicted beyond this.
-    pub capacity_per_series: usize,
+    pub(crate) capacity_per_series: usize,
     /// Series retained in total; *new* series beyond this are dropped (and
-    /// counted on [`Tsdb::dropped_series`]).
-    pub max_series: usize,
+    /// counted).
+    pub(crate) max_series: usize,
 }
 
 impl Default for TsdbConfig {
@@ -202,7 +202,7 @@ impl Default for Tsdb {
 }
 
 /// A label matcher (`key` must equal `value`) for [`Query`].
-pub type Matcher = (String, String);
+pub(crate) type Matcher = (String, String);
 
 /// A series selection: all fields optional, all conditions conjunctive.
 #[derive(Debug, Clone, Default)]
@@ -220,23 +220,6 @@ pub struct Query {
 }
 
 impl Query {
-    /// Select one family by name.
-    pub fn family(name: &str) -> Query {
-        Query { name: Some(name.to_string()), ..Query::default() }
-    }
-
-    /// Require label `key` = `value` (builder style).
-    pub fn with_label(mut self, key: &str, value: &str) -> Query {
-        self.matchers.push((key.to_string(), value.to_string()));
-        self
-    }
-
-    /// Restrict to one sample field (builder style).
-    pub fn with_field(mut self, field: SampleField) -> Query {
-        self.field = Some(field);
-        self
-    }
-
     fn matches(&self, key: &SeriesKey) -> bool {
         if self.name.as_deref().is_some_and(|n| n != key.name) {
             return false;
@@ -252,7 +235,7 @@ impl Query {
 #[derive(Debug, Clone)]
 pub struct SeriesData {
     /// The series identity.
-    pub key: SeriesKey,
+    pub(crate) key: SeriesKey,
     /// `(tick, value)` samples, oldest first, within the query range.
     pub points: Vec<(u64, f64)>,
 }
@@ -261,11 +244,6 @@ impl Tsdb {
     /// An empty store with the given bounds.
     pub fn new(cfg: TsdbConfig) -> Tsdb {
         Tsdb { cfg, inner: Mutex::new(TsdbInner::default()) }
-    }
-
-    /// The configured bounds.
-    pub fn config(&self) -> &TsdbConfig {
-        &self.cfg
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, TsdbInner> {
@@ -297,19 +275,9 @@ impl Tsdb {
         self.lock().series.len()
     }
 
-    /// Samples appended over the store's lifetime (including later-evicted).
-    pub fn appended_samples(&self) -> u64 {
-        self.lock().appended
-    }
-
     /// Samples evicted by ring capacity over the store's lifetime.
-    pub fn evicted_samples(&self) -> u64 {
+    pub(crate) fn evicted_samples(&self) -> u64 {
         self.lock().evicted
-    }
-
-    /// Series dropped because [`TsdbConfig::max_series`] was reached.
-    pub fn dropped_series(&self) -> u64 {
-        self.lock().dropped_series
     }
 
     /// Highest tick ever appended.
@@ -460,7 +428,7 @@ impl Scraper {
 
     /// Sample every metric in the registry at logical time `tick`. Counters
     /// and gauges append one `value` sample; histograms append their
-    /// [`SampleField::HISTOGRAM_FIELDS`] scalars. Returns the number of
+    /// `SampleField::HISTOGRAM_FIELDS` scalars. Returns the number of
     /// samples appended.
     pub fn scrape(&self, tick: u64) -> usize {
         // lint:allow(clock-hygiene) self-timing of the scrape pass; samples are stamped with the injected tick
@@ -534,6 +502,10 @@ fn histogram_field(h: &HistogramSnapshot, field: SampleField) -> f64 {
 mod tests {
     use super::*;
 
+    fn family(name: &str) -> Query {
+        Query { name: Some(name.to_string()), ..Query::default() }
+    }
+
     #[test]
     fn append_and_query_round_trip() {
         let db = Tsdb::default();
@@ -546,13 +518,16 @@ mod tests {
         assert_eq!(all[0].key.name, "a_total");
         assert_eq!(all[0].points, (1..=5).map(|t| (t, t as f64)).collect::<Vec<_>>());
 
-        let ranged = db.query(&Query { from: Some(2), to: Some(4), ..Query::family("b_total") });
+        let ranged = db.query(&Query { from: Some(2), to: Some(4), ..family("b_total") });
         assert_eq!(ranged.len(), 1);
         assert_eq!(ranged[0].points, vec![(2, 20.0), (3, 30.0), (4, 40.0)]);
 
-        let labeled = db.query(&Query::family("a_total").with_label("k", "x"));
+        let labeled =
+            db.query(&Query { matchers: vec![("k".into(), "x".into())], ..family("a_total") });
         assert_eq!(labeled.len(), 1);
-        assert!(db.query(&Query::family("a_total").with_label("k", "y")).is_empty());
+        assert!(db
+            .query(&Query { matchers: vec![("k".into(), "y".into())], ..family("a_total") })
+            .is_empty());
     }
 
     #[test]
@@ -563,10 +538,10 @@ mod tests {
         }
         let s = &db.query(&Query::default())[0];
         assert_eq!(s.points, vec![(5, 5.0), (6, 6.0), (7, 7.0)], "oldest evicted first");
-        assert_eq!(db.appended_samples(), 7);
+        assert_eq!(db.lock().appended, 7);
         assert_eq!(db.evicted_samples(), 4);
         // Conservation: retained + evicted == appended.
-        assert_eq!(s.points.len() as u64 + db.evicted_samples(), db.appended_samples());
+        assert_eq!(s.points.len() as u64 + db.evicted_samples(), db.lock().appended);
     }
 
     #[test]
@@ -578,8 +553,8 @@ mod tests {
         // Existing series still accept samples at the cap.
         db.append(SeriesKey::value("a_total", &[]), 2, 2.0);
         assert_eq!(db.series_count(), 2);
-        assert_eq!(db.dropped_series(), 1);
-        assert_eq!(db.appended_samples(), 3);
+        assert_eq!(db.lock().dropped_series, 1);
+        assert_eq!(db.lock().appended, 3);
     }
 
     #[test]
@@ -594,20 +569,20 @@ mod tests {
         let scraper = Scraper::new(registry.clone(), Arc::new(Tsdb::default()));
         let appended = scraper.scrape(1);
         let db = scraper.store();
-        let counter = db.query(&Query::family("demo_total"));
+        let counter = db.query(&family("demo_total"));
         assert_eq!(counter[0].points, vec![(1, 3.0)]);
-        let hist = db.query(&Query::family("demo_seconds"));
+        let hist = db.query(&family("demo_seconds"));
         assert_eq!(hist.len(), 6, "histograms fan out into scalar sub-series");
-        let count = db.query(&Query::family("demo_seconds").with_field(SampleField::Count));
+        let count = db.query(&Query { field: Some(SampleField::Count), ..family("demo_seconds") });
         assert_eq!(count[0].points, vec![(1, 2.0)]);
-        let sum = db.query(&Query::family("demo_seconds").with_field(SampleField::Sum));
+        let sum = db.query(&Query { field: Some(SampleField::Sum), ..family("demo_seconds") });
         assert_eq!(sum[0].points, vec![(1, 3.0)]);
         assert!(appended >= 12, "user metrics plus scraper self-metrics: {appended}");
-        assert_eq!(db.appended_samples(), appended as u64);
+        assert_eq!(db.lock().appended, appended as u64);
 
         // Second scrape sees the scraper's own scrape_seconds histogram.
         scraper.scrape(2);
-        let self_cost = db.query(&Query::family("commgraph_tsdb_scrape_seconds"));
+        let self_cost = db.query(&family("commgraph_tsdb_scrape_seconds"));
         assert!(!self_cost.is_empty(), "store observes its own cost one tick behind");
         assert_eq!(db.last_tick(), 2);
     }

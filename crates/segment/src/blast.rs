@@ -17,7 +17,7 @@ use std::net::Ipv4Addr;
 #[derive(Debug, Clone, Serialize)]
 pub struct BlastRadius {
     /// The breached address.
-    pub breached: Ipv4Addr,
+    pub(crate) breached: Ipv4Addr,
     /// Internal resources reachable with no segmentation (all of them,
     /// minus the breached resource itself).
     pub unsegmented: usize,

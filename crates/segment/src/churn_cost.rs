@@ -7,7 +7,7 @@
 //! the change: the new VM gets its own rule set and a tag registration;
 //! nobody else's rules change.
 //!
-//! [`churn_update_cost`] computes both costs for a hypothetical ±1-replica
+//! `churn_update_cost` computes both costs for a hypothetical ±1-replica
 //! event on each segment; [`ChurnCostReport`] aggregates fleet-wide.
 
 use crate::microseg::{SegmentId, Segmentation};
@@ -18,26 +18,26 @@ use serde::Serialize;
 #[derive(Debug, Clone, Serialize)]
 pub struct SegmentChurnCost {
     /// The segment whose membership changes.
-    pub segment: SegmentId,
+    pub(crate) segment: SegmentId,
     /// Display name of the segment.
-    pub name: String,
+    pub(crate) name: String,
     /// Current members.
-    pub members: usize,
+    pub(crate) members: usize,
     /// VMs whose per-IP rule lists must be rewritten.
-    pub ip_vms_touched: usize,
+    pub(crate) ip_vms_touched: usize,
     /// Individual per-IP rules added/removed fleet-wide.
-    pub ip_rule_updates: usize,
+    pub(crate) ip_rule_updates: usize,
     /// VMs whose tag rules must be rewritten (only the churned VM itself).
-    pub tag_vms_touched: usize,
+    pub(crate) tag_vms_touched: usize,
     /// Tag-table registrations (the churned VM's tag membership).
-    pub tag_updates: usize,
+    pub(crate) tag_updates: usize,
 }
 
 /// Fleet-wide churn-cost aggregate.
 #[derive(Debug, Clone, Serialize)]
 pub struct ChurnCostReport {
     /// Per-segment costs.
-    pub per_segment: Vec<SegmentChurnCost>,
+    pub(crate) per_segment: Vec<SegmentChurnCost>,
     /// Mean per-IP rule updates per churn event.
     pub mean_ip_rule_updates: f64,
     /// Worst-case per-IP rule updates for one event.
@@ -49,7 +49,7 @@ pub struct ChurnCostReport {
 }
 
 /// Cost of one ±1-replica churn event on `segment`.
-pub fn churn_update_cost(
+pub(crate) fn churn_update_cost(
     seg: &Segmentation,
     policy: &SegmentPolicy,
     segment: SegmentId,

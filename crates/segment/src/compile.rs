@@ -24,7 +24,7 @@ pub const PAPER_VM_RULE_LIMIT: usize = 1000;
 #[derive(Debug, Clone, Serialize)]
 pub struct VmRuleCount {
     /// The VM.
-    pub ip: Ipv4Addr,
+    pub(crate) ip: Ipv4Addr,
     /// Rules needed when unrolling to per-IP allow rules.
     pub ip_rules: usize,
     /// Rules needed with tag-based enforcement.

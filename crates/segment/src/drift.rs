@@ -20,24 +20,24 @@ use std::net::Ipv4Addr;
 #[derive(Debug, Clone, Serialize)]
 pub struct SegmentMatch {
     /// Segment in the new segmentation.
-    pub new_segment: SegmentId,
+    pub(crate) new_segment: SegmentId,
     /// Best-overlapping old segment, if any member overlaps.
-    pub old_segment: Option<SegmentId>,
+    pub(crate) old_segment: Option<SegmentId>,
     /// Members shared with that old segment.
-    pub overlap: usize,
+    pub(crate) overlap: usize,
     /// Members of the new segment.
-    pub size: usize,
+    pub(crate) size: usize,
     /// Jaccard overlap with the matched old segment (0 when unmatched).
-    pub jaccard: f64,
+    pub(crate) jaccard: f64,
 }
 
 /// The full reconciliation of an old → new segmentation transition.
 #[derive(Debug, Clone, Serialize)]
 pub struct DriftReport {
     /// Per-new-segment matches, ordered by new segment id.
-    pub matches: Vec<SegmentMatch>,
+    pub(crate) matches: Vec<SegmentMatch>,
     /// Resources whose (matched) segment did not change.
-    pub stable: usize,
+    pub(crate) stable: usize,
     /// Resources that moved between matched segments — the label churn.
     pub moved: Vec<Ipv4Addr>,
     /// Resources present only in the new segmentation (scale-out).

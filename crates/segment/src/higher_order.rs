@@ -22,21 +22,21 @@ use serde::Serialize;
 use std::collections::{HashMap, HashSet};
 
 /// A (segment, peer segment, service port) behavior key.
-pub type BehaviorKey = (SegmentId, SegmentId, u16);
+pub(crate) type BehaviorKey = (SegmentId, SegmentId, u16);
 
 /// Assessment of one newly-appeared behavior.
 #[derive(Debug, Clone, Serialize)]
 pub struct SimilarityFinding {
     /// The segment whose members changed behavior.
-    pub segment: SegmentId,
+    pub(crate) segment: SegmentId,
     /// The new peer segment.
-    pub peer: SegmentId,
+    pub(crate) peer: SegmentId,
     /// Service port of the new conversations.
-    pub port: u16,
+    pub(crate) port: u16,
     /// Members of `segment` exhibiting the new behavior.
-    pub members_exhibiting: usize,
+    pub(crate) members_exhibiting: usize,
     /// Total members of `segment`.
-    pub members_total: usize,
+    pub(crate) members_total: usize,
     /// True when enough of the fleet moved together that the change is
     /// explainable (e.g. a rollout) rather than a single breached VM.
     pub explainable: bool,
@@ -116,17 +116,17 @@ pub fn similarity_assess<'a>(
 #[derive(Debug, Clone, Serialize)]
 pub struct ProportionalityFinding {
     /// Lower segment of the pair.
-    pub a: SegmentId,
+    pub(crate) a: SegmentId,
     /// Higher segment of the pair.
-    pub b: SegmentId,
+    pub(crate) b: SegmentId,
     /// Bytes in the baseline window.
-    pub bytes_before: u64,
+    pub(crate) bytes_before: u64,
     /// Bytes in the current window.
-    pub bytes_after: u64,
+    pub(crate) bytes_after: u64,
     /// This pair's growth ratio.
-    pub ratio: f64,
+    pub(crate) ratio: f64,
     /// The cluster-wide median growth ratio.
-    pub cluster_ratio: f64,
+    pub(crate) cluster_ratio: f64,
     /// True when growth is in line with the cluster trend (flash crowd),
     /// false when this pair surged alone.
     pub proportional: bool,

@@ -6,13 +6,12 @@
 //! blast radius shrinks from "the whole subscription" to "my segment's
 //! allowed peers."
 //!
-//! * [`microseg`] — µsegments derived from inferred roles.
+//! * `microseg` — µsegments derived from inferred roles.
 //! * [`policy`] — default-deny reachability policies learned from observed
 //!   communication, optionally service-port-scoped.
-//! * [`violation`] — runtime policy checking over live record streams.
+//! * `violation` — runtime policy checking over live record streams.
 //! * [`compile`] — unrolling segment policies into per-VM rules: the rule-
 //!   explosion problem, and the tag-based enforcement that avoids it.
-//! * [`export`] — rendering per-VM rule lists as NSG-style security rules.
 //! * [`drift`] — reconciling re-learned segmentations against the enforced
 //!   one: label churn, stability, and the enforcement cost of keeping up.
 //! * [`higher_order`] — the paper's similarity-based and proportionality-
@@ -27,12 +26,11 @@ pub mod blast;
 pub mod churn_cost;
 pub mod compile;
 pub mod drift;
-pub mod error;
-pub mod export;
+pub(crate) mod error;
 pub mod higher_order;
-pub mod microseg;
+pub(crate) mod microseg;
 pub mod policy;
-pub mod violation;
+pub(crate) mod violation;
 
 pub use error::{Error, Result};
 pub use microseg::{Segment, SegmentId, Segmentation};

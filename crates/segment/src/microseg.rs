@@ -17,7 +17,7 @@ pub struct SegmentId(pub u16);
 #[derive(Debug, Clone, Serialize)]
 pub struct Segment {
     /// Identifier; equals the segment's index.
-    pub id: SegmentId,
+    pub(crate) id: SegmentId,
     /// Display name (`"seg-3"` by default; renameable by operators).
     pub name: String,
     /// Member addresses.
@@ -25,7 +25,7 @@ pub struct Segment {
     /// Whether members are inside the subscription (monitored). External
     /// peers get segments too, so policies can constrain egress, but they
     /// are not enforcement targets.
-    pub internal: bool,
+    pub(crate) internal: bool,
 }
 
 /// A complete partition of a graph's IP nodes into µsegments.

@@ -49,7 +49,7 @@ impl Hash for AllowRule {
 
 impl AllowRule {
     /// Canonicalized rule (segment ids ordered).
-    pub fn new(x: SegmentId, y: SegmentId, port: u16) -> Self {
+    pub(crate) fn new(x: SegmentId, y: SegmentId, port: u16) -> Self {
         let (a, b) = if x <= y { (x, y) } else { (y, x) };
         AllowRule { a, b, port }
     }
@@ -229,11 +229,6 @@ impl SegmentPolicy {
         (carried, rules)
     }
 
-    /// Whether this policy's rules carry port scopes.
-    pub fn port_scoped(&self) -> bool {
-        self.port_scoped
-    }
-
     /// Number of allow rules.
     pub fn rule_count(&self) -> usize {
         self.rules.len()
@@ -261,7 +256,7 @@ impl SegmentPolicy {
 
     /// Segments directly reachable from `s` under this policy (including
     /// itself if a self-rule exists).
-    pub fn reachable_from(&self, s: SegmentId) -> Vec<SegmentId> {
+    pub(crate) fn reachable_from(&self, s: SegmentId) -> Vec<SegmentId> {
         let mut out: Vec<SegmentId> = self
             .rules
             .iter()
@@ -440,7 +435,7 @@ mod tests {
             let inc = SegmentPolicy::learn_incremental(&w2, &seg, &seg, &prev, &dirty, port_scoped);
             let full = SegmentPolicy::learn(&w2, &seg, port_scoped);
             assert_eq!(inc.rules(), full.rules(), "port_scoped={port_scoped}");
-            assert_eq!(inc.port_scoped(), full.port_scoped());
+            assert_eq!(inc.port_scoped, full.port_scoped);
         }
     }
 
@@ -484,7 +479,7 @@ mod tests {
         let inc = SegmentPolicy::learn_incremental(&w, &seg, &seg, &prev, &HashSet::new(), true);
         let full = SegmentPolicy::learn(&w, &seg, true);
         assert_eq!(inc.rules(), full.rules());
-        assert!(inc.port_scoped());
+        assert!(inc.port_scoped);
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl ViolationDetector {
         ViolationDetector { seg, policy, checked: 0, flagged: 0 }
     }
 
-    /// The segmentation in force.
-    pub fn segmentation(&self) -> &Segmentation {
-        &self.seg
-    }
-
     /// Records checked and flagged so far.
     pub fn counts(&self) -> (u64, u64) {
         (self.checked, self.flagged)
