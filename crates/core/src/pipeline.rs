@@ -862,7 +862,6 @@ mod tests {
         );
         // The recording rule ran once per window tick, appending its
         // synthetic series at the same ticks as the scraped samples.
-        assert_eq!(scraper.recording_rule_count(), 1);
         let recorded = scraper.store().query(&obs::Query {
             name: Some("pipeline:late_records:delta1".to_string()),
             ..Default::default()
@@ -870,6 +869,14 @@ mod tests {
         assert_eq!(recorded.len(), 1, "one synthetic series");
         let ticks: Vec<u64> = recorded[0].points.iter().map(|p| p.0).collect();
         assert_eq!(ticks, vec![1, 2, 3], "one rule sample per analyzed window");
+        let written = registry
+            .counter(
+                "commgraph_query_rule_series_total",
+                "",
+                &[("rule", "pipeline:late_records:delta1")],
+            )
+            .get();
+        assert_eq!(written, 3, "the rule's counter advanced by the samples it wrote");
     }
 
     #[test]

@@ -16,18 +16,16 @@
 //!   only on workspace crates or `shims/` path deps (hermetic offline
 //!   build), and `unsafe` is forbidden outside an allow-list.
 //!
-//! L5–L7 are *interprocedural*: the sweep indexes every library function
-//! ([`symbols`]), resolves call sites into a workspace call graph
-//! ([`callgraph`]), and propagates properties across it:
+//! L5 and L7 are *interprocedural*: the sweep indexes every library
+//! function ([`symbols`]), resolves call sites into a workspace call graph
+//! ([`callgraph`]), and propagates properties across it (L6 `lock-order`
+//! is retired: `obs` never holds two locks at once, and its lock helper
+//! asserts that at runtime in debug builds):
 //!
 //! * [`lints::clock_hygiene`] (**L5** `clock-hygiene`) — ambient clock and
 //!   entropy reads (`Instant::now`, `SystemTime::now`, `thread_rng`,
 //!   `RandomState`) must be unreachable from the deterministic-tick
 //!   surfaces; taint flows backward through the graph.
-//! * [`lints::lock_order`] (**L6** `lock-order`) — every mutex
-//!   acquisition classifies to a named lock class, nested acquisitions
-//!   (including transitive ones through callees and guard-returning
-//!   helpers) must follow the canonical order in [`Config::lock_order`].
 //! * [`lints::panic_prop`] (**L7** `panic-propagation`) — a library
 //!   function that can reach a panicking helper at any call depth is
 //!   itself a finding, anchored at the propagating call site.
@@ -37,7 +35,7 @@
 //!
 //! ```text
 //! // lint:allow(panic-path) poisoned lock is unrecoverable by design
-//! let guard = self.families.lock().expect("registry poisoned");
+//! let guard = self.state.lock().expect("registry poisoned");
 //! ```
 //!
 //! A reason is mandatory — reasonless or unknown-lint markers are
@@ -77,8 +75,6 @@ pub enum LintId {
     DependencyPolicy,
     /// L5: ambient clock/entropy reachable from deterministic surfaces.
     ClockHygiene,
-    /// L6: lock acquisitions off the canonical order.
-    LockOrder,
     /// L7: panics reachable through the call graph.
     PanicPropagation,
     /// Malformed allow-markers (unknown lint name or missing reason).
@@ -94,21 +90,19 @@ impl LintId {
             LintId::MetricRegistry => "metric-registry",
             LintId::DependencyPolicy => "dependency-policy",
             LintId::ClockHygiene => "clock-hygiene",
-            LintId::LockOrder => "lock-order",
             LintId::PanicPropagation => "panic-propagation",
             LintId::LintMarker => "lint-marker",
         }
     }
 
     /// All selectable lints, in L1..L7 order.
-    pub fn all() -> [LintId; 7] {
+    pub fn all() -> [LintId; 6] {
         [
             LintId::NondetIter,
             LintId::PanicPath,
             LintId::MetricRegistry,
             LintId::DependencyPolicy,
             LintId::ClockHygiene,
-            LintId::LockOrder,
             LintId::PanicPropagation,
         ]
     }
@@ -121,7 +115,6 @@ impl LintId {
             "metric-registry" => Some(LintId::MetricRegistry),
             "dependency-policy" => Some(LintId::DependencyPolicy),
             "clock-hygiene" => Some(LintId::ClockHygiene),
-            "lock-order" => Some(LintId::LockOrder),
             "panic-propagation" => Some(LintId::PanicPropagation),
             "lint-marker" => Some(LintId::LintMarker),
             _ => None,
@@ -191,10 +184,6 @@ pub struct Config {
     /// surfaces (L5): functions defined under these must not reach the
     /// ambient clock or process entropy.
     pub det_prefixes: Vec<String>,
-    /// The canonical lock acquisition order (L6), outermost first. Every
-    /// discovered lock class must appear here, and nested acquisitions
-    /// must go strictly down the list.
-    pub lock_order: Vec<String>,
 }
 
 impl Config {
@@ -231,30 +220,8 @@ impl Config {
                 "crates/algos/".to_string(),
                 "crates/linalg/".to_string(),
             ],
-            lock_order: workspace_lock_order(),
         }
     }
-}
-
-/// The canonical lock acquisition order for this workspace, outermost
-/// first. DESIGN §7 documents the rationale per entry; the invariant the
-/// order encodes: registry locks nest *outside* event buffers, the alert
-/// manager queries the TSDB (never the reverse), and leaf task slots are
-/// always innermost.
-pub fn workspace_lock_order() -> Vec<String> {
-    [
-        "obs::Registry.families",
-        "obs::Registry.events",
-        "obs::AlertEngine.inner",
-        "obs::Scraper.rules",
-        "obs::Tsdb.inner",
-        "obs::Tracer.inner",
-        "obs::LabelCap.admitted",
-        "linalg::par.slots",
-    ]
-    .into_iter()
-    .map(str::to_string)
-    .collect()
 }
 
 /// The result of one sweep, after marker suppression (but before baseline
@@ -292,8 +259,7 @@ pub fn sweep(cfg: &Config) -> io::Result<Sweep> {
     let mut findings: Vec<Finding> = Vec::new();
     let mut metric_scan = lints::metric_registry::MetricScan::default();
     let run = |l: LintId| cfg.lints.contains(&l);
-    let interproc =
-        run(LintId::ClockHygiene) || run(LintId::LockOrder) || run(LintId::PanicPropagation);
+    let interproc = run(LintId::ClockHygiene) || run(LintId::PanicPropagation);
 
     // Phase 1: read and parse every source file once. The interprocedural
     // lints need all files alive at the same time (the call graph crosses
@@ -363,9 +329,6 @@ pub fn sweep(cfg: &Config) -> io::Result<Sweep> {
         let mut raw: Vec<Finding> = Vec::new();
         if run(LintId::ClockHygiene) {
             raw.extend(lints::clock_hygiene::check(&index, &graph, &parsed, &cfg.det_prefixes));
-        }
-        if run(LintId::LockOrder) {
-            raw.extend(lints::lock_order::check(&index, &graph, &parsed, &cfg.lock_order));
         }
         if run(LintId::PanicPropagation) {
             raw.extend(lints::panic_prop::check(&index, &graph, &parsed));

@@ -4,7 +4,6 @@
 
 pub mod clock_hygiene;
 pub mod dep_policy;
-pub mod lock_order;
 pub mod metric_registry;
 pub mod nondet_iter;
 pub mod panic_path;

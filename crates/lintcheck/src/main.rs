@@ -77,8 +77,8 @@ fn print_help() {
          USAGE: lintcheck [--root DIR] [--json] [--no-baseline] \
          [--write-baseline] [--baseline FILE] [--lint NAME]...\n\n\
          Lints: nondet-iter, panic-path, metric-registry, dependency-policy,\n\
-         clock-hygiene, lock-order, panic-propagation\n\
-         (allow-marker hygiene always runs; the last three are\n\
+         clock-hygiene, panic-propagation\n\
+         (allow-marker hygiene always runs; the last two are\n\
          interprocedural — they build a workspace call graph first).\n\
          Default baseline file: <root>/lintcheck.baseline; missing file =\n\
          empty baseline."

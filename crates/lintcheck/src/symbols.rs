@@ -2,7 +2,7 @@
 //! with its module path, owning `impl`/`trait` type, body token range, and
 //! per-file `use`-import table.
 //!
-//! The index is the substrate for the interprocedural lints (L5–L7): the
+//! The index is the substrate for the interprocedural lints (L5, L7): the
 //! call-graph builder ([`crate::callgraph`]) resolves call sites against
 //! it. Extraction walks the flat token stream with an explicit scope stack
 //! (`mod` blocks, `impl`/`trait` blocks, `fn` bodies) — no syntax tree —
@@ -52,8 +52,6 @@ pub enum CallSite {
         name: String,
         /// 1-based line of the call.
         line: u32,
-        /// Token index of the callee name in the file's token stream.
-        tok: usize,
     },
     /// `seg::seg::name(...)` — path-qualified call; `path` holds every
     /// segment before the final name.
@@ -64,8 +62,6 @@ pub enum CallSite {
         name: String,
         /// 1-based line of the call.
         line: u32,
-        /// Token index of the callee name in the file's token stream.
-        tok: usize,
     },
     /// `self.name(...)` / `Self::name(...)` — resolved against the
     /// enclosing `impl` type.
@@ -74,8 +70,6 @@ pub enum CallSite {
         name: String,
         /// 1-based line of the call.
         line: u32,
-        /// Token index of the callee name in the file's token stream.
-        tok: usize,
     },
     /// `expr.name(...)` — receiver type unknown; resolved only when the
     /// method name is unambiguous workspace-wide.
@@ -84,8 +78,6 @@ pub enum CallSite {
         name: String,
         /// 1-based line of the call.
         line: u32,
-        /// Token index of the callee name in the file's token stream.
-        tok: usize,
     },
 }
 
@@ -107,16 +99,6 @@ impl CallSite {
             | CallSite::Path { line, .. }
             | CallSite::SelfMethod { line, .. }
             | CallSite::Method { line, .. } => *line,
-        }
-    }
-
-    /// Token index of the callee name in its file's token stream.
-    pub fn tok(&self) -> usize {
-        match self {
-            CallSite::Free { tok, .. }
-            | CallSite::Path { tok, .. }
-            | CallSite::SelfMethod { tok, .. }
-            | CallSite::Method { tok, .. } => *tok,
         }
     }
 }
@@ -637,20 +619,20 @@ fn extract_calls(toks: &[Tok<'_>], start: usize, end: usize) -> Vec<CallSite> {
             }
             path.reverse();
             if path.last().is_some_and(|s| s == "Self") {
-                out.push(CallSite::SelfMethod { name, line, tok: i });
+                out.push(CallSite::SelfMethod { name, line });
             } else if !path.is_empty() {
-                out.push(CallSite::Path { path, name, line, tok: i });
+                out.push(CallSite::Path { path, name, line });
             } else {
-                out.push(CallSite::Free { name, line, tok: i });
+                out.push(CallSite::Free { name, line });
             }
         } else if i >= 1 && toks[i - 1].is_punct('.') {
             if i >= 2 && toks[i - 2].is_ident("self") && !(i >= 3 && toks[i - 3].is_punct('.')) {
-                out.push(CallSite::SelfMethod { name, line, tok: i });
+                out.push(CallSite::SelfMethod { name, line });
             } else {
-                out.push(CallSite::Method { name, line, tok: i });
+                out.push(CallSite::Method { name, line });
             }
         } else {
-            out.push(CallSite::Free { name, line, tok: i });
+            out.push(CallSite::Free { name, line });
         }
     }
     out

@@ -41,11 +41,6 @@ fn fixture_config(lints: Vec<LintId>) -> Config {
         nondet_prefixes: vec!["crates/algos/".into()],
         unsafe_allowed: Vec::new(),
         det_prefixes: vec!["crates/det/".into()],
-        lock_order: vec![
-            "fx_locks::Pair.a".into(),
-            "fx_locks::Pair.b".into(),
-            "fx_locks::Pair.gone".into(),
-        ],
     }
 }
 
@@ -96,11 +91,6 @@ fn clock_hygiene_golden() {
 }
 
 #[test]
-fn lock_order_golden() {
-    check_golden(LintId::LockOrder, "lock_order.json");
-}
-
-#[test]
 fn panic_propagation_golden() {
     check_golden(LintId::PanicPropagation, "panic_propagation.json");
 }
@@ -126,12 +116,10 @@ fn full_sweep_detects_every_seeded_class() {
     // det: one direct read, one taint through the cross-crate helper;
     // the marker-suppressed read stays quiet.
     assert_eq!(count(LintId::ClockHygiene), 2);
-    // locks: one inversion, one undeclared class, one stale table entry.
-    assert_eq!(count(LintId::LockOrder), 3);
     // chain: mid calls the panicking leaf, top calls mid.
     assert_eq!(count(LintId::PanicPropagation), 2);
     assert_eq!(count(LintId::LintMarker), 0, "fixture markers are well-formed");
-    assert_eq!(report.files_scanned, 8);
+    assert_eq!(report.files_scanned, 7);
 }
 
 /// The baseline closes the loop: rendering the fixture findings and feeding

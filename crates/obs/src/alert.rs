@@ -33,10 +33,11 @@
 //! the contract `tests/alerting.rs` asserts over real HTTP.
 
 use crate::query::{Expr, ParseError};
+use crate::sync::lock;
 use crate::tsdb::Tsdb;
 use crate::{Counter, Gauge, Histogram, Level, Obs};
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Transitions retained for `/alerts` history, oldest dropped first.
 const HISTORY_CAP: usize = 1024;
@@ -150,8 +151,11 @@ struct RuleState {
 
 #[derive(Debug)]
 struct EngineInner {
-    rules: Vec<AlertRule>,
+    // bound: one rule and one state per installed rule; packs are
+    // installed at start-up.
+    rules: Vec<Arc<AlertRule>>,
     states: Vec<RuleState>,
+    // bound: at most `HISTORY_CAP` transitions, oldest dropped first.
     history: VecDeque<Transition>,
     last_tick: u64,
 }
@@ -205,8 +209,8 @@ impl AlertEngine {
         {
             self.transition_counter(&rule.name, state);
         }
-        let mut inner = self.lock();
-        inner.rules.push(rule);
+        let mut inner = lock(&self.inner);
+        inner.rules.push(Arc::new(rule));
         inner.states.push(RuleState {
             state: AlertState::Inactive,
             since_tick: 0,
@@ -223,10 +227,6 @@ impl AlertEngine {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, EngineInner> {
-        self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     fn transition_counter(&self, rule: &str, state: AlertState) -> Counter {
         self.obs.counter(
             "commgraph_alert_transitions_total",
@@ -241,16 +241,23 @@ impl AlertEngine {
     /// `commgraph_alert_transitions_total`. A rule whose expression fails
     /// to evaluate reads as false; the first tick of each error streak logs
     /// one `Warn` event naming the rule and the error.
+    ///
+    /// The conditions are evaluated against `store` with the engine
+    /// unlocked, over the rules installed when the pass began; a rule
+    /// added during the pass is evaluated from the next tick.
     pub fn evaluate(&self, tick: u64, store: &Tsdb) -> Vec<Transition> {
         // lint:allow(clock-hygiene) self-timing of the evaluate pass; rule state depends only on the injected tick
         let t0 = std::time::Instant::now();
+        let rules = lock(&self.inner).rules.clone();
+        let results: Vec<_> =
+            rules.iter().map(|rule| crate::query::eval(store, &rule.expr, tick)).collect();
         let mut transitions = Vec::new();
         let mut failures = Vec::new();
-        let mut guard = self.lock();
+        let mut guard = lock(&self.inner);
         let inner = &mut *guard;
         inner.last_tick = tick;
-        for (rule, rs) in inner.rules.iter().zip(inner.states.iter_mut()) {
-            let (cond, value) = match crate::query::eval(store, &rule.expr, tick) {
+        for ((rule, result), rs) in rules.iter().zip(results).zip(inner.states.iter_mut()) {
+            let (cond, value) = match result {
                 Ok(v) => {
                     rs.erroring = false;
                     (v.is_truthy(), v.first_value())
@@ -335,7 +342,7 @@ impl AlertEngine {
 
     /// Current status of every rule, in installation order.
     pub fn statuses(&self) -> Vec<AlertStatus> {
-        let inner = self.lock();
+        let inner = lock(&self.inner);
         inner
             .rules
             .iter()
@@ -356,14 +363,14 @@ impl AlertEngine {
 
     /// The retained transition history, oldest first.
     pub fn history(&self) -> Vec<Transition> {
-        self.lock().history.iter().cloned().collect()
+        lock(&self.inner).history.iter().cloned().collect()
     }
 
     /// The `/alerts` document: current statuses plus the transition
     /// history, keyed entirely by logical ticks (no wall-clock timestamps),
     /// so deterministic runs serve bit-identical bytes.
     pub(crate) fn alerts_json(&self) -> String {
-        let inner = self.lock();
+        let inner = lock(&self.inner);
         let mut out = String::from("{\"tick\":");
         out.push_str(&inner.last_tick.to_string());
         out.push_str(",\"alerts\":[");
@@ -616,7 +623,8 @@ mod tests {
         engine2.add_rule(burn(1.1));
         let t = engine2.evaluate(6, &db);
         assert!(t.iter().any(|t| t.to == AlertState::Firing), "both windows above 1.1: {t:?}");
-        let fast = engine2.lock().states[0].value.expect("a firing burn rule shows its fast burn");
+        let fast =
+            lock(&engine2.inner).states[0].value.expect("a firing burn rule shows its fast burn");
         assert!((fast - 3.0).abs() < 1e-12, "{fast}");
     }
 

@@ -14,6 +14,7 @@
 //! another (last writer wins); per-tenant gauge fidelity is only available
 //! for admitted tenants, which is exactly the cap's point.
 
+use crate::sync::lock;
 use crate::{Counter, Obs};
 use std::collections::BTreeSet;
 use std::sync::Mutex;
@@ -27,6 +28,7 @@ pub const OVERFLOW: &str = "overflow";
 pub struct LabelCap {
     cap: usize,
     overflow: Counter,
+    // bound: at most `cap` values; later ones resolve to `OVERFLOW`.
     admitted: Mutex<BTreeSet<String>>,
 }
 
@@ -48,7 +50,7 @@ impl LabelCap {
     /// The label value to use for `value`: `value` itself while the cap has
     /// room (or `value` was admitted earlier), [`OVERFLOW`] afterwards.
     pub fn resolve(&self, value: &str) -> String {
-        let mut admitted = self.admitted.lock().unwrap_or_else(|p| p.into_inner());
+        let mut admitted = lock(&self.admitted);
         if admitted.contains(value) {
             return value.to_string();
         }
@@ -63,7 +65,7 @@ impl LabelCap {
 
     /// Distinct values admitted so far (≤ the cap).
     pub fn admitted(&self) -> usize {
-        self.admitted.lock().unwrap_or_else(|p| p.into_inner()).len()
+        lock(&self.admitted).len()
     }
 }
 

@@ -74,6 +74,7 @@ pub mod rate;
 pub mod registry;
 pub(crate) mod serve;
 pub(crate) mod span;
+mod sync;
 pub mod trace;
 pub mod tsdb;
 

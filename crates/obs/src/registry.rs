@@ -6,12 +6,13 @@
 //! every snapshot and exporter walks them in a deterministic order — the
 //! golden-output tests depend on that.
 //!
-//! Lookup takes a mutex; the returned handles do not. Instrumented code is
+//! Lookup takes the registry's one lock; the returned handles do not. Instrumented code is
 //! expected to resolve its handles once (at construction / before a kernel
 //! runs) and then update them lock-free on the hot path.
 
 use crate::log::{emit_stderr, Event};
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
+use crate::sync::lock;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Mutex;
@@ -84,17 +85,24 @@ pub enum SnapshotValue {
 /// and hand [`crate::Obs`] handles to the components you want instrumented.
 #[derive(Default)]
 pub struct Registry {
-    families: Mutex<BTreeMap<String, Family>>,
-    events: Mutex<VecDeque<Event>>,
+    state: Mutex<RegistryState>,
+}
+
+#[derive(Default)]
+struct RegistryState {
+    // bound: grows with the distinct metric names and label sets
+    // registered; `LabelCap` caps the per-tenant label values.
+    families: BTreeMap<String, Family>,
+    // bound: at most `EVENT_BUFFER_CAP` events, oldest dropped first.
+    events: VecDeque<Event>,
 }
 
 impl fmt::Debug for Registry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let families = self.families.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        let events = self.events.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        let state = lock(&self.state);
         f.debug_struct("Registry")
-            .field("families", &families.keys().collect::<Vec<_>>())
-            .field("events", &events.len())
+            .field("families", &state.families.keys().collect::<Vec<_>>())
+            .field("events", &state.events.len())
             .finish()
     }
 }
@@ -159,8 +167,8 @@ impl Registry {
         labels: &[(&str, &str)],
         make: impl FnOnce() -> MetricCore,
     ) -> MetricCore {
-        let mut families = self.families.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        let family = families.entry(name.to_string()).or_insert_with(|| Family {
+        let mut state = lock(&self.state);
+        let family = state.families.entry(name.to_string()).or_insert_with(|| Family {
             help: help.to_string(),
             kind,
             metrics: BTreeMap::new(),
@@ -183,9 +191,9 @@ impl Registry {
 
     /// Snapshot every metric, in deterministic (name, labels) order.
     pub fn snapshot(&self) -> Vec<MetricSnapshot> {
-        let families = self.families.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        let state = lock(&self.state);
         let mut out = Vec::new();
-        for (name, family) in families.iter() {
+        for (name, family) in state.families.iter() {
             for (labels, core) in family.metrics.iter() {
                 let value = match core {
                     MetricCore::Counter(c) => SnapshotValue::Counter(c.get()),
@@ -209,21 +217,16 @@ impl Registry {
     /// enables its level.
     pub fn push_event(&self, event: Event) {
         emit_stderr(&event);
-        let mut events = self.events.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        if events.len() >= EVENT_BUFFER_CAP {
-            events.pop_front();
+        let mut state = lock(&self.state);
+        if state.events.len() >= EVENT_BUFFER_CAP {
+            state.events.pop_front();
         }
-        events.push_back(event);
+        state.events.push_back(event);
     }
 
     /// All buffered events, oldest first.
     pub fn events(&self) -> Vec<Event> {
-        self.events
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .iter()
-            .cloned()
-            .collect()
+        lock(&self.state).events.iter().cloned().collect()
     }
 }
 

@@ -18,10 +18,11 @@
 //! Chrome trace-event format (open the file in Perfetto / `about:tracing`)
 //! and [`render_tree`] prints an indented text tree for terminals.
 
+use crate::sync::lock;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Default capacity of the flight-recorder ring (`Tracer::default()`).
@@ -73,6 +74,7 @@ pub struct FlightDump {
 #[derive(Debug, Default)]
 struct FlightRecorder {
     cap: usize,
+    // bound: at most `cap` finished spans, oldest evicted first.
     spans: VecDeque<SpanRecord>,
     dropped: u64,
 }
@@ -96,6 +98,7 @@ struct TracerInner {
     recorder: FlightRecorder,
     /// Ids of spans started but not yet finished, in start order. The last
     /// entry is the implicit parent of the next span.
+    // bound: one id per live `TraceSpan`; a span's drop removes its id.
     open: Vec<u64>,
 }
 
@@ -129,22 +132,13 @@ impl Tracer {
         }
     }
 
-    /// Lock the inner state, recovering from poisoning (a panicking span
-    /// holder must not take tracing down with it).
-    fn lock(&self) -> MutexGuard<'_, TracerInner> {
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
     /// Open a span named `name` whose parent is the innermost span still
     /// open on this tracer (implicit parenting), or a root if none is.
     pub(crate) fn span(self: &Arc<Self>, name: &str) -> TraceSpan {
         let start_secs = self.epoch.elapsed().as_secs_f64();
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let parent = {
-            let mut inner = self.lock();
+            let mut inner = lock(&self.inner);
             let parent = inner.open.last().copied();
             inner.open.push(id);
             parent
@@ -170,7 +164,7 @@ impl Tracer {
 
     /// Snapshot the flight recorder (oldest retained span first).
     pub fn dump(&self) -> FlightDump {
-        let inner = self.lock();
+        let inner = lock(&self.inner);
         FlightDump {
             capacity: inner.recorder.cap,
             dropped: inner.recorder.dropped,
@@ -185,7 +179,7 @@ impl Tracer {
     }
 
     fn close(&self, id: u64, rec: SpanRecord) {
-        let mut inner = self.lock();
+        let mut inner = lock(&self.inner);
         // Search from the end: the closing span is almost always innermost.
         if let Some(pos) = inner.open.iter().rposition(|&open_id| open_id == id) {
             inner.open.remove(pos);

@@ -40,6 +40,7 @@
 
 use crate::metrics::HistogramSnapshot;
 use crate::registry::{Registry, SnapshotValue};
+use crate::sync::lock;
 use crate::{Counter, Gauge, Histogram, Obs};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -179,6 +180,8 @@ impl Default for TsdbConfig {
 
 #[derive(Debug, Default)]
 struct TsdbInner {
+    // bound: at most `TsdbConfig::max_series` series of at most
+    // `capacity_per_series` samples each; new series beyond it are dropped.
     series: BTreeMap<SeriesKey, Series>,
     appended: u64,
     evicted: u64,
@@ -246,16 +249,12 @@ impl Tsdb {
         Tsdb { cfg, inner: Mutex::new(TsdbInner::default()) }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, TsdbInner> {
-        self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     /// Append one sample. Out-of-order ticks within a series are clamped
     /// onto the newest retained tick so rings stay sorted.
     pub fn append(&self, key: SeriesKey, tick: u64, value: f64) {
         let capacity = self.cfg.capacity_per_series;
         let max_series = self.cfg.max_series;
-        let mut inner = self.lock();
+        let mut inner = lock(&self.inner);
         inner.last_tick = inner.last_tick.max(tick);
         if !inner.series.contains_key(&key) && inner.series.len() >= max_series {
             inner.dropped_series += 1;
@@ -272,29 +271,29 @@ impl Tsdb {
 
     /// Series currently retained.
     pub fn series_count(&self) -> usize {
-        self.lock().series.len()
+        lock(&self.inner).series.len()
     }
 
     /// Samples evicted by ring capacity over the store's lifetime.
     pub(crate) fn evicted_samples(&self) -> u64 {
-        self.lock().evicted
+        lock(&self.inner).evicted
     }
 
     /// Highest tick ever appended.
     pub fn last_tick(&self) -> u64 {
-        self.lock().last_tick
+        lock(&self.inner).last_tick
     }
 
     /// Estimated heap footprint of the retained data, in bytes.
     pub fn memory_bytes(&self) -> usize {
-        let inner = self.lock();
+        let inner = lock(&self.inner);
         inner.series.iter().map(|(k, s)| k.heap_bytes() + s.heap_bytes() + 64).sum()
     }
 
     /// All matching series, keys in deterministic (name, labels, field)
     /// order, each with its in-range points oldest-first.
     pub fn query(&self, q: &Query) -> Vec<SeriesData> {
-        let inner = self.lock();
+        let inner = lock(&self.inner);
         inner
             .series
             .iter()
@@ -327,10 +326,10 @@ pub struct Scraper {
     memory_gauge: Gauge,
     evicted_seen: AtomicU64,
     /// Recording rules evaluated after each registry pass, with their
-    /// per-rule output-series counters. Lock class `obs::Scraper.rules`:
-    /// held across `Tsdb::append`, so it precedes `obs::Tsdb.inner` in the
-    /// workspace lock order.
-    rules: Mutex<Vec<RuleSlot>>,
+    /// per-rule output-series counters. A scrape clones the handles out
+    /// and releases the lock before it evaluates them against the store.
+    // bound: one slot per installed rule; rules are installed at start-up.
+    rules: Mutex<Vec<Arc<RuleSlot>>>,
     rule_eval_seconds: Histogram,
 }
 
@@ -397,23 +396,7 @@ impl Scraper {
             "Series written per recording-rule evaluation.",
             &[("rule", rule.name())],
         );
-        let mut rules = self.rules.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        rules.push(RuleSlot { rule, series_total });
-    }
-
-    /// Install several recording rules at once.
-    pub fn add_recording_rules(
-        &self,
-        rules: impl IntoIterator<Item = crate::query::RecordingRule>,
-    ) {
-        for r in rules {
-            self.add_recording_rule(r);
-        }
-    }
-
-    /// Number of installed recording rules.
-    pub fn recording_rule_count(&self) -> usize {
-        self.rules.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).len()
+        lock(&self.rules).push(Arc::new(RuleSlot { rule, series_total }));
     }
 
     /// The backing store.
@@ -463,8 +446,8 @@ impl Scraper {
         {
             // lint:allow(clock-hygiene) self-timing of the rule pass; outputs are stamped with the injected tick
             let r0 = std::time::Instant::now();
-            let rules = self.rules.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-            for slot in rules.iter() {
+            let rules = lock(&self.rules).clone();
+            for slot in &rules {
                 if let Ok(n) = slot.rule.record(&self.store, tick) {
                     slot.series_total.add(n as u64);
                     appended += n;
@@ -538,10 +521,10 @@ mod tests {
         }
         let s = &db.query(&Query::default())[0];
         assert_eq!(s.points, vec![(5, 5.0), (6, 6.0), (7, 7.0)], "oldest evicted first");
-        assert_eq!(db.lock().appended, 7);
+        assert_eq!(lock(&db.inner).appended, 7);
         assert_eq!(db.evicted_samples(), 4);
         // Conservation: retained + evicted == appended.
-        assert_eq!(s.points.len() as u64 + db.evicted_samples(), db.lock().appended);
+        assert_eq!(s.points.len() as u64 + db.evicted_samples(), lock(&db.inner).appended);
     }
 
     #[test]
@@ -553,8 +536,8 @@ mod tests {
         // Existing series still accept samples at the cap.
         db.append(SeriesKey::value("a_total", &[]), 2, 2.0);
         assert_eq!(db.series_count(), 2);
-        assert_eq!(db.lock().dropped_series, 1);
-        assert_eq!(db.lock().appended, 3);
+        assert_eq!(lock(&db.inner).dropped_series, 1);
+        assert_eq!(lock(&db.inner).appended, 3);
     }
 
     #[test]
@@ -578,13 +561,48 @@ mod tests {
         let sum = db.query(&Query { field: Some(SampleField::Sum), ..family("demo_seconds") });
         assert_eq!(sum[0].points, vec![(1, 3.0)]);
         assert!(appended >= 12, "user metrics plus scraper self-metrics: {appended}");
-        assert_eq!(db.lock().appended, appended as u64);
+        assert_eq!(lock(&db.inner).appended, appended as u64);
 
         // Second scrape sees the scraper's own scrape_seconds histogram.
         scraper.scrape(2);
         let self_cost = db.query(&family("commgraph_tsdb_scrape_seconds"));
         assert!(!self_cost.is_empty(), "store observes its own cost one tick behind");
         assert_eq!(db.last_tick(), 2);
+    }
+
+    #[test]
+    fn scrape_runs_installed_recording_rules_at_each_tick() {
+        let registry = Arc::new(Registry::new());
+        let shards = [("a", 1u64), ("b", 10)];
+        let counters: Vec<Counter> = shards
+            .iter()
+            .map(|(s, _)| registry.counter("demo_total", "h", &[("shard", s)]))
+            .collect();
+        let scraper = Scraper::new(registry.clone(), Arc::new(Tsdb::default()));
+        scraper.add_recording_rule(
+            crate::query::RecordingRule::new("shard:demo:x2", "sum by (shard) (demo_total) * 2")
+                .unwrap(),
+        );
+        let written = || {
+            registry
+                .counter("commgraph_query_rule_series_total", "", &[("rule", "shard:demo:x2")])
+                .get()
+        };
+        for tick in 1..=3u64 {
+            for (c, (_, step)) in counters.iter().zip(shards) {
+                c.add(step);
+            }
+            let before = written();
+            scraper.scrape(tick);
+            assert_eq!(written() - before, 2, "one row per shard at tick {tick}");
+        }
+        let out = scraper.store().query(&family("shard:demo:x2"));
+        assert_eq!(out.len(), 2);
+        for (series, (shard, step)) in out.iter().zip(shards) {
+            assert_eq!(series.key.labels, vec![("shard".to_string(), shard.to_string())]);
+            let want: Vec<(u64, f64)> = (1..=3u64).map(|t| (t, (2 * t * step) as f64)).collect();
+            assert_eq!(series.points, want, "the rule's series sits at every scrape tick");
+        }
     }
 
     #[test]
