@@ -15,6 +15,7 @@
 //! the product. [`MinHasher`] is the sketched variant the paper cites
 //! (\[35, 45\]).
 
+use crate::louvain::NO_NODE;
 use crate::wgraph::WeightedGraph;
 use linalg::par::{self, Parallelism};
 use linalg::sym::SymMatrix;
@@ -79,6 +80,59 @@ pub fn jaccard_matrix_of_sets_with(sets: &[Vec<u32>], parallelism: Parallelism) 
     m
 }
 
+/// Token sets in CSR form: set `i` is `tokens[offsets[i]..offsets[i + 1]]`,
+/// sorted and deduplicated — one allocation pair for a whole window
+/// instead of one vector per node.
+#[derive(Debug, Clone)]
+pub(crate) struct TokenSets {
+    offsets: Vec<usize>,
+    tokens: Vec<u32>,
+}
+
+impl TokenSets {
+    pub(crate) fn new() -> Self {
+        TokenSets { offsets: vec![0], tokens: Vec::new() }
+    }
+
+    /// The same sets, flat.
+    fn of_vecs(sets: &[Vec<u32>]) -> Self {
+        let mut flat = TokenSets::new();
+        for set in sets {
+            flat.push(set.iter().copied());
+        }
+        flat
+    }
+
+    /// Append the next set; sorted and deduplicated here unless it already
+    /// arrives strictly ascending.
+    pub(crate) fn push(&mut self, set: impl IntoIterator<Item = u32>) {
+        let start = self.tokens.len();
+        self.tokens.extend(set);
+        if !self.tokens[start..].is_sorted_by(|a, b| a < b) {
+            let mut tail = self.tokens.split_off(start);
+            tail.sort_unstable();
+            tail.dedup();
+            self.tokens.extend(tail);
+        }
+        self.offsets.push(self.tokens.len());
+    }
+
+    /// Number of sets.
+    pub(crate) fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Set `i`.
+    pub(crate) fn set(&self, i: usize) -> &[u32] {
+        &self.tokens[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// One vector per set.
+    pub(crate) fn to_vecs(&self) -> Vec<Vec<u32>> {
+        (0..self.len()).map(|i| self.set(i).to_vec()).collect()
+    }
+}
+
 /// The paper's *scored clique*, built without the matrix: exact Jaccard for
 /// every pair of `sets` (each sorted and deduplicated) that shares a token,
 /// kept as an edge when it is `>= min_score` and `> 0.0`.
@@ -101,23 +155,64 @@ pub fn jaccard_matrix_of_sets_with(sets: &[Vec<u32>], parallelism: Parallelism) 
 /// `3·neighbor + class` (`< 3n`), which is what keeps the postings O(n + T)
 /// for T tokens held in total.
 pub fn jaccard_clique(sets: &[Vec<u32>], min_score: f64) -> WeightedGraph {
-    clique_counting(sets, min_score).0
+    clique_counting(&TokenSets::of_vecs(sets), None, min_score).0
 }
 
-/// [`jaccard_clique`] plus the number of counter increments it performed
+/// The previous window's scored clique, seen from the current window.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Carry<'a> {
+    /// The previous window's clique, as [`window_clique`] built it.
+    pub(crate) clique: &'a WeightedGraph,
+    /// Per current node, its previous index when it is clean — its token
+    /// set, as a set of (neighbor, direction class), is unchanged — else
+    /// [`NO_NODE`].
+    pub(crate) prior_of: &'a [u32],
+    /// The inverse: per previous node, its current index when clean, else
+    /// [`NO_NODE`].
+    pub(crate) current_of: &'a [u32],
+}
+
+/// The scored clique of [`jaccard_clique`] over flat token sets, carrying
+/// from the previous window's clique every edge whose endpoints are both
+/// clean and recounting through the current postings every pair with a
+/// dirty endpoint.
+///
+/// A clean pair's score is `inter / union` of two token sets that did not
+/// change, so its carried edge — or its absence — is what a recount would
+/// give, bit for bit. The carried and recounted edges are merged into the
+/// `(i, j > i)` order, so the graph, `total_weight` included, equals
+/// [`jaccard_clique`]'s to the last bit. With every node dirty (or no
+/// `carry`) nothing carried is read and the walk is [`jaccard_clique`]'s.
+pub(crate) fn window_clique(
+    sets: &TokenSets,
+    carry: Option<Carry<'_>>,
+    min_score: f64,
+) -> WeightedGraph {
+    clique_counting(sets, carry, min_score).0
+}
+
+/// [`window_clique`] plus the number of counter increments it performed
 /// (the work term its bound is stated in).
-// bound: a token with h holders costs h(h−1)/2 increments, so the walk is
-// Σ_t h_t(h_t−1)/2 ≤ (n−1)·T/2 — at most half the (n−1)·T set elements the
-// dense merge reads. A hub token (every node holds it) or a clique (every
-// node holds every token) meets that bound and cannot exceed it.
-fn clique_counting(sets: &[Vec<u32>], min_score: f64) -> (WeightedGraph, u64) {
+// bound: with every node dirty, a token with h holders costs h(h−1)/2
+// increments, so the walk is Σ_t h_t(h_t−1)/2 ≤ (n−1)·T/2 — at most half
+// the (n−1)·T set elements the dense merge reads. A hub token (every node
+// holds it) or a clique (every node holds every token) meets that bound and
+// cannot exceed it. With d_t of a token's holders dirty, it costs
+// d_t(d_t−1)/2 + d_t(h_t−d_t): only the pairs with a dirty endpoint.
+fn clique_counting(
+    sets: &TokenSets,
+    carry: Option<Carry<'_>>,
+    min_score: f64,
+) -> (WeightedGraph, u64) {
     let n = sets.len();
-    let vocab = sets.iter().flatten().max().map_or(0, |&t| t as usize + 1);
+    let vocab = sets.tokens.iter().max().map_or(0, |&t| t as usize + 1);
     assert!(vocab <= 3 * n, "token {} out of range for {n} sets (must be < 3n)", vocab - 1);
+    let clean = |i: usize| carry.is_some_and(|c| c.prior_of[i] != NO_NODE);
     // CSR postings: holders of token t are `holders[start[t]..start[t + 1]]`,
-    // ascending because nodes are appended in index order.
+    // its dirty holders first, then from `split[t]` on its clean ones, each
+    // part ascending because nodes are appended in index order.
     let mut start = vec![0usize; vocab + 1];
-    for &t in sets.iter().flatten() {
+    for &t in &sets.tokens {
         start[t as usize + 1] += 1;
     }
     for t in 0..vocab {
@@ -125,26 +220,36 @@ fn clique_counting(sets: &[Vec<u32>], min_score: f64) -> (WeightedGraph, u64) {
     }
     let mut holders = vec![0u32; start[vocab]];
     let mut head = start.clone();
-    for (i, set) in sets.iter().enumerate() {
-        for &t in set {
-            holders[head[t as usize]] = i as u32;
-            head[t as usize] += 1;
+    let mut split = Vec::new();
+    for clean_pass in [false, true] {
+        for i in (0..n).filter(|&i| clean(i) == clean_pass) {
+            for &t in sets.set(i) {
+                holders[head[t as usize]] = i as u32;
+                head[t as usize] += 1;
+            }
+        }
+        if !clean_pass {
+            split.clone_from(&head);
         }
     }
-    // Rewind: while node i is processed, `head[t]` sits on i's own slot in
-    // every posting i belongs to, so the holders above i are the tail.
+    // Rewind: while dirty node i is processed, `head[t]` sits on i's own
+    // slot among the dirty holders of every token i holds, so the dirty
+    // holders above i are the rest of that part.
     head.copy_from_slice(&start);
-    let mut g = WeightedGraph::new(n);
     let mut shared = vec![0u32; n];
     let mut touched: Vec<u32> = Vec::new();
     let mut increments = 0u64;
-    for (i, set) in sets.iter().enumerate() {
+    // Every kept pair with a dirty endpoint, as `(lower, upper, score)`.
+    let mut fresh: Vec<(u32, u32, f64)> = Vec::new();
+    for i in (0..n).filter(|&i| !clean(i)) {
+        let set = sets.set(i);
         for &t in set {
             let t = t as usize;
             head[t] += 1;
-            let above = &holders[head[t]..start[t + 1]];
-            increments += above.len() as u64;
-            for &j in above {
+            let dirty_above = &holders[head[t]..split[t]];
+            let clean_holders = &holders[split[t]..start[t + 1]];
+            increments += (dirty_above.len() + clean_holders.len()) as u64;
+            for &j in dirty_above.iter().chain(clean_holders) {
                 if shared[j as usize] == 0 {
                     touched.push(j);
                 }
@@ -154,15 +259,44 @@ fn clique_counting(sets: &[Vec<u32>], min_score: f64) -> (WeightedGraph, u64) {
         touched.sort_unstable();
         for &j in &touched {
             let inter = std::mem::take(&mut shared[j as usize]) as usize;
-            let union = set.len() + sets[j as usize].len() - inter;
+            let union = set.len() + sets.set(j as usize).len() - inter;
             let score = inter as f64 / union as f64;
             if score >= min_score && score > 0.0 {
-                g.add_edge(i as u32, j, score);
+                let i = i as u32;
+                fresh.push(if j > i { (i, j, score) } else { (j, i, score) });
             }
         }
         touched.clear();
     }
-    (g, increments)
+    let Some(carry) = carry else {
+        // Every node is dirty: the walk emitted the pairs in (i, j > i) order.
+        return (WeightedGraph::from_edges(n, &fresh), increments);
+    };
+    // A clean node's row interleaves the edges carried to clean nodes with
+    // the recounted ones to dirty nodes; both are ascending.
+    fresh.sort_unstable_by_key(|&(i, j, _)| (i, j));
+    let mut edges = Vec::new();
+    let mut fresh = fresh.into_iter().peekable();
+    for i in 0..n as u32 {
+        let p = carry.prior_of[i as usize];
+        if p != NO_NODE {
+            let row = carry.clique.neighbors(p);
+            for &(pj, w) in &row[row.partition_point(|&(pj, _)| pj <= p)..] {
+                let j = carry.current_of[pj as usize];
+                if j == NO_NODE {
+                    continue;
+                }
+                while let Some(e) = fresh.next_if(|&(fi, fj, _)| fi == i && fj < j) {
+                    edges.push(e);
+                }
+                edges.push((i, j, w));
+            }
+        }
+        while let Some(e) = fresh.next_if(|&(fi, _, _)| fi == i) {
+            edges.push(e);
+        }
+    }
+    (WeightedGraph::from_edges(n, &edges), increments)
 }
 
 /// MinHash signatures for approximate Jaccard estimation.
@@ -385,7 +519,7 @@ mod tests {
         // Every node holds every token: the complete-overlap worst case.
         let complete: Vec<Vec<u32>> = vec![(0..30).collect(); n];
         for (what, sets) in [("hub", hub), ("complete", complete)] {
-            let (clique, increments) = clique_counting(&sets, 0.1);
+            let (clique, increments) = clique_counting(&TokenSets::of_vecs(&sets), None, 0.1);
             assert_same_graph(&clique, &dense_clique(&sets, 0.1), what);
             let held: usize = sets.iter().map(Vec::len).sum();
             assert!(

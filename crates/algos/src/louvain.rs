@@ -23,7 +23,6 @@
 //! (`commgraph_louvain_*_total`), inert until `obs::install_global`.
 
 use crate::wgraph::WeightedGraph;
-use std::collections::BTreeMap;
 
 /// Result of a Louvain run.
 #[derive(Debug, Clone)]
@@ -51,16 +50,17 @@ pub fn modularity(g: &WeightedGraph, labels: &[usize], resolution: f64) -> f64 {
     let mut w_in = vec![0.0; n_comm];
     let mut sigma = vec![0.0; n_comm];
     for u in 0..g.node_count() as u32 {
-        sigma[labels[u as usize]] += g.weighted_degree(u);
+        let lu = labels[u as usize];
+        // `weighted_degree(u)`, summed in the same order in the same pass.
+        let mut degree = 0.0;
         for &(v, w) in g.neighbors(u) {
-            if labels[u as usize] == labels[v as usize] {
-                if v == u {
-                    w_in[labels[u as usize]] += w; // self-loop stored once
-                } else if v > u {
-                    w_in[labels[u as usize]] += w; // count undirected edge once
-                }
+            degree += if v == u { 2.0 * w } else { w };
+            // A self-loop is stored once; other edges count from the lower end.
+            if v >= u && lu == labels[v as usize] {
+                w_in[lu] += w;
             }
         }
+        sigma[lu] += degree;
     }
     let two_m = 2.0 * m;
     (0..n_comm).map(|c| w_in[c] / m - resolution * (sigma[c] / two_m) * (sigma[c] / two_m)).sum()
@@ -89,25 +89,10 @@ pub fn louvain(g: &WeightedGraph) -> LouvainResult {
 /// Run Louvain at a custom resolution (γ > 1 yields more, smaller
 /// communities; γ < 1 fewer, larger ones).
 pub(crate) fn louvain_with_resolution(g: &WeightedGraph, resolution: f64) -> LouvainResult {
-    louvain_impl(g, resolution, None)
+    louvain_impl(g, resolution)
 }
 
-/// Run Louvain with the first level's local-move sweeps *seeded* from a
-/// prior partition instead of singletons — the incremental-maintenance
-/// warm start. When consecutive windows barely differ (the paper's Figure 5
-/// observation), the seed is already at or near the optimum and the first
-/// level converges in one move-free sweep instead of rebuilding the whole
-/// hierarchy.
-///
-/// `seed` assigns a community per node (any dense-ish labeling; it is
-/// compacted internally). Aggregation levels after the first proceed
-/// exactly as in [`louvain_with_resolution`].
-pub(crate) fn louvain_seeded(g: &WeightedGraph, resolution: f64, seed: &[usize]) -> LouvainResult {
-    assert_eq!(seed.len(), g.node_count(), "one seed label per node");
-    louvain_impl(g, resolution, Some(seed))
-}
-
-fn louvain_impl(g: &WeightedGraph, resolution: f64, seed: Option<&[usize]>) -> LouvainResult {
+fn louvain_impl(g: &WeightedGraph, resolution: f64) -> LouvainResult {
     assert!(resolution > 0.0, "resolution must be positive");
     let n = g.node_count();
     if n == 0 {
@@ -116,25 +101,20 @@ fn louvain_impl(g: &WeightedGraph, resolution: f64, seed: Option<&[usize]>) -> L
     let lobs = LouvainObs::resolve();
     // labels[i] maps original node -> current community id.
     let mut labels: Vec<usize> = (0..n).collect();
-    let mut level_graph = g.clone();
+    // The graph of the current level: `g` itself, then each aggregate.
+    let mut aggregated: Option<WeightedGraph> = None;
     let mut levels = 0usize;
     const MIN_GAIN: f64 = 1e-9;
 
-    // The first level starts from the seed partition when given, singletons
-    // otherwise; later levels always start from the aggregated singletons.
-    let mut seed_comm: Option<Vec<usize>> = seed.map(|s| compact(s.to_vec()));
-
-    // Q of `level_graph` under its starting labeling, maintained across
-    // levels: aggregation preserves modularity (intra-community weight
-    // becomes self-loops, Σ_tot carries over), so each level's `after` is
-    // the next level's `before` — no need to rebuild the identity label
-    // vector and rescore the whole graph every level.
-    let mut before = match &seed_comm {
-        Some(s) => modularity(&level_graph, s, resolution),
-        None => modularity(&level_graph, &labels, resolution),
-    };
+    // Q of the level's graph under its singleton labeling, maintained
+    // across levels: aggregation preserves modularity (intra-community
+    // weight becomes self-loops, Σ_tot carries over), so each level's
+    // `after` is the next level's `before` — no need to rebuild the identity
+    // label vector and rescore the whole graph every level.
+    let mut before = modularity(g, &labels, resolution);
     loop {
-        let level = one_level(&level_graph, resolution, seed_comm.take());
+        let level_graph = aggregated.as_ref().unwrap_or(g);
+        let level = one_level(level_graph, resolution);
         levels += 1;
         lobs.sweeps.add(level.sweeps);
         lobs.moves.add(level.moves);
@@ -145,8 +125,8 @@ fn louvain_impl(g: &WeightedGraph, resolution: f64, seed: Option<&[usize]>) -> L
         if !level.improved {
             break;
         }
-        let after = modularity(&level_graph, &level.comm, resolution);
-        level_graph = aggregate(&level_graph, &level.comm);
+        let after = modularity(level_graph, &level.comm, resolution);
+        aggregated = Some(aggregate(level_graph, &level.comm));
         if after - before < MIN_GAIN {
             break;
         }
@@ -197,57 +177,170 @@ impl Default for HierarchicalConfig {
 /// refinement pass that actually split something; a final pass that finds
 /// nothing to split does not deepen the hierarchy.
 pub fn hierarchical_louvain(g: &WeightedGraph, cfg: HierarchicalConfig) -> LouvainResult {
-    hierarchical_impl(g, cfg, None)
+    hierarchical_impl(g, cfg, None, None)
 }
 
-/// [`hierarchical_louvain`] with the **base run** seeded from a prior
-/// partition (see [`louvain_seeded`]). Only the base run is seeded; the
-/// refinement passes are untouched, so `levels` keeps the
-/// only-splitting-passes-count semantics: the seeded base run's aggregation
-/// levels plus one per refinement pass that actually split something.
-pub(crate) fn hierarchical_louvain_seeded(
+/// [`hierarchical_louvain`] for a window of a stream: each refinement
+/// sub-run is answered from the previous window's [`SubRuns`] when `prior`
+/// recorded the same members and all of them are clean. Returns the result
+/// plus this run's sub-runs, for the next window.
+///
+/// A reused sub-run is bit-identical to running it: its members are clean,
+/// so every edge of the subgraph they induce joins two clean nodes and is
+/// carried unchanged from the previous window's clique (see
+/// [`crate::jaccard`]), and the members keep their relative order. The
+/// result therefore equals [`hierarchical_louvain`]'s, `levels` included.
+pub(crate) fn hierarchical_louvain_reusing(
     g: &WeightedGraph,
     cfg: HierarchicalConfig,
-    seed: &[usize],
-) -> LouvainResult {
-    hierarchical_impl(g, cfg, Some(seed))
+    prior: Option<Prior<'_>>,
+) -> (LouvainResult, SubRuns) {
+    let mut record = SubRuns::default();
+    let result = hierarchical_impl(g, cfg, prior, Some(&mut record));
+    record.runs.sort_by_key(|r| (r.first, r.len));
+    // A community no pass split is re-run by the next pass with the same
+    // members; keep one copy. Recorded sets nest or are disjoint, so two
+    // with the same first member and size are the same set.
+    record.runs.dedup_by_key(|r| (r.first, r.len));
+    (result, record)
+}
+
+/// Marks a node with no counterpart in an index map.
+pub(crate) const NO_NODE: u32 = u32::MAX;
+
+/// The refinement sub-runs of one hierarchical run: each re-clustered
+/// community's members and its outcome — no split, or the sub-labels.
+// bound: at most `max_depth` passes each record a partition of the n
+// nodes, so ≤ max_depth · n member ids and as many sub-labels.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SubRuns {
+    /// Every run's members (node indices, ascending), concatenated.
+    members: Vec<u32>,
+    /// The sub-labels of every run that split, concatenated.
+    labels: Vec<u32>,
+    /// One per run; sorted by `(first, len)` once the run is recorded.
+    runs: Vec<SubRun>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct SubRun {
+    first: u32,
+    len: u32,
+    /// Offset of the members in [`SubRuns::members`].
+    at: usize,
+    /// Offset of the sub-labels in [`SubRuns::labels`] and the number of
+    /// sub-communities, when the run split.
+    split: Option<(usize, usize)>,
+}
+
+/// A previous window's sub-runs, seen from the current graph.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Prior<'a> {
+    /// The previous window's sub-runs.
+    pub(crate) runs: &'a SubRuns,
+    /// Per current node, its index in the previous window when it is clean;
+    /// [`NO_NODE`] when it is dirty or new.
+    pub(crate) index: &'a [u32],
+}
+
+impl SubRuns {
+    fn push(&mut self, members: &[usize], split: Option<(&[u32], usize)>) {
+        let at = self.members.len();
+        self.members.extend(members.iter().map(|&m| m as u32));
+        let split = split.map(|(labels, n_sub)| {
+            self.labels.extend_from_slice(labels);
+            (self.labels.len() - labels.len(), n_sub)
+        });
+        self.runs.push(SubRun { first: members[0] as u32, len: members.len() as u32, at, split });
+    }
+}
+
+impl<'a> Prior<'a> {
+    /// The recorded outcome for `members` (ascending, non-empty): `None`
+    /// when not every member is clean or no run had exactly these members;
+    /// `Some(None)` for a run that did not split; `Some(Some((sub-labels,
+    /// count)))` for one that did.
+    fn find(self, members: &[usize]) -> Option<Option<(&'a [u32], usize)>> {
+        let first = self.index[members[0]];
+        let key = (first, members.len() as u32);
+        let at = self.runs.runs.binary_search_by_key(&key, |r| (r.first, r.len)).ok()?;
+        let run = self.runs.runs[at];
+        let recorded = &self.runs.members[run.at..run.at + members.len()];
+        if !members.iter().zip(recorded).all(|(&m, &p)| self.index[m] == p) {
+            return None;
+        }
+        Some(run.split.map(|(at, n_sub)| (&self.runs.labels[at..at + members.len()], n_sub)))
+    }
 }
 
 fn hierarchical_impl(
     g: &WeightedGraph,
     cfg: HierarchicalConfig,
-    seed: Option<&[usize]>,
+    prior: Option<Prior<'_>>,
+    mut record: Option<&mut SubRuns>,
 ) -> LouvainResult {
-    let base = match seed {
-        Some(s) => louvain_seeded(g, cfg.resolution, s),
-        None => louvain_with_resolution(g, cfg.resolution),
-    };
+    let base = louvain_with_resolution(g, cfg.resolution);
     let mut labels = base.labels;
     let mut levels = base.levels;
     let mut next_label = labels.iter().copied().max().map_or(0, |m| m + 1);
     let mut depth = 0;
+    // Scratch reused by every pass: members bucketed by community, the
+    // induced-subgraph index, and one sub-run's labels.
+    let mut start: Vec<usize> = Vec::new();
+    let mut order: Vec<usize> = vec![0; labels.len()];
+    let mut index: Vec<u32> = vec![NO_NODE; labels.len()];
+    let mut sub: Vec<u32> = Vec::new();
     loop {
         if depth >= cfg.max_depth {
             break;
         }
         let n_comm = labels.iter().copied().max().map_or(0, |m| m + 1);
+        // Stable counting sort: community c's members, ascending, are
+        // `order[start[c]..start[c + 1]]`.
+        start.clear();
+        start.resize(n_comm + 1, 0);
+        for &l in &labels {
+            start[l + 1] += 1;
+        }
+        for c in 0..n_comm {
+            start[c + 1] += start[c];
+        }
+        let mut head = start.clone();
+        for (i, &l) in labels.iter().enumerate() {
+            order[head[l]] = i;
+            head[l] += 1;
+        }
         let mut any_split = false;
         for c in 0..n_comm {
-            let members: Vec<usize> = (0..labels.len()).filter(|&i| labels[i] == c).collect();
+            let members = &order[start[c]..start[c + 1]];
             if members.len() < cfg.min_split_size {
                 continue;
             }
-            let sub = induced_subgraph(g, &members);
-            let sub_result = louvain_with_resolution(&sub, cfg.resolution);
-            let n_sub = sub_result.labels.iter().copied().max().map_or(0, |m| m + 1);
-            if n_sub <= 1 || sub_result.modularity < cfg.min_split_modularity {
-                continue;
+            let n_sub = match prior.and_then(|p| p.find(members)) {
+                Some(recorded) => recorded.map(|(labels, n_sub)| {
+                    sub.clear();
+                    sub.extend_from_slice(labels);
+                    n_sub
+                }),
+                None => {
+                    let sub_graph = induced_subgraph(g, members, &mut index);
+                    let r = louvain_with_resolution(&sub_graph, cfg.resolution);
+                    let n_sub = r.labels.iter().copied().max().map_or(0, |m| m + 1);
+                    (n_sub > 1 && r.modularity >= cfg.min_split_modularity).then(|| {
+                        sub.clear();
+                        sub.extend(r.labels.iter().map(|&l| l as u32));
+                        n_sub
+                    })
+                }
+            };
+            if let Some(record) = record.as_deref_mut() {
+                record.push(members, n_sub.map(|n_sub| (&sub[..], n_sub)));
             }
+            let Some(n_sub) = n_sub else { continue };
             // Relabel: sub-community 0 keeps label c, the rest get fresh ids.
-            for (local, &orig) in members.iter().enumerate() {
-                let s = sub_result.labels[local];
+            for (&orig, &s) in members.iter().zip(&sub) {
                 if s > 0 {
-                    labels[orig] = next_label + s - 1;
+                    labels[orig] = next_label + s as usize - 1;
                 }
             }
             next_label += n_sub - 1;
@@ -266,24 +359,26 @@ fn hierarchical_impl(
 }
 
 /// Subgraph induced by `members` (given in ascending original order), with
-/// nodes renumbered `0..members.len()`.
-fn induced_subgraph(g: &WeightedGraph, members: &[usize]) -> WeightedGraph {
-    let mut index = std::collections::HashMap::with_capacity(members.len());
+/// nodes renumbered `0..members.len()`. `index` holds [`NO_NODE`] for every
+/// node of `g` on entry and on return.
+fn induced_subgraph(g: &WeightedGraph, members: &[usize], index: &mut [u32]) -> WeightedGraph {
     for (local, &orig) in members.iter().enumerate() {
-        index.insert(orig as u32, local as u32);
+        index[orig] = local as u32;
     }
-    let mut sub = WeightedGraph::new(members.len());
+    let mut edges = Vec::new();
     for (local, &orig) in members.iter().enumerate() {
         for &(v, w) in g.neighbors(orig as u32) {
-            if let Some(&lv) = index.get(&v) {
-                // Add each undirected edge once (self-loops included).
-                if lv as usize >= local {
-                    sub.add_edge(local as u32, lv, w);
-                }
+            let lv = index[v as usize];
+            // Add each undirected edge once (self-loops included).
+            if lv != NO_NODE && lv as usize >= local {
+                edges.push((local as u32, lv, w));
             }
         }
     }
-    sub
+    for &orig in members {
+        index[orig] = NO_NODE;
+    }
+    WeightedGraph::from_edges(members.len(), &edges)
 }
 
 /// Louvain run counters, resolved from the process-global `obs` registry
@@ -332,28 +427,17 @@ struct LevelOutcome {
     moves: u64,
 }
 
-/// Weights from `u` to each neighboring community (self-loops and internal
-/// orientation excluded — they don't change with a move). The `BTreeMap`
-/// iteration order makes ties deterministic: smallest community id wins.
-fn neighbor_comm_weights(g: &WeightedGraph, u: usize, comm: &[usize]) -> BTreeMap<usize, f64> {
-    let mut to_comm: BTreeMap<usize, f64> = BTreeMap::new();
-    for &(v, w) in g.neighbors(u as u32) {
-        if v as usize != u {
-            *to_comm.entry(comm[v as usize]).or_insert(0.0) += w;
-        }
-    }
-    to_comm
-}
-
 /// Greedy move decision for `u`: remove it from its community, pick the
-/// best neighboring community by modularity gain (ties toward the smallest
-/// id), re-add, and report whether it moved.
+/// best neighboring community by modularity gain (ties stay put, then go
+/// to the smallest id), re-add, and report whether it moved. `touched`
+/// lists `u`'s neighboring communities in ascending id, and `to_comm[c]`
+/// is `u`'s weight to community `c` (zero for every untouched `c`).
 #[inline]
 fn apply_best_move(
     u: usize,
-    to_comm: &BTreeMap<usize, f64>,
-    comm: &mut [usize],
-    sigma_tot: &mut [f64],
+    touched: &[usize],
+    to_comm: &[f64],
+    (comm, sigma_tot): (&mut [usize], &mut [f64]),
     k: &[f64],
     resolution: f64,
     two_m: f64,
@@ -361,14 +445,13 @@ fn apply_best_move(
     let cu = comm[u];
     // Remove u from its community.
     sigma_tot[cu] -= k[u];
-    let w_u_cu = to_comm.get(&cu).copied().unwrap_or(0.0);
-    let base_gain = w_u_cu - resolution * k[u] * sigma_tot[cu] / two_m;
+    let base_gain = to_comm[cu] - resolution * k[u] * sigma_tot[cu] / two_m;
     let (mut best_c, mut best_gain) = (cu, base_gain);
-    for (&c, &w_uc) in to_comm {
+    for &c in touched {
         if c == cu {
             continue;
         }
-        let gain = w_uc - resolution * k[u] * sigma_tot[c] / two_m;
+        let gain = to_comm[c] - resolution * k[u] * sigma_tot[c] / two_m;
         if gain > best_gain + 1e-12 {
             best_gain = gain;
             best_c = c;
@@ -383,47 +466,50 @@ fn apply_best_move(
     }
 }
 
-/// Starting state of a local-move pass: the community assignment (seeded or
-/// singleton) and each community's Σ_tot. For the singleton start the
-/// per-community sums are exactly `k`, reproducing the legacy
-/// initialization bit-for-bit (each slot receives one addend).
-fn level_start(n: usize, k: &[f64], seed: Option<Vec<usize>>) -> (Vec<usize>, Vec<f64>) {
-    let comm = match seed {
-        Some(s) => s,
-        None => (0..n).collect(),
-    };
-    let mut sigma_tot = vec![0.0; n];
-    for u in 0..n {
-        sigma_tot[comm[u]] += k[u];
-    }
-    (comm, sigma_tot)
-}
-
-/// One pass of greedy local moving: nodes in index order, neighbor scans
-/// against the live community assignment. `seed` optionally provides the
-/// starting community assignment (already compacted); `None` starts from
-/// singletons.
-fn one_level(g: &WeightedGraph, resolution: f64, seed: Option<Vec<usize>>) -> LevelOutcome {
+/// One pass of greedy local moving from singletons: nodes in index order,
+/// neighbor scans against the live community assignment.
+fn one_level(g: &WeightedGraph, resolution: f64) -> LevelOutcome {
     let n = g.node_count();
     let m = g.total_weight();
+    let mut comm: Vec<usize> = (0..n).collect();
     if m == 0.0 {
-        let comm = seed.unwrap_or_else(|| (0..n).collect());
         return LevelOutcome { comm, improved: false, sweeps: 0, moves: 0 };
     }
     let k: Vec<f64> = (0..n as u32).map(|u| g.weighted_degree(u)).collect();
-    let (mut comm, mut sigma_tot) = level_start(n, &k, seed);
+    // Each singleton's Σ_tot is its degree.
+    let mut sigma_tot = k.clone();
     let two_m = 2.0 * m;
     let (mut sweeps, mut moves) = (0u64, 0u64);
+    // Weights from the current node to each neighboring community (its
+    // self-loop excluded — it does not change with a move), summed in
+    // neighbor order, and the communities touched. Every edge weight is
+    // positive, so a zero slot is an untouched community.
+    let mut to_comm = vec![0.0; n];
+    let mut touched: Vec<usize> = Vec::new();
 
     loop {
         let mut moved = false;
         sweeps += 1;
         for u in 0..n {
-            let to_comm = neighbor_comm_weights(g, u, &comm);
-            if apply_best_move(u, &to_comm, &mut comm, &mut sigma_tot, &k, resolution, two_m) {
+            for &(v, w) in g.neighbors(u as u32) {
+                if v as usize != u {
+                    let c = comm[v as usize];
+                    if to_comm[c] == 0.0 {
+                        touched.push(c);
+                    }
+                    to_comm[c] += w;
+                }
+            }
+            touched.sort_unstable();
+            let state = (&mut comm[..], &mut sigma_tot[..]);
+            if apply_best_move(u, &touched, &to_comm, state, &k, resolution, two_m) {
                 moved = true;
                 moves += 1;
             }
+            for &c in &touched {
+                to_comm[c] = 0.0;
+            }
+            touched.clear();
         }
         if !moved {
             break;
@@ -435,40 +521,47 @@ fn one_level(g: &WeightedGraph, resolution: f64, seed: Option<Vec<usize>>) -> Le
 /// Build the aggregated graph: one node per community, intra-community
 /// weight becomes a self-loop. Aggregation preserves total edge weight and
 /// the modularity of the induced identity labeling.
+///
+/// Each community pair's weight is summed in edge-visit order (a stable
+/// sort by pair), and the pairs enter the graph in ascending order.
 pub fn aggregate(g: &WeightedGraph, comm: &[usize]) -> WeightedGraph {
     let n_comm = comm.iter().copied().max().map_or(0, |x| x + 1);
-    let mut edge_acc: BTreeMap<(u32, u32), f64> = BTreeMap::new();
+    let mut keyed: Vec<((u32, u32), f64)> = Vec::new();
     for u in 0..g.node_count() as u32 {
         for &(v, w) in g.neighbors(u) {
             if v < u {
                 continue; // visit each undirected edge once; self-loop v==u kept
             }
             let (a, b) = (comm[u as usize] as u32, comm[v as usize] as u32);
-            let key = if a <= b { (a, b) } else { (b, a) };
-            *edge_acc.entry(key).or_insert(0.0) += w;
+            keyed.push((if a <= b { (a, b) } else { (b, a) }, w));
         }
     }
-    let mut out = WeightedGraph::new(n_comm);
-    for ((a, b), w) in edge_acc {
-        out.add_edge(a, b, w);
+    keyed.sort_by_key(|&(key, _)| key);
+    let mut edges: Vec<(u32, u32, f64)> = Vec::new();
+    for ((a, b), w) in keyed {
+        match edges.last_mut() {
+            Some(last) if (last.0, last.1) == (a, b) => last.2 += w,
+            _ => edges.push((a, b, w)),
+        }
     }
-    out
+    WeightedGraph::from_edges(n_comm, &edges)
 }
 
-/// Renumber labels to a dense `0..k` range, preserving first-appearance order.
-fn compact(labels: Vec<usize>) -> Vec<usize> {
-    let mut map: BTreeMap<usize, usize> = BTreeMap::new();
+/// Renumber labels to a dense `0..k` range, preserving first-appearance
+/// order. Every caller's labels are below its node count, so the map is one
+/// dense slot per label value.
+fn compact(mut labels: Vec<usize>) -> Vec<usize> {
+    let bound = labels.iter().copied().max().map_or(0, |m| m + 1);
+    let mut map = vec![usize::MAX; bound];
     let mut next = 0usize;
+    for l in labels.iter_mut() {
+        if map[*l] == usize::MAX {
+            map[*l] = next;
+            next += 1;
+        }
+        *l = map[*l];
+    }
     labels
-        .into_iter()
-        .map(|l| {
-            *map.entry(l).or_insert_with(|| {
-                let id = next;
-                next += 1;
-                id
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -477,6 +570,10 @@ mod tests {
 
     /// Two 4-cliques joined by one weak edge.
     fn two_cliques() -> WeightedGraph {
+        WeightedGraph::from_edges(8, &two_clique_edges())
+    }
+
+    fn two_clique_edges() -> Vec<(u32, u32, f64)> {
         let mut edges = Vec::new();
         for base in [0u32, 4] {
             for i in 0..4 {
@@ -486,7 +583,7 @@ mod tests {
             }
         }
         edges.push((0, 4, 0.1));
-        WeightedGraph::from_edges(8, &edges)
+        edges
     }
 
     /// Four 5-cliques; cliques {0,1} and {2,3} are strongly bridged, with
@@ -650,12 +747,12 @@ mod tests {
 
     #[test]
     fn handles_disconnected_and_empty() {
-        let g = WeightedGraph::new(5);
+        let g = WeightedGraph::from_edges(5, &[]);
         let r = louvain(&g);
         assert_eq!(r.labels.len(), 5);
         assert_eq!(r.modularity, 0.0);
 
-        let empty = louvain(&WeightedGraph::new(0));
+        let empty = louvain(&WeightedGraph::from_edges(0, &[]));
         assert!(empty.labels.is_empty());
     }
 
@@ -664,9 +761,9 @@ mod tests {
         // A modest self-loop raises the node's degree but must not pull it
         // out of its clique. (A huge self-loop legitimately isolates the
         // node — its degree term dominates any join gain.)
-        let mut g = two_cliques();
-        g.add_edge(0, 0, 1.0);
-        let r = louvain(&g);
+        let mut edges = two_clique_edges();
+        edges.push((0, 0, 1.0));
+        let r = louvain(&WeightedGraph::from_edges(8, &edges));
         assert_eq!(r.labels[0], r.labels[1], "self-loop keeps node in its clique");
         assert_ne!(r.labels[0], r.labels[4], "cliques still separate");
     }
@@ -722,56 +819,30 @@ mod tests {
         assert_eq!(hier.levels, flat.levels + 1, "one splitting pass ⇒ one extra level");
     }
 
+    /// Every sub-run answered from a record of the same graph — all nodes
+    /// clean — and from a record where one node is dirty (its community is
+    /// re-run) reproduces the plain hierarchy bit for bit.
     #[test]
-    fn seeded_with_own_labels_converges_immediately() {
-        for g in [two_cliques(), nested_cliques(), triangle_ring(10)] {
-            let fresh = louvain(&g);
-            let seeded = louvain_seeded(&g, 1.0, &fresh.labels);
-            assert_eq!(seeded.labels, fresh.labels, "optimum seed must be kept");
-            assert_eq!(seeded.modularity.to_bits(), fresh.modularity.to_bits());
-            assert_eq!(seeded.levels, 1, "converged seed ⇒ one move-free level");
-        }
-    }
-
-    #[test]
-    fn seeded_recovers_from_perturbed_seed() {
-        // A mildly wrong seed (one node displaced per clique) must converge
-        // back to the fixture optimum.
-        let g = two_cliques();
-        let fresh = louvain(&g);
-        let mut seed = fresh.labels.clone();
-        seed[0] = 1;
-        seed[4] = 0;
-        let seeded = louvain_seeded(&g, 1.0, &seed);
-        assert_eq!(seeded.labels, fresh.labels);
-        assert_eq!(seeded.modularity.to_bits(), fresh.modularity.to_bits());
-    }
-
-    /// Regression (satellite of the incremental-maintenance PR): the seeded
-    /// hierarchical path must keep the PR 3 semantics — a refinement pass
-    /// that splits nothing adds no level — when seeding from a prior
-    /// partition.
-    #[test]
-    fn hierarchical_seeded_levels_count_only_splitting_passes() {
-        // Nested cliques: the seed IS the optimum, the seeded base run
-        // converges in one move-free level, and no refinement pass splits.
-        // levels must be exactly 1 — a regression re-counting non-splitting
-        // passes would report 2.
-        let g = nested_cliques();
-        let fresh = hierarchical_louvain(&g, HierarchicalConfig::default());
-        let seeded = hierarchical_louvain_seeded(&g, HierarchicalConfig::default(), &fresh.labels);
-        assert_eq!(seeded.labels, fresh.labels);
-        assert_eq!(seeded.levels, 1, "one seeded base level, zero splitting passes");
-
-        // Triangle ring: seeding from the refined 10-community partition.
-        // The base run may re-merge (flat optimum is coarser), then exactly
-        // one refinement pass re-splits; the final labels must match the
-        // fresh hierarchy.
-        let g = triangle_ring(10);
+    fn reused_sub_runs_reproduce_the_plain_hierarchy() {
         let cfg = HierarchicalConfig { min_split_size: 3, ..Default::default() };
-        let fresh = hierarchical_louvain(&g, cfg);
-        let seeded = hierarchical_louvain_seeded(&g, cfg, &fresh.labels);
-        assert_eq!(seeded.labels, fresh.labels, "seeded hierarchy reaches the same partition");
+        for g in [two_cliques(), nested_cliques(), triangle_ring(10)] {
+            let plain = hierarchical_louvain(&g, cfg);
+            let (first, record) = hierarchical_louvain_reusing(&g, cfg, None);
+            assert!(!record.runs.is_empty(), "every fixture refines something");
+            let mut index: Vec<u32> = (0..g.node_count() as u32).collect();
+            for dirty in [None, Some(1)] {
+                if let Some(d) = dirty {
+                    index[d] = NO_NODE;
+                }
+                let prior = Prior { runs: &record, index: &index };
+                let (again, _) = hierarchical_louvain_reusing(&g, cfg, Some(prior));
+                for r in [&first, &again] {
+                    assert_eq!(r.labels, plain.labels);
+                    assert_eq!(r.modularity.to_bits(), plain.modularity.to_bits());
+                    assert_eq!(r.levels, plain.levels);
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,10 +4,14 @@
 //! overlap of their neighbor sets, then run (hierarchical) Louvain on the
 //! *scored clique* — the complete graph whose edge weights are similarity
 //! scores. Nodes clustered together play the same role and can share a
-//! µsegment. The clique is built sparse and exact by [`jaccard_clique`] —
-//! no n² matrix — and rebuilt from the window's token sets every window; what
-//! [`infer_roles_incremental_obs`] carries between windows is the partition
-//! ([`RoleMemo`]), which seeds the next window's Louvain.
+//! µsegment. The clique is built sparse and exact by
+//! [`crate::jaccard::jaccard_clique`] — no n² matrix. Across the windows of
+//! a stream, [`infer_roles_incremental_obs`] carries a [`RoleMemo`]: the
+//! clique, whose edges between two clean nodes are reused and only pairs
+//! with a dirty endpoint recounted, and the refinement sub-runs, each
+//! answered again for a community whose members are all clean and
+//! unchanged. Labels, modularity and clique stay bit-identical to a full
+//! run.
 //!
 //! The Figure 3 alternatives are provided for comparison: SimRank and
 //! SimRank++ similarity cliques, and connection-/byte-weighted modularity
@@ -15,9 +19,10 @@
 //! to each other — which is exactly wrong for roles, since two front-end
 //! replicas may never exchange a byte.
 
-use crate::jaccard::{jaccard_clique, MinHasher};
+use crate::jaccard::{window_clique, Carry, MinHasher, TokenSets};
 use crate::louvain::{
-    hierarchical_louvain, hierarchical_louvain_seeded, louvain, HierarchicalConfig, LouvainResult,
+    hierarchical_louvain, hierarchical_louvain_reusing, louvain, HierarchicalConfig, LouvainResult,
+    Prior, SubRuns, NO_NODE,
 };
 use crate::simrank::{simrank_pp_with, simrank_with, SimRankConfig};
 use crate::wgraph::WeightedGraph;
@@ -122,34 +127,23 @@ pub struct RoleInference {
 /// from databases (which *serve* that same mid-tier) even though their bare
 /// neighbor sets are identical.
 pub fn directional_neighbor_sets(g: &CommGraph) -> Vec<Vec<u32>> {
-    let n = g.node_count();
-    let mut sets = Vec::with_capacity(n);
-    for u in 0..n as u32 {
-        let mut tokens: Vec<u32> = g
-            .neighbors(u)
-            .iter()
-            .filter(|e| e.node != u)
-            .map(|&Adjacent { node: v, stats, .. }| {
+    token_sets(g).to_vecs()
+}
+
+/// [`directional_neighbor_sets`], flat.
+fn token_sets(g: &CommGraph) -> TokenSets {
+    let mut sets = TokenSets::new();
+    for u in 0..g.node_count() as u32 {
+        sets.push(g.neighbors(u).iter().filter(|e| e.node != u).map(
+            |&Adjacent { node: v, stats, .. }| {
                 // stats are oriented outward from u.
-                let total = stats.bytes();
-                let class = if total == 0 {
-                    0
-                } else {
-                    let out_frac = stats.bytes_fwd as f64 / total as f64;
-                    if out_frac > 0.7 {
-                        1 // mostly outbound
-                    } else if out_frac < 0.3 {
-                        2 // mostly inbound
-                    } else {
-                        0 // balanced
-                    }
-                };
-                v * 3 + class
-            })
-            .collect();
-        tokens.sort_unstable();
-        tokens.dedup();
-        sets.push(tokens);
+                // 1: mostly outbound, 2: mostly inbound, 0: balanced — or
+                // silent, where the fraction is 0/0 = NaN and both tests
+                // fail. Branch-free: the classes mix unpredictably.
+                let out_frac = stats.bytes_fwd as f64 / stats.bytes() as f64;
+                v * 3 + u32::from(out_frac > 0.7) + 2 * u32::from(out_frac < 0.3)
+            },
+        ));
     }
     sets
 }
@@ -208,7 +202,7 @@ pub fn infer_roles_obs(
         SegmentationMethod::JaccardLouvain { min_score } => {
             let clique = {
                 let _span = o.stage_span("similarity");
-                jaccard_clique(&directional_neighbor_sets(g), *min_score)
+                window_clique(&token_sets(g), None, *min_score)
             };
             let _span = cluster_span();
             hierarchical_louvain(&clique, hier)
@@ -271,76 +265,86 @@ pub fn infer_roles_obs(
 }
 
 /// Carry-over state for incremental role inference across consecutive
-/// windows: the previous window's inferred labels and node order. Produced
-/// and consumed by [`infer_roles_incremental_obs`].
-// bound: two vectors, one entry per node of the previous window.
+/// windows, produced and consumed by [`infer_roles_incremental_obs`]: the
+/// previous window's nodes, its scored clique, and its refinement sub-runs.
+// bound: n ids for the previous window's n nodes; its scored clique (≤ that
+// window's clique edges, stored once per endpoint); and ≤ `max_depth` · n
+// recorded sub-run member ids plus as many sub-labels.
 #[derive(Debug, Clone)]
 pub struct RoleMemo {
-    /// Inferred role label per previous-window node.
-    pub(crate) labels: Vec<usize>,
     /// The previous window's nodes, sorted (graph node order).
-    pub(crate) nodes: Vec<NodeId>,
+    nodes: Vec<NodeId>,
+    /// The previous window's scored clique and the floor it was built at.
+    clique: WeightedGraph,
+    min_score: f64,
+    /// The previous window's refinement sub-runs.
+    sub_runs: SubRuns,
 }
 
-/// Incremental variant of the paper's Jaccard+Louvain role inference: the
-/// hierarchical Louvain base run is seeded from the previous window's
-/// partition (`hierarchical_louvain_seeded`). The scored clique is rebuilt
-/// from `g`'s token sets ([`jaccard_clique`]) — a full sparse build costs
-/// less than patching a dense matrix did — so the similarity stage reads
-/// neither `dirty` nor `parallelism`; both stay in the signature for the
-/// callers that pass them.
+/// Incremental variant of the paper's Jaccard+Louvain role inference, for
+/// consecutive windows of one stream. `dirty` is the window's dirty set
+/// relative to the window `memo` was made from
+/// ([`commgraph_graph::diff::dirty_nodes`]: sorted, holding every arrival
+/// and departure and every node whose incident edges changed).
 ///
-/// With `memo == None` (first window) the computation is a plain full run.
-/// Returns the inference plus the memo for the next window.
+/// It pays for what changed and computes what a full run computes:
+/// - **Clique rows.** An edge between two clean nodes scores two token sets
+///   that did not change, so it is carried from the previous clique; only
+///   pairs with a dirty endpoint are recounted. The clique equals
+///   [`crate::jaccard::jaccard_clique`]'s bit for bit.
+/// - **Refinement sub-runs.** A community whose members are all clean and
+///   exactly a community the previous window re-clustered induces a
+///   bit-identical clique, so its recorded outcome is reused.
+/// - The hierarchical Louvain base run is a plain run on the clique — a
+///   run seeded from the previous partition could settle in another local
+///   optimum than the full rebuild.
 ///
-/// On a converged steady-state window the seeded clustering lands on the
-/// same partition as a fresh run, and identical partitions compact to
-/// identical label vectors — so labels and modularity match the
-/// full-rebuild oracle bit-for-bit (asserted by the pipeline equivalence
-/// tests at every window).
+/// Labels and modularity therefore equal [`infer_roles_with`]'s for the
+/// paper's method at `min_score`, on every window. With `memo == None`
+/// (first window), or every node dirty, nothing carried is read and the
+/// cost is a full run plus the memo write. `parallelism` is unread (the
+/// clique and Louvain are serial by design). Returns the inference plus the
+/// memo for the next window.
+///
+/// In debug builds, panics when `dirty` misses a node that is in only one
+/// of `g` and the memo's window — a stale or non-consecutive dirty set.
 pub fn infer_roles_incremental_obs(
     g: &CommGraph,
-    _dirty: &[NodeId],
+    dirty: &[NodeId],
     memo: Option<&RoleMemo>,
     min_score: f64,
     _parallelism: Parallelism,
     o: &Obs,
 ) -> (RoleInference, RoleMemo) {
+    debug_assert!(
+        memo.is_none_or(|m| covers_arrivals_and_departures(&m.nodes, g.nodes(), dirty)),
+        "dirty set misses a node that arrived or departed since the memo's window"
+    );
+    // Index maps between the windows for the clean nodes; only a clique
+    // built at the same floor can be carried, and with no clean node there
+    // is nothing to carry.
+    let memo = memo.filter(|m| m.min_score.to_bits() == min_score.to_bits());
+    let (prior_of, current_of) = match memo {
+        Some(m) => clean_index(&m.nodes, g.nodes(), dirty),
+        None => (Vec::new(), Vec::new()),
+    };
+    let memo = memo.filter(|_| prior_of.iter().any(|&p| p != NO_NODE));
     let clique = {
         let _span = o.stage_span("similarity");
-        jaccard_clique(&directional_neighbor_sets(g), min_score)
+        let carry =
+            memo.map(|m| Carry { clique: &m.clique, prior_of: &prior_of, current_of: &current_of });
+        window_clique(&token_sets(g), carry, min_score)
     };
-    let result = {
+    let (result, sub_runs) = {
         let mut span = o.stage_span("cluster");
         if span.trace_enabled() {
             span.trace_attr("method", "jaccard+louvain/incremental");
         }
-        let hier = HierarchicalConfig::default();
-        match memo {
-            Some(memo) => {
-                // Seed each persisting node with its previous role; fresh
-                // nodes get fresh singleton labels.
-                let mut next = memo.labels.iter().copied().max().map_or(0, |m| m + 1);
-                let seed: Vec<usize> = g
-                    .nodes()
-                    .iter()
-                    .map(|id| match memo.nodes.binary_search(id) {
-                        Ok(pi) => memo.labels[pi],
-                        Err(_) => {
-                            let l = next;
-                            next += 1;
-                            l
-                        }
-                    })
-                    .collect();
-                hierarchical_louvain_seeded(&clique, hier, &seed)
-            }
-            None => hierarchical_louvain(&clique, hier),
-        }
+        let prior = memo.map(|m| Prior { runs: &m.sub_runs, index: &prior_of });
+        hierarchical_louvain_reusing(&clique, HierarchicalConfig::default(), prior)
     };
     let n_roles = result.labels.iter().copied().max().map_or(0, |m| m + 1);
-    debug_assert_eq!(result.labels.len(), g.node_count());
-    let memo = RoleMemo { labels: result.labels.clone(), nodes: g.nodes().to_vec() };
+    let memo = RoleMemo { nodes: g.nodes().to_vec(), clique, min_score, sub_runs };
     let inference = RoleInference {
         labels: result.labels,
         n_roles,
@@ -350,12 +354,51 @@ pub fn infer_roles_incremental_obs(
     (inference, memo)
 }
 
+/// Whether `dirty` (sorted) holds every node that is in only one of the
+/// sorted `prev` and `cur` — the part of the dirty-set contract that can be
+/// checked without the previous graph.
+fn covers_arrivals_and_departures(prev: &[NodeId], cur: &[NodeId], dirty: &[NodeId]) -> bool {
+    let covered = |id: &NodeId, other: &[NodeId]| {
+        other.binary_search(id).is_ok() || dirty.binary_search(id).is_ok()
+    };
+    dirty.is_sorted()
+        && cur.iter().all(|id| covered(id, prev))
+        && prev.iter().all(|id| covered(id, cur))
+}
+
+/// Dense index maps between two windows' sorted node lists for the nodes
+/// present in both and not in `dirty` (sorted): per `cur` node its `prev`
+/// index, and per `prev` node its `cur` index, [`NO_NODE`] elsewhere. One
+/// merge over the three lists.
+fn clean_index(prev: &[NodeId], cur: &[NodeId], dirty: &[NodeId]) -> (Vec<u32>, Vec<u32>) {
+    let mut prior_of = vec![NO_NODE; cur.len()];
+    let mut current_of = vec![NO_NODE; prev.len()];
+    let (mut p, mut d) = (0, 0);
+    for (i, id) in cur.iter().enumerate() {
+        while p < prev.len() && prev[p] < *id {
+            p += 1;
+        }
+        while d < dirty.len() && dirty[d] < *id {
+            d += 1;
+        }
+        let is_dirty = dirty.get(d) == Some(id);
+        if prev.get(p) == Some(id) && !is_dirty {
+            prior_of[i] = p as u32;
+            current_of[p] = i as u32;
+        }
+    }
+    (prior_of, current_of)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jaccard::jaccard_clique;
     use crate::metrics::adjusted_rand_index;
+    use commgraph_graph::diff::dirty_nodes;
     use commgraph_graph::{EdgeStats, NodeId};
-    use std::collections::HashMap;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, HashMap};
     use std::net::Ipv4Addr;
 
     /// A synthetic three-tier deployment: 4 frontends, 3 backends, 2 DBs.
@@ -508,8 +551,8 @@ mod tests {
             let full1 = infer_roles_with(&g1, &method, p);
             assert_eq!(r1.labels, full1.labels, "first window, {workers} workers");
             assert_eq!(r1.clustering_modularity, full1.clustering_modularity);
-            // Second window: seeded clustering must reproduce the full
-            // rebuild bit-for-bit.
+            // Second window: the carried clique and reused sub-runs must
+            // reproduce the full rebuild bit-for-bit.
             let (r2, _) = infer_roles_incremental_obs(&g2, &dirty, Some(&memo), 0.1, p, &o);
             let full2 = infer_roles_with(&g2, &method, p);
             assert_eq!(r2.labels, full2.labels, "second window, {workers} workers");
@@ -524,9 +567,95 @@ mod tests {
         let p = Parallelism::new(2);
         let o = Obs::noop();
         let (r1, memo) = infer_roles_incremental_obs(&g, &[], None, 0.1, p, &o);
-        // Same graph again, seeded with its own partition: labels fixed.
+        // Same graph again, every node clean: labels fixed.
         let (r2, _) = infer_roles_incremental_obs(&g, &[], Some(&memo), 0.1, p, &o);
         assert_eq!(r1.labels, r2.labels);
         assert_eq!(r1.clustering_modularity, r2.clustering_modularity);
+    }
+
+    /// A stale dirty set — here empty, though the second window gained a
+    /// frontend and lost a DB — trips the contract check in debug builds
+    /// instead of reusing rows of nodes that changed.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "dirty set misses a node")]
+    fn stale_dirty_set_is_caught_in_debug_builds() {
+        let (g1, _) = three_tier();
+        let o = Obs::noop();
+        let p = Parallelism::serial();
+        let (_, memo) = infer_roles_incremental_obs(&g1, g1.nodes(), None, 0.1, p, &o);
+        infer_roles_incremental_obs(&three_tier_churned(), &[], Some(&memo), 0.1, p, &o);
+    }
+
+    /// One conversation: endpoints `10.0.0.a`, `10.0.0.b` and the bytes
+    /// each way.
+    type Conv = (u8, u8, u16, u16);
+
+    fn conv_graph(convs: &[Conv], start: u64) -> CommGraph {
+        let node = |i: u8| NodeId::Ip(Ipv4Addr::new(10, 0, 0, i));
+        let mut edges: BTreeMap<(NodeId, NodeId), EdgeStats> = BTreeMap::new();
+        for &(a, b, fwd, rev) in convs {
+            let (lo, hi, fwd, rev) = if a <= b { (a, b, fwd, rev) } else { (b, a, rev, fwd) };
+            let (bytes_fwd, bytes_rev) = (u64::from(fwd), u64::from(rev));
+            let stats = EdgeStats { bytes_fwd, bytes_rev, pkts_fwd: 1, pkts_rev: 1, conns: 1 };
+            edges.insert((node(lo), node(hi)), stats);
+        }
+        CommGraph::from_edge_map("ip", start, 3600, edges)
+    }
+
+    fn graph_bits(g: &WeightedGraph) -> (Vec<Vec<(u32, u64)>>, u64) {
+        let rows = (0..g.node_count() as u32)
+            .map(|u| g.neighbors(u).iter().map(|&(v, w)| (v, w.to_bits())).collect())
+            .collect();
+        (rows, g.total_weight().to_bits())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The clique a warm window carries equals the fresh clique bit for
+        /// bit, and the inference — warm, or reading nothing carried (every
+        /// node passed dirty) — equals the full run's, for random window
+        /// pairs: kept, dropped, direction-flipped and re-weighed
+        /// conversations, plus arrivals on new addresses.
+        #[test]
+        fn carried_clique_and_reused_sub_runs_are_bit_identical(
+            prev in prop::collection::vec((0u8..30, 0u8..30, 0u16..4, 0u16..4), 0..90),
+            ops in prop::collection::vec(0u8..6, 90),
+            added in prop::collection::vec((0u8..36, 0u8..36, 0u16..4, 0u16..4), 0..10),
+            min_score in prop_oneof![Just(0.1), Just(0.5)],
+        ) {
+            let mut next: Vec<Conv> = Vec::new();
+            for (&(a, b, fwd, rev), &op) in prev.iter().zip(&ops) {
+                match op {
+                    3 => {}                                // dropped
+                    4 => next.push((a, b, rev, fwd)),      // direction flipped
+                    5 => next.push((a, b, fwd + 1, rev)),  // re-weighed
+                    _ => next.push((a, b, fwd, rev)),      // kept
+                }
+            }
+            next.extend(&added);
+            let (g1, g2) = (conv_graph(&prev, 0), conv_graph(&next, 3600));
+            let dirty = dirty_nodes(&g1, &g2);
+            let mut all: Vec<NodeId> = g1.nodes().iter().chain(g2.nodes()).copied().collect();
+            all.sort_unstable();
+            all.dedup();
+            let (o, p) = (Obs::noop(), Parallelism::serial());
+            let (_, memo) = infer_roles_incremental_obs(&g1, g1.nodes(), None, min_score, p, &o);
+            let (warm, carried) =
+                infer_roles_incremental_obs(&g2, &dirty, Some(&memo), min_score, p, &o);
+            let fresh = jaccard_clique(&directional_neighbor_sets(&g2), min_score);
+            prop_assert_eq!(graph_bits(&carried.clique), graph_bits(&fresh));
+            let (cold, _) = infer_roles_incremental_obs(&g2, &all, Some(&memo), min_score, p, &o);
+            let method = SegmentationMethod::JaccardLouvain { min_score };
+            let full = infer_roles_with(&g2, &method, p);
+            for r in [&warm, &cold] {
+                prop_assert_eq!(&r.labels, &full.labels);
+                prop_assert_eq!(
+                    r.clustering_modularity.to_bits(),
+                    full.clustering_modularity.to_bits()
+                );
+            }
+        }
     }
 }

@@ -283,7 +283,7 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let s = simrank(&WeightedGraph::new(0), SimRankConfig::default());
+        let s = simrank(&WeightedGraph::from_edges(0, &[]), SimRankConfig::default());
         assert_eq!(s.n(), 0);
     }
 

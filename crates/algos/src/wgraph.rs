@@ -3,71 +3,91 @@
 use commgraph_graph::CommGraph;
 use linalg::sym::SymMatrix;
 
-/// Undirected weighted graph with dense `0..n` node ids.
+/// Undirected weighted graph with dense `0..n` node ids, in CSR form.
 ///
-/// Each edge is stored in both endpoint lists (self-loops once). Weights
+/// Each edge is stored in both endpoint rows (self-loops once). Weights
 /// must be non-negative; zero-weight edges are dropped at construction.
 ///
-/// Adjacency lists are kept sorted by neighbor id with **at most one entry
-/// per neighbor**: re-adding an existing edge coalesces the weights into
-/// the stored entry. (Storing parallel edges separately used to
+/// Rows are sorted by neighbor id with **at most one entry per neighbor**:
+/// a repeated edge coalesces into one entry whose weight is the sum of its
+/// copies in call order. (Storing parallel edges separately used to
 /// double-count weight in modularity accumulation and yield the same
 /// neighbor twice in Louvain's neighbor-community scan.)
 #[derive(Debug, Clone)]
 pub struct WeightedGraph {
-    adj: Vec<Vec<(u32, f64)>>,
+    /// Row `u` is `adj[offsets[u]..offsets[u + 1]]`.
+    offsets: Vec<usize>,
+    adj: Vec<(u32, f64)>,
     total_weight: f64,
 }
 
 impl WeightedGraph {
-    /// Graph with `n` isolated nodes.
-    pub(crate) fn new(n: usize) -> Self {
-        WeightedGraph { adj: vec![Vec::new(); n], total_weight: 0.0 }
-    }
-
     /// Build from an edge list; `(u, v, w)` with `u == v` allowed (self-loop).
+    ///
+    /// One stable counting sort by source places every edge in its rows in
+    /// call order; a row is then sorted by neighbor (stably, and only when
+    /// the calls did not already arrive in order) and its duplicates summed
+    /// left to right. Every row entry, coalesced weight and `total_weight`
+    /// (summed in call order) is therefore what adding the edges one at a
+    /// time in list order into sorted, coalescing rows produces.
     ///
     /// # Panics
     /// Panics on out-of-range endpoints or negative/non-finite weights.
     pub fn from_edges(n: usize, edges: &[(u32, u32, f64)]) -> Self {
-        let mut g = WeightedGraph::new(n);
+        let mut offsets = vec![0usize; n + 1];
+        let mut total_weight = 0.0;
         for &(u, v, w) in edges {
-            g.add_edge(u, v, w);
+            assert!(w.is_finite() && w >= 0.0, "edge weight must be finite and non-negative");
+            assert!((u as usize) < n && (v as usize) < n, "endpoint range");
+            if w == 0.0 {
+                continue;
+            }
+            offsets[u as usize + 1] += 1;
+            if u != v {
+                offsets[v as usize + 1] += 1;
+            }
+            total_weight += w;
         }
-        g
-    }
-
-    /// Add an undirected edge. Zero weights are ignored; adding an edge
-    /// that already exists coalesces into the stored entry (weights sum),
-    /// so `(u, v, a)` then `(u, v, b)` is exactly `(u, v, a + b)`.
-    pub(crate) fn add_edge(&mut self, u: u32, v: u32, w: f64) {
-        assert!(w.is_finite() && w >= 0.0, "edge weight must be finite and non-negative");
-        assert!((u as usize) < self.adj.len() && (v as usize) < self.adj.len(), "endpoint range");
-        if w == 0.0 {
-            return;
+        for u in 0..n {
+            offsets[u + 1] += offsets[u];
         }
-        Self::coalesce_into(&mut self.adj[u as usize], v, w);
-        if u != v {
-            Self::coalesce_into(&mut self.adj[v as usize], u, w);
+        let mut adj = vec![(0u32, 0.0f64); offsets[n]];
+        let mut head = offsets[..n].to_vec();
+        for &(u, v, w) in edges.iter().filter(|e| e.2 != 0.0) {
+            adj[head[u as usize]] = (v, w);
+            head[u as usize] += 1;
+            if u != v {
+                adj[head[v as usize]] = (u, w);
+                head[v as usize] += 1;
+            }
         }
-        self.total_weight += w;
-    }
-
-    /// Merge `(v, w)` into a sorted adjacency list, keeping it sorted and
-    /// duplicate-free. Appends (the common construction order) are O(1).
-    fn coalesce_into(list: &mut Vec<(u32, f64)>, v: u32, w: f64) {
-        match list.last() {
-            Some(&(last, _)) if last < v => list.push((v, w)),
-            _ => match list.binary_search_by_key(&v, |&(x, _)| x) {
-                Ok(pos) => list[pos].1 += w,
-                Err(pos) => list.insert(pos, (v, w)),
-            },
+        // Sort and coalesce each row, compacting the array left in place.
+        let mut out = 0;
+        for u in 0..n {
+            let (lo, hi) = (offsets[u], offsets[u + 1]);
+            let row = &mut adj[lo..hi];
+            if !row.is_sorted_by(|a, b| a.0 < b.0) {
+                row.sort_by_key(|&(v, _)| v);
+            }
+            offsets[u] = out;
+            for k in lo..hi {
+                let (v, w) = adj[k];
+                if out > offsets[u] && adj[out - 1].0 == v {
+                    adj[out - 1].1 += w;
+                } else {
+                    adj[out] = (v, w);
+                    out += 1;
+                }
+            }
         }
+        offsets[n] = out;
+        adj.truncate(out);
+        WeightedGraph { offsets, adj, total_weight }
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.adj.len()
+        self.offsets.len() - 1
     }
 
     /// Sum of all edge weights (each undirected edge once).
@@ -78,19 +98,19 @@ impl WeightedGraph {
     /// Neighbors of `u` with weights, sorted by neighbor id with one entry
     /// per neighbor. A self-loop appears once.
     pub(crate) fn neighbors(&self, u: u32) -> &[(u32, f64)] {
-        &self.adj[u as usize]
+        &self.adj[self.offsets[u as usize]..self.offsets[u as usize + 1]]
     }
 
     /// Weighted degree of `u`: sum of incident weights, self-loops counted
     /// twice (the convention modularity expects).
     pub(crate) fn weighted_degree(&self, u: u32) -> f64 {
-        self.adj[u as usize].iter().map(|&(v, w)| if v == u { 2.0 * w } else { w }).sum()
+        self.neighbors(u).iter().map(|&(v, w)| if v == u { 2.0 * w } else { w }).sum()
     }
 
     /// Neighbor id set (unweighted), excluding self-loops. Sorted and
     /// duplicate-free by the adjacency invariant.
     pub(crate) fn neighbor_set(&self, u: u32) -> Vec<u32> {
-        self.adj[u as usize].iter().filter(|&&(n, _)| n != u).map(|&(n, _)| n).collect()
+        self.neighbors(u).iter().filter(|&&(n, _)| n != u).map(|&(n, _)| n).collect()
     }
 
     /// Build from a communication graph, weighting each edge with
@@ -99,15 +119,15 @@ impl WeightedGraph {
         g: &CommGraph,
         weight_of: impl Fn(&commgraph_graph::EdgeStats) -> f64,
     ) -> Self {
-        let mut out = WeightedGraph::new(g.node_count());
+        let mut edges = Vec::new();
         for i in 0..g.node_count() as u32 {
             for e in g.neighbors(i) {
                 if e.node >= i {
-                    out.add_edge(i, e.node, weight_of(&e.stats));
+                    edges.push((i, e.node, weight_of(&e.stats)));
                 }
             }
         }
-        out
+        WeightedGraph::from_edges(g.node_count(), &edges)
     }
 
     /// Build the *scored clique* of the paper's segmentation: a complete
@@ -115,16 +135,16 @@ impl WeightedGraph {
     /// scores. Scores below `min_score` are dropped to keep it sparse.
     pub fn from_similarity(scores: &SymMatrix, min_score: f64) -> Self {
         let n = scores.n();
-        let mut g = WeightedGraph::new(n);
+        let mut edges = Vec::new();
         for i in 0..n {
             for j in (i + 1)..n {
                 let score = scores[(i, j)];
                 if score >= min_score && score > 0.0 {
-                    g.add_edge(i as u32, j as u32, score);
+                    edges.push((i as u32, j as u32, score));
                 }
             }
         }
-        g
+        WeightedGraph::from_edges(n, &edges)
     }
 }
 
@@ -161,6 +181,21 @@ mod tests {
         assert_eq!(g.neighbors(1), &[(1, 5.0)]);
         assert_eq!(g.total_weight(), 5.0);
         assert_eq!(g.weighted_degree(1), 10.0, "self-loop counts twice");
+    }
+
+    /// Copies of one edge sum left to right in call order, whichever row
+    /// they land in first and however the rows interleave.
+    #[test]
+    fn duplicates_sum_in_call_order() {
+        let g = WeightedGraph::from_edges(
+            3,
+            &[(2, 0, 1.0), (0, 1, 0.1), (1, 2, 1.0), (1, 0, 0.2), (0, 1, 0.3)],
+        );
+        let want = (0.1 + 0.2) + 0.3;
+        assert_ne!(want, 0.1 + (0.2 + 0.3), "the fixture tells the orders apart");
+        assert_eq!(g.neighbors(0), &[(1, want), (2, 1.0)]);
+        assert_eq!(g.neighbors(1), &[(0, want), (2, 1.0)]);
+        assert_eq!(g.total_weight(), (((1.0 + 0.1) + 1.0) + 0.2) + 0.3);
     }
 
     #[test]

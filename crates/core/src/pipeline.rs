@@ -307,20 +307,21 @@ pub struct WindowAnalysis {
 
 /// Per-window analysis driver that exploits the paper's Figure 5
 /// observation — consecutive windows barely differ — by carrying state from
-/// one window to the next: the previous partition seeds the next role
-/// inference ([`infer_roles_incremental_obs`]), and the previous
-/// segmentation + policy let rule synthesis skip segment pairs whose
-/// membership and traffic did not change
-/// ([`SegmentPolicy::learn_incremental_graph`]). The similarity clique is
-/// not carried: rebuilding it sparse from the window's token sets is cheaper
-/// than patching a matrix was. Every stage reads the window's graph only:
-/// the policy is learned from its edges and their service ports, so an
-/// analysis costs what the graph costs, whatever the record rate.
+/// one window to the next. Role inference ([`infer_roles_incremental_obs`])
+/// reads the window's dirty set: the similarity clique's edges between two
+/// clean nodes are carried and only pairs with a dirty endpoint recounted,
+/// and a refinement sub-run whose members are all clean and unchanged is
+/// answered from the previous window. The previous segmentation + policy
+/// let rule synthesis skip segment pairs whose membership and traffic did
+/// not change ([`SegmentPolicy::learn_incremental_graph`]). Every stage
+/// reads the window's graph only: the policy is learned from its edges and
+/// their service ports, so an analysis costs what the graph costs, whatever
+/// the record rate.
 ///
-/// Retained between windows: one role label and one id per node of the
-/// previous window ([`RoleMemo`]), that window's segmentation and policy,
-/// and one duration — nothing that grows with the number of node pairs or
-/// of windows seen.
+/// Retained between windows: the previous window's node ids, scored clique
+/// and refinement sub-runs ([`RoleMemo`]), its segmentation and policy, and
+/// one duration — nothing that grows with the number of windows seen, and
+/// no more clique edges than the previous window scored.
 ///
 /// Feed it consecutive windows (graph, dirty set) from a [`PipelineOutput`]
 /// built with `incremental: true`. With
@@ -753,6 +754,101 @@ mod tests {
             let fnames: Vec<&str> =
                 f.segmentation.segments().iter().map(|s| s.name.as_str()).collect();
             assert_eq!(inames, fnames, "window {w}");
+        }
+    }
+
+    /// A churning eight-window stream for `seed`: a three-tier core
+    /// (frontends → backends → databases, every frontend → one DNS host)
+    /// with
+    /// - drift: two random conversations re-drawn every window;
+    /// - a burst: fourteen random conversations on every fourth window;
+    /// - departures and arrivals: frontend `f` sits out every window with
+    ///   `(w + f) % 5 == 0`, and a ninth frontend joins from window 3 on;
+    /// - a pure volume change that flips a direction class: frontend 0's
+    ///   conversation with backend 0 is mostly outbound on even windows and
+    ///   mostly inbound on odd ones, same endpoints and port.
+    fn seeded_churn_stream(seed: u64) -> Vec<ConnSummary> {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let node = |tier: u8, i: u8| Ipv4Addr::new(10, 0, tier, i);
+        let flow =
+            |ts: u64, a: Ipv4Addr, b: Ipv4Addr, port: u16, sent: u64, rcvd: u64| ConnSummary {
+                ts,
+                key: FlowKey::tcp(a, 40_000, b, port),
+                pkts_sent: sent / 1000 + 1,
+                pkts_rcvd: rcvd / 1000 + 1,
+                bytes_sent: sent,
+                bytes_rcvd: rcvd,
+            };
+        let hosts: Vec<Ipv4Addr> = (0..9)
+            .map(|f| node(0, f))
+            .chain((0..4).map(|b| node(1, b)))
+            .chain((0..2).map(|d| node(2, d)))
+            .collect();
+        let random = |ts: u64, rng: &mut StdRng| {
+            let a = hosts[rng.random_range(0..hosts.len())];
+            let b = hosts[rng.random_range(0..hosts.len())];
+            let port = [22, 80, 443, 8080][rng.random_range(0..4usize)];
+            let (sent, rcvd) = (rng.random_range(1..200_000u64), rng.random_range(1..200_000u64));
+            (a != b).then(|| flow(ts, a, b, port, sent, rcvd))
+        };
+        let mut recs = Vec::new();
+        for w in 0..8u64 {
+            let ts = w * 3600 + 10;
+            let fronts = if w >= 3 { 9 } else { 8 };
+            for f in (0..fronts).filter(|&f| (w + u64::from(f)) % 5 != 0) {
+                for b in 0..4 {
+                    let flipped = f == 0 && b == 0 && w % 2 == 1;
+                    let (sent, rcvd) = if flipped { (25_000, 100_000) } else { (100_000, 25_000) };
+                    recs.push(flow(ts, node(0, f), node(1, b), 8080, sent, rcvd));
+                }
+                recs.push(flow(ts, node(0, f), node(9, 1), 53, 200, 400));
+            }
+            for b in 0..4 {
+                for d in 0..2 {
+                    recs.push(flow(ts, node(1, b), node(2, d), 5432, 500_000, 100_000));
+                }
+            }
+            let extra = if w % 4 == 3 { 14 } else { 2 };
+            recs.extend((0..extra).filter_map(|_| random(ts, &mut rng)));
+        }
+        recs
+    }
+
+    /// Incremental ≡ full rebuild on 32 seeds of a churning stream, through
+    /// `Pipeline` and both `WindowAnalyzer`s: the same labels, modularity
+    /// bits, segment names and allow rules at every window.
+    #[test]
+    fn incremental_analysis_matches_full_rebuild_across_seeds() {
+        for seed in 0..32u64 {
+            let recs = seeded_churn_stream(seed);
+            let monitored: HashSet<Ipv4Addr> =
+                recs.iter().flat_map(|r| [r.key.local_ip, r.key.remote_ip]).collect();
+            let run = |incremental: bool| {
+                let mut p = Pipeline::new(PipelineConfig { incremental, ..Default::default() });
+                p.ingest(&recs);
+                let out = finish(p);
+                let mut an = WindowAnalyzer::new(monitored.clone(), incremental);
+                an.analyze_output(&out).unwrap()
+            };
+            let (incremental, full) = (run(true), run(false));
+            assert_eq!(incremental.len(), 8, "seed {seed}");
+            assert_eq!(full.len(), 8, "seed {seed}");
+            for (w, (i, f)) in incremental.iter().zip(&full).enumerate() {
+                let at = format!("seed {seed}, window {w}");
+                assert_eq!(i.roles.labels, f.roles.labels, "{at}");
+                assert_eq!(
+                    i.roles.clustering_modularity.to_bits(),
+                    f.roles.clustering_modularity.to_bits(),
+                    "{at}"
+                );
+                let names = |a: &WindowAnalysis| -> Vec<String> {
+                    a.segmentation.segments().iter().map(|s| s.name.clone()).collect()
+                };
+                assert_eq!(names(i), names(f), "{at}");
+                assert_eq!(i.policy.rules(), f.policy.rules(), "{at}");
+            }
         }
     }
 
