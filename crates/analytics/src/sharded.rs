@@ -29,12 +29,13 @@
 use crate::engine::{EngineConfig, EngineStats};
 use crate::error::{Error, Result};
 use crate::shard::Shard;
+use commgraph_graph::hash::FixedState;
 use commgraph_graph::CommGraph;
 use flowlog::record::ConnSummary;
 use flowlog::time::bucket_start;
 use obs::{Counter, Gauge, Histogram, Level, Obs, SpanGuard};
 use serde::Serialize;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 /// Configuration of the multi-subscription front door.
@@ -118,11 +119,14 @@ impl SeqWindow {
 }
 
 /// What the front door keeps per subscription.
-// bound: one entry per subscription ever seen plus one `SeqWindow` per
-// source; nothing here grows with records or deliveries.
+// bound: per source, one 528-byte `SeqWindow` in `windows`, its name's bytes
+// and one `sources` entry. Both grow with distinct sources, never with
+// records or deliveries.
 #[derive(Debug)]
 struct Sub {
     shard: usize,
+    /// Index of this subscription among its shard's residents.
+    slot: usize,
     records_in: u64,
     started: Option<Instant>,
     /// High-water record timestamp of this subscription.
@@ -134,7 +138,11 @@ struct Sub {
     records: Counter,
     watermark: Gauge,
     roll_lag: Gauge,
-    sources: BTreeMap<String, SeqWindow>,
+    /// Source name → its dedup window in `windows`: one hash of the name and
+    /// one probe per delivery. Names come from the subscription's own agents;
+    /// the fixed hash's trade is DESIGN §5's.
+    sources: HashMap<Box<str>, usize, FixedState>,
+    windows: Vec<SeqWindow>,
 }
 
 /// Everything one subscription produced: its windowed graphs and the
@@ -245,6 +253,7 @@ impl ShardedEngine {
         }
         // The least-resident shard, ties to the lowest index.
         let shard = (0..self.resident.len()).min_by_key(|&s| self.resident[s]).unwrap_or(0);
+        let slot = self.resident[shard];
         self.resident[shard] += 1;
         let o = &self.cfg.obs;
         o.gauge("commgraph_shard_subscription_entries", "", &[("shard", &shard.to_string())])
@@ -256,6 +265,7 @@ impl ShardedEngine {
         o.counter(REFUSED, "", &[sub[0], ("outcome", "late")]);
         self.subs.push(Sub {
             shard,
+            slot,
             records_in: 0,
             started: None,
             watermark_ts: 0,
@@ -263,7 +273,8 @@ impl ShardedEngine {
             records: o.counter("commgraph_subscription_records_total", "", &sub),
             watermark: o.gauge("commgraph_subscription_watermark_seconds", "", &sub),
             roll_lag: o.gauge("commgraph_subscription_roll_lag_seconds", "", &sub),
-            sources: BTreeMap::new(),
+            sources: HashMap::default(),
+            windows: Vec::new(),
             label,
         });
         self.index.insert(subscription.to_string(), self.subs.len() - 1);
@@ -307,7 +318,7 @@ impl ShardedEngine {
             self.watermark = self.watermark.max(sub.watermark_ts);
         }
         self.metrics.watermark.set(self.watermark as f64);
-        self.shards[sub.shard].stage(at as u32, records)
+        self.shards[sub.shard].stage(sub.slot, records)
     }
 
     /// Offer a flush batch with at-least-once delivery semantics: `source`
@@ -328,10 +339,16 @@ impl ShardedEngine {
     ) -> Result<bool> {
         let at = self.resolve(subscription);
         let sub = &mut self.subs[at];
-        let refusal = match sub.sources.get_mut(source) {
-            Some(window) => window.admit(seq),
-            None => sub.sources.entry(source.to_string()).or_insert_with(SeqWindow::new).admit(seq),
+        let window = match sub.sources.get(source) {
+            Some(&window) => window,
+            None => {
+                sub.windows.push(SeqWindow::new());
+                sub.sources.insert(source.into(), sub.windows.len() - 1);
+                debug_assert_eq!(sub.sources.len(), sub.windows.len());
+                sub.windows.len() - 1
+            }
         };
+        let refusal = sub.windows[window].admit(seq);
         let Some(outcome) = refusal else { return self.offer(at, records).map(|()| true) };
         let labels = [("subscription", sub.label.as_str()), ("outcome", outcome)];
         self.cfg.obs.counter(REFUSED, "", &labels).add(records.len() as u64);
@@ -374,7 +391,8 @@ impl ShardedEngine {
             let sub = &self.subs[at];
             // A subscription that only ever offered empty batches never
             // reached its shard; its report is empty.
-            let (graphs, mut run) = outputs[sub.shard].remove(&(at as u32)).unwrap_or_default();
+            let (graphs, mut run) =
+                outputs[sub.shard].get_mut(sub.slot).map(std::mem::take).unwrap_or_default();
             let late = [("subscription", sub.label.as_str()), ("outcome", "late")];
             self.cfg.obs.counter(REFUSED, "", &late).add(run.records_late);
             run.records_in = sub.records_in;
@@ -719,8 +737,28 @@ mod tests {
         assert!(!front.ingest_sequenced("tenant-a", "10.1.0.1", 999_999, &[]).unwrap());
         assert!(!front.ingest_sequenced("tenant-a", "10.1.0.1", 7, &[]).unwrap(), "late");
         assert_eq!(front.subs.len(), 1);
-        assert_eq!(front.subs[0].sources.len(), 1, "one fixed-size window per source");
+        let sub = &front.subs[0];
+        assert_eq!((sub.sources.len(), sub.windows.len()), (1, 1), "one window per source");
         assert!(std::mem::size_of::<SeqWindow>() <= 528);
+        front.finish().unwrap();
+    }
+
+    /// A thousand sources whose names prefix one another (`10.0.0.1`,
+    /// `10.0.0.10`, `10.0.0.100`, …) each get their own window.
+    #[test]
+    fn sources_sharing_prefixes_are_deduped_independently() {
+        let mut front = ShardedEngine::new(ShardedConfig::default()).unwrap();
+        let names: Vec<String> = (1..=1000).map(|i| format!("10.0.0.{i}")).collect();
+        let mut offer =
+            |i: usize, seq: u64| front.ingest_sequenced("tenant-a", &names[i], seq, &[]).unwrap();
+        assert!((0..1000).all(|i| offer(i, i as u64)), "first arrivals");
+        assert!((0..1000).all(|i| !offer(i, i as u64)), "re-deliveries");
+        // Only the even sources move on; the odd ones have never seen i + 1.
+        assert!((0..1000).step_by(2).all(|i| offer(i, i as u64 + 1)));
+        let fresh: Vec<bool> = (0..1000).map(|i| offer(i, i as u64 + 1)).collect();
+        assert_eq!(fresh, (0..1000).map(|i| i % 2 == 1).collect::<Vec<_>>());
+        let sub = &front.subs[0];
+        assert_eq!((sub.sources.len(), sub.windows.len()), (1000, 1000));
         front.finish().unwrap();
     }
 

@@ -11,7 +11,7 @@
 
 use commgraph::analytics::engine::EngineConfig;
 use commgraph::analytics::sharded::{ShardedConfig, ShardedEngine};
-use commgraph::cloudsim::net::{scripts, FaultScript, NetConfig, NetSim, NetStats};
+use commgraph::cloudsim::net::{scripts, Delivery, FaultScript, NetConfig, NetSim, NetStats};
 use commgraph::cloudsim::{ClusterPreset, Simulator};
 use commgraph::flowlog::record::{ConnSummary, FlowKey};
 use commgraph::graph::{CommGraph, EdgeStats, NodeId};
@@ -394,15 +394,18 @@ fn partition_heals_without_losing_records() {
     assert_eq!(run(), (stats, (accepted, deduped), reports), "same seed, same bytes");
 }
 
-/// A workload whose flows vary across ticks, so graphs are shape-sensitive.
-fn property_batch(t: u64) -> Vec<ConnSummary> {
+/// A workload whose flows vary across ticks, so graphs are shape-sensitive:
+/// subscription `s`'s records at tick `t`. Every subscription reports from
+/// the same three hosts, so under the same source names, toward its own
+/// servers.
+fn property_batch(s: u8, t: u64) -> Vec<ConnSummary> {
     (1u8..=3)
         .map(|h| ConnSummary {
             ts: t * 300,
-            key: FlowKey::tcp(host(h), 40_000 + t as u16, Ipv4Addr::new(10, 0, 9, h), 443),
+            key: FlowKey::tcp(host(h), 40_000 + t as u16, Ipv4Addr::new(10, s, 9, h), 443),
             pkts_sent: 2 + t,
             pkts_rcvd: 1,
-            bytes_sent: 1_000 + 13 * t,
+            bytes_sent: 1_000 + 13 * t + u64::from(s),
             bytes_rcvd: 77,
         })
         .collect()
@@ -458,7 +461,7 @@ proptest! {
             }
         };
         for t in 0..12u64 {
-            net.offer(&property_batch(t));
+            net.offer(&property_batch(0, t));
             net.step(|d| sink(&mut lossy, &mut survivors, d));
         }
         net.drain(|d| sink(&mut lossy, &mut survivors, d));
@@ -479,4 +482,90 @@ proptest! {
             );
         }
     }
+}
+
+/// Delivery equivalence across tenants: 1–5 subscriptions whose agents share
+/// source names, each behind its own seeded reordering, duplicating, lossy
+/// network, their deliveries interleaved into one front door at 1, 2 and 3
+/// shards (so residents sit unevenly on the shards). Per subscription, the
+/// verdicts agree across shard counts, exactly the re-deliveries are refused,
+/// and the reports equal an in-order ingest of the survivors.
+#[test]
+fn interleaved_tenants_sharing_source_names_dedup_independently() {
+    let (mut redelivered_total, mut reordered_total) = (0u64, 0u64);
+    for seed in 0..32u64 {
+        let subs = 1 + (seed % 5) as u8;
+        let names: Vec<String> = (0..subs).map(|s| format!("tenant-{s}")).collect();
+        let mut nets: Vec<NetSim> = (0..u64::from(subs))
+            .map(|s| {
+                let cfg = NetConfig {
+                    seed: seed * 8 + s,
+                    latency_ticks: (s % 2, s % 2 + 2 + seed % 3),
+                    drop_rate: 0.05 * (1 + (seed + s) % 4) as f64,
+                    duplicate_rate: 0.1 * (1 + (seed * 3 + s) % 4) as f64,
+                    flush_every: 1 + (seed + s) % 2,
+                };
+                NetSim::new(cfg, FaultScript::new()).expect("valid net config")
+            })
+            .collect();
+        let mut lossy: Vec<ShardedEngine> = [1, 2, 3].map(sharded_at).into_iter().collect();
+        let mut seen = std::collections::BTreeSet::new();
+        let mut survivors = vec![Vec::new(); subs.into()];
+        let mut refused = vec![0u64; subs.into()];
+        // Sixteen ticks (two windows), then the drain; each round's
+        // deliveries are dealt round-robin across subscriptions.
+        for tick in (0..16u64).map(Some).chain([None]) {
+            let mut due: Vec<Vec<Delivery>> = Vec::new();
+            for (s, net) in nets.iter_mut().enumerate() {
+                let mut arrived = Vec::new();
+                match tick {
+                    Some(t) => {
+                        net.offer(&property_batch(s as u8, t));
+                        net.step(|d| arrived.push(d.clone()));
+                    }
+                    None => net.drain(|d| arrived.push(d.clone())),
+                }
+                due.push(arrived);
+            }
+            for k in 0..due.iter().map(Vec::len).max().unwrap_or(0) {
+                for (s, d) in due.iter().enumerate().filter_map(|(s, v)| Some((s, v.get(k)?))) {
+                    let source = d.source.to_string();
+                    let fresh: Vec<bool> = lossy
+                        .iter_mut()
+                        .map(|f| {
+                            f.ingest_sequenced(&names[s], &source, d.seq, &d.records)
+                                .expect("seam ingest succeeds")
+                        })
+                        .collect();
+                    assert!(fresh.iter().all(|&f| f == fresh[0]), "seed {seed}: verdicts differ");
+                    let first = seen.insert((s, d.source, d.seq));
+                    assert_eq!(fresh[0], first, "seed {seed}: {} seq {} of {s}", d.source, d.seq);
+                    if first {
+                        survivors[s].push((d.source, d.seq, d.records.clone()));
+                    } else {
+                        refused[s] += 1;
+                    }
+                }
+            }
+        }
+
+        let mut oracle = sharded_at(1);
+        for (s, net) in nets.iter().enumerate() {
+            let stats = net.stats();
+            let redeliveries = stats.duplicated_packets + stats.replayed_packets;
+            assert_eq!(refused[s], redeliveries, "seed {seed}: refusals of {}", names[s]);
+            redelivered_total += redeliveries;
+            reordered_total += stats.reordered_packets;
+            survivors[s].sort_by_key(|b| (b.0, b.1));
+            for (_, _, records) in &survivors[s] {
+                oracle.ingest(&names[s], records).expect("oracle ingest succeeds");
+            }
+        }
+        let expected = finish(oracle);
+        assert_eq!(expected.len(), usize::from(subs));
+        for (shards, front) in [1, 2, 3].into_iter().zip(lossy) {
+            assert_eq!(finish(front), expected, "seed {seed}: {shards} shards vs in-order");
+        }
+    }
+    assert!(redelivered_total > 0 && reordered_total > 0, "the networks misbehaved");
 }
