@@ -383,7 +383,6 @@ fn mix(mut z: u64) -> u64 {
 }
 
 #[cfg(test)]
-#[allow(clippy::needless_range_loop)] // index pairs are clearest for symmetry checks
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

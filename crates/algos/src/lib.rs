@@ -24,7 +24,18 @@
 //!   packed-upper-triangular [`sym::SymMatrix`] all similarity kernels
 //!   produce.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::allow_attributes_without_reason,
+    clippy::iter_over_hash_type
+)]
 #![warn(missing_docs)]
 
 pub(crate) mod error;

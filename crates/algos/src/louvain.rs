@@ -23,6 +23,7 @@
 //! (`commgraph_louvain_*_total`), inert until `obs::install_global`.
 
 use crate::wgraph::WeightedGraph;
+use obs::names;
 
 /// Result of a Louvain run.
 #[derive(Debug, Clone)]
@@ -396,21 +397,9 @@ impl LouvainObs {
     fn resolve() -> LouvainObs {
         let o = obs::global();
         LouvainObs {
-            sweeps: o.counter(
-                "commgraph_louvain_sweeps_total",
-                "Local-move sweeps executed by Louvain clustering.",
-                &[],
-            ),
-            moves: o.counter(
-                "commgraph_louvain_moves_total",
-                "Node moves applied by Louvain's local-move phase.",
-                &[],
-            ),
-            levels: o.counter(
-                "commgraph_louvain_levels_total",
-                "Aggregation levels performed by Louvain runs.",
-                &[],
-            ),
+            sweeps: o.counter(&names::LOUVAIN_SWEEPS_TOTAL, []),
+            moves: o.counter(&names::LOUVAIN_MOVES_TOTAL, []),
+            levels: o.counter(&names::LOUVAIN_LEVELS_TOTAL, []),
         }
     }
 }
@@ -908,8 +897,8 @@ mod tests {
         // First install wins process-wide; only assert when ours landed.
         if obs::install_global(r.clone()) {
             louvain(&two_cliques());
-            let sweeps = r.counter("commgraph_louvain_sweeps_total", "", &[]);
-            let levels = r.counter("commgraph_louvain_levels_total", "", &[]);
+            let sweeps = r.counter(&names::LOUVAIN_SWEEPS_TOTAL, []);
+            let levels = r.counter(&names::LOUVAIN_LEVELS_TOTAL, []);
             assert!(sweeps.get() >= 2, "at least one sweep per level");
             assert!(levels.get() >= 1, "levels counted");
         }

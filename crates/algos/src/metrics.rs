@@ -12,8 +12,8 @@ use std::collections::BTreeMap;
 // The tables are BTreeMaps, not HashMaps, on purpose: ARI/NMI accumulate
 // f64 sums over the cells, and float addition is not associative, so the
 // iteration order changes the low bits of the score. BTreeMap iterates in
-// key order and keeps the results bit-identical across processes
-// (`nondet-iter` contract; see crates/lintcheck).
+// key order and keeps the results bit-identical across processes (the
+// crate root denies `clippy::iter_over_hash_type`; DESIGN §7).
 
 /// Contingency table between two labelings.
 fn contingency(a: &[usize], b: &[usize]) -> Result<BTreeMap<(usize, usize), u64>> {

@@ -175,7 +175,6 @@ fn intersection_size(a: &[u32], b: &[u32]) -> usize {
 }
 
 #[cfg(test)]
-#[allow(clippy::needless_range_loop)] // index pairs are clearest for symmetry checks
 mod tests {
     use super::*;
 

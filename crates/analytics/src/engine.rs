@@ -59,6 +59,7 @@ mod tests {
     use super::*;
     use crate::sharded::{ShardedConfig, ShardedEngine};
     use flowlog::record::{ConnSummary, FlowKey};
+    use obs::names;
 
     fn ip(a: u8, b: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 0, a, b)
@@ -101,27 +102,25 @@ mod tests {
         let cfg = EngineConfig { obs: Obs::new(registry.clone()), ..Default::default() };
         let stats = run(cfg, &recs, 100);
 
-        let records_in = registry.counter("commgraph_engine_records_in_total", "", &[]).get();
-        let kept = registry.counter("commgraph_engine_records_kept_total", "", &[]).get();
-        let batches = registry.counter("commgraph_engine_batches_total", "", &[]).get();
+        let records_in = registry.counter(&names::ENGINE_RECORDS_IN_TOTAL, []).get();
+        let kept = registry.counter(&names::ENGINE_RECORDS_KEPT_TOTAL, []).get();
+        let batches = registry.counter(&names::ENGINE_BATCHES_TOTAL, []).get();
         assert_eq!(records_in, stats.records_in);
         assert_eq!(kept, stats.records_kept);
         assert_eq!(batches, 3);
-        assert_eq!(registry.histogram("commgraph_engine_batch_records", "", &[]).count(), 3);
+        assert_eq!(registry.histogram(&names::ENGINE_BATCH_RECORDS, []).count(), 3);
         assert!(
-            registry.histogram("commgraph_engine_ingest_seconds", "", &[]).count() == 3,
+            registry.histogram(&names::ENGINE_INGEST_SECONDS, []).count() == 3,
             "one span per ingest call"
         );
         // 300 records stage into one batch: one busy span on the one shard.
-        let busy =
-            registry.histogram("commgraph_engine_worker_busy_seconds", "", &[("worker", "0")]);
+        let busy = registry.histogram(&names::ENGINE_WORKER_BUSY_SECONDS, ["0"]);
         assert_eq!(busy.count(), 1);
         // No dedup configured → nothing dropped; watermark is the max ts.
-        let dropped = registry.counter("commgraph_engine_dropped_records_total", "", &[]).get();
+        let dropped = registry.counter(&names::ENGINE_DROPPED_RECORDS_TOTAL, []).get();
         assert_eq!(dropped, stats.records_in - stats.records_kept);
         let max_ts = recs.iter().map(|r| r.ts).max().unwrap() as f64;
-        let watermark =
-            registry.gauge("commgraph_ingest_watermark_seconds", "", &[("source", "engine")]).get();
+        let watermark = registry.gauge(&names::INGEST_WATERMARK_SECONDS, ["engine"]).get();
         assert_eq!(watermark, max_ts);
     }
 
@@ -140,7 +139,7 @@ mod tests {
         };
         let stats = run(cfg, &recs, recs.len());
         assert_eq!(stats.records_kept, 100);
-        let dropped = registry.counter("commgraph_engine_dropped_records_total", "", &[]).get();
+        let dropped = registry.counter(&names::ENGINE_DROPPED_RECORDS_TOTAL, []).get();
         assert_eq!(dropped, 100, "every mirrored duplicate counted as dropped");
     }
 

@@ -19,7 +19,17 @@
 //! * [`cogs`] — the dollars: collection cost at provider prices, analytics
 //!   capacity, and the resulting surcharge per monitored VM.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::allow_attributes_without_reason
+)]
 #![warn(missing_docs)]
 
 pub mod cogs;

@@ -17,7 +17,7 @@ use crate::error::{Error, Result};
 use commgraph_graph::{CommGraph, GraphBuilder, Inventory};
 use flowlog::record::ConnSummary;
 use flowlog::time::bucket_start;
-use obs::SpanGuard;
+use obs::{names, SpanGuard};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
 
@@ -200,7 +200,7 @@ impl Resident {
 /// assemble every resident subscription's open windows.
 fn aggregate(rx: Receiver<Batch>, index: usize, cfg: EngineConfig) -> Vec<SubOutput> {
     let shard = index.to_string();
-    let busy = cfg.obs.histogram("commgraph_engine_worker_busy_seconds", "", &[("worker", &shard)]);
+    let busy = cfg.obs.histogram(&names::ENGINE_WORKER_BUSY_SECONDS, [&shard]);
     // No inventory and an empty one are the same rule: nothing is deduped.
     let monitored = Inventory::from(cfg.monitored.unwrap_or_default());
     let fresh = |window: u64| {
@@ -233,9 +233,7 @@ fn aggregate(rx: Receiver<Batch>, index: usize, cfg: EngineConfig) -> Vec<SubOut
         out.push(resident.finish());
     }
     let edge_entries: usize = out.iter().map(|(_, stats)| stats.edge_entries).sum();
-    cfg.obs
-        .gauge("commgraph_engine_shard_edge_entries", "", &[("shard", &shard)])
-        .set(edge_entries as f64);
+    cfg.obs.gauge(&names::ENGINE_SHARD_EDGE_ENTRIES, [&shard]).set(edge_entries as f64);
     out
 }
 

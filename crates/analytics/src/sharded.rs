@@ -33,7 +33,7 @@ use commgraph_graph::hash::FixedState;
 use commgraph_graph::CommGraph;
 use flowlog::record::ConnSummary;
 use flowlog::time::bucket_start;
-use obs::{Counter, Gauge, Histogram, Level, Obs, SpanGuard};
+use obs::{names, Counter, Gauge, Histogram, Level, Obs, SpanGuard};
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
@@ -69,8 +69,6 @@ impl Default for ShardedConfig {
 /// Sequence numbers a source may arrive out of order by and still be told
 /// apart from a re-delivery.
 const REORDER_WINDOW: u64 = 4096;
-
-const REFUSED: &str = "commgraph_subscription_dedup_dropped_records_total";
 
 /// Delivery-dedup state of one source: the high-water sequence number and
 /// one seen-bit for each of the [`REORDER_WINDOW`] numbers up to it.
@@ -229,17 +227,13 @@ impl ShardedEngine {
             subs: Vec::new(),
             watermark: 0,
             metrics: EngineMetrics {
-                records_in: o.counter("commgraph_engine_records_in_total", "", &[]),
-                records_kept: o.counter("commgraph_engine_records_kept_total", "", &[]),
-                dropped: o.counter("commgraph_engine_dropped_records_total", "", &[]),
-                batches: o.counter("commgraph_engine_batches_total", "", &[]),
-                batch_records: o.histogram("commgraph_engine_batch_records", "", &[]),
-                ingest_seconds: o.histogram("commgraph_engine_ingest_seconds", "", &[]),
-                watermark: o.gauge(
-                    "commgraph_ingest_watermark_seconds",
-                    "",
-                    &[("source", "engine")],
-                ),
+                records_in: o.counter(&names::ENGINE_RECORDS_IN_TOTAL, []),
+                records_kept: o.counter(&names::ENGINE_RECORDS_KEPT_TOTAL, []),
+                dropped: o.counter(&names::ENGINE_DROPPED_RECORDS_TOTAL, []),
+                batches: o.counter(&names::ENGINE_BATCHES_TOTAL, []),
+                batch_records: o.histogram(&names::ENGINE_BATCH_RECORDS, []),
+                ingest_seconds: o.histogram(&names::ENGINE_INGEST_SECONDS, []),
+                watermark: o.gauge(&names::INGEST_WATERMARK_SECONDS, ["engine"]),
             },
             cfg,
         }
@@ -256,13 +250,14 @@ impl ShardedEngine {
         let slot = self.resident[shard];
         self.resident[shard] += 1;
         let o = &self.cfg.obs;
-        o.gauge("commgraph_shard_subscription_entries", "", &[("shard", &shard.to_string())])
+        o.gauge(&names::SHARD_SUBSCRIPTION_ENTRIES, [&shard.to_string()])
             .set(self.resident[shard] as f64);
         let label = self.cap.resolve(subscription);
-        let sub = [("subscription", label.as_str())];
+        let sub = [label.as_str()];
         // Present at zero from first contact; a refusal looks its handle up.
-        o.counter(REFUSED, "", &[sub[0], ("outcome", "duplicate")]);
-        o.counter(REFUSED, "", &[sub[0], ("outcome", "late")]);
+        for outcome in ["duplicate", "late"] {
+            o.counter(&names::SUBSCRIPTION_DEDUP_DROPPED_RECORDS_TOTAL, [&label, outcome]);
+        }
         self.subs.push(Sub {
             shard,
             slot,
@@ -270,9 +265,9 @@ impl ShardedEngine {
             started: None,
             watermark_ts: 0,
             newest_window_end: 0,
-            records: o.counter("commgraph_subscription_records_total", "", &sub),
-            watermark: o.gauge("commgraph_subscription_watermark_seconds", "", &sub),
-            roll_lag: o.gauge("commgraph_subscription_roll_lag_seconds", "", &sub),
+            records: o.counter(&names::SUBSCRIPTION_RECORDS_TOTAL, sub),
+            watermark: o.gauge(&names::SUBSCRIPTION_WATERMARK_SECONDS, sub),
+            roll_lag: o.gauge(&names::SUBSCRIPTION_ROLL_LAG_SECONDS, sub),
             sources: HashMap::default(),
             windows: Vec::new(),
             label,
@@ -299,7 +294,10 @@ impl ShardedEngine {
         self.metrics.batch_records.record(records.len() as f64);
         let window_len = self.cfg.engine.window_len;
         let sub = &mut self.subs[at];
-        // lint:allow(clock-hygiene) wall-clock uptime for stats reporting only; never gates window logic
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock uptime for stats reporting only; never gates window logic"
+        )]
         sub.started.get_or_insert_with(Instant::now);
         sub.records_in += records.len() as u64;
         for r in records {
@@ -350,8 +348,11 @@ impl ShardedEngine {
         };
         let refusal = sub.windows[window].admit(seq);
         let Some(outcome) = refusal else { return self.offer(at, records).map(|()| true) };
-        let labels = [("subscription", sub.label.as_str()), ("outcome", outcome)];
-        self.cfg.obs.counter(REFUSED, "", &labels).add(records.len() as u64);
+        let labels = [sub.label.as_str(), outcome];
+        self.cfg
+            .obs
+            .counter(&names::SUBSCRIPTION_DEDUP_DROPPED_RECORDS_TOTAL, labels)
+            .add(records.len() as u64);
         Ok(false)
     }
 
@@ -393,8 +394,11 @@ impl ShardedEngine {
             // reached its shard; its report is empty.
             let (graphs, mut run) =
                 outputs[sub.shard].get_mut(sub.slot).map(std::mem::take).unwrap_or_default();
-            let late = [("subscription", sub.label.as_str()), ("outcome", "late")];
-            self.cfg.obs.counter(REFUSED, "", &late).add(run.records_late);
+            let late = [sub.label.as_str(), "late"];
+            self.cfg
+                .obs
+                .counter(&names::SUBSCRIPTION_DEDUP_DROPPED_RECORDS_TOTAL, late)
+                .add(run.records_late);
             run.records_in = sub.records_in;
             run.elapsed_secs = sub.started.map_or(0.0, |t| t.elapsed().as_secs_f64());
             stats.records_in += run.records_in;
@@ -422,6 +426,7 @@ mod tests {
     use super::*;
     use commgraph_graph::{EdgeStats, NodeId};
     use flowlog::record::FlowKey;
+    use obs::names::Family;
     use std::net::Ipv4Addr;
 
     fn records(seed: u8, n: u32) -> Vec<ConnSummary> {
@@ -594,28 +599,18 @@ mod tests {
         front.ingest("tenant-a", &recs[20..]).unwrap();
         front.ingest("tenant-b", &records(2, 10)).unwrap();
 
-        let sub =
-            |name: &str, metric: &str| registry.gauge(metric, "", &[("subscription", name)]).get();
+        let sub = |name: &str, metric: &Family<Gauge, 1>| registry.gauge(metric, [name]).get();
+        assert_eq!(registry.counter(&names::SUBSCRIPTION_RECORDS_TOTAL, ["tenant-a"]).get(), 40);
         assert_eq!(
-            registry
-                .counter(
-                    "commgraph_subscription_records_total",
-                    "",
-                    &[("subscription", "tenant-a")]
-                )
-                .get(),
-            40
-        );
-        assert_eq!(
-            sub("tenant-a", "commgraph_subscription_watermark_seconds"),
+            sub("tenant-a", &names::SUBSCRIPTION_WATERMARK_SECONDS),
             recs.iter().map(|r| r.ts).max().unwrap() as f64
         );
-        assert_eq!(sub("tenant-a", "commgraph_subscription_roll_lag_seconds"), 25.0);
+        assert_eq!(sub("tenant-a", &names::SUBSCRIPTION_ROLL_LAG_SECONDS), 25.0);
         // Shard residency gauges cover both tenants, one on each shard.
         let resident: f64 = registry
             .snapshot()
             .iter()
-            .filter(|m| m.name == "commgraph_shard_subscription_entries")
+            .filter(|m| m.name == names::SHARD_SUBSCRIPTION_ENTRIES.name)
             .map(|m| match m.value {
                 obs::SnapshotValue::Gauge(v) => v,
                 _ => 0.0,
@@ -639,7 +634,7 @@ mod tests {
         let snapshot = registry.snapshot();
         let label_values: Vec<String> = snapshot
             .iter()
-            .filter(|m| m.name == "commgraph_subscription_records_total")
+            .filter(|m| m.name == names::SUBSCRIPTION_RECORDS_TOTAL.name)
             .filter_map(|m| m.labels.iter().find(|(k, _)| k == "subscription"))
             .map(|(_, v)| v.clone())
             .collect();
@@ -650,16 +645,14 @@ mod tests {
         );
         let capped_sum: u64 = snapshot
             .iter()
-            .filter(|m| m.name == "commgraph_subscription_records_total")
+            .filter(|m| m.name == names::SUBSCRIPTION_RECORDS_TOTAL.name)
             .map(|m| match m.value {
                 obs::SnapshotValue::Counter(v) => v,
                 _ => 0,
             })
             .sum();
         assert_eq!(capped_sum, expected_total, "overflow bucket conserves record totals");
-        let routed = registry
-            .counter("commgraph_obs_label_overflow_total", "", &[("family", "subscription")])
-            .get();
+        let routed = registry.counter(&names::OBS_LABEL_OVERFLOW_TOTAL, ["subscription"]).get();
         assert_eq!(routed, 3, "sub-2, sub-3, sub-4 each routed once at first contact");
         // The cap changes labels only, never the analytics output.
         let (reports, merged) = front.finish().unwrap();
@@ -680,11 +673,7 @@ mod tests {
         // Same (source, seq) under another subscription is independent.
         assert!(front.ingest_sequenced("tenant-b", "10.1.0.1", 1, &records(2, 10)).unwrap());
         let dropped = registry
-            .counter(
-                "commgraph_subscription_dedup_dropped_records_total",
-                "",
-                &[("subscription", "tenant-a"), ("outcome", "duplicate")],
-            )
+            .counter(&names::SUBSCRIPTION_DEDUP_DROPPED_RECORDS_TOTAL, ["tenant-a", "duplicate"])
             .get();
         assert_eq!(dropped, 30, "the whole replayed batch is counted, in records");
         let (reports, _) = front.finish().unwrap();
@@ -799,9 +788,8 @@ mod tests {
         assert!(redelivered > 0 && net.stats().reordered_packets > 0, "the network misbehaved");
         assert_eq!(refused, redelivered);
         let counted = |outcome: &str| {
-            let labels = [("subscription", "tenant-a"), ("outcome", outcome)];
             registry
-                .counter("commgraph_subscription_dedup_dropped_records_total", "", &labels)
+                .counter(&names::SUBSCRIPTION_DEDUP_DROPPED_RECORDS_TOTAL, ["tenant-a", outcome])
                 .get()
         };
         assert_eq!(counted("duplicate"), refused_records);
@@ -840,9 +828,8 @@ mod tests {
             }
             let (reports, stats) = front.finish().unwrap();
             let gauge = |shard: usize| {
-                let shard = shard.to_string();
-                let labels = [("shard", shard.as_str())];
-                registry.gauge("commgraph_engine_shard_edge_entries", "", &labels).get() as usize
+                registry.gauge(&names::ENGINE_SHARD_EDGE_ENTRIES, [&shard.to_string()]).get()
+                    as usize
             };
             let per_shard: Vec<usize> = (0..shards).map(gauge).collect();
             let fps: Vec<_> =
@@ -895,8 +882,7 @@ mod tests {
         assert!(!message.contains(fine), "only the dead shard's subscriptions are lost");
         // The healthy shard ran to completion and was joined: the gauge it
         // sets as its last act is in the registry when `finish` returns.
-        let held =
-            registry.gauge("commgraph_engine_shard_edge_entries", "", &[("shard", "1")]).get();
+        let held = registry.gauge(&names::ENGINE_SHARD_EDGE_ENTRIES, ["1"]).get();
         assert!(held > 0.0, "shard 1 assembled its subscription's graphs");
     }
 

@@ -70,7 +70,7 @@ fn bench_telemetry_path(c: &mut Criterion) {
     group.bench_function("binary_codec_roundtrip", |b| {
         b.iter(|| {
             let buf = codec::encode_binary(black_box(records));
-            black_box(codec::decode_binary(buf).expect("round trip"))
+            black_box(codec::decode_binary(&buf).expect("round trip"))
         })
     });
     group.bench_function("nic_flow_table", |b| {

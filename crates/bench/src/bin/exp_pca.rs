@@ -37,7 +37,7 @@ fn main() {
     obs::install_global(registry.clone());
     let sweep = pca_sweep(&m, &ks).expect("symmetric byte matrix decomposes");
     // Zero steps: 2·k_max ≥ n, so the sweep took the full Jacobi solve.
-    let krylov_dim = registry.counter("commgraph_lanczos_steps_total", "", &[]).get();
+    let krylov_dim = registry.counter(&obs::names::LANCZOS_STEPS_TOTAL, []).get();
     let solver = if krylov_dim > 0 { "lanczos_top_k" } else { "jacobi" };
     eprintln!("[pca] top-{k_max} eigenpairs by {solver}, Krylov dimension {krylov_dim}");
 

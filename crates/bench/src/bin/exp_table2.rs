@@ -35,7 +35,7 @@ fn main() {
 
     // Round-trip proof across all codecs.
     assert_eq!(codec::decode_line(&codec::encode_line(&rec)).expect("text"), rec);
-    assert_eq!(codec::decode_binary(bin).expect("binary")[0], rec);
+    assert_eq!(codec::decode_binary(&bin).expect("binary")[0], rec);
     assert_eq!(nsg::from_flow_tuple(&nsg::to_flow_tuple(&rec)).expect("nsg"), rec);
     println!("  all three codecs round-trip the record exactly ✓");
 

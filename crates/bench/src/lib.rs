@@ -5,7 +5,6 @@
 //! `target/experiments/<exp>/` and prints a human-readable table to stdout.
 //! EXPERIMENTS.md records the printed tables next to the paper's numbers.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use cloudsim::{ClusterPreset, GroundTruth, Simulator};

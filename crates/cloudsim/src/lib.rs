@@ -33,7 +33,17 @@
 //! * `randx` — the distribution samplers (Poisson, log-normal, Zipf) the
 //!   engine needs, built on `rand`'s uniform source.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::allow_attributes_without_reason
+)]
 #![warn(missing_docs)]
 
 pub mod attack;

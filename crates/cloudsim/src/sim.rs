@@ -358,7 +358,10 @@ impl Simulator {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one spawned connection's endpoints, ports, size laws and output buffer"
+    )]
     fn spawn_one(
         &mut self,
         ts: u64,

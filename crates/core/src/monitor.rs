@@ -33,7 +33,7 @@ use commgraph_graph::diff::diff;
 use commgraph_graph::{CommGraph, Facet, GraphBuilder, Inventory, Outcome, WindowedBuilder};
 use flowlog::record::ConnSummary;
 use flowlog::time::bucket_start;
-use obs::{Counter, Gauge, Histogram, Level, Obs};
+use obs::{names, Counter, Gauge, Histogram, Level, Obs};
 use segment::{Violation, ViolationDetector};
 use serde::Serialize;
 use std::collections::HashSet;
@@ -162,51 +162,17 @@ struct MonitorMetrics {
 
 impl MonitorMetrics {
     fn resolve(o: &Obs) -> MonitorMetrics {
-        let windows = |phase| {
-            o.counter(
-                "commgraph_monitor_windows_total",
-                "Windows closed by the security monitor, by lifecycle phase.",
-                &[("phase", phase)],
-            )
-        };
+        let windows = |phase| o.counter(&names::MONITOR_WINDOWS_TOTAL, [phase]);
         MonitorMetrics {
             windows_learning: windows("learning"),
             windows_enforcing: windows("enforcing"),
-            violations: o.counter(
-                "commgraph_monitor_violations_total",
-                "Policy violations detected in enforced windows (uncapped).",
-                &[],
-            ),
-            anomaly_score: o.histogram(
-                "commgraph_monitor_anomaly_score",
-                "Per-window anomaly score (ratio over the baseline noise floor).",
-                &[],
-            ),
-            anomalous_windows: o.counter(
-                "commgraph_monitor_anomalous_windows_total",
-                "Enforced windows whose anomaly score exceeded the threshold.",
-                &[],
-            ),
-            baseline_segments: o.gauge(
-                "commgraph_monitor_baseline_segments",
-                "µsegments in the learned baseline.",
-                &[],
-            ),
-            baseline_allow_rules: o.gauge(
-                "commgraph_monitor_baseline_allow_rules",
-                "Allow rules in the learned baseline policy.",
-                &[],
-            ),
-            baseline_threshold: o.gauge(
-                "commgraph_monitor_baseline_anomaly_threshold",
-                "Calibrated anomaly threshold of the learned baseline.",
-                &[],
-            ),
-            roll_lag: o.histogram(
-                "commgraph_window_roll_lag_seconds",
-                "Lag between a window's nominal start and the record that rolled it open.",
-                &[("source", "monitor")],
-            ),
+            violations: o.counter(&names::MONITOR_VIOLATIONS_TOTAL, []),
+            anomaly_score: o.histogram(&names::MONITOR_ANOMALY_SCORE, []),
+            anomalous_windows: o.counter(&names::MONITOR_ANOMALOUS_WINDOWS_TOTAL, []),
+            baseline_segments: o.gauge(&names::MONITOR_BASELINE_SEGMENTS, []),
+            baseline_allow_rules: o.gauge(&names::MONITOR_BASELINE_ALLOW_RULES, []),
+            baseline_threshold: o.gauge(&names::MONITOR_BASELINE_ANOMALY_THRESHOLD, []),
+            roll_lag: o.histogram(&names::WINDOW_ROLL_LAG_SECONDS, ["monitor"]),
         }
     }
 }
@@ -631,19 +597,16 @@ mod tests {
             events.iter().filter(|e| matches!(e, MonitorEvent::PolicyViolation(_))).count();
 
         // Counters track the events the caller saw.
-        let learning =
-            registry.counter("commgraph_monitor_windows_total", "", &[("phase", "learning")]).get();
+        let learning = registry.counter(&names::MONITOR_WINDOWS_TOTAL, ["learning"]).get();
         assert_eq!(learning, cfg().learn_windows as u64);
-        let enforcing = registry
-            .counter("commgraph_monitor_windows_total", "", &[("phase", "enforcing")])
-            .get();
+        let enforcing = registry.counter(&names::MONITOR_WINDOWS_TOTAL, ["enforcing"]).get();
         assert_eq!(enforcing, summaries.len() as u64);
-        let violations = registry.counter("commgraph_monitor_violations_total", "", &[]).get();
+        let violations = registry.counter(&names::MONITOR_VIOLATIONS_TOTAL, []).get();
         assert_eq!(violations, summaries.iter().map(|(v, _)| *v as u64).sum::<u64>());
         assert!(violations > 0, "the attack must trip the policy");
 
         // The anomaly-score histogram saw one sample per enforced window.
-        let scores = registry.histogram("commgraph_monitor_anomaly_score", "", &[]);
+        let scores = registry.histogram(&names::MONITOR_ANOMALY_SCORE, []);
         assert_eq!(scores.count(), summaries.len() as u64);
 
         // Baseline gauges mirror the BaselineReady event.
@@ -656,9 +619,9 @@ mod tests {
                 _ => None,
             })
             .expect("baseline event emitted");
-        let g = registry.gauge("commgraph_monitor_baseline_segments", "", &[]);
+        let g = registry.gauge(&names::MONITOR_BASELINE_SEGMENTS, []);
         assert_eq!(g.get(), segments as f64);
-        let t = registry.gauge("commgraph_monitor_baseline_anomaly_threshold", "", &[]);
+        let t = registry.gauge(&names::MONITOR_BASELINE_ANOMALY_THRESHOLD, []);
         assert_eq!(t.get(), threshold);
 
         // The event log mirrors what was returned.
@@ -767,9 +730,7 @@ mod tests {
             let enforced: Vec<(u64, usize)> =
                 admitted.into_iter().skip(cfg.learn_windows).collect();
             assert_eq!(summaries, enforced, "seed {seed}: each window holds its admitted records");
-            let learning = registry
-                .counter("commgraph_monitor_windows_total", "", &[("phase", "learning")])
-                .get();
+            let learning = registry.counter(&names::MONITOR_WINDOWS_TOTAL, ["learning"]).get();
             assert_eq!(learning, cfg.learn_windows as u64, "seed {seed}");
             let log = registry.events();
             let drops: Vec<_> =
@@ -963,8 +924,7 @@ mod tests {
         monitor.ingest(&[ConnSummary { ts: 3 * cfg().window_len, ..kept }]);
         assert_eq!(deferred_count(&registry), 1, "windows 1 and 2 fit");
         assert!(matches!(monitor.phase, Phase::Enforcing(_)));
-        let learning =
-            registry.counter("commgraph_monitor_windows_total", "", &[("phase", "learning")]).get();
+        let learning = registry.counter(&names::MONITOR_WINDOWS_TOTAL, ["learning"]).get();
         assert_eq!(learning, 3);
     }
 

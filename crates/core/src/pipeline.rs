@@ -19,7 +19,7 @@ use commgraph_graph::{CommGraph, Facet, NodeId, Result as GraphResult};
 use flowlog::record::ConnSummary;
 use flowlog::time::bucket_start;
 use linalg::Parallelism;
-use obs::{AlertEngine, Obs, Scraper};
+use obs::{names, AlertEngine, Obs, Scraper};
 use segment::{SegmentPolicy, Segmentation};
 use std::collections::{BTreeMap, HashSet};
 use std::net::Ipv4Addr;
@@ -111,31 +111,11 @@ struct PipelineMetrics {
 impl PipelineMetrics {
     fn resolve(o: &Obs) -> PipelineMetrics {
         PipelineMetrics {
-            dirty_nodes: o.histogram(
-                "commgraph_window_dirty_nodes",
-                "Dirty-set size per rolled window (nodes whose adjacency changed since the previous window).",
-                &[("source", "pipeline")],
-            ),
-            watermark: o.gauge(
-                "commgraph_ingest_watermark_seconds",
-                "High-water record timestamp (seconds since trace start) seen by an ingest path.",
-                &[("source", "pipeline")],
-            ),
-            roll_lag: o.histogram(
-                "commgraph_window_roll_lag_seconds",
-                "Lag between a window's nominal start and the record that rolled it open.",
-                &[("source", "pipeline")],
-            ),
-            late: o.counter(
-                "commgraph_pipeline_late_records_total",
-                "Dedup-surviving records arriving behind the pipeline's ingest watermark (out-of-order input).",
-                &[],
-            ),
-            dropped_late: o.counter(
-                "commgraph_pipeline_dropped_late_records_total",
-                "Dedup-surviving records dropped because their window had already closed when they arrived.",
-                &[],
-            ),
+            dirty_nodes: o.histogram(&names::WINDOW_DIRTY_NODES, ["pipeline"]),
+            watermark: o.gauge(&names::INGEST_WATERMARK_SECONDS, ["pipeline"]),
+            roll_lag: o.histogram(&names::WINDOW_ROLL_LAG_SECONDS, ["pipeline"]),
+            late: o.counter(&names::PIPELINE_LATE_RECORDS_TOTAL, []),
+            dropped_late: o.counter(&names::PIPELINE_DROPPED_LATE_RECORDS_TOTAL, []),
         }
     }
 }
@@ -383,19 +363,11 @@ impl WindowAnalyzer {
     }
 
     fn resolve_savings(o: &Obs) -> obs::Histogram {
-        o.histogram(
-            "commgraph_incremental_savings_seconds",
-            "Estimated per-window seconds saved by incremental maintenance vs the most recent full rebuild.",
-            &[],
-        )
+        o.histogram(&names::INCREMENTAL_SAVINGS_SECONDS, [])
     }
 
     fn resolve_dirty_gauge(o: &Obs, subscription: &str) -> obs::Gauge {
-        o.gauge(
-            "commgraph_subscription_dirty_nodes",
-            "Dirty-set size of the most recently analyzed window, per subscription.",
-            &[("subscription", subscription)],
-        )
+        o.gauge(&names::SUBSCRIPTION_DIRTY_NODES, [subscription])
     }
 
     /// Attach an observability handle (builder style): stage spans for
@@ -452,6 +424,10 @@ impl WindowAnalyzer {
         dirty: &[NodeId],
         _records: &[ConnSummary],
     ) -> segment::Result<WindowAnalysis> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "times the analysis for the incremental-savings histogram only; no result reads it"
+        )]
         let t0 = Instant::now();
         let warm = self.incremental && self.memo.is_some();
         let (roles, memo) = if self.incremental {
@@ -605,7 +581,7 @@ mod tests {
             Pipeline::new(PipelineConfig { obs: Obs::new(registry.clone()), ..Default::default() });
         p.ingest(&[rec(0, 1), rec(30, 2)]);
         p.ingest(&[rec(3600, 3)]);
-        let hist = registry.histogram(obs::STAGE_SECONDS, "", &[("stage", "ingest")]);
+        let hist = registry.histogram(&obs::names::STAGE_SECONDS, ["ingest"]);
         assert_eq!(hist.count(), 2, "one span per ingest call");
         assert_eq!(finish(p).total_records, 3);
     }
@@ -619,15 +595,12 @@ mod tests {
         // 7 s into the hour; one record then arrives behind the watermark
         // (still inside the open window, as dedup'd vantage copies do).
         p.ingest(&[rec(100, 1), rec(3607, 2), rec(3603, 3)]);
-        let watermark = registry
-            .gauge("commgraph_ingest_watermark_seconds", "", &[("source", "pipeline")])
-            .get();
+        let watermark = registry.gauge(&names::INGEST_WATERMARK_SECONDS, ["pipeline"]).get();
         assert_eq!(watermark, 3607.0);
-        let lag =
-            registry.histogram("commgraph_window_roll_lag_seconds", "", &[("source", "pipeline")]);
+        let lag = registry.histogram(&names::WINDOW_ROLL_LAG_SECONDS, ["pipeline"]);
         assert_eq!(lag.count(), 1, "only the roll into window 3600 counts");
         assert_eq!(lag.sum(), 7.0);
-        let late = registry.counter("commgraph_pipeline_late_records_total", "", &[]).get();
+        let late = registry.counter(&names::PIPELINE_LATE_RECORDS_TOTAL, []).get();
         assert_eq!(late, 1, "ts 3603 arrived behind the 3607 watermark");
         let out = finish(p);
         assert_eq!(out.total_records, 3, "metrics never change what is computed");
@@ -648,11 +621,11 @@ mod tests {
         // duplicate: behind the watermark by timestamp, but dedup-doomed.
         let a = rec(100, 1);
         p.ingest(&[a, rec(200, 2), a.mirrored()]);
-        let late = registry.counter("commgraph_pipeline_late_records_total", "", &[]).get();
+        let late = registry.counter(&names::PIPELINE_LATE_RECORDS_TOTAL, []).get();
         assert_eq!(late, 0, "a duplicate dedup drops anyway is not out-of-order input");
         // A genuinely out-of-order record that survives dedup still counts.
         p.ingest(&[rec(150, 3)]);
-        let late = registry.counter("commgraph_pipeline_late_records_total", "", &[]).get();
+        let late = registry.counter(&names::PIPELINE_LATE_RECORDS_TOTAL, []).get();
         assert_eq!(late, 1);
         let out = finish(p);
         assert_eq!(out.total_records, 4, "rate accounting still counts raw records");
@@ -671,9 +644,8 @@ mod tests {
             // then a straggler from window 0 shows up.
             p.ingest(&[rec(100, 1), rec(3700, 2)]);
             p.ingest(&[rec(200, 3), rec(3800, 4)]);
-            let dropped =
-                registry.counter("commgraph_pipeline_dropped_late_records_total", "", &[]).get();
-            let late = registry.counter("commgraph_pipeline_late_records_total", "", &[]).get();
+            let dropped = registry.counter(&names::PIPELINE_DROPPED_LATE_RECORDS_TOTAL, []).get();
+            let late = registry.counter(&names::PIPELINE_LATE_RECORDS_TOTAL, []).get();
             let out = finish(p);
             let shape: Vec<(u64, u64)> = out
                 .sequence
@@ -891,8 +863,7 @@ mod tests {
             "steady window dirties only the churned conversation: {:?}",
             out.dirty_sets[1]
         );
-        let dirty_hist =
-            registry.histogram("commgraph_window_dirty_nodes", "", &[("source", "pipeline")]);
+        let dirty_hist = registry.histogram(&names::WINDOW_DIRTY_NODES, ["pipeline"]);
         assert_eq!(dirty_hist.count(), 3, "one dirty-set sample per window");
 
         // Savings histogram: warm windows 2 and 3 each record one sample.
@@ -900,7 +871,7 @@ mod tests {
             recs.iter().flat_map(|r| [r.key.local_ip, r.key.remote_ip]).collect();
         let mut an = WindowAnalyzer::new(monitored, true).with_obs(Obs::new(registry.clone()));
         an.analyze_output(&out).unwrap();
-        let savings = registry.histogram("commgraph_incremental_savings_seconds", "", &[]);
+        let savings = registry.histogram(&names::INCREMENTAL_SAVINGS_SECONDS, []);
         assert_eq!(savings.count(), 2, "two warm windows record savings");
     }
 
@@ -944,9 +915,7 @@ mod tests {
 
         assert_eq!(an.tick(), 3, "one logical tick per analyzed window");
         assert_eq!(scraper.store().last_tick(), 3);
-        let dirty = registry
-            .gauge("commgraph_subscription_dirty_nodes", "", &[("subscription", "tenant-a")])
-            .get();
+        let dirty = registry.gauge(&names::SUBSCRIPTION_DIRTY_NODES, ["tenant-a"]).get();
         assert_eq!(dirty, out.dirty_sets[2].len() as f64, "gauge holds the last window's size");
         // The rule held through tick 1 and fired at tick 2.
         let fired: Vec<(u64, obs::AlertState)> =
@@ -966,11 +935,7 @@ mod tests {
         let ticks: Vec<u64> = recorded[0].points.iter().map(|p| p.0).collect();
         assert_eq!(ticks, vec![1, 2, 3], "one rule sample per analyzed window");
         let written = registry
-            .counter(
-                "commgraph_query_rule_series_total",
-                "",
-                &[("rule", "pipeline:late_records:delta1")],
-            )
+            .counter(&names::QUERY_RULE_SERIES_TOTAL, ["pipeline:late_records:delta1"])
             .get();
         assert_eq!(written, 3, "the rule's counter advanced by the samples it wrote");
     }

@@ -305,13 +305,13 @@ mod tests {
         wb.policy();
         wb.pca_summary(&[2]).unwrap();
         for stage in ["build", "similarity", "cluster", "policy", "pca"] {
-            let h = registry.histogram(obs::STAGE_SECONDS, "", &[("stage", stage)]);
+            let h = registry.histogram(&obs::names::STAGE_SECONDS, [stage]);
             assert_eq!(h.count(), 1, "stage {stage} timed exactly once (memoized)");
         }
         // Memoized reuse must not add new samples.
         wb.roles();
         wb.policy();
-        let h = registry.histogram(obs::STAGE_SECONDS, "", &[("stage", "cluster")]);
+        let h = registry.histogram(&obs::names::STAGE_SECONDS, ["cluster"]);
         assert_eq!(h.count(), 1);
     }
 

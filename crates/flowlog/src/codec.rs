@@ -6,14 +6,13 @@
 //!   NSG/VPC flow-log export formats, convenient for eyeballing.
 //! * **Binary** — a fixed-width framed format (magic + version + count +
 //!   records) used where the text overhead matters, e.g. replaying
-//!   multi-million-record streams into benchmarks. Built on [`bytes`].
+//!   multi-million-record streams into benchmarks.
 //!
 //! Both codecs are exercised by round-trip property tests; the binary decoder
 //! checks a frame's length once, then reads each record at fixed offsets of one copy.
 
 use crate::error::{Error, Result};
 use crate::record::{ConnSummary, FlowKey, Protocol};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::net::Ipv4Addr;
 
 /// Encode one record as a text line (no trailing newline).
@@ -70,59 +69,57 @@ pub(crate) const BINARY_MAGIC: &[u8; 4] = b"CGF\x01";
 pub const BINARY_RECORD_SIZE: usize = 8 + 4 + 2 + 4 + 2 + 1 + 8 * 4;
 
 /// Encode a batch into the framed binary format.
-pub fn encode_binary(records: &[ConnSummary]) -> Bytes {
-    let mut buf =
-        BytesMut::with_capacity(BINARY_MAGIC.len() + 4 + records.len() * BINARY_RECORD_SIZE);
-    buf.put_slice(BINARY_MAGIC);
-    buf.put_u32(records.len() as u32);
+pub fn encode_binary(records: &[ConnSummary]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(BINARY_MAGIC.len() + 4 + records.len() * BINARY_RECORD_SIZE);
+    buf.extend_from_slice(BINARY_MAGIC);
+    buf.extend_from_slice(&(records.len() as u32).to_be_bytes());
     for r in records {
-        buf.put_u64(r.ts);
-        buf.put_slice(&r.key.local_ip.octets());
-        buf.put_u16(r.key.local_port);
-        buf.put_slice(&r.key.remote_ip.octets());
-        buf.put_u16(r.key.remote_port);
-        buf.put_u8(r.key.proto.number());
-        buf.put_u64(r.pkts_sent);
-        buf.put_u64(r.pkts_rcvd);
-        buf.put_u64(r.bytes_sent);
-        buf.put_u64(r.bytes_rcvd);
+        buf.extend_from_slice(&r.ts.to_be_bytes());
+        buf.extend_from_slice(&r.key.local_ip.octets());
+        buf.extend_from_slice(&r.key.local_port.to_be_bytes());
+        buf.extend_from_slice(&r.key.remote_ip.octets());
+        buf.extend_from_slice(&r.key.remote_port.to_be_bytes());
+        buf.push(r.key.proto.number());
+        for n in [r.pkts_sent, r.pkts_rcvd, r.bytes_sent, r.bytes_rcvd] {
+            buf.extend_from_slice(&n.to_be_bytes());
+        }
     }
-    buf.freeze()
+    buf
 }
 
-/// `N` bytes of a record at a constant offset (inlined, no bounds check runs).
-fn field<const N: usize>(rec: &[u8; BINARY_RECORD_SIZE], at: usize) -> [u8; N] {
+/// `N` bytes of a record or header at a constant offset (inlined, no bounds
+/// check runs).
+fn field<const N: usize, const M: usize>(rec: &[u8; M], at: usize) -> [u8; N] {
     std::array::from_fn(|i| rec[at + i])
 }
 
 /// Decode a framed binary batch.
-pub fn decode_binary(mut buf: impl Buf) -> Result<Vec<ConnSummary>> {
-    if buf.remaining() < BINARY_MAGIC.len() + 4 {
+pub fn decode_binary(buf: &[u8]) -> Result<Vec<ConnSummary>> {
+    let Some((header, body)) = buf.split_first_chunk::<8>() else {
         return Err(Error::BadBinary("buffer shorter than frame header".into()));
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
+    };
+    let magic: [u8; 4] = field(header, 0);
     if &magic != BINARY_MAGIC {
         return Err(Error::BadBinary(format!("bad magic {magic:02x?}")));
     }
-    let count = buf.get_u32() as usize;
+    let count = u32::from_be_bytes(field(header, 4)) as usize;
     // Checked: a 32-bit `usize` would wrap, and the sender chose `count`.
-    if count.checked_mul(BINARY_RECORD_SIZE).is_none_or(|need| buf.remaining() < need) {
+    let Some(body) = count.checked_mul(BINARY_RECORD_SIZE).and_then(|need| body.get(..need)) else {
         return Err(Error::BadBinary(format!(
             "frame claims {count} records but only {} bytes remain",
-            buf.remaining()
+            body.len()
         )));
-    }
+    };
     let mut out = Vec::with_capacity(count);
     let mut rec = [0u8; BINARY_RECORD_SIZE];
-    for _ in 0..count {
-        buf.copy_to_slice(&mut rec);
+    for chunk in body.chunks_exact(BINARY_RECORD_SIZE) {
+        rec.copy_from_slice(chunk);
         out.push(ConnSummary {
             ts: u64::from_be_bytes(field(&rec, 0)),
             key: FlowKey {
-                local_ip: Ipv4Addr::from(field::<4>(&rec, 8)),
+                local_ip: Ipv4Addr::from(u32::from_be_bytes(field(&rec, 8))),
                 local_port: u16::from_be_bytes(field(&rec, 12)),
-                remote_ip: Ipv4Addr::from(field::<4>(&rec, 14)),
+                remote_ip: Ipv4Addr::from(u32::from_be_bytes(field(&rec, 14))),
                 remote_port: u16::from_be_bytes(field(&rec, 18)),
                 proto: Protocol::from_number(rec[20]),
             },
@@ -191,26 +188,26 @@ mod tests {
         let recs: Vec<_> = (0..100).map(rec).collect();
         let buf = encode_binary(&recs);
         assert_eq!(buf.len(), 8 + recs.len() * BINARY_RECORD_SIZE);
-        assert_eq!(decode_binary(buf).unwrap(), recs);
+        assert_eq!(decode_binary(&buf).unwrap(), recs);
     }
 
     #[test]
     fn binary_empty_batch() {
         let buf = encode_binary(&[]);
-        assert_eq!(decode_binary(buf).unwrap(), Vec::new());
+        assert_eq!(decode_binary(&buf).unwrap(), Vec::new());
     }
 
     #[test]
     fn binary_rejects_bad_magic() {
-        let mut buf = BytesMut::from(&encode_binary(&[rec(0)])[..]);
+        let mut buf = encode_binary(&[rec(0)]);
         buf[0] ^= 0xff;
-        assert!(matches!(decode_binary(buf.freeze()).unwrap_err(), Error::BadBinary(_)));
+        assert!(matches!(decode_binary(&buf).unwrap_err(), Error::BadBinary(_)));
     }
 
     #[test]
     fn binary_rejects_truncation() {
         let full = encode_binary(&[rec(0), rec(1)]);
-        let truncated = full.slice(..full.len() - 5);
+        let truncated = &full[..full.len() - 5];
         assert!(matches!(decode_binary(truncated).unwrap_err(), Error::BadBinary(_)));
     }
 
@@ -220,10 +217,10 @@ mod tests {
         // happened to arrive whole.
         let full = encode_binary(&[rec(0), rec(1), rec(2)]);
         for len in 0..full.len() {
-            let cut = decode_binary(full.slice(..len));
+            let cut = decode_binary(&full[..len]);
             assert!(matches!(cut, Err(Error::BadBinary(_))), "prefix of {len} bytes: {cut:?}");
         }
-        assert_eq!(decode_binary(full).unwrap().len(), 3);
+        assert_eq!(decode_binary(&full).unwrap().len(), 3);
     }
 
     #[test]
@@ -231,11 +228,10 @@ mod tests {
         // The header claims u32::MAX records over a 100-byte body: refused
         // by the length check, before the count sizes any allocation (which
         // at 72 bytes a record would not survive).
-        let mut frame = BytesMut::with_capacity(108);
-        frame.put_slice(BINARY_MAGIC);
-        frame.put_u32(u32::MAX);
-        frame.put_slice(&[0u8; 100]);
-        assert!(matches!(decode_binary(frame.freeze()), Err(Error::BadBinary(_))));
+        let mut frame = BINARY_MAGIC.to_vec();
+        frame.extend_from_slice(&u32::MAX.to_be_bytes());
+        frame.extend_from_slice(&[0u8; 100]);
+        assert!(matches!(decode_binary(&frame), Err(Error::BadBinary(_))));
     }
 
     #[test]

@@ -23,7 +23,17 @@
 //! this schema, so swapping the simulated source for a real NSG/VPC flow-log
 //! feed is a codec change, not an architecture change.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::allow_attributes_without_reason
+)]
 #![warn(missing_docs)]
 
 pub mod codec;

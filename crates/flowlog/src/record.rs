@@ -194,7 +194,7 @@ impl ConnSummary {
     /// interval of activity implies at least one packet, and bytes imply
     /// packets (a packet carries at least its headers, but bytes without any
     /// packet is impossible).
-    #[allow(clippy::nonminimal_bool)] // the two rules read better stated separately
+    #[expect(clippy::nonminimal_bool, reason = "the two rules read better stated separately")]
     pub fn is_well_formed(&self) -> bool {
         !(self.bytes_sent > 0 && self.pkts_sent == 0)
             && !(self.bytes_rcvd > 0 && self.pkts_rcvd == 0)

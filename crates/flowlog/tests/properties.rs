@@ -74,7 +74,7 @@ proptest! {
     #[test]
     fn binary_codec_round_trip(recs in prop::collection::vec(arb_summary(), 0..64)) {
         let buf = codec::encode_binary(&recs);
-        prop_assert_eq!(codec::decode_binary(buf).unwrap(), recs);
+        prop_assert_eq!(codec::decode_binary(&buf).unwrap(), recs);
     }
 
     /// Canonicalization is idempotent and direction-independent.
@@ -181,7 +181,7 @@ proptest! {
 
     #[test]
     fn binary_decoder_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
-        let _ = codec::decode_binary(bytes::Bytes::from(bytes));
+        let _ = codec::decode_binary(&bytes);
     }
 
     #[test]

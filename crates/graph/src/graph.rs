@@ -433,7 +433,7 @@ fn edge_mut(adj: &mut [Vec<Adjacent>], from: u32, to: u32) -> Option<&mut Adjace
 }
 
 #[cfg(test)]
-#[allow(clippy::needless_range_loop)] // index pairs are clearest for symmetry checks
+#[expect(clippy::needless_range_loop, reason = "index pairs are clearest for symmetry checks")]
 mod tests {
     use super::*;
     use std::net::Ipv4Addr;
@@ -556,7 +556,10 @@ mod tests {
 
     /// The assembly this kernel replaced (sort + dedup over all endpoints,
     /// SipHash index, adjacency grown from empty), kept as the oracle.
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "the oracle returns the assembly's five parts as one tuple"
+    )]
     fn parent_assembly(
         edges: &HashMap<(NodeId, NodeId), EdgeStats>,
     ) -> (Vec<NodeId>, Vec<Vec<(u32, EdgeStats)>>, Vec<NodeStats>, EdgeStats, usize) {

@@ -31,7 +31,17 @@
 //! * [`timeseries`] — per-edge byte series at the summary cadence: the
 //!   paper's "embed timeseries in the node and edge attributes" variant.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::allow_attributes_without_reason
+)]
 #![warn(missing_docs)]
 
 pub mod builder;

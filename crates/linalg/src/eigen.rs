@@ -22,6 +22,7 @@ use crate::csr::SymCsr;
 use crate::error::{Error, Result};
 use crate::matrix::Matrix;
 use crate::par::Parallelism;
+use obs::names;
 
 /// Result of a symmetric eigendecomposition: `M = V diag(λ) Vᵀ`.
 #[derive(Debug, Clone)]
@@ -447,13 +448,7 @@ fn lanczos_top_k(m: &SymCsr, k: usize, tol: f64, scale: f64) -> Result<Option<Ei
             next = Some(w.iter().map(|x| x / b).collect());
         }
     };
-    obs::global()
-        .counter(
-            "commgraph_lanczos_steps_total",
-            "Lanczos steps (Krylov dimensions) run by top-k eigensolves.",
-            &[],
-        )
-        .add(alpha.len() as u64);
+    obs::global().counter(&names::LANCZOS_STEPS_TOTAL, []).add(alpha.len() as u64);
     Ok(found)
 }
 

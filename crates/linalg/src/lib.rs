@@ -27,7 +27,18 @@
 //! * [`sym`] — [`SymMatrix`], a flat packed-upper-triangular symmetric
 //!   matrix whose contiguous rows give the scheduler disjoint `&mut` tiles.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::allow_attributes_without_reason,
+    clippy::iter_over_hash_type
+)]
 #![warn(missing_docs)]
 
 pub(crate) mod csr;

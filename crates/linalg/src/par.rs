@@ -20,6 +20,7 @@
 //! the inherently sequential kernels (Louvain's local-move sweep, the cyclic
 //! Jacobi eigensolver) take no worker count at all.
 
+use obs::names;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -39,16 +40,8 @@ impl SchedObs {
     fn resolve() -> SchedObs {
         let o = obs::global();
         SchedObs {
-            tiles: o.counter(
-                "commgraph_par_tiles_total",
-                "Tiles/tasks scheduled by the data-parallel work queues.",
-                &[("shape", "task")],
-            ),
-            busy: o.histogram(
-                "commgraph_par_worker_busy_seconds",
-                "Per-worker busy time of one scheduler invocation.",
-                &[("shape", "task")],
-            ),
+            tiles: o.counter(&names::PAR_TILES_TOTAL, ["task"]),
+            busy: o.histogram(&names::PAR_WORKER_BUSY_SECONDS, ["task"]),
         }
     }
 }
@@ -112,7 +105,10 @@ where
     let sched = SchedObs::resolve();
     sched.tiles.add(tasks.len() as u64);
     if par.is_serial() || tasks.len() <= 1 {
-        // lint:allow(clock-hygiene) busy-time telemetry only; results are order-insensitive and clock-free
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "busy-time telemetry only; results are order-insensitive and clock-free"
+        )]
         let t0 = sched.busy.is_enabled().then(Instant::now);
         for t in tasks {
             body(t);
@@ -129,7 +125,10 @@ where
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(move || {
-                // lint:allow(clock-hygiene) busy-time telemetry only; results are order-insensitive and clock-free
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "busy-time telemetry only; results are order-insensitive and clock-free"
+                )]
                 let t0 = sched.busy.is_enabled().then(Instant::now);
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
@@ -226,9 +225,9 @@ mod tests {
         // scheduler when this test's install succeeded.
         if obs::install_global(r.clone()) {
             for_each_task(Parallelism::new(2), vec![(); 8], |()| {});
-            let tiles = r.counter("commgraph_par_tiles_total", "", &[("shape", "task")]);
+            let tiles = r.counter(&names::PAR_TILES_TOTAL, ["task"]);
             assert!(tiles.get() >= 8, "8 tasks scheduled");
-            let busy = r.histogram("commgraph_par_worker_busy_seconds", "", &[("shape", "task")]);
+            let busy = r.histogram(&names::PAR_WORKER_BUSY_SECONDS, ["task"]);
             assert!(busy.count() >= 1, "worker busy time recorded");
         }
     }

@@ -35,7 +35,7 @@
 use crate::query::{Expr, ParseError};
 use crate::sync::lock;
 use crate::tsdb::Tsdb;
-use crate::{Counter, Gauge, Histogram, Level, Obs};
+use crate::{names, Counter, Gauge, Histogram, Level, Obs};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
@@ -177,16 +177,8 @@ impl AlertEngine {
     /// An empty engine reporting through `obs` (transition counters, firing
     /// gauge, eval histogram, event log).
     pub fn new(obs: Obs) -> AlertEngine {
-        let firing_gauge = obs.gauge(
-            "commgraph_alert_firing_entries",
-            "Alert rules currently in the firing state.",
-            &[],
-        );
-        let eval_seconds = obs.histogram(
-            "commgraph_alert_eval_seconds",
-            "Wall-clock seconds per alert-rule evaluation pass.",
-            &[],
-        );
+        let firing_gauge = obs.gauge(&names::ALERT_FIRING_ENTRIES, []);
+        let eval_seconds = obs.histogram(&names::ALERT_EVAL_SECONDS, []);
         AlertEngine {
             inner: Mutex::new(EngineInner {
                 rules: Vec::new(),
@@ -228,11 +220,7 @@ impl AlertEngine {
     }
 
     fn transition_counter(&self, rule: &str, state: AlertState) -> Counter {
-        self.obs.counter(
-            "commgraph_alert_transitions_total",
-            "Alert state-machine transitions, by rule and entered state.",
-            &[("rule", rule), ("state", state.as_str())],
-        )
+        self.obs.counter(&names::ALERT_TRANSITIONS_TOTAL, [rule, state.as_str()])
     }
 
     /// Evaluate every rule at `tick` against `store`, returning the
@@ -246,7 +234,10 @@ impl AlertEngine {
     /// unlocked, over the rules installed when the pass began; a rule
     /// added during the pass is evaluated from the next tick.
     pub fn evaluate(&self, tick: u64, store: &Tsdb) -> Vec<Transition> {
-        // lint:allow(clock-hygiene) self-timing of the evaluate pass; rule state depends only on the injected tick
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "self-timing of the evaluate pass; rule state depends only on the injected tick"
+        )]
         let t0 = std::time::Instant::now();
         let rules = lock(&self.inner).rules.clone();
         let results: Vec<_> =
@@ -425,20 +416,26 @@ impl AlertEngine {
 /// * `tsdb_scrape_stalled` — the scraper itself stopped appending.
 pub fn default_pack(expected_records_per_tick: f64) -> Vec<AlertRule> {
     let rate = expected_records_per_tick.max(1.0);
-    let rule = |name: &str, src: &str| {
-        // lint:allow(panic-path) the templates are constants of this file and parse for every f64 rate; the unit tests parse each one
-        AlertRule::query(name, src).expect("default-pack template parses")
-    };
+    #[expect(
+        clippy::expect_used,
+        reason = "the templates are constants of this file and parse for every f64 rate; \
+                  the unit tests parse each one"
+    )]
+    let rule =
+        |name: &str, src: &str| AlertRule::query(name, src).expect("default-pack template parses");
     vec![
         rule(
             "window_roll_lag_high",
-            "commgraph_window_roll_lag_seconds{source=\"pipeline\",field=\"max\"} > 600",
+            &format!(
+                "{}{{source=\"pipeline\",field=\"max\"}} > 600",
+                names::WINDOW_ROLL_LAG_SECONDS.name
+            ),
         )
         .with_for_ticks(2),
         rule(
             "late_records_burn",
             &burn_per_tick_expr(
-                "commgraph_pipeline_late_records_total",
+                names::PIPELINE_LATE_RECORDS_TOTAL.name,
                 rate,
                 1.0 - 0.99,
                 1.0,
@@ -449,8 +446,8 @@ pub fn default_pack(expected_records_per_tick: f64) -> Vec<AlertRule> {
         rule(
             "dedup_drops_burn",
             &burn_series_expr(
-                "commgraph_engine_dropped_records_total",
-                "commgraph_engine_records_in_total",
+                names::ENGINE_DROPPED_RECORDS_TOTAL.name,
+                names::ENGINE_RECORDS_IN_TOTAL.name,
                 1.0 - 0.2,
                 1.0,
                 2,
@@ -459,11 +456,17 @@ pub fn default_pack(expected_records_per_tick: f64) -> Vec<AlertRule> {
         ),
         rule(
             "incremental_savings_stalled",
-            "absent_over_time(commgraph_incremental_savings_seconds{field=\"count\"}[4])",
+            &format!(
+                "absent_over_time({}{{field=\"count\"}}[4])",
+                names::INCREMENTAL_SAVINGS_SECONDS.name
+            ),
         )
         .with_severity("ticket"),
-        rule("tsdb_scrape_stalled", "absent_over_time(commgraph_tsdb_samples_total[2])")
-            .with_severity("ticket"),
+        rule(
+            "tsdb_scrape_stalled",
+            &format!("absent_over_time({}[2])", names::TSDB_SAMPLES_TOTAL.name),
+        )
+        .with_severity("ticket"),
     ]
 }
 
@@ -655,23 +658,11 @@ mod tests {
         let engine = AlertEngine::new(o);
         engine.add_rule(hot("hot", 0));
         engine.evaluate(1, &db);
-        let pending = registry
-            .counter(
-                "commgraph_alert_transitions_total",
-                "",
-                &[("rule", "hot"), ("state", "pending")],
-            )
-            .get();
-        let firing = registry
-            .counter(
-                "commgraph_alert_transitions_total",
-                "",
-                &[("rule", "hot"), ("state", "firing")],
-            )
-            .get();
+        let pending = registry.counter(&names::ALERT_TRANSITIONS_TOTAL, ["hot", "pending"]).get();
+        let firing = registry.counter(&names::ALERT_TRANSITIONS_TOTAL, ["hot", "firing"]).get();
         assert_eq!((pending, firing), (1, 1));
-        assert_eq!(registry.gauge("commgraph_alert_firing_entries", "", &[]).get(), 1.0);
-        assert!(registry.histogram("commgraph_alert_eval_seconds", "", &[]).count() >= 1);
+        assert_eq!(registry.gauge(&names::ALERT_FIRING_ENTRIES, []).get(), 1.0);
+        assert!(registry.histogram(&names::ALERT_EVAL_SECONDS, []).count() >= 1);
         let events = registry.events();
         assert!(
             events.iter().any(|e| e.target == "alert"

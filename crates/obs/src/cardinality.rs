@@ -15,7 +15,7 @@
 //! for admitted tenants, which is exactly the cap's point.
 
 use crate::sync::lock;
-use crate::{Counter, Obs};
+use crate::{names, Counter, Obs};
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 
@@ -38,11 +38,7 @@ impl LabelCap {
     pub fn new(obs: &Obs, family: &str, cap: usize) -> LabelCap {
         LabelCap {
             cap,
-            overflow: obs.counter(
-                "commgraph_obs_label_overflow_total",
-                "Label resolutions routed to the overflow bucket by a cardinality cap.",
-                &[("family", family)],
-            ),
+            overflow: obs.counter(&names::OBS_LABEL_OVERFLOW_TOTAL, [family]),
             admitted: Mutex::new(BTreeSet::new()),
         }
     }
@@ -72,8 +68,11 @@ impl LabelCap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::names::Family;
     use crate::Registry;
     use std::sync::Arc;
+
+    const DEMO_RECORDS: Family<Counter, 1> = Family::new("demo_records_total", "h", ["tenant"]);
 
     #[test]
     fn admits_up_to_cap_then_overflows() {
@@ -86,8 +85,7 @@ mod tests {
         assert_eq!(cap.resolve("a"), "a", "admitted values stay admitted");
         assert_eq!(cap.resolve("c"), OVERFLOW, "rejected values stay rejected");
         assert_eq!(cap.admitted(), 2);
-        let routed =
-            registry.counter("commgraph_obs_label_overflow_total", "", &[("family", "demo")]).get();
+        let routed = registry.counter(&names::OBS_LABEL_OVERFLOW_TOTAL, ["demo"]).get();
         assert_eq!(routed, 2, "every overflow route is counted");
     }
 
@@ -99,7 +97,7 @@ mod tests {
         let mut uncapped_total = 0u64;
         for (tenant, n) in [("a", 10u64), ("b", 20), ("c", 30), ("d", 40)] {
             let label = cap.resolve(tenant);
-            o.counter("demo_records_total", "h", &[("tenant", &label)]).add(n);
+            o.counter(&DEMO_RECORDS, [&label]).add(n);
             uncapped_total += n;
         }
         let capped_sum: u64 = registry

@@ -18,7 +18,7 @@ pub fn prometheus_text(registry: &Registry) -> String {
     let mut last_family = String::new();
     for m in registry.snapshot() {
         if m.name != last_family {
-            let _ = writeln!(out, "# HELP {} {}", m.name, canonical_help(&m.name, &m.help));
+            let _ = writeln!(out, "# HELP {} {}", m.name, m.help);
             let _ = writeln!(out, "# TYPE {} {}", m.name, m.kind.name());
             last_family = m.name.clone();
         }
@@ -120,16 +120,6 @@ fn write_events_array(out: &mut String, registry: &Registry) {
         out.push_str("}}");
     }
     out.push(']');
-}
-
-/// Help text for a family: the canonical [`crate::names`] table wins for
-/// registered `commgraph_*` names, so lookup sites can pass `""` (the common
-/// idiom in tests and deep library code) without degrading the exposition.
-fn canonical_help<'a>(name: &str, registered: &'a str) -> &'a str {
-    match crate::names::lookup(name) {
-        Some(def) => def.help,
-        None => registered,
-    }
 }
 
 fn metric_json(m: &MetricSnapshot) -> String {
@@ -261,18 +251,18 @@ mod tests {
     }
 
     #[test]
-    fn canonical_help_overrides_empty_site_help() {
+    fn each_family_is_headed_by_its_own_help() {
         let r = Registry::new();
-        r.counter("commgraph_louvain_sweeps_total", "", &[]).inc();
+        r.counter(&crate::names::LOUVAIN_SWEEPS_TOTAL, []).inc();
         let text = prometheus_text(&r);
         assert!(
             text.contains(
                 "# HELP commgraph_louvain_sweeps_total \
                  Local-move sweeps executed by Louvain clustering."
             ),
-            "table help substituted: {text}"
+            "table help: {text}"
         );
-        r.counter("off_table_total", "Site help.", &[]).inc();
-        assert!(prometheus_text(&r).contains("# HELP off_table_total Site help."));
+        r.counter(&crate::names::Family::new("off_table_total", "Its help.", []), []).inc();
+        assert!(prometheus_text(&r).contains("# HELP off_table_total Its help."));
     }
 }

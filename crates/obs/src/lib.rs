@@ -28,8 +28,8 @@
 //! * `log` — leveled structured [`Event`]s with `COMMGRAPH_LOG`
 //!   env-filtered stderr mirroring.
 //! * [`export`] — Prometheus text exposition and a JSON snapshot.
-//! * [`names`] — the canonical `commgraph_*` metric-name table (the single
-//!   source of truth; the `lintcheck` metric-registry lint enforces it).
+//! * [`names`] — the canonical `commgraph_*` metric families, one typed
+//!   const each: the only way to register a metric.
 //! * [`rate`] — the shared rate-from-counter-and-duration helpers.
 //!
 //! # The `Obs` handle
@@ -46,13 +46,13 @@
 //!
 //! let registry = Arc::new(obs::Registry::new());
 //! let o = obs::Obs::new(registry.clone());
-//! let records = o.counter("demo_records_total", "Records seen.", &[]);
+//! let records = o.counter(&obs::names::ENGINE_RECORDS_IN_TOTAL, []);
 //! {
 //!     let _span = o.stage_span("build");
 //!     records.add(128);
 //! }
 //! let text = obs::export::prometheus_text(&registry);
-//! assert!(text.contains("demo_records_total 128"));
+//! assert!(text.contains("commgraph_engine_records_in_total 128"));
 //! assert!(text.contains("commgraph_stage_seconds_count{stage=\"build\"} 1"));
 //! ```
 //!
@@ -60,7 +60,17 @@
 //! thread a handle through every call, so a process-global registry can be
 //! [`install_global`]ed once; [`global`] returns a noop handle until then.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::allow_attributes_without_reason
+)]
 #![warn(missing_docs)]
 
 pub mod alert;
@@ -89,12 +99,8 @@ pub use crate::span::SpanGuard;
 pub use crate::trace::{FlightDump, SpanEvent, SpanRecord, TraceSpan, Tracer};
 pub use crate::tsdb::{Query, SampleField, Scraper, SeriesKey, Tsdb, TsdbConfig};
 
+use crate::names::Family;
 use std::sync::{Arc, OnceLock};
-
-/// Name of the shared per-stage wall-time histogram family. Every pipeline
-/// stage records into `commgraph_stage_seconds{stage="..."}`; the exporters
-/// read the breakdown back out by this name.
-pub const STAGE_SECONDS: &str = "commgraph_stage_seconds";
 
 /// The canonical stage labels of the streaming arc, in execution order.
 pub const STAGES: [&str; 6] = ["ingest", "build", "similarity", "cluster", "policy", "pca"];
@@ -156,43 +162,44 @@ impl Obs {
         }
     }
 
-    /// Resolve (or create) a counter; noop when disabled.
-    pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
+    /// Resolve (or create) a counter of `family`; noop when disabled.
+    pub fn counter<const L: usize>(
+        &self,
+        family: &Family<Counter, L>,
+        labels: [&str; L],
+    ) -> Counter {
         match &self.registry {
-            Some(r) => r.counter(name, help, labels),
+            Some(r) => r.counter(family, labels),
             None => Counter::noop(),
         }
     }
 
-    /// Resolve (or create) a gauge; noop when disabled.
-    pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
+    /// Resolve (or create) a gauge of `family`; noop when disabled.
+    pub fn gauge<const L: usize>(&self, family: &Family<Gauge, L>, labels: [&str; L]) -> Gauge {
         match &self.registry {
-            Some(r) => r.gauge(name, help, labels),
+            Some(r) => r.gauge(family, labels),
             None => Gauge::noop(),
         }
     }
 
-    /// Resolve (or create) a histogram; noop when disabled.
-    pub fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Histogram {
+    /// Resolve (or create) a histogram of `family`; noop when disabled.
+    pub fn histogram<const L: usize>(
+        &self,
+        family: &Family<Histogram, L>,
+        labels: [&str; L],
+    ) -> Histogram {
         match &self.registry {
-            Some(r) => r.histogram(name, help, labels),
+            Some(r) => r.histogram(family, labels),
             None => Histogram::noop(),
         }
     }
 
-    /// Start a span into the shared [`STAGE_SECONDS`] family for one of the
-    /// pipeline stages (any label value is accepted; the canonical set is
-    /// [`STAGES`]). With a tracer attached, the trace span is named after
+    /// Start a span into the shared [`names::STAGE_SECONDS`] family for one
+    /// of the pipeline stages (any label value is accepted; the canonical set
+    /// is [`STAGES`]). With a tracer attached, the trace span is named after
     /// the stage so stage children nest under the per-run root.
     pub fn stage_span(&self, stage: &str) -> SpanGuard {
-        SpanGuard::traced(
-            self.histogram(
-                STAGE_SECONDS,
-                "Wall-clock seconds spent per streaming-pipeline stage.",
-                &[("stage", stage)],
-            ),
-            self.trace_span(stage),
-        )
+        SpanGuard::traced(self.histogram(&names::STAGE_SECONDS, [stage]), self.trace_span(stage))
     }
 
     /// True when an event at `level` would be observable at all — buffered
@@ -249,10 +256,10 @@ mod tests {
     fn noop_obs_yields_noop_metrics() {
         let o = Obs::noop();
         assert!(o.registry().is_none());
-        let c = o.counter("c_total", "h", &[]);
+        let c = o.counter(&names::ENGINE_RECORDS_IN_TOTAL, []);
         c.inc();
         assert_eq!(c.get(), 0);
-        let h = o.histogram("h_seconds", "h", &[]);
+        let h = o.histogram(&names::ENGINE_INGEST_SECONDS, []);
         h.record(1.0);
         assert_eq!(h.count(), 0);
         let _ = o.stage_span("build"); // inert
@@ -263,8 +270,8 @@ mod tests {
     fn backed_obs_resolves_shared_metrics() {
         let r = Arc::new(Registry::new());
         let o = Obs::new(r.clone());
-        o.counter("c_total", "h", &[]).add(2);
-        assert_eq!(r.counter("c_total", "h", &[]).get(), 2);
+        o.counter(&names::ENGINE_RECORDS_IN_TOTAL, []).add(2);
+        assert_eq!(r.counter(&names::ENGINE_RECORDS_IN_TOTAL, []).get(), 2);
         o.event(Level::Info, "t", "hello", &[("k", "v".to_string())]);
         assert_eq!(r.events().len(), 1);
     }
@@ -274,7 +281,7 @@ mod tests {
         let r = Arc::new(Registry::new());
         let o = Obs::new(r.clone());
         o.stage_span("pca").stop();
-        let h = r.histogram(STAGE_SECONDS, "", &[("stage", "pca")]);
+        let h = r.histogram(&names::STAGE_SECONDS, ["pca"]);
         assert_eq!(h.count(), 1);
     }
 }

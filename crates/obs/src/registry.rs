@@ -1,10 +1,10 @@
 //! The metric registry: named families of labeled counters, gauges, and
 //! histograms, plus the bounded structured-event buffer.
 //!
-//! A family is identified by metric name and holds one metric per distinct
-//! label-value combination. Families and metrics live in `BTreeMap`s so
-//! every snapshot and exporter walks them in a deterministic order — the
-//! golden-output tests depend on that.
+//! A family is registered through its typed [`crate::names::Family`] const
+//! and holds one metric per distinct label-value combination. Families and
+//! metrics live in `BTreeMap`s so every snapshot and exporter walks them in
+//! a deterministic order — the golden-output tests depend on that.
 //!
 //! Lookup takes the registry's one lock; the returned handles do not. Instrumented code is
 //! expected to resolve its handles once (at construction / before a kernel
@@ -12,6 +12,7 @@
 
 use crate::log::{emit_stderr, Event};
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
+use crate::names::Family;
 use crate::sync::lock;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -48,8 +49,8 @@ enum MetricCore {
     Histogram(Histogram),
 }
 
-struct Family {
-    help: String,
+struct FamilyState {
+    help: &'static str,
     kind: MetricKind,
     /// Keyed by label pairs (name, value) in caller order.
     metrics: BTreeMap<Vec<(String, String)>, MetricCore>,
@@ -61,7 +62,7 @@ pub struct MetricSnapshot {
     /// Family name.
     pub name: String,
     /// Family help text.
-    pub(crate) help: String,
+    pub(crate) help: &'static str,
     /// Family kind.
     pub(crate) kind: MetricKind,
     /// Label pairs in registration order.
@@ -92,7 +93,7 @@ pub struct Registry {
 struct RegistryState {
     // bound: grows with the distinct metric names and label sets
     // registered; `LabelCap` caps the per-tenant label values.
-    families: BTreeMap<String, Family>,
+    families: BTreeMap<&'static str, FamilyState>,
     // bound: at most `EVENT_BUFFER_CAP` events, oldest dropped first.
     events: VecDeque<Event>,
 }
@@ -113,75 +114,86 @@ impl Registry {
         Registry::default()
     }
 
-    /// Get or create the counter `name{labels}`.
+    /// Get or create the counter of `family` with label values `labels`.
     ///
     /// # Panics
-    /// Panics if `name` is already registered with a different kind.
-    pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
-        match self.metric(name, help, MetricKind::Counter, labels, || {
-            MetricCore::Counter(Counter::real())
-        }) {
+    /// Panics if the family's name is already registered with a different kind.
+    pub fn counter<const L: usize>(
+        &self,
+        family: &Family<Counter, L>,
+        labels: [&str; L],
+    ) -> Counter {
+        match self
+            .metric(family, MetricKind::Counter, labels, || MetricCore::Counter(Counter::real()))
+        {
             MetricCore::Counter(c) => c,
-            // lint:allow(panic-path) metric() returns the requested kind by construction
+            #[expect(
+                clippy::unreachable,
+                reason = "metric() returns the requested kind by construction"
+            )]
             _ => unreachable!("kind checked in metric()"),
         }
     }
 
-    /// Get or create the gauge `name{labels}`.
+    /// Get or create the gauge of `family` with label values `labels`.
     ///
     /// # Panics
-    /// Panics if `name` is already registered with a different kind.
-    pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        match self.metric(
-            name,
-            help,
-            MetricKind::Gauge,
-            labels,
-            || MetricCore::Gauge(Gauge::real()),
-        ) {
+    /// Panics if the family's name is already registered with a different kind.
+    pub fn gauge<const L: usize>(&self, family: &Family<Gauge, L>, labels: [&str; L]) -> Gauge {
+        match self.metric(family, MetricKind::Gauge, labels, || MetricCore::Gauge(Gauge::real())) {
             MetricCore::Gauge(g) => g,
-            // lint:allow(panic-path) metric() returns the requested kind by construction
+            #[expect(
+                clippy::unreachable,
+                reason = "metric() returns the requested kind by construction"
+            )]
             _ => unreachable!("kind checked in metric()"),
         }
     }
 
-    /// Get or create the histogram `name{labels}`.
+    /// Get or create the histogram of `family` with label values `labels`.
     ///
     /// # Panics
-    /// Panics if `name` is already registered with a different kind.
-    pub fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Histogram {
-        match self.metric(name, help, MetricKind::Histogram, labels, || {
+    /// Panics if the family's name is already registered with a different kind.
+    pub fn histogram<const L: usize>(
+        &self,
+        family: &Family<Histogram, L>,
+        labels: [&str; L],
+    ) -> Histogram {
+        match self.metric(family, MetricKind::Histogram, labels, || {
             MetricCore::Histogram(Histogram::real())
         }) {
             MetricCore::Histogram(h) => h,
-            // lint:allow(panic-path) metric() returns the requested kind by construction
+            #[expect(
+                clippy::unreachable,
+                reason = "metric() returns the requested kind by construction"
+            )]
             _ => unreachable!("kind checked in metric()"),
         }
     }
 
-    fn metric(
+    fn metric<K, const L: usize>(
         &self,
-        name: &str,
-        help: &str,
+        family: &Family<K, L>,
         kind: MetricKind,
-        labels: &[(&str, &str)],
+        labels: [&str; L],
         make: impl FnOnce() -> MetricCore,
     ) -> MetricCore {
         let mut state = lock(&self.state);
-        let family = state.families.entry(name.to_string()).or_insert_with(|| Family {
-            help: help.to_string(),
+        let name = family.name;
+        let entry = state.families.entry(name).or_insert_with(|| FamilyState {
+            help: family.help,
             kind,
             metrics: BTreeMap::new(),
         });
         assert!(
-            family.kind == kind,
+            entry.kind == kind,
             "metric {name} registered as {} but requested as {}",
-            family.kind.name(),
+            entry.kind.name(),
             kind.name()
         );
         let key: Vec<(String, String)> =
-            labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
-        let core = family.metrics.entry(key).or_insert_with(make);
+            family.labels.iter().zip(labels).map(|(k, v)| (k.to_string(), v.to_string())).collect();
+        let core = entry.metrics.entry(key).or_insert_with(make);
         match core {
             MetricCore::Counter(c) => MetricCore::Counter(c.clone()),
             MetricCore::Gauge(g) => MetricCore::Gauge(g.clone()),
@@ -193,7 +205,7 @@ impl Registry {
     pub fn snapshot(&self) -> Vec<MetricSnapshot> {
         let state = lock(&self.state);
         let mut out = Vec::new();
-        for (name, family) in state.families.iter() {
+        for (&name, family) in state.families.iter() {
             for (labels, core) in family.metrics.iter() {
                 let value = match core {
                     MetricCore::Counter(c) => SnapshotValue::Counter(c.get()),
@@ -201,8 +213,8 @@ impl Registry {
                     MetricCore::Histogram(h) => SnapshotValue::Histogram(h.snapshot()),
                 };
                 out.push(MetricSnapshot {
-                    name: name.clone(),
-                    help: family.help.clone(),
+                    name: name.to_string(),
+                    help: family.help,
                     kind: family.kind,
                     labels: labels.clone(),
                     value,
@@ -235,14 +247,16 @@ mod tests {
     use super::*;
     use crate::log::Level;
 
+    const X: Family<Counter, 1> = Family::new("x_total", "help", ["shard"]);
+
     #[test]
     fn same_name_and_labels_share_state() {
         let r = Registry::new();
-        let a = r.counter("x_total", "help", &[("shard", "0")]);
-        let b = r.counter("x_total", "help", &[("shard", "0")]);
+        let a = r.counter(&X, ["0"]);
+        let b = r.counter(&X, ["0"]);
         a.add(3);
         assert_eq!(b.get(), 3);
-        let other = r.counter("x_total", "help", &[("shard", "1")]);
+        let other = r.counter(&X, ["1"]);
         assert_eq!(other.get(), 0);
     }
 
@@ -250,16 +264,16 @@ mod tests {
     #[should_panic(expected = "registered as counter")]
     fn kind_conflicts_panic() {
         let r = Registry::new();
-        r.counter("x", "h", &[]);
-        r.gauge("x", "h", &[]);
+        r.counter(&Family::new("x", "h", []), []);
+        r.gauge(&Family::new("x", "h", []), []);
     }
 
     #[test]
     fn snapshot_is_deterministically_ordered() {
         let r = Registry::new();
-        r.counter("b_total", "h", &[]).inc();
-        r.counter("a_total", "h", &[("z", "1")]).inc();
-        r.counter("a_total", "h", &[("a", "1")]).inc();
+        r.counter(&Family::new("b_total", "h", []), []).inc();
+        r.counter(&Family::new("a_total", "h", ["z"]), ["1"]).inc();
+        r.counter(&Family::new("a_total", "h", ["a"]), ["1"]).inc();
         let names: Vec<String> =
             r.snapshot().iter().map(|m| format!("{}{:?}", m.name, m.labels)).collect();
         let mut sorted = names.clone();

@@ -301,13 +301,7 @@ fn bump_request_counter(registry: &Arc<Registry>, path: &str) {
         "/alerts" => "alerts",
         _ => "other",
     };
-    registry
-        .counter(
-            "commgraph_serve_requests_total",
-            "HTTP requests served by the introspection server, by endpoint.",
-            &[("path", normalized)],
-        )
-        .inc();
+    registry.counter(&crate::names::SERVE_REQUESTS_TOTAL, [normalized]).inc();
 }
 
 /// Parse `GET /path HTTP/1.0` from the head of the stream. Reads at most
@@ -360,7 +354,7 @@ mod tests {
     #[test]
     fn serves_all_endpoints_and_shuts_down() {
         let (handle, registry, tracer) = start_server();
-        registry.counter("demo_total", "h", &[]).add(7);
+        registry.counter(&crate::names::Family::new("demo_total", "h", []), []).add(7);
         tracer.span("root").finish();
         let addr = handle.addr();
         assert_ne!(addr.port(), 0, "port 0 resolved to a real port");

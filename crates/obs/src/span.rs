@@ -23,7 +23,10 @@ pub struct SpanGuard {
 impl SpanGuard {
     /// Start timing into `hist`. Noop histograms produce inert guards.
     pub fn start(hist: Histogram) -> Self {
-        // lint:allow(clock-hygiene) span timing is measurement-only; the value feeds a histogram, never pipeline output
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "span timing is measurement-only; the value feeds a histogram, never pipeline output"
+        )]
         let start = hist.is_enabled().then(Instant::now);
         SpanGuard { hist, start, trace: None }
     }
@@ -31,7 +34,10 @@ impl SpanGuard {
     /// Start timing into `hist` while also carrying `trace`; both close
     /// together. A noop `trace` adds exactly one `Option` branch.
     pub fn traced(hist: Histogram, trace: TraceSpan) -> Self {
-        // lint:allow(clock-hygiene) span timing is measurement-only; the value feeds a histogram, never pipeline output
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "span timing is measurement-only; the value feeds a histogram, never pipeline output"
+        )]
         let start = hist.is_enabled().then(Instant::now);
         let trace = trace.is_enabled().then_some(trace);
         SpanGuard { hist, start, trace }

@@ -48,10 +48,13 @@ mod held {
     ///
     /// # Panics
     /// Panics when this thread already holds an `obs` lock.
+    #[expect(
+        clippy::panic,
+        reason = "debug-only check of the one-lock rule; release builds compile it out"
+    )]
     pub(crate) fn lock<T>(m: &Mutex<T>) -> Guard<'_, T> {
         let name = std::any::type_name::<T>();
         if let Some(outer) = HELD.with(Cell::get) {
-            // lint:allow(panic-path) debug-only check of the one-lock rule; release builds compile it out
             panic!("obs lock on {name} taken while this thread holds the obs lock on {outer}");
         }
         let inner = m.lock().unwrap_or_else(|poisoned| poisoned.into_inner());

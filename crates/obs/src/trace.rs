@@ -121,6 +121,10 @@ impl Default for Tracer {
 impl Tracer {
     /// A tracer whose flight recorder retains the last `capacity` finished
     /// spans (capacity 0 records nothing but still counts drops).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the trace timebase; span times are measurement-only and never reach pipeline output"
+    )]
     pub fn new(capacity: usize) -> Self {
         Tracer {
             epoch: Instant::now(),

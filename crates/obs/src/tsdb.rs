@@ -41,7 +41,7 @@
 use crate::metrics::HistogramSnapshot;
 use crate::registry::{Registry, SnapshotValue};
 use crate::sync::lock;
-use crate::{Counter, Gauge, Histogram, Obs};
+use crate::{names, Counter, Gauge, Histogram, Obs};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -347,36 +347,12 @@ impl Scraper {
     pub fn new(registry: Arc<Registry>, store: Arc<Tsdb>) -> Scraper {
         let o = Obs::new(registry.clone());
         Scraper {
-            samples: o.counter(
-                "commgraph_tsdb_samples_total",
-                "Samples appended to the in-memory time-series store.",
-                &[],
-            ),
-            evicted: o.counter(
-                "commgraph_tsdb_evicted_samples_total",
-                "Samples evicted from full series rings (bounded-retention loss).",
-                &[],
-            ),
-            scrape_seconds: o.histogram(
-                "commgraph_tsdb_scrape_seconds",
-                "Wall-clock seconds per registry scrape into the time-series store.",
-                &[],
-            ),
-            series_gauge: o.gauge(
-                "commgraph_tsdb_series_entries",
-                "Series currently retained by the time-series store.",
-                &[],
-            ),
-            memory_gauge: o.gauge(
-                "commgraph_tsdb_memory_bytes",
-                "Estimated heap bytes held by the time-series store.",
-                &[],
-            ),
-            rule_eval_seconds: o.histogram(
-                "commgraph_query_rule_eval_seconds",
-                "Wall-clock seconds per recording-rule evaluation pass.",
-                &[],
-            ),
+            samples: o.counter(&names::TSDB_SAMPLES_TOTAL, []),
+            evicted: o.counter(&names::TSDB_EVICTED_SAMPLES_TOTAL, []),
+            scrape_seconds: o.histogram(&names::TSDB_SCRAPE_SECONDS, []),
+            series_gauge: o.gauge(&names::TSDB_SERIES_ENTRIES, []),
+            memory_gauge: o.gauge(&names::TSDB_MEMORY_BYTES, []),
+            rule_eval_seconds: o.histogram(&names::QUERY_RULE_EVAL_SECONDS, []),
             registry,
             store,
             evicted_seen: AtomicU64::new(0),
@@ -391,11 +367,8 @@ impl Scraper {
     /// through [`Tsdb::append`] and are therefore subject to the same
     /// eviction and max-series accounting as scraped ones.
     pub fn add_recording_rule(&self, rule: crate::query::RecordingRule) {
-        let series_total = Obs::new(self.registry.clone()).counter(
-            "commgraph_query_rule_series_total",
-            "Series written per recording-rule evaluation.",
-            &[("rule", rule.name())],
-        );
+        let series_total =
+            Obs::new(self.registry.clone()).counter(&names::QUERY_RULE_SERIES_TOTAL, [rule.name()]);
         lock(&self.rules).push(Arc::new(RuleSlot { rule, series_total }));
     }
 
@@ -414,7 +387,10 @@ impl Scraper {
     /// `SampleField::HISTOGRAM_FIELDS` scalars. Returns the number of
     /// samples appended.
     pub fn scrape(&self, tick: u64) -> usize {
-        // lint:allow(clock-hygiene) self-timing of the scrape pass; samples are stamped with the injected tick
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "self-timing of the scrape pass; samples are stamped with the injected tick"
+        )]
         let t0 = std::time::Instant::now();
         let mut appended = 0usize;
         for snap in self.registry.snapshot() {
@@ -444,7 +420,10 @@ impl Scraper {
         // this tick's fresh samples; outputs land at the same tick. An
         // erroring rule writes nothing and its counter does not advance.
         {
-            // lint:allow(clock-hygiene) self-timing of the rule pass; outputs are stamped with the injected tick
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "self-timing of the rule pass; outputs are stamped with the injected tick"
+            )]
             let r0 = std::time::Instant::now();
             let rules = lock(&self.rules).clone();
             for slot in &rules {
@@ -484,6 +463,7 @@ fn histogram_field(h: &HistogramSnapshot, field: SampleField) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::names::Family;
 
     fn family(name: &str) -> Query {
         Query { name: Some(name.to_string()), ..Query::default() }
@@ -543,9 +523,9 @@ mod tests {
     #[test]
     fn scraper_samples_counters_gauges_and_histogram_fields() {
         let registry = Arc::new(Registry::new());
-        registry.counter("demo_total", "h", &[]).add(3);
-        registry.gauge("demo_depth_entries", "h", &[]).set(2.0);
-        let h = registry.histogram("demo_seconds", "h", &[]);
+        registry.counter(&Family::new("demo_total", "h", []), []).add(3);
+        registry.gauge(&Family::new("demo_depth_entries", "h", []), []).set(2.0);
+        let h = registry.histogram(&Family::new("demo_seconds", "h", []), []);
         h.record(1.0);
         h.record(2.0);
 
@@ -565,7 +545,7 @@ mod tests {
 
         // Second scrape sees the scraper's own scrape_seconds histogram.
         scraper.scrape(2);
-        let self_cost = db.query(&family("commgraph_tsdb_scrape_seconds"));
+        let self_cost = db.query(&family(names::TSDB_SCRAPE_SECONDS.name));
         assert!(!self_cost.is_empty(), "store observes its own cost one tick behind");
         assert_eq!(db.last_tick(), 2);
     }
@@ -576,18 +556,14 @@ mod tests {
         let shards = [("a", 1u64), ("b", 10)];
         let counters: Vec<Counter> = shards
             .iter()
-            .map(|(s, _)| registry.counter("demo_total", "h", &[("shard", s)]))
+            .map(|(s, _)| registry.counter(&Family::new("demo_total", "h", ["shard"]), [s]))
             .collect();
         let scraper = Scraper::new(registry.clone(), Arc::new(Tsdb::default()));
         scraper.add_recording_rule(
             crate::query::RecordingRule::new("shard:demo:x2", "sum by (shard) (demo_total) * 2")
                 .unwrap(),
         );
-        let written = || {
-            registry
-                .counter("commgraph_query_rule_series_total", "", &[("rule", "shard:demo:x2")])
-                .get()
-        };
+        let written = || registry.counter(&names::QUERY_RULE_SERIES_TOTAL, ["shard:demo:x2"]).get();
         for tick in 1..=3u64 {
             for (c, (_, step)) in counters.iter().zip(shards) {
                 c.add(step);

@@ -3,18 +3,20 @@
 //! against an exact sorted baseline.
 
 use obs::export::{json_snapshot, prometheus_text};
+use obs::names::{self, Family};
 use obs::{Level, Obs, Registry};
 use std::sync::Arc;
 
 #[test]
 fn prometheus_text_golden() {
     let r = Registry::new();
-    let h = r.histogram("demo_latency_seconds", "Request latency.", &[("stage", "build")]);
+    let h =
+        r.histogram(&Family::new("demo_latency_seconds", "Request latency.", ["stage"]), ["build"]);
     h.record(1.0); // falls in [1.0, 1.2)
     h.record(3.0); // falls in [3.0, 3.2)
-    r.gauge("demo_queue_depth", "Queue depth.", &[]).set(3.0);
-    r.counter("demo_requests_total", "Requests served.", &[("route", "a")]).add(7);
-    r.counter("demo_requests_total", "Requests served.", &[("route", "b")]);
+    r.gauge(&Family::new("demo_queue_depth", "Queue depth.", []), []).set(3.0);
+    r.counter(&Family::new("demo_requests_total", "Requests served.", ["route"]), ["a"]).add(7);
+    r.counter(&Family::new("demo_requests_total", "Requests served.", ["route"]), ["b"]);
 
     let expected = "\
 # HELP demo_latency_seconds Request latency.
@@ -38,8 +40,8 @@ demo_requests_total{route=\"b\"} 0
 #[test]
 fn json_snapshot_is_parseable_and_complete() {
     let r = Registry::new();
-    r.counter("a_total", "Help with \"quotes\".", &[("k", "v")]).add(5);
-    r.histogram("b_seconds", "h", &[]).record(0.5);
+    r.counter(&Family::new("a_total", "Help with \"quotes\".", ["k"]), ["v"]).add(5);
+    r.histogram(&Family::new("b_seconds", "h", []), []).record(0.5);
     let o = Obs::new(Arc::new(Registry::new())); // separate: events on r directly
     drop(o);
     r.push_event(obs::Event {
@@ -73,9 +75,9 @@ fn counters_are_exact_under_contention() {
             let r = r.clone();
             s.spawn(move || {
                 // Every thread resolves its own handle — same underlying cell.
-                let c = r.counter("contended_total", "h", &[]);
-                let g = r.gauge("contended_gauge", "h", &[]);
-                let h = r.histogram("contended_seconds", "h", &[]);
+                let c = r.counter(&Family::new("contended_total", "h", []), []);
+                let g = r.gauge(&Family::new("contended_gauge", "h", []), []);
+                let h = r.histogram(&Family::new("contended_seconds", "h", []), []);
                 for i in 0..PER_THREAD {
                     c.inc();
                     g.add(1.0);
@@ -86,9 +88,9 @@ fn counters_are_exact_under_contention() {
         }
     });
     let total = THREADS as u64 * PER_THREAD;
-    assert_eq!(r.counter("contended_total", "h", &[]).get(), total);
-    assert_eq!(r.gauge("contended_gauge", "h", &[]).get(), total as f64);
-    let h = r.histogram("contended_seconds", "h", &[]);
+    assert_eq!(r.counter(&Family::new("contended_total", "h", []), []).get(), total);
+    assert_eq!(r.gauge(&Family::new("contended_gauge", "h", []), []).get(), total as f64);
+    let h = r.histogram(&Family::new("contended_seconds", "h", []), []);
     assert_eq!(h.count(), total);
     // Values cycle 1,2,3,4 uniformly per thread, so the exact sum is known.
     assert_eq!(h.sum(), (THREADS as u64 * PER_THREAD / 4 * (1 + 2 + 3 + 4)) as f64);
@@ -107,7 +109,7 @@ fn lcg() -> impl FnMut() -> f64 {
 #[test]
 fn histogram_quantiles_track_exact_sorted_baseline() {
     let r = Registry::new();
-    let h = r.histogram("q_seconds", "h", &[]);
+    let h = r.histogram(&Family::new("q_seconds", "h", []), []);
     let mut next = lcg();
     // Exponential-ish latencies spanning several decades.
     let values: Vec<f64> = (0..20_000).map(|_| -next().ln() * 0.05).collect();
@@ -192,7 +194,7 @@ fn label_cap_conserves_counts_under_random_label_streams() {
     for _ in 0..EVENTS {
         let label = format!("tenant-{}", (next() * 40.0) as usize);
         let routed = cap.resolve(&label);
-        r.counter("prop_events_total", "h", &[("tenant", &routed)]).inc();
+        r.counter(&Family::new("prop_events_total", "h", ["tenant"]), [&routed]).inc();
         if sim_admitted.contains(&label) || sim_admitted.len() < 8 {
             sim_admitted.insert(label.clone());
             assert_eq!(routed, label, "admitted labels pass through unchanged");
@@ -213,8 +215,7 @@ fn label_cap_conserves_counts_under_random_label_streams() {
         total += v;
     }
     assert_eq!(total, EVENTS, "no event lost or double-counted across the cap");
-    let routed_overflow =
-        r.counter("commgraph_obs_label_overflow_total", "", &[("family", "prop")]).get();
+    let routed_overflow = r.counter(&names::OBS_LABEL_OVERFLOW_TOTAL, ["prop"]).get();
     assert_eq!(routed_overflow, expected.get(obs::cardinality::OVERFLOW).copied().unwrap_or(0));
 }
 
@@ -226,7 +227,7 @@ fn spans_feed_stage_histograms_through_the_handle() {
         o.stage_span(stage).stop();
     }
     for stage in obs::STAGES {
-        let h = r.histogram(obs::STAGE_SECONDS, "", &[("stage", stage)]);
+        let h = r.histogram(&names::STAGE_SECONDS, [stage]);
         assert_eq!(h.count(), 1, "stage {stage} recorded");
     }
     // The exposition carries every stage label.

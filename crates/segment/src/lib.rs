@@ -19,7 +19,17 @@
 //!   rules raise on software rollouts and flash crowds.
 //! * [`blast`] — blast-radius measurement, before and after segmentation.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::allow_attributes_without_reason
+)]
 #![warn(missing_docs)]
 
 pub mod blast;

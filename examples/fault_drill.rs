@@ -18,7 +18,7 @@
 use commgraph::analytics::sharded::{ShardedConfig, ShardedEngine};
 use commgraph::cloudsim::net::{FaultScript, NetConfig, NetSim};
 use commgraph::flowlog::record::{ConnSummary, FlowKey};
-use commgraph::obs;
+use commgraph::obs::{self, names};
 use commgraph::pipeline::{Pipeline, PipelineConfig};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -73,9 +73,8 @@ fn run(script: &FaultScript) -> (String, String) {
     net.drain(|d| sink(&mut front, &mut pipeline, d));
 
     let s = net.stats();
-    let late = registry.counter("commgraph_pipeline_late_records_total", "", &[]).get();
-    let dropped_late =
-        registry.counter("commgraph_pipeline_dropped_late_records_total", "", &[]).get();
+    let late = registry.counter(&names::PIPELINE_LATE_RECORDS_TOTAL, []).get();
+    let dropped_late = registry.counter(&names::PIPELINE_DROPPED_LATE_RECORDS_TOTAL, []).get();
     let out = pipeline.finish().expect("pipeline finishes");
     let (reports, _) = front.finish().expect("front door finishes");
     let engine = &reports[0].stats;

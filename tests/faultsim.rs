@@ -15,7 +15,7 @@ use commgraph::cloudsim::net::{scripts, Delivery, FaultScript, NetConfig, NetSim
 use commgraph::cloudsim::{ClusterPreset, Simulator};
 use commgraph::flowlog::record::{ConnSummary, FlowKey};
 use commgraph::graph::{CommGraph, EdgeStats, NodeId};
-use commgraph::obs;
+use commgraph::obs::{self, names};
 use commgraph::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -270,9 +270,8 @@ fn delayed_flush_asserts_lateness_and_alert_transitions() {
             .into_iter()
             .map(|t| (t.tick, t.from.as_str().to_string(), t.to.as_str().to_string()))
             .collect();
-        let late = registry.counter("commgraph_pipeline_late_records_total", "", &[]).get();
-        let dropped =
-            registry.counter("commgraph_pipeline_dropped_late_records_total", "", &[]).get();
+        let late = registry.counter(&names::PIPELINE_LATE_RECORDS_TOTAL, []).get();
+        let dropped = registry.counter(&names::PIPELINE_DROPPED_LATE_RECORDS_TOTAL, []).get();
         let out = finish_pipeline(pipeline);
         (transitions, late, dropped, out.total_records, net.stats().clone(), finish(front))
     };
@@ -346,9 +345,8 @@ fn clock_skew_drops_exactly_the_behind_window_records() {
             net.step(|d| pipeline.ingest(&d.records));
         }
         net.drain(|_| {});
-        let late = registry.counter("commgraph_pipeline_late_records_total", "", &[]).get();
-        let dropped =
-            registry.counter("commgraph_pipeline_dropped_late_records_total", "", &[]).get();
+        let late = registry.counter(&names::PIPELINE_LATE_RECORDS_TOTAL, []).get();
+        let dropped = registry.counter(&names::PIPELINE_DROPPED_LATE_RECORDS_TOTAL, []).get();
         let out = finish_pipeline(pipeline);
         let shape: Vec<(u64, usize)> =
             out.sequence.graphs().iter().map(|g| (g.window_start(), g.node_count())).collect();

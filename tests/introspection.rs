@@ -199,7 +199,7 @@ fn one_scrape_serves_every_canonical_family_and_trace_nests() {
     let metrics = http_get(addr, "/metrics");
     let missing: Vec<&str> = obs::names::METRICS
         .iter()
-        .map(|def| def.name)
+        .copied()
         .filter(|name| !metrics.contains(&format!("# TYPE {name} ")))
         .collect();
     assert!(missing.is_empty(), "families absent from a single /metrics scrape: {missing:?}");

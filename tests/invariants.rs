@@ -106,9 +106,9 @@ fn through_engine(
     records.chunks(997).for_each(|batch| e.ingest("sub", batch).expect("ingest"));
     let (mut reports, _) = e.finish().expect("drain");
     let report = reports.pop().expect("one subscription");
-    let late = [("subscription", "sub"), ("outcome", "late")];
+    let late = ["sub", "late"];
     let counted =
-        registry.counter("commgraph_subscription_dedup_dropped_records_total", "", &late).get();
+        registry.counter(&obs::names::SUBSCRIPTION_DEDUP_DROPPED_RECORDS_TOTAL, late).get();
     assert_eq!(counted, report.stats.records_late);
     (fingerprints(&report.graphs), report.stats)
 }

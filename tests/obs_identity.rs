@@ -7,7 +7,7 @@ use commgraph::analytics::engine::EngineConfig;
 use commgraph::analytics::sharded::{ShardedConfig, ShardedEngine};
 use commgraph::cloudsim::{ClusterPreset, Simulator};
 use commgraph::flowlog::record::ConnSummary;
-use commgraph::obs::{Obs, Registry};
+use commgraph::obs::{names, Obs, Registry};
 use commgraph::pipeline::{Pipeline, PipelineConfig};
 use commgraph::Workbench;
 use std::collections::HashSet;
@@ -112,10 +112,10 @@ fn instrumented_run_is_bit_for_bit_identical() {
     assert_eq!(plain, observed, "observability must never change results");
 
     // And the registry really was live — this is not a vacuous comparison.
-    let ingest = registry.histogram(commgraph::obs::STAGE_SECONDS, "", &[("stage", "ingest")]);
+    let ingest = registry.histogram(&names::STAGE_SECONDS, ["ingest"]);
     assert!(ingest.count() > 0, "instrumented run recorded stage spans");
     assert!(
-        registry.counter("commgraph_engine_records_in_total", "", &[]).get() > 0,
+        registry.counter(&names::ENGINE_RECORDS_IN_TOTAL, []).get() > 0,
         "instrumented run counted engine records"
     );
 
