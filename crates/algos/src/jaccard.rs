@@ -345,13 +345,7 @@ impl MinHasher {
         matches as f64 / self.seeds.len() as f64
     }
 
-    /// Approximate pairwise similarity over arbitrary token sets, at the
-    /// default [`Parallelism`].
-    pub fn similarity_matrix_of_sets(&self, sets: &[Vec<u32>]) -> SymMatrix {
-        self.similarity_matrix_of_sets_with(sets, Parallelism::default())
-    }
-
-    /// Approximate pairwise similarity with an explicit worker count:
+    /// Approximate pairwise similarity over arbitrary token sets:
     /// signatures are sketched in parallel (one per set), then the packed
     /// estimate matrix is filled by row tiles. Deterministic at any worker
     /// count.
@@ -430,7 +424,7 @@ mod tests {
         let exact = jaccard_matrix(&g);
         let mh = MinHasher::new(256, 42);
         let sets: Vec<Vec<u32>> = (0..g.node_count() as u32).map(|u| g.neighbor_set(u)).collect();
-        let approx = mh.similarity_matrix_of_sets(&sets);
+        let approx = mh.similarity_matrix_of_sets_with(&sets, Parallelism::default());
         for i in 0..5 {
             for j in 0..5 {
                 if i == j {

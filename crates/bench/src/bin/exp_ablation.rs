@@ -200,10 +200,10 @@ fn main() {
     let minutes = arg_u64("minutes", 60);
     let facet = facet_ablation();
     let k8s = k8s_ablations(scale, minutes);
-    write_artifact(
+    let path = write_artifact(
         "ablation",
         "ablation.json",
         &serde_json::to_string_pretty(&json!({"facet": facet, "k8s": k8s})).expect("serializable"),
     );
-    eprintln!("[ablation] artifacts in target/experiments/ablation/");
+    eprintln!("[ablation] artifacts in {}", path.with_file_name("").display());
 }

@@ -7,7 +7,7 @@
 //! calibrates the detection threshold on two more clean hours, then scores:
 //! a clean holdout hour (control), a flash-crowd hour (benign volume change
 //! — must NOT fire), and an hour with lateral movement + exfiltration
-//! (structural change — MUST fire).
+//! (structural change — MUST fire). Exits 1 unless all three verdicts hold.
 
 use benchkit::{arg_f64, arg_u64, write_artifact};
 use cloudsim::attack::{AttackKind, AttackScenario};
@@ -127,7 +127,7 @@ fn main() {
     println!("identify when the patterns change' — volume changes ride the learned");
     println!("structure; structural attacks land in the orthogonal complement.");
 
-    write_artifact(
+    let path = write_artifact(
         "anomaly",
         "anomaly.json",
         &serde_json::to_string_pretty(&json!({
@@ -138,5 +138,9 @@ fn main() {
         }))
         .expect("serializable"),
     );
-    eprintln!("[anomaly] artifacts in target/experiments/anomaly/");
+    eprintln!("[anomaly] artifacts in {}", path.with_file_name("").display());
+    if correct != 3 {
+        eprintln!("[anomaly] FAILED: only {correct}/3 verdicts hold");
+        std::process::exit(1);
+    }
 }

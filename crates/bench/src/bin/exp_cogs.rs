@@ -128,7 +128,7 @@ fn main() {
     println!("\npaper target: ~1000 VMs of telemetry on a handful of VMs (≈0.5%), market");
     println!("price point $0.02/hr/VM (≈4% of a $0.5/hr VM).");
 
-    write_artifact(
+    let path = write_artifact(
         "cogs",
         "cogs.json",
         &serde_json::to_string_pretty(&json!({
@@ -141,5 +141,5 @@ fn main() {
         }))
         .expect("serializable"),
     );
-    eprintln!("[cogs] artifacts in target/experiments/cogs/");
+    eprintln!("[cogs] artifacts in {}", path.with_file_name("").display());
 }

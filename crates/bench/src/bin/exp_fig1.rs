@@ -72,7 +72,7 @@ fn main() {
             })
         })
         .collect();
-    write_artifact(
+    let path = write_artifact(
         "fig1",
         "roles.json",
         &serde_json::to_string_pretty(&json!({
@@ -84,5 +84,5 @@ fn main() {
         }))
         .expect("serializable"),
     );
-    eprintln!("[fig1] artifacts in target/experiments/fig1/");
+    eprintln!("[fig1] artifacts in {}", path.with_file_name("").display());
 }

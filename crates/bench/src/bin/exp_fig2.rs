@@ -64,10 +64,10 @@ fn main() {
     println!("\npaper shape: Portal near-star (clients→4 servers); uServiceBench dense mesh");
     println!("(edges >> nodes); K8s PaaS hubs + tenant stacks; KQuery one huge clique.");
 
-    write_artifact(
+    let path = write_artifact(
         "fig2",
         "fig2.json",
         &serde_json::to_string_pretty(&artifacts).expect("serializable"),
     );
-    eprintln!("[fig2] artifacts in target/experiments/fig2/");
+    eprintln!("[fig2] artifacts in {}", path.with_file_name("").display());
 }

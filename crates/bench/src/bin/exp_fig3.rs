@@ -86,10 +86,10 @@ fn main() {
     println!("agreement) and, against ground truth, score worse — modularity groups talkers,");
     println!("not same-role peers; SimRank variants cost more without better quality.");
 
-    write_artifact(
+    let path = write_artifact(
         "fig3",
         "fig3.json",
         &serde_json::to_string_pretty(&results).expect("serializable"),
     );
-    eprintln!("[fig3] artifacts in target/experiments/fig3/");
+    eprintln!("[fig3] artifacts in {}", path.with_file_name("").display());
 }

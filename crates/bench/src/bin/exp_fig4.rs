@@ -70,12 +70,12 @@ fn main() {
     println!("\npaper shape: clear banded structure; chatty cliques (blocks) and hub rows/");
     println!("columns (control-plane components: API servers, telemetry sinks, stores).");
 
-    write_artifact(
+    let path = write_artifact(
         "fig4",
         "fig4.json",
         &serde_json::to_string_pretty(&artifacts).expect("serializable"),
     );
-    eprintln!("[fig4] artifacts in target/experiments/fig4/");
+    eprintln!("[fig4] artifacts in {}", path.with_file_name("").display());
 }
 
 /// Max-pool a normalized matrix down to at most `target` rows/cols so the

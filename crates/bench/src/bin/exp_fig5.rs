@@ -93,7 +93,7 @@ fn main() {
     println!("intensity and a few appear only during some hours — many patterns are");
     println!("consistent' ⇒ expect high (but not perfect) hour-over-hour similarity.");
 
-    write_artifact(
+    let path = write_artifact(
         "fig5",
         "fig5.json",
         &serde_json::to_string_pretty(&json!({
@@ -103,5 +103,5 @@ fn main() {
         }))
         .expect("serializable"),
     );
-    eprintln!("[fig5] artifacts in target/experiments/fig5/");
+    eprintln!("[fig5] artifacts in {}", path.with_file_name("").display());
 }

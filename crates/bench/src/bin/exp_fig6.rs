@@ -69,10 +69,10 @@ fn main() {
     println!("\npaper shape: steep CCDF drop — a few nodes account for most of the traffic;");
     println!("the curves let an admin decide where to change VM SKUs or co-locate peers.");
 
-    write_artifact(
+    let path = write_artifact(
         "fig6",
         "fig6.json",
         &serde_json::to_string_pretty(&artifacts).expect("serializable"),
     );
-    eprintln!("[fig6] artifacts in target/experiments/fig6/");
+    eprintln!("[fig6] artifacts in {}", path.with_file_name("").display());
 }

@@ -88,7 +88,7 @@ fn main() {
         null_sweep.errors[0].err
     );
 
-    write_artifact(
+    let path = write_artifact(
         "pca",
         "pca.json",
         &serde_json::to_string_pretty(&json!({
@@ -103,5 +103,5 @@ fn main() {
         }))
         .expect("serializable"),
     );
-    eprintln!("[pca] artifacts in target/experiments/pca/");
+    eprintln!("[pca] artifacts in {}", path.with_file_name("").display());
 }

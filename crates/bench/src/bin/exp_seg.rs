@@ -358,10 +358,10 @@ fn main() {
         }),
     );
 
-    write_artifact(
+    let path = write_artifact(
         "seg",
         "seg.json",
         &serde_json::to_string_pretty(&serde_json::Value::Object(report)).expect("serializable"),
     );
-    eprintln!("[seg] artifacts in target/experiments/seg/");
+    eprintln!("[seg] artifacts in {}", path.with_file_name("").display());
 }

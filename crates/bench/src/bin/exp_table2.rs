@@ -39,7 +39,7 @@ fn main() {
     assert_eq!(nsg::from_flow_tuple(&nsg::to_flow_tuple(&rec)).expect("nsg"), rec);
     println!("  all three codecs round-trip the record exactly ✓");
 
-    write_artifact(
+    let path = write_artifact(
         "table2",
         "table2.json",
         &serde_json::to_string_pretty(&json!({
@@ -53,5 +53,5 @@ fn main() {
         }))
         .expect("serializable"),
     );
-    eprintln!("[table2] artifact: target/experiments/table2/table2.json");
+    eprintln!("[table2] artifact: {}", path.display());
 }

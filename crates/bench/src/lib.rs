@@ -1,8 +1,8 @@
-//! Shared scaffolding for the experiment binaries (`exp_*`) and Criterion
-//! benches: simulation helpers, artifact output, and a tiny CLI parser.
+//! Shared scaffolding for the experiment binaries (`exp_*`): simulation
+//! helpers, artifact output, and a tiny CLI parser.
 //!
 //! Every experiment writes machine-readable artifacts (JSON/CSV/DOT) under
-//! `target/experiments/<exp>/` and prints a human-readable table to stdout.
+//! `target/experiments/<exp>/` (`$EXP_OUT/<exp>/` when set) and prints a human-readable table to stdout.
 //! EXPERIMENTS.md records the printed tables next to the paper's numbers.
 
 #![warn(missing_docs)]

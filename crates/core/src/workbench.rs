@@ -11,7 +11,7 @@
 use algos::roles::{infer_roles_obs, RoleInference, SegmentationMethod};
 use algos::stats::{byte_ccdf, CcdfPoint};
 use commgraph_graph::collapse::{collapse, PAPER_THRESHOLD};
-use commgraph_graph::{CommGraph, Facet, GraphBuilder, Inventory};
+use commgraph_graph::{CommGraph, Facet, GraphBuilder, Inventory, NodeId};
 use flowlog::record::ConnSummary;
 use linalg::pca::{pca_sweep_csr, PcaSummary};
 use linalg::{Matrix, Parallelism, SymCsr};
@@ -187,11 +187,7 @@ impl Workbench {
     /// [`Workbench::byte_matrix`].
     pub fn pca_summary(&mut self, ks: &[usize]) -> linalg::Result<PcaSummary> {
         let g = self.ip_graph();
-        // Node i's neighbour list is row i of the byte matrix: ascending,
-        // a self-loop entered once, symmetric by construction.
-        let rows = (0..g.node_count() as u32)
-            .map(|i| g.neighbors(i).iter().map(|e| (e.node, e.stats.bytes() as f64)));
-        let m = SymCsr::from_sorted_rows(g.node_count(), rows)?;
+        let m = graph_operator(g, g.nodes(), |bytes| bytes as f64)?;
         let _span = self.obs.stage_span("pca");
         pca_sweep_csr(&m, ks, self.parallelism)
     }
@@ -204,6 +200,28 @@ impl Workbench {
             .map_err(|e| linalg::Error::InvalidArg(e.to_string()))?;
         Ok(Matrix::from_rows(rows))
     }
+}
+
+/// `g`'s neighbour lists as a symmetric operator over `order`, a sorted node
+/// list: row a is node `order[a]`'s list with each entry `weight(bytes)`, a
+/// self-loop entered once. An edge with an endpoint outside `order` is left
+/// out, and a node of `order` outside `g` has an empty row; over
+/// `g.nodes()` row i is node i's list as it stands.
+pub(crate) fn graph_operator(
+    g: &CommGraph,
+    order: &[NodeId],
+    weight: impl Fn(u64) -> f64,
+) -> linalg::Result<SymCsr> {
+    // Both node lists are sorted, so this map is increasing and every row
+    // stays ascending.
+    let at: Vec<Option<u32>> =
+        g.nodes().iter().map(|n| order.binary_search(n).ok().map(|a| a as u32)).collect();
+    let (at, weight) = (&at, &weight);
+    let rows = order.iter().map(move |n| {
+        let list = g.index_of(n).map_or(&[][..], |i| g.neighbors(i));
+        list.iter().filter_map(move |e| at[e.node as usize].map(|b| (b, weight(e.stats.bytes()))))
+    });
+    SymCsr::from_sorted_rows(order.len(), rows)
 }
 
 /// The window `records` span, read in one pass: it starts at the earliest

@@ -15,25 +15,19 @@ const P: u32 = 14;
 
 /// Classic HyperLogLog distinct counter over 64-bit hashes.
 #[derive(Debug, Clone)]
-pub struct HyperLogLog {
+pub(crate) struct HyperLogLog {
     /// `2^P` one-byte registers.
     registers: Vec<u8>,
 }
 
-impl Default for HyperLogLog {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl HyperLogLog {
     /// Empty sketch (14 index bits, 16 KiB).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         HyperLogLog { registers: vec![0; 1 << P] }
     }
 
     /// Insert a hashable item (uses FNV-1a with avalanche finish).
-    pub fn insert<T: std::hash::Hash>(&mut self, item: &T) {
+    pub(crate) fn insert<T: std::hash::Hash>(&mut self, item: &T) {
         let h = hash64(item);
         let idx = (h >> (64 - P)) as usize;
         let rest = h << P;
@@ -47,7 +41,7 @@ impl HyperLogLog {
 
     /// Estimated distinct count, with small-range (linear counting) and
     /// standard bias corrections.
-    pub fn estimate(&self) -> f64 {
+    pub(crate) fn estimate(&self) -> f64 {
         let m = self.registers.len() as f64;
         let alpha = 0.7213 / (1.0 + 1.079 / m);
         let mut sum = 0.0;

@@ -74,7 +74,7 @@ pub fn recon_err_profile(d: &EigenDecomposition, m: &Matrix) -> Result<Vec<f64>>
 
 /// [`recon_err_profile_csr`] on the stored form of a dense symmetric
 /// matrix (`SymCsr::from_dense`), so the same bits either way.
-pub fn recon_err_profile_with(
+pub(crate) fn recon_err_profile_with(
     d: &EigenDecomposition,
     m: &Matrix,
     parallelism: Parallelism,
@@ -147,6 +147,58 @@ pub fn recon_err_profile_csr(
     });
     let denom = m.abs_sum();
     Ok((0..width).map(|k| normalized(row_err.iter().skip(k).step_by(width).sum(), denom)).collect())
+}
+
+/// The relative entrywise-L1 residual of M's two-sided projection onto the
+/// span of `v`'s orthonormal columns: `‖M − V C Vᵀ‖₁ / ‖M‖₁` with
+/// `C = Vᵀ M V`, normalized as [`recon_err`] is (an all-zero M scores 0).
+///
+/// `M V` reads each stored entry once, so C and `V C` cost
+/// O(nnz · k + n · k²). The exact entrywise L1 norm reads every entry of
+/// the difference, so the time stays O(n² · k), but as in
+/// [`recon_err_profile_csr`] one row at a time: row i of M is scattered
+/// into an n-slot buffer, row i of `V C Vᵀ` is formed against the rows of
+/// V, and the scattered slots are cleared. Memory is O(n · k). Every sum
+/// adds its terms in the order the dense products `((Vᵀ M) V)`, `V C` and
+/// `(V C) Vᵀ` and the row-major `abs_sum` of the difference meet them
+/// (`M V` is `(Vᵀ M)ᵀ` term for term, as M is symmetric), so the result
+/// is the dense formula's bit for bit. Fails with [`Error::InvalidArg`]
+/// if `v` does not have n rows.
+pub fn projection_residual_csr(v: &Matrix, m: &SymCsr) -> Result<f64> {
+    let (n, k) = (m.n(), v.cols());
+    if v.rows() != n {
+        return Err(Error::InvalidArg(format!(
+            "a basis of {} rows does not match an n = {n} operator",
+            v.rows()
+        )));
+    }
+    let mut mv = Matrix::zeros(n, k);
+    for i in 0..n {
+        let (cols, vals) = m.row(i);
+        let out = &mut mv.data_mut()[i * k..(i + 1) * k];
+        for (&j, &x) in cols.iter().zip(vals) {
+            for (o, vj) in out.iter_mut().zip(v.row(j as usize)) {
+                *o += x * vj;
+            }
+        }
+    }
+    let vc = v.matmul(&mv.transpose().matmul(v)?)?;
+    let (mut m_row, mut diff) = (vec![0.0; n], 0.0);
+    for i in 0..n {
+        let (cols, vals) = m.row(i);
+        for (&j, &x) in cols.iter().zip(vals) {
+            m_row[j as usize] = x;
+        }
+        let vc_i = vc.row(i);
+        for (j, x) in m_row.iter().enumerate() {
+            let p = vc_i.iter().zip(v.row(j)).fold(0.0, |p, (a, b)| p + a * b);
+            diff += (x - p).abs();
+        }
+        for &j in cols {
+            m_row[j as usize] = 0.0;
+        }
+    }
+    Ok(normalized(diff, m.abs_sum()))
 }
 
 /// Sweep reconstruction error across `ks` (decomposing once).
