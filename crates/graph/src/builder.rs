@@ -256,8 +256,9 @@ pub enum Outcome {
 }
 
 /// The window roll: splits one record stream into fixed windows — the
-/// "time-series of graphs" the paper's dynamic analyses consume — owning
-/// only the open window's [`GraphBuilder`] and retaining nothing else.
+/// "time-series of graphs" the paper's dynamic analyses consume — through
+/// one [`GraphBuilder`] it keeps for its whole life, recycled from window to
+/// window by [`GraphBuilder::restart`] as a shard recycles its tables.
 ///
 /// The contract: a record in the open window is applied (timestamps may
 /// jitter *within* it, so vantage duplicates and mildly reordered delivery
@@ -271,10 +272,12 @@ pub enum Outcome {
 /// the roll empty, as new: the order holds between two such calls.
 #[derive(Debug)]
 pub struct WindowedBuilder {
-    facet: Facet,
-    monitored: Inventory,
-    window_len: u64,
-    open: Option<GraphBuilder>,
+    // bound: one edge table (and spill map) sized for the busiest window
+    // the roll has closed, like a shard's recycled table; emptied, not
+    // freed, at every close.
+    builder: GraphBuilder,
+    /// Whether `builder` holds an open window (its `window_start`).
+    open: bool,
 }
 
 impl WindowedBuilder {
@@ -282,12 +285,12 @@ impl WindowedBuilder {
     /// paper's hourly graphs).
     pub fn new(facet: Facet, window_len: u64) -> Self {
         assert!(window_len > 0, "window length must be positive");
-        WindowedBuilder { facet, monitored: Inventory::default(), window_len, open: None }
+        WindowedBuilder { builder: GraphBuilder::new(facet, 0, window_len), open: false }
     }
 
     /// Enable vantage dedup (see [`GraphBuilder::with_monitored`]).
     pub fn with_monitored(mut self, monitored: impl Into<Inventory>) -> Self {
-        self.monitored = monitored.into();
+        self.builder.monitored = monitored.into();
         self
     }
 
@@ -295,25 +298,32 @@ impl WindowedBuilder {
     /// newer window, the graph of the window that closed.
     pub fn add(&mut self, r: &ConnSummary) -> (Outcome, Option<CommGraph>) {
         let outcome = |kept| if kept { Outcome::Kept } else { Outcome::Deduped };
-        match &mut self.open {
-            Some(b) if r.ts < b.window_start => (Outcome::Behind, None),
-            // A range check on the open window: the bucket division runs
-            // once per roll, not once per record.
-            Some(b) if r.ts - b.window_start < self.window_len => (outcome(b.add(r)), None),
-            open => {
-                let closed = open.take().map(GraphBuilder::finish);
-                let start = flowlog::time::bucket_start(r.ts, self.window_len);
-                let fresh = GraphBuilder::new(self.facet.clone(), start, self.window_len)
-                    .with_monitored(self.monitored.clone());
-                (outcome(open.insert(fresh).add(r)), closed)
-            }
+        let b = &mut self.builder;
+        if self.open && r.ts < b.window_start {
+            return (Outcome::Behind, None);
         }
+        // A range check on the open window: the bucket division runs once
+        // per roll, not once per record.
+        if self.open && r.ts - b.window_start < b.window_len {
+            return (outcome(b.add(r)), None);
+        }
+        let start = flowlog::time::bucket_start(r.ts, b.window_len);
+        let closed = self.open.then(|| b.restart(start));
+        (b.window_start, self.open) = (start, true);
+        (outcome(b.add(r)), closed)
     }
 
     /// End of stream: close the open window and hand over its graph, if any
     /// record arrived since the roll was new or last finished.
     pub fn finish(&mut self) -> Option<CommGraph> {
-        self.open.take().map(GraphBuilder::finish)
+        let start = self.builder.window_start;
+        std::mem::take(&mut self.open).then(|| self.builder.restart(start))
+    }
+
+    /// Slots in the recycled edge table.
+    #[cfg(test)]
+    fn edge_capacity(&self) -> usize {
+        self.builder.edges.capacity()
     }
 }
 
@@ -611,6 +621,93 @@ mod tests {
             swept = [swept[0] + k, swept[1] + d, swept[2] + b, swept[3] + got.len() as u64];
         }
         assert!(swept[1] > 1000 && swept[2] > 1000 && swept[3] > 500, "thin sweep: {swept:?}");
+    }
+
+    /// The roll keeps one table: from the second window on, its capacity
+    /// never falls below the first window's edge count, a small window after
+    /// a large one and `finish` included; and every graph it hands out is a
+    /// fresh builder's over the same records, ports and vantage dedup
+    /// included.
+    #[test]
+    fn windowed_builder_keeps_its_table_across_windows() {
+        const WINDOW: u64 = 60;
+        // Distinct edges per window: the second is a third of the first.
+        const EDGES: [u32; 4] = [6000, 2000, 4500, 2500];
+        let host = |i: u32| Ipv4Addr::from(0x0a00_0000 + i);
+        let windows: Vec<Vec<ConnSummary>> = (0u32..)
+            .zip(EDGES)
+            .map(|(w, edges)| {
+                let mut records = Vec::new();
+                for e in 0..edges {
+                    // Edge e joins client e / 50 and server e % 50 (shifted by
+                    // the window): `edges` distinct pairs.
+                    let (client, server) = (host(e / 50), host(10_000 + w + e % 50));
+                    let mut r = ConnSummary {
+                        ts: u64::from(w) * WINDOW + u64::from(e) % WINDOW,
+                        key: FlowKey::tcp(client, 40_000, server, 443),
+                        pkts_sent: 1,
+                        pkts_rcvd: 1,
+                        bytes_sent: u64::from(e + w),
+                        bytes_rcvd: 7,
+                    };
+                    records.push(r);
+                    if e % 3 == 0 {
+                        // A second service port: the edge spills.
+                        r.key.remote_port = 8080 + (e % 2) as u16;
+                        records.push(r);
+                    }
+                    if e % 4 == 0 {
+                        // The other end's report of the same flow.
+                        records.push(r.mirrored());
+                    }
+                }
+                records
+            })
+            .collect();
+        let monitored = Inventory::from(
+            windows
+                .iter()
+                .flatten()
+                .flat_map(|r| [r.key.local_ip, r.key.remote_ip])
+                .collect::<HashSet<_>>(),
+        );
+
+        let mut wb = WindowedBuilder::new(Facet::Ip, WINDOW).with_monitored(monitored.clone());
+        let first = EDGES[0] as usize;
+        let mut graphs = Vec::new();
+        for (w, records) in windows.iter().enumerate() {
+            for r in records {
+                graphs.extend(wb.add(r).1);
+                if w > 0 {
+                    let capacity = wb.edge_capacity();
+                    assert!(capacity >= first, "window {w}: table of {capacity} < {first}");
+                }
+            }
+        }
+        graphs.extend(wb.finish());
+        assert!(wb.edge_capacity() >= first, "finish keeps the table");
+        assert!(wb.finish().is_none(), "finish leaves the roll empty");
+
+        let want: Vec<_> = (0u64..)
+            .zip(&windows)
+            .map(|(w, records)| {
+                let mut fresh = GraphBuilder::new(Facet::Ip, w * WINDOW, WINDOW)
+                    .with_monitored(monitored.clone());
+                fresh.add_all(records);
+                fingerprint(&fresh.finish())
+            })
+            .collect();
+        let got: Vec<_> = graphs.iter().map(fingerprint).collect();
+        assert_eq!(got, want);
+        let edges: Vec<_> = graphs.iter().map(CommGraph::edge_count).collect();
+        assert_eq!(edges, EDGES.map(|e| e as usize));
+        for g in &graphs {
+            let spilled = (0..g.node_count() as u32)
+                .flat_map(|i| g.neighbors(i).iter().map(move |e| g.ports(i, e).len()))
+                .filter(|&ports| ports > 1)
+                .count();
+            assert!(spilled > 0, "window {}: no multi-port edge", g.window_start());
+        }
     }
 
     #[test]

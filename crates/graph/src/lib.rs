@@ -14,9 +14,9 @@
 //! * [`builder`] — streaming group-by-aggregate construction: the
 //!   one-window kernel ([`GraphBuilder`], with the double-report dedup rule
 //!   for per-NIC telemetry) and the window roll that drives it over one
-//!   stream ([`WindowedBuilder`]: retains nothing, hands each closed
-//!   window's graph to its caller exactly once, and never re-opens a window
-//!   for a record that arrives behind it).
+//!   stream ([`WindowedBuilder`]: keeps one recycled edge table and no
+//!   graph, hands each closed window's graph to its caller exactly once, and
+//!   never re-opens a window for a record that arrives behind it).
 //! * `graph` — the immutable snapshot with CSR adjacency, matrix export,
 //!   and DOT/JSON serialization.
 //! * [`hash`] — the fixed fast hasher behind every table a record probes.
