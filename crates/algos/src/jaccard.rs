@@ -9,16 +9,14 @@
 //! over an inverted token index, only for pairs that share a token, written
 //! straight into the sparse [`WeightedGraph`] Louvain clusters. It answers
 //! the "super-quadratic complexity" the paper flags without giving up
-//! exactness. [`jaccard_matrix`] and its `_of_sets` variants fill the dense
-//! all-pairs matrix; they are the reference the clique is tested against
-//! (and what [`MinHasher`]'s estimates are measured against), not a step of
-//! the product. [`MinHasher`] is the sketched variant the paper cites
-//! (\[35, 45\]).
+//! exactness. [`jaccard_matrix`] and its `_of_sets` variant fill the dense
+//! all-pairs matrix; they are the reference the clique is tested against,
+//! not a step of the product.
 
 use crate::louvain::NO_NODE;
 use crate::wgraph::WeightedGraph;
-use linalg::par::{self, Parallelism};
 use linalg::sym::SymMatrix;
+use linalg::Parallelism;
 
 /// Jaccard similarity of two sorted, deduplicated id slices.
 pub fn jaccard_of_sets(a: &[u32], b: &[u32]) -> f64 {
@@ -44,8 +42,7 @@ pub fn jaccard_of_sets(a: &[u32], b: &[u32]) -> f64 {
 /// Exact pairwise Jaccard matrix over every node's neighbor set.
 ///
 /// O(n² · d̄) — the "super-quadratic complexity" the paper flags as an open
-/// issue; [`jaccard_clique`] is the exact sparse alternative, [`MinHasher`]
-/// the sketched one.
+/// issue; [`jaccard_clique`] is the exact sparse alternative.
 pub fn jaccard_matrix(g: &WeightedGraph) -> SymMatrix {
     let n = g.node_count();
     let sets: Vec<Vec<u32>> = (0..n as u32).map(|u| g.neighbor_set(u)).collect();
@@ -53,31 +50,20 @@ pub fn jaccard_matrix(g: &WeightedGraph) -> SymMatrix {
 }
 
 /// Exact pairwise Jaccard matrix over arbitrary token sets (each set must be
-/// sorted and deduplicated), at the default [`Parallelism`]. Role inference
-/// uses token sets that qualify each neighbor with the *nature of the
-/// conversation*, per §2.1.
+/// sorted and deduplicated). Role inference uses token sets that qualify
+/// each neighbor with the *nature of the conversation*, per §2.1.
 pub fn jaccard_matrix_of_sets(sets: &[Vec<u32>]) -> SymMatrix {
-    jaccard_matrix_of_sets_with(sets, Parallelism::default())
+    let mut m = SymMatrix::zeros(sets.len());
+    m.fill_upper(|i, j| if i == j { 1.0 } else { jaccard_of_sets(&sets[i], &sets[j]) });
+    m
 }
 
-/// Exact pairwise Jaccard matrix with an explicit worker count.
-///
-/// Rows of the packed upper triangle are distributed over workers; every
-/// entry is one independent [`jaccard_of_sets`] call, so the result is
-/// bit-for-bit identical at any worker count.
-pub fn jaccard_matrix_of_sets_with(sets: &[Vec<u32>], parallelism: Parallelism) -> SymMatrix {
-    let mut m = SymMatrix::zeros(sets.len());
-    m.fill_upper(
-        parallelism,
-        |i, j| {
-            if i == j {
-                1.0
-            } else {
-                jaccard_of_sets(&sets[i], &sets[j])
-            }
-        },
-    );
-    m
+/// [`jaccard_matrix_of_sets`]; the worker count is ignored — every kernel
+/// runs on its caller's thread. Kept only because the pinned benchmark
+/// (`crates/bench/src/bin/benchmark/layers.rs`, frozen) calls it; call
+/// [`jaccard_matrix_of_sets`] instead.
+pub fn jaccard_matrix_of_sets_with(sets: &[Vec<u32>], _parallelism: Parallelism) -> SymMatrix {
+    jaccard_matrix_of_sets(sets)
 }
 
 /// Token sets in CSR form: set `i` is `tokens[offsets[i]..offsets[i + 1]]`,
@@ -299,83 +285,6 @@ fn clique_counting(
     (WeightedGraph::from_edges(n, &edges), increments)
 }
 
-/// MinHash signatures for approximate Jaccard estimation.
-///
-/// `k` independent hash permutations; the estimate is the fraction of
-/// matching signature slots. Standard error ≈ `1/√k`.
-#[derive(Debug, Clone)]
-pub struct MinHasher {
-    seeds: Vec<u64>,
-}
-
-/// A node's MinHash signature.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Signature(Vec<u64>);
-
-impl MinHasher {
-    /// Hasher with `k` permutations derived from `seed`.
-    pub fn new(k: usize, seed: u64) -> Self {
-        assert!(k > 0, "need at least one hash");
-        let mut seeds = Vec::with_capacity(k);
-        let mut s = seed | 1;
-        for _ in 0..k {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            seeds.push(s);
-        }
-        MinHasher { seeds }
-    }
-
-    /// Signature of a set of ids.
-    pub fn signature(&self, set: &[u32]) -> Signature {
-        let mut sig = vec![u64::MAX; self.seeds.len()];
-        for &item in set {
-            for (slot, &seed) in self.seeds.iter().enumerate() {
-                let h = mix(item as u64 ^ seed);
-                if h < sig[slot] {
-                    sig[slot] = h;
-                }
-            }
-        }
-        Signature(sig)
-    }
-
-    /// Estimated Jaccard similarity from two signatures.
-    pub fn estimate(&self, a: &Signature, b: &Signature) -> f64 {
-        let matches = a.0.iter().zip(&b.0).filter(|(x, y)| x == y).count();
-        matches as f64 / self.seeds.len() as f64
-    }
-
-    /// Approximate pairwise similarity over arbitrary token sets:
-    /// signatures are sketched in parallel (one per set), then the packed
-    /// estimate matrix is filled by row tiles. Deterministic at any worker
-    /// count.
-    pub fn similarity_matrix_of_sets_with(
-        &self,
-        sets: &[Vec<u32>],
-        parallelism: Parallelism,
-    ) -> SymMatrix {
-        let sigs: Vec<Signature> = par::par_map(parallelism, sets, |s| self.signature(s));
-        let mut m = SymMatrix::zeros(sets.len());
-        m.fill_upper(
-            parallelism,
-            |i, j| {
-                if i == j {
-                    1.0
-                } else {
-                    self.estimate(&sigs[i], &sigs[j])
-                }
-            },
-        );
-        m
-    }
-}
-
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,50 +324,6 @@ mod tests {
             for j in 0..5 {
                 assert_eq!(m[(i, j)], m[(j, i)]);
             }
-        }
-    }
-
-    #[test]
-    fn minhash_estimates_match_exact_within_tolerance() {
-        let g = replica_graph();
-        let exact = jaccard_matrix(&g);
-        let mh = MinHasher::new(256, 42);
-        let sets: Vec<Vec<u32>> = (0..g.node_count() as u32).map(|u| g.neighbor_set(u)).collect();
-        let approx = mh.similarity_matrix_of_sets_with(&sets, Parallelism::default());
-        for i in 0..5 {
-            for j in 0..5 {
-                if i == j {
-                    continue;
-                }
-                assert!(
-                    (exact[(i, j)] - approx[(i, j)]).abs() < 0.15,
-                    "({i},{j}): exact {} vs minhash {}",
-                    exact[(i, j)],
-                    approx[(i, j)]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_matrices_bitwise_match_serial() {
-        let sets: Vec<Vec<u32>> =
-            (0..40u32).map(|i| (0..(i % 7)).map(|k| (i + k * 3) % 25).collect()).collect();
-        let sets: Vec<Vec<u32>> = sets
-            .into_iter()
-            .map(|mut s| {
-                s.sort_unstable();
-                s.dedup();
-                s
-            })
-            .collect();
-        let serial = jaccard_matrix_of_sets_with(&sets, Parallelism::serial());
-        let mh = MinHasher::new(64, 5);
-        let mh_serial = mh.similarity_matrix_of_sets_with(&sets, Parallelism::serial());
-        for workers in [2, 3, 8] {
-            let p = Parallelism::new(workers);
-            assert_eq!(jaccard_matrix_of_sets_with(&sets, p), serial, "{workers} workers");
-            assert_eq!(mh.similarity_matrix_of_sets_with(&sets, p), mh_serial);
         }
     }
 
@@ -533,31 +398,5 @@ mod tests {
     fn clique_checks_tokens_before_allocating() {
         // Postings sized by this token before the check would ask for 32 GiB.
         jaccard_clique(&[vec![0], vec![u32::MAX]], 0.1);
-    }
-
-    #[test]
-    fn minhash_identical_sets_estimate_one() {
-        let mh = MinHasher::new(64, 7);
-        let s1 = mh.signature(&[10, 20, 30]);
-        let s2 = mh.signature(&[10, 20, 30]);
-        assert_eq!(mh.estimate(&s1, &s2), 1.0);
-    }
-
-    #[test]
-    fn minhash_disjoint_sets_estimate_near_zero() {
-        let mh = MinHasher::new(256, 7);
-        let a: Vec<u32> = (0..50).collect();
-        let b: Vec<u32> = (1000..1050).collect();
-        let e = mh.estimate(&mh.signature(&a), &mh.signature(&b));
-        assert!(e < 0.05, "disjoint estimate {e}");
-    }
-
-    #[test]
-    fn minhash_deterministic_per_seed() {
-        let a = MinHasher::new(32, 9).signature(&[1, 2, 3]);
-        let b = MinHasher::new(32, 9).signature(&[1, 2, 3]);
-        assert_eq!(a, b);
-        let c = MinHasher::new(32, 10).signature(&[1, 2, 3]);
-        assert_ne!(a, c, "different seed, different permutations");
     }
 }

@@ -5,7 +5,8 @@
 //! * [`wgraph`] — a minimal weighted undirected graph the algorithms share,
 //!   with adapters from [`commgraph_graph::CommGraph`].
 //! * [`jaccard`] — neighbor-set overlap scoring (the paper's Figure 1
-//!   similarity), both exact and MinHash-sketched.
+//!   similarity): the exact sparse clique role inference runs, and the
+//!   dense all-pairs matrix it is tested against.
 //! * [`louvain`] — modularity-maximizing community detection (Blondel et
 //!   al.), the clustering stage of the paper's segmentation and the
 //!   "conn-weighted / byte-weighted modularity" baselines of Figure 3.
@@ -19,10 +20,12 @@
 //!   against simulator ground truth.
 //! * [`stats`] — traffic-distribution statistics: the byte CCDF of Figure 6,
 //!   degree distributions, concentration indices.
-//! * [`par`] (re-exported from `linalg`) — the scoped-thread tile scheduler
-//!   behind every `_with(…, Parallelism)` kernel variant; [`sym`] — the flat
-//!   packed-upper-triangular [`sym::SymMatrix`] all similarity kernels
-//!   produce.
+//! * [`sym`] (re-exported from `linalg`) — the flat packed-upper-triangular
+//!   [`sym::SymMatrix`] the dense similarity kernels produce.
+//!
+//! Every kernel runs on its caller's thread: the crate starts no thread
+//! (`clippy.toml` disallows the `std::thread` starts, and this root denies
+//! the lint).
 
 #![deny(
     clippy::unwrap_used,
@@ -50,7 +53,6 @@ pub mod stats;
 pub mod wgraph;
 
 pub use error::{Error, Result};
-pub use linalg::par::{self, Parallelism};
 pub use linalg::sym::{self, SymMatrix};
-pub use roles::{infer_roles, infer_roles_with, RoleInference, SegmentationMethod};
+pub use roles::{infer_roles, RoleInference, SegmentationMethod};
 pub use wgraph::WeightedGraph;

@@ -6,7 +6,7 @@
 //! scores. Nodes clustered together play the same role and can share a
 //! µsegment. The clique is built sparse and exact by
 //! [`crate::jaccard::jaccard_clique`] — no n² matrix. Across the windows of
-//! a stream, [`infer_roles_incremental_obs`] carries a [`RoleMemo`]: the
+//! a stream, [`infer_roles_incremental`] carries a [`RoleMemo`]: the
 //! clique, whose edges between two clean nodes are reused and only pairs
 //! with a dirty endpoint recounted, and the refinement sub-runs, each
 //! answered again for a community whose members are all clean and
@@ -19,15 +19,15 @@
 //! to each other — which is exactly wrong for roles, since two front-end
 //! replicas may never exchange a byte.
 
-use crate::jaccard::{window_clique, Carry, MinHasher, TokenSets};
+use crate::jaccard::{window_clique, Carry, TokenSets};
 use crate::louvain::{
     hierarchical_louvain, hierarchical_louvain_reusing, louvain, HierarchicalConfig, LouvainResult,
     Prior, SubRuns, NO_NODE,
 };
-use crate::simrank::{simrank_pp_with, simrank_with, SimRankConfig};
+use crate::simrank::{simrank, simrank_pp, SimRankConfig};
 use crate::wgraph::WeightedGraph;
 use commgraph_graph::{Adjacent, CommGraph, NodeId};
-use linalg::par::Parallelism;
+use linalg::Parallelism;
 use obs::Obs;
 use serde::Serialize;
 
@@ -40,16 +40,6 @@ pub enum SegmentationMethod {
     JaccardLouvain {
         /// Similarity floor below which clique edges are dropped.
         min_score: f64,
-    },
-    /// MinHash-sketched Jaccard + Louvain — the sub-quadratic-constant
-    /// variant addressing the paper's complexity concern.
-    MinHashLouvain {
-        /// Number of hash permutations (more = tighter estimates).
-        hashes: usize,
-        /// Similarity floor below which clique edges are dropped.
-        min_score: f64,
-        /// Sketch seed.
-        seed: u64,
     },
     /// SimRank similarity + Louvain on the scored clique (Figure 3a).
     SimRank {
@@ -89,7 +79,6 @@ impl SegmentationMethod {
     pub(crate) fn name(&self) -> &'static str {
         match self {
             SegmentationMethod::JaccardLouvain { .. } => "jaccard+louvain",
-            SegmentationMethod::MinHashLouvain { .. } => "minhash+louvain",
             SegmentationMethod::SimRank { .. } => "simrank",
             SegmentationMethod::SimRankPP { .. } => "simrank++",
             SegmentationMethod::ModularityConns => "modularity-conns",
@@ -148,38 +137,30 @@ fn token_sets(g: &CommGraph) -> TokenSets {
     sets
 }
 
-/// Infer roles for every node of `g` with the chosen method, at the default
-/// [`Parallelism`].
+/// Infer roles for every node of `g` with the chosen method.
+///
+/// Every stage runs on the caller's thread: the similarity kernels (the
+/// exact Jaccard clique, SimRank), Louvain and k-means.
 pub fn infer_roles(g: &CommGraph, method: &SegmentationMethod) -> RoleInference {
-    infer_roles_with(g, method, Parallelism::default())
+    infer_roles_obs(g, method, &Obs::noop())
 }
 
-/// Infer roles with an explicit worker count for the similarity kernels.
-///
-/// The MinHash/SimRank scoring stages run row-partitioned under
-/// `parallelism`; the exact Jaccard clique and the clustering stage
-/// (Louvain, k-means) are single-threaded by design (see
-/// [`crate::jaccard::jaccard_clique`], [`crate::louvain`]). Scores — and
-/// therefore the inferred roles — are bit-for-bit identical at any worker
-/// count.
+/// [`infer_roles`]; the worker count is ignored. Kept only because the
+/// pinned benchmark (`crates/bench/src/bin/benchmark/layers.rs`, frozen)
+/// calls it; call [`infer_roles`] instead.
 pub fn infer_roles_with(
     g: &CommGraph,
     method: &SegmentationMethod,
-    parallelism: Parallelism,
+    _parallelism: Parallelism,
 ) -> RoleInference {
-    infer_roles_obs(g, method, parallelism, &Obs::noop())
+    infer_roles(g, method)
 }
 
-/// [`infer_roles_with`], with the similarity-scoring and clustering stages
+/// [`infer_roles`], with the similarity-scoring and clustering stages
 /// timed into `o`'s `commgraph_stage_seconds{stage="similarity"|"cluster"}`
-/// histograms. A noop handle makes this identical to [`infer_roles_with`] —
+/// histograms. A noop handle makes this identical to [`infer_roles`] —
 /// instrumentation never changes what is computed.
-pub fn infer_roles_obs(
-    g: &CommGraph,
-    method: &SegmentationMethod,
-    parallelism: Parallelism,
-    o: &Obs,
-) -> RoleInference {
+pub fn infer_roles_obs(g: &CommGraph, method: &SegmentationMethod, o: &Obs) -> RoleInference {
     // Unweighted structure view, shared by the SimRank methods.
     let structure = WeightedGraph::from_comm_graph(g, |_| 1.0);
     // Similarity cliques are clustered hierarchically (Figure 1's
@@ -207,18 +188,10 @@ pub fn infer_roles_obs(
             let _span = cluster_span();
             hierarchical_louvain(&clique, hier)
         }
-        SegmentationMethod::MinHashLouvain { hashes, min_score, seed } => {
-            let scores = {
-                let _span = o.stage_span("similarity");
-                let mh = MinHasher::new(*hashes, *seed);
-                mh.similarity_matrix_of_sets_with(&directional_neighbor_sets(g), parallelism)
-            };
-            cluster_scored(scores, *min_score)
-        }
         SegmentationMethod::SimRank { config, min_score } => {
             let scores = {
                 let _span = o.stage_span("similarity");
-                simrank_with(&structure, *config, parallelism)
+                simrank(&structure, *config)
             };
             cluster_scored(scores, *min_score)
         }
@@ -226,7 +199,7 @@ pub fn infer_roles_obs(
             let scores = {
                 let _span = o.stage_span("similarity");
                 let weighted = WeightedGraph::from_comm_graph(g, |e| e.bytes() as f64);
-                simrank_pp_with(&weighted, *config, parallelism)
+                simrank_pp(&weighted, *config)
             };
             cluster_scored(scores, *min_score)
         }
@@ -265,7 +238,7 @@ pub fn infer_roles_obs(
 }
 
 /// Carry-over state for incremental role inference across consecutive
-/// windows, produced and consumed by [`infer_roles_incremental_obs`]: the
+/// windows, produced and consumed by [`infer_roles_incremental`]: the
 /// previous window's nodes, its scored clique, and its refinement sub-runs.
 // bound: n ids for the previous window's n nodes; its scored clique (≤ that
 // window's clique edges, stored once per endpoint); and ≤ `max_depth` · n
@@ -299,21 +272,20 @@ pub struct RoleMemo {
 ///   run seeded from the previous partition could settle in another local
 ///   optimum than the full rebuild.
 ///
-/// Labels and modularity therefore equal [`infer_roles_with`]'s for the
-/// paper's method at `min_score`, on every window. With `memo == None`
-/// (first window), or every node dirty, nothing carried is read and the
-/// cost is a full run plus the memo write. `parallelism` is unread (the
-/// clique and Louvain are serial by design). Returns the inference plus the
-/// memo for the next window.
+/// Labels and modularity therefore equal [`infer_roles`]'s for the paper's
+/// method at `min_score`, on every window. With `memo == None` (first
+/// window), or every node dirty, nothing carried is read and the cost is a
+/// full run plus the memo write. The stages are timed into `o` as in
+/// [`infer_roles_obs`]. Returns the inference plus the memo for the next
+/// window.
 ///
 /// In debug builds, panics when `dirty` misses a node that is in only one
 /// of `g` and the memo's window — a stale or non-consecutive dirty set.
-pub fn infer_roles_incremental_obs(
+pub fn infer_roles_incremental(
     g: &CommGraph,
     dirty: &[NodeId],
     memo: Option<&RoleMemo>,
     min_score: f64,
-    _parallelism: Parallelism,
     o: &Obs,
 ) -> (RoleInference, RoleMemo) {
     debug_assert!(
@@ -352,6 +324,20 @@ pub fn infer_roles_incremental_obs(
         clustering_modularity: result.modularity,
     };
     (inference, memo)
+}
+
+/// [`infer_roles_incremental`]; the worker count is ignored. Kept only
+/// because the pinned benchmark (`crates/bench/src/bin/benchmark/layers.rs`,
+/// frozen) calls it; call [`infer_roles_incremental`] instead.
+pub fn infer_roles_incremental_obs(
+    g: &CommGraph,
+    dirty: &[NodeId],
+    memo: Option<&RoleMemo>,
+    min_score: f64,
+    _parallelism: Parallelism,
+    o: &Obs,
+) -> (RoleInference, RoleMemo) {
+    infer_roles_incremental(g, dirty, memo, min_score, o)
 }
 
 /// Whether `dirty` (sorted) holds every node that is in only one of the
@@ -438,17 +424,6 @@ mod tests {
         let ari = adjusted_rand_index(&r.labels, &truth).unwrap();
         assert!(ari > 0.9, "paper's method should nail a clean 3-tier graph, ARI {ari}");
         assert_eq!(r.n_roles, 3);
-    }
-
-    #[test]
-    fn minhash_variant_close_to_exact() {
-        let (g, truth) = three_tier();
-        let r = infer_roles(
-            &g,
-            &SegmentationMethod::MinHashLouvain { hashes: 256, min_score: 0.1, seed: 1 },
-        );
-        let ari = adjusted_rand_index(&r.labels, &truth).unwrap();
-        assert!(ari > 0.8, "sketched variant should stay close, ARI {ari}");
     }
 
     #[test]
@@ -543,32 +518,28 @@ mod tests {
         let dirty = commgraph_graph::diff::dirty_nodes(&g1, &g2);
         assert!(!dirty.is_empty() && dirty.len() < g2.node_count() + 1);
         let method = SegmentationMethod::paper_default();
-        for workers in [1, 2, 8] {
-            let p = Parallelism::new(workers);
-            let o = Obs::noop();
-            // First window: no memo — plain full run.
-            let (r1, memo) = infer_roles_incremental_obs(&g1, &[], None, 0.1, p, &o);
-            let full1 = infer_roles_with(&g1, &method, p);
-            assert_eq!(r1.labels, full1.labels, "first window, {workers} workers");
-            assert_eq!(r1.clustering_modularity, full1.clustering_modularity);
-            // Second window: the carried clique and reused sub-runs must
-            // reproduce the full rebuild bit-for-bit.
-            let (r2, _) = infer_roles_incremental_obs(&g2, &dirty, Some(&memo), 0.1, p, &o);
-            let full2 = infer_roles_with(&g2, &method, p);
-            assert_eq!(r2.labels, full2.labels, "second window, {workers} workers");
-            assert_eq!(r2.n_roles, full2.n_roles);
-            assert_eq!(r2.clustering_modularity, full2.clustering_modularity);
-        }
+        let o = Obs::noop();
+        // First window: no memo — plain full run.
+        let (r1, memo) = infer_roles_incremental(&g1, &[], None, 0.1, &o);
+        let full1 = infer_roles(&g1, &method);
+        assert_eq!(r1.labels, full1.labels, "first window");
+        assert_eq!(r1.clustering_modularity, full1.clustering_modularity);
+        // Second window: the carried clique and reused sub-runs must
+        // reproduce the full rebuild bit-for-bit.
+        let (r2, _) = infer_roles_incremental(&g2, &dirty, Some(&memo), 0.1, &o);
+        let full2 = infer_roles(&g2, &method);
+        assert_eq!(r2.labels, full2.labels, "second window");
+        assert_eq!(r2.n_roles, full2.n_roles);
+        assert_eq!(r2.clustering_modularity, full2.clustering_modularity);
     }
 
     #[test]
     fn incremental_inference_is_stable_under_no_churn() {
         let (g, _) = three_tier();
-        let p = Parallelism::new(2);
         let o = Obs::noop();
-        let (r1, memo) = infer_roles_incremental_obs(&g, &[], None, 0.1, p, &o);
+        let (r1, memo) = infer_roles_incremental(&g, &[], None, 0.1, &o);
         // Same graph again, every node clean: labels fixed.
-        let (r2, _) = infer_roles_incremental_obs(&g, &[], Some(&memo), 0.1, p, &o);
+        let (r2, _) = infer_roles_incremental(&g, &[], Some(&memo), 0.1, &o);
         assert_eq!(r1.labels, r2.labels);
         assert_eq!(r1.clustering_modularity, r2.clustering_modularity);
     }
@@ -582,9 +553,8 @@ mod tests {
     fn stale_dirty_set_is_caught_in_debug_builds() {
         let (g1, _) = three_tier();
         let o = Obs::noop();
-        let p = Parallelism::serial();
-        let (_, memo) = infer_roles_incremental_obs(&g1, g1.nodes(), None, 0.1, p, &o);
-        infer_roles_incremental_obs(&three_tier_churned(), &[], Some(&memo), 0.1, p, &o);
+        let (_, memo) = infer_roles_incremental(&g1, g1.nodes(), None, 0.1, &o);
+        infer_roles_incremental(&three_tier_churned(), &[], Some(&memo), 0.1, &o);
     }
 
     /// One conversation: endpoints `10.0.0.a`, `10.0.0.b` and the bytes
@@ -640,15 +610,14 @@ mod tests {
             let mut all: Vec<NodeId> = g1.nodes().iter().chain(g2.nodes()).copied().collect();
             all.sort_unstable();
             all.dedup();
-            let (o, p) = (Obs::noop(), Parallelism::serial());
-            let (_, memo) = infer_roles_incremental_obs(&g1, g1.nodes(), None, min_score, p, &o);
-            let (warm, carried) =
-                infer_roles_incremental_obs(&g2, &dirty, Some(&memo), min_score, p, &o);
+            let o = Obs::noop();
+            let (_, memo) = infer_roles_incremental(&g1, g1.nodes(), None, min_score, &o);
+            let (warm, carried) = infer_roles_incremental(&g2, &dirty, Some(&memo), min_score, &o);
             let fresh = jaccard_clique(&directional_neighbor_sets(&g2), min_score);
             prop_assert_eq!(graph_bits(&carried.clique), graph_bits(&fresh));
-            let (cold, _) = infer_roles_incremental_obs(&g2, &all, Some(&memo), min_score, p, &o);
+            let (cold, _) = infer_roles_incremental(&g2, &all, Some(&memo), min_score, &o);
             let method = SegmentationMethod::JaccardLouvain { min_score };
-            let full = infer_roles_with(&g2, &method, p);
+            let full = infer_roles(&g2, &method);
             for r in [&warm, &cold] {
                 prop_assert_eq!(&r.labels, &full.labels);
                 prop_assert_eq!(

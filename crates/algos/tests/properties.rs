@@ -1,14 +1,11 @@
 //! Property-based tests for the graph algorithms.
 #![allow(clippy::needless_range_loop)] // index pairs are clearest for symmetry checks
 
-use algos::jaccard::{
-    jaccard_matrix_of_sets, jaccard_matrix_of_sets_with, jaccard_of_sets, MinHasher,
-};
+use algos::jaccard::{jaccard_matrix_of_sets, jaccard_of_sets};
 use algos::louvain::{aggregate, hierarchical_louvain, louvain, modularity, HierarchicalConfig};
 use algos::metrics::{adjusted_rand_index, normalized_mutual_information, purity};
-use algos::simrank::{simrank_pp_with, simrank_with, SimRankConfig};
 use algos::wgraph::WeightedGraph;
-use algos::{Parallelism, SymMatrix};
+use algos::SymMatrix;
 use proptest::prelude::*;
 
 /// Arbitrary undirected weighted graph with n ≤ 24 nodes.
@@ -62,42 +59,6 @@ proptest! {
         }
     }
 
-    /// Parallel Jaccard (exact and sketched) is bit-for-bit identical to the
-    /// serial kernel at 1, 2, and NCPU workers.
-    #[test]
-    fn parallel_jaccard_matches_serial_bitwise(
-        sets in prop::collection::vec(
-            prop::collection::btree_set(0u32..40, 0..12)
-                .prop_map(|s| s.into_iter().collect::<Vec<u32>>()),
-            1..16,
-        )
-    ) {
-        let serial = jaccard_matrix_of_sets_with(&sets, Parallelism::serial());
-        let mh = MinHasher::new(32, 17);
-        let mh_serial = mh.similarity_matrix_of_sets_with(&sets, Parallelism::serial());
-        let ncpu = Parallelism::default().workers();
-        for workers in [1, 2, ncpu] {
-            let p = Parallelism::new(workers);
-            prop_assert_eq!(&jaccard_matrix_of_sets_with(&sets, p), &serial);
-            prop_assert_eq!(&mh.similarity_matrix_of_sets_with(&sets, p), &mh_serial);
-        }
-    }
-
-    /// Parallel SimRank / SimRank++ are bit-for-bit identical to the serial
-    /// kernels at 1, 2, and NCPU workers.
-    #[test]
-    fn parallel_simrank_matches_serial_bitwise(g in arb_graph()) {
-        let cfg = SimRankConfig { decay: 0.8, iterations: 3 };
-        let serial = simrank_with(&g, cfg, Parallelism::serial());
-        let serial_pp = simrank_pp_with(&g, cfg, Parallelism::serial());
-        let ncpu = Parallelism::default().workers();
-        for workers in [1, 2, ncpu] {
-            let p = Parallelism::new(workers);
-            prop_assert_eq!(&simrank_with(&g, cfg, p), &serial);
-            prop_assert_eq!(&simrank_pp_with(&g, cfg, p), &serial_pp);
-        }
-    }
-
     /// Writing either triangle of a SymMatrix leaves it exactly symmetric.
     #[test]
     fn symmatrix_set_preserves_symmetry(
@@ -114,21 +75,6 @@ proptest! {
                 prop_assert_eq!(m[(i, j)], m[(j, i)]);
             }
         }
-    }
-
-    /// MinHash estimates stay within sketch error of exact Jaccard.
-    #[test]
-    fn minhash_tracks_exact(
-        a in prop::collection::btree_set(0u32..60, 1..25),
-        b in prop::collection::btree_set(0u32..60, 1..25),
-    ) {
-        let av: Vec<u32> = a.iter().copied().collect();
-        let bv: Vec<u32> = b.iter().copied().collect();
-        let exact = jaccard_of_sets(&av, &bv);
-        let mh = MinHasher::new(512, 99);
-        let est = mh.estimate(&mh.signature(&av), &mh.signature(&bv));
-        // 512 hashes ⇒ σ ≈ 0.044; allow 4σ.
-        prop_assert!((exact - est).abs() < 0.18, "exact {exact} vs est {est}");
     }
 
     /// Louvain output is a valid, compact labeling whose modularity is at

@@ -60,6 +60,10 @@ impl Shard {
         body: impl FnOnce(Receiver<Batch>) -> Vec<SubOutput> + Send + 'static,
     ) -> Result<Shard> {
         let (tx, rx) = sync_channel(queue_depth.max(1));
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the shard pool, one of the two threads the product starts: a shard is a thread"
+        )]
         let handle = std::thread::Builder::new()
             .name(format!("commgraph-shard-{index}"))
             .spawn(move || body(rx))

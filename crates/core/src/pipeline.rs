@@ -10,7 +10,7 @@
 //! counts, and the streaming-health metrics.
 
 use algos::roles::{
-    infer_roles_incremental_obs, infer_roles_obs, RoleInference, RoleMemo, SegmentationMethod,
+    infer_roles_incremental, infer_roles_obs, RoleInference, RoleMemo, SegmentationMethod,
 };
 use commgraph_graph::builder::{survives_vantage_dedup, Inventory, Outcome, WindowedBuilder};
 use commgraph_graph::diff::dirty_nodes;
@@ -18,7 +18,6 @@ use commgraph_graph::series::GraphSequence;
 use commgraph_graph::{CommGraph, Facet, NodeId, Result as GraphResult};
 use flowlog::record::ConnSummary;
 use flowlog::time::bucket_start;
-use linalg::Parallelism;
 use obs::{names, AlertEngine, Obs, Scraper};
 use segment::{SegmentPolicy, Segmentation};
 use std::collections::{BTreeMap, HashSet};
@@ -287,7 +286,7 @@ pub struct WindowAnalysis {
 
 /// Per-window analysis driver that exploits the paper's Figure 5
 /// observation — consecutive windows barely differ — by carrying state from
-/// one window to the next. Role inference ([`infer_roles_incremental_obs`])
+/// one window to the next. Role inference ([`infer_roles_incremental`])
 /// reads the window's dirty set: the similarity clique's edges between two
 /// clean nodes are carried and only pairs with a dirty endpoint recounted,
 /// and a refinement sub-run whose members are all clean and unchanged is
@@ -326,8 +325,6 @@ pub struct WindowAnalysis {
 pub struct WindowAnalyzer {
     incremental: bool,
     monitored: Inventory,
-    /// Resolved once: the default reads the host's core count.
-    parallelism: Parallelism,
     obs: Obs,
     memo: Option<RoleMemo>,
     prev: Option<(Segmentation, SegmentPolicy)>,
@@ -342,14 +339,13 @@ pub struct WindowAnalyzer {
 impl WindowAnalyzer {
     /// New analyzer over the monitored inventory: the paper's
     /// Jaccard+Louvain method at `min_score` 0.1 and port-scoped policies,
-    /// with default parallelism and noop observability.
+    /// with noop observability.
     pub fn new(monitored: HashSet<Ipv4Addr>, incremental: bool) -> Self {
         let obs = Obs::noop();
         let savings = Self::resolve_savings(&obs);
         WindowAnalyzer {
             incremental,
             monitored: monitored.into(),
-            parallelism: Parallelism::default(),
             obs,
             memo: None,
             prev: None,
@@ -431,18 +427,12 @@ impl WindowAnalyzer {
         let t0 = Instant::now();
         let warm = self.incremental && self.memo.is_some();
         let (roles, memo) = if self.incremental {
-            let (r, m) = infer_roles_incremental_obs(
-                g,
-                dirty,
-                self.memo.as_ref(),
-                MIN_SCORE,
-                self.parallelism,
-                &self.obs,
-            );
+            let (r, m) =
+                infer_roles_incremental(g, dirty, self.memo.as_ref(), MIN_SCORE, &self.obs);
             (r, Some(m))
         } else {
             let method = SegmentationMethod::JaccardLouvain { min_score: MIN_SCORE };
-            (infer_roles_obs(g, &method, self.parallelism, &self.obs), None)
+            (infer_roles_obs(g, &method, &self.obs), None)
         };
         let monitored = &self.monitored;
         let segmentation = Segmentation::from_inference(g, &roles, |ip| monitored.contains(&ip))?;

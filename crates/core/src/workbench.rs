@@ -14,7 +14,7 @@ use commgraph_graph::collapse::{collapse, PAPER_THRESHOLD};
 use commgraph_graph::{CommGraph, Facet, GraphBuilder, Inventory, NodeId};
 use flowlog::record::ConnSummary;
 use linalg::pca::{pca_sweep_csr, PcaSummary};
-use linalg::{Matrix, Parallelism, SymCsr};
+use linalg::{Matrix, SymCsr};
 use obs::Obs;
 use segment::blast::{fleet_blast_report, FleetBlastReport};
 use segment::{SegmentPolicy, Segmentation, Violation, ViolationDetector};
@@ -27,7 +27,6 @@ pub struct Workbench {
     /// Records offered to build it, vantage duplicates included.
     records: u64,
     monitored: Inventory,
-    parallelism: Parallelism,
     obs: Obs,
     ip_graph: Option<CommGraph>,
     roles: Option<RoleInference>,
@@ -55,23 +54,12 @@ impl Workbench {
             records: b.record_counts().0,
             monitored: b.monitored().clone(),
             window: b.finish(),
-            parallelism: Parallelism::default(),
             obs: Obs::noop(),
             ip_graph: None,
             roles: None,
             segmentation: None,
             policy: None,
         }
-    }
-
-    /// Override the worker count of the row-tiled kernels — the PCA error
-    /// profile (builder style). Role inference (the sparse Jaccard clique,
-    /// Louvain) and the eigensolver are single-threaded by design, so every
-    /// output is bit-for-bit identical at any worker count; the default uses
-    /// every available core.
-    pub fn with_parallelism(mut self, p: Parallelism) -> Self {
-        self.parallelism = p;
-        self
     }
 
     /// Attach an observability handle (builder style). Each memoized stage
@@ -117,9 +105,8 @@ impl Workbench {
             Some(r) => r,
             None => {
                 let method = SegmentationMethod::paper_default();
-                let parallelism = self.parallelism;
                 let g = self.ip_graph().clone();
-                infer_roles_obs(&g, &method, parallelism, &self.obs)
+                infer_roles_obs(&g, &method, &self.obs)
             }
         };
         self.roles.insert(roles)
@@ -183,13 +170,13 @@ impl Workbench {
 
     /// PCA reconstruction-error sweep on the byte matrix (§2.2), run on the
     /// collapsed IP graph as a sparse operator: no n × n buffer and no node
-    /// cap, and the same bits as [`pca_sweep_with`](linalg::pca::pca_sweep_with) on
+    /// cap, and the same bits as [`pca_sweep`](linalg::pca::pca_sweep) on
     /// [`Workbench::byte_matrix`].
     pub fn pca_summary(&mut self, ks: &[usize]) -> linalg::Result<PcaSummary> {
         let g = self.ip_graph();
         let m = graph_operator(g, g.nodes(), |bytes| bytes as f64)?;
         let _span = self.obs.stage_span("pca");
-        pca_sweep_csr(&m, ks, self.parallelism)
+        pca_sweep_csr(&m, ks)
     }
 
     /// Dense symmetric byte matrix of the collapsed IP graph.
@@ -333,19 +320,6 @@ mod tests {
         assert_eq!(h.count(), 1);
     }
 
-    #[test]
-    fn pca_summary_is_bit_identical_at_any_worker_count() {
-        let bits = |workers: usize| -> Vec<u64> {
-            let mut wb = session().with_parallelism(Parallelism::new(workers));
-            wb.pca_summary(&[25]).unwrap().errors.iter().map(|e| e.err.to_bits()).collect()
-        };
-        let serial = bits(1);
-        assert!(!serial.is_empty());
-        for workers in [2, Parallelism::available().workers()] {
-            assert_eq!(bits(workers), serial, "{workers} workers");
-        }
-    }
-
     /// A session on K8s PaaS, the §2.2 cluster, at a size where 2 · 25 < n.
     fn k8s_session() -> Workbench {
         let preset = ClusterPreset::K8sPaas;
@@ -378,7 +352,7 @@ mod tests {
         for mut wb in [session(), k8s_session()] {
             let m = wb.byte_matrix().unwrap();
             for ks in [&[1, 4, 16][..], &[25], &[m.rows()]] {
-                let dense = linalg::pca::pca_sweep_with(&m, ks, wb.parallelism).unwrap();
+                let dense = linalg::pca::pca_sweep(&m, ks).unwrap();
                 let sparse = wb.pca_summary(ks).unwrap();
                 assert_eq!(sparse.k_for_5_percent, dense.k_for_5_percent, "n = {}", m.rows());
                 let bits = |s: &PcaSummary| -> Vec<(usize, u64)> {

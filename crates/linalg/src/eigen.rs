@@ -21,7 +21,7 @@
 use crate::csr::SymCsr;
 use crate::error::{Error, Result};
 use crate::matrix::Matrix;
-use crate::par::Parallelism;
+use crate::Parallelism;
 use obs::names;
 
 /// Result of a symmetric eigendecomposition: `M = V diag(λ) Vᵀ`.

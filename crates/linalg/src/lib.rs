@@ -22,10 +22,12 @@
 //!   with whitening + deflationary fixed-point iteration.
 //! * [`quantize`] — the log-scale normalization behind the Figure 4/5
 //!   heatmaps.
-//! * [`par`] — the `std`-only data-parallel scheduler (scoped-thread tile /
-//!   task work queues) and the [`Parallelism`] knob the dense kernels share.
 //! * [`sym`] — [`SymMatrix`], a flat packed-upper-triangular symmetric
-//!   matrix whose contiguous rows give the scheduler disjoint `&mut` tiles.
+//!   matrix, the form the dense similarity kernels fill.
+//!
+//! Every kernel runs on its caller's thread: the crate starts no thread
+//! (`clippy.toml` disallows the `std::thread` starts, and this root denies
+//! the lint).
 
 #![deny(
     clippy::unwrap_used,
@@ -46,7 +48,6 @@ pub mod eigen;
 pub(crate) mod error;
 pub mod ica;
 pub mod matrix;
-pub mod par;
 pub mod pca;
 pub mod quantize;
 pub mod sym;
@@ -58,6 +59,24 @@ pub use eigen::{
 pub use error::{Error, Result};
 pub use ica::{fast_ica, IcaDecomposition};
 pub use matrix::Matrix;
-pub use par::Parallelism;
 pub use pca::{pca_sweep, pca_sweep_csr, pca_sweep_with, recon_err, sparse_transform, PcaSummary};
 pub use sym::SymMatrix;
+
+/// The worker-count argument of the entry points the pinned benchmark
+/// source (`crates/bench/src/bin/benchmark/layers.rs`, frozen) calls:
+/// [`eigen_symmetric_with`], [`pca_sweep_with`], and `algos`'
+/// `infer_roles_with`, `infer_roles_incremental_obs` and
+/// `jaccard_matrix_of_sets_with`. Every kernel runs on its caller's
+/// thread, so the value carries nothing and those forwards do not read it;
+/// new code calls the plain entry points. Zero-sized; the private unit
+/// field keeps `Parallelism::default()`, the form the benchmark source
+/// writes, free of clippy's unit-struct lint.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Parallelism(());
+
+impl Parallelism {
+    /// The one value, under the name the benchmark source also calls.
+    pub fn serial() -> Self {
+        Parallelism(())
+    }
+}

@@ -10,7 +10,7 @@ use crate::csr::SymCsr;
 use crate::eigen::{eigen_symmetric, eigen_top_k_csr, EigenDecomposition};
 use crate::error::{Error, Result};
 use crate::matrix::Matrix;
-use crate::par::{self, Parallelism};
+use crate::Parallelism;
 use serde::Serialize;
 
 /// Reconstruction error as defined in the paper: the normalized absolute sum
@@ -69,37 +69,20 @@ pub struct PcaSummary {
 /// structure), and adding such an eigenpair can transiently raise the
 /// absolute-sum error even as the Frobenius error falls.
 pub fn recon_err_profile(d: &EigenDecomposition, m: &Matrix) -> Result<Vec<f64>> {
-    recon_err_profile_with(d, m, Parallelism::serial())
+    recon_err_profile_csr(d, &SymCsr::from_dense(m)?)
 }
 
-/// [`recon_err_profile_csr`] on the stored form of a dense symmetric
-/// matrix (`SymCsr::from_dense`), so the same bits either way.
-pub(crate) fn recon_err_profile_with(
-    d: &EigenDecomposition,
-    m: &Matrix,
-    parallelism: Parallelism,
-) -> Result<Vec<f64>> {
-    recon_err_profile_csr(d, &SymCsr::from_dense(m)?, parallelism)
-}
-
-/// [`recon_err_profile`] of a sparse operator, with the rows partitioned
-/// over workers.
+/// [`recon_err_profile`] of a sparse operator, one row at a time.
 ///
-/// Rows of `M − M_k` are independent at every k, so each worker takes a
-/// band of rows and, one row at a time, scatters the row of M into an
-/// n-slot buffer and walks all the rank-1 updates over it, recording the
-/// row's `Σ|M − M_k|` for every k. Each element of `M_k` sums its terms in
-/// ascending k, each row sum runs in column order, and the row sums are
-/// folded in ascending row order, so the profile is bit-for-bit identical
-/// at any worker count (including 1). The exact entrywise L1 norm reads
-/// every entry of `M − M_k`, so the time stays O(n² · pairs), but no n × n
-/// buffer exists: a worker holds two rows, beside one shared copy of the
-/// eigenvectors as `pairs × n` rows.
-pub fn recon_err_profile_csr(
-    d: &EigenDecomposition,
-    m: &SymCsr,
-    parallelism: Parallelism,
-) -> Result<Vec<f64>> {
+/// Rows of `M − M_k` are independent at every k, so each row of M is
+/// scattered into an n-slot buffer and all the rank-1 updates are walked
+/// over it, adding the row's `Σ|M − M_k|` to the total of every k. Each
+/// element of `M_k` sums its terms in ascending k, each row sum runs in
+/// column order, and the row sums are added in ascending row order. The
+/// exact entrywise L1 norm reads every entry of `M − M_k`, so the time
+/// stays O(n² · pairs), but no n × n buffer exists: two rows, beside one
+/// copy of the eigenvectors as `pairs × n` rows.
+pub fn recon_err_profile_csr(d: &EigenDecomposition, m: &SymCsr) -> Result<Vec<f64>> {
     let n = m.n();
     let pairs = d.values.len();
     if (d.vectors.rows(), d.vectors.cols()) != (n, pairs) {
@@ -111,42 +94,32 @@ pub fn recon_err_profile_csr(
     }
     // Row c of `vt` is eigenvector c.
     let vt = d.vectors.transpose();
-    // row_err[i * (pairs + 1) + k] = Σ_j |M − M_k|[i, j].
-    let width = pairs + 1;
-    let mut row_err = vec![0.0; n * width];
-    let band = par::tile_size(n, parallelism);
-    let tasks: Vec<(usize, &mut [f64])> = row_err
-        .chunks_mut(width * band)
-        .enumerate()
-        .map(|(t, err_chunk)| (t * band, err_chunk))
-        .collect();
-    par::for_each_task(parallelism, tasks, |(first_row, err_chunk)| {
-        // Row i of M and of M_k.
-        let (mut m_row, mut mk_row) = (vec![0.0; n], vec![0.0; n]);
-        for (r, err_row) in err_chunk.chunks_mut(width).enumerate() {
-            let i = first_row + r;
-            let (cols, vals) = m.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                m_row[j as usize] = v;
-            }
-            mk_row.fill(0.0);
-            err_row[0] = m_row.iter().map(|v| v.abs()).sum();
-            for (c, (&lambda, v_c)) in d.values.iter().zip(vt.data().chunks_exact(n)).enumerate() {
-                let vi = v_c[i] * lambda;
-                if vi != 0.0 {
-                    for (slot, vj) in mk_row.iter_mut().zip(v_c) {
-                        *slot += vi * vj;
-                    }
-                }
-                err_row[c + 1] = m_row.iter().zip(&mk_row).map(|(a, b)| (a - b).abs()).sum();
-            }
-            for &j in cols {
-                m_row[j as usize] = 0.0;
-            }
+    // err[k] = Σ_i Σ_j |M − M_k|[i, j], over the rows walked so far.
+    let mut err = vec![0.0; pairs + 1];
+    // Row i of M and of M_k.
+    let (mut m_row, mut mk_row) = (vec![0.0; n], vec![0.0; n]);
+    for i in 0..n {
+        let (cols, vals) = m.row(i);
+        for (&j, &v) in cols.iter().zip(vals) {
+            m_row[j as usize] = v;
         }
-    });
+        mk_row.fill(0.0);
+        err[0] += m_row.iter().map(|v| v.abs()).sum::<f64>();
+        for (c, (&lambda, v_c)) in d.values.iter().zip(vt.data().chunks_exact(n)).enumerate() {
+            let vi = v_c[i] * lambda;
+            if vi != 0.0 {
+                for (slot, vj) in mk_row.iter_mut().zip(v_c) {
+                    *slot += vi * vj;
+                }
+            }
+            err[c + 1] += m_row.iter().zip(&mk_row).map(|(a, b)| (a - b).abs()).sum::<f64>();
+        }
+        for &j in cols {
+            m_row[j as usize] = 0.0;
+        }
+    }
     let denom = m.abs_sum();
-    Ok((0..width).map(|k| normalized(row_err.iter().skip(k).step_by(width).sum(), denom)).collect())
+    Ok(err.into_iter().map(|e| normalized(e, denom)).collect())
 }
 
 /// The relative entrywise-L1 residual of M's two-sided projection onto the
@@ -220,12 +193,6 @@ pub fn projection_residual_csr(v: &Matrix, m: &SymCsr) -> Result<f64> {
 /// assert!(sweep.errors[0].err < 1e-9);
 /// ```
 pub fn pca_sweep(m: &Matrix, ks: &[usize]) -> Result<PcaSummary> {
-    pca_sweep_with(m, ks, Parallelism::serial())
-}
-
-/// [`pca_sweep_csr`] on the stored form of a dense symmetric matrix
-/// (`SymCsr::from_dense`), so the same bits either way.
-pub fn pca_sweep_with(m: &Matrix, ks: &[usize], parallelism: Parallelism) -> Result<PcaSummary> {
     if m.rows() != m.cols() {
         return Err(Error::InvalidArg(format!(
             "PCA sweep needs a square matrix, got {}x{}",
@@ -233,20 +200,25 @@ pub fn pca_sweep_with(m: &Matrix, ks: &[usize], parallelism: Parallelism) -> Res
             m.cols()
         )));
     }
-    pca_sweep_csr(&SymCsr::from_dense(m)?, ks, parallelism)
+    pca_sweep_csr(&SymCsr::from_dense(m)?, ks)
 }
 
-/// [`pca_sweep`] of a sparse symmetric operator, with the error profile's
-/// rows partitioned over workers.
-///
-/// The decomposition is the single-threaded [`eigen_top_k_csr`] and the
-/// profile is [`recon_err_profile_csr`], so the summary is bit-for-bit
-/// identical at any worker count.
-pub fn pca_sweep_csr(m: &SymCsr, ks: &[usize], parallelism: Parallelism) -> Result<PcaSummary> {
+/// [`pca_sweep`]; the worker count is ignored — every kernel runs on its
+/// caller's thread. Kept only because the pinned benchmark
+/// (`crates/bench/src/bin/benchmark/layers.rs`, frozen) calls it; call
+/// [`pca_sweep`] instead.
+pub fn pca_sweep_with(m: &Matrix, ks: &[usize], _parallelism: Parallelism) -> Result<PcaSummary> {
+    pca_sweep(m, ks)
+}
+
+/// [`pca_sweep`] of a sparse symmetric operator: the single-threaded
+/// [`eigen_top_k_csr`] for the decomposition, [`recon_err_profile_csr`]
+/// for the profile.
+pub fn pca_sweep_csr(m: &SymCsr, ks: &[usize]) -> Result<PcaSummary> {
     let n = m.n();
     let k_max = ks.iter().copied().max().unwrap_or(0).min(n);
     let d = eigen_top_k_csr(m, k_max, 1e-10)?;
-    let profile = recon_err_profile_csr(&d, m, parallelism)?;
+    let profile = recon_err_profile_csr(&d, m)?;
     Ok(summarize(n, &profile, ks))
 }
 
@@ -374,56 +346,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_profile_is_worker_count_invariant() {
+    fn profile_keeps_its_pinned_bits() {
         let m = two_block(6);
         let d = eigen_symmetric(&m, 1e-10).unwrap();
-        let serial = recon_err_profile_with(&d, &m, Parallelism::serial()).unwrap();
-        for workers in [2, 3, 8] {
-            let p = recon_err_profile_with(&d, &m, Parallelism::new(workers)).unwrap();
-            assert_eq!(p, serial, "bitwise profile equality at {workers} workers");
-        }
-        // `recon_err_profile` is the serial-knob call of the same kernel.
-        let legacy = recon_err_profile(&d, &m).unwrap();
-        for (a, b) in legacy.iter().zip(&serial) {
-            assert!((a - b).abs() < 1e-12, "legacy {a} vs banded {b}");
-        }
-        // Pinned from the one-team-per-column implementation: rescheduling
-        // the rows must not move a bit.
-        assert_eq!(serial.len(), 13);
-        assert_eq!(serial[0].to_bits(), 0x3ff0_0000_0000_0000);
-        assert_eq!(serial[1].to_bits(), 0x3feb_13b1_3b13_b13b);
-        assert_eq!(serial[12].to_bits(), 0x3d7a_9c40_eabb_788c);
-    }
-
-    #[test]
-    fn parallel_sweep_matches_serial_sweep() {
-        let n = 12;
-        let mut m = Matrix::zeros(n, n);
-        let mut state = 31u64;
-        let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 40) as f64 / 16_777_216.0
-        };
-        for i in 0..n {
-            for j in i..n {
-                let v = next();
-                m[(i, j)] = v;
-                m[(j, i)] = v;
-            }
-        }
-        // One eigensolver and a worker-count-invariant profile: the sweep is
-        // bit-identical at 1, 2 and NCPU workers.
-        let serial = pca_sweep(&m, &[1, 3, 12]).unwrap();
-        for workers in [1, 2, Parallelism::available().workers()] {
-            let par = pca_sweep_with(&m, &[1, 3, 12], Parallelism::new(workers)).unwrap();
-            assert_eq!(serial.n, par.n);
-            assert_eq!(serial.k_for_5_percent, par.k_for_5_percent);
-            assert_eq!(serial.errors.len(), par.errors.len());
-            for (a, b) in serial.errors.iter().zip(&par.errors) {
-                assert_eq!(a.k, b.k);
-                assert_eq!(a.err.to_bits(), b.err.to_bits(), "k={}, {workers} workers", a.k);
-            }
-        }
+        let profile = recon_err_profile(&d, &m).unwrap();
+        // Pinned from the one-team-per-column implementation: walking the
+        // rows one at a time must not move a bit.
+        assert_eq!(profile.len(), 13);
+        assert_eq!(profile[0].to_bits(), 0x3ff0_0000_0000_0000);
+        assert_eq!(profile[1].to_bits(), 0x3feb_13b1_3b13_b13b);
+        assert_eq!(profile[12].to_bits(), 0x3d7a_9c40_eabb_788c);
     }
 
     #[test]

@@ -1,15 +1,13 @@
 //! Flat symmetric matrix with packed upper-triangular storage.
 //!
-//! Similarity matrices (Jaccard, MinHash, SimRank) are symmetric by
+//! Similarity matrices (Jaccard, SimRank) are symmetric by
 //! construction, so storing both triangles as `Vec<Vec<f64>>` wastes half the
 //! memory and all of the cache locality. [`SymMatrix`] keeps only the upper
 //! triangle in one contiguous buffer: entry `(i, j)` with `i ≤ j` lives at
 //! `i·n − i·(i−1)/2 + (j − i)`, i.e. row `i` owns the contiguous slice of its
-//! `n − i` entries from the diagonal rightwards. That row-contiguity is what
-//! makes the parallel fills in [`crate::par`] safe: the buffer splits into
-//! disjoint `&mut` row tiles with `split_at_mut`, no `unsafe` required.
+//! `n − i` entries from the diagonal rightwards, so the fills below walk the
+//! buffer once, front to back.
 
-use crate::par::{self, Parallelism};
 use std::ops::Index;
 
 /// A symmetric `n × n` matrix storing only the packed upper triangle.
@@ -53,48 +51,22 @@ impl SymMatrix {
         self.data[k] = v;
     }
 
-    /// Split the packed buffer into per-row `(i, row)` tiles, where `row`
-    /// holds entries `(i, i..n)`. The tiles are disjoint `&mut` slices, so
-    /// they can be dispatched to worker threads.
-    fn row_tiles_mut(&mut self) -> Vec<(usize, &mut [f64])> {
-        let n = self.n;
-        let mut rest: &mut [f64] = &mut self.data;
-        let mut tiles = Vec::with_capacity(n);
-        for i in 0..n {
-            let (row, tail) = rest.split_at_mut(n - i);
-            tiles.push((i, row));
-            rest = tail;
-        }
-        tiles
-    }
-
     /// Fill every upper-triangular entry (diagonal included) as
-    /// `(i, j) ← f(i, j)`, distributing rows over `par` workers.
-    ///
-    /// Each entry is computed by exactly one invocation of `f`, so the result
-    /// is bit-for-bit identical at any worker count.
-    pub fn fill_upper<F>(&mut self, parallelism: Parallelism, f: F)
-    where
-        F: Fn(usize, usize) -> f64 + Sync,
-    {
-        par::for_each_task(parallelism, self.row_tiles_mut(), |(i, row)| {
-            for (k, slot) in row.iter_mut().enumerate() {
-                *slot = f(i, i + k);
-            }
-        });
+    /// `(i, j) ← f(i, j)`, row by row.
+    pub fn fill_upper(&mut self, mut f: impl FnMut(usize, usize) -> f64) {
+        self.update_upper(|i, j, _| f(i, j));
     }
 
     /// Update every upper-triangular entry in place as
-    /// `(i, j) ← f(i, j, current)`, distributing rows over `par` workers.
-    pub fn update_upper<F>(&mut self, parallelism: Parallelism, f: F)
-    where
-        F: Fn(usize, usize, f64) -> f64 + Sync,
-    {
-        par::for_each_task(parallelism, self.row_tiles_mut(), |(i, row)| {
-            for (k, slot) in row.iter_mut().enumerate() {
-                *slot = f(i, i + k, *slot);
+    /// `(i, j) ← f(i, j, current)`, row by row.
+    pub fn update_upper(&mut self, mut f: impl FnMut(usize, usize, f64) -> f64) {
+        let n = self.n;
+        let mut slots = self.data.iter_mut();
+        for i in 0..n {
+            for (j, slot) in (i..n).zip(&mut slots) {
+                *slot = f(i, j, *slot);
             }
-        });
+        }
     }
 }
 
@@ -137,15 +109,20 @@ mod tests {
     }
 
     #[test]
-    fn fill_upper_is_worker_count_invariant() {
+    fn fill_upper_writes_what_set_writes() {
         let f = |i: usize, j: usize| (i * 31 + j) as f64 / 7.0;
-        let mut serial = SymMatrix::zeros(33);
-        serial.fill_upper(Parallelism::serial(), f);
-        for workers in [2, 3, 8] {
-            let mut m = SymMatrix::zeros(33);
-            m.fill_upper(Parallelism::new(workers), f);
-            assert_eq!(m, serial, "{workers} workers");
+        let mut filled = SymMatrix::zeros(33);
+        filled.fill_upper(f);
+        let mut set = SymMatrix::zeros(33);
+        for i in 0..33 {
+            for j in i..33 {
+                set.set(j, i, f(i, j));
+            }
         }
+        assert_eq!(filled, set);
+        filled.update_upper(|i, j, v| if i == j { v } else { -v });
+        assert_eq!(filled[(5, 2)], -f(2, 5));
+        assert_eq!(filled[(4, 4)], f(4, 4));
     }
 
     #[test]

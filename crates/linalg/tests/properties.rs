@@ -2,11 +2,9 @@
 
 use linalg::eigen::{eigen_symmetric, eigen_top_k, eigen_top_k_csr};
 use linalg::ica::fast_ica;
-use linalg::pca::{
-    pca_sweep, pca_sweep_csr, pca_sweep_with, recon_err, recon_err_profile, recon_err_profile_csr,
-};
+use linalg::pca::{pca_sweep, pca_sweep_csr, recon_err, recon_err_profile, recon_err_profile_csr};
 use linalg::quantize::{bucketize, log_normalize};
-use linalg::{Error, Matrix, Parallelism, SymCsr};
+use linalg::{Error, Matrix, SymCsr};
 use proptest::prelude::*;
 
 /// Arbitrary symmetric matrix with entries in [-scale, scale].
@@ -151,8 +149,7 @@ proptest! {
         }
     }
 
-    /// Two calls return the same bits, and so does the sweep built on them
-    /// at any worker count.
+    /// Two calls return the same bits, and so do two sweeps built on them.
     #[test]
     fn top_k_and_its_sweep_are_bit_repeatable((m, k) in arb_symmetric_and_k()) {
         let bits = |m: &Matrix| -> Vec<u64> {
@@ -160,14 +157,12 @@ proptest! {
             d.values.iter().chain(d.vectors.data()).map(|v| v.to_bits()).collect()
         };
         prop_assert_eq!(bits(&m), bits(&m));
-        let serial = pca_sweep(&m, &[0, 1, k]).expect("square");
-        for workers in [1, 2, Parallelism::available().workers()] {
-            let par = pca_sweep_with(&m, &[0, 1, k], Parallelism::new(workers)).expect("square");
-            prop_assert_eq!(serial.k_for_5_percent, par.k_for_5_percent);
-            prop_assert_eq!(serial.errors.len(), par.errors.len());
-            for (a, b) in serial.errors.iter().zip(&par.errors) {
-                prop_assert_eq!((a.k, a.err.to_bits()), (b.k, b.err.to_bits()));
-            }
+        let (first, second) =
+            (pca_sweep(&m, &[0, 1, k]).expect("square"), pca_sweep(&m, &[0, 1, k]).expect("square"));
+        prop_assert_eq!(first.k_for_5_percent, second.k_for_5_percent);
+        prop_assert_eq!(first.errors.len(), second.errors.len());
+        for (a, b) in first.errors.iter().zip(&second.errors) {
+            prop_assert_eq!((a.k, a.err.to_bits()), (b.k, b.err.to_bits()));
         }
     }
 
@@ -189,9 +184,8 @@ proptest! {
         let b = eigen_top_k_csr(&sparse, k, 1e-10).expect("k <= n");
         prop_assert_eq!(bits(&a.values), bits(&b.values));
         prop_assert_eq!(bits(a.vectors.data()), bits(b.vectors.data()));
-        let serial = Parallelism::serial();
         let from_dense = recon_err_profile(&a, &dense).expect("aligned");
-        let from_sparse = recon_err_profile_csr(&a, &sparse, serial).expect("aligned");
+        let from_sparse = recon_err_profile_csr(&a, &sparse).expect("aligned");
         prop_assert_eq!(bits(&from_dense), bits(&from_sparse));
         // The row walk against reconstruct-then-subtract, an independent path.
         for j in [0, 1.min(k), k] {
@@ -201,8 +195,8 @@ proptest! {
         }
         let ks = [0, 1, k];
         let (x, y) = (
-            pca_sweep_with(&dense, &ks, Parallelism::new(2)).expect("square"),
-            pca_sweep_csr(&sparse, &ks, Parallelism::new(2)).expect("k <= n"),
+            pca_sweep(&dense, &ks).expect("square"),
+            pca_sweep_csr(&sparse, &ks).expect("k <= n"),
         );
         prop_assert_eq!(x.k_for_5_percent, y.k_for_5_percent);
         let errs = |s: &linalg::PcaSummary| -> Vec<(usize, u64)> {

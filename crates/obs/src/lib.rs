@@ -56,7 +56,7 @@
 //! assert!(text.contains("commgraph_stage_seconds_count{stage=\"build\"} 1"));
 //! ```
 //!
-//! Deep library code (the `linalg::par` scheduler) cannot practically
+//! Deep library code (the Louvain and Lanczos counters) cannot practically
 //! thread a handle through every call, so a process-global registry can be
 //! [`install_global`]ed once; [`global`] returns a noop handle until then.
 
@@ -234,7 +234,7 @@ impl Obs {
 static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();
 
 /// Install a process-global registry for code that cannot take an [`Obs`]
-/// parameter (the `linalg` scheduler). First caller wins; returns whether
+/// parameter (the Louvain and Lanczos counters). First caller wins; returns whether
 /// this call installed it.
 pub fn install_global(registry: Arc<Registry>) -> bool {
     GLOBAL.set(registry).is_ok()

@@ -107,10 +107,6 @@ families! {
         "Windows closed by the security monitor, by lifecycle phase.";
     OBS_LABEL_OVERFLOW_TOTAL: Counter = "commgraph_obs_label_overflow_total", ["family"],
         "Label resolutions routed to the overflow bucket by a cardinality cap.";
-    PAR_TILES_TOTAL: Counter = "commgraph_par_tiles_total", ["shape"],
-        "Tiles/tasks scheduled by the data-parallel work queues.";
-    PAR_WORKER_BUSY_SECONDS: Histogram = "commgraph_par_worker_busy_seconds", ["shape"],
-        "Per-worker busy time of one scheduler invocation.";
     PIPELINE_DROPPED_LATE_RECORDS_TOTAL: Counter = "commgraph_pipeline_dropped_late_records_total", [],
         "Dedup-surviving records dropped because their window had already closed when they arrived.";
     PIPELINE_LATE_RECORDS_TOTAL: Counter = "commgraph_pipeline_late_records_total", [],

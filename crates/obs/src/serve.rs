@@ -104,6 +104,10 @@ impl IntrospectionServer {
             tsdb: self.tsdb,
             alerts: self.alerts,
         };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the introspection server's accept loop, one of the two threads the product starts"
+        )]
         let join = std::thread::Builder::new()
             .name("obs-introspection".to_string())
             .spawn(move || accept_loop(listener, thread_stop, ctx))?;

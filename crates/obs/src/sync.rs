@@ -101,6 +101,10 @@ mod tests {
     fn a_poisoned_lock_yields_its_state() {
         let m = std::sync::Arc::new(Mutex::new(7u32));
         let m2 = m.clone();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "poisoning needs a second thread that panics while holding the lock"
+        )]
         let _ = std::thread::spawn(move || {
             let _g = lock(&m2);
             panic!("poison the lock");

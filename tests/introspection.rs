@@ -18,7 +18,6 @@ use commgraph::analytics::engine::EngineConfig;
 use commgraph::analytics::sharded::{ShardedConfig, ShardedEngine};
 use commgraph::cloudsim::attack::{AttackKind, AttackScenario};
 use commgraph::cloudsim::{ClusterPreset, SimConfig, Simulator};
-use commgraph::linalg::Parallelism;
 use commgraph::monitor::{MonitorConfig, SecurityMonitor};
 use commgraph::obs;
 use commgraph::pipeline::{Pipeline, PipelineConfig, WindowAnalyzer};
@@ -111,11 +110,9 @@ fn exercise_everything(o: &obs::Obs, scraper: &Arc<obs::Scraper>, alerts: &Arc<o
     analyzer.analyze_output(&out).unwrap();
     assert!(analyzer.tick() >= 2, "telemetry ticks advanced with the windows");
 
-    // Parallelism 2 drives the par scheduler (tiles/busy families); the
-    // Louvain counters reach the global registry installed by the caller.
-    let mut wb = Workbench::new(records, monitored)
-        .with_parallelism(Parallelism::new(2))
-        .with_obs(o.clone());
+    // The Louvain and Lanczos counters reach the global registry installed
+    // by the caller.
+    let mut wb = Workbench::new(records, monitored).with_obs(o.clone());
     let _ = wb.roles();
     let _ = wb.segmentation();
     let _ = wb.policy();
