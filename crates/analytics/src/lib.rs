@@ -9,8 +9,7 @@
 //!   id hashes to, and that thread runs the group-by-aggregate (a
 //!   [`commgraph_graph::GraphBuilder`] per subscription and window) and
 //!   assembles the snapshots. Shards share no state, so nothing is merged
-//!   and the result is bit-identical to a single-threaded build.
-//! * [`engine`] — the engine's configuration and counters. A single
+//!   and the result is bit-identical to a single-threaded build. A single
 //!   stream is one subscription on a one-shard pool.
 //! * [`sketch`] — SpaceSaving heavy-hitter tracking, the streaming
 //!   counterpart of the offline collapse threshold.
@@ -33,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod cogs;
-pub mod engine;
 pub(crate) mod error;
 pub mod memory;
 mod shard;
@@ -41,7 +39,6 @@ pub mod sharded;
 pub mod sketch;
 
 pub use cogs::{CogsModel, CogsReport};
-pub use engine::{EngineConfig, EngineStats};
 pub use error::{Error, Result};
-pub use sharded::{ShardedConfig, ShardedEngine, ShardedStats, SubscriptionReport};
+pub use sharded::{EngineStats, ShardedConfig, ShardedEngine, ShardedStats, SubscriptionReport};
 pub use sketch::SpaceSaving;

@@ -12,9 +12,9 @@
 //! not aggregated. Once the channel closes the thread assembles the windows
 //! still open; nothing is ever merged across shards.
 
-use crate::engine::{EngineConfig, EngineStats};
 use crate::error::{Error, Result};
-use commgraph_graph::{CommGraph, GraphBuilder, Inventory};
+use crate::sharded::{EngineStats, ShardedConfig};
+use commgraph_graph::{CommGraph, Facet, GraphBuilder, Inventory};
 use flowlog::record::ConnSummary;
 use flowlog::time::bucket_start;
 use obs::{names, SpanGuard};
@@ -23,6 +23,9 @@ use std::thread::JoinHandle;
 
 /// Records staged per shard before one channel hand-over.
 const BATCH_RECORDS: usize = 4096;
+
+/// Channel depth per shard thread, in batches — the backpressure bound.
+pub(crate) const QUEUE_DEPTH: usize = 8;
 
 /// What crosses the channel: records of one or more resident subscriptions,
 /// cut into `(slot, length)` runs, where a slot is a resident's index on its
@@ -48,18 +51,17 @@ pub(crate) struct Shard {
 
 impl Shard {
     /// Spawn shard `index` of an engine configured by `cfg`.
-    pub(crate) fn spawn(index: usize, cfg: &EngineConfig) -> Result<Shard> {
+    pub(crate) fn spawn(index: usize, cfg: &ShardedConfig) -> Result<Shard> {
         let cfg = cfg.clone();
-        Shard::spawn_with(index, cfg.queue_depth, move |rx| aggregate(rx, index, cfg))
+        Shard::spawn_with(index, move |rx| aggregate(rx, index, cfg))
     }
 
     /// Spawn a shard thread running `body` (the seam the failure tests use).
     pub(crate) fn spawn_with(
         index: usize,
-        queue_depth: usize,
         body: impl FnOnce(Receiver<Batch>) -> Vec<SubOutput> + Send + 'static,
     ) -> Result<Shard> {
-        let (tx, rx) = sync_channel(queue_depth.max(1));
+        let (tx, rx) = sync_channel(QUEUE_DEPTH);
         #[expect(
             clippy::disallowed_methods,
             reason = "the shard pool, one of the two threads the product starts: a shard is a thread"
@@ -202,14 +204,13 @@ impl Resident {
 
 /// The shard thread: aggregate batches until the channel closes, then
 /// assemble every resident subscription's open windows.
-fn aggregate(rx: Receiver<Batch>, index: usize, cfg: EngineConfig) -> Vec<SubOutput> {
+fn aggregate(rx: Receiver<Batch>, index: usize, cfg: ShardedConfig) -> Vec<SubOutput> {
     let shard = index.to_string();
     let busy = cfg.obs.histogram(&names::ENGINE_WORKER_BUSY_SECONDS, [&shard]);
     // No inventory and an empty one are the same rule: nothing is deduped.
     let monitored = Inventory::from(cfg.monitored.unwrap_or_default());
     let fresh = |window: u64| {
-        GraphBuilder::new(cfg.facet.clone(), window, cfg.window_len)
-            .with_monitored(monitored.clone())
+        GraphBuilder::new(Facet::Ip, window, cfg.window_len).with_monitored(monitored.clone())
     };
     // bound: one slot per subscription placed on this shard, each holding at
     // most two open window tables; closed windows are graphs in its output.
@@ -244,7 +245,6 @@ fn aggregate(rx: Receiver<Batch>, index: usize, cfg: EngineConfig) -> Vec<SubOut
 #[cfg(test)]
 mod tests {
     use super::*;
-    use commgraph_graph::Facet;
     use flowlog::record::FlowKey;
     use std::net::Ipv4Addr;
 

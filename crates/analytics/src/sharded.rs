@@ -21,12 +21,11 @@
 //! placement and batch size.
 //!
 //! Per-subscription telemetry is labeled by subscription id behind an
-//! [`obs::LabelCap`]: the first `label_cap` subscriptions get their own
-//! label value, the rest share the `overflow` bucket, and counter totals
-//! are conserved either way. Metric help text lives in `obs::names` (the
+//! [`obs::LabelCap`]: the first `LABEL_CAP` (64) subscriptions get their
+//! own label value, the rest share the `overflow` bucket, and counter
+//! totals are conserved either way. Metric help text lives in `obs::names` (the
 //! exporters read it from there); registration sites here pass none.
 
-use crate::engine::{EngineConfig, EngineStats};
 use crate::error::{Error, Result};
 use crate::shard::Shard;
 use commgraph_graph::hash::FixedState;
@@ -34,37 +33,35 @@ use commgraph_graph::CommGraph;
 use flowlog::record::ConnSummary;
 use flowlog::time::bucket_start;
 use obs::{names, Counter, Gauge, Histogram, Level, Obs, SpanGuard};
-use serde::Serialize;
-use std::collections::{BTreeMap, HashMap};
-use std::time::Instant;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::net::Ipv4Addr;
 
-/// Configuration of the multi-subscription front door.
+/// Configuration of the analytics front door.
 #[derive(Debug, Clone)]
 pub struct ShardedConfig {
     /// Shard threads to spread subscriptions over (≥ 1) — the tier's whole
     /// thread budget, whatever the subscription count.
     pub shards: usize,
-    /// What every shard aggregates under. Its `obs` handle receives the
-    /// `commgraph_engine_*` families.
-    pub engine: EngineConfig,
-    /// Observability handle for the `commgraph_subscription_*` families and
-    /// the per-shard residency gauge.
+    /// Window length in seconds (3600 for hourly graphs).
+    pub window_len: u64,
+    /// Monitored inventory for vantage dedup (`None` disables dedup).
+    pub monitored: Option<HashSet<Ipv4Addr>>,
+    /// Observability handle for the `commgraph_engine_*` and
+    /// `commgraph_subscription_*` families and the per-shard gauges; the
+    /// default noop handle records nothing and costs nothing. Metrics never
+    /// change what the engine computes.
     pub obs: Obs,
-    /// Distinct subscription label values admitted before new ones land in
-    /// the shared `overflow` bucket (see [`obs::LabelCap`]).
-    pub label_cap: usize,
 }
 
 impl Default for ShardedConfig {
     fn default() -> Self {
-        ShardedConfig {
-            shards: 2,
-            engine: EngineConfig::default(),
-            obs: Obs::noop(),
-            label_cap: 64,
-        }
+        ShardedConfig { shards: 2, window_len: 3600, monitored: None, obs: Obs::noop() }
     }
 }
+
+/// Distinct subscription label values admitted before new ones land in the
+/// shared `overflow` bucket (see [`obs::LabelCap`]).
+pub(crate) const LABEL_CAP: usize = 64;
 
 /// Sequence numbers a source may arrive out of order by and still be told
 /// apart from a re-delivery.
@@ -126,7 +123,6 @@ struct Sub {
     /// Index of this subscription among its shard's residents.
     slot: usize,
     records_in: u64,
-    started: Option<Instant>,
     /// High-water record timestamp of this subscription.
     watermark_ts: u64,
     /// End of the newest window any record opened (0 before the first).
@@ -155,11 +151,24 @@ pub struct SubscriptionReport {
     pub stats: EngineStats,
 }
 
+/// Counters describing one subscription's run through the engine.
+#[derive(Debug, Clone, Default)]
+pub struct EngineStats {
+    /// Records offered to `ingest`.
+    pub records_in: u64,
+    /// Records surviving vantage dedup (i.e. aggregated).
+    pub records_kept: u64,
+    /// Records not aggregated because their window had closed (more than
+    /// one window behind the newest): `in = kept + vantage-deduped + late`.
+    pub records_late: u64,
+    /// Distinct edge entries summed over every window: the work, not the
+    /// memory, since at most two windows per subscription are held at once.
+    pub edge_entries: usize,
+}
+
 /// Cross-shard totals, summed deterministically at finish.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardedStats {
-    /// Distinct subscriptions that ingested at least one batch.
-    pub(crate) subscriptions: usize,
     /// Shard threads spawned and joined.
     pub shards: usize,
     /// Sum of per-subscription `records_in`.
@@ -210,19 +219,19 @@ impl ShardedEngine {
         if cfg.shards == 0 {
             return Err(Error::InvalidConfig("need at least one shard".into()));
         }
-        if cfg.engine.window_len == 0 {
+        if cfg.window_len == 0 {
             return Err(Error::InvalidConfig("window length must be positive".into()));
         }
-        let shards = (0..cfg.shards).map(|i| Shard::spawn(i, &cfg.engine)).collect::<Result<_>>();
+        let shards = (0..cfg.shards).map(|i| Shard::spawn(i, &cfg)).collect::<Result<_>>();
         Ok(ShardedEngine::with_shards(cfg, shards?))
     }
 
     fn with_shards(cfg: ShardedConfig, shards: Vec<Shard>) -> Self {
-        let o = cfg.engine.obs.clone();
+        let o = cfg.obs.clone();
         ShardedEngine {
             resident: vec![0; shards.len()],
             shards,
-            cap: obs::LabelCap::new(&cfg.obs, "subscription", cfg.label_cap),
+            cap: obs::LabelCap::new(&o, "subscription", LABEL_CAP),
             index: BTreeMap::new(),
             subs: Vec::new(),
             watermark: 0,
@@ -262,7 +271,6 @@ impl ShardedEngine {
             shard,
             slot,
             records_in: 0,
-            started: None,
             watermark_ts: 0,
             newest_window_end: 0,
             records: o.counter(&names::SUBSCRIPTION_RECORDS_TOTAL, sub),
@@ -284,7 +292,7 @@ impl ShardedEngine {
     }
 
     fn offer(&mut self, at: usize, records: &[ConnSummary]) -> Result<()> {
-        let trace = self.cfg.engine.obs.trace_span("engine_ingest");
+        let trace = self.cfg.obs.trace_span("engine_ingest");
         let mut span = SpanGuard::traced(self.metrics.ingest_seconds.clone(), trace);
         if span.trace_enabled() {
             span.trace_attr("records", &records.len().to_string());
@@ -292,13 +300,8 @@ impl ShardedEngine {
         self.metrics.records_in.add(records.len() as u64);
         self.metrics.batches.inc();
         self.metrics.batch_records.record(records.len() as f64);
-        let window_len = self.cfg.engine.window_len;
+        let window_len = self.cfg.window_len;
         let sub = &mut self.subs[at];
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "wall-clock uptime for stats reporting only; never gates window logic"
-        )]
-        sub.started.get_or_insert_with(Instant::now);
         sub.records_in += records.len() as u64;
         for r in records {
             sub.watermark_ts = sub.watermark_ts.max(r.ts);
@@ -370,7 +373,7 @@ impl ShardedEngine {
     /// are order-independent sums. Late records are counted here, under
     /// `outcome="late"`.
     pub fn finish(mut self) -> Result<(Vec<SubscriptionReport>, ShardedStats)> {
-        let mut tspan = self.cfg.engine.obs.trace_span("engine_finish");
+        let mut tspan = self.cfg.obs.trace_span("engine_finish");
         self.shards.iter_mut().for_each(Shard::close);
         let joined: Vec<_> = self.shards.drain(..).map(Shard::join).collect();
         let outputs = joined.into_iter().enumerate().map(|(shard, output)| {
@@ -382,7 +385,6 @@ impl ShardedEngine {
         });
         let mut outputs = outputs.collect::<Result<Vec<_>>>()?;
         let mut stats = ShardedStats {
-            subscriptions: self.subs.len(),
             shards: outputs.len(),
             per_shard_subscriptions: self.resident,
             ..ShardedStats::default()
@@ -400,7 +402,6 @@ impl ShardedEngine {
                 .counter(&names::SUBSCRIPTION_DEDUP_DROPPED_RECORDS_TOTAL, late)
                 .add(run.records_late);
             run.records_in = sub.records_in;
-            run.elapsed_secs = sub.started.map_or(0.0, |t| t.elapsed().as_secs_f64());
             stats.records_in += run.records_in;
             stats.records_kept += run.records_kept;
             stats.edge_entries += run.edge_entries;
@@ -416,7 +417,7 @@ impl ShardedEngine {
             ("edge_entries", stats.edge_entries.to_string()),
         ];
         summary.iter().for_each(|(k, v)| tspan.attr(k, v));
-        self.cfg.engine.obs.event(Level::Info, "engine", "finish", &summary);
+        self.cfg.obs.event(Level::Info, "engine", "finish", &summary);
         Ok((reports, stats))
     }
 }
@@ -427,7 +428,6 @@ mod tests {
     use commgraph_graph::{EdgeStats, NodeId};
     use flowlog::record::FlowKey;
     use obs::names::Family;
-    use std::net::Ipv4Addr;
 
     fn records(seed: u8, n: u32) -> Vec<ConnSummary> {
         (0..n)
@@ -468,6 +468,65 @@ mod tests {
                 (g.window_start(), g.nodes().to_vec(), edges)
             })
             .collect()
+    }
+
+    /// One subscription through a one-shard engine configured by `cfg`, in
+    /// batches of `chunk`: its stats.
+    fn run(cfg: ShardedConfig, recs: &[ConnSummary], chunk: usize) -> EngineStats {
+        let mut e = ShardedEngine::new(ShardedConfig { shards: 1, ..cfg }).unwrap();
+        for batch in recs.chunks(chunk) {
+            e.ingest("sub", batch).unwrap();
+        }
+        let (mut reports, _) = e.finish().unwrap();
+        reports.pop().map(|r| r.stats).unwrap_or_default()
+    }
+
+    #[test]
+    fn metrics_agree_with_returned_stats() {
+        let registry = std::sync::Arc::new(obs::Registry::new());
+        let recs = records(0, 300);
+        let cfg = ShardedConfig { obs: Obs::new(registry.clone()), ..Default::default() };
+        let stats = run(cfg, &recs, 100);
+
+        let records_in = registry.counter(&names::ENGINE_RECORDS_IN_TOTAL, []).get();
+        let kept = registry.counter(&names::ENGINE_RECORDS_KEPT_TOTAL, []).get();
+        let batches = registry.counter(&names::ENGINE_BATCHES_TOTAL, []).get();
+        assert_eq!(records_in, stats.records_in);
+        assert_eq!(kept, stats.records_kept);
+        assert_eq!(batches, 3);
+        assert_eq!(registry.histogram(&names::ENGINE_BATCH_RECORDS, []).count(), 3);
+        assert!(
+            registry.histogram(&names::ENGINE_INGEST_SECONDS, []).count() == 3,
+            "one span per ingest call"
+        );
+        // 300 records stage into one batch: one busy span on the one shard.
+        let busy = registry.histogram(&names::ENGINE_WORKER_BUSY_SECONDS, ["0"]);
+        assert_eq!(busy.count(), 1);
+        // No dedup configured → nothing dropped; watermark is the max ts.
+        let dropped = registry.counter(&names::ENGINE_DROPPED_RECORDS_TOTAL, []).get();
+        assert_eq!(dropped, stats.records_in - stats.records_kept);
+        let max_ts = recs.iter().map(|r| r.ts).max().unwrap() as f64;
+        let watermark = registry.gauge(&names::INGEST_WATERMARK_SECONDS, ["engine"]).get();
+        assert_eq!(watermark, max_ts);
+    }
+
+    #[test]
+    fn dedup_drops_are_counted() {
+        let registry = std::sync::Arc::new(obs::Registry::new());
+        let base = records(0, 100);
+        let mut recs = base.clone();
+        recs.extend(base.iter().map(|r| r.mirrored()));
+        let monitored: HashSet<Ipv4Addr> =
+            recs.iter().flat_map(|r| [r.key.local_ip, r.key.remote_ip]).collect();
+        let cfg = ShardedConfig {
+            monitored: Some(monitored),
+            obs: Obs::new(registry.clone()),
+            ..Default::default()
+        };
+        let stats = run(cfg, &recs, recs.len());
+        assert_eq!(stats.records_kept, 100);
+        let dropped = registry.counter(&names::ENGINE_DROPPED_RECORDS_TOTAL, []).get();
+        assert_eq!(dropped, 100, "every mirrored duplicate counted as dropped");
     }
 
     #[test]
@@ -523,7 +582,6 @@ mod tests {
             }
 
             assert_eq!(merged.shards, shards);
-            assert_eq!(merged.subscriptions, subs.len());
             assert_eq!(
                 merged.records_in,
                 reference.values().map(|(_, s)| s.records_in).sum::<u64>()
@@ -576,11 +634,7 @@ mod tests {
     #[test]
     fn invalid_configs_rejected() {
         assert!(ShardedEngine::new(ShardedConfig { shards: 0, ..Default::default() }).is_err());
-        let bad_window = ShardedConfig {
-            shards: 2,
-            engine: EngineConfig { window_len: 0, ..Default::default() },
-            ..Default::default()
-        };
+        let bad_window = ShardedConfig { window_len: 0, ..Default::default() };
         assert!(ShardedEngine::new(bad_window).is_err());
     }
 
@@ -588,7 +642,7 @@ mod tests {
     fn per_subscription_telemetry_tracks_records_watermark_and_roll_lag() {
         let registry = std::sync::Arc::new(obs::Registry::new());
         let cfg = ShardedConfig { obs: Obs::new(registry.clone()), ..Default::default() };
-        let window_len = cfg.engine.window_len;
+        let window_len = cfg.window_len;
         let mut front = ShardedEngine::new(cfg).unwrap();
         // Two windows for tenant-a; the second opens 25 s late.
         let mut recs = records(1, 40);
@@ -623,13 +677,14 @@ mod tests {
     #[test]
     fn cardinality_cap_routes_overflow_and_conserves_totals() {
         let registry = std::sync::Arc::new(obs::Registry::new());
-        let cfg =
-            ShardedConfig { obs: Obs::new(registry.clone()), label_cap: 2, ..Default::default() };
+        let cfg = ShardedConfig { obs: Obs::new(registry.clone()), ..Default::default() };
         let mut front = ShardedEngine::new(cfg).unwrap();
+        let tenants = LABEL_CAP + 2;
         let mut expected_total = 0u64;
-        for (i, n) in [100u32, 200, 300, 400, 500].iter().enumerate() {
-            front.ingest(&format!("sub-{i}"), &records(i as u8, *n)).unwrap();
-            expected_total += *n as u64;
+        for i in 0..tenants {
+            let n = 100 + i as u32;
+            front.ingest(&format!("sub-{i:02}"), &records(i as u8, n)).unwrap();
+            expected_total += n as u64;
         }
         let snapshot = registry.snapshot();
         let label_values: Vec<String> = snapshot
@@ -638,10 +693,11 @@ mod tests {
             .filter_map(|m| m.labels.iter().find(|(k, _)| k == "subscription"))
             .map(|(_, v)| v.clone())
             .collect();
+        let admitted = (0..LABEL_CAP).map(|i| format!("sub-{i:02}"));
         assert_eq!(
             label_values,
-            vec!["overflow".to_string(), "sub-0".to_string(), "sub-1".to_string()],
-            "two admitted + one shared overflow bucket"
+            std::iter::once("overflow".to_string()).chain(admitted).collect::<Vec<_>>(),
+            "{LABEL_CAP} admitted + one shared overflow bucket"
         );
         let capped_sum: u64 = snapshot
             .iter()
@@ -653,10 +709,10 @@ mod tests {
             .sum();
         assert_eq!(capped_sum, expected_total, "overflow bucket conserves record totals");
         let routed = registry.counter(&names::OBS_LABEL_OVERFLOW_TOTAL, ["subscription"]).get();
-        assert_eq!(routed, 3, "sub-2, sub-3, sub-4 each routed once at first contact");
+        assert_eq!(routed, 2, "sub-64 and sub-65 each routed once at first contact");
         // The cap changes labels only, never the analytics output.
         let (reports, merged) = front.finish().unwrap();
-        assert_eq!(reports.len(), 5);
+        assert_eq!(reports.len(), tenants);
         assert_eq!(merged.records_in, expected_total);
     }
 
@@ -818,9 +874,9 @@ mod tests {
         let names: Vec<String> = (0..8).map(|s| format!("sub-{s}")).collect();
         let run = |shards: usize, order: &[usize]| {
             let registry = std::sync::Arc::new(obs::Registry::new());
-            let engine = EngineConfig { obs: Obs::new(registry.clone()), ..Default::default() };
+            let obs = Obs::new(registry.clone());
             let mut front =
-                ShardedEngine::new(ShardedConfig { shards, engine, ..Default::default() }).unwrap();
+                ShardedEngine::new(ShardedConfig { shards, obs, ..Default::default() }).unwrap();
             // Subscription s carries 100 + 50·s records, so its edge count
             // says where it was placed.
             for &s in order {
@@ -856,15 +912,12 @@ mod tests {
 
     /// An engine whose shard 0 dies on its first batch.
     fn front_with_a_dying_shard(registry: &std::sync::Arc<obs::Registry>) -> ShardedEngine {
-        let cfg = ShardedConfig {
-            engine: EngineConfig { obs: Obs::new(registry.clone()), ..Default::default() },
-            ..Default::default()
-        };
-        let dying = Shard::spawn_with(0, cfg.engine.queue_depth, |rx| {
+        let cfg = ShardedConfig { obs: Obs::new(registry.clone()), ..Default::default() };
+        let dying = Shard::spawn_with(0, |rx| {
             let _ = rx.recv();
             panic!("injected shard failure");
         });
-        let healthy = Shard::spawn(1, &cfg.engine);
+        let healthy = Shard::spawn(1, &cfg);
         ShardedEngine::with_shards(cfg, vec![dying.unwrap(), healthy.unwrap()])
     }
 
@@ -890,7 +943,7 @@ mod tests {
     fn ingest_after_shard_death_errors_instead_of_blocking() {
         let registry = std::sync::Arc::new(obs::Registry::new());
         let mut front = front_with_a_dying_shard(&registry);
-        let depth = front.cfg.engine.queue_depth;
+        let depth = crate::shard::QUEUE_DEPTH;
         // First contact places `doomed` on shard 0 and `fine` on shard 1.
         let (doomed, fine) = ("sub-doomed", "sub-fine");
         let batch = records(1, 4096);
@@ -910,7 +963,6 @@ mod tests {
         let front = ShardedEngine::new(ShardedConfig::default()).unwrap();
         let (reports, merged) = front.finish().unwrap();
         assert!(reports.is_empty());
-        assert_eq!(merged.subscriptions, 0);
         assert_eq!(merged.records_in, 0);
         assert_eq!(merged.per_shard_subscriptions, vec![0, 0]);
     }

@@ -1,6 +1,5 @@
 //! Property-based tests for the analytics tier.
 
-use analytics::engine::EngineConfig;
 use analytics::sharded::{ShardedConfig, ShardedEngine};
 use analytics::sketch::SpaceSaving;
 use commgraph_graph::diff::dirty_nodes;
@@ -41,12 +40,9 @@ fn arb_records() -> impl Strategy<Value = Vec<ConnSummary>> {
 /// `ShardedEngine` at `shards` threads. An empty stream yields the empty
 /// graph, matching what a fresh build over no records means.
 fn engine_graph(records: &[ConnSummary], shards: usize) -> CommGraph {
-    let mut e = ShardedEngine::new(ShardedConfig {
-        shards,
-        engine: EngineConfig { facet: Facet::Ip, window_len: 3600, ..Default::default() },
-        ..Default::default()
-    })
-    .expect("valid");
+    let mut e =
+        ShardedEngine::new(ShardedConfig { shards, window_len: 3600, ..Default::default() })
+            .expect("valid");
     for batch in records.chunks(64) {
         e.ingest("sub", batch).expect("ingest");
     }
@@ -277,12 +273,8 @@ fn sharded_sweep_case(seed: u64, in_order: bool) -> u64 {
 
     let mut front = ShardedEngine::new(ShardedConfig {
         shards,
-        engine: EngineConfig {
-            window_len: WINDOW,
-            monitored: monitored.clone(),
-            queue_depth: rng.random_range(1..4usize),
-            ..Default::default()
-        },
+        window_len: WINDOW,
+        monitored: monitored.clone(),
         ..Default::default()
     })
     .expect("valid");
@@ -356,10 +348,7 @@ fn sharded_sweep_case(seed: u64, in_order: bool) -> u64 {
 #[test]
 fn two_hundred_subscriptions_spawn_exactly_shards_threads() {
     let registry = Arc::new(obs::Registry::new());
-    let cfg = ShardedConfig {
-        engine: EngineConfig { obs: obs::Obs::new(registry.clone()), ..Default::default() },
-        ..Default::default()
-    };
+    let cfg = ShardedConfig { obs: obs::Obs::new(registry.clone()), ..Default::default() };
     let shards = cfg.shards;
     let mut front = ShardedEngine::new(cfg).expect("valid");
     let rec = |i: u8| ConnSummary {

@@ -16,7 +16,7 @@ use cloudsim::{ClusterPreset, SimConfig, Simulator};
 use commgraph::anomaly::PatternModel;
 use commgraph::pipeline::{Pipeline, PipelineConfig};
 use commgraph_graph::collapse::collapse_default;
-use commgraph_graph::{CommGraph, Facet};
+use commgraph_graph::CommGraph;
 use serde_json::json;
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
@@ -27,7 +27,6 @@ fn hourly_graphs(preset: ClusterPreset, scale: f64, cfg: SimConfig, hours: u64) 
     let monitored: HashSet<Ipv4Addr> =
         sim.ground_truth().ip_roles.keys().copied().filter(|ip| ip.octets()[0] == 10).collect();
     let mut pipeline = Pipeline::new(PipelineConfig {
-        facet: Facet::Ip,
         window_len: 3600,
         monitored: Some(monitored),
         ..Default::default()

@@ -13,7 +13,6 @@
 //!    against the $0.02/hr market target.
 
 use analytics::cogs::CogsModel;
-use analytics::engine::EngineConfig;
 use analytics::memory::{builder_bytes, human_bytes, snapshot_bytes};
 use analytics::sharded::{ShardedConfig, ShardedEngine};
 use analytics::sketch::SpaceSaving;
@@ -33,7 +32,7 @@ const REPLAY_FLOOR_S: f64 = 0.5;
 fn replay(run: &benchkit::SimRun, shards: usize) -> f64 {
     let mut front = ShardedEngine::new(ShardedConfig {
         shards,
-        engine: EngineConfig { monitored: Some(run.monitored.clone()), ..Default::default() },
+        monitored: Some(run.monitored.clone()),
         ..Default::default()
     })
     .expect("config is valid");
@@ -89,7 +88,7 @@ fn main() {
     // 2. Memory: full graph vs collapsed vs sketch.
     let mut engine = ShardedEngine::new(ShardedConfig {
         shards: 1,
-        engine: EngineConfig { monitored: Some(run.monitored.clone()), ..Default::default() },
+        monitored: Some(run.monitored.clone()),
         ..Default::default()
     })
     .expect("config is valid");

@@ -12,7 +12,6 @@ use cloudsim::churn::ChurnPlan;
 use cloudsim::roles::RoleId;
 use cloudsim::{ClusterPreset, Simulator};
 use commgraph::pipeline::{Pipeline, PipelineConfig};
-use commgraph_graph::Facet;
 use linalg::quantize::{log_normalize, to_csv};
 use linalg::Matrix;
 use serde_json::json;
@@ -38,7 +37,6 @@ fn main() {
     let monitored: std::collections::HashSet<std::net::Ipv4Addr> =
         sim.ground_truth().ip_roles.keys().copied().filter(|ip| ip.octets()[0] == 10).collect();
     let mut pipeline = Pipeline::new(PipelineConfig {
-        facet: Facet::Ip,
         window_len: 3600,
         monitored: Some(monitored),
         ..Default::default()

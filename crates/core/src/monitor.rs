@@ -49,11 +49,16 @@ pub struct MonitorConfig {
     pub learn_windows: usize,
     /// PCA components for the pattern model.
     pub anomaly_k: usize,
-    /// Safety margin over the worst clean anomaly score.
-    pub anomaly_margin: f64,
-    /// Volume-change ratio that makes a persisting edge reportable.
-    pub change_ratio: f64,
+    /// Cap on per-window violation events (summaries always carry the full
+    /// count); keeps a port scan from emitting — or the monitor from
+    /// holding — a million events. Read as each violation is found.
+    pub max_violation_events: usize,
 }
+
+/// Safety margin over the worst clean anomaly score.
+const ANOMALY_MARGIN: f64 = 1.5;
+/// Volume-change ratio that makes a persisting edge reportable.
+const CHANGE_RATIO: f64 = 3.0;
 
 impl Default for MonitorConfig {
     fn default() -> Self {
@@ -61,8 +66,7 @@ impl Default for MonitorConfig {
             window_len: 3600,
             learn_windows: 3,
             anomaly_k: 25,
-            anomaly_margin: 1.5,
-            change_ratio: 3.0,
+            max_violation_events: 64,
         }
     }
 }
@@ -127,7 +131,7 @@ struct Tally {
     /// Policy violations found (enforcing only).
     violations: usize,
     /// The first of them, in arrival order, to emit as events.
-    // bound: ≤ `max_violation_events` entries.
+    // bound: ≤ `MonitorConfig::max_violation_events` entries.
     events: Vec<Violation>,
 }
 
@@ -187,10 +191,6 @@ pub struct SecurityMonitor {
     open: Tally,
     obs: Obs,
     metrics: MonitorMetrics,
-    /// Cap on per-window violation events (summaries always carry the full
-    /// count); keeps a port scan from emitting — or the monitor from
-    /// holding — a million events. Read as each violation is found.
-    pub max_violation_events: usize,
 }
 
 impl SecurityMonitor {
@@ -212,14 +212,13 @@ impl SecurityMonitor {
         let metrics = MonitorMetrics::resolve(&obs);
         let monitored = Inventory::from(monitored);
         SecurityMonitor {
-            roll: WindowedBuilder::new(Facet::Ip, cfg.window_len).with_monitored(monitored.clone()),
+            roll: WindowedBuilder::new(cfg.window_len).with_monitored(monitored.clone()),
             cfg,
             monitored,
             phase: Phase::Learning { period: None, graphs: Vec::new() },
             open: Tally::default(),
             obs,
             metrics,
-            max_violation_events: 64,
         }
     }
 
@@ -264,7 +263,7 @@ impl SecurityMonitor {
             Phase::Enforcing(baseline) => {
                 if let Some(v) = baseline.detector.check(r) {
                     self.open.violations += 1;
-                    if self.open.events.len() < self.max_violation_events {
+                    if self.open.events.len() < self.cfg.max_violation_events {
                         self.open.events.push(v);
                     }
                 }
@@ -374,7 +373,7 @@ impl SecurityMonitor {
                 // Structural diff vs the previous window.
                 let (new_edges, gone_edges) = match &baseline.previous_window {
                     Some(prev) => {
-                        let d = diff(prev, &graph, self.cfg.change_ratio);
+                        let d = diff(prev, &graph, CHANGE_RATIO);
                         (d.added_edges.len(), d.removed_edges.len())
                     }
                     None => (0, 0),
@@ -429,7 +428,7 @@ impl SecurityMonitor {
                     new_edges,
                     gone_edges,
                 });
-                for v in tally.events.into_iter().take(self.max_violation_events) {
+                for v in tally.events.into_iter().take(self.cfg.max_violation_events) {
                     if self.obs.logs(Level::Warn) {
                         self.obs.event(
                             Level::Warn,
@@ -458,7 +457,7 @@ fn fit_model(
         return Err(AnomalyError::Fit("no learning windows".into()));
     };
     let model = PatternModel::fit(first, cfg.anomaly_k)?;
-    let threshold = model.calibrate_threshold(rest, cfg.anomaly_margin)?;
+    let threshold = model.calibrate_threshold(rest, ANOMALY_MARGIN)?;
     Ok((model, threshold))
 }
 
@@ -477,8 +476,7 @@ mod tests {
             window_len: 600, // 10-minute windows keep the test fast
             learn_windows: 2,
             anomaly_k: 10,
-            anomaly_margin: 1.5,
-            change_ratio: 3.0,
+            ..MonitorConfig::default()
         }
     }
 
@@ -836,8 +834,8 @@ mod tests {
             let (baseline, enforced) = buffered_reference(&flat, &cfg, &monitored);
 
             let cap = if seed % 2 == 0 { usize::MAX } else { 3 };
-            let mut monitor = SecurityMonitor::new(cfg.clone(), monitored.clone());
-            monitor.max_violation_events = cap;
+            let capped = MonitorConfig { max_violation_events: cap, ..cfg.clone() };
+            let mut monitor = SecurityMonitor::new(capped, monitored.clone());
             let mut events = Vec::new();
             for batch in &stream {
                 events.extend(monitor.ingest(batch));

@@ -15,7 +15,7 @@ use algos::roles::{
 use commgraph_graph::builder::{survives_vantage_dedup, Inventory, Outcome, WindowedBuilder};
 use commgraph_graph::diff::dirty_nodes;
 use commgraph_graph::series::GraphSequence;
-use commgraph_graph::{CommGraph, Facet, NodeId, Result as GraphResult};
+use commgraph_graph::{CommGraph, NodeId, Result as GraphResult};
 use flowlog::record::ConnSummary;
 use flowlog::time::bucket_start;
 use obs::{names, AlertEngine, Obs, Scraper};
@@ -25,11 +25,9 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Pipeline configuration.
+/// Pipeline configuration. The produced graphs are IP graphs.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
-    /// Facet of the produced graphs.
-    pub facet: Facet,
     /// Window length in seconds (3600 for the paper's hourly graphs).
     pub window_len: u64,
     /// Monitored inventory for vantage dedup; `None` disables dedup.
@@ -49,13 +47,7 @@ pub struct PipelineConfig {
 
 impl Default for PipelineConfig {
     fn default() -> Self {
-        PipelineConfig {
-            facet: Facet::Ip,
-            window_len: 3600,
-            monitored: None,
-            obs: Obs::noop(),
-            incremental: true,
-        }
+        PipelineConfig { window_len: 3600, monitored: None, obs: Obs::noop(), incremental: true }
     }
 }
 
@@ -90,7 +82,7 @@ impl PipelineOutput {
     /// This is the [`obs::rate::per_bucket`] semantics: a typical active
     /// minute's load, deliberately ignoring empty minutes inside gaps. It is
     /// **not** a wall-clock throughput; for "how fast did the machine run"
-    /// see `EngineStats::records_per_sec` ([`obs::rate::per_second`]).
+    /// divide by a measured wall time with [`obs::rate::per_second`].
     pub fn mean_records_per_minute(&self) -> f64 {
         obs::rate::per_bucket(self.total_records, self.records_per_minute.len())
     }
@@ -150,7 +142,7 @@ impl Pipeline {
         let monitored = Inventory::from(cfg.monitored.unwrap_or_default());
         let metrics = PipelineMetrics::resolve(&cfg.obs);
         Pipeline {
-            roll: WindowedBuilder::new(cfg.facet, cfg.window_len).with_monitored(monitored.clone()),
+            roll: WindowedBuilder::new(cfg.window_len).with_monitored(monitored.clone()),
             monitored,
             closed: Vec::new(),
             per_minute: BTreeMap::new(),

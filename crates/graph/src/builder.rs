@@ -281,11 +281,11 @@ pub struct WindowedBuilder {
 }
 
 impl WindowedBuilder {
-    /// Roll emitting one graph per `window_len` seconds (3600 for the
+    /// Roll emitting one IP graph per `window_len` seconds (3600 for the
     /// paper's hourly graphs).
-    pub fn new(facet: Facet, window_len: u64) -> Self {
+    pub fn new(window_len: u64) -> Self {
         assert!(window_len > 0, "window length must be positive");
-        WindowedBuilder { builder: GraphBuilder::new(facet, 0, window_len), open: false }
+        WindowedBuilder { builder: GraphBuilder::new(Facet::Ip, 0, window_len), open: false }
     }
 
     /// Enable vantage dedup (see [`GraphBuilder::with_monitored`]).
@@ -477,7 +477,7 @@ mod tests {
 
     #[test]
     fn windowed_builder_rolls_hourly() {
-        let mut wb = WindowedBuilder::new(Facet::Ip, 3600);
+        let mut wb = WindowedBuilder::new(3600);
         assert!(wb.add(&rec(0, 1, 40_000, 2, 443, 100, 10)).1.is_none(), "window still open");
         assert!(wb.add(&rec(3599, 1, 40_001, 2, 443, 100, 10)).1.is_none());
         // The record that opens a newer window is handed the closed one.
@@ -494,7 +494,7 @@ mod tests {
 
     #[test]
     fn records_behind_closed_windows_drop_deterministically() {
-        let mut wb = WindowedBuilder::new(Facet::Ip, 60);
+        let mut wb = WindowedBuilder::new(60);
         assert_eq!(wb.add(&rec(0, 1, 40_000, 2, 443, 100, 10)).0, Outcome::Kept);
         let (outcome, closed) = wb.add(&rec(65, 1, 40_001, 2, 443, 100, 10));
         assert_eq!(outcome, Outcome::Kept, "rolls to window 60");
@@ -514,7 +514,7 @@ mod tests {
     #[test]
     fn deduped_records_are_reported_and_still_roll_the_window() {
         let monitored: HashSet<Ipv4Addr> = [ip(1), ip(2)].into_iter().collect();
-        let mut wb = WindowedBuilder::new(Facet::Ip, 60).with_monitored(monitored);
+        let mut wb = WindowedBuilder::new(60).with_monitored(monitored);
         let flow = rec(0, 1, 40_000, 2, 443, 100, 10);
         assert_eq!(wb.add(&flow).0, Outcome::Kept);
         assert_eq!(wb.add(&flow.mirrored()).0, Outcome::Deduped);
@@ -603,7 +603,7 @@ mod tests {
                 .fold((0, 0), |(s, k), (seen, kept)| (s + seen, k + kept));
             let want: Vec<_> = reference.into_values().map(|b| fingerprint(&b.finish())).collect();
 
-            let mut wb = WindowedBuilder::new(Facet::Ip, WINDOW).with_monitored(monitored.clone());
+            let mut wb = WindowedBuilder::new(WINDOW).with_monitored(monitored.clone());
             let mut graphs = Vec::new();
             let mut outcomes = [0u64; 3];
             for r in &records {
@@ -672,7 +672,7 @@ mod tests {
                 .collect::<HashSet<_>>(),
         );
 
-        let mut wb = WindowedBuilder::new(Facet::Ip, WINDOW).with_monitored(monitored.clone());
+        let mut wb = WindowedBuilder::new(WINDOW).with_monitored(monitored.clone());
         let first = EDGES[0] as usize;
         let mut graphs = Vec::new();
         for (w, records) in windows.iter().enumerate() {

@@ -34,9 +34,10 @@
 //! `max`, `p50`, `p95`, `p99` sub-series (buckets are not retained). Each
 //! series is a bounded ring of `(tick, value)` samples with the tick stored
 //! as a `u32` delta from the series' base tick — 12 bytes per sample instead
-//! of 16. When a ring is full the oldest sample is evicted and counted;
-//! when the store holds `max_series` ([`TsdbConfig`]) series, *new* series are
-//! dropped and counted. Nothing is silently lost.
+//! of 16. When a ring is full the oldest sample is evicted and counted
+//! (`commgraph_tsdb_evicted_samples_total`); when the store holds
+//! `max_series` ([`TsdbConfig`]) series, *new* series are not stored, and
+//! `commgraph_tsdb_series_entries` reads the cap.
 
 use crate::metrics::HistogramSnapshot;
 use crate::registry::{Registry, SnapshotValue};
@@ -167,8 +168,7 @@ impl Series {
 pub struct TsdbConfig {
     /// Samples retained per series; the oldest is evicted beyond this.
     pub(crate) capacity_per_series: usize,
-    /// Series retained in total; *new* series beyond this are dropped (and
-    /// counted).
+    /// Series retained in total; *new* series beyond this are not stored.
     pub(crate) max_series: usize,
 }
 
@@ -183,9 +183,7 @@ struct TsdbInner {
     // bound: at most `TsdbConfig::max_series` series of at most
     // `capacity_per_series` samples each; new series beyond it are dropped.
     series: BTreeMap<SeriesKey, Series>,
-    appended: u64,
     evicted: u64,
-    dropped_series: u64,
     last_tick: u64,
 }
 
@@ -257,7 +255,6 @@ impl Tsdb {
         let mut inner = lock(&self.inner);
         inner.last_tick = inner.last_tick.max(tick);
         if !inner.series.contains_key(&key) && inner.series.len() >= max_series {
-            inner.dropped_series += 1;
             return;
         }
         let series = inner
@@ -266,7 +263,6 @@ impl Tsdb {
             .or_insert_with(|| Series { base_tick: tick, samples: VecDeque::new() });
         let evicted = series.push(tick, value, capacity);
         inner.evicted += evicted;
-        inner.appended += 1;
     }
 
     /// Series currently retained.
@@ -496,15 +492,16 @@ mod tests {
     #[test]
     fn ring_capacity_evicts_oldest_and_counts_honestly() {
         let db = Tsdb::new(TsdbConfig { capacity_per_series: 3, max_series: 10 });
+        let mut appended = 0u64;
         for t in 1..=7u64 {
             db.append(SeriesKey::value("x_total", &[]), t, t as f64);
+            appended += 1;
         }
         let s = &db.query(&Query::default())[0];
         assert_eq!(s.points, vec![(5, 5.0), (6, 6.0), (7, 7.0)], "oldest evicted first");
-        assert_eq!(lock(&db.inner).appended, 7);
         assert_eq!(db.evicted_samples(), 4);
         // Conservation: retained + evicted == appended.
-        assert_eq!(s.points.len() as u64 + db.evicted_samples(), lock(&db.inner).appended);
+        assert_eq!(s.points.len() as u64 + db.evicted_samples(), appended);
     }
 
     #[test]
@@ -516,8 +513,9 @@ mod tests {
         // Existing series still accept samples at the cap.
         db.append(SeriesKey::value("a_total", &[]), 2, 2.0);
         assert_eq!(db.series_count(), 2);
-        assert_eq!(lock(&db.inner).dropped_series, 1);
-        assert_eq!(lock(&db.inner).appended, 3);
+        assert!(db.query(&family("c_total")).is_empty(), "the series past the cap is not stored");
+        let retained: usize = db.query(&Query::default()).iter().map(|s| s.points.len()).sum();
+        assert_eq!(retained, 3, "every sample of a stored series is kept");
     }
 
     #[test]
@@ -541,7 +539,8 @@ mod tests {
         let sum = db.query(&Query { field: Some(SampleField::Sum), ..family("demo_seconds") });
         assert_eq!(sum[0].points, vec![(1, 3.0)]);
         assert!(appended >= 12, "user metrics plus scraper self-metrics: {appended}");
-        assert_eq!(lock(&db.inner).appended, appended as u64);
+        let retained: usize = db.query(&Query::default()).iter().map(|s| s.points.len()).sum();
+        assert_eq!(retained, appended, "one scrape evicts nothing");
 
         // Second scrape sees the scraper's own scrape_seconds histogram.
         scraper.scrape(2);

@@ -266,7 +266,7 @@ fn roll(
     window: u64,
     monitored: &Inventory,
 ) -> (Vec<CommGraph>, Vec<Vec<ConnSummary>>) {
-    let mut wb = WindowedBuilder::new(Facet::Ip, window).with_monitored(monitored.clone());
+    let mut wb = WindowedBuilder::new(window).with_monitored(monitored.clone());
     let (mut graphs, mut kept) = (Vec::new(), Vec::<Vec<ConnSummary>>::new());
     for r in records {
         let (outcome, closed) = wb.add(r);
@@ -493,7 +493,7 @@ fn graph_policy_lacks_exactly_the_rules_of_records_behind_the_roll() {
     let stragglers =
         [flow(10, a, 40_003, b, 443), flow(20, b, 40_004, c, 8080), flow(30, c, 40_005, a, 9000)];
     let next = flow(61, a, 40_006, b, 443);
-    let mut wb = WindowedBuilder::new(Facet::Ip, 60);
+    let mut wb = WindowedBuilder::new(60);
     let mut graphs = Vec::new();
     let mut behind = Vec::new();
     for r in window.iter().chain([&next]).chain(&stragglers) {

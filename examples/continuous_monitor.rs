@@ -59,11 +59,15 @@ fn main() {
     );
     let alerts = Arc::new(AlertEngine::new(obs.clone()));
     let mut monitor = SecurityMonitor::with_obs(
-        MonitorConfig { window_len: 1200, learn_windows: 3, ..Default::default() },
+        MonitorConfig {
+            window_len: 1200,
+            learn_windows: 3,
+            max_violation_events: 3, // headline examples only
+            ..Default::default()
+        },
         monitored,
         obs.clone(),
     );
-    monitor.max_violation_events = 3; // headline examples only
 
     // The default pack's freshness SLO is sized by expected records per
     // tick; each WindowSummary below advances one tick.

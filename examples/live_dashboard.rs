@@ -19,7 +19,6 @@
 use commgraph::cloudsim::churn::ChurnPlan;
 use commgraph::cloudsim::load::{LoadSchedule, LoadShape};
 use commgraph::cloudsim::{ClusterPreset, Simulator};
-use commgraph::graph::Facet;
 use commgraph::linalg::quantize::{log_normalize, to_ascii};
 use commgraph::linalg::Matrix;
 use commgraph::obs::alert::default_pack;
@@ -70,7 +69,6 @@ fn main() {
     );
     let alerts = Arc::new(AlertEngine::new(obs.clone()));
     let mut pipeline = Pipeline::new(PipelineConfig {
-        facet: Facet::Ip,
         window_len: 3600,
         monitored: Some(monitored),
         obs: obs.clone(),

@@ -9,7 +9,6 @@
 //! ingested window batch), the alert engine evaluates on the same ticks,
 //! and the `/alerts` JSON carries only tick numbers.
 
-use commgraph::analytics::engine::EngineConfig;
 use commgraph::analytics::sharded::{ShardedConfig, ShardedEngine};
 use commgraph::flowlog::record::{ConnSummary, FlowKey};
 use commgraph::obs;
@@ -77,12 +76,9 @@ fn run_once() -> String {
     let alerts = Arc::new(obs::AlertEngine::new(o.clone()));
     alerts.add_rule(roll_lag_rule());
 
-    let mut front = ShardedEngine::new(ShardedConfig {
-        obs: o,
-        engine: EngineConfig { window_len: WINDOW_LEN, ..Default::default() },
-        ..Default::default()
-    })
-    .unwrap();
+    let mut front =
+        ShardedEngine::new(ShardedConfig { obs: o, window_len: WINDOW_LEN, ..Default::default() })
+            .unwrap();
     for w in 0..WINDOWS {
         front.ingest("tenant-a", &window_batch(w)).unwrap();
         let tick = w + 1;
@@ -155,12 +151,9 @@ fn default_pack_walks_the_pinned_hard_coded_sequence_on_the_real_workload() {
     alerts.add_rules(obs::alert::default_pack(RATE));
     alerts.add_rule(roll_lag_rule());
 
-    let mut front = ShardedEngine::new(ShardedConfig {
-        obs: o,
-        engine: EngineConfig { window_len: WINDOW_LEN, ..Default::default() },
-        ..Default::default()
-    })
-    .unwrap();
+    let mut front =
+        ShardedEngine::new(ShardedConfig { obs: o, window_len: WINDOW_LEN, ..Default::default() })
+            .unwrap();
     for w in 0..WINDOWS {
         front.ingest("tenant-a", &window_batch(w)).unwrap();
         let tick = w + 1;

@@ -10,7 +10,6 @@ use commgraph::cloudsim::attack::{AttackKind, AttackScenario};
 use commgraph::cloudsim::{ClusterPreset, SimConfig, Simulator};
 use commgraph::flowlog::provider::ProviderPreset;
 use commgraph::flowlog::sampling::Sampler;
-use commgraph::graph::Facet;
 use commgraph::pipeline::{Pipeline, PipelineConfig};
 use commgraph::workbench::Workbench;
 use std::collections::HashSet;
@@ -175,7 +174,6 @@ fn pipeline_produces_hourly_sequence() {
         .expect("valid preset");
     let monitored = monitored_of(&sim);
     let mut pipeline = Pipeline::new(PipelineConfig {
-        facet: Facet::Ip,
         window_len: 3600,
         monitored: Some(monitored),
         ..Default::default()

@@ -9,7 +9,6 @@
 //! skew, partition/heal) asserts its *exact* late-record, dedup-drop,
 //! watermark-lag, and alert-transition outcomes.
 
-use commgraph::analytics::engine::EngineConfig;
 use commgraph::analytics::sharded::{ShardedConfig, ShardedEngine};
 use commgraph::cloudsim::net::{scripts, Delivery, FaultScript, NetConfig, NetSim, NetStats};
 use commgraph::cloudsim::{ClusterPreset, Simulator};
@@ -45,7 +44,7 @@ fn fingerprint(graphs: &[CommGraph]) -> Fingerprint {
         .collect()
 }
 
-/// Everything a run produced, minus wall-clock noise (`elapsed_secs`).
+/// Everything a run produced.
 type RunResult = Vec<(String, u64, u64, usize, Fingerprint)>;
 
 fn finish(front: ShardedEngine) -> RunResult {
@@ -76,11 +75,8 @@ fn finish_pipeline(pipeline: Pipeline) -> PipelineOutput {
 }
 
 fn front_door() -> ShardedEngine {
-    ShardedEngine::new(ShardedConfig {
-        engine: EngineConfig { window_len: WINDOW_LEN, ..Default::default() },
-        ..Default::default()
-    })
-    .expect("valid front-door config")
+    ShardedEngine::new(ShardedConfig { window_len: WINDOW_LEN, ..Default::default() })
+        .expect("valid front-door config")
 }
 
 fn host(d: u8) -> Ipv4Addr {
@@ -237,7 +233,7 @@ fn delayed_flush_asserts_lateness_and_alert_transitions() {
 
         let mut front = ShardedEngine::new(ShardedConfig {
             obs: o.clone(),
-            engine: EngineConfig { window_len: WINDOW_LEN, ..Default::default() },
+            window_len: WINDOW_LEN,
             ..Default::default()
         })
         .expect("valid front-door config");
@@ -410,12 +406,8 @@ fn property_batch(s: u8, t: u64) -> Vec<ConnSummary> {
 }
 
 fn sharded_at(shards: usize) -> ShardedEngine {
-    ShardedEngine::new(ShardedConfig {
-        shards,
-        engine: EngineConfig { window_len: WINDOW_LEN, ..Default::default() },
-        ..Default::default()
-    })
-    .expect("valid front-door config")
+    ShardedEngine::new(ShardedConfig { shards, window_len: WINDOW_LEN, ..Default::default() })
+        .expect("valid front-door config")
 }
 
 proptest! {

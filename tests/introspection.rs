@@ -14,7 +14,6 @@
 //! This test runs as its own process, so installing the global registry here
 //! cannot leak into other tests.
 
-use commgraph::analytics::engine::EngineConfig;
 use commgraph::analytics::sharded::{ShardedConfig, ShardedEngine};
 use commgraph::cloudsim::attack::{AttackKind, AttackScenario};
 use commgraph::cloudsim::{ClusterPreset, SimConfig, Simulator};
@@ -63,11 +62,8 @@ fn exercise_everything(o: &obs::Obs, scraper: &Arc<obs::Scraper>, alerts: &Arc<o
 
     let mut engine = ShardedEngine::new(ShardedConfig {
         shards: 1,
-        engine: EngineConfig {
-            monitored: Some(monitored.clone()),
-            obs: o.clone(),
-            ..Default::default()
-        },
+        monitored: Some(monitored.clone()),
+        obs: o.clone(),
         ..Default::default()
     })
     .unwrap();

@@ -1,8 +1,8 @@
 //! Cross-crate property-based tests: invariants that must hold over
 //! arbitrary simulated workloads, not just hand-picked fixtures.
 
-use commgraph::analytics::engine::{EngineConfig, EngineStats};
 use commgraph::analytics::sharded::{ShardedConfig, ShardedEngine};
+use commgraph::analytics::EngineStats;
 use commgraph::cloudsim::roles::RoleKind;
 use commgraph::cloudsim::topology::TopologyBuilder;
 use commgraph::cloudsim::traffic::TrafficProfile;
@@ -91,16 +91,11 @@ fn through_engine(
     shards: usize,
 ) -> (Vec<Fingerprint>, EngineStats) {
     let registry = std::sync::Arc::new(obs::Registry::new());
-    let engine = EngineConfig {
-        window_len: WINDOW,
-        monitored: Some(monitored.clone()),
-        ..Default::default()
-    };
     let cfg = ShardedConfig {
         shards,
-        engine,
+        window_len: WINDOW,
+        monitored: Some(monitored.clone()),
         obs: obs::Obs::new(registry.clone()),
-        ..Default::default()
     };
     let mut e = ShardedEngine::new(cfg).expect("valid config");
     records.chunks(997).for_each(|batch| e.ingest("sub", batch).expect("ingest"));

@@ -3,7 +3,6 @@
 //! identical to the uninstrumented run. Floats are compared via `to_bits`,
 //! so even a last-ulp drift (e.g. from a reordered reduction) fails.
 
-use commgraph::analytics::engine::EngineConfig;
 use commgraph::analytics::sharded::{ShardedConfig, ShardedEngine};
 use commgraph::cloudsim::{ClusterPreset, Simulator};
 use commgraph::flowlog::record::ConnSummary;
@@ -41,11 +40,8 @@ struct Fingerprint {
 fn run(obs: Obs, records: &[ConnSummary], monitored: &HashSet<Ipv4Addr>) -> Fingerprint {
     let mut engine = ShardedEngine::new(ShardedConfig {
         shards: 1,
-        engine: EngineConfig {
-            monitored: Some(monitored.clone()),
-            obs: obs.clone(),
-            ..Default::default()
-        },
+        monitored: Some(monitored.clone()),
+        obs: obs.clone(),
         ..Default::default()
     })
     .unwrap();
