@@ -82,7 +82,7 @@ fn main() {
             "removed_edges": removed,
         }));
     }
-    let p = seq.persistence(2.0);
+    let p = seq.persistence();
     println!("\n  mean adjacent edge-jaccard: {:.3}", p.mean_edge_jaccard);
     if let Some(t) = p.most_changed_transition {
         println!("  most-changed transition:    hour +{} → +{}", t, t + 1);

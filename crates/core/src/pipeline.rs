@@ -5,9 +5,8 @@
 //! window a record lands in and hands each closed window's graph over
 //! once; the pipeline collects those graphs into a validated
 //! [`commgraph_graph::series::GraphSequence`], pairs each with its dirty
-//! set (what [`WindowAnalyzer`] consumes), and keeps the accounting —
-//! record rates (Table 1's records/minute column), the three outcome
-//! counts, and the streaming-health metrics.
+//! set (what [`WindowAnalyzer`] consumes), and keeps the accounting — the
+//! three outcome counts and the streaming-health metrics.
 
 use algos::roles::{
     infer_roles_incremental, infer_roles_obs, RoleInference, RoleMemo, SegmentationMethod,
@@ -20,7 +19,7 @@ use flowlog::record::ConnSummary;
 use flowlog::time::bucket_start;
 use obs::{names, AlertEngine, Obs, Scraper};
 use segment::{SegmentPolicy, Segmentation};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 use std::time::Instant;
@@ -60,8 +59,6 @@ pub struct PipelineOutput {
     /// whose adjacency changed vs the previous window. Without incremental
     /// maintenance every window conservatively reports all its nodes dirty.
     pub dirty_sets: Vec<Vec<NodeId>>,
-    /// Records ingested per minute bucket (sorted by minute).
-    pub(crate) records_per_minute: Vec<(u64, u64)>,
     /// Total records ingested:
     /// `kept_records + deduped_records + dropped_records`.
     pub total_records: u64,
@@ -73,19 +70,6 @@ pub struct PipelineOutput {
     /// Records dropped because their window had already closed when they
     /// arrived (dedup-surviving or not).
     pub dropped_records: u64,
-}
-
-impl PipelineOutput {
-    /// Mean records/minute over *occupied* minute buckets — Table 1's rate
-    /// column.
-    ///
-    /// This is the [`obs::rate::per_bucket`] semantics: a typical active
-    /// minute's load, deliberately ignoring empty minutes inside gaps. It is
-    /// **not** a wall-clock throughput; for "how fast did the machine run"
-    /// divide by a measured wall time with [`obs::rate::per_second`].
-    pub fn mean_records_per_minute(&self) -> f64 {
-        obs::rate::per_bucket(self.total_records, self.records_per_minute.len())
-    }
 }
 
 /// Streaming-health metric handles, resolved once at pipeline construction
@@ -121,10 +105,6 @@ pub struct Pipeline {
     monitored: Inventory,
     /// Closed windows, each with its dirty set.
     closed: Vec<(CommGraph, Vec<NodeId>)>,
-    // bound: one entry per occupied minute of the run.
-    per_minute: BTreeMap<u64, u64>,
-    /// The last record's minute and the records since the stream (re-)entered it.
-    open_minute: (u64, u64),
     total: u64,
     kept: u64,
     deduped: u64,
@@ -145,8 +125,6 @@ impl Pipeline {
             roll: WindowedBuilder::new(cfg.window_len).with_monitored(monitored.clone()),
             monitored,
             closed: Vec::new(),
-            per_minute: BTreeMap::new(),
-            open_minute: (0, 0),
             total: 0,
             kept: 0,
             deduped: 0,
@@ -169,14 +147,6 @@ impl Pipeline {
         self.closed.push((g, dirty));
     }
 
-    /// Leave the open minute for `next` (`+=`: re-entering a minute stays exact).
-    fn flush_minute(&mut self, next: u64) {
-        let (minute, count) = std::mem::replace(&mut self.open_minute, (next, 0));
-        if count > 0 {
-            *self.per_minute.entry(minute).or_insert(0) += count;
-        }
-    }
-
     /// Ingest a batch of records. Timestamps may jitter within the open
     /// window; a record whose window has already closed is excluded from
     /// the graphs deterministically (and counted on
@@ -196,11 +166,6 @@ impl Pipeline {
         for r in records {
             let behind_watermark = r.ts < self.watermark;
             self.watermark = self.watermark.max(r.ts);
-            // Range-checked like the roll's window: map and division run on a minute change only.
-            if r.ts < self.open_minute.0 || r.ts - self.open_minute.0 >= 60 {
-                self.flush_minute(bucket_start(r.ts, 60));
-            }
-            self.open_minute.1 += 1;
             let (outcome, closed) = self.roll.add(r);
             if let Some(g) = closed {
                 // Roll lag: how far into the new window its first record
@@ -232,7 +197,6 @@ impl Pipeline {
     /// Close the stream and produce the graph sequence.
     pub fn finish(mut self) -> GraphResult<PipelineOutput> {
         let mut tspan = self.obs.trace_span("pipeline_finish");
-        self.flush_minute(0);
         if let Some(g) = self.roll.finish() {
             self.push_closed(g);
         }
@@ -243,7 +207,6 @@ impl Pipeline {
         }
         let (graphs, dirty_sets): (Vec<_>, Vec<_>) = self.closed.into_iter().unzip();
         let sequence = GraphSequence::from_graphs(graphs)?;
-        let records_per_minute = self.per_minute.into_iter().collect();
         if tspan.is_enabled() {
             tspan.attr("windows", &sequence.len().to_string());
             tspan.attr("total_records", &self.total.to_string());
@@ -251,7 +214,6 @@ impl Pipeline {
         Ok(PipelineOutput {
             sequence,
             dirty_sets,
-            records_per_minute,
             total_records: self.total,
             kept_records: self.kept,
             deduped_records: self.deduped,
@@ -516,44 +478,10 @@ mod tests {
     }
 
     #[test]
-    fn rate_accounting_per_minute() {
-        let mut p = Pipeline::new(PipelineConfig::default());
-        p.ingest(&[rec(0, 1), rec(30, 2), rec(60, 3)]);
-        let out = finish(p);
-        assert_eq!(out.records_per_minute, vec![(0, 2), (60, 1)]);
-        assert!((out.mean_records_per_minute() - 1.5).abs() < 1e-12);
-    }
-
-    /// The open-minute fields against a plain `BTreeMap` tally: a stream that
-    /// crosses a minute boundary forwards, backwards and forwards again
-    /// inside one window (re-entry must add, not overwrite), and one with an
-    /// empty minute between occupied ones — each fed whole and record by
-    /// record, so the open minute also survives across `ingest` calls.
-    #[test]
-    fn per_minute_tally_is_exact_under_jitter_and_gaps() {
-        let streams: [&[u64]; 2] =
-            [&[10, 59, 60, 61, 58, 3, 119, 62, 120, 59], &[0, 30, 185, 190, 20, 3599, 3600, 3725]];
-        for stamps in streams {
-            let mut want: BTreeMap<u64, u64> = BTreeMap::new();
-            for ts in stamps {
-                *want.entry(ts - ts % 60).or_insert(0) += 1;
-            }
-            let records: Vec<ConnSummary> = stamps.iter().map(|&ts| rec(ts, 1)).collect();
-            for batch in [records.len(), 1] {
-                let mut p = Pipeline::new(PipelineConfig::default());
-                records.chunks(batch).for_each(|c| p.ingest(c));
-                let out = finish(p);
-                assert_eq!(out.records_per_minute, Vec::from_iter(want.clone()), "{stamps:?}");
-                assert_eq!(out.total_records, stamps.len() as u64);
-            }
-        }
-    }
-
-    #[test]
     fn empty_pipeline_is_fine() {
         let out = finish(Pipeline::new(PipelineConfig::default()));
-        assert!(out.sequence.is_empty());
-        assert_eq!(out.mean_records_per_minute(), 0.0);
+        assert!(out.sequence.is_empty() && out.dirty_sets.is_empty());
+        assert_eq!(out.total_records, 0);
     }
 
     #[test]
@@ -908,14 +836,18 @@ mod tests {
             "deterministic transition sequence"
         );
         // The recording rule ran once per window tick, appending its
-        // synthetic series at the same ticks as the scraped samples.
-        let recorded = scraper.store().query(&obs::Query {
-            name: Some("pipeline:late_records:delta1".to_string()),
-            ..Default::default()
-        });
-        assert_eq!(recorded.len(), 1, "one synthetic series");
-        let ticks: Vec<u64> = recorded[0].points.iter().map(|p| p.0).collect();
-        assert_eq!(ticks, vec![1, 2, 3], "one rule sample per analyzed window");
+        // synthetic series at the same ticks as the scraped samples: one
+        // series whose samples in each two-tick window `[t - 1, t]` count
+        // 1, 2, 2 at ticks 1..=3 — one sample at each and none at tick 0.
+        let per_tick = "count_over_time(pipeline:late_records:delta1[1])";
+        assert_eq!(
+            obs::query::query_range_json(scraper.store(), per_tick, 0, 3, 1).unwrap(),
+            format!(
+                "{{\"expr\":\"{per_tick}\",\"from\":0,\"to\":3,\"step\":1,\"series\":[\
+                 {{\"name\":\"\",\"labels\":{{}},\"points\":[[1,1],[2,2],[3,2]]}}]}}"
+            ),
+            "one rule sample per analyzed window"
+        );
         let written = registry
             .counter(&names::QUERY_RULE_SERIES_TOTAL, ["pipeline:late_records:delta1"])
             .get();

@@ -28,8 +28,9 @@
 //!   (Figure 5's timelapse analysis).
 //! * [`cardinality`] — HyperLogLog estimation of node/edge counts for
 //!   facets too large to materialize (the KQuery IP-port graph).
-//! * [`timeseries`] — per-edge byte series at the summary cadence: the
-//!   paper's "embed timeseries in the node and edge attributes" variant.
+//! * [`timeseries`] — per-edge byte series read off the roll's graphs, one
+//!   slot per window: the paper's "embed timeseries in the node and edge
+//!   attributes" variant, derived from its "time-series of graphs".
 
 #![deny(
     clippy::unwrap_used,

@@ -22,8 +22,6 @@ pub struct GraphSequence {
 pub struct PersistenceReport {
     /// Edge-set Jaccard similarity per adjacent pair.
     pub(crate) edge_jaccard: Vec<f64>,
-    /// Node-set Jaccard similarity per adjacent pair.
-    pub(crate) node_jaccard: Vec<f64>,
     /// Mean edge Jaccard across the sequence.
     pub mean_edge_jaccard: f64,
     /// Index (into adjacent pairs) of the least-similar transition, if any.
@@ -31,14 +29,9 @@ pub struct PersistenceReport {
 }
 
 impl GraphSequence {
-    /// Empty sequence.
-    pub fn new() -> Self {
-        GraphSequence::default()
-    }
-
     /// Build from pre-ordered snapshots, validating facet and time order.
     pub fn from_graphs(graphs: Vec<CommGraph>) -> Result<Self> {
-        let mut s = GraphSequence::new();
+        let mut s = GraphSequence::default();
         for g in graphs {
             s.push(g)?;
         }
@@ -93,15 +86,11 @@ impl GraphSequence {
         Ok(diff(&self.graphs[i], &self.graphs[i + 1], change_ratio))
     }
 
-    /// Persistence metrics across all adjacent pairs.
-    pub fn persistence(&self, change_ratio: f64) -> PersistenceReport {
-        let mut edge_jaccard = Vec::new();
-        let mut node_jaccard = Vec::new();
-        for i in 0..self.graphs.len().saturating_sub(1) {
-            let d = diff(&self.graphs[i], &self.graphs[i + 1], change_ratio);
-            edge_jaccard.push(d.edge_jaccard);
-            node_jaccard.push(d.node_jaccard);
-        }
+    /// Persistence metrics across all adjacent pairs: the edge sets' Jaccard
+    /// similarity, which no volume-change ratio moves.
+    pub fn persistence(&self) -> PersistenceReport {
+        let edge_jaccard: Vec<f64> =
+            self.graphs.windows(2).map(|w| diff(&w[0], &w[1], 1.0).edge_jaccard).collect();
         let mean_edge_jaccard = if edge_jaccard.is_empty() {
             1.0
         } else {
@@ -109,7 +98,7 @@ impl GraphSequence {
         };
         let most_changed_transition =
             edge_jaccard.iter().enumerate().min_by(|a, b| a.1.total_cmp(b.1)).map(|(i, _)| i);
-        PersistenceReport { edge_jaccard, node_jaccard, mean_edge_jaccard, most_changed_transition }
+        PersistenceReport { edge_jaccard, mean_edge_jaccard, most_changed_transition }
     }
 }
 
@@ -134,7 +123,7 @@ mod tests {
 
     #[test]
     fn push_enforces_time_order() {
-        let mut s = GraphSequence::new();
+        let mut s = GraphSequence::default();
         s.push(graph(0, &[(1, 2, 1)])).unwrap();
         s.push(graph(3600, &[(1, 2, 1)])).unwrap();
         assert!(s.push(graph(1800, &[(1, 2, 1)])).is_err(), "overlap rejected");
@@ -143,7 +132,7 @@ mod tests {
 
     #[test]
     fn push_enforces_same_facet() {
-        let mut s = GraphSequence::new();
+        let mut s = GraphSequence::default();
         s.push(graph(0, &[(1, 2, 1)])).unwrap();
         let other = CommGraph::from_edge_map("ip-port", 3600, 3600, HashMap::new());
         assert!(matches!(s.push(other), Err(Error::Incompatible(_))));
@@ -157,7 +146,7 @@ mod tests {
             graph(7200, &[(1, 2, 95), (2, 3, 55)]),
         ])
         .unwrap();
-        let p = s.persistence(10.0);
+        let p = s.persistence();
         assert_eq!(p.edge_jaccard, vec![1.0, 1.0]);
         assert_eq!(p.mean_edge_jaccard, 1.0);
     }
@@ -170,7 +159,7 @@ mod tests {
             graph(7200, &[(7, 8, 9)]), // everything changed
         ])
         .unwrap();
-        let p = s.persistence(2.0);
+        let p = s.persistence();
         assert_eq!(p.most_changed_transition, Some(1));
         assert!(p.edge_jaccard[1] < p.edge_jaccard[0]);
     }
@@ -183,9 +172,9 @@ mod tests {
 
     #[test]
     fn empty_sequence_is_consistent() {
-        let s = GraphSequence::new();
+        let s = GraphSequence::default();
         assert!(s.is_empty());
-        let p = s.persistence(2.0);
+        let p = s.persistence();
         assert_eq!(p.mean_edge_jaccard, 1.0);
         assert!(p.most_changed_transition.is_none());
     }

@@ -2,33 +2,33 @@
 //! "We can generate a time-series of graphs **or embed timeseries in the
 //! node and edge attributes of one graph**."
 //!
-//! [`EdgeSeriesBuilder`] accumulates, per undirected node pair, a byte
-//! series at the summary cadence. The series power analyses a scalar edge
-//! weight cannot: correlating edges (do these two conversations breathe
-//! together? — the temporal cousin of the proportionality policy), and
-//! profiling an edge's activity shape (constant control-plane hum vs bursty
-//! batch transfer).
+//! The second is read off the first: [`edge_series`] lays the graphs a
+//! window roll ([`crate::WindowedBuilder`]) hands out side by side, one slot
+//! per window, and keys each edge's byte series by its node pair. The series
+//! power analyses a scalar edge weight cannot: correlating edges (do these
+//! two conversations breathe together? — the temporal cousin of the
+//! proportionality policy, [`most_correlated`]), and profiling an edge's
+//! activity shape (constant control-plane hum vs bursty batch transfer).
 
-use crate::node::{Facet, NodeId};
-use flowlog::record::ConnSummary;
-use flowlog::time::bucket_index;
+use crate::graph::CommGraph;
+use crate::node::NodeId;
 use serde::Serialize;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-/// A byte series for one edge: one slot per interval of the window.
+/// A byte series for one edge: one slot per window.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EdgeSeries {
-    /// Bytes per interval (dense; quiet intervals are zero).
-    pub(crate) bytes: Vec<u64>,
+    /// Bytes per window (dense; quiet windows are zero).
+    pub bytes: Vec<u64>,
 }
 
 impl EdgeSeries {
-    /// Total bytes over the window.
+    /// Total bytes over all windows.
     pub fn total(&self) -> u64 {
         self.bytes.iter().sum()
     }
 
-    /// Fraction of intervals with any traffic.
+    /// Fraction of windows with any traffic.
     pub fn activity(&self) -> f64 {
         if self.bytes.is_empty() {
             return 0.0;
@@ -36,7 +36,7 @@ impl EdgeSeries {
         self.bytes.iter().filter(|&&b| b > 0).count() as f64 / self.bytes.len() as f64
     }
 
-    /// Coefficient of variation (σ/µ) of the per-interval bytes: ~0 for a
+    /// Coefficient of variation (σ/µ) of the per-window bytes: ~0 for a
     /// steady hum, large for bursts. Zero-mean series return 0.
     pub fn burstiness(&self) -> f64 {
         let n = self.bytes.len() as f64;
@@ -77,82 +77,52 @@ pub fn correlation(a: &EdgeSeries, b: &EdgeSeries) -> f64 {
     cov / (va.sqrt() * vb.sqrt())
 }
 
-/// Accumulates per-edge byte series over a window of `intervals` slots of
-/// `interval_secs` each, starting at `window_start`.
-#[derive(Debug)]
-pub struct EdgeSeriesBuilder {
-    facet: Facet,
-    window_start: u64,
-    interval_secs: u64,
-    intervals: usize,
-    series: HashMap<(NodeId, NodeId), EdgeSeries>,
+/// One byte series per edge over `slots` windows from `start` (a window
+/// start of the roll), read off the graphs one roll handed out: slot `i` is
+/// the edge's bytes in the graph of the window at `start + i × window_len`,
+/// zero where no graph covers it; graphs outside the span are skipped. Keys
+/// are the graphs' `(lower, higher)` node pairs.
+pub fn edge_series<'a>(
+    graphs: impl IntoIterator<Item = &'a CommGraph>,
+    start: u64,
+    slots: usize,
+) -> BTreeMap<(NodeId, NodeId), EdgeSeries> {
+    let mut series = BTreeMap::new();
+    for g in graphs {
+        let slot = g.window_start().checked_sub(start).and_then(|d| d.checked_div(g.window_len()));
+        let Some(slot) = slot.filter(|&s| s < slots as u64) else { continue };
+        for i in 0..g.node_count() as u32 {
+            for e in g.neighbors(i).iter().filter(|e| e.node >= i) {
+                let s = series
+                    .entry((g.node(i), g.node(e.node)))
+                    .or_insert_with(|| EdgeSeries { bytes: vec![0; slots] });
+                s.bytes[slot as usize] += e.stats.bytes();
+            }
+        }
+    }
+    series
 }
 
-impl EdgeSeriesBuilder {
-    /// New builder covering `[window_start, window_start + intervals×secs)`.
-    ///
-    /// # Panics
-    /// Panics if `interval_secs` or `intervals` is zero.
-    pub fn new(facet: Facet, window_start: u64, interval_secs: u64, intervals: usize) -> Self {
-        assert!(interval_secs > 0, "interval must be positive");
-        assert!(intervals > 0, "need at least one interval");
-        EdgeSeriesBuilder { facet, window_start, interval_secs, intervals, series: HashMap::new() }
-    }
-
-    /// Offer one record; records outside the window are ignored.
-    pub fn add(&mut self, r: &ConnSummary) {
-        if r.ts < self.window_start {
-            return;
-        }
-        let slot = (bucket_index(r.ts, self.interval_secs)
-            - bucket_index(self.window_start, self.interval_secs)) as usize;
-        if slot >= self.intervals {
-            return;
-        }
-        let (a, b) = self.facet.endpoints(r);
-        let key = if a <= b { (a, b) } else { (b, a) };
-        let intervals = self.intervals;
-        let s = self.series.entry(key).or_insert_with(|| EdgeSeries { bytes: vec![0; intervals] });
-        s.bytes[slot] += r.bytes_total();
-    }
-
-    /// Offer a batch.
-    pub fn add_all<'a>(&mut self, records: impl IntoIterator<Item = &'a ConnSummary>) {
-        for r in records {
-            self.add(r);
-        }
-    }
-
-    /// Number of edges with series.
-    pub fn edge_count(&self) -> usize {
-        self.series.len()
-    }
-
-    /// Iterate all `(edge, series)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&(NodeId, NodeId), &EdgeSeries)> {
-        self.series.iter()
-    }
-
-    /// The most-correlated other edge for `edge`, among edges above
-    /// `min_total` bytes — "who breathes with whom".
-    pub fn most_correlated(
-        &self,
-        edge: &(NodeId, NodeId),
-        min_total: u64,
-    ) -> Option<((NodeId, NodeId), f64)> {
-        let base = self.series.get(edge)?;
-        self.series
-            .iter()
-            .filter(|(k, s)| *k != edge && s.total() >= min_total)
-            .map(|(k, s)| (*k, correlation(base, s)))
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-    }
+/// The most-correlated other edge for `edge`, among the `series` of at
+/// least `min_total` bytes — "who breathes with whom".
+pub fn most_correlated(
+    series: &BTreeMap<(NodeId, NodeId), EdgeSeries>,
+    edge: &(NodeId, NodeId),
+    min_total: u64,
+) -> Option<((NodeId, NodeId), f64)> {
+    let base = series.get(edge)?;
+    series
+        .iter()
+        .filter(|(k, s)| *k != edge && s.total() >= min_total)
+        .map(|(k, s)| (*k, correlation(base, s)))
+        .max_by(|a, b| a.1.total_cmp(&b.1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowlog::record::FlowKey;
+    use crate::WindowedBuilder;
+    use flowlog::record::{ConnSummary, FlowKey};
     use std::net::Ipv4Addr;
 
     fn rec(ts: u64, l: u8, r: u8, bytes: u64) -> ConnSummary {
@@ -170,13 +140,20 @@ mod tests {
         NodeId::Ip(Ipv4Addr::new(10, 0, 0, d))
     }
 
+    type Series = BTreeMap<(NodeId, NodeId), EdgeSeries>;
+
+    /// The series of `records` (in window order) through a 60 s roll.
+    fn series_of(records: &[ConnSummary], start: u64, slots: usize) -> Series {
+        let mut roll = WindowedBuilder::new(60);
+        let mut graphs: Vec<CommGraph> = records.iter().filter_map(|r| roll.add(r).1).collect();
+        graphs.extend(roll.finish());
+        edge_series(&graphs, start, slots)
+    }
+
     #[test]
     fn series_accumulate_per_slot() {
-        let mut b = EdgeSeriesBuilder::new(Facet::Ip, 0, 60, 5);
-        b.add(&rec(0, 1, 2, 100));
-        b.add(&rec(30, 1, 2, 50));
-        b.add(&rec(240, 1, 2, 10));
-        let s = &b.series[&(node(1), node(2))];
+        let series = series_of(&[rec(0, 1, 2, 100), rec(30, 1, 2, 50), rec(240, 1, 2, 10)], 0, 5);
+        let s = &series[&(node(1), node(2))];
         assert_eq!(s.bytes, vec![150, 0, 0, 0, 10]);
         assert_eq!(s.total(), 160);
         assert!((s.activity() - 0.4).abs() < 1e-12);
@@ -184,18 +161,16 @@ mod tests {
 
     #[test]
     fn direction_independent_lookup() {
-        let mut b = EdgeSeriesBuilder::new(Facet::Ip, 0, 60, 2);
-        b.add(&rec(0, 2, 1, 100)); // reported from the higher endpoint
-        assert!(b.series.contains_key(&(node(1), node(2))), "stored low endpoint first");
-        assert_eq!(b.edge_count(), 1);
+        // Reported from the higher endpoint, then from the lower one.
+        let series = series_of(&[rec(0, 2, 1, 100), rec(60, 1, 2, 5)], 0, 2);
+        assert_eq!(series.len(), 1);
+        assert_eq!(series[&(node(1), node(2))].bytes, vec![100, 5], "stored low endpoint first");
     }
 
     #[test]
     fn out_of_window_records_ignored() {
-        let mut b = EdgeSeriesBuilder::new(Facet::Ip, 3600, 60, 2);
-        b.add(&rec(0, 1, 2, 100)); // before
-        b.add(&rec(7300, 1, 2, 100)); // after
-        assert_eq!(b.edge_count(), 0);
+        let series = series_of(&[rec(0, 1, 2, 100), rec(7300, 1, 2, 100)], 3600, 2);
+        assert!(series.is_empty(), "one window before the span, one after it");
     }
 
     #[test]
@@ -220,14 +195,16 @@ mod tests {
 
     #[test]
     fn most_correlated_finds_the_coupled_edge() {
-        let mut b = EdgeSeriesBuilder::new(Facet::Ip, 0, 60, 4);
         // Edge (1,2) and (3,4) rise together; (5,6) is flat.
+        let mut records = Vec::new();
         for (slot, volume) in [(0u64, 10u64), (1, 40), (2, 90), (3, 20)] {
-            b.add(&rec(slot * 60, 1, 2, volume));
-            b.add(&rec(slot * 60, 3, 4, volume * 7));
-            b.add(&rec(slot * 60, 5, 6, 50));
+            records.push(rec(slot * 60, 1, 2, volume));
+            records.push(rec(slot * 60, 3, 4, volume * 7));
+            records.push(rec(slot * 60, 5, 6, 50));
         }
-        let (best, corr) = b.most_correlated(&(node(1), node(2)), 1).expect("other edges exist");
+        let series = series_of(&records, 0, 4);
+        let (best, corr) =
+            most_correlated(&series, &(node(1), node(2)), 1).expect("other edges exist");
         assert_eq!(best, (node(3), node(4)));
         assert!(corr > 0.99);
     }

@@ -2,10 +2,11 @@
 
 use commgraph_graph::collapse::{collapse, NicLocalSurvivors};
 use commgraph_graph::diff::diff;
-use commgraph_graph::timeseries::{correlation, EdgeSeries, EdgeSeriesBuilder};
-use commgraph_graph::{Facet, GraphBuilder, NodeId};
+use commgraph_graph::timeseries::{correlation, edge_series};
+use commgraph_graph::{CommGraph, Facet, GraphBuilder, NodeId, WindowedBuilder};
 use flowlog::record::{ConnSummary, FlowKey};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 fn arb_record() -> impl Strategy<Value = ConnSummary> {
@@ -24,6 +25,19 @@ fn arb_record() -> impl Strategy<Value = ConnSummary> {
             bytes_rcvd: bytes / 3,
         },
     )
+}
+
+/// A record at any second of minutes 0..120 between two of six hosts: a
+/// self-loop when they coincide, and each pair reported from either end.
+fn arb_minute_record() -> impl Strategy<Value = ConnSummary> {
+    (0u64..7200, 1u8..7, 1u8..7, 1u64..200_000).prop_map(|(ts, l, r, bytes)| ConnSummary {
+        ts,
+        key: FlowKey::tcp(Ipv4Addr::new(10, 0, 0, l), 40_000, Ipv4Addr::new(10, 0, 0, r), 443),
+        pkts_sent: 1,
+        pkts_rcvd: 1,
+        bytes_sent: bytes,
+        bytes_rcvd: bytes / 3,
+    })
 }
 
 proptest! {
@@ -142,27 +156,43 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&fwd.edge_jaccard));
     }
 
-    /// Edge time series: slot sums equal edge totals, and correlation is a
-    /// bounded, symmetric score.
+    /// Edge time series from the roll's minute graphs: slot for slot what a
+    /// per-record `(minute, endpoints)` tally sums, the whole-run graph's
+    /// edge bytes in total, and a bounded, symmetric correlation.
     #[test]
-    fn timeseries_axioms(records in prop::collection::vec(arb_record(), 1..80)) {
-        let mut ts = EdgeSeriesBuilder::new(Facet::Ip, 0, 60, 120);
-        ts.add_all(&records);
-        let mut total_series: u64 = 0;
-        for (_, s) in ts.iter() {
-            total_series += s.total();
-            prop_assert!((0.0..=1.0).contains(&s.activity()));
-            prop_assert!(s.burstiness() >= 0.0);
-        }
-        let expect: u64 = records.iter().map(|r| r.bytes_total()).sum();
-        prop_assert_eq!(total_series, expect, "every byte lands in a slot");
+    fn timeseries_axioms(records in prop::collection::vec(arb_minute_record(), 1..120)) {
+        // The roll takes jitter inside a window, not behind it: minutes in
+        // order, the drawn order within each.
+        let mut records = records;
+        records.sort_by_key(|r| r.ts / 60);
+        let mut roll = WindowedBuilder::new(60);
+        let mut minutes: Vec<CommGraph> = records.iter().filter_map(|r| roll.add(r).1).collect();
+        minutes.extend(roll.finish());
+        let series = edge_series(&minutes, 0, 120);
 
-        let series: Vec<&EdgeSeries> = ts.iter().map(|(_, s)| s).collect();
-        if series.len() >= 2 {
-            let c = correlation(series[0], series[1]);
-            let c2 = correlation(series[1], series[0]);
+        let mut reference = BTreeMap::new();
+        for r in &records {
+            let (a, b) = (NodeId::Ip(r.key.local_ip), NodeId::Ip(r.key.remote_ip));
+            *reference.entry((r.ts / 60, (a.min(b), a.max(b)))).or_insert(0) += r.bytes_total();
+        }
+        let slots = series.iter().flat_map(|(edge, s)| {
+            s.bytes.iter().enumerate().map(move |(minute, b)| ((minute as u64, *edge), *b))
+        });
+        prop_assert_eq!(slots.filter(|(_, b)| *b > 0).collect::<BTreeMap<_, _>>(), reference);
+        prop_assert!(series.values().all(|s| s.bytes.len() == 120 && s.burstiness() >= 0.0));
+
+        let mut whole = GraphBuilder::new(Facet::Ip, 0, 7200);
+        whole.add_all(&records);
+        let whole = whole.finish();
+        prop_assert_eq!(whole.edge_count(), series.len());
+        for ((a, b), s) in &series {
+            let (a, b) = (whole.index_of(a).expect("node"), whole.index_of(b).expect("node"));
+            prop_assert_eq!(whole.edge(a, b).expect("edge").bytes(), s.total());
+        }
+        for (a, b) in series.values().flat_map(|a| series.values().map(move |b| (a, b))) {
+            let c = correlation(a, b);
             prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&c));
-            prop_assert!((c - c2).abs() < 1e-12);
+            prop_assert!((c - correlation(b, a)).abs() < 1e-12);
         }
     }
 }

@@ -19,7 +19,8 @@
 //!   samples every registry family on an injected tick into
 //!   fixed-capacity delta-encoded per-series rings.
 //! * [`query`] — a PromQL-subset expression engine over the store, behind
-//!   `/query_range`, recording rules, and every alert condition.
+//!   `/query_range`, recording rules, and every alert condition: the only
+//!   way anything outside the store reads it.
 //! * [`alert`] — declarative rules, each one [`query`] expression, driven
 //!   through an inactive → pending → firing → resolved state machine that
 //!   mirrors to the event log.
@@ -30,7 +31,7 @@
 //! * [`export`] — Prometheus text exposition and a JSON snapshot.
 //! * [`names`] — the canonical `commgraph_*` metric families, one typed
 //!   const each: the only way to register a metric.
-//! * [`rate`] — the shared rate-from-counter-and-duration helpers.
+//! * [`rate`] — the shared wall-clock rate helper.
 //!
 //! # The `Obs` handle
 //!
@@ -97,7 +98,7 @@ pub use crate::registry::{MetricKind, MetricSnapshot, Registry, SnapshotValue};
 pub use crate::serve::{IntrospectionServer, ServerHandle};
 pub use crate::span::SpanGuard;
 pub use crate::trace::{FlightDump, SpanEvent, SpanRecord, TraceSpan, Tracer};
-pub use crate::tsdb::{Query, SampleField, Scraper, SeriesKey, Tsdb, TsdbConfig};
+pub use crate::tsdb::{SampleField, Scraper, SeriesKey, Tsdb, TsdbConfig};
 
 use crate::names::Family;
 use std::sync::{Arc, OnceLock};

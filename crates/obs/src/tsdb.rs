@@ -202,43 +202,13 @@ impl Default for Tsdb {
     }
 }
 
-/// A label matcher (`key` must equal `value`) for [`Query`].
-pub(crate) type Matcher = (String, String);
-
-/// A series selection: all fields optional, all conditions conjunctive.
-#[derive(Debug, Clone, Default)]
-pub struct Query {
-    /// Exact family name to match (`None` matches every family).
-    pub name: Option<String>,
-    /// Label pairs the series must carry (subset match).
-    pub matchers: Vec<Matcher>,
-    /// Restrict to one sample field.
-    pub field: Option<SampleField>,
-    /// Inclusive lower tick bound.
-    pub from: Option<u64>,
-    /// Inclusive upper tick bound.
-    pub to: Option<u64>,
-}
-
-impl Query {
-    fn matches(&self, key: &SeriesKey) -> bool {
-        if self.name.as_deref().is_some_and(|n| n != key.name) {
-            return false;
-        }
-        if self.field.is_some_and(|f| f != key.field) {
-            return false;
-        }
-        self.matchers.iter().all(|(mk, mv)| key.labels.iter().any(|(k, v)| k == mk && v == mv))
-    }
-}
-
-/// One series returned by [`Tsdb::query`].
+/// One series returned by [`Tsdb::family_up_to`].
 #[derive(Debug, Clone)]
-pub struct SeriesData {
+pub(crate) struct SeriesData {
     /// The series identity.
     pub(crate) key: SeriesKey,
-    /// `(tick, value)` samples, oldest first, within the query range.
-    pub points: Vec<(u64, f64)>,
+    /// `(tick, value)` samples, oldest first, up to the read's tick.
+    pub(crate) points: Vec<(u64, f64)>,
 }
 
 impl Tsdb {
@@ -286,22 +256,22 @@ impl Tsdb {
         inner.series.iter().map(|(k, s)| k.heap_bytes() + s.heap_bytes() + 64).sum()
     }
 
-    /// All matching series, keys in deterministic (name, labels, field)
-    /// order, each with its in-range points oldest-first.
-    pub fn query(&self, q: &Query) -> Vec<SeriesData> {
+    /// Every series of family `name`, in (labels, field) order, each with
+    /// its samples at or before tick `to`, oldest first. `SeriesKey` orders
+    /// by name first, so this is a range scan from the family's smallest
+    /// key: a read costs the family's series, not the store's. PromQL
+    /// selectors ([`crate::query`]) read the store through it.
+    pub(crate) fn family_up_to(&self, name: &str, to: u64) -> Vec<SeriesData> {
+        let first =
+            SeriesKey { name: name.to_string(), labels: Vec::new(), field: SampleField::Value };
         let inner = lock(&self.inner);
         inner
             .series
-            .iter()
-            .filter(|(key, _)| q.matches(key))
-            .map(|(key, series)| {
-                let points = series
-                    .points()
-                    .filter(|(t, _)| {
-                        q.from.is_none_or(|f| *t >= f) && q.to.is_none_or(|to| *t <= to)
-                    })
-                    .collect();
-                SeriesData { key: key.clone(), points }
+            .range(first..)
+            .take_while(|(key, _)| key.name == name)
+            .map(|(key, series)| SeriesData {
+                key: key.clone(),
+                points: series.points().take_while(|(t, _)| *t <= to).collect(),
             })
             .collect()
     }
@@ -461,8 +431,24 @@ mod tests {
     use super::*;
     use crate::names::Family;
 
-    fn family(name: &str) -> Query {
-        Query { name: Some(name.to_string()), ..Query::default() }
+    type Points = Vec<(u64, f64)>;
+
+    /// `src` evaluated through PromQL at every tick of `from..=to`: each
+    /// output series' labels and points.
+    fn promql(db: &Tsdb, src: &str, from: u64, to: u64) -> Vec<(Vec<(String, String)>, Points)> {
+        let expr = crate::query::parse(src).unwrap();
+        let series = crate::query::eval_range(db, &expr, from, to, 1).unwrap();
+        series.into_iter().map(|s| (s.labels, s.points)).collect()
+    }
+
+    /// The whole family, every tick.
+    fn family(db: &Tsdb, name: &str) -> Vec<SeriesData> {
+        db.family_up_to(name, u64::MAX)
+    }
+
+    /// Samples retained in the whole store.
+    fn retained(db: &Tsdb) -> usize {
+        lock(&db.inner).series.values().map(|s| s.samples.len()).sum()
     }
 
     #[test]
@@ -472,21 +458,55 @@ mod tests {
             db.append(SeriesKey::value("a_total", &[("k", "x")]), t, t as f64);
             db.append(SeriesKey::value("b_total", &[]), t, 10.0 * t as f64);
         }
-        let all = db.query(&Query::default());
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].key.name, "a_total");
-        assert_eq!(all[0].points, (1..=5).map(|t| (t, t as f64)).collect::<Vec<_>>());
+        let a = family(&db, "a_total");
+        assert_eq!(a.len(), 1);
+        assert_eq!(a[0].key.name, "a_total");
+        assert_eq!(a[0].points, (1..=5).map(|t| (t, t as f64)).collect::<Vec<_>>());
 
-        let ranged = db.query(&Query { from: Some(2), to: Some(4), ..family("b_total") });
-        assert_eq!(ranged.len(), 1);
-        assert_eq!(ranged[0].points, vec![(2, 20.0), (3, 30.0), (4, 40.0)]);
+        let ranged = promql(&db, "b_total", 2, 4);
+        assert_eq!(ranged, vec![(vec![], vec![(2, 20.0), (3, 30.0), (4, 40.0)])]);
 
-        let labeled =
-            db.query(&Query { matchers: vec![("k".into(), "x".into())], ..family("a_total") });
+        let labeled = promql(&db, "a_total{k=\"x\"}", 1, 5);
         assert_eq!(labeled.len(), 1);
-        assert!(db
-            .query(&Query { matchers: vec![("k".into(), "y".into())], ..family("a_total") })
-            .is_empty());
+        assert_eq!(labeled[0].0, vec![("k".to_string(), "x".to_string())]);
+        assert!(promql(&db, "a_total{k=\"y\"}", 1, 5).is_empty());
+    }
+
+    /// The name-keyed range scan returns exactly what a scan of every stored
+    /// series filtered by name and tick returns, the `to` bound included —
+    /// for families whose names share a prefix (`:` and `_` sort either side
+    /// of letters), labelled and unlabelled series, and histogram fields.
+    #[test]
+    fn family_read_equals_a_filtered_full_scan() {
+        let db = Tsdb::default();
+        for t in 1..=4u64 {
+            for name in ["a", "a:b", "a_total", "ab", "b"] {
+                db.append(SeriesKey::value(name, &[]), t, t as f64);
+                db.append(SeriesKey::value(name, &[("k", "x")]), t, 2.0 * t as f64);
+            }
+            for field in SampleField::HISTOGRAM_FIELDS {
+                let labels = vec![("k".to_string(), "y".to_string())];
+                db.append(SeriesKey { name: "a".into(), labels, field }, t, 3.0 * t as f64);
+                db.append(SeriesKey { name: "a_".into(), labels: vec![], field }, t, t as f64);
+            }
+        }
+        let full_scan = |name: &str, to: u64| -> Vec<(SeriesKey, Points)> {
+            let inner = lock(&db.inner);
+            let named = inner.series.iter().filter(|(key, _)| key.name == name);
+            named
+                .map(|(key, s)| (key.clone(), s.points().filter(|p| p.0 <= to).collect()))
+                .collect()
+        };
+        for name in ["", "a", "a:", "a:b", "a_", "a_total", "ab", "b", "c"] {
+            for to in 0..=5 {
+                let read = db.family_up_to(name, to);
+                let read: Vec<(SeriesKey, Points)> =
+                    read.into_iter().map(|s| (s.key, s.points)).collect();
+                assert_eq!(read, full_scan(name, to), "{name:?} up to tick {to}");
+            }
+        }
+        assert_eq!(db.family_up_to("a", 2).len(), 8, "two value series and six fields");
+        assert_eq!(db.family_up_to("a_total", 2)[0].points, vec![(1, 1.0), (2, 2.0)]);
     }
 
     #[test]
@@ -497,7 +517,7 @@ mod tests {
             db.append(SeriesKey::value("x_total", &[]), t, t as f64);
             appended += 1;
         }
-        let s = &db.query(&Query::default())[0];
+        let s = &family(&db, "x_total")[0];
         assert_eq!(s.points, vec![(5, 5.0), (6, 6.0), (7, 7.0)], "oldest evicted first");
         assert_eq!(db.evicted_samples(), 4);
         // Conservation: retained + evicted == appended.
@@ -513,9 +533,8 @@ mod tests {
         // Existing series still accept samples at the cap.
         db.append(SeriesKey::value("a_total", &[]), 2, 2.0);
         assert_eq!(db.series_count(), 2);
-        assert!(db.query(&family("c_total")).is_empty(), "the series past the cap is not stored");
-        let retained: usize = db.query(&Query::default()).iter().map(|s| s.points.len()).sum();
-        assert_eq!(retained, 3, "every sample of a stored series is kept");
+        assert!(family(&db, "c_total").is_empty(), "the series past the cap is not stored");
+        assert_eq!(retained(&db), 3, "every sample of a stored series is kept");
     }
 
     #[test]
@@ -530,21 +549,19 @@ mod tests {
         let scraper = Scraper::new(registry.clone(), Arc::new(Tsdb::default()));
         let appended = scraper.scrape(1);
         let db = scraper.store();
-        let counter = db.query(&family("demo_total"));
+        let counter = family(db, "demo_total");
         assert_eq!(counter[0].points, vec![(1, 3.0)]);
-        let hist = db.query(&family("demo_seconds"));
+        let hist = family(db, "demo_seconds");
         assert_eq!(hist.len(), 6, "histograms fan out into scalar sub-series");
-        let count = db.query(&Query { field: Some(SampleField::Count), ..family("demo_seconds") });
-        assert_eq!(count[0].points, vec![(1, 2.0)]);
-        let sum = db.query(&Query { field: Some(SampleField::Sum), ..family("demo_seconds") });
-        assert_eq!(sum[0].points, vec![(1, 3.0)]);
+        let field = |f: &str| promql(db, &format!("demo_seconds{{field=\"{f}\"}}"), 1, 1);
+        assert_eq!(field("count")[0].1, vec![(1, 2.0)]);
+        assert_eq!(field("sum")[0].1, vec![(1, 3.0)]);
         assert!(appended >= 12, "user metrics plus scraper self-metrics: {appended}");
-        let retained: usize = db.query(&Query::default()).iter().map(|s| s.points.len()).sum();
-        assert_eq!(retained, appended, "one scrape evicts nothing");
+        assert_eq!(retained(db), appended, "one scrape evicts nothing");
 
         // Second scrape sees the scraper's own scrape_seconds histogram.
         scraper.scrape(2);
-        let self_cost = db.query(&family(names::TSDB_SCRAPE_SECONDS.name));
+        let self_cost = family(db, names::TSDB_SCRAPE_SECONDS.name);
         assert!(!self_cost.is_empty(), "store observes its own cost one tick behind");
         assert_eq!(db.last_tick(), 2);
     }
@@ -571,7 +588,7 @@ mod tests {
             scraper.scrape(tick);
             assert_eq!(written() - before, 2, "one row per shard at tick {tick}");
         }
-        let out = scraper.store().query(&family("shard:demo:x2"));
+        let out = family(scraper.store(), "shard:demo:x2");
         assert_eq!(out.len(), 2);
         for (series, (shard, step)) in out.iter().zip(shards) {
             assert_eq!(series.key.labels, vec![("shard".to_string(), shard.to_string())]);

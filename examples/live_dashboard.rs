@@ -75,14 +75,15 @@ fn main() {
         ..Default::default()
     });
     let root = obs.trace_root("pipeline_run");
-    sim.run(6 * 60, |_, batch| pipeline.ingest(batch));
+    let minutes = 6 * 60;
+    sim.run(minutes, |_, batch| pipeline.ingest(batch));
     let out = pipeline.finish().expect("windows arrive in order");
     drop(root);
 
     println!(
         "{} records total, {:.0} records/min average\n",
         out.total_records,
-        out.mean_records_per_minute()
+        out.total_records as f64 / minutes as f64
     );
     println!(
         "{:<6} {:>7} {:>7} {:>10} {:>12} {:>11} {:>11} {:>13}",
@@ -130,7 +131,7 @@ fn main() {
         );
     }
 
-    let p = seq.persistence(3.0);
+    let p = seq.persistence();
     println!("\nmean hour-over-hour edge similarity: {:.3}", p.mean_edge_jaccard);
     if let Some(t) = p.most_changed_transition {
         println!("biggest change: hour +{} → +{} (the flash crowd / scale-out)", t, t + 1);

@@ -11,8 +11,8 @@
 //! ```
 
 use commgraph::cloudsim::{ClusterPreset, Simulator};
-use commgraph::graph::timeseries::EdgeSeriesBuilder;
-use commgraph::graph::{Adjacent, Facet, GraphBuilder};
+use commgraph::graph::timeseries::{edge_series, most_correlated};
+use commgraph::graph::{Adjacent, Facet, GraphBuilder, WindowedBuilder};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -71,20 +71,23 @@ fn main() {
     }
 
     // ---- Per-edge time series: who breathes together? ---------------------
-    let mut ts = EdgeSeriesBuilder::new(Facet::Ip, 0, 60, minutes as usize);
-    ts.add_all(&records);
-    println!("\nper-edge time series ({} edges tracked):", ts.edge_count());
-    let mut heavy: Vec<_> = ts.iter().map(|(k, s)| (s.total(), *k, s.clone())).collect();
-    heavy.sort_by_key(|(t, _, _)| std::cmp::Reverse(*t));
-    for (total, key, series) in heavy.iter().take(3) {
-        let partner = ts.most_correlated(key, 1_000_000);
+    // The minute graphs of a 60 s roll, side by side: one slot per minute.
+    let mut roll = WindowedBuilder::new(60);
+    let mut minute_graphs: Vec<_> = records.iter().filter_map(|r| roll.add(r).1).collect();
+    minute_graphs.extend(roll.finish());
+    let series = edge_series(&minute_graphs, 0, minutes as usize);
+    println!("\nper-edge time series ({} edges tracked):", series.len());
+    let mut heavy: Vec<_> = series.iter().collect();
+    heavy.sort_by_key(|(_, s)| std::cmp::Reverse(s.total()));
+    for (key, s) in heavy.iter().take(3) {
+        let partner = most_correlated(&series, key, 1_000_000);
         println!(
             "  {} <-> {}: {:.1} MB, activity {:.0}%, burstiness {:.2}{}",
             key.0,
             key.1,
-            *total as f64 / 1e6,
-            series.activity() * 100.0,
-            series.burstiness(),
+            s.total() as f64 / 1e6,
+            s.activity() * 100.0,
+            s.burstiness(),
             partner
                 .map(|((a, b), c)| format!(", breathes with {a}<->{b} (r = {c:.2})"))
                 .unwrap_or_default()

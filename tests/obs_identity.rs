@@ -29,7 +29,7 @@ struct Fingerprint {
     engine_graphs: Vec<(u64, usize, usize, u64, u64)>,
     engine_kept: u64,
     pipeline_windows: Vec<(u64, usize, usize, u64)>,
-    rate_bits: u64,
+    pipeline_counts: (u64, u64, u64, u64),
     role_labels: Vec<usize>,
     n_roles: usize,
     segments: usize,
@@ -74,7 +74,8 @@ fn run(obs: Obs, records: &[ConnSummary], monitored: &HashSet<Ipv4Addr>) -> Fing
         .iter()
         .map(|g| (g.window_start(), g.node_count(), g.edge_count(), g.totals().bytes()))
         .collect();
-    let rate_bits = out.mean_records_per_minute().to_bits();
+    let pipeline_counts =
+        (out.total_records, out.kept_records, out.deduped_records, out.dropped_records);
 
     let mut wb = Workbench::new(records.to_vec(), monitored.clone()).with_obs(obs);
     let roles = wb.roles().clone();
@@ -87,7 +88,7 @@ fn run(obs: Obs, records: &[ConnSummary], monitored: &HashSet<Ipv4Addr>) -> Fing
         engine_graphs,
         engine_kept: stats.records_kept,
         pipeline_windows,
-        rate_bits,
+        pipeline_counts,
         role_labels: roles.labels,
         n_roles: roles.n_roles,
         segments,
